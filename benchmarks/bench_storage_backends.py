@@ -7,11 +7,12 @@ backends of :mod:`repro.graph.backends`:
 * ``test_bulk_traversal_dict``  — the mutation-friendly default: per-label
   hash adjacency, per-config tuple stack, hash-set visited bookkeeping;
 * ``test_bulk_traversal_csr``   — the frozen graph: interned integer ids,
-  per-label sorted CSR buffers, batch slice expansion, one flat
-  ``bytearray`` visited map over the product space (scalar kernel,
-  pinned).  Asserts the PR 6 acceptance criterion: **≥ 2×** faster than
-  the dict backend on the same workload, with identical answers;
-* ``test_bulk_traversal_vector`` — the numpy kernel over the same frozen
+  per-label sorted CSR buffers, one ``QueryEngine.reachable`` call per
+  source (the CSR sweep search: numpy vector, or generated code when
+  numpy is absent).  Asserts the PR 6 acceptance criterion: **≥ 2×**
+  faster than the dict backend on the same workload, with identical
+  answers;
+* ``test_bulk_traversal_vector`` — the numpy search over the same frozen
   CSR, driven through the batched ``QueryEngine.reachable_many`` entry
   point (multi-source flat configurations, bool visited matrix,
   ``np.repeat`` CSR gathers).  Asserts the PR 7 acceptance criterion:
@@ -72,17 +73,15 @@ def traversal_sources(graph: GraphDatabase, count: int = SOURCE_COUNT) -> list:
     return rng.sample(sorted(graph.nodes(), key=repr), count)
 
 
-def make_sweep(graph: GraphDatabase, kernel: str = "scalar"):
+def make_sweep(graph: GraphDatabase):
     """One full single-source sweep with the memo caches defeated.
 
     ``QueryEngine.reachable`` memoises per (expr, source); benchmarking
     the memo would measure dictionary lookups, not traversal.  Each sweep
     runs on a cleared cross-candidate cache so the product search really
     executes (compiled automata are shared by both backends either way).
-    The kernel is pinned so the dict-vs-csr comparison keeps measuring
-    the scalar storage layouts regardless of the session default.
     """
-    engine = QueryEngine(kernel=kernel)
+    engine = QueryEngine()
     expr = parse_nre(QUERY)
     sources = traversal_sources(graph)
 
@@ -98,7 +97,7 @@ def make_sweep(graph: GraphDatabase, kernel: str = "scalar"):
 
 def make_vector_sweep(frozen: GraphDatabase):
     """The batched numpy sweep: all sources through one ``reachable_many``."""
-    engine = QueryEngine(kernel="vector")
+    engine = QueryEngine()
     expr = parse_nre(QUERY)
     sources = traversal_sources(frozen)
 
@@ -148,26 +147,26 @@ def test_bulk_traversal_csr(benchmark):
 
 
 def test_bulk_traversal_vector(benchmark):
-    """The numpy-kernel sweep — asserts answers identical and >= 10x faster.
+    """The batched numpy sweep — asserts answers identical and >= 10x faster.
 
-    Skipped when numpy is absent (the kernel then degrades to scalar and
-    there is nothing to measure); the scalar fallback's correctness is
-    covered by the kernel differential suites.
+    Skipped when numpy is absent (CSR sweeps then run the generated-code
+    search and there is no vector path to measure); that fallback's
+    correctness is covered by the differential suites.
     """
     import pytest
 
     from repro.kernels import get_numpy
 
     if get_numpy() is None:
-        pytest.skip("numpy unavailable; vector kernel falls back to scalar")
+        pytest.skip("numpy unavailable; CSR sweeps run the codegen search")
 
     graph = chase_shaped_graph()
     frozen = graph.freeze()
     dict_sweep = make_sweep(graph)
-    scalar_sweep = make_sweep(frozen)
+    per_source_sweep = make_sweep(frozen)
     vector_sweep = make_vector_sweep(frozen)
-    assert vector_sweep() == scalar_sweep() == dict_sweep(), (
-        "kernel answers diverged on the traversal sweep"
+    assert vector_sweep() == per_source_sweep() == dict_sweep(), (
+        "sweep answers diverged on the traversal sweep"
     )
     benchmark.pedantic(vector_sweep, rounds=5, iterations=1, warmup_rounds=1)
 
@@ -180,7 +179,7 @@ def test_bulk_traversal_vector(benchmark):
         [
             ("graph", "chased shape", f"|V|={NODE_COUNT} |E|~{EDGE_FACTOR * NODE_COUNT}"),
             ("dict backend median", "--", f"{1000 * dict_median:.1f} ms"),
-            ("vector kernel median", "--", f"{1000 * vector_median:.1f} ms"),
+            ("vector search median", "--", f"{1000 * vector_median:.1f} ms"),
             ("vector speedup", ">= 10x (acceptance)", f"{speedup:.2f}x"),
         ],
     )

@@ -38,11 +38,9 @@ the query-evaluation back-end (the compiled product-automaton engine with
 its cross-candidate cache, or the set-algebraic reference oracle — both
 stay runnable end to end), ``--backend {dict,csr}`` to pick the storage
 backend evaluation runs on (the mutation-friendly hash indexes, or frozen
-interned-CSR arrays — identical answers, different physical traversal),
-``--kernel {vector,scalar}`` to pick the execution kernel (numpy
-array-at-a-time bulk search, or the pure-Python scalar oracle; the
-default honours the ``REPRO_KERNEL`` environment variable and falls back
-to scalar when numpy is absent),
+interned-CSR arrays — identical answers, different physical traversal;
+on csr, sweeps run the numpy vector search and single-pair probes the
+generated-code search, with codegen serving both when numpy is absent),
 ``--solver {cdcl,dpll}`` to pick the SAT back-end for the complete
 Theorem 4.1 decisions (the incremental CDCL solver, or the chronological
 DPLL kept as the differential oracle — the answers must be identical,
@@ -66,7 +64,6 @@ from repro.core.existence import decide_existence
 from repro.core.search import CandidateSearchConfig
 from repro.core.setting import DataExchangeSetting
 from repro.engine.query import BACKEND_NAMES, EvalStats, QueryEngine, ReferenceEngine
-from repro.kernels import KERNEL_NAMES
 from repro.graph.parser import parse_nre
 from repro.io.dependencies import setting_to_dict
 from repro.io.dot import graph_to_dot, pattern_to_dot
@@ -202,7 +199,6 @@ def _engine_from_args(args: argparse.Namespace):
     return QueryEngine(
         stats=stats,
         backend=getattr(args, "backend", "dict"),
-        kernel=getattr(args, "kernel", None),
     )
 
 
@@ -428,8 +424,6 @@ def _cmd_submit(args: argparse.Namespace) -> int:
             params["solver"] = args.solver
         if getattr(args, "backend", None):
             params["backend"] = args.backend
-        if getattr(args, "kernel", None):
-            params["kernel"] = args.kernel
     if op == "cancel":
         params["job"] = args.job
     if op == "traces":
@@ -537,16 +531,6 @@ def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
         help="storage backend for query evaluation: the mutation-friendly "
         "dict indexes (default) or frozen interned-CSR arrays — answers "
         "are identical, csr is the bulk-traversal fast path",
-    )
-    parser.add_argument(
-        "--kernel",
-        choices=KERNEL_NAMES,
-        default=None,
-        help="execution kernel: numpy array-at-a-time bulk search (vector; "
-        "the default when numpy is importable, honours REPRO_KERNEL), the "
-        "pure-Python scalar oracle, or per-automaton generated code "
-        "(codegen; fastest for single-pair and warm repeated queries) — "
-        "answers are identical",
     )
     parser.add_argument(
         "--stats",
@@ -762,7 +746,6 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--engine", choices=("compiled", "reference"), default=None)
         sub.add_argument("--solver", choices=SOLVER_NAMES, default=None)
         sub.add_argument("--backend", choices=BACKEND_NAMES, default=None)
-        sub.add_argument("--kernel", choices=KERNEL_NAMES, default=None)
     requests.add_parser("ping", help="liveness probe")
     requests.add_parser("stats", help="server telemetry snapshot")
     requests.add_parser("metrics", help="server metrics-registry snapshot")

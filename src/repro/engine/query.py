@@ -47,7 +47,6 @@ from collections import OrderedDict
 from dataclasses import dataclass, fields
 from typing import Hashable, Iterable
 
-from repro import kernels
 from repro.graph.automaton import NREAutomaton, _Runner, compile_nre
 from repro.graph.database import Fingerprint, GraphDatabase
 from repro.graph.eval import evaluate_nre
@@ -125,11 +124,9 @@ class _GraphState:
 
     __slots__ = ("graph", "runner", "pairs", "reach", "holds")
 
-    def __init__(
-        self, graph: GraphDatabase, stats: EvalStats, kernel: str | None = None
-    ):
+    def __init__(self, graph: GraphDatabase, stats: EvalStats):
         self.graph = graph
-        self.runner = _Runner(graph, stats, kernel)
+        self.runner = _Runner(graph, stats)
         self.pairs: dict[NRE, PairSet] = {}
         self.reach: dict[tuple[NRE, Node], frozenset[Node]] = {}
         self.holds: dict[tuple[NRE, Node, Node], bool] = {}
@@ -166,22 +163,17 @@ class QueryEngine:
     (:mod:`repro.graph.backends`): ``"dict"`` (default) evaluates graphs
     as handed in, while ``"csr"`` freezes each cacheable graph to the
     interned-CSR backend on its first appearance — the runner then takes
-    the integer-id bulk-traversal fast path for every query against that
-    fingerprint, which is the profitable trade whenever a graph is queried
-    more than once (the chased-result serving shape).  Answers are
-    byte-identical across back-ends; only the physical evaluation differs.
-    Graphs that cannot be fingerprinted (destructively mutated) are never
-    frozen implicitly — they evaluate on their own backend.
+    the integer-id fast paths for every query against that fingerprint,
+    which is the profitable trade whenever a graph is queried more than
+    once (the chased-result serving shape).  Answers are byte-identical
+    across back-ends; only the physical evaluation differs.  Graphs that
+    cannot be fingerprinted (destructively mutated) are never frozen
+    implicitly — they evaluate on their own backend.
 
-    ``kernel`` selects the execution kernel (:mod:`repro.kernels`):
-    ``"vector"`` runs the numpy array-at-a-time product search on
-    CSR-backed graphs, ``"scalar"`` the pure-Python loops, ``"codegen"``
-    the generated-code kernel (:mod:`repro.graph.codegen` — each automaton
-    lowered once to specialized Python, the single-pair/warm-query fast
-    path), and ``None`` defers to ``REPRO_KERNEL``/the built-in default.
-    ``self.kernel`` holds the *resolved* choice (``"vector"`` degrades to
-    ``"scalar"`` without numpy; ``"codegen"`` is pure Python and never
-    degrades); answers are identical on every kernel.
+    On CSR graphs the search follows the call shape (:mod:`repro.kernels`):
+    sweeps (:meth:`pairs`, :meth:`reachable`, :meth:`reachable_many`,
+    :meth:`answers_over`) run the numpy vector search and :meth:`holds`
+    runs the generated-code search; without numpy, codegen runs both.
     """
 
     name = "compiled"
@@ -191,7 +183,6 @@ class QueryEngine:
         stats: EvalStats | None = None,
         max_graphs: int = 256,
         backend: str = "dict",
-        kernel: str | None = None,
     ):
         if backend not in BACKEND_NAMES:
             raise ValueError(
@@ -201,7 +192,6 @@ class QueryEngine:
         self.stats = stats if stats is not None else EvalStats()
         self.max_graphs = max_graphs
         self.backend = backend
-        self.kernel = kernels.resolve_kernel(kernel)
         self._automata: dict[NRE, NREAutomaton] = {}
         self._cache: OrderedDict[Fingerprint, _GraphState] = OrderedDict()
         # The most recently frozen graph (backend="csr" only): an update
@@ -253,7 +243,7 @@ class QueryEngine:
     ) -> dict[Node, frozenset[Node]]:
         """Batched :meth:`reachable`: one answer set per source.
 
-        The bulk-traversal entry point: on the vector kernel every
+        The bulk-traversal entry point: on a CSR graph with numpy every
         uncached source runs through *one* multi-source product search
         (:meth:`_Runner.reachable_many`), so the per-query numpy dispatch
         overhead is amortised over the whole sweep.  Per-source cache
@@ -349,7 +339,7 @@ class QueryEngine:
             # Destructively-mutated graph: evaluate with a transient state
             # (nested-test memoisation still applies within one query).
             self.stats.uncacheable_graphs += 1
-            return _GraphState(graph, self.stats, self.kernel)
+            return _GraphState(graph, self.stats)
         state = self._cache.get(token)
         if state is not None:
             self._cache.move_to_end(token)
@@ -361,7 +351,7 @@ class QueryEngine:
             # Freeze once per fingerprint; every later query against this
             # content runs the interned integer-id fast path.
             graph = self._freeze_incremental(graph, token)
-        state = _GraphState(graph, self.stats, self.kernel)
+        state = _GraphState(graph, self.stats)
         self._cache[token] = state
         while len(self._cache) > self.max_graphs:
             self._cache.popitem(last=False)
@@ -465,23 +455,21 @@ class ReferenceEngine:
         )
 
 
-_DEFAULT_ENGINES: dict[tuple[str, str], QueryEngine] = {}
+_DEFAULT_ENGINES: dict[str, QueryEngine] = {}
 
 
-def default_engine(backend: str = "dict", kernel: str | None = None) -> QueryEngine:
+def default_engine(backend: str = "dict") -> QueryEngine:
     """Return the process-wide shared :class:`QueryEngine` for ``backend``.
 
     Core modules that are not handed an explicit engine share this one, so
     candidate solutions examined by different entry points (existence, then
     certain answers) still hit one another's caches.  One engine is kept
-    per (storage backend, resolved kernel) combination — the service
-    workers route requests carrying ``backend``/``kernel`` parameters to
-    the matching warm instance.
+    per storage backend — the service workers route requests carrying a
+    ``backend`` parameter to the matching warm instance.
     """
-    key = (backend, kernels.resolve_kernel(kernel))
-    engine = _DEFAULT_ENGINES.get(key)
+    engine = _DEFAULT_ENGINES.get(backend)
     if engine is None:
-        engine = _DEFAULT_ENGINES[key] = QueryEngine(backend=backend, kernel=key[1])
+        engine = _DEFAULT_ENGINES[backend] = QueryEngine(backend=backend)
     return engine
 
 

@@ -24,6 +24,12 @@ per state *by edge label*, so the product BFS steps straight from a config
 ``(node, state)`` to its successors through the graph's per-label hash
 indexes without ever touching an ε edge at run time.
 
+On frozen CSR graphs the runner hands the lowered automaton to one of
+two integer-id searches, chosen by call shape (see :mod:`repro.kernels`):
+the numpy :mod:`repro.graph.vector` search for sweeps and the
+generated-code :mod:`repro.graph.codegen` search for single-pair probes
+(and for everything when numpy is absent).
+
 This module is an independent implementation of the same semantics as
 :mod:`repro.graph.eval`; the two are differential-tested against each other
 in the property-based test suite.
@@ -304,68 +310,49 @@ class _Runner:
     ``stats`` is duck-typed (:class:`repro.engine.query.EvalStats` or any
     object with ``nested_tests`` / ``nested_test_cache_hits`` counters).
 
-    ``kernel`` selects the execution kernel (:mod:`repro.kernels`):
-    ``None`` defers to ``REPRO_KERNEL``/the built-in default.  A
-    ``"vector"`` resolution takes effect only on CSR-backed graphs with
-    numpy importable, a ``"codegen"`` resolution only on CSR-backed
-    graphs (it needs no numpy) — everything else runs the scalar loops.
-    All kernels are answer-identical.
+    The search is picked per call from what the runner can observe
+    (:mod:`repro.kernels`).  Dict-backed graphs run :meth:`_search`.  On
+    a frozen CSR graph, sweeps run :class:`~repro.graph.vector.VectorSearch`
+    when numpy is importable and single-pair probes run
+    :class:`~repro.graph.codegen.CodegenSearch`; without numpy codegen
+    serves both.  Every path is answer-identical.
     """
 
-    def __init__(
-        self,
-        graph: GraphDatabase,
-        stats: object | None = None,
-        kernel: str | None = None,
-    ):
+    def __init__(self, graph: GraphDatabase, stats: object | None = None):
         self.graph = graph
         self.stats = stats
-        self.kernel = kernels.resolve_kernel(kernel)
-        # Frozen graphs expose their CSR backend; a non-None probe flips
-        # every search in this runner to the interned integer-id loop.
-        self._csr = getattr(graph, "csr", None)
-        self._vector = self._make_vector()
-        self._codegen = self._make_codegen()
+        self._bind_csr()
         self._test_cache: dict[tuple[int, Node], bool] = {}
-        # Nested-test memos of the CSR loop, keyed by (automaton cache
-        # key, interned node id) — kept apart from _test_cache because
-        # integer node ids could collide with graphs whose nodes *are*
-        # integers.
-        self._id_test_cache: dict[tuple[int, int], bool] = {}
         # CompiledAutomaton.cache_key → per-state move tables with the
-        # graph's per-label adjacency dicts (or CSR buffers) looked up.
+        # graph's per-label adjacency dicts looked up.
         self._resolved: dict[int, tuple] = {}
 
-    def _make_vector(self):
-        if self.kernel != "vector" or self._csr is None:
-            return None
-        from repro.graph.vector import VectorSearch
-
-        if kernels.get_numpy() is None:  # masked after construction
-            return None
-        return VectorSearch(self._csr, self.stats)
-
-    def _make_codegen(self):
-        if self.kernel != "codegen" or self._csr is None:
-            return None
+    def _bind_csr(self) -> None:
+        # Frozen graphs expose their CSR backend; a non-None probe routes
+        # every search in this runner to the interned integer-id searches.
+        csr = self._csr = getattr(self.graph, "csr", None)
+        self._vector = self._codegen = None
+        if csr is None:
+            return
         from repro.graph.codegen import CodegenSearch
 
-        return CodegenSearch(self._csr, self.stats)
+        self._codegen = CodegenSearch(csr, self.stats)
+        if kernels.resolve_kernel(None) == "vector":
+            from repro.graph.vector import VectorSearch
+
+            self._vector = VectorSearch(csr, self.stats)
 
     def rebind(self, graph: GraphDatabase) -> None:
         """Point the runner at ``graph`` (same content, different object).
 
         Nested-test memos keyed by node carry over (they depend only on
-        content); the resolved move tables and the id-keyed memos do not
-        (they hold the old object's adjacency structures and interning)
-        and are rebuilt lazily.
+        content); the resolved move tables and the CSR searches do not
+        (they hold the old object's adjacency structures and interning),
+        so the searches are rebuilt here and the move tables lazily.
         """
         self.graph = graph
-        self._csr = getattr(graph, "csr", None)
-        self._vector = self._make_vector()
-        self._codegen = self._make_codegen()
+        self._bind_csr()
         self._resolved.clear()
-        self._id_test_cache.clear()
 
     def _resolve(self, compiled: CompiledAutomaton) -> tuple:
         """Bind the automaton's per-state moves to this graph's indexes.
@@ -411,11 +398,7 @@ class _Runner:
             if vector is not None:
                 hits = vector.reachable_many(compiled, [source_id])[0]
                 return frozenset(csr.nodes_at(hits.tolist()))
-            codegen = self._codegen
-            if codegen is not None:
-                return frozenset(csr.nodes_at(codegen.collect(compiled, source_id)))
-            hits = self._search_ids(compiled, source_id, _COLLECT)
-            return frozenset(csr.nodes_at(hits))
+            return frozenset(csr.nodes_at(self._codegen.collect(compiled, source_id)))
         if source not in self.graph:
             return frozenset()
         return frozenset(self._search(self._compiled(automaton), source, _ALL))
@@ -427,17 +410,17 @@ class _Runner:
     ) -> dict[Node, frozenset[Node]]:
         """Batched :meth:`reachable`: one answer set per source, in bulk.
 
-        On the vector kernel all sources run through *one* product search
-        (the frontier carries a flat ``source × |V| + node`` config per
-        entry), which is where the array-at-a-time kernel earns its keep —
-        per-source calls cannot amortise the numpy dispatch overhead.
-        Elsewhere this is a plain loop over :meth:`reachable`.  Sources
-        outside the graph map to the empty set.
+        With the vector search all sources run through *one* product
+        search (the frontier carries a flat ``source × |V| + node`` config
+        per entry), which is where the array-at-a-time search earns its
+        keep — per-source calls cannot amortise the numpy dispatch
+        overhead.  Elsewhere this is a plain loop over :meth:`reachable`.
+        Sources outside the graph map to the empty set.
         """
         sources = list(sources)
         csr = self._csr
         vector = self._vector
-        if vector is None or csr is None:
+        if vector is None:
             return {source: self.reachable(automaton, source) for source in sources}
         compiled = self._compiled(automaton)
         in_graph: list[Node] = []
@@ -480,14 +463,9 @@ class _Runner:
             target_id = csr.node_id(target)
             if source_id is None or target_id is None:
                 return False
-            compiled = self._compiled(automaton)
-            vector = self._vector
-            if vector is not None:
-                return vector.holds(compiled, source_id, target_id)
-            codegen = self._codegen
-            if codegen is not None:
-                return codegen.holds(compiled, source_id, target_id)
-            return self._search_ids(compiled, source_id, target_id) is _FOUND
+            return self._codegen.holds(
+                self._compiled(automaton), source_id, target_id
+            )
         if source not in self.graph or target not in self.graph:
             return False
         return self._search(self._compiled(automaton), source, target) is _FOUND
@@ -569,169 +547,11 @@ class _Runner:
             self.stats.nested_test_cache_hits += 1  # type: ignore[attr-defined]
         return cached
 
-    # ------------------------------------------------------------------ #
-    # The CSR fast path: the same product BFS over interned integer ids.
-    # ------------------------------------------------------------------ #
-
-    def _resolve_ids(self, compiled: CompiledAutomaton) -> tuple:
-        """Bind the automaton's per-state moves to the graph's CSR lists.
-
-        Per state the result is ``(moves, checks)``: each move is
-        ``(offsets, targets, hops)`` with the label already resolved to
-        its two (list-converted) buffers — forward and backward moves are
-        merged, each backward move simply binding the predecessor CSR —
-        and ``hops`` the successor states paired with their flat-config
-        bases (``state × |V|``).  Labels absent from the graph contribute
-        no move at all.  ``checks`` are ``(sub_automaton, base, state)``
-        triples for the nested tests.
-        """
-        key = compiled.cache_key
-        resolved = self._resolved.get(key)
-        if resolved is None:
-            csr = self._csr
-            node_count = csr.node_count()
-            per_state = []
-            for state in range(compiled.state_count):
-                moves = []
-                for lab, targets in compiled.fwd[state].items():
-                    lists = csr.forward_lists(lab)
-                    if lists is not None:
-                        moves.append(
-                            (lists[0], lists[1],
-                             tuple((s * node_count, s) for s in targets))
-                        )
-                for lab, targets in compiled.bwd[state].items():
-                    lists = csr.backward_lists(lab)
-                    if lists is not None:
-                        moves.append(
-                            (lists[0], lists[1],
-                             tuple((s * node_count, s) for s in targets))
-                        )
-                checks = tuple(
-                    (nested, s * node_count, s)
-                    for nested, s in compiled.tests[state]
-                )
-                per_state.append((tuple(moves), checks))
-            resolved = self._resolved[key] = tuple(per_state)
-        return resolved
-
-    def _search_ids(
-        self, compiled: CompiledAutomaton, source_id: int, target_id: object
-    ) -> object:
-        """Product search from ``(source_id, start)`` over interned ids.
-
-        The id-space twin of :meth:`_search`.  ``target_id`` selects the
-        mode: :data:`_COLLECT` gathers and returns the accepted node ids,
-        :data:`_ANY_ID` returns :data:`_FOUND` on the first accepting
-        config, and a concrete id returns :data:`_FOUND` when that id is
-        accepted.
-
-        Exploration is *batched by automaton state*: the worklist holds,
-        per state, the list of newly-discovered node ids, and one
-        iteration drains a whole batch through the state's resolved moves
-        — so the move tables, acceptance flag, and CSR buffers are bound
-        once per batch instead of once per config, and the inner loop is
-        a flat scan of each node's CSR slice.  Visited bookkeeping is a
-        single ``bytearray`` over the product space indexed by
-        ``state × |V| + node`` — integer indexing replaces every hash
-        lookup and tuple allocation of the dict path.
-        """
-        resolved = self._resolve_ids(compiled)
-        accepting = compiled.accepting
-        collect = target_id is _COLLECT
-        node_count = self._csr.node_count()
-        seen = bytearray(compiled.state_count * node_count)
-        start = compiled.start
-        seen[start * node_count + source_id] = 1
-        pending: list[list[int] | None] = [None] * compiled.state_count
-        pending[start] = [source_id]
-        active: list[int] = [start]
-        hit_mask = bytearray(node_count) if collect else None
-        hits: list[int] = []
-        while active:
-            state = active.pop()
-            batch = pending[state]
-            if batch is None:
-                continue
-            pending[state] = None
-            if accepting[state]:
-                if collect:
-                    for node_id in batch:
-                        if not hit_mask[node_id]:
-                            hit_mask[node_id] = 1
-                            hits.append(node_id)
-                elif target_id is _ANY_ID or target_id in batch:
-                    return _FOUND
-            moves, checks = resolved[state]
-            for offsets, targets_list, hops in moves:
-                for base, next_state in hops:
-                    bucket = pending[next_state]
-                    if bucket is None:
-                        bucket = pending[next_state] = []
-                        active.append(next_state)
-                    append = bucket.append
-                    for node_id in batch:
-                        low = offsets[node_id]
-                        high = offsets[node_id + 1]
-                        if low != high:
-                            # Degree-1 nodes skip the slice allocation —
-                            # the common case on sparse chased graphs.
-                            if high - low == 1:
-                                succ = targets_list[low]
-                                config = base + succ
-                                if not seen[config]:
-                                    seen[config] = 1
-                                    append(succ)
-                            else:
-                                for succ in targets_list[low:high]:
-                                    config = base + succ
-                                    if not seen[config]:
-                                        seen[config] = 1
-                                        append(succ)
-                    if not bucket:
-                        # Nothing new for this state: retract the
-                        # activation so the drain loop stays O(work).
-                        pending[next_state] = None
-                        if active and active[-1] == next_state:
-                            active.pop()
-            for nested, base, next_state in checks:
-                bucket = pending[next_state]
-                fresh = bucket is None
-                if fresh:
-                    bucket = []
-                append = bucket.append
-                for node_id in batch:
-                    config = base + node_id
-                    if not seen[config] and self._test_ids(nested, node_id):
-                        seen[config] = 1
-                        append(node_id)
-                if fresh and bucket:
-                    pending[next_state] = bucket
-                    active.append(next_state)
-        return hits if collect else None
-
-    def _test_ids(self, nested: CompiledAutomaton, node_id: int) -> bool:
-        key = (nested.cache_key, node_id)
-        cached = self._id_test_cache.get(key)
-        if cached is None:
-            stats = self.stats
-            if stats is not None:
-                stats.nested_tests += 1  # type: ignore[attr-defined]
-            cached = self._search_ids(nested, node_id, _ANY_ID) is _FOUND
-            self._id_test_cache[key] = cached
-        elif self.stats is not None:
-            self.stats.nested_test_cache_hits += 1  # type: ignore[attr-defined]
-        return cached
-
 
 # Sentinels selecting the _search mode / signalling an early-exit hit.
 _ALL = object()
 _ANY = object()
 _FOUND = object()
-# Their twins for the integer-id (_search_ids) mode, where a concrete
-# target is an interned node id rather than a node object.
-_COLLECT = object()
-_ANY_ID = object()
 
 
 def evaluate_nre_automaton(

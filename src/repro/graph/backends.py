@@ -588,7 +588,7 @@ class CsrBackend:
     with each node's neighbour slice sorted ascending (so ``has_edge`` is
     a binary search and traversal output order is deterministic).  The
     buffers are numpy ``int64`` arrays when numpy is importable — the
-    substrate of the vectorized execution kernel
+    substrate of the vectorized sweep search
     (:mod:`repro.graph.vector`), pickled into snapshots as-is so reloads
     reattach them without copies — and :class:`array.array` values
     (typecode ``"q"``) otherwise.  Every accessor treats the two buffer
@@ -660,10 +660,10 @@ class CsrBackend:
         self._bwd_views: dict[LabelName, dict[Node, frozenset[Node]]] = {}
         # Lazy plain-list twins of the CSR buffers: CPython indexes and
         # slices lists of (pre-boxed) ints markedly faster than array
-        # values, so the scalar automaton fast path resolves against these.
+        # values, so the generated-code search binds against these.
         self._fwd_lists: dict[LabelName, tuple[list[int], list[int]]] = {}
         self._bwd_lists: dict[LabelName, tuple[list[int], list[int]]] = {}
-        # Lazy numpy int64 twins for the vector kernel (no-copy views when
+        # Lazy numpy int64 twins for the vector search (no-copy views when
         # the buffers are already numpy-built).
         self._fwd_arrays: dict[LabelName, tuple] = {}
         self._bwd_arrays: dict[LabelName, tuple] = {}
@@ -684,7 +684,7 @@ class CsrBackend:
 
         Returns a lazy C-level ``map`` so callers can feed it straight into
         a set or list constructor without a Python-level loop — the vector
-        kernel decodes whole hit arrays through this.
+        search decodes whole hit arrays through this.
         """
         return map(self._node_list.__getitem__, node_ids)
 
@@ -736,12 +736,12 @@ class CsrBackend:
     def forward_arrays(self, lab: LabelName) -> tuple | None:
         """``(offsets, targets)`` as numpy ``int64`` arrays (memoised).
 
-        The vector kernel's buffer view: a no-copy pass-through when the
+        The vector search's buffer view: a no-copy pass-through when the
         backend was built with numpy, a one-time conversion when the
         buffers came from an :class:`array.array` build (e.g. a snapshot
         written by a numpy-less installation).  Returns ``None`` for
-        labels absent from the graph — or when numpy itself is absent,
-        which is what flips the kernel back to scalar.
+        labels absent from the graph — or when numpy itself is absent
+        (the runner then routes every search to codegen).
         """
         arrays = self._fwd_arrays.get(lab)
         if arrays is None:

@@ -1,11 +1,10 @@
-"""The generated-code (specializing) NRE execution kernel.
+"""The generated-code (specializing) NRE search.
 
-The scalar kernel walks every automaton through one *generic* product
-search (:meth:`repro.graph.automaton._Runner._search_ids`): per drained
-state it unpacks resolved move tuples, iterates hop lists, and rebinds
-buffers — interpreter dispatch that is pure overhead once the automaton
-is fixed.  This module removes that dispatch the way query compilers do
-when they lower automata to code: each
+A generic product search walks every automaton through one interpreter
+loop: per drained state it unpacks resolved move tuples, iterates hop
+lists, and rebinds buffers — dispatch that is pure overhead once the
+automaton is fixed.  This module removes that dispatch the way query
+compilers do when they lower automata to code: each
 :class:`~repro.graph.automaton.CompiledAutomaton` is lowered **once** to
 a specialized Python source string in which
 
@@ -31,12 +30,12 @@ process and — because it is a plain string — pickles through the on-disk
 both Thompson compilation *and* code generation: it just ``exec``\\s the
 cached source.
 
-Select with ``--kernel codegen`` / ``REPRO_KERNEL=codegen`` /
-``QueryEngine(kernel="codegen")``.  Like the vector kernel, the
-generated code runs on frozen CSR graphs; dict-backed graphs fall back
-to the generic scalar loops.  Unlike the vector kernel it needs no
-numpy.  Answers are byte-identical to the scalar and vector kernels on
-every query — pinned by the three-way differential suite in
+:class:`~repro.graph.automaton._Runner` routes every single-pair
+``holds`` probe on a frozen CSR graph here, and, when numpy is absent,
+every sweep as well (:mod:`repro.kernels`); dict-backed graphs run the
+runner's generic hash-indexed search.  Codegen needs no numpy.  Answers
+are byte-identical to the vector search and to the reference evaluator
+on every query — pinned by the differential suite in
 ``tests/test_properties/test_kernel_properties.py``.
 """
 

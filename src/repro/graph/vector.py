@@ -1,10 +1,10 @@
-"""The vectorized (numpy) product-automaton search kernel.
+"""The vectorized (numpy) product-automaton search.
 
-This is the array-at-a-time twin of the scalar integer-id search in
-:meth:`repro.graph.automaton._Runner._search_ids`, and the substrate of
-the ``"vector"`` execution kernel (:mod:`repro.kernels`).  The scalar
-loop visits one product config ``(node, state)`` per Python iteration;
-here a whole *frontier* moves at once:
+The sweep path of :class:`repro.graph.automaton._Runner` on frozen CSR
+graphs whenever numpy is importable (:mod:`repro.kernels`): it serves
+``reachable``/``reachable_many`` and therefore ``pairs`` and
+``answers_over``.  Instead of visiting one product config ``(node,
+state)`` per Python iteration, a whole *frontier* moves at once:
 
 * the per-state frontier is an ``int64`` array of flat configs
   ``src_index × |V| + node`` — one search evaluates **many sources
@@ -28,9 +28,11 @@ nodes sharing a successor in the same drain) are tolerated — their
 second expansion finds every successor already visited — because the
 sort a full dedupe needs costs more than the duplicate work saves.
 
-Answers are byte-identical to the scalar kernel on every query; the
-property suite in ``tests/test_properties/test_kernel_properties.py``
-pins vector == scalar == reference over random graphs and NREs.
+Single-pair probes do not come here: per-probe numpy dispatch loses to
+the generated code of :mod:`repro.graph.codegen`.  Answers are
+byte-identical to codegen and to the reference evaluator; the property
+suite in ``tests/test_properties/test_kernel_properties.py`` pins that
+over random graphs and NREs, with numpy present and masked.
 """
 
 from __future__ import annotations
@@ -51,10 +53,10 @@ CHUNK_CONFIGS = 1 << 19
 class VectorSearch:
     """Batched product-automaton searches over one frozen CSR backend.
 
-    Owned by a :class:`~repro.graph.automaton._Runner` the way the scalar
-    memo tables are: one instance per (graph, runner), holding the
-    resolved per-state move tables and the nested-test memos.  ``stats``
-    is the runner's duck-typed counter object (may be ``None``).
+    Owned by a :class:`~repro.graph.automaton._Runner`: one instance per
+    (graph, runner), holding the resolved per-state move tables and the
+    nested-test memos.  ``stats`` is the runner's duck-typed counter
+    object (may be ``None``).
     """
 
     def __init__(self, csr, stats: object | None = None):
@@ -62,7 +64,7 @@ class VectorSearch:
         self.stats = stats
         self.np = kernels.get_numpy()
         # automaton cache_key -> per-state (moves, checks) with numpy
-        # CSR buffers bound; mirrors _Runner._resolve_ids.
+        # CSR buffers bound.
         self._resolved: dict[int, tuple] = {}
         # automaton cache_key -> (known, value) boolean arrays over |V|:
         # the vectorized nested-test memo (node-level — test answers are
@@ -113,12 +115,6 @@ class VectorSearch:
                 compiled, chunk
             )
         return verdict
-
-    def holds(
-        self, compiled: "CompiledAutomaton", source_id: int, target_id: int
-    ) -> bool:
-        """Single-pair mode with early exit on the target's acceptance."""
-        return self._run_holds(compiled, source_id, target_id)
 
     # ------------------------------------------------------------------ #
     # Internals
@@ -340,64 +336,3 @@ class VectorSearch:
                             else:
                                 bucket.append(fresh)
         return found
-
-    def _run_holds(
-        self, compiled: "CompiledAutomaton", source_id: int, target_id: int
-    ) -> bool:
-        """Single-pair mode: early exit as soon as the target is accepted."""
-        np = self.np
-        node_count = self.csr.node_count()
-        state_count = compiled.state_count
-        accepting = compiled.accepting
-        if accepting[compiled.start] and source_id == target_id:
-            return True
-        resolved = self._resolve(compiled)
-        seen = np.zeros((state_count, node_count), dtype=bool)
-        start = compiled.start
-        init = np.asarray([source_id], dtype=np.int64)
-        seen[start, init] = True
-        pending: list = [None] * state_count
-        pending[start] = [init]
-        active = [start]
-        while active:
-            state = active.pop()
-            chunks = pending[state]
-            pending[state] = None
-            if chunks is None:
-                continue
-            batch = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
-            srcbase = np.zeros(batch.size, dtype=np.int64)
-            moves, checks = resolved[state]
-            for offsets, targets, next_states in moves:
-                succ = self._gather(np, offsets, targets, batch, srcbase)
-                if succ is None:
-                    continue
-                for next_state in next_states:
-                    row = seen[next_state]
-                    fresh = succ[~row[succ]]
-                    if fresh.size:
-                        row[fresh] = True
-                        if accepting[next_state] and row[target_id]:
-                            return True
-                        bucket = pending[next_state]
-                        if bucket is None:
-                            pending[next_state] = [fresh]
-                            active.append(next_state)
-                        else:
-                            bucket.append(fresh)
-            for nested, next_state in checks:
-                passed = batch[self._admitted(nested, batch)]
-                if passed.size:
-                    row = seen[next_state]
-                    fresh = passed[~row[passed]]
-                    if fresh.size:
-                        row[fresh] = True
-                        if accepting[next_state] and row[target_id]:
-                            return True
-                        bucket = pending[next_state]
-                        if bucket is None:
-                            pending[next_state] = [fresh]
-                            active.append(next_state)
-                        else:
-                            bucket.append(fresh)
-        return False

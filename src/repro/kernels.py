@@ -1,29 +1,19 @@
-"""Execution-kernel selection for the query/chase hot paths.
+"""numpy gating for the query hot paths, and the CSR path report.
 
-The library ships three interchangeable execution kernels:
+There is no execution-kernel option.  The product-automaton runner
+(:class:`repro.graph.automaton._Runner`) picks its search from what it
+can observe about each call:
 
-* ``"vector"`` — array-at-a-time evaluation over the CSR backend's numpy
-  buffers (:mod:`repro.graph.vector`): the product-automaton frontier is
-  an integer array, the visited map a ``state × |V|`` boolean matrix, and
-  edge expansion one vectorized CSR gather per drained state.  This is
-  the default whenever numpy is importable.
-* ``"scalar"`` — the pure-Python loops the vector kernel was derived
-  from, retained verbatim as the differential oracle (and the fallback
-  kernel on installations without numpy).
-* ``"codegen"`` — the specializing kernel (:mod:`repro.graph.codegen`):
-  each compiled automaton is lowered once to a dedicated Python source
-  string (per-state dispatch unrolled into direct branches over the
-  label-indexed CSR buffers), ``compile()``\\d, and reused — no generic
-  interpreter in the hot loop, no numpy requirement, and the generated
-  source persists across processes through the automaton cache.
-
-Selection precedence, weakest to strongest: the built-in default
-(``"vector"``), the ``REPRO_KERNEL`` environment variable, an explicit
-``kernel=`` argument (CLI ``--kernel``, service request parameter,
-:class:`~repro.engine.query.QueryEngine` constructor).  Whatever is
-selected, a ``"vector"`` choice silently degrades to ``"scalar"`` when
-numpy is absent — the two kernels are answer-identical, so degradation
-is a performance event, not a correctness one.
+* **dict-backed graph** — the generic hash-indexed product BFS;
+* **frozen CSR graph, numpy importable** — sweeps (``reachable``,
+  ``reachable_many``, and therefore ``pairs``/``answers_over``) run the
+  array-at-a-time :class:`~repro.graph.vector.VectorSearch`, one shared
+  multi-source search per sweep; single-pair ``holds`` probes run the
+  generated-code :class:`~repro.graph.codegen.CodegenSearch`, whose
+  unrolled per-state branches and insert-time early exit beat numpy's
+  per-op overhead on small frontiers;
+* **frozen CSR graph, numpy absent** — everything runs codegen, which
+  is pure Python.
 
 All numpy access in the library routes through :func:`get_numpy`, so
 tests can simulate a numpy-less installation by monkeypatching one
@@ -32,11 +22,6 @@ attribute (``repro.kernels.NUMPY = None``) instead of manipulating
 """
 
 from __future__ import annotations
-
-import os
-
-KERNEL_NAMES = ("vector", "scalar", "codegen")
-"""The execution kernels an engine can run (see ``--kernel``)."""
 
 try:  # pragma: no cover - exercised via both branches in the test suite
     import numpy as _numpy
@@ -56,43 +41,20 @@ def get_numpy():
     return NUMPY
 
 
-def default_kernel() -> str:
-    """The kernel used when no explicit choice is made.
+def resolve_kernel(kernel: None = None) -> str:
+    """Name the search that CSR sweeps will run in this process.
 
-    Honours ``REPRO_KERNEL`` (validated); otherwise ``"vector"``.
-    """
-    env = os.environ.get("REPRO_KERNEL")
-    if env:
-        if env not in KERNEL_NAMES:
-            raise ValueError(
-                f"REPRO_KERNEL={env!r} is not a kernel; expected one of "
-                f"{list(KERNEL_NAMES)}"
-            )
-        return env
-    return "vector"
+    ``"vector"`` when numpy is importable, ``"codegen"`` when it is
+    masked or absent.  Single-pair probes always run codegen.  The
+    argument exists for callers that report the configuration; it must
+    be ``None``, because the kernel is not selectable.
 
-
-def resolve_kernel(kernel: str | None) -> str:
-    """Resolve a requested kernel to the one that will actually run.
-
-    ``None`` means "no explicit choice" and defers to
-    :func:`default_kernel`.  A ``"vector"`` outcome degrades to
-    ``"scalar"`` when numpy is unavailable; ``"codegen"`` is pure Python
-    and never degrades.
-
-    >>> resolve_kernel("scalar")
-    'scalar'
-    >>> resolve_kernel("codegen")
-    'codegen'
-    >>> resolve_kernel("vector") in KERNEL_NAMES
+    >>> resolve_kernel(None) in ("vector", "codegen")
     True
     """
-    if kernel is None:
-        kernel = default_kernel()
-    elif kernel not in KERNEL_NAMES:
+    if kernel is not None:
         raise ValueError(
-            f"unknown kernel {kernel!r}; expected one of {list(KERNEL_NAMES)}"
+            f"kernel {kernel!r} cannot be selected; CSR searches are routed "
+            "by call shape"
         )
-    if kernel == "vector" and get_numpy() is None:
-        return "scalar"
-    return kernel
+    return "vector" if get_numpy() is not None else "codegen"

@@ -42,7 +42,6 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.engine.query import BACKEND_NAMES
-from repro.kernels import KERNEL_NAMES
 from repro.solver import SOLVER_NAMES
 
 PROTOCOL_VERSION = 1
@@ -128,14 +127,6 @@ def _check_backend(value: Any) -> str:
     if value not in BACKEND_NAMES:
         raise ProtocolError(
             "bad-request", f"backend must be one of {list(BACKEND_NAMES)}"
-        )
-    return value
-
-
-def _check_kernel(value: Any) -> str | None:
-    if value is not None and value not in KERNEL_NAMES:
-        raise ProtocolError(
-            "bad-request", f"kernel must be one of {list(KERNEL_NAMES)} or null"
         )
     return value
 
@@ -240,7 +231,6 @@ _COMMON = {
     "star_bound": (_check_star_bound, False, 2),
     "engine": (_check_engine, False, "compiled"),
     "backend": (_check_backend, False, "dict"),
-    "kernel": (_check_kernel, False, None),
     "solver": (_check_solver, False, None),
 }
 

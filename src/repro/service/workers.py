@@ -90,14 +90,13 @@ def _engine(params: dict):
     cross-candidate cache is how consecutive requests over the same
     universe amortise inside one worker.  ``reference`` gets a fresh
     oracle (no caches — that is its job).  The ``backend`` parameter
-    (``dict``/``csr``) and the ``kernel`` parameter (``vector``/
-    ``scalar``) route to the matching warm engine — one shared instance
-    per (storage backend, kernel), so csr-tenant requests reuse frozen
+    (``dict``/``csr``) routes to the matching warm engine — one shared
+    instance per storage backend, so csr-tenant requests reuse frozen
     graph states across the worker's lifetime.
     """
     if params.get("engine") == "reference":
         return ReferenceEngine()
-    return default_engine(params.get("backend") or "dict", params.get("kernel"))
+    return default_engine(params.get("backend") or "dict")
 
 
 def _search_config(params: dict) -> CandidateSearchConfig:

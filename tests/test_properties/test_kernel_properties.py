@@ -1,27 +1,26 @@
-"""Differential properties of the execution kernels (codegen ≡ vector ≡ scalar).
+"""Differential properties of the CSR searches (vector ≡ codegen ≡ dict).
 
-All three execution kernels must be answer-identical to the set-algebraic
-reference evaluator: the vector kernel (:mod:`repro.graph.vector`), the
-scalar kernel it was derived from, and the generated-code kernel
-(:mod:`repro.graph.codegen`), which lowers each compiled automaton to
-specialized Python source.  Pinned here over random graphs × random NREs
-and over random chase runs:
+The runner (:class:`repro.graph.automaton._Runner`) picks its search by
+call shape: dict-backed graphs run the generic hash-indexed search; on
+frozen CSR graphs sweeps run the numpy vector search
+(:mod:`repro.graph.vector`) and single-pair probes the generated-code
+search (:mod:`repro.graph.codegen`), which also serves sweeps when numpy
+is absent.  Every path must be answer-identical to the set-algebraic
+reference evaluator.  Pinned here over random graphs × random NREs and
+over random chase runs:
 
-* **query differential**: every (backend, kernel) combination of
+* **query differential**: every (backend × numpy present/masked) cell of
   :class:`~repro.engine.query.QueryEngine` returns the reference answers —
   all-pairs, single-source, single-pair, and the batched multi-source
-  entry point.  The grid iterates :data:`repro.kernels.KERNEL_NAMES`, so
-  a new kernel joins every differential automatically;
+  entry point — so the dict, vector and codegen searches are all covered;
+* **routing**: with numpy present a CSR ``holds`` runs codegen and
+  ``pairs`` runs the vector search; with numpy masked both run codegen;
 * **chase differential**: the egd chase and the sameAs construction give
-  identical results with numpy present and with numpy masked (the scalar
-  fallback), including the violation picked as a failure witness;
+  identical results with numpy present and with numpy masked, including
+  the violation picked as a failure witness;
 * **sameAs strategy differential**: the union-find saturation strategy
   produces *byte-identical* output to the journal-order oracle it
-  replaced — same graph content, same serialized document bytes;
-* **numpy-absent fallback**: with ``repro.kernels.NUMPY`` masked, a
-  ``kernel="vector"`` request resolves to ``"scalar"`` and still answers
-  correctly — a numpy-less installation degrades, never breaks (the
-  codegen kernel is pure Python and never degrades).
+  replaced — same graph content, same serialized document bytes.
 
 The mask is one attribute (``repro.kernels.NUMPY``) because all numpy
 access in the library routes through :func:`repro.kernels.get_numpy`.
@@ -30,6 +29,7 @@ access in the library routes through :func:`repro.kernels.get_numpy`.
 import json
 import os
 import random
+from collections import Counter
 from unittest import mock
 
 import pytest
@@ -40,6 +40,8 @@ from repro.chase.egd_chase import chase_with_egds
 from repro.chase.pattern_chase import chase_pattern
 from repro.chase.sameas_chase import saturate_sameas, solve_with_sameas
 from repro.engine.query import QueryEngine, ReferenceEngine
+from repro.graph.database import GraphDatabase
+from repro.graph.parser import parse_nre
 from repro.io.json_io import graph_to_dict
 from repro.mappings.parser import parse_sameas
 from repro.mappings.sameas import SAME_AS_LABEL
@@ -96,13 +98,28 @@ def flight_instances(draw):
     )
 
 
-def engine_grid():
-    """One engine per (backend, kernel) combination."""
-    return [
-        QueryEngine(backend=backend, kernel=kernel)
-        for backend in BACKENDS
-        for kernel in kernels.KERNEL_NAMES
-    ]
+GRID = [
+    (backend, numpy_module)
+    for backend in BACKENDS
+    for numpy_module in (kernels.NUMPY, None)
+]
+"""(backend, numpy module or ``None`` for masked) — one engine per cell."""
+
+
+def run_grid(query):
+    """Run ``query(engine)`` on a fresh engine in every grid cell.
+
+    The numpy mask stays in place for the engine's whole life, so a CSR
+    freeze and the runner's search choice both see it.  Returns a list
+    of ``(cell label, result)``.
+    """
+    results = []
+    for backend, numpy_module in GRID:
+        with mock.patch.object(kernels, "NUMPY", numpy_module):
+            result = query(QueryEngine(backend=backend))
+        numpy_state = "masked" if numpy_module is None else "present"
+        results.append((f"backend={backend} numpy {numpy_state}", result))
+    return results
 
 
 class TestQueryKernelDifferential:
@@ -110,58 +127,104 @@ class TestQueryKernelDifferential:
     @given(graphs(), nres())
     def test_all_pairs_agree_with_reference(self, graph, expr):
         expected = ReferenceEngine().pairs(graph, expr)
-        for engine in engine_grid():
-            assert engine.pairs(graph, expr) == expected, (
-                f"pairs diverged on backend={engine.backend} "
-                f"kernel={engine.kernel}"
-            )
+        for cell, answer in run_grid(lambda engine: engine.pairs(graph, expr)):
+            assert answer == expected, f"pairs diverged on {cell}"
 
     @settings(max_examples=60, deadline=None)
     @given(graphs(), nres())
     def test_single_source_agrees_with_reference(self, graph, expr):
         reference = ReferenceEngine()
-        for source in sorted(graph.nodes(), key=repr):
-            expected = reference.reachable(graph, expr, source)
-            for engine in engine_grid():
-                assert engine.reachable(graph, expr, source) == expected
+        sources = sorted(graph.nodes(), key=repr)
+        expected = [reference.reachable(graph, expr, source) for source in sources]
+        for cell, answers in run_grid(
+            lambda engine: [engine.reachable(graph, expr, s) for s in sources]
+        ):
+            assert answers == expected, f"reachable diverged on {cell}"
 
     @settings(max_examples=60, deadline=None)
     @given(graphs(), nres())
     def test_batched_multi_source_agrees_with_reference(self, graph, expr):
         sources = sorted(graph.nodes(), key=repr) + ["not-in-graph"]
         expected = ReferenceEngine().reachable_many(graph, expr, sources)
-        for engine in engine_grid():
-            assert engine.reachable_many(graph, expr, sources) == expected
+        for cell, answers in run_grid(
+            lambda engine: engine.reachable_many(graph, expr, sources)
+        ):
+            assert answers == expected, f"reachable_many diverged on {cell}"
 
     @settings(max_examples=60, deadline=None)
     @given(graphs(), nres())
     def test_single_pair_agrees_with_reference(self, graph, expr):
-        """``holds`` runs each kernel's dedicated single-pair code path —
-        for the codegen kernel a separately generated function with its
-        own early-exit structure, so it gets its own differential."""
+        """``holds`` runs the dedicated single-pair code path — on CSR a
+        separately generated function with its own early-exit structure,
+        so it gets its own differential."""
         reference = ReferenceEngine()
         expected = reference.pairs(graph, expr)
         nodes = sorted(graph.nodes(), key=repr)
         probes = [
             (u, nodes[(i * 3 + 1) % len(nodes)]) for i, u in enumerate(nodes)
         ] + [(u, u) for u in nodes[:3]]
-        for engine in engine_grid():
-            for u, v in probes:
-                assert engine.holds(graph, expr, u, v) == ((u, v) in expected), (
-                    f"holds diverged on backend={engine.backend} "
-                    f"kernel={engine.kernel} probe=({u!r}, {v!r})"
-                )
+        verdicts = [(u, v) in expected for u, v in probes]
+        for cell, answers in run_grid(
+            lambda engine: [engine.holds(graph, expr, u, v) for u, v in probes]
+        ):
+            assert answers == verdicts, f"holds diverged on {cell}"
 
-    @settings(max_examples=60, deadline=None)
-    @given(graphs(), nres())
-    def test_vector_matches_scalar_with_numpy_masked(self, graph, expr):
-        """The fallback path: a vector engine built under a masked numpy
-        runs the scalar kernel and stays answer-identical."""
-        scalar = QueryEngine(backend="csr", kernel="scalar").pairs(graph, expr)
-        with mock.patch.object(kernels, "NUMPY", None):
-            engine = QueryEngine(backend="csr", kernel="vector")
-            assert engine.kernel == "scalar"
-            assert engine.pairs(graph, expr) == scalar
+
+class TestCsrRouting:
+    """The runner's search choice on frozen graphs, pinned by call counts."""
+
+    GRAPH_EDGES = [("u", "a", "v"), ("v", "a", "w"), ("w", "b", "u")]
+    QUERY = "a* . b"
+
+    @staticmethod
+    def _count_calls(monkeypatch) -> Counter:
+        from repro.graph.codegen import CodegenSearch
+        from repro.graph.vector import VectorSearch
+
+        calls: Counter = Counter()
+        for cls, name in (
+            (CodegenSearch, "holds"),
+            (CodegenSearch, "collect"),
+            (VectorSearch, "reachable_many"),
+        ):
+            original = getattr(cls, name)
+            label = f"{cls.__name__}.{name}"
+
+            def counted(self, *args, _original=original, _label=label):
+                calls[_label] += 1
+                return _original(self, *args)
+
+            monkeypatch.setattr(cls, name, counted)
+        return calls
+
+    def _probe_then_sweep(self):
+        graph = GraphDatabase(edges=self.GRAPH_EDGES)
+        expr = parse_nre(self.QUERY)
+        engine = QueryEngine(backend="csr")
+        # holds first: a cached pairs() answer would short-circuit it.
+        assert engine.holds(graph, expr, "u", "u") is True
+        assert sorted(engine.pairs(graph, expr)) == [
+            ("u", "u"), ("v", "u"), ("w", "u")
+        ]
+        return graph
+
+    def test_numpy_present_sweeps_on_vector_probes_on_codegen(self, monkeypatch):
+        if kernels.NUMPY is None:
+            pytest.skip("numpy unavailable")
+        calls = self._count_calls(monkeypatch)
+        self._probe_then_sweep()
+        assert kernels.resolve_kernel(None) == "vector"
+        assert calls == {"CodegenSearch.holds": 1, "VectorSearch.reachable_many": 1}
+
+    def test_numpy_masked_runs_everything_on_codegen(self, monkeypatch):
+        monkeypatch.setattr(kernels, "NUMPY", None)
+        calls = self._count_calls(monkeypatch)
+        graph = self._probe_then_sweep()
+        assert kernels.resolve_kernel(None) == "codegen"
+        assert calls == {
+            "CodegenSearch.holds": 1,
+            "CodegenSearch.collect": len(graph.nodes()),
+        }
 
 
 class TestChaseKernelDifferential:
@@ -260,24 +323,3 @@ class TestSameAsStrategyDifferential:
                 graph_to_dict(solved.expect_graph()), sort_keys=True
             )
         assert results["unionfind"] == results["journal"]
-
-
-class TestKernelResolution:
-    def test_vector_degrades_to_scalar_without_numpy(self, monkeypatch):
-        monkeypatch.delenv("REPRO_KERNEL", raising=False)
-        with mock.patch.object(kernels, "NUMPY", None):
-            assert kernels.resolve_kernel("vector") == "scalar"
-            assert kernels.resolve_kernel(None) == "scalar"
-            # codegen is pure Python: explicit requests never degrade.
-            assert kernels.resolve_kernel("codegen") == "codegen"
-
-    def test_invalid_kernel_rejected(self):
-        with pytest.raises(ValueError):
-            kernels.resolve_kernel("turbo")
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "scalar")
-        assert kernels.default_kernel() == "scalar"
-        monkeypatch.setenv("REPRO_KERNEL", "warp")
-        with pytest.raises(ValueError):
-            kernels.default_kernel()

@@ -76,6 +76,22 @@ class TestValidation:
             validate_request(data)
         assert excinfo.value.code == code
 
+    def test_retired_kernel_param_is_rejected_by_name(self):
+        """Clients written against the selectable-kernel protocol get a
+        typed rejection naming the param, not a silent ignore."""
+        document = demo_document()
+        with pytest.raises(ProtocolError) as excinfo:
+            validate_request(
+                make("certain", params={"document": document, "query": "f",
+                                        "kernel": "vector"})
+            )
+        assert excinfo.value.code == "bad-request"
+        assert "does not accept params ['kernel']" in str(excinfo.value)
+        request = validate_request(
+            make("certain", params={"document": document, "query": "f"})
+        )
+        assert "kernel" not in request.params
+
 
 class TestFingerprint:
     def test_defaults_normalise_to_the_same_key(self):

@@ -166,6 +166,16 @@ class TestErrorEnvelopes:
         assert envelope["ok"] is False
         assert envelope["error"]["code"] == "deadline-exceeded"
 
+    def test_retired_kernel_param_round_trip(self, client):
+        """A request still carrying ``params.kernel`` gets the typed
+        bad-request envelope; the same connection then serves normally."""
+        with pytest.raises(ServiceError) as excinfo:
+            client.call("exists", {**params(demo_document()), "kernel": "vector"})
+        assert excinfo.value.code == "bad-request"
+        assert "does not accept params ['kernel']" in excinfo.value.message
+        result = client.call("exists", params(demo_document()))
+        assert result == execute_request("exists", params(demo_document()))
+
     def test_connection_survives_errors(self, client):
         """One connection: error envelopes do not poison the stream."""
         with pytest.raises(ServiceError):
