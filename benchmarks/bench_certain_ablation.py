@@ -16,11 +16,11 @@ import itertools
 import random
 
 from conftest import report
+from oracles import ReferenceEngine, solve_cnf
 
-from repro.core.certain import is_certain_answer
+from repro.core.certain import _enumerated_counterexample
 from repro.core.search import CandidateSearchConfig
 from repro.reductions.certain_hardness import certain_egd_instance
-from repro.solver.dpll import solve_cnf
 from repro.solver.encode import encode_bounded_existence
 from repro.solver.generators import random_kcnf
 
@@ -56,18 +56,16 @@ def test_enumeration_backend(benchmark):
     cases = make_cases()
 
     def run():
-        # The reference engine forces the minimal-solution enumeration path
-        # (the compiled engine would short-circuit to the SAT decision,
-        # which is what test_sat_backend measures) — keeping this an honest
-        # two-back-end ablation.
-        from repro.engine.query import ReferenceEngine
-
+        # The enumeration tail on the reference engine (the public entry
+        # point would short-circuit to the SAT decision, which is what
+        # test_sat_backend measures) — keeping this an honest two-back-end
+        # ablation.
         return [
-            is_certain_answer(
+            _enumerated_counterexample(
                 inst.setting, inst.instance, inst.query, inst.tuple,
-                config=CandidateSearchConfig(star_bound=1),
-                engine=ReferenceEngine(),
+                CandidateSearchConfig(star_bound=1), ReferenceEngine(),
             )
+            is None
             for inst in map(certain_egd_instance, cases)
         ]
 

@@ -13,14 +13,14 @@ Verdicts are additionally cross-checked against the reference
 import random
 
 from conftest import ab_medians, report
+from oracles import ReferenceEngine, solve_cnf
 
-from repro.core.certain import is_certain_answer
+from repro.core.certain import _enumerated_counterexample, is_certain_answer
 from repro.core.search import CandidateSearchConfig
-from repro.engine.query import QueryEngine, ReferenceEngine
+from repro.engine.query import QueryEngine
 from repro.graph.parser import parse_nre
 from repro.reductions.certain_hardness import certain_egd_instance
 from repro.scenarios.generators import random_graph
-from repro.solver.dpll import solve_cnf
 from repro.solver.generators import random_kcnf
 
 CFG = CandidateSearchConfig(star_bound=1)
@@ -62,10 +62,10 @@ def test_certain_iff_unsat(benchmark):
     reference_agreements = 0
     for formula, sat in cases:
         instance = certain_egd_instance(formula)
-        certain_ref = is_certain_answer(
+        certain_ref = _enumerated_counterexample(
             instance.setting, instance.instance, instance.query, instance.tuple,
-            config=CFG, engine=ReferenceEngine(),
-        )
+            CFG, ReferenceEngine(),
+        ) is None
         if certain_ref == (not sat):
             reference_agreements += 1
 

@@ -11,13 +11,13 @@ Paper facts regenerated and asserted:
 import random
 
 from conftest import report
+from oracles import solve_cnf
 
 from repro.core.certain import is_certain_answer
 from repro.core.existence import ExistenceStatus, decide_existence
 from repro.core.search import CandidateSearchConfig
 from repro.reductions.certain_hardness import certain_sameas_instance
 from repro.solver.cnf import CNF
-from repro.solver.dpll import solve_cnf
 from repro.solver.generators import random_kcnf
 
 CFG = CandidateSearchConfig(star_bound=1)

@@ -16,9 +16,9 @@ Two sweeps, both with every verdict cross-checked between the solvers
 import random
 
 from conftest import report
+from oracles import IncrementalDPLL, solve_cnf
 
 from repro.solver.cdcl import CDCLSolver
-from repro.solver.dpll import IncrementalDPLL, solve_cnf
 from repro.solver.generators import planted_kcnf, random_kcnf
 
 

@@ -43,7 +43,7 @@ QUERY = "f . f*[h] . f- . (f-)*"
 
 def certain_params(document, query=QUERY):
     return {"document": document, "query": query, "pair": None,
-            "star_bound": 2, "engine": "compiled", "solver": None}
+            "star_bound": 2}
 
 
 def timed(fn) -> float:
@@ -128,8 +128,7 @@ def test_service_batch_vs_sequential(benchmark, single_worker):
     def batched():
         return client.call(
             "evaluate_batch",
-            {"document": document, "queries": queries, "star_bound": 2,
-             "engine": "compiled", "solver": None},
+            {"document": document, "queries": queries, "star_bound": 2},
             no_cache=True,
         )
 

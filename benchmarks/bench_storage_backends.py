@@ -221,8 +221,7 @@ def test_snapshot_load_vs_rechase(benchmark, tmp_path, monkeypatch):
     from repro.service.workers import execute_request
 
     document = demo_document()
-    params = {"document": document, "star_bound": 2, "engine": "compiled",
-              "backend": "dict", "solver": None}
+    params = {"document": document, "star_bound": 2, "backend": "dict"}
 
     monkeypatch.delenv("REPRO_SNAPSHOT_DIR", raising=False)
     cold = execute_request("exists", params)

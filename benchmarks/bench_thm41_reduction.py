@@ -10,6 +10,7 @@ Paper facts regenerated and asserted:
 """
 
 from conftest import report
+from oracles import enumerate_models
 
 from repro.core.existence import ExistenceStatus, decide_existence
 from repro.core.solution import is_solution
@@ -19,7 +20,6 @@ from repro.reductions.three_sat import (
     valuation_graph,
 )
 from repro.scenarios.figures import figure4_graph, rho0_formula
-from repro.solver.dpll import enumerate_models
 
 
 def test_rho0_reduction(benchmark):

@@ -12,10 +12,10 @@ import random
 import time
 
 from conftest import report
+from oracles import solve_cnf
 
 from repro.core.existence import ExistenceStatus, decide_existence
 from repro.reductions.three_sat import reduction_from_cnf
-from repro.solver.dpll import solve_cnf
 from repro.solver.generators import random_kcnf
 
 GRID = (4, 6, 8, 10)

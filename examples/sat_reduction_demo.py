@@ -3,7 +3,9 @@
 
 Builds the paper's 3SAT reduction for the worked formula ρ₀ and for random
 formulas, decides existence with the library's strategy stack, and
-cross-checks every verdict against the built-in DPLL solver.
+cross-checks every verdict against a direct CDCL solve of the source
+formula (the reduction's equivalence: a solution exists iff the formula
+is satisfiable).
 
 Run:  python examples/sat_reduction_demo.py
 """
@@ -20,7 +22,7 @@ from repro.reductions import (
 )
 from repro.core.certain import is_certain_answer
 from repro.core.search import CandidateSearchConfig
-from repro.solver import CNF, random_kcnf, solve_cnf
+from repro.solver import CNF, random_kcnf, solve_cnf_cdcl
 
 
 def show_rho0() -> None:
@@ -63,10 +65,10 @@ def show_rho0() -> None:
 def random_sweep(trials: int = 10, seed: int = 2015) -> None:
     print()
     print("=" * 64)
-    print(f"Random sweep: {trials} formulas, existence vs DPLL")
+    print(f"Random sweep: {trials} formulas, existence vs CDCL")
     print("=" * 64)
     rng = random.Random(seed)
-    header = f"{'n':>3} {'m':>4} {'DPLL':>6} {'exchange':>10} {'method':>22} {'ms':>8}"
+    header = f"{'n':>3} {'m':>4} {'CDCL':>6} {'exchange':>10} {'method':>22} {'ms':>8}"
     print(header)
     print("-" * len(header))
     agreements = 0
@@ -74,7 +76,7 @@ def random_sweep(trials: int = 10, seed: int = 2015) -> None:
         n = rng.randint(3, 7)
         m = rng.randint(3 * n, 6 * n)
         formula = random_kcnf(n, m, rng=rng)
-        sat = solve_cnf(formula) is not None
+        sat = solve_cnf_cdcl(formula) is not None
         reduction = reduction_from_cnf(formula)
         start = time.perf_counter()
         result = decide_existence(reduction.setting, reduction.instance)
@@ -86,7 +88,7 @@ def random_sweep(trials: int = 10, seed: int = 2015) -> None:
             f"{n:>3} {m:>4} {'SAT' if sat else 'UNSAT':>6} {verdict:>10} "
             f"{result.method:>22} {elapsed_ms:>8.1f}"
         )
-    print(f"\nagreement with DPLL: {agreements}/{trials}")
+    print(f"\nagreement with CDCL: {agreements}/{trials}")
 
 
 if __name__ == "__main__":

@@ -120,7 +120,7 @@ def main(argv: list[str] | None = None) -> int:
             # The result cache: the same request again is a dictionary hit.
             params = {"document": demo_document(),
                       "query": "f . f*[h] . f- . (f-)*", "pair": None,
-                      "star_bound": 2, "engine": "compiled", "solver": None}
+                      "star_bound": 2}
             first = client.request("certain", params)
             second = client.request("certain", params)
             assert first["result"] == second["result"]

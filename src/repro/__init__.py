@@ -97,7 +97,6 @@ from repro.chase.result import ChaseStats
 from repro.engine import (
     EvalStats,
     QueryEngine,
-    ReferenceEngine,
     TriggerMatcher,
     default_engine,
     is_simple_query,
@@ -157,7 +156,6 @@ __all__ = [
     "TriggerMatcher",
     "is_simple_query",
     "QueryEngine",
-    "ReferenceEngine",
     "EvalStats",
     "default_engine",
     "chase_pattern",

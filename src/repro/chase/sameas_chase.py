@@ -13,31 +13,24 @@ bodies that themselves mention ``sameAs``, so saturation repeats until no
 violation remains.  It terminates because the node set is fixed and each
 round adds at least one of at most ``|V|²`` possible sameAs edges.
 
-Two saturation strategies compute that fixpoint (``REPRO_SAMEAS``
-selects; ``"unionfind"`` is the default):
-
-* ``"journal"`` — the original edge-at-a-time loop, retained verbatim as
-  the **oracle**: every body match found in one round is repaired
-  immediately in journal enumeration order, and each constraint
-  re-matches only through the journal delta
-  (:meth:`~repro.engine.matcher.TriggerMatcher.delta_matches`).
-* ``"unionfind"`` — the batched reformulation.  Generic constraints are
-  evaluated through the matcher's *pair projections*
-  (:meth:`~repro.engine.matcher.TriggerMatcher.pair_matches` /
-  ``pair_matches_seeded``): one pass per constraint per round yields the
-  projected pair set — no per-homomorphism dict materialisation — and
-  the missing edges are inserted as one sorted batch.  Constraints that
-  spell out the sameAs *equivalence laws* (symmetry and transitivity
-  over the sameAs label) are recognised and absorbed into a union-find
-  over canonical representatives: their joint fixpoint on any edge set
-  is exactly "all ordered pairs of distinct nodes within one connected
-  component", so the O(|V|²)-round edge-at-a-time cascade collapses into
-  component merges plus one clique emission per dirty class.
+The fixpoint is computed in batches.  Generic constraints are evaluated
+through the matcher's *pair projections*
+(:meth:`~repro.engine.matcher.TriggerMatcher.pair_matches` /
+``pair_matches_seeded``): one pass per constraint per round yields the
+projected pair set — no per-homomorphism dict materialisation — and the
+missing edges are inserted as one sorted batch.  Constraints that spell
+out the sameAs *equivalence laws* (symmetry and transitivity over the
+sameAs label) are recognised and absorbed into a union-find over
+canonical representatives: their joint fixpoint on any edge set is
+exactly "all ordered pairs of distinct nodes within one connected
+component", so the O(|V|²)-round edge-at-a-time cascade collapses into
+component merges plus one clique emission per dirty class.
 
 The least fixpoint is unique — every constraint is a monotone rule, so
-the final edge set does not depend on insertion order — and the two
-strategies are pinned output-identical (graph content *and* serialized
-document bytes) by a Hypothesis harness in the kernel-property suite.
+the final edge set does not depend on insertion order.  The test suite
+keeps the original edge-at-a-time loop in journal order as an oracle
+(``tests/oracles/sameas_journal.py``) and a Hypothesis harness pins the
+two output-identical: graph content *and* serialized document bytes.
 
 The key contrast with egds (the paper's point): sameAs edges may be added
 *between two constants*, so the constant/constant conflict that makes the
@@ -46,7 +39,6 @@ egd chase fail simply cannot arise.
 
 from __future__ import annotations
 
-import os
 from typing import Hashable, Iterable, Sequence
 
 from repro.chase.pattern_chase import chase_pattern
@@ -59,86 +51,6 @@ from repro.patterns.rep import canonical_instantiation
 from repro.relational.instance import RelationalInstance
 
 Node = Hashable
-
-SAMEAS_STRATEGIES = ("unionfind", "journal")
-"""The saturation strategies ``REPRO_SAMEAS`` may select."""
-
-_ENV_STRATEGY = "REPRO_SAMEAS"
-
-
-def resolve_sameas_strategy(strategy: str | None = None) -> str:
-    """Resolve the saturation strategy (explicit > env > ``"unionfind"``).
-
-    >>> resolve_sameas_strategy("journal")
-    'journal'
-    >>> resolve_sameas_strategy() in SAMEAS_STRATEGIES
-    True
-    """
-    if strategy is None:
-        strategy = os.environ.get(_ENV_STRATEGY) or "unionfind"
-    if strategy not in SAMEAS_STRATEGIES:
-        raise ValueError(
-            f"unknown sameAs strategy {strategy!r}; expected one of "
-            f"{list(SAMEAS_STRATEGIES)}"
-        )
-    return strategy
-
-
-def saturate_sameas(
-    graph: GraphDatabase,
-    constraints: Sequence[SameAsConstraint],
-    stats: ChaseStats | None = None,
-    strategy: str | None = None,
-) -> GraphDatabase:
-    """Add sameAs edges to ``graph`` until every constraint is satisfied.
-
-    Returns a new graph; the input is not mutated.  The alphabet is widened
-    with ``sameAs`` if needed.  ``strategy`` picks the fixpoint algorithm
-    (see the module docstring); both produce the identical (unique) least
-    fixpoint.
-    """
-    if resolve_sameas_strategy(strategy) == "journal":
-        return _saturate_journal(graph, constraints, stats)
-    return _saturate_unionfind(graph, constraints, stats)
-
-
-def _saturate_journal(
-    graph: GraphDatabase,
-    constraints: Sequence[SameAsConstraint],
-    stats: ChaseStats | None = None,
-) -> GraphDatabase:
-    """The edge-at-a-time saturation in journal order — the oracle.
-
-    Kept verbatim: the union-find strategy's output is proven identical
-    to this loop's, and the proof needs a fixed reference implementation.
-    """
-    sigma = set(graph.alphabet) | {SAME_AS_LABEL}
-    result = graph.with_alphabet(sigma)
-    counters = stats if stats is not None else ChaseStats()
-    matcher = TriggerMatcher(result, counters)
-    last_seen = [None] * len(constraints)  # graph version at last evaluation
-    changed = True
-    while changed:
-        changed = False
-        counters.rounds += 1
-        for index, constraint in enumerate(constraints):
-            since, last_seen[index] = last_seen[index], result.version
-            if since is None:
-                homs = matcher.matches(constraint.body)
-            else:
-                homs = matcher.delta_matches(constraint.body, since)
-            pending = list(constraint.violations_among(result, homs))
-            for left, right in pending:
-                result.add_edge(left, SAME_AS_LABEL, right)
-                counters.sameas_edges_added += 1
-                changed = True
-    return result
-
-
-# --------------------------------------------------------------------- #
-# The union-find strategy
-# --------------------------------------------------------------------- #
-
 
 def _pair_key(pair: tuple[Node, Node]) -> tuple[str, str]:
     return (repr(pair[0]), repr(pair[1]))
@@ -285,12 +197,17 @@ def _close_equivalence(
     return added
 
 
-def _saturate_unionfind(
+def saturate_sameas(
     graph: GraphDatabase,
     constraints: Sequence[SameAsConstraint],
     stats: ChaseStats | None = None,
 ) -> GraphDatabase:
-    """Batched saturation: pair projections + union-find closure."""
+    """Add sameAs edges to ``graph`` until every constraint is satisfied.
+
+    Returns a new graph; the input is not mutated.  The alphabet is widened
+    with ``sameAs`` if needed.  Batched saturation: pair projections plus
+    the union-find closure (see the module docstring).
+    """
     sigma = set(graph.alphabet) | {SAME_AS_LABEL}
     result = graph.with_alphabet(sigma)
     counters = stats if stats is not None else ChaseStats()

@@ -33,19 +33,12 @@ Available commands:
 * ``submit``   — send one request to a running service and print the
                  response (mirrors the direct commands' exit codes).
 
-``exists`` and ``certain`` accept ``--engine {compiled,reference}`` to pick
-the query-evaluation back-end (the compiled product-automaton engine with
-its cross-candidate cache, or the set-algebraic reference oracle — both
-stay runnable end to end), ``--backend {dict,csr}`` to pick the storage
-backend evaluation runs on (the mutation-friendly hash indexes, or frozen
-interned-CSR arrays — identical answers, different physical traversal;
-on csr, sweeps run the numpy vector search and single-pair probes the
-generated-code search, with codegen serving both when numpy is absent),
-``--solver {cdcl,dpll}`` to pick the SAT back-end for the complete
-Theorem 4.1 decisions (the incremental CDCL solver, or the chronological
-DPLL kept as the differential oracle — the answers must be identical,
-only the speed differs; the default honours the ``REPRO_SOLVER``
-environment variable), and ``--stats`` to print the engine's
+``exists`` and ``certain`` accept ``--backend {dict,csr}`` to pick the
+storage backend evaluation runs on (the mutation-friendly hash indexes, or
+frozen interned-CSR arrays — identical answers, different physical
+traversal; on csr, sweeps run the numpy vector search and single-pair
+probes the generated-code search, with codegen serving both when numpy is
+absent), and ``--stats`` to print the engine's
 :class:`~repro.engine.query.EvalStats` counters after the run.
 """
 
@@ -63,7 +56,7 @@ from repro.core.certain import certain_answers_nre
 from repro.core.existence import decide_existence
 from repro.core.search import CandidateSearchConfig
 from repro.core.setting import DataExchangeSetting
-from repro.engine.query import BACKEND_NAMES, EvalStats, QueryEngine, ReferenceEngine
+from repro.engine.query import BACKEND_NAMES, QueryEngine
 from repro.graph.parser import parse_nre
 from repro.io.dependencies import setting_to_dict
 from repro.io.dot import graph_to_dot, pattern_to_dot
@@ -75,7 +68,6 @@ from repro.io.json_io import (
     pattern_to_dict,
 )
 from repro.relational.instance import RelationalInstance
-from repro.solver import SOLVER_NAMES
 
 
 def load_document(path: str) -> tuple[DataExchangeSetting, RelationalInstance]:
@@ -186,22 +178,6 @@ def _cmd_chase(args: argparse.Namespace) -> int:
     return 0
 
 
-def _engine_from_args(args: argparse.Namespace):
-    """Build the query engine selected by ``--engine`` (with fresh stats).
-
-    ``--backend csr`` makes the compiled engine freeze each cacheable
-    graph to the interned-CSR storage backend before evaluation (the
-    reference oracle ignores the flag — it has no storage strategy).
-    """
-    stats = EvalStats()
-    if getattr(args, "engine", "compiled") == "reference":
-        return ReferenceEngine(stats=stats)
-    return QueryEngine(
-        stats=stats,
-        backend=getattr(args, "backend", "dict"),
-    )
-
-
 def _maybe_print_stats(args: argparse.Namespace, engine) -> None:
     if getattr(args, "stats", False):
         print(f"engine: {engine.name}")
@@ -211,10 +187,8 @@ def _maybe_print_stats(args: argparse.Namespace, engine) -> None:
 def _cmd_exists(args: argparse.Namespace) -> int:
     setting, instance = load_document(args.document)
     config = CandidateSearchConfig(star_bound=args.star_bound)
-    engine = _engine_from_args(args)
-    result = decide_existence(
-        setting, instance, search_config=config, engine=engine, solver=args.solver
-    )
+    engine = QueryEngine(backend=args.backend)
+    result = decide_existence(setting, instance, search_config=config, engine=engine)
     print(f"status: {result.status.value}")
     print(f"method: {result.method}")
     if result.detail:
@@ -229,14 +203,13 @@ def _cmd_certain(args: argparse.Namespace) -> int:
     setting, instance = load_document(args.document)
     query = parse_nre(args.query)
     config = CandidateSearchConfig(star_bound=args.star_bound)
-    engine = _engine_from_args(args)
+    engine = QueryEngine(backend=args.backend)
     if args.pair:
         from repro.core.certain import find_counterexample_solution
 
         pair = tuple(args.pair)
         counterexample = find_counterexample_solution(
-            setting, instance, query, pair, config=config, engine=engine,
-            solver=args.solver,
+            setting, instance, query, pair, config=config, engine=engine
         )
         if counterexample is None:
             print(f"{pair} is a certain answer")
@@ -246,9 +219,7 @@ def _cmd_certain(args: argparse.Namespace) -> int:
         print(json.dumps(graph_to_dict(counterexample), indent=2, sort_keys=True))
         _maybe_print_stats(args, engine)
         return 1
-    result = certain_answers_nre(
-        setting, instance, query, config=config, engine=engine, solver=args.solver
-    )
+    result = certain_answers_nre(setting, instance, query, config=config, engine=engine)
     if result.no_solution:
         print("no solution exists: every tuple is (vacuously) certain")
         _maybe_print_stats(args, engine)
@@ -418,10 +389,6 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     if op in ("exists", "certain", "evaluate_batch"):
         if args.star_bound is not None:
             params["star_bound"] = args.star_bound
-        if getattr(args, "engine", None):
-            params["engine"] = args.engine
-        if getattr(args, "solver", None):
-            params["solver"] = args.solver
         if getattr(args, "backend", None):
             params["backend"] = args.backend
     if op == "cancel":
@@ -509,21 +476,6 @@ def _cmd_render(args: argparse.Namespace) -> int:
 
 
 def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--engine",
-        choices=("compiled", "reference"),
-        default="compiled",
-        help="query evaluation back-end: the compiled product-automaton "
-        "engine (default) or the set-algebraic reference oracle",
-    )
-    parser.add_argument(
-        "--solver",
-        choices=SOLVER_NAMES,
-        default=None,
-        help="SAT back-end for the complete fragment decisions: the "
-        "incremental CDCL solver (default; honours REPRO_SOLVER) or the "
-        "chronological DPLL differential oracle — answers are identical",
-    )
     parser.add_argument(
         "--backend",
         choices=BACKEND_NAMES,
@@ -743,8 +695,6 @@ def build_parser() -> argparse.ArgumentParser:
     _compute_request("chase", help="chase via the service")
     for sub in (sub_exists, sub_certain, sub_batch):
         sub.add_argument("--star-bound", type=int, default=None)
-        sub.add_argument("--engine", choices=("compiled", "reference"), default=None)
-        sub.add_argument("--solver", choices=SOLVER_NAMES, default=None)
         sub.add_argument("--backend", choices=BACKEND_NAMES, default=None)
     requests.add_parser("ping", help="liveness probe")
     requests.add_parser("stats", help="server telemetry snapshot")

@@ -86,7 +86,6 @@ def certain_answers_nre(
     query: NRE,
     config: CandidateSearchConfig | None = None,
     engine=None,
-    solver: str | None = None,
 ) -> CertainAnswers:
     """Compute the certain answers of the binary NRE ``query``.
 
@@ -94,20 +93,18 @@ def certain_answers_nre(
     query answering problem asks about tuples of constants) — so each
     solution is probed with one single-source engine query per domain
     constant instead of a full all-pairs materialisation.  ``engine``
-    selects the evaluation back-end (default: the shared compiled
-    :class:`~repro.engine.query.QueryEngine`; pass a
-    :class:`~repro.engine.query.ReferenceEngine` to run the oracle path,
-    or ``QueryEngine(backend="csr")`` to have every candidate solution of
+    is the evaluation back-end (default: the shared compiled
+    :class:`~repro.engine.query.QueryEngine`; pass
+    ``QueryEngine(backend="csr")`` to have every candidate solution of
     the enumeration frozen to the interned-CSR storage backend on first
     sight — identical answers, bulk-traversal evaluation).
-    ``solver`` picks the SAT back-end for the fast path (``cdcl``/``dpll``,
-    default per :func:`repro.solver.resolve_solver_name`).
 
-    On the Theorem 4.1 fragment with union-of-words queries the whole set
-    is decided by one persistent incremental SAT solver — one assumption
-    probe per domain pair, complete for the fragment
-    (:mod:`repro.core.satpipeline`) — and the minimal-solution enumeration
-    below never runs.
+    On the Section 3.1 tractable fragment the answers are read off the
+    chased universal solution; on the Theorem 4.1 fragment with
+    union-of-words queries the whole set is decided by one persistent
+    incremental SAT solver — one assumption probe per domain pair,
+    complete for the fragment (:mod:`repro.core.satpipeline`).  Only
+    when neither applies does the minimal-solution enumeration run.
 
     Raises :class:`~repro.errors.BoundExceeded` when existence could not be
     settled and no candidate solution was found — then nothing sound can be
@@ -115,28 +112,39 @@ def certain_answers_nre(
     """
     eng = engine if engine is not None else default_engine()
     cfg = config if config is not None else CandidateSearchConfig(star_bound=2)
-    # The reference engine deliberately runs the full enumeration pipeline
-    # (it is the differential-testing oracle for these fast paths).
-    if getattr(eng, "name", "") != "reference":
-        # Section 3.1 fragment: certain answers are the null-free answers
-        # on the chased universal solution — polynomial, and the only
-        # route that stays feasible on the scale workloads (the SAT
-        # universe and the minimal-solution enumeration are both
-        # exponential-ish in the instance).  Local import: tractable
-        # imports CertainAnswers from this module.
-        from repro.core.tractable import (
-            certain_answers_tractable,
-            in_tractable_fragment,
-        )
-
-        if in_tractable_fragment(setting):
-            return certain_answers_tractable(setting, instance, query, engine=eng)
-        sat_result = _sat_certain_answers(setting, instance, query, eng, solver)
-        if sat_result is not _INAPPLICABLE:
-            return sat_result
-    existence = decide_existence(
-        setting, instance, search_config=cfg, engine=eng, solver=solver
+    # Section 3.1 fragment: certain answers are the null-free answers on
+    # the chased universal solution — polynomial, and the only route that
+    # stays feasible on the scale workloads (the SAT universe and the
+    # minimal-solution enumeration are both exponential-ish in the
+    # instance).  Local import: tractable imports CertainAnswers from this
+    # module.
+    from repro.core.tractable import (
+        certain_answers_tractable,
+        in_tractable_fragment,
     )
+
+    if in_tractable_fragment(setting):
+        return certain_answers_tractable(setting, instance, query, engine=eng)
+    sat_result = _sat_certain_answers(setting, instance, query, eng)
+    if sat_result is not _INAPPLICABLE:
+        return sat_result
+    return _enumerated_certain_answers(setting, instance, query, cfg, eng)
+
+
+def _enumerated_certain_answers(
+    setting: DataExchangeSetting,
+    instance: RelationalInstance,
+    query: NRE,
+    cfg: CandidateSearchConfig,
+    engine,
+) -> CertainAnswers:
+    """Certain answers by intersecting over the minimal-solution enumeration.
+
+    The general tail of :func:`certain_answers_nre`, sound for every
+    setting; the differential tests run it with the reference engine as
+    the oracle for the fast paths.
+    """
+    existence = decide_existence(setting, instance, search_config=cfg, engine=engine)
     if existence.status is ExistenceStatus.NOT_EXISTS:
         return CertainAnswers(
             answers=frozenset(),
@@ -150,9 +158,9 @@ def certain_answers_nre(
     examined = 0
     with span("engine.enumerate", queries=1):
         for solution in _solutions_for_intersection(
-            setting, instance, cfg, existence, eng
+            setting, instance, cfg, existence, engine
         ):
-            answers = set(eng.answers_over(solution, query, domain))
+            answers = set(engine.answers_over(solution, query, domain))
             intersection = (
                 answers if intersection is None else intersection & answers
             )
@@ -179,7 +187,6 @@ def certain_answers_batch(
     queries: Iterable[NRE],
     config: CandidateSearchConfig | None = None,
     engine=None,
-    solver: str | None = None,
 ) -> list[CertainAnswers]:
     """Certain answers of *many* NRE queries over one (setting, instance).
 
@@ -203,85 +210,93 @@ def certain_answers_batch(
     eng = engine if engine is not None else default_engine()
     cfg = config if config is not None else CandidateSearchConfig(star_bound=2)
     query_list = list(queries)
-    results: list[CertainAnswers | None] = [None] * len(query_list)
+    from repro.core.tractable import (  # local import: cycle guard
+        certain_answers_tractable_batch,
+        in_tractable_fragment,
+    )
 
-    pending: list[int] = []
-    if getattr(eng, "name", "") != "reference":
-        from repro.core.tractable import (  # local import: cycle guard
-            certain_answers_tractable_batch,
-            in_tractable_fragment,
+    if in_tractable_fragment(setting):
+        # One chase, every query naively evaluated on the universal
+        # solution (see certain_answers_nre) — the fragment's batched
+        # fast path.
+        return certain_answers_tractable_batch(
+            setting, instance, query_list, engine=eng
         )
-
-        if in_tractable_fragment(setting):
-            # One chase, every query naively evaluated on the universal
-            # solution (see certain_answers_nre) — the fragment's batched
-            # fast path.
-            return certain_answers_tractable_batch(
-                setting, instance, query_list, engine=eng
-            )
-        for index, query in enumerate(query_list):
-            sat_result = _sat_certain_answers(setting, instance, query, eng, solver)
-            if sat_result is _INAPPLICABLE:
-                pending.append(index)
-            else:
-                results[index] = sat_result
-    else:
-        pending = list(range(len(query_list)))
-
+    results = [
+        _sat_certain_answers(setting, instance, query, eng) for query in query_list
+    ]
+    pending = [
+        index for index, result in enumerate(results) if result is _INAPPLICABLE
+    ]
     if pending:
-        existence = decide_existence(
-            setting, instance, search_config=cfg, engine=eng, solver=solver
+        enumerated = _enumerated_certain_batch(
+            setting, instance, [query_list[index] for index in pending], cfg, eng
         )
-        if existence.status is ExistenceStatus.NOT_EXISTS:
-            for index in pending:
-                results[index] = CertainAnswers(
-                    answers=frozenset(),
-                    no_solution=True,
-                    solutions_examined=0,
-                    method=f"no-solution({existence.method})",
-                )
-        else:
-            domain = instance.active_domain()
-            intersections: dict[int, set[Pair] | None] = {
-                index: None for index in pending
-            }
-            live = set(pending)
-            examined = 0
-            with span("engine.enumerate", queries=len(pending)):
-                for solution in _solutions_for_intersection(
-                    setting, instance, cfg, existence, eng
-                ):
-                    if not live:
-                        break
-                    examined += 1
-                    for index in sorted(live):
-                        answers = set(
-                            eng.answers_over(solution, query_list[index], domain)
-                        )
-                        current = intersections[index]
-                        current = (
-                            answers if current is None else current & answers
-                        )
-                        intersections[index] = current
-                        if not current:
-                            live.discard(index)
-            for index in pending:
-                intersection = intersections[index]
-                if intersection is None:
-                    raise BoundExceeded(
-                        "no solution found within the search bounds although "
-                        f"existence was {existence.status.value}; raise the bounds"
-                    )
-                results[index] = CertainAnswers(
-                    answers=frozenset(intersection),
-                    no_solution=False,
-                    solutions_examined=examined,
-                    method=(
-                        f"batched-minimal-solutions(star_bound={cfg.star_bound}, "
-                        f"n={examined})"
-                    ),
-                )
+        for index, result in zip(pending, enumerated):
+            results[index] = result
     return results  # type: ignore[return-value]
+
+
+def _enumerated_certain_batch(
+    setting: DataExchangeSetting,
+    instance: RelationalInstance,
+    queries: list[NRE],
+    cfg: CandidateSearchConfig,
+    engine,
+) -> list[CertainAnswers]:
+    """Certain answers of ``queries`` from one shared enumeration pass.
+
+    The general tail of :func:`certain_answers_batch`, sound for every
+    setting; the differential tests run it with the reference engine.
+    """
+    existence = decide_existence(setting, instance, search_config=cfg, engine=engine)
+    if existence.status is ExistenceStatus.NOT_EXISTS:
+        return [
+            CertainAnswers(
+                answers=frozenset(),
+                no_solution=True,
+                solutions_examined=0,
+                method=f"no-solution({existence.method})",
+            )
+            for _ in queries
+        ]
+    domain = instance.active_domain()
+    intersections: list[set[Pair] | None] = [None] * len(queries)
+    live = set(range(len(queries)))
+    examined = 0
+    with span("engine.enumerate", queries=len(queries)):
+        for solution in _solutions_for_intersection(
+            setting, instance, cfg, existence, engine
+        ):
+            if not live:
+                break
+            examined += 1
+            for index in sorted(live):
+                answers = set(engine.answers_over(solution, queries[index], domain))
+                current = intersections[index]
+                current = answers if current is None else current & answers
+                intersections[index] = current
+                if not current:
+                    live.discard(index)
+    results = []
+    for intersection in intersections:
+        if intersection is None:
+            raise BoundExceeded(
+                "no solution found within the search bounds although "
+                f"existence was {existence.status.value}; raise the bounds"
+            )
+        results.append(
+            CertainAnswers(
+                answers=frozenset(intersection),
+                no_solution=False,
+                solutions_examined=examined,
+                method=(
+                    f"batched-minimal-solutions(star_bound={cfg.star_bound}, "
+                    f"n={examined})"
+                ),
+            )
+        )
+    return results
 
 
 def _solutions_for_intersection(
@@ -366,7 +381,6 @@ def is_certain_answer(
     pair: Pair,
     config: CandidateSearchConfig | None = None,
     engine=None,
-    solver: str | None = None,
 ) -> bool:
     """Decide whether ``pair ∈ cert_Ω(query, I)`` (bounded, see module doc).
 
@@ -374,7 +388,7 @@ def is_certain_answer(
     the first counterexample solution.
     """
     counterexample = find_counterexample_solution(
-        setting, instance, query, pair, config, engine=engine, solver=solver
+        setting, instance, query, pair, config, engine=engine
     )
     return counterexample is None
 
@@ -386,7 +400,6 @@ def find_counterexample_solution(
     pair: Pair,
     config: CandidateSearchConfig | None = None,
     engine=None,
-    solver: str | None = None,
 ) -> GraphDatabase | None:
     """Return a solution G with ``pair ∉ ⟦query⟧_G``, or ``None``.
 
@@ -404,25 +417,35 @@ def find_counterexample_solution(
     """
     eng = engine if engine is not None else default_engine()
     cfg = config if config is not None else CandidateSearchConfig(star_bound=2)
-    # The reference engine deliberately runs the full enumeration pipeline
-    # (it is the differential-testing oracle for this fast path).
-    if getattr(eng, "name", "") != "reference":
-        sat_verdict = _sat_counterexample(
-            setting, instance, query, pair, eng, solver
-        )
-        if sat_verdict is not _INAPPLICABLE:
-            return sat_verdict
-    existence = decide_existence(
-        setting, instance, search_config=cfg, engine=eng, solver=solver
-    )
+    sat_verdict = _sat_counterexample(setting, instance, query, pair, eng)
+    if sat_verdict is not _INAPPLICABLE:
+        return sat_verdict
+    return _enumerated_counterexample(setting, instance, query, pair, cfg, eng)
+
+
+def _enumerated_counterexample(
+    setting: DataExchangeSetting,
+    instance: RelationalInstance,
+    query: NRE,
+    pair: Pair,
+    cfg: CandidateSearchConfig,
+    engine,
+) -> GraphDatabase | None:
+    """The first enumerated solution missing ``pair``, or ``None``.
+
+    The general tail of :func:`find_counterexample_solution`, sound for
+    every setting; the differential tests run it with the reference
+    engine as the oracle for the SAT fast path.
+    """
+    existence = decide_existence(setting, instance, search_config=cfg, engine=engine)
     if existence.status is ExistenceStatus.NOT_EXISTS:
         return None  # vacuously certain: there is no solution at all
     found_any = existence.witness is not None
     for solution in _solutions_for_intersection(
-        setting, instance, cfg, existence, eng
+        setting, instance, cfg, existence, engine
     ):
         found_any = True
-        if not eng.holds(solution, query, pair[0], pair[1]):
+        if not engine.holds(solution, query, pair[0], pair[1]):
             return solution
     if not found_any:
         raise BoundExceeded(
@@ -440,7 +463,6 @@ def _sat_counterexample(
     query: NRE,
     pair: Pair,
     engine,
-    solver: str | None = None,
 ):
     """Complete incremental SAT decision of ``pair ∈ cert_Ω(query, I)``.
 
@@ -464,7 +486,7 @@ def _sat_counterexample(
     from repro.core.satpipeline import pipeline_for
     from repro.errors import NotSupportedError
 
-    pipeline = pipeline_for(setting, instance, solver)
+    pipeline = pipeline_for(setting, instance)
     if pipeline is None:
         return _INAPPLICABLE
     try:
@@ -486,7 +508,6 @@ def _sat_certain_answers(
     instance: RelationalInstance,
     query: NRE,
     engine,
-    solver: str | None = None,
 ):
     """Whole-set certain answers through the persistent SAT pipeline.
 
@@ -498,7 +519,7 @@ def _sat_certain_answers(
     from repro.core.satpipeline import pipeline_for
     from repro.errors import NotSupportedError
 
-    pipeline = pipeline_for(setting, instance, solver)
+    pipeline = pipeline_for(setting, instance)
     if pipeline is None:
         return _INAPPLICABLE
     try:
@@ -529,10 +550,7 @@ def _sat_certain_answers(
         answers=frozenset(answers),
         no_solution=False,
         solutions_examined=len(counterexamples),
-        method=(
-            f"sat-incremental(pairs={len(domain) ** 2}, "
-            f"solver={pipeline.solver_name})"
-        ),
+        method=f"sat-incremental(pairs={len(domain) ** 2}, solver=cdcl)",
     )
 
 

@@ -185,7 +185,6 @@ def loop_collapse_refutation(
 def _complete_sat_decision(
     setting: DataExchangeSetting,
     instance: RelationalInstance,
-    solver: str | None,
 ) -> ExistenceResult | None:
     """The complete Theorem 4.1 decision on the persistent SAT pipeline.
 
@@ -200,7 +199,7 @@ def _complete_sat_decision(
     EXISTS path (it is a refutation — it can never fire on a satisfiable
     setting, so checking it up front would be pure overhead).
     """
-    pipeline = pipeline_for(setting, instance, solver)
+    pipeline = pipeline_for(setting, instance)
     if pipeline is None:
         return None
     try:
@@ -235,7 +234,6 @@ def decide_existence(
     search_config: CandidateSearchConfig | None = None,
     star_bound: int = 2,
     engine=None,
-    solver: str | None = None,
 ) -> ExistenceResult:
     """Decide whether ``Sol_Ω(I) ≠ ∅`` (see the module docstring).
 
@@ -243,9 +241,7 @@ def decide_existence(
     mean every applicable bounded strategy was exhausted inconclusively.
     ``engine`` is the query engine forwarded to the bounded candidate
     search (strategy 3/4); witness verification and the other strategies
-    use the shared default engine through the trigger matcher.  ``solver``
-    selects the SAT back-end for the complete decision (``cdcl``/``dpll``,
-    default per :func:`repro.solver.resolve_solver_name`).
+    use the shared default engine through the trigger matcher.
     """
     fragment = setting.fragment()
 
@@ -304,7 +300,7 @@ def decide_existence(
             # subsumes its verdict, and the chase fixpoint was the single
             # largest cost of the Theorem 4.1 benchmark.
             sat_attempted = True
-            decided = _complete_sat_decision(setting, instance, solver)
+            decided = _complete_sat_decision(setting, instance)
             if decided is not None:
                 return decided
             refutation = loop_collapse_refutation(setting, instance)
@@ -335,9 +331,7 @@ def decide_existence(
     config = search_config if search_config is not None else CandidateSearchConfig(
         star_bound=star_bound
     )
-    for candidate in candidate_solutions(
-        setting, instance, config, engine=engine, solver=solver
-    ):
+    for candidate in candidate_solutions(setting, instance, config, engine=engine):
         return _verified(candidate, setting, instance, "candidate-search")
 
     return ExistenceResult(

@@ -10,8 +10,7 @@ incremental:
 
 * the base encoding (:func:`~repro.solver.encode.encode_bounded_existence`)
   is built once and ingested into one
-  :class:`~repro.solver.cdcl.CDCLSolver` (or the DPLL oracle adapter,
-  under ``--solver dpll``);
+  :class:`~repro.solver.cdcl.CDCLSolver`;
 * each probed pair gets a fresh **guard variable**; its blocking clauses
   are added once, extended with ``¬guard``, and activated per solve with
   ``solve(assumptions=[guard])`` — so *candidate selection is an
@@ -30,7 +29,7 @@ pair constraints never changes the satisfiability of the base encoding —
 which is why the existence verdict can be decided once and cached.
 
 Pipelines are cached by **value** (setting fingerprint + instance
-fingerprint + solver name, see :func:`pipeline_for`), which is what makes
+fingerprint, see :func:`pipeline_for`), which is what makes
 the serving model fast: a steady stream of requests over the same exchange
 setting hits one warm solver no matter how the request objects were
 constructed.
@@ -47,7 +46,7 @@ from repro.errors import NotSupportedError
 from repro.graph.database import GraphDatabase
 from repro.graph.nre import NRE
 from repro.relational.instance import RelationalInstance
-from repro.solver import make_solver, resolve_solver_name
+from repro.solver.cdcl import CDCLSolver
 from repro.solver.encode import (
     add_pair_blocking_clauses,
     check_fragment_solution,
@@ -74,7 +73,6 @@ class SatPipeline:
         self,
         setting: DataExchangeSetting,
         instance: RelationalInstance,
-        solver: str | None = None,
     ):
         self.setting = setting
         # Snapshot the (mutable) instance: the pipeline is cached by value
@@ -83,15 +81,14 @@ class SatPipeline:
         # witness verification would otherwise run against foreign facts.
         self.instance = instance.copy()
         instance = self.instance
-        self.solver_name = resolve_solver_name(solver)
-        with span("solver.build", solver=self.solver_name):
+        with span("solver.build"):
             pattern = chase_pattern(
                 setting.st_tgds, instance, alphabet=setting.alphabet
             ).expect_pattern()
             self.nodes: list[Node] = sorted(pattern.nodes(), key=repr)
             self._members = set(self.nodes)
             self.cnf = encode_bounded_existence(setting, instance, self.nodes)
-            self.solver = make_solver(self.cnf, self.solver_name)
+            self.solver = CDCLSolver(self.cnf)
         self.probes = 0
         """SAT solves issued through :meth:`probe_pair` (telemetry)."""
         self._guards: dict[tuple[NRE, Node, Node], int | None] = {}
@@ -108,7 +105,7 @@ class SatPipeline:
         guard false), so the verdict cannot go stale.
         """
         if self._existence is _UNSET:
-            with span("solver.solve", kind="existence", solver=self.solver_name):
+            with span("solver.solve", kind="existence"):
                 model = self.solver.solve()
             self._fold_solver_stats()
             self._existence = None if model is None else self._witness(model)
@@ -139,7 +136,7 @@ class SatPipeline:
             # The pair has no realisation over the universe: any solution
             # is a counterexample, and the existence answer is cached.
             return self.existence_witness()
-        with span("solver.solve", kind="probe", solver=self.solver_name):
+        with span("solver.solve", kind="probe"):
             model = self.solver.solve((guard,))
         self._fold_solver_stats()
         if model is None:
@@ -223,7 +220,7 @@ class SatPipeline:
         return witness
 
 
-# (setting key, instance fingerprint, solver name) → SatPipeline, so a
+# (setting key, instance fingerprint) → SatPipeline, so a
 # steady stream of value-equal requests — the serving model — reuses one
 # warm solver with everything it has learnt.  Bounded like the encode
 # module's path cache: wholesale clear past the limit.  The registry is
@@ -248,7 +245,6 @@ def _setting_key(setting: DataExchangeSetting):
 def pipeline_for(
     setting: DataExchangeSetting,
     instance: RelationalInstance,
-    solver: str | None = None,
 ) -> SatPipeline | None:
     """Return the shared pipeline for this universe, or ``None`` if inapplicable.
 
@@ -259,8 +255,7 @@ def pipeline_for(
     """
     if not setting.fragment().sat_encodable:
         return None
-    name = resolve_solver_name(solver)
-    key = (_setting_key(setting), instance.fingerprint(), name)
+    key = (_setting_key(setting), instance.fingerprint())
     # Get-or-create under the registry lock: concurrent value-equal
     # requests must converge on ONE pipeline, not race to build two and
     # hand different solvers to different callers.
@@ -268,7 +263,7 @@ def pipeline_for(
         entry = _PIPELINES.get(key)
         if entry is None:
             try:
-                entry = SatPipeline(setting, instance, name)
+                entry = SatPipeline(setting, instance)
             except NotSupportedError:
                 entry = _INAPPLICABLE
             if len(_PIPELINES) >= _PIPELINE_LIMIT:
@@ -281,7 +276,6 @@ def advance_pipeline(
     setting: DataExchangeSetting,
     old_instance: RelationalInstance,
     new_instance: RelationalInstance,
-    solver: str | None = None,
 ) -> SatPipeline | None:
     """Roll a warm pipeline forward across an instance update.
 
@@ -297,11 +291,10 @@ def advance_pipeline(
     """
     if not setting.fragment().sat_encodable:
         return None
-    name = resolve_solver_name(solver)
-    old_key = (_setting_key(setting), old_instance.fingerprint(), name)
+    old_key = (_setting_key(setting), old_instance.fingerprint())
     with _PIPELINES_LOCK:
         prior = _PIPELINES.pop(old_key, None)
-    successor = pipeline_for(setting, new_instance, name)
+    successor = pipeline_for(setting, new_instance)
     if successor is not None and isinstance(prior, SatPipeline):
         successor.prewarm_pairs(prior.guard_keys())
     return successor

@@ -271,15 +271,13 @@ def candidate_solutions(
     instance: RelationalInstance,
     config: CandidateSearchConfig | None = None,
     engine=None,
-    solver: str | None = None,
 ) -> Iterator[GraphDatabase]:
     """Yield distinct (bounded-)minimal solutions for ``instance`` under Ω.
 
     Every yielded graph passes the full :func:`repro.core.solution.is_solution`
     check, so consumers may rely on them being genuine solutions.  ``engine``
     is the query engine used for egd pruning and (downstream) solution
-    checking; ``None`` selects the shared compiled engine.  ``solver``
-    picks the SAT back-end for the pre-flight refutation below.
+    checking; ``None`` selects the shared compiled engine.
 
     On egd settings in the SAT-encodable fragment the shared incremental
     pipeline (:mod:`repro.core.satpipeline`) is consulted first: its
@@ -290,7 +288,7 @@ def candidate_solutions(
     if setting.egds() and setting.fragment().sat_encodable:
         from repro.core.satpipeline import pipeline_for
 
-        pipeline = pipeline_for(setting, instance, solver)
+        pipeline = pipeline_for(setting, instance)
         if pipeline is not None:
             try:
                 refuted = not pipeline.has_solution()

@@ -11,10 +11,9 @@ This package holds the two shared evaluation cores:
 * :func:`is_simple_query` — the eligibility test for the fast paths
   (composite NREs fall back to the CNRE evaluator, so results never
   depend on which path ran);
-* :class:`QueryEngine` / :class:`ReferenceEngine` (:mod:`repro.engine.query`)
-  — compiled, memoising NRE evaluation with single-pair/single-source modes
-  and a cross-candidate cache keyed on graph fingerprints, vs the
-  set-algebraic oracle behind the same interface;
+* :class:`QueryEngine` (:mod:`repro.engine.query`) — compiled, memoising
+  NRE evaluation with single-pair/single-source modes and a
+  cross-candidate cache keyed on graph fingerprints;
 * :class:`EvalStats` — the query-side observability counters (the
   ``ChaseStats`` analogue).
 
@@ -41,7 +40,6 @@ from repro.engine.matcher import TriggerMatcher, is_simple_query
 from repro.engine.query import (
     EvalStats,
     QueryEngine,
-    ReferenceEngine,
     default_engine,
 )
 
@@ -50,7 +48,6 @@ __all__ = [
     "EgdViolationQueue",
     "is_simple_query",
     "QueryEngine",
-    "ReferenceEngine",
     "EvalStats",
     "default_engine",
 ]

@@ -24,10 +24,9 @@ candidate, materialising full all-pairs relations even to decide one pair.
   :mod:`repro.core.search` (and the same witness re-examined by existence
   and certain-answer passes) reuse each other's work instead of restarting.
 
-The set-algebraic evaluator (:mod:`repro.graph.eval`) is unchanged and kept
-as the differential-testing oracle; :class:`ReferenceEngine` exposes it
-behind the same interface so both paths stay runnable end to end (the CLI's
-``--engine {compiled,reference}`` flag switches between them).
+The set-algebraic evaluator (:mod:`repro.graph.eval`) is the
+differential-testing oracle; the test suite wraps it behind this
+engine's interface (``tests/oracles/reference_engine.py``).
 
 >>> from repro.graph.database import GraphDatabase
 >>> from repro.graph.parser import parse_nre
@@ -49,7 +48,6 @@ from typing import Hashable, Iterable
 
 from repro.graph.automaton import NREAutomaton, _Runner, compile_nre
 from repro.graph.database import Fingerprint, GraphDatabase
-from repro.graph.eval import evaluate_nre
 from repro.graph.nre import NRE
 
 Node = Hashable
@@ -394,65 +392,6 @@ class QueryEngine:
         """Drop all per-graph state (the automaton table survives)."""
         self._cache.clear()
         self._frozen_tip = None
-
-
-class ReferenceEngine:
-    """The set-algebraic oracle behind the same interface as the engine.
-
-    No compilation, no cross-candidate caching, no early exit — every call
-    materialises the full relation with :func:`repro.graph.eval.evaluate_nre`
-    exactly as the seed code did.  Useful as the ``--engine reference`` CLI
-    path and as the oracle half of differential tests.
-    """
-
-    name = "reference"
-
-    def __init__(self, stats: EvalStats | None = None):
-        self.stats = stats if stats is not None else EvalStats()
-
-    def pairs(self, graph: GraphDatabase, expr: NRE) -> PairSet:
-        """Return ``⟦expr⟧_graph`` via the reference evaluator."""
-        self.stats.all_pairs_queries += 1
-        return evaluate_nre(graph, expr)
-
-    def reachable(
-        self, graph: GraphDatabase, expr: NRE, source: Node
-    ) -> frozenset[Node]:
-        """Single-source answers, filtered from the full relation."""
-        self.stats.single_source_queries += 1
-        return frozenset(v for u, v in evaluate_nre(graph, expr) if u == source)
-
-    def reachable_many(
-        self, graph: GraphDatabase, expr: NRE, sources: Iterable[Node]
-    ) -> dict[Node, frozenset[Node]]:
-        """Per-source answers, all filtered from one full relation."""
-        sources = list(sources)
-        self.stats.batched_source_queries += len(sources)
-        relation = evaluate_nre(graph, expr)
-        answers: dict[Node, set[Node]] = {source: set() for source in sources}
-        for u, v in relation:
-            if u in answers:
-                answers[u].add(v)
-        return {source: frozenset(targets) for source, targets in answers.items()}
-
-    def holds(
-        self, graph: GraphDatabase, expr: NRE, source: Node, target: Node
-    ) -> bool:
-        """Single-pair membership, decided on the full relation."""
-        self.stats.single_pair_queries += 1
-        return (source, target) in evaluate_nre(graph, expr)
-
-    def answers_over(
-        self, graph: GraphDatabase, expr: NRE, domain: Iterable[Node]
-    ) -> PairSet:
-        """The full relation restricted to ``domain × domain``."""
-        self.stats.all_pairs_queries += 1
-        members = set(domain)
-        return frozenset(
-            (u, v)
-            for u, v in evaluate_nre(graph, expr)
-            if u in members and v in members
-        )
 
 
 _DEFAULT_ENGINES: dict[str, QueryEngine] = {}

@@ -11,9 +11,8 @@ Evaluation precomputes ``⟦r⟧_G`` for each distinct NRE in the query and then
 backtracks over variable assignments, most-constrained-atom first.  The
 per-NRE relations come from a query engine — by default (``engine=None``)
 the shared compiled :class:`~repro.engine.query.QueryEngine`, so repeated
-graphs hit its cross-candidate cache; pass an explicit engine instance such
-as :class:`~repro.engine.query.ReferenceEngine` to run the set-algebraic
-oracle instead (the differential tests do).
+graphs hit its cross-candidate cache; the differential tests pass the
+set-algebraic reference oracle instead.
 """
 
 from __future__ import annotations

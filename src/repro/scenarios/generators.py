@@ -17,7 +17,6 @@ with three random families (parameters documented in EXPERIMENTS.md):
 from __future__ import annotations
 
 import random
-import warnings
 
 from repro.graph.database import GraphDatabase
 from repro.graph.nre import (
@@ -64,9 +63,9 @@ def resolve_rng(
 
 def random_flights_instance(
     flights: int,
-    *deprecated_positional,
-    cities: int | None = None,
-    hotels: int | None = None,
+    *,
+    cities: int,
+    hotels: int,
     max_stops: int = 2,
     rng: random.Random | None = None,
     seed: int | None = None,
@@ -77,36 +76,8 @@ def random_flights_instance(
     Source and destination cities are distinct when ``cities ≥ 2``; each
     flight gets 1..``max_stops`` hotel stops.  Seeding follows the shared
     :func:`resolve_rng` convention (``rng`` / ``seed`` / a scalable-family
-    :class:`~repro.scenarios.scale.GeneratorConfig`).  Positional
-    ``cities``/``hotels``/``max_stops`` still work but are deprecated —
-    spell them as keywords.
+    :class:`~repro.scenarios.scale.GeneratorConfig`).
     """
-    if deprecated_positional:
-        warnings.warn(
-            "positional cities/hotels/max_stops arguments to "
-            "random_flights_instance are deprecated; pass them as keywords",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if len(deprecated_positional) > 3:
-            raise TypeError(
-                "random_flights_instance takes at most 4 positional arguments"
-            )
-        positional = dict(
-            zip(("cities", "hotels", "max_stops"), deprecated_positional)
-        )
-        if "cities" in positional:
-            if cities is not None:
-                raise TypeError("cities passed both positionally and by keyword")
-            cities = positional["cities"]
-        if "hotels" in positional:
-            if hotels is not None:
-                raise TypeError("hotels passed both positionally and by keyword")
-            hotels = positional["hotels"]
-        if "max_stops" in positional:
-            max_stops = positional["max_stops"]
-    if cities is None or hotels is None:
-        raise TypeError("random_flights_instance requires cities= and hotels=")
     generator = resolve_rng(rng, seed, config)
     instance = RelationalInstance(flights_schema())
     city_names = [f"c{i}" for i in range(1, cities + 1)]

@@ -126,21 +126,18 @@ def case_requests(
     """
     document = case.document()
     requests: list[tuple[str, dict]] = [
-        ("exists", {"document": document, "star_bound": 2,
-                    "engine": "compiled", "solver": None}),
+        ("exists", {"document": document, "star_bound": 2}),
         ("chase", {"document": document}),
     ]
     for backend in backends:
         requests.append(
             ("evaluate_batch", {"document": document,
                                 "queries": list(case.queries),
-                                "star_bound": 2, "engine": "compiled",
-                                "backend": backend, "solver": None})
+                                "star_bound": 2, "backend": backend})
         )
         requests.extend(
             ("certain", {"document": document, "query": query, "pair": None,
-                         "star_bound": 2, "engine": "compiled",
-                         "backend": backend, "solver": None})
+                         "star_bound": 2, "backend": backend})
             for query in case.queries
         )
     return requests

@@ -42,7 +42,6 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.engine.query import BACKEND_NAMES
-from repro.solver import SOLVER_NAMES
 
 PROTOCOL_VERSION = 1
 """Bumped on any incompatible change to the wire format."""
@@ -57,7 +56,6 @@ CONTROL_OPS = ("cancel", "metrics", "ping", "shutdown", "stats", "traces")
 server's telemetry registry and trace ring without occupying a worker
 slot, so a wedged pool can still be diagnosed over the same wire."""
 
-ENGINE_NAMES = ("compiled", "reference")
 # BACKEND_NAMES (imported above) is the single source of truth for the
 # storage back-ends a compute request may select (``params.backend``):
 # exactly the ones QueryEngine accepts.
@@ -115,26 +113,10 @@ def _check_star_bound(value: Any) -> int:
     return value
 
 
-def _check_engine(value: Any) -> str:
-    if value not in ENGINE_NAMES:
-        raise ProtocolError(
-            "bad-request", f"engine must be one of {list(ENGINE_NAMES)}"
-        )
-    return value
-
-
 def _check_backend(value: Any) -> str:
     if value not in BACKEND_NAMES:
         raise ProtocolError(
             "bad-request", f"backend must be one of {list(BACKEND_NAMES)}"
-        )
-    return value
-
-
-def _check_solver(value: Any) -> str | None:
-    if value is not None and value not in SOLVER_NAMES:
-        raise ProtocolError(
-            "bad-request", f"solver must be one of {sorted(SOLVER_NAMES)} or null"
         )
     return value
 
@@ -229,9 +211,7 @@ def _check_slow(value: Any) -> bool:
 
 _COMMON = {
     "star_bound": (_check_star_bound, False, 2),
-    "engine": (_check_engine, False, "compiled"),
     "backend": (_check_backend, False, "dict"),
-    "solver": (_check_solver, False, None),
 }
 
 _SPECS: dict[str, dict[str, tuple]] = {

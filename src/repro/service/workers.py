@@ -41,7 +41,7 @@ from repro.core.certain import (
 from repro.core.existence import ExistenceResult, decide_existence
 from repro.core.solution import is_solution
 from repro.core.search import CandidateSearchConfig
-from repro.engine.query import ReferenceEngine, default_engine
+from repro.engine.query import default_engine
 from repro.errors import BoundExceeded, NotSupportedError, ParseError, ReproError
 from repro.graph.parser import parse_nre
 from repro.io.json_io import (
@@ -86,16 +86,13 @@ def certain_answers_to_dict(result: CertainAnswers) -> dict:
 def _engine(params: dict):
     """The evaluation back-end for one request.
 
-    ``compiled`` returns the *process-shared* engine on purpose: its
-    cross-candidate cache is how consecutive requests over the same
-    universe amortise inside one worker.  ``reference`` gets a fresh
-    oracle (no caches — that is its job).  The ``backend`` parameter
-    (``dict``/``csr``) routes to the matching warm engine — one shared
-    instance per storage backend, so csr-tenant requests reuse frozen
-    graph states across the worker's lifetime.
+    Returns the *process-shared* engine on purpose: its cross-candidate
+    cache is how consecutive requests over the same universe amortise
+    inside one worker.  The ``backend`` parameter (``dict``/``csr``)
+    routes to the matching warm engine — one shared instance per storage
+    backend, so csr-tenant requests reuse frozen graph states across the
+    worker's lifetime.
     """
-    if params.get("engine") == "reference":
-        return ReferenceEngine()
     return default_engine(params.get("backend") or "dict")
 
 
@@ -185,7 +182,6 @@ def _handle_exists(params: dict) -> dict:
         instance,
         search_config=_search_config(params),
         engine=_engine(params),
-        solver=params.get("solver"),
     )
     if store is not None and result.witness is not None:
         store.store(key, result.witness.freeze())
@@ -197,12 +193,10 @@ def _handle_certain(params: dict) -> dict:
     query = parse_nre(params["query"])
     engine = _engine(params)
     config = _search_config(params)
-    solver = params.get("solver")
     if params.get("pair") is not None:
         pair = tuple(params["pair"])
         counterexample = find_counterexample_solution(
-            setting, instance, query, pair, config=config, engine=engine,
-            solver=solver,
+            setting, instance, query, pair, config=config, engine=engine
         )
         return {
             "certain": counterexample is None,
@@ -212,7 +206,7 @@ def _handle_certain(params: dict) -> dict:
             "pair": list(pair),
         }
     result = certain_answers_nre(
-        setting, instance, query, config=config, engine=engine, solver=solver
+        setting, instance, query, config=config, engine=engine
     )
     return certain_answers_to_dict(result)
 
@@ -260,7 +254,6 @@ def _handle_evaluate_batch(params: dict) -> dict:
         queries,
         config=_search_config(params),
         engine=_engine(params),
-        solver=params.get("solver"),
     )
     return {
         "queries": list(params["queries"]),
@@ -319,7 +312,7 @@ def _handle_apply_updates(params: dict) -> dict:
     checkin_incremental_state(state)
     # Roll the per-universe SAT pipeline's working set forward too, so
     # later certain/exists requests on the updated document start warm.
-    advance_pipeline(setting, instance, state.instance, params.get("solver"))
+    advance_pipeline(setting, instance, state.instance)
     return response
 
 

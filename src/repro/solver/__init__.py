@@ -1,8 +1,8 @@
-"""SAT substrate: CNF formulas, two solvers, and exchange encodings.
+"""SAT substrate: CNF formulas, the CDCL solver, and exchange encodings.
 
 The paper's Theorem 4.1 reduces 3SAT to the existence of solutions; running
 that reduction at scale — and deciding existence for the restricted fragment
-at all — needs a SAT solver, which is implemented here from scratch, twice:
+at all — needs a SAT solver, which is implemented here from scratch:
 
 * :mod:`repro.solver.cnf` — CNF formulas in DIMACS-style integer literals,
   canonicalised at insertion time (:func:`~repro.solver.cnf.canonical_clause`);
@@ -11,64 +11,37 @@ at all — needs a SAT solver, which is implemented here from scratch, twice:
   branching, Luby restarts, LBD-aware deletion, and an **incremental**
   interface (``add_clause`` between solves, ``solve(assumptions=[...])``
   with unsat-core extraction);
-* :mod:`repro.solver.dpll` — the chronological DPLL kept as the
-  differential oracle (plus a brute-force model enumerator for tests);
 * :mod:`repro.solver.generators` — random k-CNF and planted-satisfiable
   instance generators for the scaling benchmarks;
 * :mod:`repro.solver.encode` — the bounded-model encoding of
   existence-of-solutions into CNF for the Theorem 4.1 fragment
   (union-of-symbols heads, word egd bodies).
 
-Which solver the pipeline uses is selected by :func:`resolve_solver_name`:
-the CLI ``--solver {cdcl,dpll}`` switch, the ``REPRO_SOLVER`` environment
-variable, or the default (``cdcl``).  Both solvers answer through the same
-incremental interface and must agree on every SAT/UNSAT verdict — the
-property pinned by the differential test suite.
+The CDCL solver is the only one the library runs.  The test suite pins
+its SAT/UNSAT verdicts against a chronological DPLL and a brute-force
+model enumerator kept outside the library (``tests/oracles/dpll.py``).
 """
-
-import os
 
 from repro.solver.cnf import CNF, Clause, Literal, canonical_clause
 from repro.solver.cdcl import CDCLSolver, CDCLStats, solve_cnf_cdcl
-from repro.solver.dpll import (
-    DPLLSolver,
-    IncrementalDPLL,
-    enumerate_models,
-    solve_cnf,
-)
 from repro.solver.generators import random_kcnf, planted_kcnf
 from repro.solver.encode import encode_bounded_existence, decode_edge_model
 
-SOLVER_NAMES = ("cdcl", "dpll")
-_SOLVER_ENV = "REPRO_SOLVER"
 
+def resolve_solver_name(name: None = None) -> str:
+    """Name the SAT solver the pipeline runs: always ``"cdcl"``.
 
-def resolve_solver_name(name: str | None = None) -> str:
-    """Resolve the solver choice: explicit arg > ``REPRO_SOLVER`` env > cdcl.
+    The argument exists for callers that report the configuration; it
+    must be ``None``, because the solver is not selectable.
 
-    Raises :class:`ValueError` on an unknown name so a typo in the
-    environment fails loudly instead of silently picking a default.
+    >>> resolve_solver_name(None)
+    'cdcl'
     """
-    chosen = name if name is not None else os.environ.get(_SOLVER_ENV, "cdcl")
-    chosen = chosen.strip().lower()
-    if chosen not in SOLVER_NAMES:
+    if name is not None:
         raise ValueError(
-            f"unknown solver {chosen!r}; expected one of {SOLVER_NAMES}"
+            f"solver {name!r} cannot be selected; the pipeline runs CDCL"
         )
-    return chosen
-
-
-def make_solver(cnf: CNF | None = None, name: str | None = None):
-    """Build an incremental solver over ``cnf`` (which is not mutated).
-
-    Returns a :class:`CDCLSolver` or an :class:`IncrementalDPLL` — both
-    expose ``add_clause(literals)``, ``solve(assumptions=())``, ``core``,
-    ``new_variable()``, ``ensure_variables(n)``, ``ok``, and ``stats``.
-    """
-    resolved = resolve_solver_name(name)
-    if resolved == "dpll":
-        return IncrementalDPLL(cnf)
-    return CDCLSolver(cnf)
+    return "cdcl"
 
 
 __all__ = [
@@ -78,14 +51,8 @@ __all__ = [
     "canonical_clause",
     "CDCLSolver",
     "CDCLStats",
-    "DPLLSolver",
-    "IncrementalDPLL",
-    "SOLVER_NAMES",
-    "make_solver",
     "resolve_solver_name",
-    "solve_cnf",
     "solve_cnf_cdcl",
-    "enumerate_models",
     "random_kcnf",
     "planted_kcnf",
     "encode_bounded_existence",

@@ -7,7 +7,7 @@ variables), implemented from scratch:
 * **two-watched-literal propagation** — each clause watches two of its
   literals; only clauses watching a newly-falsified literal are visited, so
   propagation never rescans (or copies) the clause database the way the
-  chronological DPLL in :mod:`repro.solver.dpll` does;
+  chronological DPLL oracle in the test suite does;
 * **1-UIP clause learning** — conflicts are analysed on the trail back to
   the first unique implication point, with local (reason-subsumption)
   minimisation of the learnt clause;

@@ -21,9 +21,9 @@ def canonical_clause(literals: Iterable[Literal]) -> Clause | None:
     Repeated literals are merged (first occurrence order preserved) and
     tautological clauses (containing both ``x`` and ``¬x``) collapse to
     ``None`` — the caller drops them.  Raises :class:`ValueError` on the
-    literal 0.  Both solvers (:class:`~repro.solver.dpll.DPLLSolver` and
-    :class:`~repro.solver.cdcl.CDCLSolver`) ingest clauses through this
-    single canonical form, so they always see identical inputs.
+    literal 0.  :class:`~repro.solver.cdcl.CDCLSolver` and the test
+    suite's DPLL oracle ingest clauses through this single canonical
+    form, so they always see identical inputs.
 
     >>> canonical_clause([1, 2, 2, 1])
     (1, 2)

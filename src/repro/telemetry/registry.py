@@ -29,13 +29,13 @@ changes no observable behavior.  :func:`set_enabled` overrides the
 environment for tests and benchmarks (pass ``None`` to fall back to the
 environment again).
 
-**Stats-dataclass folding.**  The five pre-existing stats dataclasses
-(``ChaseStats``, ``EvalStats``, ``UpdateStats``, ``CDCLStats``, the DPLL
-``SolverStats``) keep their roles as per-object counters;
-:func:`fold_stats` folds one of them into the registry at its natural
-flush point by *delta* — the last folded snapshot is remembered on the
-stats object itself, so cumulative objects (a long-lived engine's
-``EvalStats``) can be folded repeatedly without double counting.
+**Stats-dataclass folding.**  The stats dataclasses (``ChaseStats``,
+``EvalStats``, ``UpdateStats``, ``CDCLStats``) keep their roles as
+per-object counters; :func:`fold_stats` folds one of them into the
+registry at its natural flush point by *delta* — the last folded snapshot
+is remembered on the stats object itself, so cumulative objects (a
+long-lived engine's ``EvalStats``) can be folded repeatedly without
+double counting.
 
 **Cross-process aggregation.**  Worker processes fold into their own
 registries; :meth:`Registry.export_deltas` returns the counter movement

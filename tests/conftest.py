@@ -1,4 +1,5 @@
-"""Shared fixtures: the paper's running example, available to every test."""
+"""Shared fixtures: the paper's running example, available to every test,
+and the seam that swaps the DPLL oracle into the SAT pipeline."""
 
 from __future__ import annotations
 
@@ -11,6 +12,8 @@ import pytest
 # re-enable it against a temporary directory.
 os.environ.setdefault("REPRO_AUTOMATON_CACHE", "off")
 
+from oracles import IncrementalDPLL
+from repro.core import satpipeline
 from repro.scenarios.flights import (
     example_query,
     flights_instance,
@@ -69,3 +72,17 @@ def g3():
 def query_q():
     """Q = f·f*[h]·f⁻·(f⁻)*."""
     return example_query()
+
+
+@pytest.fixture
+def dpll_pipelines(monkeypatch):
+    """Build every SAT pipeline of the test on the DPLL oracle.
+
+    Pipelines are cached by (setting, instance) value only, so a warm
+    CDCL-built pipeline would otherwise answer the test and compare CDCL
+    with itself: the cache is cleared before the swap and again after.
+    """
+    satpipeline.clear_pipelines()
+    monkeypatch.setattr(satpipeline, "CDCLSolver", IncrementalDPLL)
+    yield
+    satpipeline.clear_pipelines()

@@ -1,4 +1,4 @@
-"""A DPLL SAT solver — the pipeline's differential oracle.
+"""A DPLL SAT solver — the differential oracle for the CDCL solver.
 
 Implements the classic Davis–Putnam–Logemann–Loveland procedure with:
 
@@ -10,8 +10,8 @@ Implements the classic Davis–Putnam–Logemann–Loveland procedure with:
   solver is the conflict-driven :mod:`repro.solver.cdcl`, and this
   module's value is being a *simple, independent* implementation whose
   SAT/UNSAT verdicts the CDCL solver must match on every formula
-  (``--solver dpll`` / ``REPRO_SOLVER=dpll`` runs the whole pipeline on
-  it).
+  (the ``dpll_pipelines`` test fixture runs the whole certain-answer
+  pipeline on it).
 
 A brute-force :func:`enumerate_models` doubles as the second oracle in the
 property tests: both solvers' verdicts must agree with exhaustive
@@ -250,12 +250,9 @@ class IncrementalDPLL:
     in the certain-answer pipeline: it exposes the same ``add_clause`` /
     ``solve(assumptions=...)`` surface, but keeps no state between solves —
     every call re-runs the chronological DPLL on the accumulated clause
-    set, so its verdicts depend on nothing but the formula.  Selecting it
-    (``--solver dpll`` / ``REPRO_SOLVER=dpll``) must never change an
-    answer, only the speed.
+    set, so its verdicts depend on nothing but the formula.  Swapping it
+    into the pipeline must never change an answer, only the speed.
     """
-
-    name = "dpll"
 
     def __init__(self, cnf: CNF | None = None):
         self._cnf = CNF()

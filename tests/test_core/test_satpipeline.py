@@ -5,9 +5,10 @@ Differential anchors:
 * :func:`repro.solver.encode.check_fragment_solution` must agree with the
   generic :func:`repro.core.solution.is_solution` on every graph it
   accepts/rejects (random reduction witnesses, mutated or not);
-* pipeline probes must agree with the minimal-solution enumeration (the
-  reference-engine path) and with DPLL-on-the-source-formula on the
-  Corollary 4.2 family, under **both** solver back-ends;
+* pipeline probes must agree with the minimal-solution enumeration (run
+  on the reference engine) and with DPLL-on-the-source-formula on the
+  Corollary 4.2 family, with the pipeline on CDCL and, through the
+  ``dpll_pipelines`` fixture, on the DPLL oracle;
 * the pipeline cache must key by value: rebuilt (equal) settings and
   instances reuse one solver and its learnt clauses.
 """
@@ -16,20 +17,33 @@ import random
 
 import pytest
 
-from repro.core.certain import certain_answers_nre, is_certain_answer
+from oracles import IncrementalDPLL, ReferenceEngine, solve_cnf
+from repro.core.certain import (
+    _enumerated_certain_answers,
+    _enumerated_counterexample,
+    certain_answers_nre,
+    is_certain_answer,
+)
 from repro.core.existence import ExistenceStatus, decide_existence
 from repro.core.satpipeline import SatPipeline, clear_pipelines, pipeline_for
 from repro.core.search import CandidateSearchConfig
 from repro.core.solution import is_solution
-from repro.engine.query import ReferenceEngine
 from repro.graph.parser import parse_nre
 from repro.reductions.certain_hardness import certain_egd_instance
 from repro.reductions.three_sat import reduction_from_cnf, valuation_graph
-from repro.solver.dpll import solve_cnf
+from repro.solver.cdcl import CDCLSolver
 from repro.solver.encode import check_fragment_solution
 from repro.solver.generators import random_kcnf
 
 CFG = CandidateSearchConfig(star_bound=1)
+
+
+@pytest.fixture(params=["cdcl", "dpll"])
+def solver(request):
+    """Run the test with the pipeline on CDCL, then on the DPLL oracle."""
+    if request.param == "dpll":
+        request.getfixturevalue("dpll_pipelines")
+    return request.param
 
 
 def formulas(count, seed=42):
@@ -72,34 +86,31 @@ class TestFragmentChecker:
 
 
 class TestProbeAgreement:
-    @pytest.mark.parametrize("solver", ["cdcl", "dpll"])
     def test_certainty_matches_dpll_oracle_and_reference(self, solver):
         for formula in formulas(5, seed=11):
             case = certain_egd_instance(formula)
             fast = is_certain_answer(
-                case.setting, case.instance, case.query, case.tuple,
-                config=CFG, solver=solver,
+                case.setting, case.instance, case.query, case.tuple, config=CFG
             )
             assert fast == (solve_cnf(formula) is None)
-            reference = is_certain_answer(
+            counterexample = _enumerated_counterexample(
                 case.setting, case.instance, case.query, case.tuple,
-                config=CFG, engine=ReferenceEngine(),
+                CFG, ReferenceEngine(),
             )
-            assert fast == reference
+            assert fast == (counterexample is None)
 
-    @pytest.mark.parametrize("solver", ["cdcl", "dpll"])
     def test_whole_set_matches_per_pair_probes(self, solver):
         for formula in formulas(3, seed=23):
             case = certain_egd_instance(formula)
             result = certain_answers_nre(
-                case.setting, case.instance, case.query, config=CFG, solver=solver
+                case.setting, case.instance, case.query, config=CFG
             )
             domain = case.instance.active_domain()
             for u in sorted(domain):
                 for v in sorted(domain):
                     assert result.is_certain((u, v)) == is_certain_answer(
                         case.setting, case.instance, case.query, (u, v),
-                        config=CFG, solver=solver,
+                        config=CFG,
                     )
             if not result.no_solution:
                 assert "sat-incremental" in result.method
@@ -110,9 +121,8 @@ class TestProbeAgreement:
             fast = certain_answers_nre(
                 case.setting, case.instance, case.query, config=CFG
             )
-            oracle = certain_answers_nre(
-                case.setting, case.instance, case.query, config=CFG,
-                engine=ReferenceEngine(),
+            oracle = _enumerated_certain_answers(
+                case.setting, case.instance, case.query, CFG, ReferenceEngine()
             )
             assert fast.no_solution == oracle.no_solution
             if not fast.no_solution:
@@ -142,15 +152,14 @@ class TestPipelineReuse:
         assert pipeline.probes == before + 2
         assert len(pipeline._guards) == 1
 
-    def test_solver_choice_isolated_per_key(self):
-        clear_pipelines()
+    def test_dpll_fixture_swaps_the_pipeline_solver(self, solver):
         formula = formulas(1, seed=13)[0]
         case = certain_egd_instance(formula)
-        cdcl = pipeline_for(case.setting, case.instance, "cdcl")
-        dpll = pipeline_for(case.setting, case.instance, "dpll")
-        assert cdcl is not None and dpll is not None and cdcl is not dpll
-        assert cdcl.solver_name == "cdcl" and dpll.solver_name == "dpll"
-        assert cdcl.has_solution() == dpll.has_solution()
+        pipeline = pipeline_for(case.setting, case.instance)
+        assert pipeline is not None
+        expected = {"cdcl": CDCLSolver, "dpll": IncrementalDPLL}[solver]
+        assert type(pipeline.solver) is expected
+        assert pipeline.has_solution() == (solve_cnf(formula) is not None)
 
     def test_inapplicable_settings_return_none(self, omega):
         # Example 2.2's Ω has starred heads: not SAT-encodable.
@@ -160,16 +169,13 @@ class TestPipelineReuse:
 
 
 class TestExistenceIntegration:
-    @pytest.mark.parametrize("solver", ["cdcl", "dpll"])
     def test_existence_matches_source_formula(self, solver):
         rng = random.Random(17)
         for _ in range(5):
             n = rng.randint(2, 5)
             formula = random_kcnf(n, rng.randint(n, 5 * n), k=min(3, n), rng=rng)
             reduction = reduction_from_cnf(formula)
-            result = decide_existence(
-                reduction.setting, reduction.instance, solver=solver
-            )
+            result = decide_existence(reduction.setting, reduction.instance)
             assert (result.status is ExistenceStatus.EXISTS) == (
                 solve_cnf(formula) is not None
             )

@@ -20,7 +20,6 @@ Four regimes exercise the distinct repair paths:
   nulls (merge-provenance and delete-then-reinsert churn).
 """
 
-import os
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -149,13 +148,8 @@ def assert_matches_oracle(live: IncrementalChase, engine, queries) -> None:
             assert answers.answers == expected
 
 
-DEFAULT_BACKEND = os.environ.get("REPRO_TEST_BACKEND", "dict")
-"""CI runs this suite under both storage backends via ``REPRO_TEST_BACKEND``."""
-
-
-def run_stream(setting_factory, pool, query_texts, batches, backend=None):
+def run_stream(setting_factory, pool, query_texts, batches, backend):
     """Drive one update stream, checking the oracle after every batch."""
-    backend = backend or DEFAULT_BACKEND
     engine = QueryEngine(backend=backend)
     queries = [parse_nre(text) for text in query_texts]
     live = IncrementalChase(setting_factory())
@@ -186,32 +180,47 @@ def stream_strategy(pool):
     return st.lists(batch, min_size=1, max_size=6)
 
 
+BACKENDS = ("dict", "csr")
+
+
 class TestDifferentialStreams:
+    @pytest.mark.parametrize("backend", BACKENDS)
     @settings(max_examples=20, deadline=None)
     @given(data=st.data())
-    def test_flights_streams_match_oracle(self, data):
+    def test_flights_streams_match_oracle(self, backend, data):
         factory, pool, queries = REGIMES["flights"]
-        run_stream(factory, pool, queries, data.draw(stream_strategy(pool)))
+        run_stream(
+            factory, pool, queries, data.draw(stream_strategy(pool)), backend
+        )
 
+    @pytest.mark.parametrize("backend", BACKENDS)
     @settings(max_examples=20, deadline=None)
     @given(data=st.data())
-    def test_failure_streams_match_oracle(self, data):
+    def test_failure_streams_match_oracle(self, backend, data):
         factory, pool, queries = REGIMES["failure"]
-        run_stream(factory, pool, queries, data.draw(stream_strategy(pool)))
+        run_stream(
+            factory, pool, queries, data.draw(stream_strategy(pool)), backend
+        )
 
+    @pytest.mark.parametrize("backend", BACKENDS)
     @settings(max_examples=20, deadline=None)
     @given(data=st.data())
-    def test_word_egd_streams_match_oracle(self, data):
+    def test_word_egd_streams_match_oracle(self, backend, data):
         factory, pool, queries = REGIMES["word-egd"]
-        run_stream(factory, pool, queries, data.draw(stream_strategy(pool)))
+        run_stream(
+            factory, pool, queries, data.draw(stream_strategy(pool)), backend
+        )
 
+    @pytest.mark.parametrize("backend", BACKENDS)
     @settings(max_examples=20, deadline=None)
     @given(data=st.data())
-    def test_null_merge_streams_match_oracle(self, data):
+    def test_null_merge_streams_match_oracle(self, backend, data):
         factory, pool, queries = REGIMES["null-merge"]
-        run_stream(factory, pool, queries, data.draw(stream_strategy(pool)))
+        run_stream(
+            factory, pool, queries, data.draw(stream_strategy(pool)), backend
+        )
 
-    @pytest.mark.parametrize("backend", ["dict", "csr"])
+    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("regime", sorted(REGIMES))
     def test_pinned_churn_on_both_backends(self, regime, backend):
         """A deterministic delete-then-reinsert stream on each backend."""

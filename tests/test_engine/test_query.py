@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.engine.query import EvalStats, QueryEngine, ReferenceEngine, default_engine
+from oracles import ReferenceEngine
+from repro.engine.query import EvalStats, QueryEngine, default_engine
 from repro.graph.automaton import automaton_holds, compile_nre
 from repro.graph.database import GraphDatabase
 from repro.graph.eval import evaluate_nre

@@ -50,7 +50,7 @@ class TestExamples:
 
     def test_sat_reduction_demo(self):
         out = run_example("sat_reduction_demo.py")
-        assert "agreement with DPLL: 10/10" in out
+        assert "agreement with CDCL: 10/10" in out
         assert "Figure 4 graph is a solution: True" in out
 
     def test_universal_representatives(self):

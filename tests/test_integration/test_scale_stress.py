@@ -121,8 +121,7 @@ class TestServiceStream:
                 served_single = client.certain(document, queries[0])
         finally:
             handle.close()
-        params = {"document": document, "star_bound": 2, "engine": "compiled",
-                  "solver": None}
+        params = {"document": document, "star_bound": 2}
         direct_exists = execute_request("exists", dict(params))
         assert served_exists["status"] == direct_exists["status"] == "exists"
         direct_batch = execute_request(

@@ -11,12 +11,12 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
+from oracles import solve_cnf
 from repro.chase.pattern_chase import chase_pattern
 from repro.core.existence import ExistenceStatus, decide_existence
 from repro.core.search import CandidateSearchConfig, candidate_solutions
 from repro.core.solution import is_solution
 from repro.scenarios.generators import random_fragment_setting
-from repro.solver.dpll import solve_cnf
 from repro.solver.encode import encode_bounded_existence
 
 

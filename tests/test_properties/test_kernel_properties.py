@@ -27,7 +27,6 @@ access in the library routes through :func:`repro.kernels.get_numpy`.
 """
 
 import json
-import os
 import random
 from collections import Counter
 from unittest import mock
@@ -35,11 +34,13 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import ReferenceEngine, saturate_journal
 from repro import kernels
+from repro.chase import sameas_chase
 from repro.chase.egd_chase import chase_with_egds
 from repro.chase.pattern_chase import chase_pattern
 from repro.chase.sameas_chase import saturate_sameas, solve_with_sameas
-from repro.engine.query import QueryEngine, ReferenceEngine
+from repro.engine.query import QueryEngine
 from repro.graph.database import GraphDatabase
 from repro.graph.parser import parse_nre
 from repro.io.json_io import graph_to_dict
@@ -264,7 +265,7 @@ class TestSameAsStrategyDifferential:
     graph" is a weaker promise than "identical bytes on the wire".  These
     properties pin the strong version over random chased graphs, random
     extra sameAs seed edges (pre-built equivalence classes), and every
-    constraint-shape combination the strategy dispatcher distinguishes:
+    constraint-shape combination the union-find saturation distinguishes:
     generic bodies, the recognised symmetry/transitivity pair (absorbed
     into the union-find), and a lone law (not absorbed).
     """
@@ -299,8 +300,8 @@ class TestSameAsStrategyDifferential:
         for _ in range(extra):  # pre-seeded equivalence classes
             widened.add_edge(rng.choice(nodes), SAME_AS_LABEL, rng.choice(nodes))
         constraints = self.CONSTRAINT_SETS[shape]
-        unionfind = saturate_sameas(widened, constraints, strategy="unionfind")
-        journal = saturate_sameas(widened, constraints, strategy="journal")
+        unionfind = saturate_sameas(widened, constraints)
+        journal = saturate_journal(widened, constraints)
         assert unionfind == journal, f"graphs diverged on shape={shape}"
         assert json.dumps(graph_to_dict(unionfind), sort_keys=True) == json.dumps(
             graph_to_dict(journal), sort_keys=True
@@ -309,17 +310,19 @@ class TestSameAsStrategyDifferential:
     @settings(max_examples=15, deadline=None)
     @given(flight_instances())
     def test_solution_pipeline_byte_identical(self, instance):
-        """End-to-end ``solve_with_sameas`` under each ``REPRO_SAMEAS``."""
-        results = {}
-        for strategy in ("unionfind", "journal"):
-            with mock.patch.dict(os.environ, {"REPRO_SAMEAS": strategy}):
-                solved = solve_with_sameas(
-                    [flights_st_tgd()],
-                    [_hotel_sameas_constraint],
-                    instance,
-                    alphabet={"f", "h"},
-                )
-            results[strategy] = json.dumps(
-                graph_to_dict(solved.expect_graph()), sort_keys=True
+        """End-to-end ``solve_with_sameas``, then again with the journal
+        oracle patched in as its saturation step."""
+
+        def solved_bytes():
+            solved = solve_with_sameas(
+                [flights_st_tgd()],
+                [_hotel_sameas_constraint],
+                instance,
+                alphabet={"f", "h"},
             )
-        assert results["unionfind"] == results["journal"]
+            return json.dumps(graph_to_dict(solved.expect_graph()), sort_keys=True)
+
+        unionfind = solved_bytes()
+        with mock.patch.object(sameas_chase, "saturate_sameas", saturate_journal):
+            journal = solved_bytes()
+        assert unionfind == journal

@@ -16,7 +16,8 @@ import random
 import networkx as nx
 from hypothesis import given, settings, strategies as st
 
-from repro.engine.query import QueryEngine, ReferenceEngine
+from oracles import ReferenceEngine
+from repro.engine.query import QueryEngine
 from repro.graph.database import GraphDatabase
 from repro.graph.eval import evaluate_nre
 from repro.graph.parser import parse_nre

@@ -9,6 +9,7 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
+from oracles import enumerate_models, solve_cnf
 from repro.core.existence import ExistenceStatus, decide_existence
 from repro.reductions.three_sat import (
     decode_valuation,
@@ -16,7 +17,6 @@ from repro.reductions.three_sat import (
     valuation_graph,
 )
 from repro.core.solution import is_solution
-from repro.solver.dpll import enumerate_models, solve_cnf
 from repro.solver.generators import planted_kcnf, random_kcnf
 
 

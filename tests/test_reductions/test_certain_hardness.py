@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from oracles import solve_cnf
 from repro.core.certain import is_certain_answer
 from repro.core.existence import ExistenceStatus, decide_existence
 from repro.core.search import CandidateSearchConfig
@@ -16,7 +17,6 @@ from repro.reductions.certain_hardness import (
 )
 from repro.scenarios.figures import rho0_formula
 from repro.solver.cnf import CNF
-from repro.solver.dpll import solve_cnf
 from repro.solver.generators import random_kcnf
 
 CFG = CandidateSearchConfig(star_bound=1)

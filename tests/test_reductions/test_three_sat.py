@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from oracles import enumerate_models, solve_cnf
 from repro.core.existence import ExistenceStatus, decide_existence
 from repro.core.solution import is_solution
 from repro.errors import SchemaError
@@ -14,7 +15,6 @@ from repro.reductions.three_sat import (
 )
 from repro.scenarios.figures import figure4_graph, rho0_formula
 from repro.solver.cnf import CNF
-from repro.solver.dpll import enumerate_models, solve_cnf
 from repro.solver.generators import random_kcnf
 
 

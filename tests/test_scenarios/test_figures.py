@@ -50,7 +50,7 @@ class TestExample52:
         assert ("N", "c2") in pairs
 
     def test_rho0_is_satisfiable(self):
-        from repro.solver.dpll import solve_cnf
+        from oracles import solve_cnf
 
         assert solve_cnf(rho0_formula()) is not None
 

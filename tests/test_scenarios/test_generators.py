@@ -73,18 +73,9 @@ class TestSeedConventions:
         with pytest.raises(ValueError):
             resolve_rng(seed=1, config=GeneratorConfig(nodes=10))
 
-    def test_positional_use_warns_but_stays_green(self):
-        with pytest.warns(DeprecationWarning):
-            old_style = random_flights_instance(5, 4, 3, rng=random.Random(7))
-        new_style = random_flights_instance(
-            5, cities=4, hotels=3, rng=random.Random(7)
-        )
-        assert old_style == new_style
-
-    def test_positional_keyword_collision_is_an_error(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(TypeError):
-                random_flights_instance(5, 4, cities=6, hotels=3)
+    def test_positional_dimensions_are_an_error(self):
+        with pytest.raises(TypeError):
+            random_flights_instance(5, 4, 3, rng=random.Random(7))
 
     def test_missing_dimensions_are_an_error(self):
         with pytest.raises(TypeError):

@@ -2,10 +2,15 @@
 
 import pytest
 
-from repro.core.certain import certain_answers_batch, certain_answers_nre
+from oracles import ReferenceEngine
+from repro.core.certain import (
+    _enumerated_certain_answers,
+    _enumerated_certain_batch,
+    certain_answers_batch,
+    certain_answers_nre,
+)
 from repro.core.existence import decide_existence
 from repro.core.search import CandidateSearchConfig
-from repro.engine.query import ReferenceEngine
 from repro.graph.parser import parse_nre
 from repro.io.json_io import document_from_dict, document_to_dict
 from repro.scenarios.flights import flights_instance, setting_omega
@@ -25,8 +30,7 @@ QUERY = "f . f*[h] . f- . (f-)*"
 
 
 def params(document, **extra):
-    base = {"document": document, "star_bound": 2, "engine": "compiled",
-            "solver": None}
+    base = {"document": document, "star_bound": 2}
     base.update(extra)
     return base
 
@@ -87,10 +91,12 @@ class TestHandlersMatchLibrary:
     def test_reference_engine_agrees(self):
         document = demo_document()
         compiled = execute_request("certain", params(document, query=QUERY, pair=None))
-        reference = execute_request(
-            "certain", params(document, query=QUERY, pair=None, engine="reference")
+        setting, instance = document_from_dict(document)
+        reference = _enumerated_certain_answers(
+            setting, instance, parse_nre(QUERY),
+            CandidateSearchConfig(star_bound=2), ReferenceEngine(),
         )
-        assert compiled["answers"] == reference["answers"]
+        assert compiled["answers"] == certain_answers_to_dict(reference)["answers"]
 
 
 class TestEvaluateBatch:
@@ -121,12 +127,13 @@ class TestEvaluateBatch:
     def test_batch_equals_singles_under_reference_engine(self):
         setting, instance = setting_omega(), flights_instance()
         queries = [parse_nre(q) for q in QUERY_MIXES["paper"]]
-        batch = certain_answers_batch(
-            setting, instance, queries, engine=ReferenceEngine()
+        config = CandidateSearchConfig(star_bound=2)
+        batch = _enumerated_certain_batch(
+            setting, instance, queries, config, ReferenceEngine()
         )
         for query, batched in zip(queries, batch):
-            single = certain_answers_nre(
-                setting, instance, query, engine=ReferenceEngine()
+            single = _enumerated_certain_answers(
+                setting, instance, query, config, ReferenceEngine()
             )
             assert batched.answers == single.answers
 

@@ -36,8 +36,7 @@ def ex31_document() -> dict:
 
 
 def params(document, **extra):
-    base = {"document": document, "star_bound": 2, "engine": "compiled",
-            "solver": None}
+    base = {"document": document, "star_bound": 2}
     base.update(extra)
     return base
 

@@ -35,8 +35,7 @@ class TestValidation:
             make("exists", params={"document": demo_document()})
         )
         assert request.params["star_bound"] == 2
-        assert request.params["engine"] == "compiled"
-        assert request.params["solver"] is None
+        assert request.params["backend"] == "dict"
 
     def test_deadline_and_no_cache_pass_through(self):
         request = validate_request(make(deadline_s=2, no_cache=True))
@@ -76,21 +75,26 @@ class TestValidation:
             validate_request(data)
         assert excinfo.value.code == code
 
-    def test_retired_kernel_param_is_rejected_by_name(self):
-        """Clients written against the selectable-kernel protocol get a
-        typed rejection naming the param, not a silent ignore."""
+    @pytest.mark.parametrize(
+        "name, value",
+        [("kernel", "vector"), ("engine", "compiled"), ("solver", "cdcl")],
+    )
+    def test_retired_kernel_param_is_rejected_by_name(self, name, value):
+        """Clients written against the selectable kernel/engine/solver
+        protocol get a typed rejection naming the param, not a silent
+        ignore."""
         document = demo_document()
         with pytest.raises(ProtocolError) as excinfo:
             validate_request(
                 make("certain", params={"document": document, "query": "f",
-                                        "kernel": "vector"})
+                                        name: value})
             )
         assert excinfo.value.code == "bad-request"
-        assert "does not accept params ['kernel']" in str(excinfo.value)
+        assert f"does not accept params [{name!r}]" in str(excinfo.value)
         request = validate_request(
             make("certain", params={"document": document, "query": "f"})
         )
-        assert "kernel" not in request.params
+        assert name not in request.params
 
 
 class TestFingerprint:
@@ -98,7 +102,7 @@ class TestFingerprint:
         doc = demo_document()
         explicit = validate_request(
             make("exists", params={"document": doc, "star_bound": 2,
-                                   "engine": "compiled", "solver": None})
+                                   "backend": "dict"})
         )
         implicit = validate_request(make("exists", params={"document": doc}))
         assert explicit.fingerprint() == implicit.fingerprint()

@@ -27,8 +27,7 @@ QUERY = "f . f*[h] . f- . (f-)*"
 
 
 def params(document, **extra):
-    base = {"document": document, "star_bound": 2, "engine": "compiled",
-            "solver": None}
+    base = {"document": document, "star_bound": 2}
     base.update(extra)
     return base
 
@@ -166,13 +165,18 @@ class TestErrorEnvelopes:
         assert envelope["ok"] is False
         assert envelope["error"]["code"] == "deadline-exceeded"
 
-    def test_retired_kernel_param_round_trip(self, client):
-        """A request still carrying ``params.kernel`` gets the typed
-        bad-request envelope; the same connection then serves normally."""
+    @pytest.mark.parametrize(
+        "name, value",
+        [("kernel", "vector"), ("engine", "compiled"), ("solver", "cdcl")],
+    )
+    def test_retired_kernel_param_round_trip(self, client, name, value):
+        """A request still carrying ``params.kernel``, ``params.engine`` or
+        ``params.solver`` gets the typed bad-request envelope; the same
+        connection then serves normally."""
         with pytest.raises(ServiceError) as excinfo:
-            client.call("exists", {**params(demo_document()), "kernel": "vector"})
+            client.call("exists", {**params(demo_document()), name: value})
         assert excinfo.value.code == "bad-request"
-        assert "does not accept params ['kernel']" in excinfo.value.message
+        assert f"does not accept params [{name!r}]" in excinfo.value.message
         result = client.call("exists", params(demo_document()))
         assert result == execute_request("exists", params(demo_document()))
 

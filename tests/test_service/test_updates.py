@@ -38,7 +38,7 @@ def streaming_document() -> dict:
 
 def body(document, updates, queries=QUERIES, **extra):
     base = {"document": document, "updates": updates, "queries": queries,
-            "star_bound": 2, "engine": "compiled", "solver": None}
+            "star_bound": 2}
     base.update(extra)
     return base
 
@@ -106,8 +106,7 @@ class TestHandler:
         batch = execute_request(
             "evaluate_batch",
             {"document": served["document"], "queries": QUERIES,
-             "star_bound": 2, "engine": "compiled", "solver": None,
-             "backend": "dict"},
+             "star_bound": 2, "backend": "dict"},
         )
         assert "__error__" not in batch
         for streamed, cold in zip(served["results"], batch["results"]):

@@ -2,8 +2,8 @@
 
 The differential contract (pinned here, relied on everywhere): on every
 formula, :class:`~repro.solver.cdcl.CDCLSolver` and the chronological
-:class:`~repro.solver.dpll.DPLLSolver` — and, on small instances, the
-brute-force :func:`~repro.solver.dpll.enumerate_models` oracle — agree on
+:class:`oracles.dpll.DPLLSolver` — and, on small instances, the
+brute-force :func:`oracles.dpll.enumerate_models` oracle — agree on
 SAT/UNSAT; every returned model satisfies its formula; and every reported
 unsat core over assumptions is genuine (UNSAT when asserted) and, after
 :meth:`~repro.solver.cdcl.CDCLSolver.minimized_core`, minimal-ish (every
@@ -15,10 +15,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import DPLLSolver, IncrementalDPLL, enumerate_models, solve_cnf
+from repro.solver import resolve_solver_name
 from repro.solver.cnf import CNF
 from repro.solver.cdcl import CDCLSolver, solve_cnf_cdcl, _luby
-from repro.solver.dpll import DPLLSolver, IncrementalDPLL, enumerate_models, solve_cnf
-from repro.solver import make_solver, resolve_solver_name
 from repro.solver.generators import planted_kcnf, random_kcnf
 
 
@@ -225,28 +225,18 @@ class TestDifferential:
 
 
 class TestSolverFactory:
-    def test_default_is_cdcl(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SOLVER", raising=False)
+    def test_default_is_cdcl(self):
         assert resolve_solver_name() == "cdcl"
-        assert isinstance(make_solver(), CDCLSolver)
-
-    def test_env_selects_dpll(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SOLVER", "dpll")
-        assert resolve_solver_name() == "dpll"
-        assert isinstance(make_solver(), IncrementalDPLL)
-
-    def test_explicit_name_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SOLVER", "dpll")
-        assert resolve_solver_name("cdcl") == "cdcl"
 
     def test_unknown_name_rejected(self):
-        with pytest.raises(ValueError):
-            resolve_solver_name("minisat")
+        for name in ("minisat", "dpll"):
+            with pytest.raises(ValueError):
+                resolve_solver_name(name)
 
     def test_adapter_matches_cdcl_incrementally(self):
         rng = random.Random(21)
         cnf = random_kcnf(10, 30, rng=rng)
-        cdcl, dpll = make_solver(cnf, "cdcl"), make_solver(cnf, "dpll")
+        cdcl, dpll = CDCLSolver(cnf), IncrementalDPLL(cnf)
         for probe in range(8):
             lit = rng.choice([1, -1]) * rng.randint(1, 10)
             assert (cdcl.solve([lit]) is None) == (dpll.solve([lit]) is None)

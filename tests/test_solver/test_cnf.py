@@ -128,7 +128,7 @@ class TestCanonicalClause:
         leans on."""
         from repro.solver.cdcl import CDCLSolver
         from repro.solver.cnf import CNF
-        from repro.solver.dpll import DPLLSolver
+        from oracles import DPLLSolver
 
         cnf = CNF()
         x, y = cnf.new_variable(), cnf.new_variable()

@@ -1,11 +1,11 @@
-"""Unit tests for the DPLL solver."""
+"""Unit tests for the DPLL oracle (tests/oracles/dpll.py)."""
 
 import random
 
 import pytest
 
+from oracles import DPLLSolver, enumerate_models, solve_cnf
 from repro.solver.cnf import CNF
-from repro.solver.dpll import DPLLSolver, enumerate_models, solve_cnf
 from repro.solver.generators import planted_kcnf, random_kcnf
 
 

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from oracles import solve_cnf
 from repro.core.setting import DataExchangeSetting
 from repro.core.solution import is_solution
 from repro.errors import NotSupportedError
@@ -12,7 +13,6 @@ from repro.mappings.parser import parse_egd, parse_sameas, parse_st_tgd
 from repro.reductions.three_sat import reduction_from_cnf
 from repro.relational.instance import RelationalInstance
 from repro.relational.schema import RelationalSchema
-from repro.solver.dpll import solve_cnf
 from repro.solver.encode import decode_edge_model, encode_bounded_existence
 from repro.solver.generators import random_kcnf
 

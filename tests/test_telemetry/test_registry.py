@@ -196,7 +196,7 @@ class TestFoldStats:
 
     def test_fold_survives_registry_reset(self):
         """Cached counter handles must re-resolve after a reset."""
-        from repro.solver.dpll import SolverStats
+        from oracles import SolverStats
 
         stats = SolverStats(decisions=2)
         fold_stats("solver", stats)
@@ -210,7 +210,7 @@ class TestFoldStats:
         from repro.engine.incremental import UpdateStats
         from repro.engine.query import EvalStats
         from repro.solver.cdcl import CDCLStats
-        from repro.solver.dpll import SolverStats
+        from oracles import SolverStats
 
         for prefix, stats in (
             ("chase", ChaseStats(st_applications=1)),
