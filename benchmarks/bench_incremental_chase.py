@@ -12,10 +12,24 @@ that), the only question left is the speedup, measured here:
   the largest generator tenant absorbs an insert batch of N fresh
   Flight/Hotel facts and then retracts it (delete-then-reinsert churn,
   staying on the fast repair path);
+* ``test_support_delete_32``    — the same tenant retracts and restores
+  32 Hotel facts that feed egd merges, so every delete batch dissolves
+  the hit merge classes and re-derives them (the class-local repair the
+  warm benches above deliberately avoid);
 * ``test_full_rechase_32``      — the from-scratch oracle over the same
   updated tenant, i.e. what every batch would cost without maintenance;
-* the acceptance criterion ``warm 32-edge update >= 5x faster than the
-  full re-chase`` is asserted inside ``test_warm_update_32``.
+* the acceptance criteria ``warm 32-edge update >= 5x faster than the
+  full re-chase`` and ``32-fact merge-support delete/restore >= 1.25x
+  faster than the full re-chase`` are asserted inside
+  ``test_warm_update_32`` and ``test_support_delete_32``.
+
+The support-delete margin is small by construction: this tenant's
+~800 quotient nodes sit in ~120 small hotel classes, so 32 deleted
+Hotel facts hit ~30 classes and dissolve ~170 nodes (about a fifth of
+the quotient), and the restore batch merges them back.  The repair
+re-derives that fifth at a higher per-node cost than the oracle's
+bulk fixpoint; its win grows as the hit classes shrink relative to the
+tenant (``perfbench`` stream-medlit: ~5% of the edges per repair).
 """
 
 from __future__ import annotations
@@ -24,7 +38,7 @@ import random
 import statistics
 import time
 
-from conftest import report
+from conftest import ab_medians, report
 
 from repro.chase.relational_chase import chase_relational
 from repro.engine.incremental import IncrementalChase
@@ -70,6 +84,39 @@ def make_warm_cycle(size: int):
         return applied["inserts"] + retracted["deletes"]
 
     return cycle
+
+
+def merge_support_facts(size: int) -> list[tuple[str, tuple]]:
+    """``size`` tenant Hotel facts whose hotel is shared by a joined flight.
+
+    Each such fact fires an s-t trigger whose null the egd merges with
+    another flight's null at the same hotel, so retracting it kills an
+    edge some recorded merge witness may rest on.
+    """
+    instance = tenant_instance()
+    flights = {values[0] for values in instance.tuples("Flight")}
+    joined = sorted(
+        values for values in instance.tuples("Hotel") if values[0] in flights
+    )
+    sharing: dict[str, int] = {}
+    for _, hotel in joined:
+        sharing[hotel] = sharing.get(hotel, 0) + 1
+    return [("Hotel", values) for values in joined if sharing[values[1]] > 1][:size]
+
+
+def make_support_cycle(size: int):
+    """One retract/restore round trip of merge-feeding facts, warm tenant."""
+    live = IncrementalChase(example31_setting(), tenant_instance())
+    facts = merge_support_facts(size)
+    deletes = [("delete", relation, values) for relation, values in facts]
+    inserts = [("insert", relation, values) for relation, values in facts]
+
+    def cycle() -> int:
+        retracted = live.apply_updates(deletes)
+        restored = live.apply_updates(inserts)
+        return retracted["deletes"] + restored["inserts"]
+
+    return live, cycle
 
 
 def make_full_rechase(size: int):
@@ -130,6 +177,36 @@ def test_warm_update_32(benchmark):
         f"warm 32-edge update is only {speedup:.2f}x faster than a full "
         f"re-chase (acceptance requires >= 5x: warm {1000 * warm_median:.1f} ms, "
         f"full {1000 * full_median:.1f} ms)"
+    )
+
+
+def test_support_delete_32(benchmark):
+    """Merge-support deletes repair their classes locally, >= 1.25x a re-chase."""
+    live, cycle = make_support_cycle(32)
+    rebuilds = live.stats.merged_rebuilds
+    assert benchmark.pedantic(cycle, rounds=5, iterations=1, warmup_rounds=1) == 64
+    assert live.stats.merged_repairs > 0
+    assert live.stats.merged_rebuilds == rebuilds
+
+    rechase = make_full_rechase(32)
+    warm_median, full_median = ab_medians(cycle, rechase, rounds=5)
+    speedup = full_median / warm_median
+    report(
+        "incremental chase: merge-support delete vs full re-chase",
+        [
+            ("tenant", "largest generator graph",
+             f"{FLIGHTS} flights / {CITIES} cities / {HOTELS} hotels"),
+            ("batch", "N = 32 facts", "retract + restore cycle"),
+            ("class-local repair median", "O(hit classes)",
+             f"{1000 * warm_median:.1f} ms"),
+            ("full re-chase median", "O(M)", f"{1000 * full_median:.1f} ms"),
+            ("speedup", ">= 1.25x (acceptance)", f"{speedup:.1f}x"),
+        ],
+    )
+    assert speedup >= 1.25, (
+        f"32-fact merge-support delete/restore is only {speedup:.2f}x faster "
+        f"than a full re-chase (acceptance requires >= 1.25x: repair "
+        f"{1000 * warm_median:.1f} ms, full {1000 * full_median:.1f} ms)"
     )
 
 

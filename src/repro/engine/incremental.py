@@ -14,8 +14,16 @@ instance:
   a quotient: a union-find style ``rep``/class map plus an image-support
   index mapping each merged edge to the base edges it represents.  Inserts
   are handled semi-naively (:meth:`~repro.engine.delta.EgdViolationQueue.rescan_since`
-  over the edge journal); deletions replay only when a removed base edge
-  supported a past merge (tracked per-merge at fire time);
+  over the edge journal).  Deletions are DRed at class granularity: each
+  merge records one witness (a base edge per egd body atom) at fire time,
+  and a deletion that kills a witness edge dissolves that merge's class —
+  plus, transitively, every class with a merge whose witness touches a
+  dissolved node — back into singletons.  The dissolved nodes' images are
+  re-added through the journal and re-derived by the same rescan and egd
+  fixpoint as the batch's inserts; a deletion that hits no witness is the
+  zero-class case.  The merged layer is rebuilt from scratch only at
+  bootstrap, when a batch deletes out of a failed state, and when a merge
+  found no witness to record;
 * the **answer layer** — certain answers per query, patched monotonically
   on insert-only batches by re-evaluating only the sources in the
   undirected cone around changed nodes.
@@ -94,10 +102,16 @@ class UpdateStats:
     """Node merges performed by the incremental egd fixpoint."""
 
     fast_deletes: int = 0
-    """Base-edge deletions absorbed without rebuilding the merged layer."""
+    """Base-edge deletions that hit no merge witness (no class dissolved)."""
 
     merged_rebuilds: int = 0
     """Full rebuilds of the merged layer (bootstrap included)."""
+
+    merged_repairs: int = 0
+    """Batches whose deletions dissolved and re-derived merge classes."""
+
+    nodes_rederived: int = 0
+    """Base nodes reset to singletons by those class-local repairs."""
 
     answer_patches: int = 0
     """Monotone cone-restricted patches of the certain-answer cache."""
@@ -231,6 +245,19 @@ class IncrementalChase:
         self._chains: list[TargetEgd] = []
         for index, egd in enumerate(self._egds):
             self._chains.extend(decompose_egd(egd, index))
+        # Per chain: its atoms in edge orientation, and the (atom, end)
+        # slot whose witness edge endpoint anchors a merge in its class.
+        self._witness_plans: list[tuple[TargetEgd, list, tuple[int, str]]] = []
+        for chain in self._chains:
+            views = [_edge_view(atom) for atom in chain.body.atoms]
+            slots = [
+                (index, end)
+                for index, (source, _, target) in enumerate(views)
+                for end, term in (("source", source), ("target", target))
+                if term == chain.left
+            ]
+            if chain.left != chain.right and slots:
+                self._witness_plans.append((chain, views, slots[0]))
         self.instance = (
             instance.copy()
             if instance is not None
@@ -248,7 +275,11 @@ class IncrementalChase:
         self._rep: dict[Node, Node] = {}
         self._classes: dict[Node, set[Node]] = {}
         self._image_support: dict[Edge, set[Edge]] = {}
-        self._merge_support: set[Edge] = set()
+        # merge id -> (anchor node, witness base edges), and the reverse
+        # index from each witness edge to the merges it supports
+        self._witnesses: dict[int, tuple[Node, list[Edge]]] = {}
+        self._edge_merges: dict[Edge, set[int]] = {}
+        self._merge_count = 0
         self._provenance_exact = True
         self._queue: EgdViolationQueue | None = None
         self._failed = False
@@ -541,12 +572,16 @@ class IncrementalChase:
             # failing chase into a succeeding one, so the (stale) merged
             # layer stays parked until a deletion forces a rebuild.
             return False
-        if net_removed and (
-            not self._provenance_exact or (self._merge_support & net_removed)
-        ):
+        if net_removed and not self._provenance_exact:
             self._rebuild_merged()
             return True
-        self._fast_update_merged(net_removed, net_added)
+        hit: set[int] = set()
+        for edge in net_removed:
+            hit.update(self._edge_merges.get(edge, ()))
+        dissolved, dropped = self._dissolution(hit)
+        nodes = sum(len(self._classes[rep]) for rep in dissolved)
+        with span("update.repair", nodes=nodes):
+            self._repair_merged(net_removed, net_added, dissolved, dropped)
         return False
 
     def _rebuild_merged(self) -> None:
@@ -554,7 +589,8 @@ class IncrementalChase:
         self.stats.merged_rebuilds += 1
         self._failed = False
         self._provenance_exact = True
-        self._merge_support = set()
+        self._witnesses = {}
+        self._edge_merges = {}
         self._rep = {}
         self._classes = {}
         self._image_support = {}
@@ -572,23 +608,89 @@ class IncrementalChase:
         failed, _ = run_egd_fixpoint(self._queue, ChaseStats(), apply=self._on_merge)
         self._failed = failed
 
-    def _fast_update_merged(self, net_removed: set[Edge], net_added: set[Edge]) -> None:
-        """Apply a provenance-clean edge delta directly to the quotient."""
+    def _dissolution(self, hit: set[int]) -> tuple[list[Node], set[int]]:
+        """Return the classes to dissolve for ``hit`` merges, and their merges.
+
+        Starts from the classes of the merges whose witness lost an edge
+        and closes under one rule: a merge whose witness has an edge at a
+        node of a dissolved class dissolves its own class too.  Every merge
+        of a dissolved class is in the returned set, because its anchor
+        sits on a witness edge that is either dead (the merge is in
+        ``hit``) or incident to the class.  Reads state only.
+        """
+        dropped = set(hit)
+        pending = [self._rep[self._witnesses[merge][0]] for merge in hit]
+        dissolved: list[Node] = []
+        seen: set[Node] = set()
+        while pending:
+            rep = pending.pop()
+            if rep in seen:
+                continue
+            seen.add(rep)
+            dissolved.append(rep)
+            for image in self._merged.incident_edges(rep):
+                for base in self._image_support[image]:
+                    for merge in self._edge_merges.get(base, ()):
+                        if merge not in dropped:
+                            dropped.add(merge)
+                            pending.append(self._rep[self._witnesses[merge][0]])
+        return dissolved, dropped
+
+    def _repair_merged(
+        self,
+        net_removed: set[Edge],
+        net_added: set[Edge],
+        dissolved: list[Node],
+        dropped: set[int],
+    ) -> None:
+        """Dissolve the hit classes, then re-derive them with the inserts.
+
+        DRed at class granularity: the ``dissolved`` classes (see
+        :meth:`_dissolution`) go back to singletons, their images are
+        re-keyed into the merged graph through the edge journal, and one
+        semi-naive egd fixpoint runs over that journal suffix together
+        with the batch's inserted edges.  Exact because deleting edges
+        only makes the least egd partition finer: a kept class keeps every
+        merge and every witness, so it is still forced, and any new
+        violation must route through a re-added or inserted edge.  A
+        deletion that hits no merge is the zero-class case.
+        """
         merged = self._merged
-        for edge in sorted(net_removed, key=repr):
+        for edge in net_removed:
             image = Edge(self._rep[edge.source], edge.label, self._rep[edge.target])
-            support = self._image_support.get(image)
-            if support is not None:
-                support.discard(edge)
-                if not support:
-                    del self._image_support[image]
-                    merged.remove_edge(image.source, image.label, image.target)
-            self.stats.fast_deletes += 1
+            support = self._image_support[image]
+            support.discard(edge)
+            if not support:
+                del self._image_support[image]
+                merged.remove_edge(image.source, image.label, image.target)
+            if edge not in self._edge_merges:
+                self.stats.fast_deletes += 1
+        loose: list[Edge] = []
+        for rep in dissolved:
+            for image in merged.incident_edges(rep):
+                loose.extend(self._image_support.pop(image))
+                merged.remove_edge(image.source, image.label, image.target)
+        for merge in dropped:
+            _, witness = self._witnesses.pop(merge)
+            for edge in witness:
+                merges = self._edge_merges.get(edge)
+                if merges is not None:  # a witness may list one edge twice
+                    merges.discard(merge)
+                    if not merges:
+                        del self._edge_merges[edge]
+        for rep in dissolved:
+            members = self._classes.pop(rep)
+            self.stats.nodes_rederived += len(members)
+            for node in members:
+                self._rep[node] = node
+                self._classes[node] = {node}
+        if dissolved:
+            self.stats.merged_repairs += 1
         self._drop_dead_nodes(net_removed)
-        if not net_added:
+        if not loose and not net_added:
             return
         version = merged.version
-        for edge in sorted(net_added, key=repr):
+        for edge in loose + sorted(net_added, key=repr):
             for node in (edge.source, edge.target):
                 if node not in self._rep:
                     self._rep[node] = node
@@ -675,35 +777,42 @@ class IncrementalChase:
             self._image_support.setdefault(rewritten, set()).update(support)
 
     def _record_merge_provenance(self, old: Node, new: Node) -> None:
-        """Record the base edges supporting the merge that fires ``old ↦ new``.
+        """Record one witness of the merge that fires ``old ↦ new``.
 
         The violation queue guarantees a witness homomorphism exists at
         fire time; it is recomputed here (not at discovery time) because
         earlier merges may have renamed the nodes a stored witness used.
-        A deletion later hitting any recorded support edge invalidates the
-        fast-delete path and forces a rebuild.
+        The record keeps one supporting base edge per body atom and an
+        *anchor*: the base node bound to the egd's left variable, which
+        lies in the merge's class for as long as the witness lives.  A
+        deletion of any witness edge dissolves that class (see
+        :meth:`_dissolution`).
         """
-        for egd in self._chains:
-            if egd.left == egd.right:
-                continue
+        for egd, views, (slot, end) in self._witness_plans:
             for seed in ({egd.left: old, egd.right: new}, {egd.left: new, egd.right: old}):
                 for hom in self._queue.matcher.matches(egd.body, seed=seed):
-                    support: set[Edge] = set()
-                    complete = True
-                    for atom in egd.body.atoms:
-                        source_term, label, target_term = _edge_view(atom)
-                        image = Edge(
-                            hom[source_term] if is_variable(source_term) else source_term,
-                            label,
-                            hom[target_term] if is_variable(target_term) else target_term,
+                    witness: list[Edge] = []
+                    for source_term, label, target_term in views:
+                        support = self._image_support.get(
+                            Edge(
+                                hom.get(source_term, source_term),
+                                label,
+                                hom.get(target_term, target_term),
+                            )
                         )
-                        base = self._image_support.get(image)
-                        if base is None:
-                            complete = False
+                        if support is None:
                             break
-                        support |= base
-                    if complete:
-                        self._merge_support |= support
+                        witness.append(next(iter(support)))
+                    else:
+                        merge = self._merge_count
+                        self._merge_count += 1
+                        self._witnesses[merge] = (getattr(witness[slot], end), witness)
+                        for edge in witness:
+                            merges = self._edge_merges.get(edge)
+                            if merges is None:
+                                self._edge_merges[edge] = {merge}
+                            else:
+                                merges.add(merge)
                         return
         self._provenance_exact = False
 

@@ -8,7 +8,7 @@ instance — same graph (same null names, via ``canonical_bytes`` over the
 JSON rendering), same failure verdict and witness, and the same certain
 answers a fresh engine computes over the oracle's graph.
 
-Four regimes exercise the distinct repair paths:
+Five hand-built regimes exercise the distinct repair paths:
 
 * the paper's Example 3.1 setting over random Flight/Hotel churn
   (constant-null egd merges, trigger add/remove);
@@ -17,13 +17,20 @@ Four regimes exercise the distinct repair paths:
 * a word-egd setting (``f . h`` bodies) driving the egd-decomposition
   chains; and
 * a word-egd null-merge setting where the merged nodes are themselves
-  nulls (merge-provenance and delete-then-reinsert churn).
+  nulls (merge-provenance and delete-then-reinsert churn); and
+* a two-egd cascade setting where one egd's merge witness runs through a
+  null class the other egd merged, so a deletion must dissolve both.
+
+A generator-shaped regime replays ``scenarios.scale.update_stream`` on
+small medlit and social tenants, whose Zipf hubs grow the large
+functional merge classes the class-local repair dissolves.
 """
 
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import telemetry
 from repro.chase.relational_chase import chase_relational
 from repro.core.setting import DataExchangeSetting
 from repro.engine.incremental import IncrementalChase, UpdateStats, decompose_egd
@@ -35,6 +42,13 @@ from repro.mappings.parser import parse_egd, parse_st_tgd
 from repro.relational.schema import RelationalSchema
 from repro.scenarios.figures import example31_setting
 from repro.scenarios.flights import flights_instance, setting_omega
+from repro.scenarios.scale import (
+    GeneratorConfig,
+    generate_instance,
+    scale_setting,
+    update_stream,
+    workload_queries,
+)
 from repro.service.protocol import canonical_bytes
 
 
@@ -82,6 +96,26 @@ def null_merge_setting() -> DataExchangeSetting:
     )
 
 
+def cascade_setting() -> DataExchangeSetting:
+    """Two egds where one merge's witness runs through the other's class.
+
+    ``S(p, t)`` invents a pair of nulls ``m -h-> n -k-> t``.  Egd ``A``
+    merges the ``n`` nulls whose ``t`` constants share an ``l``-successor
+    (witness edges from ``L`` facts); egd ``B`` then merges the ``m``
+    nulls pointing at one merged ``n``.  Deleting an ``L`` fact kills a
+    witness edge of ``A``'s merge only, but ``B``'s witness has endpoints
+    in ``A``'s class, so both classes must split.
+    """
+    s_tgd = parse_st_tgd("S(x, t) -> (x, a, n), (n, k, t), (m, h, n)", name="S_akh")
+    l_tgd = parse_st_tgd("L(t, z) -> (t, l, z)", name="L_l")
+    by_link = parse_egd("(x1, k . l, z), (x2, k . l, z) -> x1 = x2", name="A")
+    by_target = parse_egd("(y1, h, w), (y2, h, w) -> y1 = y2", name="B")
+    return DataExchangeSetting(
+        _pair_schema("S", "L"), {"a", "h", "k", "l"}, [s_tgd, l_tgd],
+        [by_link, by_target], name="cascade",
+    )
+
+
 _FLIGHT_POOL = [
     ("Flight", (f"{fid:02d}", src, dst))
     for fid in range(1, 4)
@@ -107,11 +141,16 @@ _NULL_MERGE_POOL = [
     for right in ("u", "v")
 ]
 
+_CASCADE_POOL = [
+    ("S", (paper, link)) for paper in ("p1", "p2") for link in ("t1", "t2")
+] + [("L", (link, "z")) for link in ("t1", "t2", "t3")] + [("L", ("t1", "y"))]
+
 REGIMES = {
     "flights": (example31_setting, _FLIGHT_POOL, ("f", "h", "f . h")),
     "failure": (failure_setting, _PAIR_POOL, ("h",)),
     "word-egd": (word_egd_setting, _WORD_POOL, ("f", "f . h")),
     "null-merge": (null_merge_setting, _NULL_MERGE_POOL, ("f . h . g", "g")),
+    "cascade": (cascade_setting, _CASCADE_POOL, ("a . h-", "a . k . l")),
 }
 
 
@@ -221,6 +260,15 @@ class TestDifferentialStreams:
         )
 
     @pytest.mark.parametrize("backend", BACKENDS)
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_cascade_streams_match_oracle(self, backend, data):
+        factory, pool, queries = REGIMES["cascade"]
+        run_stream(
+            factory, pool, queries, data.draw(stream_strategy(pool)), backend
+        )
+
+    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("regime", sorted(REGIMES))
     def test_pinned_churn_on_both_backends(self, regime, backend):
         """A deterministic delete-then-reinsert stream on each backend."""
@@ -232,6 +280,24 @@ class TestDifferentialStreams:
             [("insert", pool[1]), ("insert", pool[2])],
         ]
         run_stream(factory, pool, queries, churn, backend=backend)
+
+
+class TestGeneratorStreams:
+    """Generator-shaped streams: Zipf-hub functional classes under churn."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("family,seed", [("medlit", 3), ("social", 4)])
+    def test_update_stream_matches_oracle(self, family, seed, backend):
+        config = GeneratorConfig(family=family, nodes=80, seed=seed)
+        engine = QueryEngine(backend=backend)
+        queries = [parse_nre(text) for text in workload_queries(family)]
+        live = IncrementalChase(scale_setting(family), generate_instance(config))
+        assert_matches_oracle(live, engine, queries)
+        for batch in update_stream(config, 4, 12, 0.4):
+            live.apply_updates(batch)
+            assert_matches_oracle(live, engine, queries)
+        assert live.stats.merged_repairs > 0
+        assert live.stats.merged_rebuilds == 1  # the bootstrap only
 
 
 # --------------------------------------------------------------------- #
@@ -300,12 +366,62 @@ class TestPinnedBehaviour:
         assert live.stats.fast_deletes > 0
         assert live.stats.merged_rebuilds == baseline
 
-    def test_deleting_merge_support_rebuilds(self):
-        """Removing a fact that fed an egd merge forces the sound rebuild."""
+    def test_deleting_merge_support_repairs_locally(self):
+        """Removing a fact that fed an egd merge re-derives only its class."""
         live = IncrementalChase(example31_setting(), flights_instance())
-        before = live.stats.merged_rebuilds
+        [hit_class] = [m for m in live._classes.values() if len(m) > 1]
+        before = live.stats.summary()
         live.apply_updates([("delete", "Hotel", ("02", "hx"))])
-        assert live.stats.merged_rebuilds == before + 1
+        after = live.stats.summary()
+        assert after["merged_rebuilds"] == before["merged_rebuilds"]
+        assert after["merged_repairs"] == before["merged_repairs"] + 1
+        assert after["nodes_rederived"] - before["nodes_rederived"] == len(hit_class)
+
+    def test_repair_span_reports_rederived_nodes(self):
+        """A trace shows ``update.repair`` under ``update.apply`` with its size."""
+        live = IncrementalChase(example31_setting(), flights_instance())
+        telemetry.set_enabled(True)
+        try:
+            with telemetry.span("test.root") as root:
+                live.apply_updates([("delete", "Hotel", ("02", "hx"))])
+        finally:
+            telemetry.set_enabled(None)
+        [apply] = root.children
+        [repair] = apply.children
+        assert (apply.name, repair.name) == ("update.apply", "update.repair")
+        assert repair.attrs["nodes"] == live.stats.nodes_rederived == 2
+
+    def test_deleting_out_of_a_failed_state_rebuilds(self):
+        """A failed chase parks the merged layer; a deletion rebuilds it."""
+        live = IncrementalChase(failure_setting())
+        live.apply_updates([("insert", "R", ("a", "u")), ("insert", "R", ("b", "u"))])
+        assert live.failed
+        before = live.stats.summary()
+        live.apply_updates([("delete", "R", ("b", "u"))])
+        after = live.stats.summary()
+        assert not live.failed
+        assert after["merged_rebuilds"] == before["merged_rebuilds"] + 1
+        assert after["merged_repairs"] == before["merged_repairs"]
+
+    def test_cascade_dissolves_the_dependent_class(self):
+        """Killing class A's witness splits class B, whose witness runs via A."""
+        live = IncrementalChase(cascade_setting())
+        engine, queries = QueryEngine(), [parse_nre("a . h-"), parse_nre("a . k . l")]
+        live.apply_updates([
+            ("insert", "S", ("p1", "t1")), ("insert", "S", ("p2", "t2")),
+            ("insert", "L", ("t1", "z")), ("insert", "L", ("t2", "z")),
+        ])
+        assert_matches_oracle(live, engine, queries)
+        assert sorted(len(m) for m in live._classes.values() if len(m) > 1) == [2, 2]
+        before = live.stats.summary()
+        live.apply_updates([("delete", "L", ("t2", "z"))])
+        assert_matches_oracle(live, engine, queries)
+        assert all(len(members) == 1 for members in live._classes.values())
+        assert live.stats.merged_repairs == before["merged_repairs"] + 1
+        assert live.stats.nodes_rederived == before["nodes_rederived"] + 4
+        live.apply_updates([("insert", "L", ("t2", "z"))])
+        assert_matches_oracle(live, engine, queries)
+        assert live.stats.merged_rebuilds == before["merged_rebuilds"]
 
     def test_insert_only_batches_patch_answers(self):
         live = IncrementalChase(example31_setting(), flights_instance())
@@ -365,4 +481,5 @@ class TestGatesAndDecomposition:
         summary = UpdateStats().summary()
         assert summary["batches"] == 0
         assert {"egd_merges", "fast_deletes", "merged_rebuilds",
+                "merged_repairs", "nodes_rederived",
                 "answer_patches", "answer_invalidations"} <= set(summary)
