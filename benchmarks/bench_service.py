@@ -16,6 +16,10 @@ full accept → validate → cache probe → worker → respond lifecycle):
 * ``test_service_throughput_workers`` — 8 cache-cold requests fired by 8
   concurrent clients against a 1-worker and a 2-worker pool: asserts
   throughput improves with the second worker (skipped on 1-CPU hosts).
+
+``test_service_one_chase_per_tenant`` is a host-independent work-counter
+gate rather than a timing: one serve-social-shaped group of 16 requests
+over 8 tenants must run exactly 8 relational chases (one per tenant).
 """
 
 from __future__ import annotations
@@ -29,6 +33,8 @@ import pytest
 
 from conftest import report
 
+from repro import telemetry
+from repro.scenarios.scale import GeneratorConfig, scale_document, workload_queries
 from repro.scenarios.service_workload import (
     QUERY_MIXES,
     cold_documents,
@@ -37,6 +43,7 @@ from repro.scenarios.service_workload import (
 from repro.io.json_io import document_to_dict
 from repro.scenarios.flights import flights_instance, setting_omega_prime
 from repro.service.server import start_in_thread
+from repro.service.tenants import tenant_cache
 
 QUERY = "f . f*[h] . f- . (f-)*"
 
@@ -218,3 +225,77 @@ def test_service_throughput_workers(benchmark):
         f"two workers should outrun one on {requests} concurrent requests "
         f"(got {ratio:.2f}x)"
     )
+
+
+def _social_group(tenants: int = 8, nodes: int = 60) -> list[tuple[str, dict]]:
+    """One serve-social-shaped request group: 16 requests over 8 tenants.
+
+    Two ``certain`` queries on each of the first four tenants,
+    ``evaluate_batch`` on two of them, ``exists`` on the other four, and
+    two exact repeats (result-cache hits).
+    """
+    documents = [
+        scale_document(GeneratorConfig(family="social", nodes=nodes, seed=seed))
+        for seed in range(1, tenants + 1)
+    ]
+    queries = list(workload_queries("social"))
+    group = [
+        ("certain", {"document": documents[t], "query": queries[(2 * t + k) % len(queries)]})
+        for t in range(4)
+        for k in range(2)
+    ]
+    group += [
+        ("evaluate_batch", {"document": documents[t], "queries": queries})
+        for t in range(2)
+    ]
+    group += [("exists", {"document": documents[t]}) for t in range(4, tenants)]
+    group += [group[0], group[-1]]
+    return group
+
+
+def _span_count(node: dict, name: str) -> int:
+    return (node["name"] == name) + sum(
+        _span_count(child, name) for child in node.get("children", ())
+    )
+
+
+def test_service_one_chase_per_tenant():
+    """A request group chases each tenant once, not once per request."""
+    group = _social_group()
+    tenants = len({id(params["document"]) for _, params in group})
+    distinct = len(group) - 2
+    telemetry.set_enabled(True)
+    tenant_cache().clear()
+    try:
+        with start_in_thread(workers=0) as handle, handle.client() as client:
+            before = client.metrics()["metrics"]["counters"]
+            for op, params in group:
+                client.call(op, params)
+            after = client.metrics()["metrics"]["counters"]
+            traces = client.traces(limit=64)["traces"]
+    finally:
+        tenant_cache().clear()
+        telemetry.set_enabled(None)
+    chases = sum(_span_count(trace, "chase.relational") for trace in traces)
+    moved = {
+        name: after.get(name, 0) - before.get(name, 0)
+        for name in ("chase.tenant_hits", "chase.tenant_misses")
+    }
+    report(
+        "Service: relational chases per serve-social request group",
+        [
+            ("requests (distinct)", f"{len(group)} ({distinct})", len(group)),
+            ("tenants", tenants, tenants),
+            ("relational chases", f"{tenants} (was {distinct})", chases),
+            ("tenant cache hits / misses", "--",
+             f"{moved['chase.tenant_hits']} / {moved['chase.tenant_misses']}"),
+        ],
+    )
+    assert chases == tenants == 8, (
+        f"{len(group)} requests over {tenants} tenants ran {chases} "
+        f"relational chases; the worker should chase each tenant once"
+    )
+    assert moved == {
+        "chase.tenant_hits": distinct - tenants,
+        "chase.tenant_misses": tenants,
+    }

@@ -41,7 +41,6 @@ set and :meth:`CertainAnswers.is_certain` returns ``True`` for all tuples.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Hashable, Iterable
 
@@ -552,80 +551,3 @@ def _sat_certain_answers(
         solutions_examined=len(counterexamples),
         method=f"sat-incremental(pairs={len(domain) ** 2}, solver=cdcl)",
     )
-
-
-# --------------------------------------------------------------------- #
-# Live incremental-chase states (the apply_updates serving path)
-# --------------------------------------------------------------------- #
-
-# (setting key, instance fingerprint) → IncrementalChase.  Entries are
-# *checked out* (popped under the lock) rather than shared: an incremental
-# state is mutable and single-threaded, so two concurrent update streams
-# over the same universe must not interleave on one object — the second
-# caller simply bootstraps a fresh state.  Bounded like the SAT-pipeline
-# registry: wholesale clear past the limit.
-_INCREMENTAL_STATES: dict = {}
-_INCREMENTAL_LIMIT = 16
-_INCREMENTAL_LOCK = threading.Lock()
-_INCREMENTAL_COUNTERS = {"hits": 0, "misses": 0}
-
-
-def checkout_incremental_state(
-    setting: DataExchangeSetting, instance: RelationalInstance, engine=None
-):
-    """Pop (or bootstrap) the live incremental chase for this universe.
-
-    A warm state whose instance fingerprint matches ``instance`` resumes
-    with all three layers (triggers, merged quotient, answer cache) intact
-    — applying an update batch then costs O(affected).  On a miss the
-    state is chased from scratch once.  Callers own the returned object
-    and should hand it back through :func:`checkin_incremental_state`
-    after mutating it.  Raises
-    :class:`~repro.errors.NotSupportedError` outside the relational-chase
-    fragment, exactly like
-    :class:`~repro.engine.incremental.IncrementalChase`.
-    """
-    from repro.core.satpipeline import _setting_key
-    from repro.engine.incremental import IncrementalChase
-
-    key = (_setting_key(setting), instance.fingerprint())
-    with _INCREMENTAL_LOCK:
-        state = _INCREMENTAL_STATES.pop(key, None)
-        if state is not None:
-            _INCREMENTAL_COUNTERS["hits"] += 1
-            return state
-        _INCREMENTAL_COUNTERS["misses"] += 1
-    return IncrementalChase(setting, instance, engine=engine)
-
-
-def checkin_incremental_state(state) -> None:
-    """Return a checked-out incremental state to the registry.
-
-    The state is re-keyed by its *current* instance fingerprint, so the
-    next request carrying the updated document resumes it warm.
-    """
-    from repro.core.satpipeline import _setting_key
-
-    key = (_setting_key(state.setting), state.instance.fingerprint())
-    with _INCREMENTAL_LOCK:
-        if len(_INCREMENTAL_STATES) >= _INCREMENTAL_LIMIT:
-            _INCREMENTAL_STATES.clear()
-        _INCREMENTAL_STATES[key] = state
-
-
-def incremental_state_stats() -> dict:
-    """Return registry telemetry: live entries and hit/miss counts."""
-    with _INCREMENTAL_LOCK:
-        return {
-            "entries": len(_INCREMENTAL_STATES),
-            "hits": _INCREMENTAL_COUNTERS["hits"],
-            "misses": _INCREMENTAL_COUNTERS["misses"],
-        }
-
-
-def clear_incremental_states() -> None:
-    """Drop every cached incremental state (tests, long-running processes)."""
-    with _INCREMENTAL_LOCK:
-        _INCREMENTAL_STATES.clear()
-        _INCREMENTAL_COUNTERS["hits"] = 0
-        _INCREMENTAL_COUNTERS["misses"] = 0

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 from repro.chase.egd_chase import chase_with_egds
 from repro.chase.pattern_chase import chase_pattern
-from repro.chase.relational_chase import chase_relational
+from repro.chase.result import ChaseResult
 from repro.chase.sameas_chase import solve_with_sameas
 from repro.core.satpipeline import pipeline_for
 from repro.core.search import CandidateSearchConfig, candidate_solutions
@@ -51,6 +51,7 @@ from repro.graph.nre import Label, Union as NREUnion
 from repro.patterns.rep import canonical_instantiation
 from repro.relational.instance import RelationalInstance
 from repro.relational.query import is_variable
+from repro.telemetry import span
 
 
 class ExistenceStatus(enum.Enum):
@@ -82,12 +83,37 @@ def _verified(
     instance: RelationalInstance,
     method: str,
 ) -> ExistenceResult:
-    if not is_solution(instance, graph, setting):
+    with span("solution.verify", method=method):
+        verified = is_solution(instance, graph, setting)
+    if not verified:
         raise AssertionError(
             f"strategy {method!r} produced a non-solution witness — "
             "this is a bug in the library, please report it"
         )
     return ExistenceResult(ExistenceStatus.EXISTS, method, witness=graph)
+
+
+def existence_from_chase(
+    chase: ChaseResult,
+    setting: DataExchangeSetting,
+    instance: RelationalInstance,
+) -> ExistenceResult:
+    """Decide existence from the Section 3.1 chase of ``instance``.
+
+    ``chase`` is :func:`repro.core.tractable.chase_universal`'s result for
+    this setting and instance.  In the fragment that chase is a complete
+    decision: failure proves no solution exists, and otherwise the chased
+    graph is a solution — verified here, every time, before it is
+    returned as the witness.  The graph is only read.
+    """
+    if chase.failed:
+        left, right = chase.failure_witness  # type: ignore[misc]
+        return ExistenceResult(
+            ExistenceStatus.NOT_EXISTS,
+            "chase-failure",
+            detail=f"egd chase tried to equate constants {left!r} and {right!r}",
+        )
+    return _verified(chase.expect_graph(), setting, instance, "relational-chase")
 
 
 def collapsing_labels(setting: DataExchangeSetting) -> frozenset[str]:
@@ -278,20 +304,10 @@ def decide_existence(
             and not fragment.has_general_tgds
             and not fragment.has_sameas
         ):
-            chase_result = chase_relational(
-                setting.st_tgds, setting.egds(), instance, alphabet=setting.alphabet
-            )
-            if chase_result.failed:
-                left, right = chase_result.failure_witness  # type: ignore[misc]
-                return ExistenceResult(
-                    ExistenceStatus.NOT_EXISTS,
-                    "chase-failure",
-                    detail=(
-                        f"egd chase tried to equate constants {left!r} and {right!r}"
-                    ),
-                )
-            return _verified(
-                chase_result.graph, setting, instance, "relational-chase"
+            from repro.core.tractable import chase_universal  # cycle guard
+
+            return existence_from_chase(
+                chase_universal(setting, instance), setting, instance
             )
         sat_attempted = False
         if fragment.sat_encodable:

@@ -39,6 +39,7 @@ from __future__ import annotations
 from typing import Hashable
 
 from repro.chase.relational_chase import chase_relational
+from repro.chase.result import ChaseResult
 from repro.core.certain import CertainAnswers
 from repro.core.setting import DataExchangeSetting
 from repro.engine.query import default_engine
@@ -103,10 +104,34 @@ def certain_answers_tractable_batch(
     query_list = list(queries)
     if not query_list:
         return []
-    eng = engine if engine is not None else default_engine()
-    chase = chase_relational(
+    return answers_from_chase(chase_universal(setting, instance), query_list, engine)
+
+
+def chase_universal(
+    setting: DataExchangeSetting, instance: RelationalInstance
+) -> ChaseResult:
+    """The fragment's relational chase: the universal solution, or failure.
+
+    Everything the fragment can be asked is read off this one result —
+    certain answers by :func:`answers_from_chase`, existence by
+    :func:`repro.core.existence.existence_from_chase` — so a caller that
+    keeps the result answers later questions without chasing again.
+    """
+    return chase_relational(
         setting.st_tgds, setting.egds(), instance, alphabet=setting.alphabet
     )
+
+
+def answers_from_chase(
+    chase: ChaseResult, queries, engine=None
+) -> list[CertainAnswers]:
+    """Certain answers of ``queries`` read off a :func:`chase_universal` result.
+
+    A failed chase means no solution, so every tuple is vacuously
+    certain; otherwise each query's answers are its null-free pairs on
+    the universal solution.  The chased graph is only read.
+    """
+    query_list = list(queries)
     if chase.failed:
         return [
             CertainAnswers(
@@ -117,6 +142,7 @@ def certain_answers_tractable_batch(
             )
             for _ in query_list
         ]
+    eng = engine if engine is not None else default_engine()
     universal = chase.expect_graph()
     results: list[CertainAnswers] = []
     with span("engine.evaluate", queries=len(query_list)):

@@ -299,6 +299,11 @@ class IncrementalChase:
         """Whether the chase of the current instance fails (no solution)."""
         return self._failed
 
+    @property
+    def edge_count(self) -> int:
+        """Edges held by the base and merged layers together."""
+        return len(self._edge_support) + self._merged.edge_count()
+
     def apply_updates(self, updates: Iterable[Update | Mapping]) -> dict:
         """Apply one batch of updates and repair all three state layers.
 

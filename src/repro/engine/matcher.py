@@ -128,6 +128,31 @@ class TriggerMatcher:
         initial: Assignment = dict(seed) if seed else {}
         yield from self._join(list(query.atoms), initial)
 
+    def join_plan(
+        self, query: CNREQuery, bound: Iterable[Variable]
+    ) -> list[CNREAtom]:
+        """The join order :meth:`matches` picks for seeds binding ``bound``.
+
+        The greedy order depends only on which variables the seed binds
+        and on the graph's label counts, so a caller probing many seeds
+        over the same variables (an s-t tgd head checked once per body
+        match) computes it once and passes it to :meth:`has_match`.
+        Simple queries only.
+        """
+        return self._order(list(query.atoms), set(bound))
+
+    def has_match(
+        self, plan: Sequence[CNREAtom], seed: Mapping[Variable, Node]
+    ) -> bool:
+        """Whether some homomorphism extends ``seed`` along ``plan``.
+
+        ``plan`` comes from :meth:`join_plan` for the seed's variables;
+        the verdict equals ``any(self.matches(query, seed))``.
+        """
+        for _ in self._run_join(plan, dict(seed)):
+            return True
+        return False
+
     # ------------------------------------------------------------------ #
     # Delta enumeration (semi-naive iteration)
     # ------------------------------------------------------------------ #

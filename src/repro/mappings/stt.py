@@ -10,9 +10,9 @@ existential.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Hashable, Iterator
+from typing import TYPE_CHECKING, Callable, Hashable, Iterator, Mapping
 
-from repro.engine.matcher import TriggerMatcher
+from repro.engine.matcher import TriggerMatcher, is_simple_query
 from repro.errors import SchemaError
 from repro.graph.cnre import CNREQuery
 from repro.graph.database import GraphDatabase
@@ -79,13 +79,29 @@ class SourceToTargetTgd:
             return True
         return False
 
+    def head_checker(
+        self, graph: GraphDatabase
+    ) -> Callable[[Mapping[Variable, Node]], bool]:
+        """:meth:`head_satisfied` on ``graph``, planned once for every trigger.
+
+        A simple head (bare labels) gets one matcher and one join order,
+        reused for each body match; other heads keep the per-trigger
+        check.  ``graph`` must not change while the checker is in use.
+        """
+        if not is_simple_query(self.head):
+            return lambda match: self.head_satisfied(graph, match)
+        matcher = TriggerMatcher(graph)
+        plan = matcher.join_plan(self.head, self.frontier)
+        frontier = self.frontier
+        return lambda match: matcher.has_match(plan, {v: match[v] for v in frontier})
+
     def violations(
         self, instance: RelationalInstance, graph: GraphDatabase
     ) -> Iterator[dict[Variable, Node]]:
         """Yield body matches whose head is not satisfied in ``graph``."""
+        holds = self.head_checker(graph)
         for match in self.body_matches(instance):
-            frontier_values = {v: match[v] for v in self.frontier}
-            if not self.head_satisfied(graph, frontier_values):
+            if not holds(match):
                 yield match
 
     def is_satisfied(

@@ -5,11 +5,13 @@ Every compute operation (``exists``/``certain``/``chase``/
 its response can be replayed verbatim for any request with the same
 :func:`repro.service.protocol.request_fingerprint`.  This cache sits in
 the *server* process, in front of the worker pool; beneath it the worker
-processes keep their own warm layers (the per-universe incremental SAT
-pipelines of :mod:`repro.core.satpipeline`, the engine's cross-candidate
-answer cache, and the cross-process automaton pickles of
-:mod:`repro.graph.autocache`), so even a cache *miss* over a
-previously-seen universe is far cheaper than a cold request.
+processes keep their own warm layers (the tenant cache of
+:mod:`repro.service.tenants`, one chase result per tenant document, the
+per-universe incremental SAT pipelines of :mod:`repro.core.satpipeline`,
+the engine's cross-candidate answer cache, and the cross-process
+automaton pickles of :mod:`repro.graph.autocache`), so even a cache
+*miss* over a previously-seen tenant — another query, a batch, an
+``exists`` — is far cheaper than a cold request.
 
 Plain LRU over an ``OrderedDict``, guarded by a lock (the asyncio server
 is single-threaded, but :func:`~repro.service.server.start_in_thread`

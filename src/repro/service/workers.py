@@ -11,11 +11,17 @@ result dictionary.  Statelessness is what lets the same function run
 
 The *caches* behind the handlers are per-process and value-keyed, so the
 function stays referentially transparent while each worker process warms
-up: its :mod:`repro.core.satpipeline` solvers, the shared compiled
-:class:`~repro.engine.query.QueryEngine`, and the on-disk automaton cache
-all persist across the requests that land on that worker.  Workers never
-share mutable state with each other or with the server — requests and
-results cross the process boundary as plain dictionaries.
+up.  The tenant cache (:mod:`repro.service.tenants`) keeps one chase
+result per tenant document on the Section 3.1 fragment with egds, so
+``exists``, whole-set ``certain`` and ``evaluate_batch`` on one tenant
+share a single chase, and it holds the live incremental states of
+``apply_updates``.  The :mod:`repro.core.satpipeline` solvers, the shared
+compiled :class:`~repro.engine.query.QueryEngine`, and the on-disk
+automaton cache also persist across the requests that land on that
+worker.  Every response equals the direct library call's, which never
+reads the tenant cache.  Workers never share mutable state with each
+other or with the server — requests and results cross the process
+boundary as plain dictionaries.
 
 Handler errors never cross the pool as exceptions (unpicklable exception
 state would kill the future); they come back as an ``{"__error__":
@@ -38,9 +44,14 @@ from repro.core.certain import (
     certain_answers_nre,
     find_counterexample_solution,
 )
-from repro.core.existence import ExistenceResult, decide_existence
+from repro.core.existence import (
+    ExistenceResult,
+    decide_existence,
+    existence_from_chase,
+)
 from repro.core.solution import is_solution
 from repro.core.search import CandidateSearchConfig
+from repro.core.tractable import answers_from_chase
 from repro.engine.query import default_engine
 from repro.errors import BoundExceeded, NotSupportedError, ParseError, ReproError
 from repro.graph.parser import parse_nre
@@ -49,6 +60,7 @@ from repro.io.json_io import (
     graph_to_dict,
     pattern_to_dict,
 )
+from repro.service.tenants import in_cached_fragment, tenant_cache
 from repro import telemetry
 from repro.telemetry import fold_stats, span
 
@@ -167,7 +179,11 @@ def _handle_exists(params: dict) -> dict:
     key = _witness_key(params) if store is not None else ""
     if store is not None:
         witness = store.load(key)
-        if witness is not None and is_solution(instance, witness, setting):
+        verified = False
+        if witness is not None:
+            with span("solution.verify", method="snapshot-witness"):
+                verified = is_solution(instance, witness, setting)
+        if verified:
             # The snapshot is advisory, the verification is authoritative:
             # a stale or foreign witness that fails is_solution falls
             # through to the full decision below.
@@ -177,12 +193,17 @@ def _handle_exists(params: dict) -> dict:
                 "status": "exists",
                 "witness": graph_to_dict(witness),
             }
-    result = decide_existence(
-        setting,
-        instance,
-        search_config=_search_config(params),
-        engine=_engine(params),
-    )
+    if in_cached_fragment(setting):
+        result = existence_from_chase(
+            tenant_cache().chase(setting, instance), setting, instance
+        )
+    else:
+        result = decide_existence(
+            setting,
+            instance,
+            search_config=_search_config(params),
+            engine=_engine(params),
+        )
     if store is not None and result.witness is not None:
         store.store(key, result.witness.freeze())
     return existence_result_to_dict(result)
@@ -205,9 +226,13 @@ def _handle_certain(params: dict) -> dict:
             ),
             "pair": list(pair),
         }
-    result = certain_answers_nre(
-        setting, instance, query, config=config, engine=engine
-    )
+    if in_cached_fragment(setting):
+        chase = tenant_cache().chase(setting, instance)
+        result = answers_from_chase(chase, [query], engine)[0]
+    else:
+        result = certain_answers_nre(
+            setting, instance, query, config=config, engine=engine
+        )
     return certain_answers_to_dict(result)
 
 
@@ -248,13 +273,17 @@ def _chase_stats(result) -> dict:
 def _handle_evaluate_batch(params: dict) -> dict:
     setting, instance = document_from_dict(params["document"])
     queries = [parse_nre(q) for q in params["queries"]]
-    results = certain_answers_batch(
-        setting,
-        instance,
-        queries,
-        config=_search_config(params),
-        engine=_engine(params),
-    )
+    if in_cached_fragment(setting):
+        chase = tenant_cache().chase(setting, instance)
+        results = answers_from_chase(chase, queries, _engine(params))
+    else:
+        results = certain_answers_batch(
+            setting,
+            instance,
+            queries,
+            config=_search_config(params),
+            engine=_engine(params),
+        )
     return {
         "queries": list(params["queries"]),
         "results": [certain_answers_to_dict(r) for r in results],
@@ -273,23 +302,20 @@ def _handle_apply_updates(params: dict) -> dict:
     and answers are byte-identical to a from-scratch ``evaluate_batch``
     against the updated document.
     """
-    from repro.core.certain import (
-        checkin_incremental_state,
-        checkout_incremental_state,
-    )
     from repro.core.satpipeline import advance_pipeline
     from repro.errors import SchemaError
     from repro.io.json_io import document_to_dict
 
     setting, instance = document_from_dict(params["document"])
     queries = [parse_nre(q) for q in params["queries"]]
-    state = checkout_incremental_state(setting, instance)
+    tenants = tenant_cache()
+    state = tenants.checkout_incremental(setting, instance)
     try:
         applied = state.apply_updates(params["updates"])
     except (SchemaError, ValueError) as error:
         # Batches are validated before any mutation, so the state is
         # still consistent — hand it back warm and report bad-request.
-        checkin_incremental_state(state)
+        tenants.checkin_incremental(state)
         raise ValueError(str(error)) from None
     engine = _engine(params)
     results = [
@@ -309,7 +335,7 @@ def _handle_apply_updates(params: dict) -> dict:
         "queries": list(params["queries"]),
         "results": results,
     }
-    checkin_incremental_state(state)
+    tenants.checkin_incremental(state)
     # Roll the per-universe SAT pipeline's working set forward too, so
     # later certain/exists requests on the updated document start warm.
     advance_pipeline(setting, instance, state.instance)

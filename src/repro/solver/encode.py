@@ -589,9 +589,9 @@ def check_fragment_solution(
             for atom in tgd.head.atoms
         ]
         if tgd.existentials:
+            holds = tgd.head_checker(graph)
             for match in tgd.body_matches(instance):
-                frontier_values = {v: match[v] for v in tgd.frontier}
-                if not tgd.head_satisfied(graph, frontier_values):
+                if not holds(match):
                     return False
             continue
         for match in tgd.body_matches(instance):

@@ -10,10 +10,6 @@ document the response carries.
 
 import pytest
 
-from repro.core.certain import (
-    clear_incremental_states,
-    incremental_state_stats,
-)
 from repro.io.json_io import document_to_dict
 from repro.scenarios.figures import example31_setting
 from repro.scenarios.flights import flights_instance
@@ -21,6 +17,7 @@ from repro.scenarios.service_workload import demo_document
 from repro.service.client import ServiceError
 from repro.service.protocol import ProtocolError, canonical_bytes, validate_request
 from repro.service.server import start_in_thread
+from repro.service.tenants import tenant_cache
 from repro.service.workers import execute_request
 
 QUERIES = ["f", "f . h"]
@@ -41,13 +38,6 @@ def body(document, updates, queries=QUERIES, **extra):
             "star_bound": 2}
     base.update(extra)
     return base
-
-
-@pytest.fixture(autouse=True)
-def _cold_registry():
-    clear_incremental_states()
-    yield
-    clear_incremental_states()
 
 
 class TestProtocol:
@@ -124,9 +114,9 @@ class TestHandler:
                  [{"op": "insert", "relation": "Flight",
                    "tuple": ["03", "c2", "c4"]}]),
         )
-        stats = incremental_state_stats()
+        stats = tenant_cache().stats()
         assert stats["hits"] == 1  # the follow-up resumed the warm state
-        clear_incremental_states()
+        tenant_cache().clear()
         cold_first = execute_request(
             "apply_updates", body(streaming_document(), UPDATES)
         )
@@ -188,7 +178,7 @@ class TestHandler:
         assert error["__error__"]["code"] == "bad-request"
         again = execute_request("apply_updates", body(document, [], queries=[]))
         assert "__error__" not in again
-        assert incremental_state_stats()["hits"] == 2  # error kept it warm
+        assert tenant_cache().stats()["hits"] == 2  # error kept it warm
 
     def test_outside_fragment_documents_are_unsupported(self):
         served = execute_request(
