@@ -11,25 +11,43 @@ The output "can be essentially seen as a graph" (paper) — here it *is* a
 :class:`~repro.patterns.pattern.Null` values, and it is a universal solution
 for the fragment.  Example 3.1 / Figure 2 is reproduced in
 ``benchmarks/bench_fig2_relational_chase.py``.
+
+The chase works on plain ``(source, label, target)`` tuples and writes the
+graph once, at the end: the s-t phase fires every trigger into an ordered
+edge list, functional egds (every egd of the scale workload families) are
+closed by a union-find over that list, and the quotient is bulk-loaded into
+one storage backend.  Other egds, and every run that equates two
+constants, replay the un-merged edges through the sequential
+:class:`~repro.engine.delta.EgdViolationQueue` fixpoint, so counters, null
+names and failure witnesses are those of the edge-at-a-time chase that
+``tests/oracles/relational_chase.py`` keeps as the differential oracle.
 """
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Sequence
+from operator import itemgetter
+from typing import Collection, Hashable, Iterable, Sequence
 
 from repro.chase.result import ChaseResult, ChaseStats
-from repro.engine.delta import EgdViolationQueue, run_egd_fixpoint
-from repro.errors import NotSupportedError
+from repro.engine.delta import (
+    EgdViolationQueue,
+    _functional_profile,
+    run_egd_fixpoint,
+)
+from repro.errors import NotSupportedError, SchemaError
+from repro.graph.backends import DictBackend
 from repro.graph.classes import is_single_symbol
 from repro.graph.database import GraphDatabase
 from repro.mappings.egd import TargetEgd
 from repro.mappings.stt import SourceToTargetTgd
-from repro.patterns.pattern import Null
+from repro.patterns.pattern import Null, is_null
+from repro.relational.evaluate import cq_match_rows
 from repro.relational.instance import RelationalInstance
-from repro.relational.query import Variable, is_variable
+from repro.relational.query import is_variable
 from repro.telemetry import fold_stats, span
 
 Node = Hashable
+Triple = tuple[Node, str, Node]
 
 
 def _check_fragment(tgds: Sequence[SourceToTargetTgd]) -> None:
@@ -50,68 +68,272 @@ def chase_relational(
 ) -> ChaseResult:
     """Chase in the single-symbol fragment, producing a concrete graph.
 
-    Step 1 fires every s-t tgd trigger, adding plain labeled edges with
+    Step 1 fires every s-t tgd trigger, emitting plain labeled edges with
     fresh :class:`~repro.patterns.pattern.Null` nodes for existentials.
-    Step 2 runs the egd fixpoint on the graph, merging nodes; equating two
-    distinct constants fails the chase (then no solution exists — in this
-    fragment the relational chase *is* sound and complete).
+    Step 2 runs the egd fixpoint, merging nodes; equating two distinct
+    constants fails the chase (then no solution exists — in this fragment
+    the relational chase *is* sound and complete).
+
+    >>> from repro.scenarios.figures import example31_setting
+    >>> from repro.scenarios.flights import flights_instance
+    >>> setting = example31_setting()
+    >>> result = chase_relational(
+    ...     setting.st_tgds, setting.egds(), flights_instance(), alphabet={"f", "h"})
+    >>> result.stats.null_merges, result.expect_graph().edge_count()
+    (1, 8)
     """
     tgds = list(st_tgds)
     _check_fragment(tgds)
-    sigma: set[str] | None = set(alphabet) if alphabet is not None else None
-    graph = GraphDatabase(alphabet=sigma)
+    egd_list = list(egds)
+    sigma = frozenset(alphabet) if alphabet is not None else None
     stats = ChaseStats()
-    with span("chase.relational", tgds=len(tgds), egds=len(egds)):
-        _fire_relational_tgds(tgds, instance, graph, stats)
-        result = _egd_fixpoint_on_graph(graph, list(egds), stats)
+    with span("chase.relational", tgds=len(tgds), egds=len(egd_list)):
+        with span("chase.st"):
+            edges = _fire_st_tgds(tgds, instance, sigma, stats)
+        with span("chase.egd"):
+            classes = _functional_closure(edges, egd_list)
+        if classes is not None:
+            merges = sum(len(members) - 1 for members in classes)
+            stats.egd_firings += merges
+            stats.null_merges += merges
+            stats.rounds += merges + 1
+        result = quotient_result(sigma, edges, classes, egd_list, stats)
     fold_stats("chase", stats)
     return result
 
 
-def _fire_relational_tgds(
+def _fire_st_tgds(
     tgds: Sequence[SourceToTargetTgd],
     instance: RelationalInstance,
-    graph: GraphDatabase,
+    sigma: frozenset[str] | None,
     stats: ChaseStats,
-) -> None:
-    """Fire every single-symbol s-t tgd trigger into ``graph``."""
-    null_counter = 0
+) -> list[Triple]:
+    """Fire every s-t tgd trigger; return the emitted edges in firing order.
 
+    Tgds fire in declaration order, each one's matches sorted by the
+    ``repr`` of their values in variable-name order and de-duplicated on
+    that key; existentials get nulls ``N1, N2, …`` from one counter.  A
+    head label outside ``sigma`` raises the backend's :class:`SchemaError`
+    as soon as a trigger would emit it.  The list may repeat an edge;
+    loading keeps its first occurrence, as ``add_edge`` would.
+    """
+    edges: list[Triple] = []
+    emit = edges.extend
+    null_counter = 0
     for tgd in tgds:
-        matches = sorted(
-            tgd.body_matches(instance, stats=stats),
-            key=lambda m: sorted((v.name, repr(m[v])) for v in m),
-        )
-        fired: set[tuple] = set()
-        for match in matches:
-            key = tuple(repr(match[v]) for v in tgd.body.variables())
-            if key in fired:
-                continue
-            fired.add(key)
-            assignment: dict[Variable, Node] = {v: match[v] for v in tgd.frontier}
-            for existential in tgd.existentials:
-                null_counter += 1
-                assignment[existential] = Null(f"N{null_counter}")
+        variables = tuple(sorted(tgd.body.variables(), key=lambda v: v.name))
+        rows = _body_rows(tgd, instance, variables, stats)
+        if not rows:
+            continue
+        if sigma is not None:
             for atom in tgd.head.atoms:
-                source = (
-                    assignment[atom.subject] if is_variable(atom.subject) else atom.subject
+                label = atom.nre.name  # type: ignore[union-attr]
+                if label not in sigma:
+                    raise SchemaError(
+                        f"label {label!r} is not in the alphabet {sorted(sigma)}"
+                    )
+        # Each head term is a frontier variable (a slot of the row) or an
+        # existential (a slot after the row, filled by a fresh null).
+        slots = {var: index for index, var in enumerate(variables)}
+        for offset, existential in enumerate(tgd.existentials):
+            slots[existential] = len(variables) + offset
+        head = [
+            (slots[atom.subject], atom.nre.name, slots[atom.object])  # type: ignore[union-attr]
+            for atom in tgd.head.atoms
+        ]
+        fresh = len(tgd.existentials)
+        keyed = sorted(
+            ((tuple(map(repr, row)), row) for row in rows), key=itemgetter(0)
+        )
+        previous = None
+        for key, row in keyed:
+            if key == previous:
+                continue  # equal reprs: the same trigger, fired once
+            previous = key
+            if fresh:
+                row = row + tuple(
+                    Null(f"N{null_counter + n}") for n in range(1, fresh + 1)
                 )
-                target = (
-                    assignment[atom.object] if is_variable(atom.object) else atom.object
-                )
-                graph.add_edge(source, atom.nre.name, target)  # type: ignore[union-attr]
+                null_counter += fresh
+            emit([(row[s], label, row[t]) for s, label, t in head])
             stats.st_applications += 1
+    return edges
+
+
+def _body_rows(
+    tgd: SourceToTargetTgd,
+    instance: RelationalInstance,
+    variables: tuple,
+    stats: ChaseStats,
+) -> list[tuple]:
+    """Every body match of ``tgd`` projected onto ``variables``.
+
+    A single atom over distinct variables needs no join: its rows are the
+    relation's tuples, permuted into ``variables`` order (a full scan, so
+    no index hit, exactly like the join would count it).
+    """
+    body = tgd.body
+    terms = body.atoms[0].terms
+    if (
+        len(body.atoms) == 1
+        and terms
+        and all(is_variable(term) for term in terms)
+        and len(set(terms)) == len(terms)
+    ):
+        body.validate(instance.schema)
+        tuples = instance.iter_tuples(body.atoms[0].relation)
+        order = tuple(terms.index(var) for var in variables)
+        if order == tuple(range(len(terms))):
+            return list(tuples)
+        return list(map(itemgetter(*order), tuples))  # len(order) >= 2 here
+    return cq_match_rows(body, instance, variables, stats=stats)
+
+
+def _functional_closure(
+    edges: Sequence[Triple], egds: Sequence[TargetEgd]
+) -> list[list[Node]] | None:
+    """Close functional egds over ``edges`` with a union-find.
+
+    Returns the merge classes (each with at least two nodes), or ``None``
+    when some egd is not functional
+    (:func:`~repro.engine.delta._functional_profile`) or the closure
+    equates two constants — both cases take the sequential fixpoint.
+    Passes repeat until one unions nothing, so a merge of two keys
+    unites their member groups (cascades over null keys).
+    """
+    profiles: dict[str, list[bool]] = {}  # label -> [key is the target?]
+    for egd in egds:
+        profile = _functional_profile(egd)
+        if profile is None:
+            return None
+        label, direction = profile
+        key_at_target = direction == "in"
+        if key_at_target not in profiles.setdefault(label, []):
+            profiles[label].append(key_at_target)
+    # One (key, member) list per profile: member groups never mix profiles.
+    links: dict[tuple[str, bool], list[tuple[Node, Node]]] = {
+        (label, side): [] for label, sides in profiles.items() for side in sides
+    }
+    for source, label, target in edges:
+        sides = profiles.get(label)
+        if sides is not None:
+            for key_at_target in sides:
+                links[label, key_at_target].append(
+                    (target, source) if key_at_target else (source, target)
+                )
+
+    # A class that holds a constant has it as its root.
+    parent: dict[Node, Node] = {}
+
+    def find(node: Node) -> Node:
+        root = node
+        while root in parent:
+            root = parent[root]
+        while node in parent and parent[node] is not root:
+            parent[node], node = root, parent[node]
+        return root
+
+    changed = True
+    while changed:
+        changed = False
+        for pairs in links.values():
+            first: dict[Node, Node] = {}
+            for key, member in pairs:
+                key = find(key)
+                anchor = first.get(key)
+                if anchor is None:
+                    first[key] = member
+                    continue
+                left, right = find(anchor), find(member)
+                if left is right or left == right:
+                    continue
+                if is_null(left):
+                    parent[left] = right
+                elif is_null(right):
+                    parent[right] = left
+                else:
+                    return None  # two constants: the replay finds the witness
+                changed = True
+    classes: dict[Node, list[Node]] = {}
+    for node in parent:
+        root = find(node)
+        members = classes.get(root)
+        if members is None:
+            members = classes[root] = [root]
+        members.append(node)
+    return list(classes.values())
+
+
+def class_representative(members: Iterable[Node]) -> Node:
+    """The node an egd merge class collapses to: its constant, else its least null.
+
+    The sequential fixpoint (:func:`~repro.engine.delta.run_egd_fixpoint`)
+    merges a null into a constant and the later null into the earlier, so
+    this is the node it keeps; a class holds at most one constant, or the
+    chase fails.
+
+    >>> class_representative([Null("N3"), "c1", Null("N1")])
+    'c1'
+    >>> class_representative([Null("N3"), Null("N10")])
+    Null(label='N10')
+    """
+    nulls = []
+    for node in members:
+        if not is_null(node):
+            return node
+        nulls.append(node)
+    return min(nulls)
+
+
+def quotient_result(
+    alphabet: Iterable[str] | None,
+    edges: Iterable[Triple],
+    classes: Iterable[Collection[Node]] | None,
+    egds: Sequence[TargetEgd],
+    stats: ChaseStats,
+) -> ChaseResult:
+    """Materialise the egd quotient of the base ``edges`` as a chase result.
+
+    Every node of a class in ``classes`` becomes its
+    :func:`class_representative`, and the relabelled edges are loaded once,
+    in order; with any merge the journal is that final edge list, so the
+    graph is destructive (no fingerprint), as after ``rename_node``.
+    ``classes=None`` means the fixpoint is not a union-find closure or
+    fails: the un-merged edges then replay through
+    :func:`_egd_fixpoint_on_graph`, whose violation order gives the exact
+    failure witness and failed graph.
+    """
+    if classes is None:
+        with span("chase.build"):
+            graph = GraphDatabase(alphabet, edges=edges)
+        with span("chase.egd"):
+            return _egd_fixpoint_on_graph(graph, list(egds), stats)
+    with span("chase.build"):
+        rename: dict[Node, Node] = {}
+        for members in classes:
+            representative = class_representative(members)
+            for node in members:
+                if node != representative:
+                    rename[node] = representative
+        if rename:
+            get = rename.get
+            edges = [(get(s, s), label, get(t, t)) for s, label, t in edges]
+        graph = GraphDatabase._from_backend(
+            DictBackend.from_edges(alphabet, edges, destructive=bool(rename))
+        )
+    return ChaseResult(graph=graph, failed=False, failure_witness=None, stats=stats)
 
 
 def _egd_fixpoint_on_graph(
     graph: GraphDatabase, egds: list[TargetEgd], stats: ChaseStats
 ) -> ChaseResult:
-    """Apply egd merge steps directly on a graph with null nodes.
+    """Run the sequential egd fixpoint on a graph with null nodes, in place.
 
-    The graph is the chase's own freshly materialised output, so merges
-    rename it in place (O(degree) per merge via the incident-edge indexes)
-    while an :class:`~repro.engine.delta.EgdViolationQueue` keeps the
-    violation set current instead of rescanning per round.
+    One merge at a time, least violation first: ``rename_node`` rewrites
+    the merged node's edges (O(degree) through the incident-edge
+    indexes) while an :class:`~repro.engine.delta.EgdViolationQueue`
+    keeps the violation set current.  The caller hands over ``graph``;
+    the result holds it, merged, or as it stood when two constants met.
     """
     queue = EgdViolationQueue(egds, graph, stats)
     failed, witness = run_egd_fixpoint(queue, stats)

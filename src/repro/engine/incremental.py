@@ -44,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Hashable, Iterable, Iterator, Mapping, Sequence
 
-from repro.chase.relational_chase import _check_fragment, _egd_fixpoint_on_graph
+from repro.chase.relational_chase import _check_fragment, quotient_result
 from repro.chase.result import ChaseResult, ChaseStats
 from repro.engine.delta import (
     EgdViolationQueue,
@@ -421,34 +421,32 @@ class IncrementalChase:
     def chase_result(self) -> ChaseResult:
         """Materialise the live solution as a from-scratch chase result.
 
-        Success: the quotient graph with every internal null renamed to the
-        name the oracle (:func:`~repro.chase.relational_chase.chase_relational`)
-        would have invented — node sets, edge sets, and null labels are
-        byte-identical.  Failure: the oracle-named base graph is re-run
-        through the oracle's own egd fixpoint, reproducing its failure
-        witness exactly.
+        The base edges, with every internal null renamed to the name the
+        oracle (:func:`~repro.chase.relational_chase.chase_relational`)
+        would have invented, go through the chase's own
+        :func:`~repro.chase.relational_chase.quotient_result`: on success
+        each merge class collapses to the same representative, so node
+        sets, edge sets and null labels are byte-identical; on failure the
+        base graph replays the sequential egd fixpoint, reproducing the
+        failure witness exactly.
         """
         names = self._oracle_names()
         stats = ChaseStats(st_applications=len(self._triggers))
-        graph = GraphDatabase(alphabet=set(self.setting.alphabet))
-        if self._failed:
-            for edge in sorted(self._edge_support, key=repr):
-                graph.add_edge(
-                    names.get(edge.source, edge.source),
-                    edge.label,
-                    names.get(edge.target, edge.target),
-                )
-            return _egd_fixpoint_on_graph(graph, list(self._egds), stats)
-        mapping: dict[Node, Node] = {}
-        for members in self._classes.values():
-            named = [names.get(node, node) for node in members]
-            constants = [node for node in named if not is_null(node)]
-            canonical = constants[0] if constants else min(named)
-            for node in members:
-                mapping[node] = canonical
-        for edge in sorted(self._edge_support, key=repr):
-            graph.add_edge(mapping[edge.source], edge.label, mapping[edge.target])
-        return ChaseResult(graph=graph, failed=False, failure_witness=None, stats=stats)
+        edges = [
+            (names.get(edge.source, edge.source), edge.label,
+             names.get(edge.target, edge.target))
+            for edge in sorted(self._edge_support, key=repr)
+        ]
+        classes = None
+        if not self._failed:
+            classes = [
+                [names.get(node, node) for node in members]
+                for members in self._classes.values()
+                if len(members) > 1
+            ]
+        return quotient_result(
+            set(self.setting.alphabet), edges, classes, self._egds, stats
+        )
 
     # ------------------------------------------------------------------ #
     # Base layer

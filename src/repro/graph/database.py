@@ -84,11 +84,9 @@ class GraphDatabase:
         nodes: Iterable[Node] = (),
         edges: Iterable[tuple[Node, LabelName, Node]] = (),
     ):
-        self._backend: StorageBackend = DictBackend(alphabet)
+        self._backend: StorageBackend = DictBackend.from_edges(alphabet, edges)
         for node in nodes:
             self._backend.add_node(node)
-        for source, lab, target in edges:
-            self._backend.add_edge(source, lab, target)
 
     # ------------------------------------------------------------------ #
     # Storage backend surface
@@ -210,14 +208,14 @@ class GraphDatabase:
         True
         """
         source = self._backend
-        backend = DictBackend(source.declared_alphabet())
-        if source.destructive:
-            for edge in sorted(source.edges(), key=repr):
-                backend.add_edge(edge.source, edge.label, edge.target)
-            backend._destructive = True
-        else:
-            for edge in source.journal():
-                backend.add_edge(edge.source, edge.label, edge.target)
+        replay = (
+            sorted(source.edges(), key=repr) if source.destructive else source.journal()
+        )
+        backend = DictBackend.from_edges(
+            source.declared_alphabet(),
+            ((edge.source, edge.label, edge.target) for edge in replay),
+            destructive=source.destructive,
+        )
         for node in source.nodes():
             backend.add_node(node)
         return GraphDatabase._from_backend(backend)

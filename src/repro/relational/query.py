@@ -51,13 +51,17 @@ class RelationalAtom:
     relation: str
     terms: tuple[Term, ...]
 
-    def variables(self) -> tuple[Variable, ...]:
-        """Return the variables of the atom, in order of first occurrence."""
+    def __post_init__(self) -> None:
+        # Memoised (the atom is frozen): joins ask for it per match.
         seen: dict[Variable, None] = {}
         for term in self.terms:
             if is_variable(term) and term not in seen:
                 seen[term] = None
-        return tuple(seen)
+        object.__setattr__(self, "_variables", tuple(seen))
+
+    def variables(self) -> tuple[Variable, ...]:
+        """Return the variables of the atom, in order of first occurrence."""
+        return self._variables  # type: ignore[attr-defined]
 
     def constants(self) -> frozenset[Term]:
         """Return the constants appearing in the atom."""
@@ -90,7 +94,13 @@ class ConjunctiveQuery:
         if not self.atoms:
             raise SchemaError("a conjunctive query needs at least one atom")
         self._hash: int | None = None
-        body_vars = self.variables()
+        seen: dict[Variable, None] = {}
+        for atom in self.atoms:
+            for var in atom.variables():
+                seen.setdefault(var, None)
+        # Memoised: the query is immutable, and the chases ask per match.
+        self._variables: tuple[Variable, ...] = tuple(seen)
+        body_vars = self._variables
         if outputs is None:
             self.outputs: tuple[Variable, ...] = body_vars
         else:
@@ -102,11 +112,7 @@ class ConjunctiveQuery:
 
     def variables(self) -> tuple[Variable, ...]:
         """Return all body variables in order of first occurrence."""
-        seen: dict[Variable, None] = {}
-        for atom in self.atoms:
-            for var in atom.variables():
-                seen.setdefault(var, None)
-        return tuple(seen)
+        return self._variables
 
     def constants(self) -> frozenset[Term]:
         """Return all constants appearing in the body."""

@@ -13,7 +13,10 @@ so no user-settable option can select it:
   :class:`repro.engine.query.QueryEngine` interface;
 * :mod:`oracles.sameas_journal` — :func:`saturate_journal`, the
   edge-at-a-time sameAs saturation, against the union-find
-  :func:`repro.chase.sameas_chase.saturate_sameas`.
+  :func:`repro.chase.sameas_chase.saturate_sameas`;
+* :mod:`oracles.relational_chase` — :func:`chase_relational_sequential`,
+  the edge-at-a-time §3.1 chase, against the tuple chase
+  :func:`repro.chase.relational_chase.chase_relational`.
 
 Tests import the package as ``oracles`` (``tests/`` is on the import
 path under pytest, see ``pytest.ini``); the benchmarks import the same
@@ -28,6 +31,7 @@ from oracles.dpll import (
     solve_cnf,
 )
 from oracles.reference_engine import ReferenceEngine
+from oracles.relational_chase import chase_relational_sequential
 from oracles.sameas_journal import saturate_journal
 
 __all__ = [
@@ -37,5 +41,6 @@ __all__ = [
     "enumerate_models",
     "solve_cnf",
     "ReferenceEngine",
+    "chase_relational_sequential",
     "saturate_journal",
 ]

@@ -104,3 +104,50 @@ class TestEgdsOnGraph:
         assert (
             decide_existence(setting, instance).status is ExistenceStatus.NOT_EXISTS
         )
+
+
+class TestLayerSpans:
+    """``chase.relational`` splits into s-t, egd and build child spans."""
+
+    def _children(self, facts, egd_texts):
+        from repro.telemetry import set_enabled, span
+
+        schema = RelationalSchema()
+        schema.declare("R", 2)
+        instance = RelationalInstance(schema, {"R": facts})
+        st = parse_st_tgd("R(x, y) -> (x, a, z), (z, b, y)")
+        set_enabled(True)
+        try:
+            with span("test.root") as root:
+                chase_relational([st], [parse_egd(t) for t in egd_texts], instance)
+        finally:
+            set_enabled(None)
+        (chase_span,) = root.children
+        assert chase_span.name == "chase.relational"
+        return [child.name for child in chase_span.children]
+
+    def test_functional_egds_close_before_the_build(self):
+        names = self._children(
+            [("u", "v"), ("w", "v")], ["(x1, b, y), (x2, b, y) -> x1 = x2"]
+        )
+        assert names == ["chase.st", "chase.egd", "chase.build"]
+
+    def test_failure_replays_after_the_build(self):
+        """Merging the two z nulls makes u and w share an a-target: a clash."""
+        egds = [
+            "(x1, b, y), (x2, b, y) -> x1 = x2",
+            "(x1, a, y), (x2, a, y) -> x1 = x2",
+        ]
+        names = self._children([("u", "v"), ("w", "v")], egds)
+        assert names == ["chase.st", "chase.egd", "chase.build", "chase.egd"]
+        result = TestEgdsOnGraph()._run([("u", "v"), ("w", "v")], egds)
+        assert result.failed and set(result.failure_witness) == {"u", "w"}
+
+    def test_merged_graph_is_written_once(self):
+        result = TestEgdsOnGraph()._run(
+            [("u", "v"), ("w", "v")], ["(x1, b, y), (x2, b, y) -> x1 = x2"]
+        )
+        graph = result.expect_graph()
+        assert result.stats.null_merges == 1
+        assert graph.version == graph.edge_count() == 3
+        assert graph.fingerprint() is None  # merged: destructive, as before
