@@ -84,49 +84,49 @@ def test_certain_iff_unsat(benchmark):
     assert reference_agreements == len(cases)
 
 
-def test_certain_probe_shape_codegen(benchmark):
+def test_certain_probe_shape_frozen(benchmark):
     """The certainty *probe shape* — single-pair ``holds`` of r_ρ = a·a —
-    on the codegen search, at serving scale.
+    on a frozen graph and its dict twin, at serving scale.
 
     The Corollary 4.2 reduction instances themselves cannot separate
-    search paths: their chased graphs have two nodes, and the
+    graph forms: their chased graphs have two nodes, and the
     sat-encodable fragment decides certainty without a single engine
     call.  What the reduction *fixes* is the query shape — the word query
     ``a·a`` probed one pair at a time (``cert(r_ρ, (c1, c2))``), which is
     exactly the per-call pattern a certain-answer server runs against
     real chased graphs.  This bench measures that shape on a
-    deployment-scale random graph: warm engines, one ``holds`` per
-    probe, interleaved medians.  A CSR engine routes every probe to the
-    generated-code search; asserts its verdicts identical to the dict
-    engine's and reports both medians.
+    deployment-scale random graph: a warm engine, one ``holds`` per
+    probe, interleaved medians.  Asserts the frozen graph's verdicts
+    identical to the dict graph's and reports both medians.
     """
     query = parse_nre("a . a")  # r_ρ, Corollary 4.2
     graph = random_graph(60, 240, alphabet=("a", "b"), rng=random.Random(5))
+    graphs = {"frozen": graph.freeze(), "dict": graph}
     nodes = sorted(graph.nodes())
     probes = [
         (node, nodes[(i * 7 + 3) % len(nodes)]) for i, node in enumerate(nodes)
     ]
-    engines = {name: QueryEngine(backend=name) for name in ("csr", "dict")}
+    engine = QueryEngine()
 
     def sweep(name):
-        engine = engines[name]
+        target = graphs[name]
 
         def run():
             engine.clear()
-            return [engine.holds(graph, query, u, v) for u, v in probes]
+            return [engine.holds(target, query, u, v) for u, v in probes]
 
         return run
 
-    verdicts = {name: sweep(name)() for name in engines}  # also warms compiles
-    codegen_median, dict_median = ab_medians(sweep("csr"), sweep("dict"), rounds=7)
-    benchmark.pedantic(sweep("csr"), rounds=5, iterations=1, warmup_rounds=1)
+    verdicts = {name: sweep(name)() for name in graphs}  # also warms compiles
+    frozen_median, dict_median = ab_medians(sweep("frozen"), sweep("dict"), rounds=7)
+    benchmark.pedantic(sweep("frozen"), rounds=5, iterations=1, warmup_rounds=1)
     report(
-        "E7b / certainty probe shape (single-pair a·a, codegen, warm)",
+        "E7b / certainty probe shape (single-pair a·a, frozen graph, warm)",
         [
-            ("holds probes per sweep", len(probes), len(verdicts["csr"])),
-            ("backends agree", True, verdicts["csr"] == verdicts["dict"]),
-            ("codegen (csr) median (ms)", "—", f"{codegen_median * 1000:.3f}"),
-            ("dict median (ms)", "—", f"{dict_median * 1000:.3f}"),
+            ("holds probes per sweep", len(probes), len(verdicts["frozen"])),
+            ("graph forms agree", True, verdicts["frozen"] == verdicts["dict"]),
+            ("frozen graph median (ms)", "—", f"{frozen_median * 1000:.3f}"),
+            ("dict graph median (ms)", "—", f"{dict_median * 1000:.3f}"),
         ],
     )
-    assert verdicts["csr"] == verdicts["dict"]
+    assert verdicts["frozen"] == verdicts["dict"]

@@ -2,7 +2,7 @@
 
 A standalone script (not a pytest-benchmark module): the stages it times
 — streamed generation, relational chase, query evaluation, the
-(downsampled) SAT decision, CSR freeze/refreeze, snapshot save/load, and
+(downsampled) SAT decision, CSR freeze, snapshot save/load, and
 a mixed service request stream — run for minutes at the nightly tier, so
 they are driven directly and emit a pytest-benchmark-*shaped* JSON
 report that :mod:`export_medians` and :mod:`compare_medians` consume
@@ -125,16 +125,12 @@ def bench_family(
     )
     print(f"  chase: {durations[0]:.2f}s ({graph.edge_count()} edges)", flush=True)
 
-    # csr freeze / refreeze: cold CSR build, then warm journal replay.
+    # csr freeze: the cold CSR build.
     durations, frozen = timed(graph.freeze, rounds)
     benchmarks.append(entry(f"{prefix}/csr_freeze", durations))
-    label = sorted(setting.alphabet)[0]
-    patch = [(f"zzb{i}", label, f"zzb{i + 1}") for i in range(64)]
-    durations, _ = timed(lambda: frozen.refreeze(patch), rounds)
-    benchmarks.append(entry(f"{prefix}/csr_refreeze", durations, batch=len(patch)))
 
     # evaluate: the family's query mix on the frozen universal solution.
-    engine = QueryEngine(backend="csr")
+    engine = QueryEngine()
     for index, text in enumerate(workload_queries(family)):
         query = parse_nre(text)
         durations, answers = timed(lambda: engine.pairs(frozen, query), rounds)

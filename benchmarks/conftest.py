@@ -8,13 +8,8 @@ implementation measures, alongside pytest-benchmark's timing table.
 
 from __future__ import annotations
 
-import os
 import statistics
 import time
-
-# Keep timings free of first-run filesystem jitter from the cross-process
-# automaton cache: benchmarks measure steady-state compute, not disk IO.
-os.environ.setdefault("REPRO_AUTOMATON_CACHE", "off")
 
 
 def timed(fn) -> float:

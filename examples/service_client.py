@@ -6,13 +6,11 @@ embedded two-worker server when no port is given, then:
 
 1. replays the parameterised multi-tenant workload
    (:func:`repro.scenarios.service_workload.multi_tenant_workload`) —
-   ``exists``, ``chase``, and, once per storage backend (``dict`` and
-   ``csr``), one whole-set ``certain`` per query plus one
-   ``evaluate_batch`` per case;
+   ``exists``, ``chase``, one ``evaluate_batch`` and one whole-set
+   ``certain`` per query of each case;
 2. recomputes every answer with **direct library calls** (the same
    :func:`repro.service.workers.execute_request` entry point the workers
-   run) and asserts the service responses are byte-identical — and that
-   the csr-backend responses are byte-identical to the dict-backend ones;
+   run) and asserts the service responses are byte-identical;
 3. replays one request twice and shows the result-cache hit;
 4. prints the server's telemetry snapshot.
 
@@ -30,7 +28,6 @@ import sys
 from repro.scenarios.service_workload import (
     case_requests,
     demo_document,
-    logical_request_key,
     multi_tenant_workload,
 )
 from repro.service.client import ServiceClient
@@ -49,16 +46,11 @@ def _direct(op: str, params: dict) -> dict:
 def verify_case(client: ServiceClient, case) -> int:
     """Replay one workload case; return the number of verified responses.
 
-    Every query-bearing request runs once per storage backend (``dict``
-    and ``csr``), and each response is checked two ways: byte-identical
-    to the direct library call with the same parameters, and — for the
-    csr replays — byte-identical to the dict-backend response for the
-    same logical request, which is the cross-backend equivalence the
-    storage layer guarantees.
+    Each response must be byte-identical to the direct library call with
+    the same parameters.
     """
     checked = 0
-    dict_responses: dict[bytes, dict] = {}
-    for op, params in case_requests(case, backends=("dict", "csr")):
+    for op, params in case_requests(case):
         served = client.call(op, params)
         expected = _direct(op, params)
         if canonical_bytes(served) != canonical_bytes(expected):
@@ -67,18 +59,6 @@ def verify_case(client: ServiceClient, case) -> int:
                 f"direct library call\n  served:   {served}\n"
                 f"  expected: {expected}"
             )
-        backend = params.get("backend")
-        if backend is not None:
-            logical = logical_request_key(op, params)
-            if backend == "dict":
-                dict_responses[logical] = served
-            else:
-                twin = dict_responses.get(logical)
-                if twin is not None and canonical_bytes(served) != canonical_bytes(twin):
-                    raise AssertionError(
-                        f"{case.name}/{op}: csr backend answer differs from "
-                        f"dict backend\n  csr:  {served}\n  dict: {twin}"
-                    )
         checked += 1
     return checked
 

@@ -33,12 +33,7 @@ Available commands:
 * ``submit``   — send one request to a running service and print the
                  response (mirrors the direct commands' exit codes).
 
-``exists`` and ``certain`` accept ``--backend {dict,csr}`` to pick the
-storage backend evaluation runs on (the mutation-friendly hash indexes, or
-frozen interned-CSR arrays — identical answers, different physical
-traversal; on csr, sweeps run the numpy vector search and single-pair
-probes the generated-code search, with codegen serving both when numpy is
-absent), and ``--stats`` to print the engine's
+``exists`` and ``certain`` accept ``--stats`` to print the engine's
 :class:`~repro.engine.query.EvalStats` counters after the run.
 """
 
@@ -56,7 +51,7 @@ from repro.core.certain import certain_answers_nre
 from repro.core.existence import decide_existence
 from repro.core.search import CandidateSearchConfig
 from repro.core.setting import DataExchangeSetting
-from repro.engine.query import BACKEND_NAMES, QueryEngine
+from repro.engine.query import QueryEngine
 from repro.graph.parser import parse_nre
 from repro.io.dependencies import setting_to_dict
 from repro.io.dot import graph_to_dot, pattern_to_dot
@@ -187,7 +182,7 @@ def _maybe_print_stats(args: argparse.Namespace, engine) -> None:
 def _cmd_exists(args: argparse.Namespace) -> int:
     setting, instance = load_document(args.document)
     config = CandidateSearchConfig(star_bound=args.star_bound)
-    engine = QueryEngine(backend=args.backend)
+    engine = QueryEngine()
     result = decide_existence(setting, instance, search_config=config, engine=engine)
     print(f"status: {result.status.value}")
     print(f"method: {result.method}")
@@ -203,7 +198,7 @@ def _cmd_certain(args: argparse.Namespace) -> int:
     setting, instance = load_document(args.document)
     query = parse_nre(args.query)
     config = CandidateSearchConfig(star_bound=args.star_bound)
-    engine = QueryEngine(backend=args.backend)
+    engine = QueryEngine()
     if args.pair:
         from repro.core.certain import find_counterexample_solution
 
@@ -389,8 +384,6 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     if op in ("exists", "certain", "evaluate_batch"):
         if args.star_bound is not None:
             params["star_bound"] = args.star_bound
-        if getattr(args, "backend", None):
-            params["backend"] = args.backend
     if op == "cancel":
         params["job"] = args.job
     if op == "traces":
@@ -477,23 +470,9 @@ def _cmd_render(args: argparse.Namespace) -> int:
 
 def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--backend",
-        choices=BACKEND_NAMES,
-        default="dict",
-        help="storage backend for query evaluation: the mutation-friendly "
-        "dict indexes (default) or frozen interned-CSR arrays — answers "
-        "are identical, csr is the bulk-traversal fast path",
-    )
-    parser.add_argument(
         "--stats",
         action="store_true",
         help="print the engine's evaluation counters after the run",
-    )
-    parser.add_argument(
-        "--no-automaton-cache",
-        action="store_true",
-        help="disable the cross-process on-disk cache of compiled NRE "
-        "automata (repro.graph.autocache) for this invocation",
     )
 
 
@@ -695,7 +674,6 @@ def build_parser() -> argparse.ArgumentParser:
     _compute_request("chase", help="chase via the service")
     for sub in (sub_exists, sub_certain, sub_batch):
         sub.add_argument("--star-bound", type=int, default=None)
-        sub.add_argument("--backend", choices=BACKEND_NAMES, default=None)
     requests.add_parser("ping", help="liveness probe")
     requests.add_parser("stats", help="server telemetry snapshot")
     requests.add_parser("metrics", help="server metrics-registry snapshot")
@@ -714,8 +692,6 @@ def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "no_automaton_cache", False):
-        os.environ["REPRO_AUTOMATON_CACHE"] = "off"
     try:
         return args.handler(args)
     except BrokenPipeError:

@@ -93,10 +93,7 @@ def certain_answers_nre(
     solution is probed with one single-source engine query per domain
     constant instead of a full all-pairs materialisation.  ``engine``
     is the evaluation back-end (default: the shared compiled
-    :class:`~repro.engine.query.QueryEngine`; pass
-    ``QueryEngine(backend="csr")`` to have every candidate solution of
-    the enumeration frozen to the interned-CSR storage backend on first
-    sight — identical answers, bulk-traversal evaluation).
+    :class:`~repro.engine.query.QueryEngine`).
 
     On the Section 3.1 tractable fragment the answers are read off the
     chased universal solution; on the Theorem 4.1 fragment with

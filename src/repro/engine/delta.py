@@ -255,8 +255,8 @@ class EgdViolationQueue:
         # The queue orders violations through the heap, never through the
         # matcher's enumeration order — so every scan below consumes the
         # matcher's *projected pair set* (pair_matches / _seeded), which
-        # skips homomorphism materialisation and takes the indexed (and,
-        # on frozen CSR views, vectorized) join fast paths.
+        # skips homomorphism materialisation and takes the indexed join
+        # fast paths.
         if seed_initial:
             for label, direction in self._functional:
                 index = (

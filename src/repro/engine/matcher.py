@@ -217,9 +217,7 @@ class TriggerMatcher:
 
         * two-atom bodies sharing one variable (the paper's
           functionality egds) run a hash join straight over the per-label
-          index buckets — and when the view is a frozen CSR graph with
-          numpy importable, the self-join shape expands every node's
-          first-symbol CSR slice into its pair block with bulk array ops;
+          index buckets (a frozen graph's CSR views included);
         * every other simple body runs the backtracking join with the
           projection applied in place (no per-hom dict copies) and
           dedupes directly on the pair.
@@ -424,13 +422,6 @@ class TriggerMatcher:
         join_at_source1 = join_var == terms1[0]
         if self.stats is not None:
             self.stats.index_hits += 1
-        if view0[1] == view1[1] and join_at_source0 == join_at_source1:
-            # Same label, same orientation: a self-join — the pair set is
-            # symmetric, so ``swap`` is immaterial and the frozen-CSR
-            # vector expansion applies.
-            vectorized = self._pair_self_join_vector(view0, join_var, swap)
-            if vectorized is not None:
-                return vectorized
         # Bucket maps keyed by the join variable: when it sits in edge-
         # source position the forward index (source → targets) already is
         # the multimap; in target position, the backward index.
@@ -455,52 +446,6 @@ class TriggerMatcher:
                     for b in rights:
                         out.add((b, a) if swap else (a, b))
         return out
-
-    def _pair_self_join_vector(
-        self, view: tuple, join_var: object, swap: bool
-    ) -> set[tuple[Node, Node]] | None:
-        """Numpy bulk expansion of a self-join on a frozen CSR view.
-
-        The functionality-egd shape ``(x1, lab, j), (x2, lab, j)`` asks
-        for all ordered endpoint pairs within each node's first-symbol
-        CSR slice.  Per slice of degree ``k`` the block is the ``k²``
-        index grid, built for every node at once from the degree counts
-        (``swap`` is irrelevant: the pair set is symmetric).  Returns
-        ``None`` when the view is not frozen CSR or numpy is absent.
-        """
-        from repro import kernels
-
-        np = kernels.get_numpy()
-        csr = getattr(self.graph, "csr", None)
-        if np is None or csr is None:
-            return None
-        buffers = (
-            csr.backward_arrays(view[1])
-            if join_var == view[2]
-            else csr.forward_arrays(view[1])
-        )
-        if buffers is None:
-            return set()
-        offsets, endpoints = buffers
-        starts = offsets[:-1]
-        degs = offsets[1:] - starts
-        sizes = degs * degs
-        total = int(sizes.sum())
-        if not total:
-            return set()
-        base = starts.repeat(sizes)
-        cum = sizes.cumsum()
-        within = np.arange(total, dtype=np.int64) - (cum - sizes).repeat(sizes)
-        width = degs.repeat(sizes)
-        lefts = endpoints[base + within // width]
-        rights = endpoints[base + within % width]
-        codes = np.unique(lefts * np.int64(csr.node_count()) + rights)
-        node_at = csr.node_at
-        node_count = csr.node_count()
-        return {
-            (node_at(int(code) // node_count), node_at(int(code) % node_count))
-            for code in codes
-        }
 
     # ------------------------------------------------------------------ #
     # Internals

@@ -98,10 +98,6 @@ class EvalStats:
     uncacheable_graphs: int = 0
     """Queries on destructively-mutated graphs (no fingerprint, no sharing)."""
 
-    csr_refreezes: int = 0
-    """CSR freezes served by journal replay from the previous frozen tip
-    (only the update batch's labels rebuilt) instead of a cold freeze."""
-
     def as_dict(self) -> dict[str, int]:
         """Every counter as a plain dict (telemetry folding, reporting).
 
@@ -137,17 +133,12 @@ class _GraphState:
         reads a graph that *currently* matches the fingerprint (the original
         object could have been destructively mutated since).  A state whose
         graph is *frozen* never rebinds: frozen graphs cannot drift from
-        their fingerprint, and keeping them pinned is what lets a
-        ``backend="csr"`` engine serve dict-backed lookups from the frozen
-        twin it built on the first miss.
+        their fingerprint, so a content-equal graph is served from the
+        frozen graph's views already built.
         """
         if self.graph is not graph and not self.graph.is_frozen:
             self.graph = graph
             self.runner.rebind(graph)
-
-
-BACKEND_NAMES = ("dict", "csr")
-"""The storage back-ends an engine can evaluate on (see ``--backend``)."""
 
 
 class QueryEngine:
@@ -157,21 +148,15 @@ class QueryEngine:
     per-expression automaton table is unbounded but tiny (one entry per
     distinct query/subexpression ever evaluated).
 
-    ``backend`` selects the storage representation evaluation runs on
-    (:mod:`repro.graph.backends`): ``"dict"`` (default) evaluates graphs
-    as handed in, while ``"csr"`` freezes each cacheable graph to the
-    interned-CSR backend on its first appearance — the runner then takes
-    the integer-id fast paths for every query against that fingerprint,
-    which is the profitable trade whenever a graph is queried more than
-    once (the chased-result serving shape).  Answers are byte-identical
-    across back-ends; only the physical evaluation differs.  Graphs that
-    cannot be fingerprinted (destructively mutated) are never frozen
-    implicitly — they evaluate on their own backend.
+    Graphs evaluate as handed in, on whatever storage backend they carry:
+    the one product search reads a frozen graph's dict-shaped CSR views
+    exactly like a dict graph's indexes, so answers never depend on the
+    backend.
 
-    On CSR graphs the search follows the call shape (:mod:`repro.kernels`):
-    sweeps (:meth:`pairs`, :meth:`reachable`, :meth:`reachable_many`,
-    :meth:`answers_over`) run the numpy vector search and :meth:`holds`
-    runs the generated-code search; without numpy, codegen runs both.
+    ``backend`` is a retired keyword kept as a shim: ``"dict"`` and
+    ``"csr"`` are accepted and change nothing, any other value raises
+    :class:`ValueError`.  It goes with the ROADMAP benchmark-upkeep
+    change, which stops ``perfbench/`` from passing it.
     """
 
     name = "compiled"
@@ -182,20 +167,15 @@ class QueryEngine:
         max_graphs: int = 256,
         backend: str = "dict",
     ):
-        if backend not in BACKEND_NAMES:
+        if backend not in ("dict", "csr"):
             raise ValueError(
                 f"unknown storage backend {backend!r}; expected one of "
-                f"{list(BACKEND_NAMES)}"
+                "['dict', 'csr']"
             )
         self.stats = stats if stats is not None else EvalStats()
         self.max_graphs = max_graphs
-        self.backend = backend
         self._automata: dict[NRE, NREAutomaton] = {}
         self._cache: OrderedDict[Fingerprint, _GraphState] = OrderedDict()
-        # The most recently frozen graph (backend="csr" only): an update
-        # batch typically extends its journal, so the next freeze replays
-        # just the suffix instead of rebuilding every CSR buffer.
-        self._frozen_tip: GraphDatabase | None = None
 
     # ------------------------------------------------------------------ #
     # Query API
@@ -241,12 +221,11 @@ class QueryEngine:
     ) -> dict[Node, frozenset[Node]]:
         """Batched :meth:`reachable`: one answer set per source.
 
-        The bulk-traversal entry point: on a CSR graph with numpy every
-        uncached source runs through *one* multi-source product search
-        (:meth:`_Runner.reachable_many`), so the per-query numpy dispatch
-        overhead is amortised over the whole sweep.  Per-source cache
-        entries are consulted first and populated afterwards, so mixing
-        this with :meth:`reachable` stays coherent.
+        The bulk-traversal entry point: the automaton is compiled and
+        bound to the graph's indexes once for every uncached source
+        (:meth:`_Runner.reachable_many`).  Per-source cache entries are
+        consulted first and populated afterwards, so mixing this with
+        :meth:`reachable` stays coherent.
         """
         sources = list(sources)
         self.stats.batched_source_queries += len(sources)
@@ -345,71 +324,32 @@ class QueryEngine:
             state.rebind(graph)
             return state
         self.stats.graph_cache_misses += 1
-        if self.backend == "csr":
-            # Freeze once per fingerprint; every later query against this
-            # content runs the interned integer-id fast path.
-            graph = self._freeze_incremental(graph, token)
         state = _GraphState(graph, self.stats)
         self._cache[token] = state
         while len(self._cache) > self.max_graphs:
             self._cache.popitem(last=False)
         return state
 
-    def _freeze_incremental(
-        self, graph: GraphDatabase, token: Fingerprint
-    ) -> GraphDatabase:
-        """Freeze ``graph``, replaying from the last frozen tip when possible.
-
-        When ``graph``'s journal extends the previous frozen graph's journal
-        (the live-update serving shape: each batch appends edges), the new
-        frozen twin is built with
-        :meth:`~repro.graph.database.GraphDatabase.refreeze` — only the
-        batch's labels rebuild their CSR buffers.  The replayed result is
-        accepted only if its fingerprint equals ``token`` (isolated-node
-        additions or interleaved deletions make the journals diverge);
-        otherwise this falls back to a cold :meth:`freeze`.
-        """
-        tip = self._frozen_tip
-        if tip is not None and not graph.is_frozen:
-            tip_token = tip.fingerprint()
-            if tip_token is not None:
-                tip_journal = tip_token.key[1]
-                journal = token.key[1]
-                if (
-                    len(journal) >= len(tip_journal)
-                    and journal[: len(tip_journal)] == tip_journal
-                ):
-                    candidate = tip.refreeze(journal[len(tip_journal) :])
-                    if candidate.fingerprint() == token:
-                        self.stats.csr_refreezes += 1
-                        self._frozen_tip = candidate
-                        return candidate
-        frozen = graph if graph.is_frozen else graph.freeze()
-        self._frozen_tip = frozen
-        return frozen
-
     def clear(self) -> None:
         """Drop all per-graph state (the automaton table survives)."""
         self._cache.clear()
-        self._frozen_tip = None
 
 
-_DEFAULT_ENGINES: dict[str, QueryEngine] = {}
+_DEFAULT_ENGINE: QueryEngine | None = None
 
 
-def default_engine(backend: str = "dict") -> QueryEngine:
-    """Return the process-wide shared :class:`QueryEngine` for ``backend``.
+def default_engine() -> QueryEngine:
+    """Return the process-wide shared :class:`QueryEngine`.
 
     Core modules that are not handed an explicit engine share this one, so
     candidate solutions examined by different entry points (existence, then
-    certain answers) still hit one another's caches.  One engine is kept
-    per storage backend — the service workers route requests carrying a
-    ``backend`` parameter to the matching warm instance.
+    certain answers) still hit one another's caches, and the service
+    workers' requests warm one cache per process.
     """
-    engine = _DEFAULT_ENGINES.get(backend)
-    if engine is None:
-        engine = _DEFAULT_ENGINES[backend] = QueryEngine(backend=backend)
-    return engine
+    global _DEFAULT_ENGINE
+    if _DEFAULT_ENGINE is None:
+        _DEFAULT_ENGINE = QueryEngine()
+    return _DEFAULT_ENGINE
 
 
 def live_engines() -> list[QueryEngine]:
@@ -420,4 +360,4 @@ def live_engines() -> list[QueryEngine]:
     time (``repro.telemetry.fold_stats`` folds by delta, so repeated
     flushes of these cumulative objects never double count).
     """
-    return list(_DEFAULT_ENGINES.values())
+    return [] if _DEFAULT_ENGINE is None else [_DEFAULT_ENGINE]

@@ -73,10 +73,10 @@ class SnapshotError(ReproError):
     """A graph snapshot file is unreadable, foreign, or corrupt.
 
     Raised by :mod:`repro.graph.snapshot` when a file fails the magic,
-    format-version, or payload-shape checks.  Unlike the best-effort
-    automaton cache (:mod:`repro.graph.autocache`), snapshot loads are
+    format-version, or payload-shape checks.  Snapshot loads are
     explicit user requests, so failures surface loudly instead of
-    degrading silently.
+    degrading silently (only :class:`~repro.graph.snapshot.SnapshotStore`
+    lookups treat damage as a miss).
     """
 
 

@@ -24,11 +24,11 @@ per state *by edge label*, so the product BFS steps straight from a config
 ``(node, state)`` to its successors through the graph's per-label hash
 indexes without ever touching an ε edge at run time.
 
-On frozen CSR graphs the runner hands the lowered automaton to one of
-two integer-id searches, chosen by call shape (see :mod:`repro.kernels`):
-the numpy :mod:`repro.graph.vector` search for sweeps and the
-generated-code :mod:`repro.graph.codegen` search for single-pair probes
-(and for everything when numpy is absent).
+The product BFS reads only the graph's dict-shaped per-label indexes
+(:meth:`~repro.graph.database.GraphDatabase.forward_index` /
+``backward_index``), so it runs unchanged on every storage backend: a
+frozen or snapshot-loaded graph serves those indexes as views built once
+per label from its CSR buffers.  There is one search.
 
 This module is an independent implementation of the same semantics as
 :mod:`repro.graph.eval`; the two are differential-tested against each other
@@ -42,7 +42,6 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Hashable, Iterable
 
-from repro import kernels
 from repro.graph.database import GraphDatabase
 from repro.graph.nre import (
     NRE,
@@ -117,17 +116,10 @@ class CompiledAutomaton:
 
     def __getstate__(self) -> dict:
         # Never pickle the cache key: an automaton restored in another
-        # process (the on-disk autocache) must get a fresh key there, or
-        # two restored automata could collide on keys assigned by
-        # different original processes.  The codegen kernel's executed
-        # program and lowering plan are process-local too (function
-        # objects; rebuilt lazily) — only the generated *source* string
-        # (``_codegen_source``) is worth persisting, and it survives by
-        # staying in the dict.
+        # process must get a fresh key there, or two restored automata
+        # could collide on keys assigned by different original processes.
         state = self.__dict__.copy()
         state.pop("_cache_key", None)
-        state.pop("_codegen_program", None)
-        state.pop("_codegen_plan", None)
         return state
 
     def __setstate__(self, state: dict) -> None:
@@ -280,28 +272,15 @@ def compile_nre(expr: NRE) -> NREAutomaton:
     of candidate solutions compiles it exactly once, and the shared automaton
     object keys the nested-test memo tables by identity.  Callers must treat
     the result as immutable.
-
-    A second, cross-process layer lives in :mod:`repro.graph.autocache`:
-    on an in-process miss the compiled (and lowered) automaton is looked
-    up in — and written back to — a version-stamped on-disk pickle cache,
-    so a fresh CLI invocation skips compilation for every NRE it has seen
-    before.  Disable with ``REPRO_AUTOMATON_CACHE=off``.
     """
-    from repro.graph import autocache
-
-    cached = autocache.load(expr)
-    if cached is not None:
-        return cached
     builder = _Builder()
     start, accept = _compile(expr, builder)
-    automaton = NREAutomaton(
+    return NREAutomaton(
         start=start,
         accept=accept,
         state_count=builder.count,
         transitions=builder.transitions,
     )
-    autocache.store(expr, automaton)
-    return automaton
 
 
 class _Runner:
@@ -310,48 +289,26 @@ class _Runner:
     ``stats`` is duck-typed (:class:`repro.engine.query.EvalStats` or any
     object with ``nested_tests`` / ``nested_test_cache_hits`` counters).
 
-    The search is picked per call from what the runner can observe
-    (:mod:`repro.kernels`).  Dict-backed graphs run :meth:`_search`.  On
-    a frozen CSR graph, sweeps run :class:`~repro.graph.vector.VectorSearch`
-    when numpy is importable and single-pair probes run
-    :class:`~repro.graph.codegen.CodegenSearch`; without numpy codegen
-    serves both.  Every path is answer-identical.
+    Every call runs :meth:`_search`, the product BFS over the graph's
+    per-label adjacency dicts, whatever the graph's storage backend.
     """
 
     def __init__(self, graph: GraphDatabase, stats: object | None = None):
         self.graph = graph
         self.stats = stats
-        self._bind_csr()
         self._test_cache: dict[tuple[int, Node], bool] = {}
         # CompiledAutomaton.cache_key → per-state move tables with the
         # graph's per-label adjacency dicts looked up.
         self._resolved: dict[int, tuple] = {}
 
-    def _bind_csr(self) -> None:
-        # Frozen graphs expose their CSR backend; a non-None probe routes
-        # every search in this runner to the interned integer-id searches.
-        csr = self._csr = getattr(self.graph, "csr", None)
-        self._vector = self._codegen = None
-        if csr is None:
-            return
-        from repro.graph.codegen import CodegenSearch
-
-        self._codegen = CodegenSearch(csr, self.stats)
-        if kernels.resolve_kernel(None) == "vector":
-            from repro.graph.vector import VectorSearch
-
-            self._vector = VectorSearch(csr, self.stats)
-
     def rebind(self, graph: GraphDatabase) -> None:
         """Point the runner at ``graph`` (same content, different object).
 
         Nested-test memos keyed by node carry over (they depend only on
-        content); the resolved move tables and the CSR searches do not
-        (they hold the old object's adjacency structures and interning),
-        so the searches are rebuilt here and the move tables lazily.
+        content); the resolved move tables do not (they hold the old
+        object's adjacency dicts), so they are rebuilt lazily.
         """
         self.graph = graph
-        self._bind_csr()
         self._resolved.clear()
 
     def _resolve(self, compiled: CompiledAutomaton) -> tuple:
@@ -388,17 +345,6 @@ class _Runner:
         self, automaton: NREAutomaton | CompiledAutomaton, source: Node
     ) -> frozenset[Node]:
         """Return the nodes reachable from ``source`` through ``automaton``."""
-        csr = self._csr
-        if csr is not None:
-            source_id = csr.node_id(source)
-            if source_id is None:
-                return frozenset()
-            compiled = self._compiled(automaton)
-            vector = self._vector
-            if vector is not None:
-                hits = vector.reachable_many(compiled, [source_id])[0]
-                return frozenset(csr.nodes_at(hits.tolist()))
-            return frozenset(csr.nodes_at(self._codegen.collect(compiled, source_id)))
         if source not in self.graph:
             return frozenset()
         return frozenset(self._search(self._compiled(automaton), source, _ALL))
@@ -408,46 +354,14 @@ class _Runner:
         automaton: NREAutomaton | CompiledAutomaton,
         sources: Iterable[Node],
     ) -> dict[Node, frozenset[Node]]:
-        """Batched :meth:`reachable`: one answer set per source, in bulk.
+        """Batched :meth:`reachable`: one answer set per source.
 
-        With the vector search all sources run through *one* product
-        search (the frontier carries a flat ``source × |V| + node`` config
-        per entry), which is where the array-at-a-time search earns its
-        keep — per-source calls cannot amortise the numpy dispatch
-        overhead.  Elsewhere this is a plain loop over :meth:`reachable`.
-        Sources outside the graph map to the empty set.
+        The automaton is lowered and bound to the graph's indexes once
+        for the whole batch.  Sources outside the graph map to the empty
+        set.
         """
-        sources = list(sources)
-        csr = self._csr
-        vector = self._vector
-        if vector is None:
-            return {source: self.reachable(automaton, source) for source in sources}
         compiled = self._compiled(automaton)
-        in_graph: list[Node] = []
-        source_ids: list[int] = []
-        answers: dict[Node, frozenset[Node]] = {}
-        for source in sources:
-            source_id = csr.node_id(source)
-            if source_id is None:
-                answers[source] = frozenset()
-            else:
-                in_graph.append(source)
-                source_ids.append(source_id)
-        # Closure-heavy queries give many sources the *same* answer set
-        # (every source inside one strongly connected component reaches the
-        # same closure).  Hit arrays come back sorted, so identical answers
-        # have identical bytes — decode each distinct array once and share
-        # the frozenset object across its sources.
-        decoded: dict[bytes, frozenset[Node]] = {}
-        for source, hits in zip(
-            in_graph, vector.reachable_many(compiled, source_ids)
-        ):
-            key = hits.tobytes()
-            answer = decoded.get(key)
-            if answer is None:
-                answer = decoded[key] = frozenset(csr.nodes_at(hits.tolist()))
-            answers[source] = answer
-        return answers
+        return {source: self.reachable(compiled, source) for source in sources}
 
     def holds(
         self, automaton: NREAutomaton | CompiledAutomaton, source: Node, target: Node
@@ -457,15 +371,6 @@ class _Runner:
         The product BFS stops as soon as ``target`` is accepted, so deciding
         one pair never materialises the full reachable set.
         """
-        csr = self._csr
-        if csr is not None:
-            source_id = csr.node_id(source)
-            target_id = csr.node_id(target)
-            if source_id is None or target_id is None:
-                return False
-            return self._codegen.holds(
-                self._compiled(automaton), source_id, target_id
-            )
         if source not in self.graph or target not in self.graph:
             return False
         return self._search(self._compiled(automaton), source, target) is _FOUND

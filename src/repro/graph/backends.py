@@ -16,11 +16,10 @@ protocol with two conforming backends:
   and labels are *interned* to dense integer ids, and each label's
   forward/backward adjacency is a sorted CSR (compressed sparse row)
   pair of ``array`` buffers — ``offsets[u] : offsets[u+1]`` slices the
-  neighbour ids of node ``u``.  The product-automaton evaluator
-  (:mod:`repro.graph.automaton`) detects a CSR backend and switches to
-  an integer-id search loop with per-state ``bytearray`` visited maps —
-  the bulk-traversal fast path measured in
-  ``benchmarks/bench_storage_backends.py``.
+  neighbour ids of node ``u``.  It is the compact, picklable form behind
+  snapshot files; queries read it through the same dict-shaped
+  ``forward_index`` / ``backward_index`` views as the dict backend,
+  decoded once per label.
 
 A graph moves between the two through
 :meth:`~repro.graph.database.GraphDatabase.freeze` (dict → CSR, content
@@ -663,9 +662,8 @@ class CsrBackend:
 
     with each node's neighbour slice sorted ascending (so ``has_edge`` is
     a binary search and traversal output order is deterministic).  The
-    buffers are numpy ``int64`` arrays when numpy is importable — the
-    substrate of the vectorized sweep search
-    (:mod:`repro.graph.vector`), pickled into snapshots as-is so reloads
+    buffers are numpy ``int64`` arrays when numpy is importable — built
+    with bulk array ops and pickled into snapshots as-is, so reloads
     reattach them without copies — and :class:`array.array` values
     (typecode ``"q"``) otherwise.  Every accessor treats the two buffer
     types interchangeably, so snapshots written by either installation
@@ -675,9 +673,8 @@ class CsrBackend:
     All mutation hooks raise :class:`~repro.errors.FrozenGraphError`.
     The generic read surface (``forward_index`` et al.) is served from
     lazily-materialised per-label dictionaries, so every consumer of the
-    dict backend keeps working unchanged; the product-automaton evaluator
-    bypasses those views entirely through :meth:`forward_csr` /
-    :meth:`backward_csr` / :meth:`node_id` / :meth:`node_at`.
+    dict backend — the product-automaton search included — works
+    unchanged on a frozen graph.
     """
 
     name = "csr"
@@ -734,120 +731,28 @@ class CsrBackend:
         # Lazy dict-shaped views for the generic read surface.
         self._fwd_views: dict[LabelName, dict[Node, frozenset[Node]]] = {}
         self._bwd_views: dict[LabelName, dict[Node, frozenset[Node]]] = {}
-        # Lazy plain-list twins of the CSR buffers: CPython indexes and
-        # slices lists of (pre-boxed) ints markedly faster than array
-        # values, so the generated-code search binds against these.
-        self._fwd_lists: dict[LabelName, tuple[list[int], list[int]]] = {}
-        self._bwd_lists: dict[LabelName, tuple[list[int], list[int]]] = {}
-        # Lazy numpy int64 twins for the vector search (no-copy views when
-        # the buffers are already numpy-built).
-        self._fwd_arrays: dict[LabelName, tuple] = {}
-        self._bwd_arrays: dict[LabelName, tuple] = {}
         self._edge_set: frozenset[Edge] | None = None
 
-    # -- interning / CSR surface (the automaton fast path) ----------------- #
+    # -- buffer decoding ----------------------------------------------------- #
 
-    def node_id(self, node: Node) -> int | None:
-        """The dense integer id of ``node``, or ``None`` if absent."""
-        return self._node_ids.get(node)
+    def _decode(self, offsets, targets) -> tuple[list[int], list[Node]]:
+        """One label's buffers as plain lists: offsets, and target *nodes*.
 
-    def node_at(self, node_id: int) -> Node:
-        """The node interned at ``node_id`` (inverse of :meth:`node_id`)."""
-        return self._node_list[node_id]
-
-    def nodes_at(self, node_ids: Iterable[int]) -> "map":
-        """Bulk :meth:`node_at`: the nodes interned at each id, in order.
-
-        Returns a lazy C-level ``map`` so callers can feed it straight into
-        a set or list constructor without a Python-level loop — the vector
-        search decodes whole hit arrays through this.
+        One ``tolist`` per buffer converts at C speed, and the targets are
+        mapped to their nodes in one pass, so a whole-label reader slices
+        lists instead of indexing the buffers one scalar at a time.
         """
-        return map(self._node_list.__getitem__, node_ids)
+        nodes = list(map(self._node_list.__getitem__, targets.tolist()))
+        return offsets.tolist(), nodes
 
-    def forward_csr(self, lab: LabelName) -> tuple[array, array] | None:
-        """``(offsets, targets)`` arrays for ``lab``, or ``None`` if unused."""
-        offsets = self._fwd_offsets.get(lab)
-        if offsets is None:
-            return None
-        return offsets, self._fwd_targets[lab]
-
-    def backward_csr(self, lab: LabelName) -> tuple[array, array] | None:
-        """The predecessor mirror of :meth:`forward_csr`."""
-        offsets = self._bwd_offsets.get(lab)
-        if offsets is None:
-            return None
-        return offsets, self._bwd_targets[lab]
-
-    def forward_lists(self, lab: LabelName) -> tuple[list, list] | None:
-        """``(offsets, targets)`` as plain lists (memoised), or ``None``.
-
-        The evaluation-speed twin of :meth:`forward_csr`: one ``tolist``
-        per label converts the buffers at C speed, and every later BFS
-        indexes pre-boxed ints instead of unboxing array elements.
-        """
-        lists = self._fwd_lists.get(lab)
-        if lists is None:
-            offsets = self._fwd_offsets.get(lab)
-            if offsets is None:
-                return None
-            lists = self._fwd_lists[lab] = (
-                offsets.tolist(),
-                self._fwd_targets[lab].tolist(),
+    def _neighbours(self, offsets, targets, node_id: int) -> list[Node]:
+        """The nodes in ``node_id``'s slice of one label's buffers."""
+        return list(
+            map(
+                self._node_list.__getitem__,
+                targets[offsets[node_id] : offsets[node_id + 1]].tolist(),
             )
-        return lists
-
-    def backward_lists(self, lab: LabelName) -> tuple[list, list] | None:
-        """The predecessor mirror of :meth:`forward_lists`."""
-        lists = self._bwd_lists.get(lab)
-        if lists is None:
-            offsets = self._bwd_offsets.get(lab)
-            if offsets is None:
-                return None
-            lists = self._bwd_lists[lab] = (
-                offsets.tolist(),
-                self._bwd_targets[lab].tolist(),
-            )
-        return lists
-
-    def forward_arrays(self, lab: LabelName) -> tuple | None:
-        """``(offsets, targets)`` as numpy ``int64`` arrays (memoised).
-
-        The vector search's buffer view: a no-copy pass-through when the
-        backend was built with numpy, a one-time conversion when the
-        buffers came from an :class:`array.array` build (e.g. a snapshot
-        written by a numpy-less installation).  Returns ``None`` for
-        labels absent from the graph — or when numpy itself is absent
-        (the runner then routes every search to codegen).
-        """
-        arrays = self._fwd_arrays.get(lab)
-        if arrays is None:
-            np_mod = kernels.get_numpy()
-            if np_mod is None:
-                return None
-            offsets = self._fwd_offsets.get(lab)
-            if offsets is None:
-                return None
-            arrays = self._fwd_arrays[lab] = (
-                np_mod.asarray(offsets, dtype=np_mod.int64),
-                np_mod.asarray(self._fwd_targets[lab], dtype=np_mod.int64),
-            )
-        return arrays
-
-    def backward_arrays(self, lab: LabelName) -> tuple | None:
-        """The predecessor mirror of :meth:`forward_arrays`."""
-        arrays = self._bwd_arrays.get(lab)
-        if arrays is None:
-            np_mod = kernels.get_numpy()
-            if np_mod is None:
-                return None
-            offsets = self._bwd_offsets.get(lab)
-            if offsets is None:
-                return None
-            arrays = self._bwd_arrays[lab] = (
-                np_mod.asarray(offsets, dtype=np_mod.int64),
-                np_mod.asarray(self._bwd_targets[lab], dtype=np_mod.int64),
-            )
-        return arrays
+        )
 
     # -- schema ------------------------------------------------------------ #
 
@@ -908,15 +813,11 @@ class CsrBackend:
     def edges(self) -> frozenset[Edge]:
         """The edge set (materialised from the CSR buffers once, cached)."""
         if self._edge_set is None:
-            node_at = self._node_list
-            collected: list[Edge] = []
-            for lab, offsets in self._fwd_offsets.items():
-                targets = self._fwd_targets[lab]
-                for sid in range(len(node_at)):
-                    source = node_at[sid]
-                    for position in range(offsets[sid], offsets[sid + 1]):
-                        collected.append(Edge(source, lab, node_at[targets[position]]))
-            self._edge_set = frozenset(collected)
+            self._edge_set = frozenset(
+                Edge(source, lab, target)
+                for lab in self._fwd_offsets
+                for source, target in self.iter_label_pairs(lab)
+            )
         return self._edge_set
 
     def node_count(self) -> int:
@@ -935,12 +836,7 @@ class CsrBackend:
         sid = self._node_ids.get(node)
         if offsets is None or sid is None:
             return frozenset()
-        targets = self._fwd_targets[lab]
-        node_at = self._node_list
-        return frozenset(
-            node_at[targets[position]]
-            for position in range(offsets[sid], offsets[sid + 1])
-        )
+        return frozenset(self._neighbours(offsets, self._fwd_targets[lab], sid))
 
     def predecessors(self, node: Node, lab: LabelName) -> frozenset[Node]:
         """``{u | (u, lab, node) ∈ E}`` from the CSR slice."""
@@ -948,12 +844,7 @@ class CsrBackend:
         tid = self._node_ids.get(node)
         if offsets is None or tid is None:
             return frozenset()
-        targets = self._bwd_targets[lab]
-        node_at = self._node_list
-        return frozenset(
-            node_at[targets[position]]
-            for position in range(offsets[tid], offsets[tid + 1])
-        )
+        return frozenset(self._neighbours(offsets, self._bwd_targets[lab], tid))
 
     def _view(
         self,
@@ -967,15 +858,13 @@ class CsrBackend:
             offsets = offsets_by_label.get(lab)
             if offsets is None:
                 return _EMPTY_INDEX
-            targets = targets_by_label[lab]
-            node_at = self._node_list
+            bounds, names = self._decode(offsets, targets_by_label[lab])
             view = {}
-            for nid in range(len(node_at)):
-                low, high = offsets[nid], offsets[nid + 1]
+            low = 0
+            for node, high in zip(self._node_list, bounds[1:]):
                 if low != high:
-                    view[node_at[nid]] = frozenset(
-                        node_at[targets[position]] for position in range(low, high)
-                    )
+                    view[node] = frozenset(names[low:high])
+                low = high
             views[lab] = view
         return view
 
@@ -997,12 +886,12 @@ class CsrBackend:
         offsets = self._fwd_offsets.get(lab)
         if offsets is None:
             return
-        targets = self._fwd_targets[lab]
-        node_at = self._node_list
-        for sid in range(len(node_at)):
-            source = node_at[sid]
-            for position in range(offsets[sid], offsets[sid + 1]):
-                yield (source, node_at[targets[position]])
+        bounds, names = self._decode(offsets, self._fwd_targets[lab])
+        low = 0
+        for source, high in zip(self._node_list, bounds[1:]):
+            for target in names[low:high]:
+                yield (source, target)
+            low = high
 
     def has_successor(self, node: Node, lab: LabelName) -> bool:
         """Whether ``node`` has any outgoing ``lab`` edge."""
@@ -1029,26 +918,22 @@ class CsrBackend:
         sid = self._node_ids.get(node)
         if sid is None:
             return frozenset()
-        node_at = self._node_list
-        collected: list[Edge] = []
-        for lab, offsets in self._fwd_offsets.items():
-            targets = self._fwd_targets[lab]
-            for position in range(offsets[sid], offsets[sid + 1]):
-                collected.append(Edge(node, lab, node_at[targets[position]]))
-        return frozenset(collected)
+        return frozenset(
+            Edge(node, lab, target)
+            for lab, offsets in self._fwd_offsets.items()
+            for target in self._neighbours(offsets, self._fwd_targets[lab], sid)
+        )
 
     def edges_to(self, node: Node) -> frozenset[Edge]:
         """Every edge whose target is ``node`` (any label)."""
         tid = self._node_ids.get(node)
         if tid is None:
             return frozenset()
-        node_at = self._node_list
-        collected: list[Edge] = []
-        for lab, offsets in self._bwd_offsets.items():
-            targets = self._bwd_targets[lab]
-            for position in range(offsets[tid], offsets[tid + 1]):
-                collected.append(Edge(node_at[targets[position]], lab, node))
-        return frozenset(collected)
+        return frozenset(
+            Edge(source, lab, node)
+            for lab, offsets in self._bwd_offsets.items()
+            for source in self._neighbours(offsets, self._bwd_targets[lab], tid)
+        )
 
     # -- journal / fingerprint ---------------------------------------------- #
 
@@ -1085,129 +970,6 @@ class CsrBackend:
             destructive=backend.destructive,
         )
 
-    def extended(self, new_edges: Iterable[Edge]) -> "CsrBackend":
-        """A new CSR backend with ``new_edges`` appended to the journal.
-
-        The journal-replay *refreeze* path: instead of thawing to a dict
-        graph and re-freezing the whole thing per update batch, only the
-        labels touched by the batch rebuild their CSR buffers — buffers,
-        adjacency views and node interning of untouched labels are shared
-        with ``self``.  Edges already present (or repeated inside the
-        batch) are skipped, mirroring :meth:`DictBackend.add_edge`'s
-        dedupe, so the resulting fingerprint equals the one a dict-backed
-        twin would have produced applying the same insertions.  With an
-        empty effective batch, ``self`` is returned unchanged (fingerprint
-        survival under no-op batches is a pinned regression).
-
-        Fresh endpoint nodes are interned *after* the existing ones (in
-        repr order among themselves): existing node ids — and with them
-        every shared buffer — stay valid.  Cost is O(touched labels' edges
-        + new nodes), not O(|E|).
-        """
-        appended: list[Edge] = []
-        seen: set[Edge] = set()
-        for edge in new_edges:
-            if self._alphabet is not None and edge.label not in self._alphabet:
-                raise SchemaError(
-                    f"label {edge.label!r} is not in the alphabet "
-                    f"{sorted(self._alphabet)}"
-                )
-            if edge in seen or self.has_edge(edge.source, edge.label, edge.target):
-                continue
-            seen.add(edge)
-            appended.append(edge)
-        if not appended:
-            return self
-
-        clone = CsrBackend.__new__(CsrBackend)
-        clone._alphabet = self._alphabet
-        node_list = list(self._node_list)
-        node_ids = dict(self._node_ids)
-        fresh = sorted(
-            {
-                endpoint
-                for edge in appended
-                for endpoint in (edge.source, edge.target)
-                if endpoint not in node_ids
-            },
-            key=repr,
-        )
-        for node in fresh:
-            node_ids[node] = len(node_list)
-            node_list.append(node)
-        clone._node_list = node_list
-        clone._node_ids = node_ids
-        clone._journal = self._journal + tuple(appended)
-        clone._destructive = self._destructive
-        clone._fingerprint_token = (
-            None
-            if clone._destructive
-            else Fingerprint(frozenset(node_list), clone._journal)
-        )
-        clone._edge_total = self._edge_total + len(appended)
-
-        touched = {edge.label for edge in appended}
-        count = len(node_list)
-        old_count = len(self._node_list)
-        clone._label_counts = dict(self._label_counts)
-        clone._fwd_offsets = {}
-        clone._fwd_targets = {}
-        clone._bwd_offsets = {}
-        clone._bwd_targets = {}
-        clone._fwd_views = {}
-        clone._bwd_views = {}
-        clone._fwd_lists = {}
-        clone._bwd_lists = {}
-        clone._fwd_arrays = {}
-        clone._bwd_arrays = {}
-        clone._edge_set = None
-        for lab in self._fwd_offsets:
-            if lab in touched:
-                continue
-            if count == old_count:
-                clone._fwd_offsets[lab] = self._fwd_offsets[lab]
-                clone._bwd_offsets[lab] = self._bwd_offsets[lab]
-            else:
-                # Fresh nodes have no edges under untouched labels: extend
-                # the offsets with the final running total, keep targets.
-                clone._fwd_offsets[lab] = _extend_offsets(
-                    self._fwd_offsets[lab], count - old_count
-                )
-                clone._bwd_offsets[lab] = _extend_offsets(
-                    self._bwd_offsets[lab], count - old_count
-                )
-            clone._fwd_targets[lab] = self._fwd_targets[lab]
-            clone._bwd_targets[lab] = self._bwd_targets[lab]
-            view = self._fwd_views.get(lab)
-            if view is not None:
-                clone._fwd_views[lab] = view
-            view = self._bwd_views.get(lab)
-            if view is not None:
-                clone._bwd_views[lab] = view
-        for lab in touched:
-            pairs: list[tuple[int, int]] = []
-            offsets = self._fwd_offsets.get(lab)
-            if offsets is not None:
-                targets = self._fwd_targets[lab]
-                tolist = getattr(targets, "tolist", None)
-                target_values = tolist() if tolist is not None else list(targets)
-                offset_values = offsets.tolist()
-                for sid in range(old_count):
-                    for position in range(offset_values[sid], offset_values[sid + 1]):
-                        pairs.append((sid, target_values[position]))
-            for edge in appended:
-                if edge.label == lab:
-                    pairs.append((node_ids[edge.source], node_ids[edge.target]))
-            clone._label_counts[lab] = len(pairs)
-            clone._fwd_offsets[lab], clone._fwd_targets[lab] = _build_csr(
-                count, sorted(pairs)
-            )
-            clone._bwd_offsets[lab], clone._bwd_targets[lab] = _build_csr(
-                count, sorted((target, source) for source, target in pairs)
-            )
-        clone._labels = frozenset(clone._fwd_offsets)
-        return clone
-
     # -- snapshot support ---------------------------------------------------- #
 
     def dump_state(self) -> dict:
@@ -1237,8 +999,8 @@ class CsrBackend:
         Buffers are reattached as stored — numpy arrays stay numpy arrays
         (no copies) — except when a snapshot written by a numpy-less
         installation (:class:`array.array` buffers) is loaded where numpy
-        is available: those are upgraded once here, so the vector kernel
-        never pays a per-query conversion.
+        is available: those are upgraded once here, so every loaded
+        backend holds the same buffer type as a fresh freeze.
         """
         backend = cls.__new__(cls)
         backend._alphabet = state["alphabet"]
@@ -1262,10 +1024,6 @@ class CsrBackend:
         backend._bwd_targets = _coerce_buffers(state["bwd_targets"])
         backend._fwd_views = {}
         backend._bwd_views = {}
-        backend._fwd_lists = {}
-        backend._bwd_lists = {}
-        backend._fwd_arrays = {}
-        backend._bwd_arrays = {}
         backend._edge_set = None
         return backend
 
@@ -1300,18 +1058,6 @@ def _build_csr(node_count: int, sorted_pairs: list[tuple[int, int]]) -> tuple:
         running += offsets[index]
         offsets[index] = running
     return offsets, targets
-
-
-def _extend_offsets(offsets, extra: int):
-    """Append ``extra`` copies of the final running total to an offsets buffer."""
-    np_mod = kernels.get_numpy()
-    if np_mod is not None and isinstance(offsets, np_mod.ndarray):
-        return np_mod.concatenate(
-            [offsets, np_mod.full(extra, offsets[-1], dtype=np_mod.int64)]
-        )
-    extended = array("q", offsets)
-    extended.extend([extended[-1]] * extra)
-    return extended
 
 
 def _coerce_buffers(buffers: dict) -> dict:

@@ -18,9 +18,9 @@ representation lives behind the pluggable storage backends of
   (delta) chase iteration possible;
 * :meth:`GraphDatabase.freeze` compiles the graph into the read-optimized
   :class:`~repro.graph.backends.CsrBackend` — nodes and labels interned to
-  dense integer ids, per-label adjacency as sorted CSR arrays — which the
-  product-automaton evaluator traverses with an integer-id fast path.
-  Frozen graphs refuse mutation (:class:`~repro.errors.FrozenGraphError`)
+  dense integer ids, per-label adjacency as sorted CSR arrays — whose
+  dict-shaped adjacency views the product-automaton search reads like any
+  other graph's.  Frozen graphs refuse mutation (:class:`~repro.errors.FrozenGraphError`)
   and round-trip through the version-stamped snapshot files of
   :mod:`repro.graph.snapshot`; :meth:`GraphDatabase.thaw` goes back to a
   mutable dict-backed copy with the journal (hence the content
@@ -125,11 +125,9 @@ class GraphDatabase:
 
     @property
     def csr(self) -> CsrBackend | None:
-        """The CSR backend when frozen, else ``None`` (the fast-path probe).
+        """The CSR backend when frozen, else ``None``.
 
-        The product-automaton runner (:mod:`repro.graph.automaton`) calls
-        this once per graph binding: a non-``None`` result switches the
-        search loop to interned integer ids and CSR slice expansion.
+        :mod:`repro.graph.snapshot` reads the frozen buffers through it.
         """
         backend = self._backend
         return backend if isinstance(backend, CsrBackend) else None
@@ -154,41 +152,6 @@ class GraphDatabase:
         if self.is_frozen:
             return self
         return GraphDatabase._from_backend(CsrBackend.from_backend(self._backend))
-
-    def refreeze(
-        self, edges: Iterable[tuple[Node, LabelName, Node] | Edge] = ()
-    ) -> "GraphDatabase":
-        """Return a frozen graph extended with ``edges`` by journal replay.
-
-        The incremental counterpart of :meth:`freeze` for warm serving
-        paths: a frozen graph that gains an update batch does **not** pay a
-        full thaw/re-freeze — only the labels the batch touches rebuild
-        their CSR buffers (:meth:`~repro.graph.backends.CsrBackend.extended`),
-        and the resulting fingerprint equals a cold freeze of a dict graph
-        that applied the same insertions.  Duplicate edges (already present
-        or repeated in the batch) are skipped like ``add_edge`` would; a
-        batch with no effective insertions returns ``self`` unchanged, so
-        fingerprints — and every cache keyed on them — survive no-op update
-        batches.  A mutable graph is frozen first.
-
-        >>> g = GraphDatabase(edges=[("u", "a", "v")]).freeze()
-        >>> g.refreeze([]) is g
-        True
-        >>> bigger = g.refreeze([("v", "a", "w")])
-        >>> bigger.is_frozen, sorted(str(e) for e in bigger.edges())
-        (True, ['(u -a-> v)', '(v -a-> w)'])
-        >>> twin = GraphDatabase(edges=[("u", "a", "v"), ("v", "a", "w")])
-        >>> bigger.fingerprint() == twin.fingerprint()
-        True
-        """
-        batch = [
-            edge if isinstance(edge, Edge) else Edge(*edge) for edge in edges
-        ]
-        base = self if self.is_frozen else self.freeze()
-        backend = base.csr.extended(batch)  # type: ignore[union-attr]
-        if backend is base.backend:
-            return base
-        return GraphDatabase._from_backend(backend)
 
     def thaw(self) -> "GraphDatabase":
         """Return a mutable dict-backed copy of this graph.
@@ -327,8 +290,8 @@ class GraphDatabase:
         is the backend's own index (``node → set of successors``), shared
         for the lifetime of the graph.  Callers must not mutate it and must
         not hold it across edge insertions or removals.  On a frozen graph
-        the view is materialised lazily from the CSR buffers (the automaton
-        evaluator bypasses it entirely via the integer-id fast path).
+        the view is materialised lazily from the CSR buffers, once per
+        label, and the product-automaton search reads it like any other.
 
         >>> g = GraphDatabase(edges=[("u", "a", "v")])
         >>> g.forward_index("a")["u"]

@@ -20,10 +20,9 @@ Two consumption layers sit on top of the file format:
   chase-and-search pipeline for that tenant after a restart
   (:mod:`repro.service.workers`).
 
-Like the neighbouring automaton cache (:mod:`repro.graph.autocache`) the
-on-disk layout is **version-stamped** — ``SNAPSHOT_FORMAT`` is baked into
-every payload and bumped on any change to the pickled shape, so a newer
-library never misreads an older file.  Unlike the autocache, explicit
+The on-disk layout is **version-stamped** — ``SNAPSHOT_FORMAT`` is baked
+into every payload and bumped on any change to the pickled shape, so a
+newer library never misreads an older file.  Explicit
 :func:`load_snapshot` calls are user requests and fail loudly with
 :class:`~repro.errors.SnapshotError` rather than degrading silently;
 only the store's cache-style lookups treat damage as a miss.
@@ -32,9 +31,8 @@ only the store's cache-style lookups treat damage as a miss.
 arbitrary hashable Python values — labeled nulls, tuples — which no
 data-only encoding round-trips faithfully), and unpickling executes code
 chosen by whoever wrote the file.  Load snapshots only from locations
-you would load code from: your own exports and snapshot/cache
-directories owned by the service user — the same standing rule as the
-automaton cache.  Never point ``repro snapshot load`` or
+you would load code from: your own exports and snapshot directories
+owned by the service user.  Never point ``repro snapshot load`` or
 ``--snapshot-dir`` at untrusted or world-writable paths.
 """
 

@@ -1,24 +1,11 @@
-"""numpy gating for the query hot paths, and the CSR path report.
-
-There is no execution-kernel option.  The product-automaton runner
-(:class:`repro.graph.automaton._Runner`) picks its search from what it
-can observe about each call:
-
-* **dict-backed graph** — the generic hash-indexed product BFS;
-* **frozen CSR graph, numpy importable** — sweeps (``reachable``,
-  ``reachable_many``, and therefore ``pairs``/``answers_over``) run the
-  array-at-a-time :class:`~repro.graph.vector.VectorSearch`, one shared
-  multi-source search per sweep; single-pair ``holds`` probes run the
-  generated-code :class:`~repro.graph.codegen.CodegenSearch`, whose
-  unrolled per-state branches and insert-time early exit beat numpy's
-  per-op overhead on small frontiers;
-* **frozen CSR graph, numpy absent** — everything runs codegen, which
-  is pure Python.
+"""numpy gating for the CSR build, and the kernel name perfbench prints.
 
 All numpy access in the library routes through :func:`get_numpy`, so
 tests can simulate a numpy-less installation by monkeypatching one
 attribute (``repro.kernels.NUMPY = None``) instead of manipulating
-``sys.modules``.
+``sys.modules``.  The only numpy consumers are the CSR buffer build of
+:class:`~repro.graph.backends.CsrBackend` and the coercion of
+snapshot-loaded buffers; NRE evaluation never touches numpy.
 """
 
 from __future__ import annotations
@@ -42,19 +29,16 @@ def get_numpy():
 
 
 def resolve_kernel(kernel: None = None) -> str:
-    """Name the search that CSR sweeps will run in this process.
+    """Name the NRE search: always ``"dict"``, the one product search.
 
-    ``"vector"`` when numpy is importable, ``"codegen"`` when it is
-    masked or absent.  Single-pair probes always run codegen.  The
-    argument exists for callers that report the configuration; it must
-    be ``None``, because the kernel is not selectable.
+    A shim for ``perfbench/run.py``, which prints it in its ``config:``
+    line.  It goes with the ROADMAP benchmark-upkeep change, which stops
+    perfbench from importing it.  The argument must be ``None``: there is
+    no kernel to select.
 
-    >>> resolve_kernel(None) in ("vector", "codegen")
-    True
+    >>> resolve_kernel(None)
+    'dict'
     """
     if kernel is not None:
-        raise ValueError(
-            f"kernel {kernel!r} cannot be selected; CSR searches are routed "
-            "by call shape"
-        )
-    return "vector" if get_numpy() is not None else "codegen"
+        raise ValueError(f"kernel {kernel!r} cannot be selected; there is one search")
+    return "dict"

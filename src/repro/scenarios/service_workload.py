@@ -112,53 +112,25 @@ def multi_tenant_workload(
     return cases
 
 
-def case_requests(
-    case: WorkloadCase, backends: tuple[str, ...] = ("dict",)
-) -> list[tuple[str, dict]]:
+def case_requests(case: WorkloadCase) -> list[tuple[str, dict]]:
     """The ``(op, params)`` request list one workload case replays.
 
-    One ``exists``, one ``chase``, and — per storage backend in
-    ``backends`` — one ``evaluate_batch`` plus one whole-set ``certain``
-    per query of the case's mix.  Listing more than one backend is how
-    the differential consumers (``examples/service_client.py``, the
-    service tests) assert that ``dict`` and ``csr`` evaluation return
-    byte-identical answers over live traffic.
+    One ``exists``, one ``chase``, one ``evaluate_batch``, and one
+    whole-set ``certain`` per query of the case's mix.
     """
     document = case.document()
     requests: list[tuple[str, dict]] = [
         ("exists", {"document": document, "star_bound": 2}),
         ("chase", {"document": document}),
+        ("evaluate_batch", {"document": document,
+                            "queries": list(case.queries), "star_bound": 2}),
     ]
-    for backend in backends:
-        requests.append(
-            ("evaluate_batch", {"document": document,
-                                "queries": list(case.queries),
-                                "star_bound": 2, "backend": backend})
-        )
-        requests.extend(
-            ("certain", {"document": document, "query": query, "pair": None,
-                         "star_bound": 2, "backend": backend})
-            for query in case.queries
-        )
-    return requests
-
-
-def logical_request_key(op: str, params: dict) -> bytes:
-    """The identity of a request *modulo storage backend*.
-
-    Two requests with equal keys must produce byte-identical responses
-    whatever ``backend`` they ran on — the invariant the differential
-    consumers of :func:`case_requests` (``examples/service_client.py``
-    and the service handler tests) assert over live traffic.  Defined
-    here, next to the request generator, so both sides compare the same
-    thing.
-    """
-    from repro.service.protocol import canonical_bytes
-
-    return canonical_bytes(
-        {"op": op,
-         "params": {k: v for k, v in params.items() if k != "backend"}}
+    requests.extend(
+        ("certain", {"document": document, "query": query, "pair": None,
+                     "star_bound": 2})
+        for query in case.queries
     )
+    return requests
 
 
 def demo_document() -> dict:

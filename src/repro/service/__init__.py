@@ -1,8 +1,7 @@
 """The serving layer: a persistent process that amortizes everything.
 
 The library's hot paths are already cached aggressively — compiled NRE
-automata (in-process ``lru_cache`` + the cross-process
-:mod:`repro.graph.autocache` pickles), per-universe incremental SAT
+automata (in-process ``lru_cache``), per-universe incremental SAT
 solvers (:mod:`repro.core.satpipeline`), and the query engine's
 cross-candidate answer cache.  But a one-shot CLI throws all of that away
 after every invocation.  This package keeps it alive:

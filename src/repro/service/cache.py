@@ -8,8 +8,8 @@ the *server* process, in front of the worker pool; beneath it the worker
 processes keep their own warm layers (the tenant cache of
 :mod:`repro.service.tenants`, one chase result per tenant document, the
 per-universe incremental SAT pipelines of :mod:`repro.core.satpipeline`,
-the engine's cross-candidate answer cache, and the cross-process
-automaton pickles of :mod:`repro.graph.autocache`), so even a cache
+and the engine's cross-candidate answer cache and compiled automata),
+so even a cache
 *miss* over a previously-seen tenant — another query, a batch, an
 ``exists`` — is far cheaper than a cold request.
 

@@ -41,8 +41,6 @@ import json
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.engine.query import BACKEND_NAMES
-
 PROTOCOL_VERSION = 1
 """Bumped on any incompatible change to the wire format."""
 
@@ -55,10 +53,6 @@ CONTROL_OPS = ("cancel", "metrics", "ping", "shutdown", "stats", "traces")
 ``metrics`` and ``traces`` form the introspection plane: they read the
 server's telemetry registry and trace ring without occupying a worker
 slot, so a wedged pool can still be diagnosed over the same wire."""
-
-# BACKEND_NAMES (imported above) is the single source of truth for the
-# storage back-ends a compute request may select (``params.backend``):
-# exactly the ones QueryEngine accepts.
 
 MAX_LINE_BYTES = 32 * 1024 * 1024
 """Upper bound on one request line — a malformed client must not OOM us."""
@@ -110,14 +104,6 @@ def _check_document(value: Any) -> dict:
 def _check_star_bound(value: Any) -> int:
     if not isinstance(value, int) or isinstance(value, bool) or value < 0:
         raise ProtocolError("bad-request", "star_bound must be an integer >= 0")
-    return value
-
-
-def _check_backend(value: Any) -> str:
-    if value not in BACKEND_NAMES:
-        raise ProtocolError(
-            "bad-request", f"backend must be one of {list(BACKEND_NAMES)}"
-        )
     return value
 
 
@@ -211,7 +197,6 @@ def _check_slow(value: Any) -> bool:
 
 _COMMON = {
     "star_bound": (_check_star_bound, False, 2),
-    "backend": (_check_backend, False, "dict"),
 }
 
 _SPECS: dict[str, dict[str, tuple]] = {

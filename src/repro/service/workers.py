@@ -15,10 +15,11 @@ up.  The tenant cache (:mod:`repro.service.tenants`) keeps one chase
 result per tenant document on the Section 3.1 fragment with egds, so
 ``exists``, whole-set ``certain`` and ``evaluate_batch`` on one tenant
 share a single chase, and it holds the live incremental states of
-``apply_updates``.  The :mod:`repro.core.satpipeline` solvers, the shared
-compiled :class:`~repro.engine.query.QueryEngine`, and the on-disk
-automaton cache also persist across the requests that land on that
-worker.  Every response equals the direct library call's, which never
+``apply_updates``.  The :mod:`repro.core.satpipeline` solvers and the shared
+compiled :class:`~repro.engine.query.QueryEngine` (its
+cross-candidate cache is how consecutive requests over one universe
+amortise) also persist across the requests that land on that worker.
+Every response equals the direct library call's, which never
 reads the tenant cache.  Workers never share mutable state with each
 other or with the server — requests and results cross the process
 boundary as plain dictionaries.
@@ -93,19 +94,6 @@ def certain_answers_to_dict(result: CertainAnswers) -> dict:
 # --------------------------------------------------------------------- #
 # Handlers.
 # --------------------------------------------------------------------- #
-
-
-def _engine(params: dict):
-    """The evaluation back-end for one request.
-
-    Returns the *process-shared* engine on purpose: its cross-candidate
-    cache is how consecutive requests over the same universe amortise
-    inside one worker.  The ``backend`` parameter (``dict``/``csr``)
-    routes to the matching warm engine — one shared instance per storage
-    backend, so csr-tenant requests reuse frozen graph states across the
-    worker's lifetime.
-    """
-    return default_engine(params.get("backend") or "dict")
 
 
 def _search_config(params: dict) -> CandidateSearchConfig:
@@ -202,7 +190,7 @@ def _handle_exists(params: dict) -> dict:
             setting,
             instance,
             search_config=_search_config(params),
-            engine=_engine(params),
+            engine=default_engine(),
         )
     if store is not None and result.witness is not None:
         store.store(key, result.witness.freeze())
@@ -212,7 +200,7 @@ def _handle_exists(params: dict) -> dict:
 def _handle_certain(params: dict) -> dict:
     setting, instance = document_from_dict(params["document"])
     query = parse_nre(params["query"])
-    engine = _engine(params)
+    engine = default_engine()
     config = _search_config(params)
     if params.get("pair") is not None:
         pair = tuple(params["pair"])
@@ -275,14 +263,14 @@ def _handle_evaluate_batch(params: dict) -> dict:
     queries = [parse_nre(q) for q in params["queries"]]
     if in_cached_fragment(setting):
         chase = tenant_cache().chase(setting, instance)
-        results = answers_from_chase(chase, queries, _engine(params))
+        results = answers_from_chase(chase, queries, default_engine())
     else:
         results = certain_answers_batch(
             setting,
             instance,
             queries,
             config=_search_config(params),
-            engine=_engine(params),
+            engine=default_engine(),
         )
     return {
         "queries": list(params["queries"]),
@@ -317,7 +305,7 @@ def _handle_apply_updates(params: dict) -> dict:
         # still consistent — hand it back warm and report bad-request.
         tenants.checkin_incremental(state)
         raise ValueError(str(error)) from None
-    engine = _engine(params)
+    engine = default_engine()
     results = [
         certain_answers_to_dict(state.certain_answers(query, engine=engine))
         for query in queries

@@ -3,14 +3,7 @@ and the seam that swaps the DPLL oracle into the SAT pipeline."""
 
 from __future__ import annotations
 
-import os
-
 import pytest
-
-# Hermeticity: the cross-process automaton cache must not couple test runs
-# through the developer's home directory.  The dedicated autocache tests
-# re-enable it against a temporary directory.
-os.environ.setdefault("REPRO_AUTOMATON_CACHE", "off")
 
 from oracles import IncrementalDPLL
 from repro.core import satpipeline

@@ -3,7 +3,7 @@
 :class:`ReferenceEngine` answers every :class:`~repro.engine.query.QueryEngine`
 entry point by materialising the whole relation with
 :func:`repro.graph.eval.evaluate_nre`, so the compiled engine's answers —
-on both storage backends, with numpy present or masked — can be checked
+on dict graphs and on frozen or snapshot-loaded ones — can be checked
 against an evaluator that shares none of its code.  Passed to the
 certain-answer enumeration tails in :mod:`repro.core.certain`, it runs
 the minimal-solution pipeline with no compiled evaluation at all.

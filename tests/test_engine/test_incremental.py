@@ -159,8 +159,15 @@ REGIMES = {
 # --------------------------------------------------------------------- #
 
 
-def assert_matches_oracle(live: IncrementalChase, engine, queries) -> None:
-    """Live state == from-scratch chase of the *current* instance, in bytes."""
+def assert_matches_oracle(
+    live: IncrementalChase, engine, queries, graph_form: str = "dict"
+) -> None:
+    """Live state == from-scratch chase of the *current* instance, in bytes.
+
+    With ``graph_form="frozen"`` the expected answers are evaluated on the
+    frozen oracle graph, so the live dict-graph answers are also checked
+    against the CSR views.
+    """
     setting = live.setting
     oracle = chase_relational(
         setting.st_tgds, list(setting.egds()), live.instance,
@@ -180,24 +187,22 @@ def assert_matches_oracle(live: IncrementalChase, engine, queries) -> None:
             assert answers.no_solution
             assert answers.answers == frozenset()
         else:
-            expected = frozenset(
-                pair
-                for pair in engine.answers_over(oracle.graph, query, domain)
-            )
+            graph = oracle.graph.freeze() if graph_form == "frozen" else oracle.graph
+            expected = QueryEngine().answers_over(graph, query, domain)
             assert answers.answers == expected
 
 
-def run_stream(setting_factory, pool, query_texts, batches, backend):
+def run_stream(setting_factory, pool, query_texts, batches, graph_form):
     """Drive one update stream, checking the oracle after every batch."""
-    engine = QueryEngine(backend=backend)
+    engine = QueryEngine()
     queries = [parse_nre(text) for text in query_texts]
     live = IncrementalChase(setting_factory())
-    assert_matches_oracle(live, engine, queries)
+    assert_matches_oracle(live, engine, queries, graph_form)
     for batch in batches:
         live.apply_updates(
             [(op, relation, values) for op, (relation, values) in batch]
         )
-        assert_matches_oracle(live, engine, queries)
+        assert_matches_oracle(live, engine, queries, graph_form)
     return live
 
 
@@ -219,59 +224,60 @@ def stream_strategy(pool):
     return st.lists(batch, min_size=1, max_size=6)
 
 
-BACKENDS = ("dict", "csr")
+GRAPH_FORMS = ("dict", "frozen")
+"""How the oracle graph is evaluated: as chased, or frozen to CSR views."""
 
 
 class TestDifferentialStreams:
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("graph_form", GRAPH_FORMS)
     @settings(max_examples=20, deadline=None)
     @given(data=st.data())
-    def test_flights_streams_match_oracle(self, backend, data):
+    def test_flights_streams_match_oracle(self, graph_form, data):
         factory, pool, queries = REGIMES["flights"]
         run_stream(
-            factory, pool, queries, data.draw(stream_strategy(pool)), backend
+            factory, pool, queries, data.draw(stream_strategy(pool)), graph_form
         )
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("graph_form", GRAPH_FORMS)
     @settings(max_examples=20, deadline=None)
     @given(data=st.data())
-    def test_failure_streams_match_oracle(self, backend, data):
+    def test_failure_streams_match_oracle(self, graph_form, data):
         factory, pool, queries = REGIMES["failure"]
         run_stream(
-            factory, pool, queries, data.draw(stream_strategy(pool)), backend
+            factory, pool, queries, data.draw(stream_strategy(pool)), graph_form
         )
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("graph_form", GRAPH_FORMS)
     @settings(max_examples=20, deadline=None)
     @given(data=st.data())
-    def test_word_egd_streams_match_oracle(self, backend, data):
+    def test_word_egd_streams_match_oracle(self, graph_form, data):
         factory, pool, queries = REGIMES["word-egd"]
         run_stream(
-            factory, pool, queries, data.draw(stream_strategy(pool)), backend
+            factory, pool, queries, data.draw(stream_strategy(pool)), graph_form
         )
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("graph_form", GRAPH_FORMS)
     @settings(max_examples=20, deadline=None)
     @given(data=st.data())
-    def test_null_merge_streams_match_oracle(self, backend, data):
+    def test_null_merge_streams_match_oracle(self, graph_form, data):
         factory, pool, queries = REGIMES["null-merge"]
         run_stream(
-            factory, pool, queries, data.draw(stream_strategy(pool)), backend
+            factory, pool, queries, data.draw(stream_strategy(pool)), graph_form
         )
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("graph_form", GRAPH_FORMS)
     @settings(max_examples=20, deadline=None)
     @given(data=st.data())
-    def test_cascade_streams_match_oracle(self, backend, data):
+    def test_cascade_streams_match_oracle(self, graph_form, data):
         factory, pool, queries = REGIMES["cascade"]
         run_stream(
-            factory, pool, queries, data.draw(stream_strategy(pool)), backend
+            factory, pool, queries, data.draw(stream_strategy(pool)), graph_form
         )
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("graph_form", GRAPH_FORMS)
     @pytest.mark.parametrize("regime", sorted(REGIMES))
-    def test_pinned_churn_on_both_backends(self, regime, backend):
-        """A deterministic delete-then-reinsert stream on each backend."""
+    def test_pinned_churn_on_both_graph_forms(self, regime, graph_form):
+        """A deterministic delete-then-reinsert stream, oracle on each form."""
         factory, pool, queries = REGIMES[regime]
         churn = [
             [("insert", fact) for fact in pool],
@@ -279,23 +285,23 @@ class TestDifferentialStreams:
             [("delete", fact) for fact in pool[2:]],
             [("insert", pool[1]), ("insert", pool[2])],
         ]
-        run_stream(factory, pool, queries, churn, backend=backend)
+        run_stream(factory, pool, queries, churn, graph_form)
 
 
 class TestGeneratorStreams:
     """Generator-shaped streams: Zipf-hub functional classes under churn."""
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("graph_form", GRAPH_FORMS)
     @pytest.mark.parametrize("family,seed", [("medlit", 3), ("social", 4)])
-    def test_update_stream_matches_oracle(self, family, seed, backend):
+    def test_update_stream_matches_oracle(self, family, seed, graph_form):
         config = GeneratorConfig(family=family, nodes=80, seed=seed)
-        engine = QueryEngine(backend=backend)
+        engine = QueryEngine()
         queries = [parse_nre(text) for text in workload_queries(family)]
         live = IncrementalChase(scale_setting(family), generate_instance(config))
-        assert_matches_oracle(live, engine, queries)
+        assert_matches_oracle(live, engine, queries, graph_form)
         for batch in update_stream(config, 4, 12, 0.4):
             live.apply_updates(batch)
-            assert_matches_oracle(live, engine, queries)
+            assert_matches_oracle(live, engine, queries, graph_form)
         assert live.stats.merged_repairs > 0
         assert live.stats.merged_rebuilds == 1  # the bootstrap only
 

@@ -200,3 +200,42 @@ class TestGraphIndexConsistency:
         graph.add_edge("v", "b", "w")
         added = graph.edges_since(v1)
         assert [str(e) for e in added] == ["(v -b-> w)"]
+
+
+class TestFrozenViews:
+    """The matcher's joins read a frozen graph's CSR views like dict indexes.
+
+    Witness verification of snapshot-loaded graphs runs here, so every
+    join shape — the functional-egd self-join included — must give the
+    dict graph's answers on the frozen twin.
+    """
+
+    @pytest.mark.parametrize("trial", range(20))
+    def test_pair_join_on_frozen_equals_dict_and_brute(self, trial):
+        rng = random.Random(300 + trial)
+        graph = random_graph(rng.randint(2, 10), rng.randint(0, 30), ALPHABET, rng)
+        frozen = graph.freeze()
+        labels = [rng.choice(ALPHABET)]
+        labels.append(labels[0] if trial % 2 == 0 else rng.choice(ALPHABET))
+        atoms = []
+        for free, lab in zip((X, Y), labels):
+            if rng.random() < 0.5:
+                atoms.append(CNREAtom(free, Label(lab), Z))
+            else:
+                atoms.append(CNREAtom(Z, Label(lab), free))
+        query = CNREQuery(atoms)
+        brute = {(h[X], h[Y]) for h in cnre_homomorphisms(query, graph)}
+        assert TriggerMatcher(graph).pair_matches(query, X, Y) == brute
+        assert TriggerMatcher(frozen).pair_matches(query, X, Y) == brute
+        assert TriggerMatcher(frozen).pair_matches(query, Y, X) == {
+            (b, a) for a, b in brute
+        }
+
+    @pytest.mark.parametrize("trial", range(10))
+    def test_full_matches_on_frozen_equal_dict(self, trial):
+        rng = random.Random(400 + trial)
+        graph = random_graph(rng.randint(2, 12), rng.randint(0, 30), ALPHABET, rng)
+        query = random_simple_query(rng)
+        assert hom_set(TriggerMatcher(graph.freeze()).matches(query), query) == (
+            hom_set(TriggerMatcher(graph).matches(query), query)
+        )

@@ -177,3 +177,12 @@ class TestSinglePairEarlyExit:
 class TestDefaultEngine:
     def test_default_engine_is_shared(self):
         assert default_engine() is default_engine()
+
+    def test_live_engines_is_the_one_default_engine(self):
+        from repro.engine.query import live_engines
+
+        assert live_engines() == [default_engine()]
+
+    def test_default_engine_takes_no_backend(self):
+        with pytest.raises(TypeError):
+            default_engine("csr")

@@ -149,9 +149,9 @@ class TestCacheKey:
         assert reused > 0, "allocator never reused an address; test is vacuous"
 
     def test_pickle_roundtrip_gets_fresh_key(self):
-        # The on-disk autocache restores automata in other processes; a
-        # pickled key minted by the original process could collide with
-        # keys minted locally, so the key must not survive pickling.
+        # A key minted by the pickling process could collide with keys
+        # minted where the automaton is restored, so it must not survive
+        # pickling.
         import pickle
 
         compiled = compile_nre(parse_nre("a . b*")).compiled()

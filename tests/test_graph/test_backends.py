@@ -11,9 +11,13 @@ snapshot save/load round-trips are asserted exact.
 import os
 import random
 import tempfile
+from array import array
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
+
+from repro import kernels
 
 from repro.engine.query import QueryEngine
 from repro.errors import FrozenGraphError
@@ -147,16 +151,71 @@ class TestBackendEquivalence:
         graph = apply_script(steps)
         frozen = graph.freeze()
         rng = random.Random(seed)
-        dict_engine = QueryEngine(backend="dict")
-        csr_engine = QueryEngine(backend="csr")
         for _ in range(3):
             expr = random_nre(depth=rng.randint(1, 3), rng=rng, alphabet=LABELS)
-            assert dict_engine.pairs(graph, expr) == csr_engine.pairs(graph, expr)
-            assert dict_engine.pairs(frozen, expr) == csr_engine.pairs(frozen, expr)
+            assert QueryEngine().pairs(graph, expr) == QueryEngine().pairs(
+                frozen, expr
+            )
             for node in rng.sample(NODES, 3):
-                assert dict_engine.reachable(graph, expr, node) == csr_engine.reachable(
-                    frozen, expr, node
-                )
+                assert QueryEngine().reachable(
+                    graph, expr, node
+                ) == QueryEngine().reachable(frozen, expr, node)
+
+
+class TestBufferTypes:
+    """CSR builds and snapshot loads with numpy present and masked.
+
+    Without numpy the buffers are :class:`array.array` values built in
+    pure Python; every read must still agree with the dict backend, and a
+    snapshot written under either buffer type must load under either.
+    """
+
+    @settings(max_examples=40, deadline=None)
+    @given(mutation_script())
+    def test_freeze_without_numpy_preserves_every_observable(self, steps):
+        graph = apply_script(steps)
+        with mock.patch.object(kernels, "NUMPY", None):
+            frozen = graph.freeze()
+        assert all(
+            isinstance(buffer, array) for buffer in frozen.csr._fwd_targets.values()
+        )
+        assert_observably_equal(graph, frozen)
+
+    @pytest.mark.parametrize("written", ["numpy", "masked"])
+    @pytest.mark.parametrize("loaded", ["numpy", "masked"])
+    def test_snapshot_loads_across_buffer_types(self, written, loaded, tmp_path):
+        if kernels.NUMPY is None:
+            pytest.skip("numpy unavailable")
+        graph = apply_script(
+            [("add_edge", NODES[i % 7], LABELS[i % 3], NODES[(i * 3) % 10])
+             for i in range(30)]
+        )
+        path = str(tmp_path / "graph.snap")
+        with mock.patch.object(
+            kernels, "NUMPY", kernels.NUMPY if written == "numpy" else None
+        ):
+            save_snapshot(graph, path)
+        with mock.patch.object(
+            kernels, "NUMPY", kernels.NUMPY if loaded == "numpy" else None
+        ):
+            restored = load_snapshot(path)
+        assert_observably_equal(graph, restored)
+        expected_type = kernels.NUMPY.ndarray if "numpy" in (written, loaded) else array
+        assert all(
+            isinstance(buffer, expected_type)
+            for buffer in restored.csr._fwd_targets.values()
+        )
+
+    def test_views_are_decoded_once_per_label(self):
+        frozen = apply_script(
+            [("add_edge", "n0", "a", "n1"), ("add_edge", "n1", "a", "n2")]
+        ).freeze()
+        assert frozen.forward_index("a") is frozen.forward_index("a")
+        assert frozen.backward_index("a") is frozen.backward_index("a")
+        assert frozen.forward_index("a") == {
+            "n0": frozenset({"n1"}), "n1": frozenset({"n2"})
+        }
+        assert frozen.forward_index("zz") == {}
 
 
 class TestFingerprintKeyedCacheBehaviour:
@@ -173,22 +232,10 @@ class TestFingerprintKeyedCacheBehaviour:
         assert engine.stats.graph_cache_hits == 1
         assert engine.stats.graph_cache_misses == 1
 
-    def test_csr_engine_freezes_once_per_fingerprint(self):
-        graph = GraphDatabase(alphabet=LABELS, edges=[("n0", "a", "n1")])
-        engine = QueryEngine(backend="csr")
-        expr = random_nre(depth=2, rng=random.Random(4), alphabet=LABELS)
-        engine.pairs(graph, expr)
-        state = engine._cache[graph.fingerprint()]
-        assert state.graph.is_frozen
-        # A content-equal graph reuses the frozen state (no rebind).
-        twin = GraphDatabase(alphabet=LABELS, edges=[("n0", "a", "n1")])
-        engine.pairs(twin, expr)
-        assert engine._cache[twin.fingerprint()].graph is state.graph
-
     def test_destructive_graphs_stay_uncacheable(self):
         graph = GraphDatabase(alphabet=LABELS, edges=[("n0", "a", "n1")])
         graph.remove_edge("n0", "a", "n1")
-        engine = QueryEngine(backend="csr")
+        engine = QueryEngine()
         expr = random_nre(depth=2, rng=random.Random(5), alphabet=LABELS)
         engine.pairs(graph, expr)
         assert engine.stats.uncacheable_graphs == 1
@@ -233,73 +280,6 @@ class TestFrozenSemantics:
         assert frozen == graph
         assert frozen.fingerprint() is None
         assert frozen.thaw() == graph
-
-
-class TestRefreeze:
-    """Journal-replay refreeze: the warm path for live update batches."""
-
-    def test_noop_batch_preserves_identity_and_fingerprint(self):
-        """PR 6 regression: fingerprints must survive a no-op update batch."""
-        frozen = GraphDatabase(alphabet=LABELS, edges=[("n0", "a", "n1")]).freeze()
-        token = frozen.fingerprint()
-        assert frozen.refreeze([]) is frozen
-        assert frozen.refreeze([("n0", "a", "n1")]) is frozen  # duplicate
-        assert frozen.fingerprint() == token
-
-    def test_refreeze_equals_cold_freeze_twin(self):
-        frozen = GraphDatabase(alphabet=LABELS, edges=[("n0", "a", "n1")]).freeze()
-        warm = frozen.refreeze([("n1", "b", "n2"), ("n1", "b", "n2")])
-        cold = GraphDatabase(
-            alphabet=LABELS, edges=[("n0", "a", "n1"), ("n1", "b", "n2")]
-        ).freeze()
-        assert warm.is_frozen
-        assert warm.fingerprint() == cold.fingerprint()
-        assert_observably_equal(cold.thaw(), warm)
-
-    def test_refreeze_from_mutable_graph_freezes_first(self):
-        graph = GraphDatabase(alphabet=LABELS, edges=[("n0", "a", "n1")])
-        warm = graph.refreeze([("n1", "c", "n3")])
-        assert warm.is_frozen and warm.has_edge("n1", "c", "n3")
-        assert not graph.has_edge("n1", "c", "n3")  # the source is untouched
-
-    def test_csr_extended_rebuilds_only_touched_labels(self):
-        frozen = GraphDatabase(
-            alphabet=LABELS, edges=[("n0", "a", "n1"), ("n2", "b", "n3")]
-        ).freeze()
-        warm = frozen.refreeze([("n4", "b", "n5")])
-        assert warm.label_count("a") == 1 and warm.label_count("b") == 2
-
-    def test_engine_refreezes_along_a_journal_prefix(self):
-        """The csr engine replays the batch suffix instead of re-freezing."""
-        from repro.graph.parser import parse_nre
-
-        engine = QueryEngine(backend="csr")
-        graph = GraphDatabase(alphabet=LABELS, edges=[("n0", "a", "n1")])
-        query = parse_nre("a . b*")
-        engine.pairs(graph, query)
-        assert engine.stats.csr_refreezes == 0
-        graph.add_edge("n1", "b", "n2")
-        engine.pairs(graph, query)
-        assert engine.stats.csr_refreezes == 1
-        graph.add_edge("n2", "c", "n3")
-        engine.pairs(graph, query)
-        assert engine.stats.csr_refreezes == 2
-
-    def test_engine_falls_back_on_diverging_journals(self):
-        """A deletion breaks the journal-prefix shape: cold freeze, right answers."""
-        from repro.graph.parser import parse_nre
-
-        engine = QueryEngine(backend="csr")
-        graph = GraphDatabase(alphabet=LABELS, edges=[("n0", "a", "n1")])
-        query = parse_nre("a . b*")
-        engine.pairs(graph, query)
-        graph.add_edge("n1", "b", "n2")
-        graph.remove_edge("n0", "a", "n1")
-        rebuilt = GraphDatabase(alphabet=LABELS, edges=[("n1", "b", "n2")])
-        assert engine.pairs(rebuilt, query) == engine.pairs(
-            rebuilt.copy(), query
-        )
-        assert engine.stats.csr_refreezes == 0
 
 
 class TestDiscardNode:

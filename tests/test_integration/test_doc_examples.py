@@ -23,7 +23,6 @@ class TestTutorialExecutes:
     def test_tutorial_runs_end_to_end(self):
         env = dict(os.environ)
         env["PYTHONPATH"] = os.path.join(REPO_ROOT, "src")
-        env.setdefault("REPRO_AUTOMATON_CACHE", "off")
         env.pop("REPRO_SNAPSHOT_DIR", None)
         completed = subprocess.run(
             [

@@ -260,29 +260,30 @@ class TestRender:
         assert 'digraph "fig5"' in capsys.readouterr().out
 
 
-class TestBackendFlag:
-    """--backend {dict,csr} must never change what the CLI prints."""
+class TestRetiredFlags:
+    """There is one NRE search: the CLI offers no storage or cache switch."""
 
-    def test_certain_identical_across_backends(self, document_path, capsys):
-        query = "f . f*[h] . f- . (f-)*"
-        assert main(["certain", document_path, query, "--backend", "dict"]) == 0
-        dict_out = capsys.readouterr().out
-        assert main(["certain", document_path, query, "--backend", "csr"]) == 0
-        csr_out = capsys.readouterr().out
-        assert dict_out == csr_out
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["exists", "doc.json", "--backend", "csr"],
+            ["certain", "doc.json", "f", "--backend", "csr"],
+            ["submit", "--port", "1", "certain", "doc.json", "f", "--backend", "csr"],
+            ["submit", "--port", "1", "exists", "doc.json", "--backend", "dict"],
+            ["certain", "doc.json", "f", "--no-automaton-cache"],
+        ],
+    )
+    def test_retired_flag_is_refused(self, argv, capsys):
+        from repro.cli import build_parser
 
-    def test_exists_identical_across_backends(self, document_path, capsys):
-        assert main(["exists", document_path, "--witness", "--backend", "dict"]) == 0
-        dict_out = capsys.readouterr().out
-        assert main(["exists", document_path, "--witness", "--backend", "csr"]) == 0
-        csr_out = capsys.readouterr().out
-        assert dict_out == csr_out
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_stats_name_the_compiled_engine(self, document_path, capsys):
         query = "f . f-"
-        assert main(
-            ["certain", document_path, query, "--backend", "csr", "--stats"]
-        ) == 0
+        assert main(["certain", document_path, query, "--stats"]) == 0
         assert "engine: compiled" in capsys.readouterr().out
 
 
@@ -345,11 +346,3 @@ class TestServeSnapshotDirFlag:
             ["serve", "--port", "0", "--snapshot-dir", "/tmp/snaps"]
         )
         assert args.snapshot_dir == "/tmp/snaps"
-
-    def test_submit_parser_accepts_backend(self):
-        from repro.cli import build_parser
-
-        args = build_parser().parse_args(
-            ["submit", "--port", "1", "certain", "doc.json", "f", "--backend", "csr"]
-        )
-        assert args.backend == "csr"

@@ -11,10 +11,9 @@ Three families of properties over random :class:`GeneratorConfig` draws:
   tenants (the soak tests extend this to full update streams);
 * **certain-answer agreement** — on ~10^2-node draws, the compiled
   query engine returns the same certain answers over the chased
-  universal solution on every backend, with numpy present and masked
-  (so the dict search, the vector search and the generated-code search
-  all run), and all of them match the set-algebraic reference
-  evaluation.  The families
+  universal solution as dict graph and as its frozen twin, with the CSR
+  buffers built with numpy present and masked, and all of them match
+  the set-algebraic reference evaluation.  The families
   sit in the Section 3.1 fragment, so naive evaluation *is* the certain
   answer semantics here (:mod:`repro.core.tractable`).
 """
@@ -42,9 +41,6 @@ from repro.scenarios.scale import (
     workload_queries,
 )
 from repro.service.protocol import canonical_bytes
-
-BACKENDS = ("dict", "csr")
-
 
 @st.composite
 def configs(draw, min_nodes=10, max_nodes=120):
@@ -125,7 +121,7 @@ class TestChaseAgreement:
 class TestCertainAnswerAgreement:
     @settings(max_examples=10, deadline=None)
     @given(configs(min_nodes=60, max_nodes=120))
-    def test_every_kernel_and_backend_agrees_with_the_reference(self, config):
+    def test_every_graph_form_agrees_with_the_reference(self, config):
         setting = scale_setting(config.family)
         instance = generate_instance(config)
         chased = chase_relational(
@@ -140,15 +136,15 @@ class TestCertainAnswerAgreement:
                 for u, v in evaluate_nre(universal, query)
                 if not is_null(u) and not is_null(v)
             )
-            for backend in BACKENDS:
-                for numpy_module in (kernels.NUMPY, None):
-                    with mock.patch.object(kernels, "NUMPY", numpy_module):
-                        engine = QueryEngine(backend=backend)
-                        compiled = frozenset(
-                            (u, v)
-                            for u, v in engine.pairs(universal, query)
-                            if not is_null(u) and not is_null(v)
-                        )
+            for numpy_module in (None, kernels.NUMPY):
+                with mock.patch.object(kernels, "NUMPY", numpy_module):
+                    frozen = universal.freeze()
+                for label, graph in (("dict", universal), ("frozen", frozen)):
+                    compiled = frozenset(
+                        (u, v)
+                        for u, v in QueryEngine().pairs(graph, query)
+                        if not is_null(u) and not is_null(v)
+                    )
                     assert compiled == reference, (
-                        config.family, text, backend, numpy_module is None
+                        config.family, text, label, numpy_module is None
                     )

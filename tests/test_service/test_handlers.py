@@ -1,5 +1,7 @@
 """The worker handlers: direct execution, library equivalence, batching."""
 
+import dataclasses
+
 import pytest
 
 from oracles import ReferenceEngine
@@ -20,6 +22,7 @@ from repro.scenarios.service_workload import (
     multi_tenant_workload,
 )
 from repro.service.protocol import canonical_bytes
+from repro.service.tenants import tenant_cache
 from repro.service.workers import (
     certain_answers_to_dict,
     execute_request,
@@ -186,58 +189,56 @@ class TestFailingChaseDocument:
         assert sorted(served["failure"]) == ["u", "w"]
 
 
-class TestStorageBackendParameter:
-    """`backend` routes evaluation storage; answers must never change."""
+class TestFrozenWitness:
+    """A tenant whose cached witness is frozen answers byte-identically.
 
-    def test_csr_backend_answers_equal_dict_backend(self):
-        document = demo_document()
-        for query in QUERY_MIXES["paper"]:
-            served_dict = execute_request(
-                "certain", params(document, query=query, pair=None, backend="dict")
-            )
-            served_csr = execute_request(
-                "certain", params(document, query=query, pair=None, backend="csr")
-            )
-            assert canonical_bytes(served_dict) == canonical_bytes(served_csr)
+    Frozen graphs answer through the same product search as dict graphs,
+    reading their CSR buffers through dict-shaped views, and the
+    matcher's solution check reads the same views.  Swapping every
+    cached chase result for its frozen twin must not change one byte of
+    any response.
+    """
 
-    def test_csr_batch_equals_dict_batch(self):
-        document = demo_document()
-        queries = list(QUERY_MIXES["stars"])
-        served_dict = execute_request(
-            "evaluate_batch", params(document, queries=queries, backend="dict")
-        )
-        served_csr = execute_request(
-            "evaluate_batch", params(document, queries=queries, backend="csr")
-        )
-        assert canonical_bytes(served_dict) == canonical_bytes(served_csr)
+    @staticmethod
+    def _freeze_cached_witnesses() -> int:
+        cache = tenant_cache()
+        frozen = 0
+        for key, (result, size) in list(cache._entries.items()):
+            if key[0] == "chase" and result.graph is not None:
+                cache._entries[key] = (
+                    dataclasses.replace(result, graph=result.graph.freeze()),
+                    size,
+                )
+                frozen += 1
+        return frozen
 
-    def test_exists_accepts_backend(self):
-        document = demo_document()
-        served = execute_request("exists", params(document, backend="csr"))
-        expected = execute_request("exists", params(document, backend="dict"))
-        assert canonical_bytes(served) == canonical_bytes(expected)
-
-    def test_workload_cases_identical_across_backends(self):
-        from repro.scenarios.service_workload import (
-            case_requests,
-            logical_request_key,
+    @pytest.mark.parametrize("family", ["medlit", "social"])
+    def test_frozen_witness_responses_equal_dict_witness(self, family):
+        from repro.engine.query import default_engine
+        from repro.scenarios.scale import (
+            GeneratorConfig,
+            scale_document,
+            workload_queries,
         )
 
-        for case in multi_tenant_workload(tenants=3, instances_per_tenant=1):
-            by_logical = {}
-            for op, request_params in case_requests(case, backends=("dict", "csr")):
-                served = execute_request(op, request_params)
-                assert "__error__" not in served, (case.name, op, served)
-                backend = request_params.get("backend")
-                if backend is None:
-                    continue
-                logical = logical_request_key(op, request_params)
-                if backend == "dict":
-                    by_logical[logical] = served
-                else:
-                    assert canonical_bytes(served) == canonical_bytes(
-                        by_logical[logical]
-                    ), (case.name, op)
+        document = scale_document(GeneratorConfig(family=family, nodes=60, seed=3))
+        queries = list(workload_queries(family))
+        requests = [
+            ("exists", params(document)),
+            ("evaluate_batch", params(document, queries=queries)),
+        ] + [
+            ("certain", params(document, query=query, pair=None))
+            for query in queries
+        ]
+        on_dict = [execute_request(op, p) for op, p in requests]
+        assert self._freeze_cached_witnesses() == 1
+        default_engine().clear()  # evaluate afresh on the frozen graph
+        on_frozen = [execute_request(op, p) for op, p in requests]
+        for (op, _), dict_served, frozen_served in zip(requests, on_dict, on_frozen):
+            assert "__error__" not in dict_served, op
+            assert canonical_bytes(frozen_served) == canonical_bytes(dict_served), op
+        assert on_dict[0]["status"] == "exists"
+        assert any(result["answers"] for result in on_dict[1]["results"])
 
 
 class TestSnapshotWarmExists:

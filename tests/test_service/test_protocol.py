@@ -34,8 +34,7 @@ class TestValidation:
         request = validate_request(
             make("exists", params={"document": demo_document()})
         )
-        assert request.params["star_bound"] == 2
-        assert request.params["backend"] == "dict"
+        assert request.params == {"document": demo_document(), "star_bound": 2}
 
     def test_deadline_and_no_cache_pass_through(self):
         request = validate_request(make(deadline_s=2, no_cache=True))
@@ -77,12 +76,13 @@ class TestValidation:
 
     @pytest.mark.parametrize(
         "name, value",
-        [("kernel", "vector"), ("engine", "compiled"), ("solver", "cdcl")],
+        [("kernel", "vector"), ("engine", "compiled"), ("solver", "cdcl"),
+         ("backend", "csr")],
     )
     def test_retired_kernel_param_is_rejected_by_name(self, name, value):
-        """Clients written against the selectable kernel/engine/solver
-        protocol get a typed rejection naming the param, not a silent
-        ignore."""
+        """Clients written against the selectable kernel/engine/solver/
+        backend protocol get a typed rejection naming the param, not a
+        silent ignore."""
         document = demo_document()
         with pytest.raises(ProtocolError) as excinfo:
             validate_request(
@@ -97,12 +97,30 @@ class TestValidation:
         assert name not in request.params
 
 
+    @pytest.mark.parametrize(
+        "op, extra",
+        [
+            ("exists", {}),
+            ("evaluate_batch", {"queries": ["f"]}),
+            ("apply_updates", {"updates": []}),
+        ],
+    )
+    def test_retired_backend_param_is_rejected_on_every_op(self, op, extra):
+        """``backend`` was accepted by every compute op; now none takes it."""
+        with pytest.raises(ProtocolError) as excinfo:
+            validate_request(
+                make(op, params={"document": demo_document(), "backend": "dict",
+                                 **extra})
+            )
+        assert excinfo.value.code == "bad-request"
+        assert "does not accept params ['backend']" in str(excinfo.value)
+
+
 class TestFingerprint:
     def test_defaults_normalise_to_the_same_key(self):
         doc = demo_document()
         explicit = validate_request(
-            make("exists", params={"document": doc, "star_bound": 2,
-                                   "backend": "dict"})
+            make("exists", params={"document": doc, "star_bound": 2})
         )
         implicit = validate_request(make("exists", params={"document": doc}))
         assert explicit.fingerprint() == implicit.fingerprint()

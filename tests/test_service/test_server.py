@@ -167,12 +167,13 @@ class TestErrorEnvelopes:
 
     @pytest.mark.parametrize(
         "name, value",
-        [("kernel", "vector"), ("engine", "compiled"), ("solver", "cdcl")],
+        [("kernel", "vector"), ("engine", "compiled"), ("solver", "cdcl"),
+         ("backend", "csr")],
     )
     def test_retired_kernel_param_round_trip(self, client, name, value):
-        """A request still carrying ``params.kernel``, ``params.engine`` or
-        ``params.solver`` gets the typed bad-request envelope; the same
-        connection then serves normally."""
+        """A request still carrying ``params.kernel``, ``params.engine``,
+        ``params.solver`` or ``params.backend`` gets the typed bad-request
+        envelope; the same connection then serves normally."""
         with pytest.raises(ServiceError) as excinfo:
             client.call("exists", {**params(demo_document()), name: value})
         assert excinfo.value.code == "bad-request"

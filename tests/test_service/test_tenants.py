@@ -140,19 +140,14 @@ class TestOneChasePerTenant:
         execute_request("exists", params(document))
         assert verified == [1]
 
-    @pytest.mark.parametrize("backend", ["dict", "csr"])
-    def test_serving_never_mutates_a_cached_graph(self, backend):
+    def test_serving_never_mutates_a_cached_graph(self):
         document = social_document(seed=4)
         setting, instance = document_from_dict(document)
         chase = tenant_cache().chase(setting, instance)
         version, edges = chase.graph.version, chase.graph.edges()
-        execute_request("exists", params(document, backend=backend))
-        execute_request(
-            "certain", params(document, query=QUERIES[1], pair=None, backend=backend)
-        )
-        execute_request(
-            "evaluate_batch", params(document, queries=QUERIES, backend=backend)
-        )
+        execute_request("exists", params(document))
+        execute_request("certain", params(document, query=QUERIES[1], pair=None))
+        execute_request("evaluate_batch", params(document, queries=QUERIES))
         assert tenant_cache().chase(setting, instance) is chase
         assert chase.graph.version == version
         assert chase.graph.edges() == edges

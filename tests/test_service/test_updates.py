@@ -50,7 +50,7 @@ class TestProtocol:
             {"document": streaming_document(), "updates": UPDATES}
         )
         assert request.params["queries"] == []
-        assert request.params["backend"] == "dict"
+        assert "backend" not in request.params
 
     def test_updates_are_required(self):
         with pytest.raises(ProtocolError) as excinfo:
@@ -96,7 +96,7 @@ class TestHandler:
         batch = execute_request(
             "evaluate_batch",
             {"document": served["document"], "queries": QUERIES,
-             "star_bound": 2, "backend": "dict"},
+             "star_bound": 2},
         )
         assert "__error__" not in batch
         for streamed, cold in zip(served["results"], batch["results"]):
@@ -186,11 +186,9 @@ class TestHandler:
         )
         assert served["__error__"]["code"] == "unsupported"
 
-    @pytest.mark.parametrize("backend", ["dict", "csr"])
-    def test_backends_agree(self, backend):
+    def test_streamed_answers(self):
         served = execute_request(
-            "apply_updates",
-            body(streaming_document(), UPDATES, backend=backend),
+            "apply_updates", body(streaming_document(), UPDATES)
         )
         assert served["results"][0]["answers"] == []  # f hops through nulls
         assert served["results"][1]["answers"] == [
