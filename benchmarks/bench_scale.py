@@ -2,7 +2,7 @@
 
 A standalone script (not a pytest-benchmark module): the stages it times
 — streamed generation, relational chase, query evaluation, the
-(downsampled) SAT decision, CSR freeze, snapshot save/load, and
+(downsampled) SAT decision, freeze, snapshot save/load, and
 a mixed service request stream — run for minutes at the nightly tier, so
 they are driven directly and emit a pytest-benchmark-*shaped* JSON
 report that :mod:`export_medians` and :mod:`compare_medians` consume
@@ -125,9 +125,9 @@ def bench_family(
     )
     print(f"  chase: {durations[0]:.2f}s ({graph.edge_count()} edges)", flush=True)
 
-    # csr freeze: the cold CSR build.
+    # freeze: the read-only copy the queries and snapshots read.
     durations, frozen = timed(graph.freeze, rounds)
-    benchmarks.append(entry(f"{prefix}/csr_freeze", durations))
+    benchmarks.append(entry(f"{prefix}/freeze", durations))
 
     # evaluate: the family's query mix on the frozen universal solution.
     engine = QueryEngine()

@@ -1,18 +1,14 @@
-"""Storage-backend benchmarks: dict hash indexes vs frozen interned CSR.
+"""Storage benchmarks: the closure micro, freeze cost and warm restarts.
 
 The bulk-traversal primitive of the whole stack — evaluate a compiled NRE
-over a chased-result-shaped graph — measured on both storage backends of
-:mod:`repro.graph.backends`.  There is one NRE search; a frozen graph
-answers through it by reading its CSR buffers as dict-shaped views.
+over a chased-result-shaped graph — plus what the read-only copy and the
+snapshot store cost.  There is one NRE search and one graph storage; a
+frozen graph is a read-only copy of it, so timing queries on it would
+time the same code twice.
 
 * ``test_bulk_traversal_dict``   — the closure micro (``f . s* . (h- + f)``
   from 120 sources of a uniform random graph, where every source reaches
-  about |V| nodes) on the mutation-friendly dict backend;
-* ``test_bulk_traversal_frozen`` — the same sweep on the frozen graph,
-  answers asserted identical.  Ungated: it reports both medians so the
-  closure micro's known loss against the deleted numpy sweep search
-  (about 12×, see docs/PERFORMANCE.md) stays visible;
-* ``test_all_pairs_frozen``      — all-pairs evaluation on the frozen graph;
+  about |V| nodes);
 * ``test_freeze_cost``           — what one ``freeze()`` costs;
 * ``test_snapshot_load_vs_rechase`` — the service's warm-tenant restart
   path: loading + verifying a frozen witness snapshot vs re-deriving the
@@ -27,7 +23,7 @@ from __future__ import annotations
 import random
 import statistics
 
-from conftest import ab_medians, report, timed
+from conftest import report, timed
 
 from repro.engine.query import QueryEngine
 from repro.graph.database import GraphDatabase
@@ -69,7 +65,7 @@ def make_sweep(graph: GraphDatabase):
     ``QueryEngine.reachable`` memoises per (expr, source); benchmarking
     the memo would measure dictionary lookups, not traversal.  Each sweep
     runs on a cleared cross-candidate cache so the product search really
-    executes (compiled automata are shared by both backends either way).
+    executes.
     """
     engine = QueryEngine()
     expr = parse_nre(QUERY)
@@ -89,42 +85,6 @@ def test_bulk_traversal_dict(benchmark):
     """The closure micro on the dict backend (ungated timing)."""
     sweep = make_sweep(chase_shaped_graph())
     assert benchmark.pedantic(sweep, rounds=5, iterations=1, warmup_rounds=1) > 0
-
-
-def test_bulk_traversal_frozen(benchmark):
-    """The same sweep on the frozen graph: identical answers, ungated."""
-    graph = chase_shaped_graph()
-    frozen = graph.freeze()
-    dict_sweep = make_sweep(graph)
-    frozen_sweep = make_sweep(frozen)
-    assert frozen_sweep() == dict_sweep(), (
-        "backend answers diverged on the traversal sweep"
-    )
-    benchmark.pedantic(frozen_sweep, rounds=5, iterations=1, warmup_rounds=1)
-    dict_median, frozen_median = ab_medians(dict_sweep, frozen_sweep)
-    report(
-        "storage backends: bulk traversal (closure micro)",
-        [
-            ("graph", "chased shape", f"|V|={NODE_COUNT} |E|~{EDGE_FACTOR * NODE_COUNT}"),
-            ("dict graph median", "--", f"{1000 * dict_median:.1f} ms"),
-            ("frozen graph median", "--", f"{1000 * frozen_median:.1f} ms"),
-            ("frozen / dict", "ungated", f"{frozen_median / dict_median:.2f}x"),
-        ],
-    )
-
-
-def test_all_pairs_frozen(benchmark):
-    """All-pairs evaluation on a frozen graph (fresh engine per round)."""
-    graph = chase_shaped_graph(node_count=600, edge_factor=4)
-    frozen = graph.freeze()
-    expr = parse_nre(QUERY)
-    dict_answers = QueryEngine().pairs(graph, expr)
-
-    def all_pairs():
-        return QueryEngine().pairs(frozen, expr)
-
-    answers = benchmark.pedantic(all_pairs, rounds=5, iterations=1, warmup_rounds=1)
-    assert answers == dict_answers
 
 
 def test_freeze_cost(benchmark):

@@ -23,7 +23,7 @@ Available commands:
                  exists / not-exists / unknown;
 * ``certain``  — compute the certain answers of an NRE query;
 * ``render``   — emit Graphviz DOT for a graph JSON file;
-* ``snapshot`` — ``save``/``load``/``info`` for frozen CSR graph
+* ``snapshot`` — ``save``/``load``/``info`` for graph
                  snapshots (version-stamped files, see
                  :mod:`repro.graph.snapshot`);
 * ``serve``    — run the persistent JSON-lines service (worker pool +
@@ -418,7 +418,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
 
 def _cmd_snapshot(args: argparse.Namespace) -> int:
     from repro.errors import SnapshotError
-    from repro.graph.snapshot import load_snapshot, save_snapshot
+    from repro.graph.snapshot import SNAPSHOT_FORMAT, load_snapshot, save_snapshot
 
     if args.action == "save":
         with open(args.graph, encoding="utf-8") as handle:
@@ -426,7 +426,7 @@ def _cmd_snapshot(args: argparse.Namespace) -> int:
         save_snapshot(graph, args.snapshot)
         print(
             f"wrote {args.snapshot}: |V|={graph.node_count()} "
-            f"|E|={graph.edge_count()} (frozen csr, format-stamped)"
+            f"|E|={graph.edge_count()} (snapshot format {SNAPSHOT_FORMAT})"
         )
         return 0
     try:
@@ -446,7 +446,7 @@ def _cmd_snapshot(args: argparse.Namespace) -> int:
     # info
     token = graph.fingerprint()
     print(f"snapshot: {args.snapshot}")
-    print(f"backend: {graph.backend_name} (frozen)")
+    print(f"format: {SNAPSHOT_FORMAT}")
     print(f"nodes: {graph.node_count()}")
     print(f"edges: {graph.edge_count()}")
     print(f"alphabet: {sorted(map(str, graph.alphabet))}")
@@ -555,11 +555,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     snapshot = commands.add_parser(
         "snapshot",
-        help="save/load frozen CSR graph snapshots (version-stamped files)",
+        help="save/load graph snapshots (version-stamped files)",
     )
     snapshot_actions = snapshot.add_subparsers(dest="action", required=True)
     snap_save = snapshot_actions.add_parser(
-        "save", help="freeze a graph JSON file into a snapshot"
+        "save", help="write a graph JSON file as a snapshot"
     )
     snap_save.add_argument("graph", help="graph JSON file (graph_to_dict shape)")
     snap_save.add_argument("snapshot", help="output snapshot path")

@@ -217,7 +217,7 @@ class TriggerMatcher:
 
         * two-atom bodies sharing one variable (the paper's
           functionality egds) run a hash join straight over the per-label
-          index buckets (a frozen graph's CSR views included);
+          index buckets;
         * every other simple body runs the backtracking join with the
           projection applied in place (no per-hom dict copies) and
           dedupes directly on the pair.

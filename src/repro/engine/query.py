@@ -133,8 +133,7 @@ class _GraphState:
         reads a graph that *currently* matches the fingerprint (the original
         object could have been destructively mutated since).  A state whose
         graph is *frozen* never rebinds: frozen graphs cannot drift from
-        their fingerprint, so a content-equal graph is served from the
-        frozen graph's views already built.
+        their fingerprint, so the state keeps reading the frozen graph.
         """
         if self.graph is not graph and not self.graph.is_frozen:
             self.graph = graph
@@ -148,10 +147,9 @@ class QueryEngine:
     per-expression automaton table is unbounded but tiny (one entry per
     distinct query/subexpression ever evaluated).
 
-    Graphs evaluate as handed in, on whatever storage backend they carry:
-    the one product search reads a frozen graph's dict-shaped CSR views
-    exactly like a dict graph's indexes, so answers never depend on the
-    backend.
+    Graphs evaluate as handed in: mutable, frozen and snapshot-loaded
+    graphs keep the same per-label indexes, which the one product search
+    reads.
 
     ``backend`` is a retired keyword kept as a shim: ``"dict"`` and
     ``"csr"`` are accepted and change nothing, any other value raises

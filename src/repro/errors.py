@@ -59,13 +59,14 @@ class BoundExceeded(ReproError):
 
 
 class FrozenGraphError(ReproError):
-    """A mutation was attempted on a frozen (read-optimized) graph.
+    """A mutation was attempted on a frozen (read-only) graph.
 
-    Raised by the CSR storage backend's mutation hooks: a graph produced
-    by :meth:`repro.graph.database.GraphDatabase.freeze` (or loaded from a
+    Raised by the mutation hooks of
+    :class:`~repro.graph.backends.FrozenDictBackend`: a graph produced by
+    :meth:`repro.graph.database.GraphDatabase.freeze` (or loaded from a
     snapshot) is immutable by construction.  Call
     :meth:`~repro.graph.database.GraphDatabase.thaw` to obtain a mutable
-    dict-backed copy.
+    copy.
     """
 
 

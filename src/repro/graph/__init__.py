@@ -19,22 +19,17 @@ This package implements the *target* side of the exchange setting
   ``(u, v) ∈ ⟦r⟧``, used to instantiate graph patterns into solutions;
 * :mod:`repro.graph.classes` — structural classifiers (``SORE(·)``,
   star-freeness, nesting depth) used to state the paper's restrictions;
-* :mod:`repro.graph.backends` — the pluggable physical storage behind
-  ``GraphDatabase``: the mutation-friendly ``DictBackend`` (default) and
-  the frozen, interned-CSR ``CsrBackend`` reached via
-  ``GraphDatabase.freeze()``;
-* :mod:`repro.graph.snapshot` — version-stamped save/load of frozen
-  graphs (``save_snapshot`` / ``load_snapshot``) plus the content-keyed
-  ``SnapshotStore`` the service uses for warm-tenant restarts.
+* :mod:`repro.graph.backends` — the storage behind ``GraphDatabase``:
+  the hash-index ``DictBackend``, and its read-only subclass
+  ``FrozenDictBackend`` reached via ``GraphDatabase.freeze()``;
+* :mod:`repro.graph.snapshot` — version-stamped save/load of graphs as
+  edge lists (``save_snapshot`` / ``load_snapshot``) plus the
+  content-keyed ``SnapshotStore`` the service uses for warm-tenant
+  restarts.
 """
 
 from repro.graph.database import GraphDatabase, Edge
-from repro.graph.backends import (
-    CsrBackend,
-    DictBackend,
-    Fingerprint,
-    StorageBackend,
-)
+from repro.graph.backends import DictBackend, Fingerprint, FrozenDictBackend
 from repro.graph.snapshot import (
     SnapshotStore,
     load_snapshot,
@@ -93,9 +88,8 @@ from repro.graph.language import (
 __all__ = [
     "GraphDatabase",
     "Edge",
-    "StorageBackend",
     "DictBackend",
-    "CsrBackend",
+    "FrozenDictBackend",
     "Fingerprint",
     "SnapshotStore",
     "save_snapshot",

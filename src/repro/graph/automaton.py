@@ -26,9 +26,8 @@ indexes without ever touching an ε edge at run time.
 
 The product BFS reads only the graph's dict-shaped per-label indexes
 (:meth:`~repro.graph.database.GraphDatabase.forward_index` /
-``backward_index``), so it runs unchanged on every storage backend: a
-frozen or snapshot-loaded graph serves those indexes as views built once
-per label from its CSR buffers.  There is one search.
+``backward_index``), which mutable, frozen and snapshot-loaded graphs
+all keep alike.  There is one search.
 
 This module is an independent implementation of the same semantics as
 :mod:`repro.graph.eval`; the two are differential-tested against each other

@@ -6,38 +6,26 @@ edge-labeled graph ``G = (V, E)`` with ``V`` a finite set of node ids and
 labels are strings.
 
 :class:`GraphDatabase` is the *logical* graph — the single data model every
-chase, query engine, and serialisation layer speaks.  The *physical*
-representation lives behind the pluggable storage backends of
-:mod:`repro.graph.backends`:
+chase, query engine, and serialisation layer speaks.  Its storage is the
+:class:`~repro.graph.backends.DictBackend` of :mod:`repro.graph.backends`:
+per-label hash adjacency in both directions, any-label incident-edge
+indexes (``edges_from`` / ``edges_to`` / ``incident_edges``) so the chase
+engine can find every edge touching a node in O(degree), and an
+append-only *edge journal* (``version`` / ``edges_since``) that makes
+semi-naive (delta) chase iteration possible.
 
-* the default :class:`~repro.graph.backends.DictBackend` keeps per-label
-  hash adjacency in both directions, any-label incident-edge indexes
-  (``edges_from`` / ``edges_to`` / ``incident_edges``) so the chase engine
-  can find every edge touching a node in O(degree), and an append-only
-  *edge journal* (``version`` / ``edges_since``) that makes semi-naive
-  (delta) chase iteration possible;
-* :meth:`GraphDatabase.freeze` compiles the graph into the read-optimized
-  :class:`~repro.graph.backends.CsrBackend` — nodes and labels interned to
-  dense integer ids, per-label adjacency as sorted CSR arrays — whose
-  dict-shaped adjacency views the product-automaton search reads like any
-  other graph's.  Frozen graphs refuse mutation (:class:`~repro.errors.FrozenGraphError`)
-  and round-trip through the version-stamped snapshot files of
-  :mod:`repro.graph.snapshot`; :meth:`GraphDatabase.thaw` goes back to a
-  mutable dict-backed copy with the journal (hence the content
-  fingerprint) preserved.
+:meth:`GraphDatabase.freeze` returns a read-only copy of the graph that
+refuses mutation (:class:`~repro.errors.FrozenGraphError`) and round-trips
+through the version-stamped snapshot files of :mod:`repro.graph.snapshot`;
+:meth:`GraphDatabase.thaw` goes back to a mutable copy with the journal
+(hence the content fingerprint) preserved.
 """
 
 from __future__ import annotations
 
 from typing import Hashable, Iterable, Iterator
 
-from repro.graph.backends import (
-    CsrBackend,
-    DictBackend,
-    Edge,
-    Fingerprint,
-    StorageBackend,
-)
+from repro.graph.backends import DictBackend, Edge, Fingerprint, FrozenDictBackend
 
 Node = Hashable
 LabelName = str
@@ -65,13 +53,12 @@ class GraphDatabase:
     >>> sorted(g.successors("c1", "f"))
     ['c2']
 
-    Storage is pluggable (see :mod:`repro.graph.backends`): every graph
-    starts on the mutation-friendly dict backend; :meth:`freeze` compiles
-    it into the read-optimized interned-CSR backend for query-heavy use:
+    :meth:`freeze` returns a read-only copy, for a graph that is done
+    changing and will be queried or snapshotted:
 
     >>> frozen = g.freeze()
-    >>> frozen.backend_name, frozen.is_frozen
-    ('csr', True)
+    >>> frozen.is_frozen
+    True
     >>> sorted(frozen.successors("c1", "f")) == sorted(g.successors("c1", "f"))
     True
     """
@@ -84,38 +71,27 @@ class GraphDatabase:
         nodes: Iterable[Node] = (),
         edges: Iterable[tuple[Node, LabelName, Node]] = (),
     ):
-        self._backend: StorageBackend = DictBackend.from_edges(alphabet, edges)
-        for node in nodes:
-            self._backend.add_node(node)
+        self._backend = DictBackend.from_edges(alphabet, edges, nodes=nodes)
 
     # ------------------------------------------------------------------ #
     # Storage backend surface
     # ------------------------------------------------------------------ #
 
     @classmethod
-    def _from_backend(cls, backend: StorageBackend) -> "GraphDatabase":
+    def _from_backend(cls, backend: DictBackend) -> "GraphDatabase":
         """Wrap an already-populated storage backend (internal)."""
         graph = cls.__new__(cls)
         graph._backend = backend
         return graph
 
     @property
-    def backend(self) -> StorageBackend:
-        """The live storage backend behind this graph (read its ``name``)."""
+    def backend(self) -> DictBackend:
+        """The storage behind this graph (a :class:`FrozenDictBackend` when frozen)."""
         return self._backend
 
     @property
-    def backend_name(self) -> str:
-        """The storage backend identifier: ``"dict"`` or ``"csr"``.
-
-        >>> GraphDatabase().backend_name
-        'dict'
-        """
-        return self._backend.name
-
-    @property
     def is_frozen(self) -> bool:
-        """Whether this graph is on a read-only (CSR) backend.
+        """Whether this graph is a read-only :meth:`freeze` copy.
 
         >>> g = GraphDatabase(edges=[("u", "a", "v")])
         >>> g.is_frozen, g.freeze().is_frozen
@@ -123,22 +99,15 @@ class GraphDatabase:
         """
         return not self._backend.mutable
 
-    @property
-    def csr(self) -> CsrBackend | None:
-        """The CSR backend when frozen, else ``None``.
-
-        :mod:`repro.graph.snapshot` reads the frozen buffers through it.
-        """
-        backend = self._backend
-        return backend if isinstance(backend, CsrBackend) else None
-
     def freeze(self) -> "GraphDatabase":
-        """Return a read-optimized (interned CSR) view of this graph.
+        """Return a read-only copy of this graph.
 
-        The frozen graph has identical content, journal, and fingerprint,
-        so query-engine caches keyed on :meth:`fingerprint` treat the two
-        interchangeably — compile the chased result once, query it many
-        times.  Freezing a frozen graph returns it unchanged.
+        The copy shares the :class:`Edge` objects and keeps the content,
+        journal, ``destructive`` flag and fingerprint, so query-engine
+        caches keyed on :meth:`fingerprint` treat the two interchangeably.
+        Every mutation of the copy raises
+        :class:`~repro.errors.FrozenGraphError`.  Freezing a frozen graph
+        returns it unchanged.
 
         >>> g = GraphDatabase(edges=[("u", "a", "v")])
         >>> frozen = g.freeze()
@@ -151,17 +120,14 @@ class GraphDatabase:
         """
         if self.is_frozen:
             return self
-        return GraphDatabase._from_backend(CsrBackend.from_backend(self._backend))
+        return GraphDatabase._from_backend(self._backend.copy_as(FrozenDictBackend))
 
     def thaw(self) -> "GraphDatabase":
-        """Return a mutable dict-backed copy of this graph.
+        """Return a mutable copy of this graph.
 
-        For non-destructive sources the edge journal is replayed in order,
-        so the thawed copy carries the same fingerprint as the frozen one
-        (``freeze``/``thaw`` round-trips are content- *and* cache-exact).
-        Graphs that had destructively mutated before freezing rebuild from
-        the edge set and stay fingerprint-less.  Thawing a mutable graph
-        returns an independent copy.
+        The copy keeps the journal, the ``destructive`` flag and the
+        fingerprint, so ``freeze``/``thaw`` round trips are content- *and*
+        cache-exact.  Thawing a mutable graph returns an independent copy.
 
         >>> g = GraphDatabase(edges=[("u", "a", "v")])
         >>> thawed = g.freeze().thaw()
@@ -170,18 +136,7 @@ class GraphDatabase:
         >>> thawed.fingerprint() == g.fingerprint()
         True
         """
-        source = self._backend
-        replay = (
-            sorted(source.edges(), key=repr) if source.destructive else source.journal()
-        )
-        backend = DictBackend.from_edges(
-            source.declared_alphabet(),
-            ((edge.source, edge.label, edge.target) for edge in replay),
-            destructive=source.destructive,
-        )
-        for node in source.nodes():
-            backend.add_node(node)
-        return GraphDatabase._from_backend(backend)
+        return GraphDatabase._from_backend(self._backend.copy_as(DictBackend))
 
     # ------------------------------------------------------------------ #
     # Schema
@@ -289,9 +244,7 @@ class GraphDatabase:
         Unlike :meth:`successors` this copies nothing: the returned mapping
         is the backend's own index (``node → set of successors``), shared
         for the lifetime of the graph.  Callers must not mutate it and must
-        not hold it across edge insertions or removals.  On a frozen graph
-        the view is materialised lazily from the CSR buffers, once per
-        label, and the product-automaton search reads it like any other.
+        not hold it across edge insertions or removals.
 
         >>> g = GraphDatabase(edges=[("u", "a", "v")])
         >>> g.forward_index("a")["u"]
@@ -426,8 +379,8 @@ class GraphDatabase:
         to let content-identical candidate solutions share work.  Graphs
         that underwent destructive mutation return ``None`` forever (their
         journal no longer determines their edges) and are simply evaluated
-        without cross-graph caching.  Fingerprints are backend-independent:
-        a graph and its :meth:`freeze` image carry equal tokens.
+        without cross-graph caching.  A graph and its :meth:`freeze` copy
+        carry equal tokens.
 
         >>> g = GraphDatabase(edges=[("u", "a", "v")])
         >>> g.fingerprint() == GraphDatabase(edges=[("u", "a", "v")]).fingerprint()
@@ -453,19 +406,11 @@ class GraphDatabase:
     def copy(self) -> "GraphDatabase":
         """Return an independent *mutable* copy (same alphabet declaration).
 
-        Copies are always dict-backed, whatever the source backend — the
-        point of copying is to mutate the result.  Dict-backed sources
-        take the backend's structural :meth:`~DictBackend.clone` (index
-        surgery, shared edge objects) instead of edge-by-edge replay.
+        A structural :meth:`~DictBackend.clone` (index surgery, shared edge
+        objects), not edge-by-edge replay; the copy of a frozen graph is
+        mutable too — the point of copying is to mutate the result.
         """
-        if isinstance(self._backend, DictBackend):
-            return GraphDatabase._from_backend(self._backend.clone())
-        clone = GraphDatabase(alphabet=self._backend.declared_alphabet())
-        for node in self._backend.nodes():
-            clone.add_node(node)
-        for edge in self._backend.edges():
-            clone.add_edge(edge.source, edge.label, edge.target)
-        return clone
+        return GraphDatabase._from_backend(self._backend.clone())
 
     def extended(
         self, edges: Iterable[tuple[Node, LabelName, Node]]
@@ -481,16 +426,9 @@ class GraphDatabase:
 
         Useful when a graph built over Σ must be re-read over Σ ∪ {sameAs}.
         """
-        if isinstance(self._backend, DictBackend):
-            return GraphDatabase._from_backend(
-                self._backend.clone(alphabet=frozenset(alphabet))
-            )
-        clone = GraphDatabase(alphabet=alphabet)
-        for node in self._backend.nodes():
-            clone.add_node(node)
-        for edge in self._backend.edges():
-            clone.add_edge(edge.source, edge.label, edge.target)
-        return clone
+        return GraphDatabase._from_backend(
+            self._backend.clone(alphabet=frozenset(alphabet))
+        )
 
     # ------------------------------------------------------------------ #
     # Dunder protocol
@@ -508,8 +446,7 @@ class GraphDatabase:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GraphDatabase):
             return NotImplemented
-        # Content equality is backend-independent: a graph equals its
-        # frozen image.
+        # Content equality: a graph equals its frozen copy.
         return (
             self._backend.nodes() == other._backend.nodes()
             and self._backend.edges() == other._backend.edges()

@@ -1,13 +1,13 @@
-"""Version-stamped snapshots of frozen graph databases.
+"""Version-stamped snapshots of graph databases.
 
-The freeze/thaw story of :mod:`repro.graph.backends` gives a chased result
-a read-optimized in-process form; this module makes that form *durable*:
-a frozen :class:`~repro.graph.database.GraphDatabase` serialises to a
-single snapshot file — interning table, edge journal, and raw CSR buffers
-— and loads back without re-sorting, re-interning, or re-chasing
-anything.  The round trip is exact: nodes, edges, alphabet declaration,
-journal, and content fingerprint all survive
-(``tests/test_graph/test_snapshot.py`` pins this).
+A :class:`~repro.graph.database.GraphDatabase` serialises to a single
+snapshot file — its alphabet, node list, live edges as ``(source, label,
+target)`` triples, its edge journal when that differs from the live edges,
+and its ``destructive`` flag — and loads back as a frozen graph, rebuilt
+through :meth:`~repro.graph.backends.DictBackend.from_edges` without
+re-chasing anything.  The round trip is exact: nodes, edges, alphabet
+declaration, journal, ``destructive`` flag and content fingerprint all
+survive (``tests/test_graph/test_snapshot.py`` pins this).
 
 Two consumption layers sit on top of the file format:
 
@@ -42,22 +42,24 @@ import hashlib
 import os
 import pickle
 import tempfile
+from operator import attrgetter
 
-from repro.errors import SnapshotError
-from repro.graph.backends import CsrBackend
+from repro.errors import SchemaError, SnapshotError
+from repro.graph.backends import FrozenDictBackend
 from repro.graph.database import GraphDatabase
 
-SNAPSHOT_FORMAT = 1
-"""Bump on any change to the snapshot payload shape or CSR field layout."""
+SNAPSHOT_FORMAT = 2
+"""Bump on any change to the snapshot payload shape."""
 
 _MAGIC = "repro-graph-snapshot"
+
+_triple = attrgetter("source", "label", "target")
 
 
 def save_snapshot(graph: GraphDatabase, path: str) -> None:
     """Write ``graph`` to ``path`` as a version-stamped snapshot file.
 
-    A mutable graph is frozen first (the original is untouched); an
-    already-frozen graph serialises its live CSR buffers as they are.
+    Mutable and frozen graphs serialise alike; the graph is only read.
     The write is atomic (temp file + ``os.replace``), so a concurrent
     reader sees either the old file or the new one, never a torn pickle.
 
@@ -68,13 +70,20 @@ def save_snapshot(graph: GraphDatabase, path: str) -> None:
     ...     load_snapshot(os.path.join(d, "g.snap")) == g
     True
     """
-    frozen = graph.freeze()
-    backend = frozen.csr
-    assert backend is not None  # freeze() guarantees a CSR backend
+    backend = graph.backend
+    journal = backend.journal()
+    # Every live edge was journaled when it was added, so a journal as long
+    # as the edge set *is* the edge set; only removals and renames (which
+    # leave their old edges in the journal) make the two differ.
+    live = journal if len(journal) == backend.edge_count() else backend.edges()
     payload = {
         "magic": _MAGIC,
         "format": SNAPSHOT_FORMAT,
-        "state": backend.dump_state(),
+        "alphabet": backend.declared_alphabet(),
+        "nodes": list(backend.nodes()),
+        "edges": list(map(_triple, live)),
+        "journal": None if live is journal else list(map(_triple, journal)),
+        "destructive": backend.destructive,
     }
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
@@ -95,7 +104,9 @@ def load_snapshot(path: str) -> GraphDatabase:
     """Read a snapshot file back into a frozen :class:`GraphDatabase`.
 
     Raises :class:`~repro.errors.SnapshotError` when the file is missing,
-    unreadable, not a snapshot, or carries a foreign format version —
+    unreadable, not a snapshot, carries a foreign format version, or holds
+    a payload that does not rebuild into a graph (a missing key, an entry
+    that is not a triple, a label outside the declared alphabet) —
     explicit loads fail loudly (use :class:`SnapshotStore` for cache-style
     miss-on-damage semantics).
     """
@@ -114,9 +125,19 @@ def load_snapshot(path: str) -> GraphDatabase:
             f"library reads format {SNAPSHOT_FORMAT} — re-export the snapshot"
         )
     try:
-        backend = CsrBackend.restore_state(payload["state"])
-    except (KeyError, TypeError, ValueError) as error:
-        raise SnapshotError(f"corrupt snapshot payload in {path!r}: {error}") from None
+        backend = FrozenDictBackend.from_edges(
+            payload["alphabet"],
+            payload["edges"],
+            destructive=bool(payload["destructive"]),
+            nodes=payload["nodes"],
+            journal=payload["journal"],
+        )
+    except (KeyError, TypeError, ValueError, SchemaError) as error:
+        # A missing key, a payload or entry of the wrong shape, or a label
+        # outside the declared alphabet.
+        raise SnapshotError(
+            f"corrupt snapshot payload in {path!r}: {type(error).__name__}: {error}"
+        ) from None
     return GraphDatabase._from_backend(backend)
 
 
@@ -158,7 +179,7 @@ class SnapshotStore:
             return None
 
     def store(self, key: str, graph: GraphDatabase) -> None:
-        """Persist ``graph`` under ``key`` (freezing it if necessary).
+        """Persist ``graph`` under ``key``; it loads back frozen.
 
         Best-effort, like every cache write in this library: filesystem
         trouble degrades to a skipped store, never an error in the

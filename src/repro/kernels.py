@@ -1,31 +1,6 @@
-"""numpy gating for the CSR build, and the kernel name perfbench prints.
-
-All numpy access in the library routes through :func:`get_numpy`, so
-tests can simulate a numpy-less installation by monkeypatching one
-attribute (``repro.kernels.NUMPY = None``) instead of manipulating
-``sys.modules``.  The only numpy consumers are the CSR buffer build of
-:class:`~repro.graph.backends.CsrBackend` and the coercion of
-snapshot-loaded buffers; NRE evaluation never touches numpy.
-"""
+"""The name of the NRE search, printed by ``perfbench/run.py``."""
 
 from __future__ import annotations
-
-try:  # pragma: no cover - exercised via both branches in the test suite
-    import numpy as _numpy
-except ImportError:  # pragma: no cover - the container ships numpy
-    _numpy = None
-
-NUMPY = _numpy
-"""The numpy module, or ``None``.  Tests monkeypatch this to mask numpy."""
-
-
-def get_numpy():
-    """Return the numpy module or ``None`` (the single masking point).
-
-    >>> get_numpy() is NUMPY
-    True
-    """
-    return NUMPY
 
 
 def resolve_kernel(kernel: None = None) -> str:

@@ -193,7 +193,7 @@ def _handle_exists(params: dict) -> dict:
             engine=default_engine(),
         )
     if store is not None and result.witness is not None:
-        store.store(key, result.witness.freeze())
+        store.store(key, result.witness)
     return existence_result_to_dict(result)
 
 

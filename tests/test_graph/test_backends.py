@@ -1,27 +1,24 @@
-"""Differential suite for the storage backends (dict vs interned CSR).
+"""Differential suite for a graph and its frozen, thawed and reloaded copies.
 
-Random mutation/query interleavings drive a dict-backed graph; at every
-observation point the graph is frozen and the two backends must agree on
-every observable — nodes, edges, adjacency in both directions, journal,
-fingerprint — and the compiled query engine must return identical answers
-and share fingerprint-keyed cache entries across them.  Freeze/thaw and
-snapshot save/load round-trips are asserted exact.
+Random mutation scripts (removals and renames included) drive a mutable
+graph; the graph is then frozen, frozen and thawed, and saved and
+reloaded as a snapshot, and each copy must agree with it on every
+observable — nodes, edges, adjacency in both directions, journal,
+``destructive`` flag, fingerprint — while the compiled query engine
+returns identical answers and shares fingerprint-keyed cache entries
+across them.
 """
 
 import os
 import random
 import tempfile
-from array import array
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import kernels
-
 from repro.engine.query import QueryEngine
 from repro.errors import FrozenGraphError
-from repro.graph.backends import CsrBackend, DictBackend, StorageBackend
+from repro.graph.backends import DictBackend, FrozenDictBackend
 from repro.graph.database import GraphDatabase
 from repro.graph.snapshot import load_snapshot, save_snapshot
 from repro.patterns.pattern import Null
@@ -70,49 +67,54 @@ def apply_script(steps) -> GraphDatabase:
     return graph
 
 
-def assert_observably_equal(dict_graph: GraphDatabase, csr_graph: GraphDatabase):
-    """Every read observable must agree between the two backends."""
-    assert csr_graph.nodes() == dict_graph.nodes()
-    assert csr_graph.edges() == dict_graph.edges()
-    assert csr_graph.node_count() == dict_graph.node_count()
-    assert csr_graph.edge_count() == dict_graph.edge_count()
-    assert csr_graph.alphabet == dict_graph.alphabet
-    assert csr_graph.version == dict_graph.version
-    assert csr_graph.fingerprint() == dict_graph.fingerprint()
-    assert csr_graph == dict_graph and dict_graph == csr_graph
+def assert_observably_equal(graph: GraphDatabase, twin: GraphDatabase):
+    """Every read observable must agree between a graph and its copy."""
+    assert twin.nodes() == graph.nodes()
+    assert twin.edges() == graph.edges()
+    assert twin.node_count() == graph.node_count()
+    assert twin.edge_count() == graph.edge_count()
+    assert twin.alphabet == graph.alphabet
+    assert twin.backend.declared_alphabet() == (
+        graph.backend.declared_alphabet()
+    )
+    assert twin.version == graph.version
+    assert twin.edges_since(0) == graph.edges_since(0)
+    assert twin.backend.destructive == graph.backend.destructive
+    assert twin.fingerprint() == graph.fingerprint()
+    assert twin == graph and graph == twin
     for node in NODES:
-        assert (node in csr_graph) == (node in dict_graph)
-        assert csr_graph.edges_from(node) == dict_graph.edges_from(node)
-        assert csr_graph.edges_to(node) == dict_graph.edges_to(node)
-        assert csr_graph.incident_edges(node) == dict_graph.incident_edges(node)
+        assert (node in twin) == (node in graph)
+        assert twin.edges_from(node) == graph.edges_from(node)
+        assert twin.edges_to(node) == graph.edges_to(node)
+        assert twin.incident_edges(node) == graph.incident_edges(node)
         for lab in LABELS:
-            assert csr_graph.successors(node, lab) == dict_graph.successors(node, lab)
-            assert csr_graph.predecessors(node, lab) == dict_graph.predecessors(
+            assert twin.successors(node, lab) == graph.successors(node, lab)
+            assert twin.predecessors(node, lab) == graph.predecessors(
                 node, lab
             )
-            assert csr_graph.has_successor(node, lab) == dict_graph.has_successor(
+            assert twin.has_successor(node, lab) == graph.has_successor(
                 node, lab
             )
-            assert csr_graph.has_predecessor(node, lab) == dict_graph.has_predecessor(
+            assert twin.has_predecessor(node, lab) == graph.has_predecessor(
                 node, lab
             )
     for lab in LABELS + ("zz",):
-        assert csr_graph.label_count(lab) == dict_graph.label_count(lab)
-        assert set(csr_graph.iter_label_pairs(lab)) == set(
-            dict_graph.iter_label_pairs(lab)
+        assert twin.label_count(lab) == graph.label_count(lab)
+        assert set(twin.iter_label_pairs(lab)) == set(
+            graph.iter_label_pairs(lab)
         )
-        assert csr_graph.edges_with_label(lab) == dict_graph.edges_with_label(lab)
-        fwd_c, fwd_d = csr_graph.forward_index(lab), dict_graph.forward_index(lab)
+        assert twin.edges_with_label(lab) == graph.edges_with_label(lab)
+        fwd_c, fwd_d = twin.forward_index(lab), graph.forward_index(lab)
         assert {u: frozenset(vs) for u, vs in fwd_c.items() if vs} == {
             u: frozenset(vs) for u, vs in fwd_d.items() if vs
         }
-        bwd_c, bwd_d = csr_graph.backward_index(lab), dict_graph.backward_index(lab)
+        bwd_c, bwd_d = twin.backward_index(lab), graph.backward_index(lab)
         assert {u: frozenset(vs) for u, vs in bwd_c.items() if vs} == {
             u: frozenset(vs) for u, vs in bwd_d.items() if vs
         }
-    for edge in dict_graph.edges():
-        assert csr_graph.has_edge(edge.source, edge.label, edge.target)
-    assert not csr_graph.has_edge("ghost", "a", "ghost")
+    for edge in graph.edges():
+        assert twin.has_edge(edge.source, edge.label, edge.target)
+    assert not twin.has_edge("ghost", "a", "ghost")
 
 
 class TestBackendEquivalence:
@@ -127,9 +129,8 @@ class TestBackendEquivalence:
     def test_freeze_thaw_round_trip(self, steps):
         graph = apply_script(steps)
         thawed = graph.freeze().thaw()
-        assert thawed == graph
+        assert_observably_equal(graph, thawed)
         assert not thawed.is_frozen
-        assert thawed.fingerprint() == graph.fingerprint()
         # The thawed copy is mutable and independent.
         thawed.add_edge("fresh", "a", "fresh2")
         assert not graph.has_edge("fresh", "a", "fresh2")
@@ -160,62 +161,6 @@ class TestBackendEquivalence:
                 assert QueryEngine().reachable(
                     graph, expr, node
                 ) == QueryEngine().reachable(frozen, expr, node)
-
-
-class TestBufferTypes:
-    """CSR builds and snapshot loads with numpy present and masked.
-
-    Without numpy the buffers are :class:`array.array` values built in
-    pure Python; every read must still agree with the dict backend, and a
-    snapshot written under either buffer type must load under either.
-    """
-
-    @settings(max_examples=40, deadline=None)
-    @given(mutation_script())
-    def test_freeze_without_numpy_preserves_every_observable(self, steps):
-        graph = apply_script(steps)
-        with mock.patch.object(kernels, "NUMPY", None):
-            frozen = graph.freeze()
-        assert all(
-            isinstance(buffer, array) for buffer in frozen.csr._fwd_targets.values()
-        )
-        assert_observably_equal(graph, frozen)
-
-    @pytest.mark.parametrize("written", ["numpy", "masked"])
-    @pytest.mark.parametrize("loaded", ["numpy", "masked"])
-    def test_snapshot_loads_across_buffer_types(self, written, loaded, tmp_path):
-        if kernels.NUMPY is None:
-            pytest.skip("numpy unavailable")
-        graph = apply_script(
-            [("add_edge", NODES[i % 7], LABELS[i % 3], NODES[(i * 3) % 10])
-             for i in range(30)]
-        )
-        path = str(tmp_path / "graph.snap")
-        with mock.patch.object(
-            kernels, "NUMPY", kernels.NUMPY if written == "numpy" else None
-        ):
-            save_snapshot(graph, path)
-        with mock.patch.object(
-            kernels, "NUMPY", kernels.NUMPY if loaded == "numpy" else None
-        ):
-            restored = load_snapshot(path)
-        assert_observably_equal(graph, restored)
-        expected_type = kernels.NUMPY.ndarray if "numpy" in (written, loaded) else array
-        assert all(
-            isinstance(buffer, expected_type)
-            for buffer in restored.csr._fwd_targets.values()
-        )
-
-    def test_views_are_decoded_once_per_label(self):
-        frozen = apply_script(
-            [("add_edge", "n0", "a", "n1"), ("add_edge", "n1", "a", "n2")]
-        ).freeze()
-        assert frozen.forward_index("a") is frozen.forward_index("a")
-        assert frozen.backward_index("a") is frozen.backward_index("a")
-        assert frozen.forward_index("a") == {
-            "n0": frozenset({"n1"}), "n1": frozenset({"n2"})
-        }
-        assert frozen.forward_index("zz") == {}
 
 
 class TestFingerprintKeyedCacheBehaviour:
@@ -254,6 +199,21 @@ class TestFrozenSemantics:
         with pytest.raises(FrozenGraphError):
             frozen.rename_node("n0", "n9")
 
+    def test_every_mutation_of_a_loaded_snapshot_raises(self, tmp_path):
+        path = str(tmp_path / "graph.snap")
+        save_snapshot(GraphDatabase(alphabet=LABELS, edges=[("n0", "a", "n1")]), path)
+        loaded = load_snapshot(path)
+        for mutation, args in [
+            ("add_edge", ("x", "a", "y")),
+            ("add_node", ("x",)),
+            ("remove_edge", ("n0", "a", "n1")),
+            ("rename_node", ("n0", "n9")),
+            ("discard_node", ("n0",)),
+        ]:
+            with pytest.raises(FrozenGraphError, match="frozen graph"):
+                getattr(loaded, mutation)(*args)
+        assert loaded.edge_count() == 1 and loaded.version == 1
+
     def test_copy_and_extended_return_mutable_graphs(self):
         frozen = GraphDatabase(alphabet=LABELS, edges=[("n0", "a", "n1")]).freeze()
         clone = frozen.copy()
@@ -263,15 +223,17 @@ class TestFrozenSemantics:
             "n1", "b", "n2"
         )
 
-    def test_backend_protocol_conformance(self):
+    def test_freeze_copies_the_dict_storage(self):
         graph = GraphDatabase(alphabet=LABELS, edges=[("n0", "a", "n1")])
-        assert isinstance(graph.backend, DictBackend)
-        assert isinstance(graph.backend, StorageBackend)
         frozen = graph.freeze()
-        assert isinstance(frozen.backend, CsrBackend)
-        assert isinstance(frozen.backend, StorageBackend)
-        assert graph.backend_name == "dict" and frozen.backend_name == "csr"
-        assert frozen.csr is frozen.backend and graph.csr is None
+        assert type(graph.backend) is DictBackend
+        assert type(frozen.backend) is FrozenDictBackend
+        assert type(frozen.thaw().backend) is DictBackend
+        # A copy, not a view: the source stays mutable and the copy does
+        # not follow it.
+        graph.add_edge("n1", "b", "n2")
+        assert not frozen.has_edge("n1", "b", "n2")
+        assert frozen.edge_count() == 1 and frozen.version == 1
 
     def test_destructive_freeze_keeps_content_but_not_fingerprint(self):
         graph = GraphDatabase(alphabet=LABELS, edges=[("n0", "a", "n1")])

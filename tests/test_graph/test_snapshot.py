@@ -1,7 +1,10 @@
 """The snapshot file format: round trips, stamps, and failure modes."""
 
 import os
+import pathlib
 import pickle
+import subprocess
+import sys
 
 import pytest
 
@@ -36,12 +39,37 @@ class TestSaveLoad:
         save_snapshot(graph, path)
         loaded = load_snapshot(path)
         assert loaded == graph
-        assert loaded.is_frozen and loaded.backend_name == "csr"
+        assert loaded.is_frozen
         assert loaded.fingerprint() == graph.fingerprint()
         assert loaded.alphabet == graph.alphabet
         assert list(loaded.edges_since(0)) == list(graph.edges_since(0))
 
-    def test_saving_a_frozen_graph_serialises_live_buffers(self, tmp_path):
+    def test_destructive_round_trip_keeps_the_journal(self, tmp_path):
+        graph = sample_graph()
+        graph.remove_edge(Null("N1"), "h", "hx")
+        graph.rename_node("c2", "c3")
+        path = str(tmp_path / "graph.snap")
+        save_snapshot(graph, path)
+        loaded = load_snapshot(path)
+        assert loaded == graph and "hx" in loaded
+        assert loaded.version == graph.version
+        assert loaded.edges_since(0) == graph.edges_since(0)
+        assert loaded.backend.destructive and loaded.fingerprint() is None
+
+    def test_payload_is_an_edge_list(self, tmp_path):
+        path = tmp_path / "graph.snap"
+        save_snapshot(sample_graph(), str(path))
+        payload = pickle.loads(path.read_bytes())
+        assert payload["format"] == SNAPSHOT_FORMAT == 2
+        assert payload["edges"] == [
+            ("c1", "f", Null("N1")),
+            (Null("N1"), "h", "hx"),
+            (Null("N1"), "f", "c2"),
+        ]
+        assert payload["journal"] is None  # equal to the edge list
+        assert "isolated" in payload["nodes"]
+
+    def test_saving_a_frozen_graph_round_trips(self, tmp_path):
         frozen = sample_graph().freeze()
         path = str(tmp_path / "frozen.snap")
         save_snapshot(frozen, path)
@@ -84,6 +112,67 @@ class TestSaveLoad:
             load_snapshot(str(path))
 
 
+def damaged_payload(damage: str) -> dict:
+    """A valid snapshot payload of ``sample_graph`` with one kind of damage."""
+    payload = {
+        "magic": "repro-graph-snapshot",
+        "format": SNAPSHOT_FORMAT,
+        "alphabet": frozenset({"f", "h"}),
+        "nodes": ["c1", Null("N1"), "hx", "c2", "isolated"],
+        "edges": [("c1", "f", Null("N1")), (Null("N1"), "h", "hx")],
+        "journal": None,
+        "destructive": False,
+    }
+    if damage == "missing-key":
+        del payload["edges"]
+    elif damage == "journal-entry-not-a-triple":
+        payload["journal"] = [("c1", "f")]
+        payload["destructive"] = True
+    elif damage == "out-of-alphabet-label":
+        payload["edges"].append(("c1", "zz", "c2"))
+    elif damage == "format-1":
+        payload = {
+            "magic": "repro-graph-snapshot",
+            "format": 1,
+            "state": {"nodes": [], "journal": ()},
+        }
+    return payload
+
+
+DAMAGES = (
+    "missing-key",
+    "journal-entry-not-a-triple",
+    "out-of-alphabet-label",
+    "format-1",
+)
+
+
+class TestDamagedPayloads:
+    @pytest.mark.parametrize("damage", DAMAGES)
+    def test_load_is_loud(self, damage, tmp_path):
+        path = tmp_path / "damaged.snap"
+        path.write_bytes(pickle.dumps(damaged_payload(damage)))
+        with pytest.raises(SnapshotError) as raised:
+            load_snapshot(str(path))
+        if damage == "format-1":
+            assert "re-export the snapshot" in str(raised.value)
+        else:
+            assert "corrupt snapshot payload" in str(raised.value)
+
+    @pytest.mark.parametrize("damage", DAMAGES)
+    def test_store_reads_a_miss(self, damage, tmp_path):
+        store = SnapshotStore(str(tmp_path))
+        store.store("tenant", sample_graph())
+        with open(store.path_for("tenant"), "wb") as handle:
+            handle.write(pickle.dumps(damaged_payload(damage)))
+        assert store.load("tenant") is None
+
+    def test_the_undamaged_payload_loads(self, tmp_path):
+        path = tmp_path / "whole.snap"
+        path.write_bytes(pickle.dumps(damaged_payload("none")))
+        assert load_snapshot(str(path)).edge_count() == 2
+
+
 class TestSnapshotStore:
     def test_cache_semantics(self, tmp_path):
         store = SnapshotStore(str(tmp_path))
@@ -109,3 +198,21 @@ class TestSnapshotStore:
     def test_directory_is_version_stamped(self, tmp_path):
         store = SnapshotStore(str(tmp_path))
         assert f"v{SNAPSHOT_FORMAT}" in store.path_for("anything")
+        assert os.path.join(str(tmp_path), "v2") in store.path_for("anything")
+
+
+def test_the_library_does_not_import_numpy():
+    """Graph storage, snapshots and the service run on the standard library."""
+    src = str(pathlib.Path(__file__).resolve().parents[2] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    script = (
+        "import sys, repro, repro.graph.snapshot, repro.service.server; "
+        "print(sorted(name for name in sys.modules if name.split('.')[0] == 'numpy'))"
+    )
+    process = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert process.returncode == 0, process.stderr
+    assert process.stdout.strip() == "[]"

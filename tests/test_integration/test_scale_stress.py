@@ -141,7 +141,7 @@ class TestBenchHarnessSmoke:
         report = json.loads(raw.read_text())
         names = {bench["name"] for bench in report["benchmarks"]}
         for family in FAMILIES:
-            for stage in ("gen", "chase", "csr_freeze",
+            for stage in ("gen", "chase", "freeze",
                           "sat_decide", "snapshot_save", "snapshot_load",
                           "service_p50", "service_p99"):
                 assert f"{family}/n120/{stage}" in names

@@ -308,7 +308,7 @@ class TestSnapshotCommand:
     def test_save_load_round_trip(self, graph_path, tmp_path, capsys):
         snap = str(tmp_path / "graph.snap")
         assert main(["snapshot", "save", graph_path, snap]) == 0
-        assert "frozen csr" in capsys.readouterr().out
+        assert "snapshot format 2" in capsys.readouterr().out
         assert main(["snapshot", "load", snap]) == 0
         loaded = json.loads(capsys.readouterr().out)
         original = json.loads(open(graph_path).read())
@@ -321,7 +321,7 @@ class TestSnapshotCommand:
         capsys.readouterr()
         assert main(["snapshot", "info", snap]) == 0
         out = capsys.readouterr().out
-        assert "backend: csr (frozen)" in out
+        assert "format: 2" in out
         assert "nodes: 3" in out and "edges: 2" in out
         assert "fingerprintable: True" in out
 

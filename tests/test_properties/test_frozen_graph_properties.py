@@ -1,29 +1,25 @@
 """Differential properties of NRE evaluation on frozen graphs.
 
-There is one NRE search, :meth:`repro.graph.automaton._Runner._search`.
-A frozen or snapshot-loaded graph answers through it by serving its
-dict-shaped ``forward_index`` / ``backward_index`` views from the CSR
-buffers.  Every :class:`~repro.engine.query.QueryEngine` entry point —
-``pairs``, ``reachable``, ``reachable_many``, ``holds`` and
-``answers_over`` — must therefore give the reference answers
-(``tests/oracles/reference_engine.py``) on each *form* of one graph:
+There is one NRE search, :meth:`repro.graph.automaton._Runner._search`,
+and one graph storage.  A frozen graph is a read-only copy of the
+storage and a snapshot-loaded graph is rebuilt from its edge list, so
+every :class:`~repro.engine.query.QueryEngine` entry point — ``pairs``,
+``reachable``, ``reachable_many``, ``holds`` and ``answers_over`` — must
+give the reference answers (``tests/oracles/reference_engine.py``) on
+each *form* of one graph:
 
-* the dict-backed graph ``g`` as built;
-* ``g.freeze()``, with numpy present (``int64`` buffers) and with numpy
-  masked (:class:`array.array` buffers);
-* ``load_snapshot`` of that frozen graph, again under both buffer types.
+* the graph ``g`` as built;
+* ``g.freeze()``;
+* ``load_snapshot`` of that frozen graph.
 
 Pinned over Hypothesis graphs × random NREs (inverse labels, nested tests,
 stars) and over chased ``medlit`` / ``social`` tenants with their
-workload queries.  The mask is one attribute (``repro.kernels.NUMPY``)
-because all numpy access in the library routes through
-:func:`repro.kernels.get_numpy`.
+workload queries.
 """
 
 import os
 import random
 import tempfile
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -45,34 +41,28 @@ from repro.scenarios.scale import (
 ALPHABET = ("a", "b", "c")
 
 FORMS = ("dict", "frozen", "snapshot")
-NUMPY_STATES = ("present", "masked")
 
 
-def graph_form(graph, form: str, numpy_state: str):
-    """``graph`` as the named form, its CSR buffers built under the mask."""
+def graph_form(graph, form: str):
+    """``graph`` as the named form."""
     if form == "dict":
         return graph
-    numpy_module = kernels.NUMPY if numpy_state == "present" else None
-    with mock.patch.object(kernels, "NUMPY", numpy_module):
-        frozen = graph.freeze()
-        if form == "frozen":
-            return frozen
-        with tempfile.TemporaryDirectory() as directory:
-            path = os.path.join(directory, "graph.snap")
-            save_snapshot(frozen, path)
-            return load_snapshot(path)
+    frozen = graph.freeze()
+    if form == "frozen":
+        return frozen
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "graph.snap")
+        save_snapshot(frozen, path)
+        return load_snapshot(path)
 
 
 def every_form(graph):
-    """``(label, form)`` for the dict graph and each frozen/loaded form."""
+    """``(label, form)`` for the graph and each frozen/loaded form."""
     yield "dict", graph
     for form in FORMS[1:]:
-        for numpy_state in NUMPY_STATES:
-            if numpy_state == "present" and kernels.NUMPY is None:
-                continue
-            loaded = graph_form(graph, form, numpy_state)
-            assert loaded.is_frozen
-            yield f"{form} (numpy {numpy_state})", loaded
+        loaded = graph_form(graph, form)
+        assert loaded.is_frozen
+        yield form, loaded
 
 
 def probes_for(nodes):

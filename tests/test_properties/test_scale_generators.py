@@ -11,24 +11,24 @@ Three families of properties over random :class:`GeneratorConfig` draws:
   tenants (the soak tests extend this to full update streams);
 * **certain-answer agreement** — on ~10^2-node draws, the compiled
   query engine returns the same certain answers over the chased
-  universal solution as dict graph and as its frozen twin, with the CSR
-  buffers built with numpy present and masked, and all of them match
-  the set-algebraic reference evaluation.  The families
+  universal solution as graph, as its frozen copy and as its snapshot
+  reload, and all of them match the set-algebraic reference evaluation.  The families
   sit in the Section 3.1 fragment, so naive evaluation *is* the certain
   answer semantics here (:mod:`repro.core.tractable`).
 """
 
-from unittest import mock
+import os
+import tempfile
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import kernels
 from repro.chase.relational_chase import chase_relational
 from repro.engine.incremental import IncrementalChase
 from repro.engine.query import QueryEngine
 from repro.graph.eval import evaluate_nre
 from repro.graph.parser import parse_nre
+from repro.graph.snapshot import load_snapshot, save_snapshot
 from repro.io.json_io import graph_to_dict
 from repro.patterns.pattern import is_null
 from repro.scenarios.scale import (
@@ -129,6 +129,12 @@ class TestCertainAnswerAgreement:
             alphabet=setting.alphabet,
         )
         universal = chased.expect_graph()
+        frozen = universal.freeze()
+        with tempfile.TemporaryDirectory() as directory:
+            path = os.path.join(directory, "universal.snap")
+            save_snapshot(frozen, path)
+            reloaded = load_snapshot(path)
+        forms = (("dict", universal), ("frozen", frozen), ("snapshot", reloaded))
         for text in workload_queries(config.family):
             query = parse_nre(text)
             reference = frozenset(
@@ -136,15 +142,10 @@ class TestCertainAnswerAgreement:
                 for u, v in evaluate_nre(universal, query)
                 if not is_null(u) and not is_null(v)
             )
-            for numpy_module in (None, kernels.NUMPY):
-                with mock.patch.object(kernels, "NUMPY", numpy_module):
-                    frozen = universal.freeze()
-                for label, graph in (("dict", universal), ("frozen", frozen)):
-                    compiled = frozenset(
-                        (u, v)
-                        for u, v in QueryEngine().pairs(graph, query)
-                        if not is_null(u) and not is_null(v)
-                    )
-                    assert compiled == reference, (
-                        config.family, text, label, numpy_module is None
-                    )
+            for label, graph in forms:
+                compiled = frozenset(
+                    (u, v)
+                    for u, v in QueryEngine().pairs(graph, query)
+                    if not is_null(u) and not is_null(v)
+                )
+                assert compiled == reference, (config.family, text, label)

@@ -1,6 +1,7 @@
 """The worker handlers: direct execution, library equivalence, batching."""
 
 import dataclasses
+import pickle
 
 import pytest
 
@@ -276,11 +277,17 @@ class TestSnapshotWarmExists:
         execute_request("exists", request.params)
         store = snapshot_store()
         path = store.path_for(_witness_key(request.params))
-        with open(path, "wb") as handle:
-            handle.write(b"damaged")
-        served = execute_request("exists", request.params)
-        assert served["status"] == "exists"
-        assert served["method"] != "snapshot-witness"
+        with open(path, "rb") as handle:
+            payload = pickle.load(handle)
+        # A label the snapshot's own alphabet does not declare: the rebuild
+        # raises SchemaError, which must read as a store miss too.
+        payload["edges"].append(("c1", "not-in-the-alphabet", "c2"))
+        for damage in (b"damaged", pickle.dumps(payload)):
+            with open(path, "wb") as handle:
+                handle.write(damage)
+            served = execute_request("exists", request.params)
+            assert served["status"] == "exists"
+            assert served["method"] != "snapshot-witness"
 
     def test_snapshot_key_includes_the_document(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_SNAPSHOT_DIR", str(tmp_path))
