@@ -118,5 +118,10 @@ def test_relational_chase_work_counters():
     assert result.stats.as_dict() == MEDLIT_COUNTERS
     assert (graph.node_count(), graph.edge_count()) == (1151, 4240)
     assert graph.version == graph.edge_count()
+    # The chase writes adjacency and the triple journal only: the derived
+    # Edge set and incident-edge maps wait for a reader that needs them.
+    assert graph.backend._edges is None, (
+        "the chased graph built its Edge set / incident-edge maps"
+    )
     # The three layer spans account for the chase (a ratio, not a time).
     assert covered is None or covered >= 0.9

@@ -3,19 +3,21 @@
 The logical data model of the paper — a directed edge-labeled graph
 ``G = (V, E)``, ``E ⊆ V × Σ × V`` — has one physical form,
 :class:`DictBackend`: per-label hash adjacency in both directions
-(``label → node → set``), any-label incident-edge indexes, and the
-append-only edge journal that powers semi-naive chase rounds and content
-fingerprinting.
+(``label → node → set``), the node set, per-label edge counts and the
+append-only journal of ``(source, label, target)`` triples that powers
+semi-naive chase rounds and content fingerprinting.  The :class:`Edge`
+set and the any-label incident-edge indexes are derived from the
+adjacency the first time a reader asks for them.
 
 :meth:`~repro.graph.database.GraphDatabase.freeze` copies a graph onto a
-:class:`FrozenDictBackend`: the same indexes and journal (the :class:`Edge`
-objects are shared), with every mutation hook raising
-:class:`~repro.errors.FrozenGraphError`.
+:class:`FrozenDictBackend`: the same indexes and journal, with every
+mutation hook raising :class:`~repro.errors.FrozenGraphError`.
 :meth:`~repro.graph.database.GraphDatabase.thaw` copies it back onto a
 mutable :class:`DictBackend`.  Frozen graphs serialise to version-stamped
 snapshot files via :mod:`repro.graph.snapshot`;
 ``tests/test_graph/test_backends.py`` drives random mutation scripts and
-asserts that freezing, thawing and snapshot reloads change no observable.
+asserts that freezing, thawing, cloning and snapshot reloads change no
+observable.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from repro.errors import FrozenGraphError, SchemaError
 
 Node = Hashable
 LabelName = str
+Triple = tuple[Node, LabelName, Node]
 
 # Shared empty adjacency returned by the *_index accessors for absent labels.
 _EMPTY_INDEX: dict = {}
@@ -73,8 +76,8 @@ class Edge:
     target: Node
 
     def __hash__(self) -> int:
-        # Edges are hashed constantly (edge sets, journals, incident-edge
-        # indexes, trigger dedupe); the generated dataclass hash rebuilds
+        # Edges are hashed constantly (edge sets, incident-edge indexes,
+        # trigger dedupe); the generated dataclass hash rebuilds
         # the field tuple on every call, so memoise it per instance.
         cached = self.__dict__.get("_hash")
         if cached is None:
@@ -96,19 +99,41 @@ class Edge:
         return f"({self.source} -{self.label}-> {self.target})"
 
 
+_new = object.__new__
+
+
+def _edge(source: Node, lab: LabelName, target: Node) -> Edge:
+    """An :class:`Edge` built field-wise, its hash memoised up front.
+
+    The frozen dataclass ``__init__`` and the first ``__hash__`` cost four
+    ``object.__setattr__`` calls per edge; the derived edge set and the
+    journal slices build edges in bulk.
+    """
+    edge = _new(Edge)
+    fields = edge.__dict__
+    fields["source"], fields["label"], fields["target"] = source, lab, target
+    fields["_hash"] = hash((source, lab, target))
+    return edge
+
+
 class DictBackend:
     """The hash-index graph storage.
 
-    Keeps forward and backward adjacency indexes per label so that NRE
-    evaluation can traverse edges in both directions in O(degree).  On top
-    of those it maintains, incrementally on every insertion:
+    Its storage is what the chase writes and the NRE search reads:
+    forward and backward adjacency per label (``label → node → set``, so
+    evaluation traverses edges both ways in O(degree)), the node set,
+    per-label edge counts, and an append-only *journal* of plain
+    ``(source, label, target)`` triples (``version`` / ``edges_since``)
+    recording the order in which edges were added — what makes semi-naive
+    (delta) chase iteration and content fingerprints possible.
 
-    * any-label incident-edge indexes (``edges_from`` / ``edges_to``) so
-      the chase engine can find every edge touching a node in O(degree) —
-      the key operation when a merge step renames a node;
-    * an append-only *edge journal* (``version`` / ``edges_since``)
-      recording the order in which edges were added, which is what makes
-      semi-naive (delta) chase iteration possible.
+    The :class:`Edge` set and the any-label incident-edge maps
+    (``edges_from`` / ``edges_to``, which a merge step reads to find every
+    edge touching a node in O(degree)) are *derived*: built from the
+    forward index the first time :meth:`edges`, :meth:`edges_from`,
+    :meth:`edges_to` or :meth:`rename_node` asks for them, and kept up to
+    date by every mutation from then on.  A graph that is chased, frozen,
+    queried and snapshotted never builds them.
     """
 
     mutable = True
@@ -118,22 +143,23 @@ class DictBackend:
             frozenset(alphabet) if alphabet is not None else None
         )
         self._nodes: set[Node] = set()
-        self._edges: set[Edge] = set()
         # label -> node -> set of neighbours
         self._fwd: dict[LabelName, dict[Node, set[Node]]] = {}
         self._bwd: dict[LabelName, dict[Node, set[Node]]] = {}
-        # node -> incident edges, any label (for merges and delta matching)
-        self._out_edges: dict[Node, set[Edge]] = {}
-        self._in_edges: dict[Node, set[Edge]] = {}
         # label -> number of edges, so join ordering reads sizes in O(1)
         self._label_counts: dict[LabelName, int] = {}
         # Append-only log of edge insertions; len() is the graph version.
-        self._journal: list[Edge] = []
+        self._journal: list[Triple] = []
         # Destructive operations permanently disqualify the graph from
         # journal-keyed caching; the token is memoised per size key.
         self._destructive = False
         self._fingerprint: Fingerprint | None = None
         self._fingerprint_key: tuple[int, int] | None = None
+        # Derived, ``None`` until first read: the edge set and node ->
+        # incident edges, any label (for merges and delta matching).
+        self._edges: set[Edge] | None = None
+        self._out_edges: dict[Node, set[Edge]] | None = None
+        self._in_edges: dict[Node, set[Edge]] | None = None
 
     # -- schema ---------------------------------------------------------- #
 
@@ -162,9 +188,10 @@ class DictBackend:
         """Add the edge ``(source, lab, target)``; endpoints are auto-added.
 
         Duplicates are detected on the forward index (which mirrors the
-        edge set exactly) *before* the :class:`Edge` is constructed — the
-        chase re-adds edges constantly, and the duplicate path costs two
-        dict probes and one set probe, no allocation.
+        edge set exactly) — the chase re-adds edges constantly, and the
+        duplicate path costs two dict probes and one set probe, no
+        allocation.  An :class:`Edge` is built only when the derived edge
+        indexes exist and must follow.
         """
         if self._alphabet is not None and lab not in self._alphabet:
             raise SchemaError(
@@ -181,22 +208,23 @@ class DictBackend:
         targets.add(target)
         self._nodes.add(source)
         self._nodes.add(target)
-        edge = Edge(source, lab, target)
-        self._edges.add(edge)
         self._bwd.setdefault(lab, {}).setdefault(target, set()).add(source)
-        self._out_edges.setdefault(source, set()).add(edge)
-        self._in_edges.setdefault(target, set()).add(edge)
         self._label_counts[lab] = self._label_counts.get(lab, 0) + 1
-        self._journal.append(edge)
+        self._journal.append((source, lab, target))
+        if self._edges is not None:
+            edge = _edge(source, lab, target)
+            self._edges.add(edge)
+            self._out_edges.setdefault(source, set()).add(edge)
+            self._in_edges.setdefault(target, set()).add(edge)
 
     @classmethod
     def from_edges(
         cls,
         alphabet: Iterable[LabelName] | None,
-        edges: Iterable[tuple[Node, LabelName, Node]],
+        edges: Iterable[Triple],
         destructive: bool = False,
         nodes: Iterable[Node] = (),
-        journal: Iterable[tuple[Node, LabelName, Node]] | None = None,
+        journal: Iterable[Triple] | None = None,
     ) -> "DictBackend":
         """Bulk-load ``edges`` in one pass; they become the journal, in order.
 
@@ -215,10 +243,9 @@ class DictBackend:
         """
         backend = cls(alphabet)
         fwd, bwd = backend._fwd, backend._bwd
-        out_edges, in_edges = backend._out_edges, backend._in_edges
         append = backend._journal.append
-        new = object.__new__
-        for source, lab, target in edges:
+        for entry in edges:
+            source, lab, target = entry
             by_source = fwd.get(lab)
             if by_source is None:
                 declared = backend._alphabet
@@ -241,30 +268,17 @@ class DictBackend:
                 by_target[target] = {source}
             else:
                 sources.add(source)
-            # Field-wise construction, hash memoised up front: the frozen
-            # dataclass __init__ and the first __hash__ cost four
-            # object.__setattr__ calls per edge.
-            edge = new(Edge)
-            fields = edge.__dict__
-            fields["source"], fields["label"], fields["target"] = source, lab, target
-            fields["_hash"] = hash((source, lab, target))
-            append(edge)
-            outgoing = out_edges.get(source)
-            if outgoing is None:
-                out_edges[source] = {edge}
-            else:
-                outgoing.add(edge)
-            incoming = in_edges.get(target)
-            if incoming is None:
-                in_edges[target] = {edge}
-            else:
-                incoming.add(edge)
-        backend._edges = set(backend._journal)
-        backend._nodes = set(out_edges)
-        backend._nodes.update(in_edges)
-        backend._nodes.update(nodes)
+            # The caller's tuple becomes the journal entry, one allocation
+            # (and one object for the collector to track) less per edge;
+            # any other sequence is copied so entries stay immutable.
+            append(entry if entry.__class__ is tuple else (source, lab, target))
+        node_set = backend._nodes
+        for lab, by_source in fwd.items():
+            node_set.update(by_source)
+            node_set.update(bwd[lab])
+        node_set.update(nodes)
         if journal is not None:
-            backend._journal = [Edge(*entry) for entry in journal]
+            backend._journal = [(s, lab, t) for s, lab, t in journal]
         backend._label_counts = {
             lab: sum(map(len, by_source.values())) for lab, by_source in fwd.items()
         }
@@ -274,15 +288,14 @@ class DictBackend:
     def clone(self, alphabet: "Iterable[LabelName] | None" = None) -> "DictBackend":
         """A structural copy — index surgery, not edge-by-edge replay.
 
-        Copies the two-level adjacency indexes and incident-edge sets
-        directly and *shares* the frozen :class:`Edge` objects (their
-        memoised hashes ride along), so cloning costs container copies
-        only — no per-edge alphabet check, construction, or re-hash.
+        Copies the two-level adjacency indexes directly, so cloning costs
+        container copies only — no per-edge alphabet check or re-hash.
         ``alphabet`` re-declares the clone's alphabet (``None`` keeps the
         source's); labels in use that the new alphabet lacks raise
         :class:`~repro.errors.SchemaError`, exactly like replaying the
         edges would.  The clone's journal is the live edge set (fresh
-        graphs replayed edge-by-edge journal the same way), so it starts
+        graphs replayed edge-by-edge journal the same way), in journal
+        order when the journal is exactly the edge set, so it starts
         non-destructive with ``version == edge_count()``.
         """
         declared = self._alphabet if alphabet is None else frozenset(alphabet)
@@ -292,7 +305,7 @@ class DictBackend:
                     raise SchemaError(
                         f"label {lab!r} is not in the alphabet {sorted(declared)}"
                     )
-        twin = self._copy(DictBackend, list(self.edges()), destructive=False)
+        twin = self._copy(DictBackend, list(self.live_triples()), destructive=False)
         twin._alphabet = declared
         return twin
 
@@ -312,9 +325,13 @@ class DictBackend:
         return twin
 
     def _copy(
-        self, cls: "type[DictBackend]", journal: list[Edge], destructive: bool
+        self, cls: "type[DictBackend]", journal: list[Triple], destructive: bool
     ) -> "DictBackend":
-        """Copy the indexes (emptied buckets dropped) into a new ``cls``."""
+        """Copy the storage (emptied buckets dropped) into a new ``cls``.
+
+        The derived edge indexes are not copied; the copy builds its own
+        if one of their readers asks.
+        """
 
         def copy_adjacency(
             index: dict[LabelName, dict[Node, set[Node]]],
@@ -328,11 +345,8 @@ class DictBackend:
 
         twin = cls.__new__(cls)
         twin._nodes = set(self._nodes)
-        twin._edges = set(self._edges)
         twin._fwd = copy_adjacency(self._fwd)
         twin._bwd = copy_adjacency(self._bwd)
-        twin._out_edges = {n: set(es) for n, es in self._out_edges.items() if es}
-        twin._in_edges = {n: set(es) for n, es in self._in_edges.items() if es}
         twin._label_counts = {
             lab: count for lab, count in self._label_counts.items() if count > 0
         }
@@ -340,38 +354,44 @@ class DictBackend:
         twin._destructive = destructive
         twin._fingerprint = None
         twin._fingerprint_key = None
+        twin._edges = twin._out_edges = twin._in_edges = None
         return twin
 
     def remove_edge(self, source: Node, lab: LabelName, target: Node) -> None:
         """Remove an edge if present; endpoints stay in the node set."""
-        edge = Edge(source, lab, target)
         self._destructive = True  # the journal no longer determines the content
-        if edge in self._edges:
-            self._edges.remove(edge)
-            self._fwd[lab][source].discard(target)
-            self._bwd[lab][target].discard(source)
+        targets = self._fwd.get(lab, _EMPTY_INDEX).get(source)
+        if targets is None or target not in targets:
+            return
+        targets.discard(target)
+        self._bwd[lab][target].discard(source)
+        self._label_counts[lab] -= 1
+        if self._edges is not None:
+            edge = _edge(source, lab, target)
+            self._edges.discard(edge)
             self._out_edges[source].discard(edge)
             self._in_edges[target].discard(edge)
-            self._label_counts[lab] -= 1
 
     def rename_node(self, old: Node, new: Node) -> frozenset[Edge]:
         """Rename ``old`` to ``new`` in place, rewriting incident edges.
 
         Returns the rewritten edges (as they read *after* the rename) so
         that callers can re-match triggers against exactly the part of the
-        graph that changed.  O(degree(old)), not O(|E|).
+        graph that changed.  O(degree(old)), not O(|E|), once the derived
+        incident-edge maps exist (the first rename builds them).
         """
         if old == new or old not in self._nodes:
             return frozenset()
         self._destructive = True  # node set changes without a journal entry
+        _, out_edges, in_edges = self._incidence()
         rewritten: set[Edge] = set()
-        incident = self._out_edges.get(old, set()) | self._in_edges.get(old, set())
+        incident = out_edges.get(old, set()) | in_edges.get(old, set())
         for edge in list(incident):
             self.remove_edge(edge.source, edge.label, edge.target)
             source = new if edge.source == old else edge.source
             target = new if edge.target == old else edge.target
             self.add_edge(source, edge.label, target)
-            rewritten.add(Edge(source, edge.label, target))
+            rewritten.add(_edge(source, edge.label, target))
         self._nodes.discard(old)
         self._nodes.add(new)
         return frozenset(rewritten)
@@ -387,10 +407,11 @@ class DictBackend:
         """
         if node not in self._nodes:
             return
-        if self._out_edges.get(node) or self._in_edges.get(node):
-            raise SchemaError(
-                f"cannot discard node {node!r}: it still has incident edges"
-            )
+        for lab, by_source in self._fwd.items():
+            if by_source.get(node) or self._bwd[lab].get(node):
+                raise SchemaError(
+                    f"cannot discard node {node!r}: it still has incident edges"
+                )
         self._destructive = True  # node set changes without a journal entry
         self._nodes.discard(node)
 
@@ -403,10 +424,9 @@ class DictBackend:
     def has_edge(self, source: Node, lab: LabelName, target: Node) -> bool:
         """Whether the edge ``(source, lab, target)`` is present.
 
-        Probed on the forward index rather than the edge set: three
-        container probes against one :class:`Edge` construction plus a
-        three-field hash — this runs per candidate pair in the sameAs
-        saturation's violation filter.
+        Probed on the forward index: three container probes, no
+        :class:`Edge` construction — this runs per candidate pair in the
+        sameAs saturation's violation filter.
         """
         bucket = self._fwd.get(lab)
         if bucket is None:
@@ -419,16 +439,42 @@ class DictBackend:
         return frozenset(self._nodes)
 
     def edges(self) -> frozenset[Edge]:
-        """The edge set."""
-        return frozenset(self._edges)
+        """The edge set (builds the derived edge indexes on first call)."""
+        return frozenset(self._incidence()[0])
+
+    def live_triples(self) -> list[Triple]:
+        """The live edges as ``(source, label, target)`` triples.
+
+        Every live edge was journaled when it was added, so a journal as
+        long as the edge set *is* the edge set, and is returned as it
+        stands (the backend's own list — READ ONLY); only removals and
+        renames, which leave their old edges in the journal, make this
+        read the forward index instead.
+        """
+        if len(self._journal) == self.edge_count():
+            return self._journal
+        return [
+            (source, lab, target)
+            for lab, by_source in self._fwd.items()
+            for source, targets in by_source.items()
+            for target in targets
+        ]
+
+    def journal_triples(self) -> list[Triple]:
+        """The journal as ``(source, label, target)`` triples — READ ONLY.
+
+        The backend's own list, shared for the lifetime of the graph, as
+        :meth:`forward_index` is: no :class:`Edge` is built.
+        """
+        return self._journal
 
     def node_count(self) -> int:
         """The number of nodes."""
         return len(self._nodes)
 
     def edge_count(self) -> int:
-        """The number of edges."""
-        return len(self._edges)
+        """The number of edges, summed from the per-label counters."""
+        return sum(self._label_counts.values())
 
     # -- adjacency reads --------------------------------------------------- #
 
@@ -468,11 +514,40 @@ class DictBackend:
 
     def edges_from(self, node: Node) -> frozenset[Edge]:
         """Every edge whose source is ``node`` (any label)."""
-        return frozenset(self._out_edges.get(node, ()))
+        return frozenset(self._incidence()[1].get(node, ()))
 
     def edges_to(self, node: Node) -> frozenset[Edge]:
         """Every edge whose target is ``node`` (any label)."""
-        return frozenset(self._in_edges.get(node, ()))
+        return frozenset(self._incidence()[2].get(node, ()))
+
+    def _incidence(
+        self,
+    ) -> tuple[set[Edge], dict[Node, set[Edge]], dict[Node, set[Edge]]]:
+        """The derived edge set and incident-edge maps, built on first use.
+
+        One pass over the forward index; from then on every mutation keeps
+        the three up to date.
+        """
+        if self._edges is None:
+            edges: set[Edge] = set()
+            out_edges: dict[Node, set[Edge]] = {}
+            in_edges: dict[Node, set[Edge]] = {}
+            for lab, by_source in self._fwd.items():
+                for source, targets in by_source.items():
+                    if not targets:
+                        continue
+                    outgoing = out_edges.setdefault(source, set())
+                    for target in targets:
+                        edge = _edge(source, lab, target)
+                        edges.add(edge)
+                        outgoing.add(edge)
+                        incoming = in_edges.get(target)
+                        if incoming is None:
+                            in_edges[target] = {edge}
+                        else:
+                            incoming.add(edge)
+            self._edges, self._out_edges, self._in_edges = edges, out_edges, in_edges
+        return self._edges, self._out_edges, self._in_edges
 
     # -- journal / fingerprint --------------------------------------------- #
 
@@ -483,11 +558,11 @@ class DictBackend:
 
     def edges_since(self, version: int) -> list[Edge]:
         """The edges inserted after ``version`` was read, in order."""
-        return self._journal[version:]
+        return [_edge(*entry) for entry in self._journal[version:]]
 
     def journal(self) -> tuple[Edge, ...]:
         """The full append-only insertion log as a tuple."""
-        return tuple(self._journal)
+        return tuple(_edge(*entry) for entry in self._journal)
 
     @property
     def destructive(self) -> bool:

@@ -8,11 +8,14 @@ labels are strings.
 :class:`GraphDatabase` is the *logical* graph — the single data model every
 chase, query engine, and serialisation layer speaks.  Its storage is the
 :class:`~repro.graph.backends.DictBackend` of :mod:`repro.graph.backends`:
-per-label hash adjacency in both directions, any-label incident-edge
-indexes (``edges_from`` / ``edges_to`` / ``incident_edges``) so the chase
-engine can find every edge touching a node in O(degree), and an
-append-only *edge journal* (``version`` / ``edges_since``) that makes
-semi-naive (delta) chase iteration possible.
+per-label hash adjacency in both directions and an append-only *edge
+journal* (``version`` / ``edges_since``) that makes semi-naive (delta)
+chase iteration possible.  The any-label incident-edge indexes
+(``edges_from`` / ``edges_to`` / ``incident_edges``), which let the chase
+engine find every edge touching a node in O(degree), and the
+:class:`Edge` set behind :meth:`GraphDatabase.edges` are derived: built
+the first time one of those reads (or a ``rename_node``) asks for them,
+then kept up to date by every mutation.
 
 :meth:`GraphDatabase.freeze` returns a read-only copy of the graph that
 refuses mutation (:class:`~repro.errors.FrozenGraphError`) and round-trips
@@ -26,6 +29,7 @@ from __future__ import annotations
 from typing import Hashable, Iterable, Iterator
 
 from repro.graph.backends import DictBackend, Edge, Fingerprint, FrozenDictBackend
+from repro.telemetry import span
 
 Node = Hashable
 LabelName = str
@@ -102,10 +106,9 @@ class GraphDatabase:
     def freeze(self) -> "GraphDatabase":
         """Return a read-only copy of this graph.
 
-        The copy shares the :class:`Edge` objects and keeps the content,
-        journal, ``destructive`` flag and fingerprint, so query-engine
-        caches keyed on :meth:`fingerprint` treat the two interchangeably.
-        Every mutation of the copy raises
+        The copy keeps the content, journal, ``destructive`` flag and
+        fingerprint, so query-engine caches keyed on :meth:`fingerprint`
+        treat the two interchangeably.  Every mutation of the copy raises
         :class:`~repro.errors.FrozenGraphError`.  Freezing a frozen graph
         returns it unchanged.
 
@@ -120,7 +123,10 @@ class GraphDatabase:
         """
         if self.is_frozen:
             return self
-        return GraphDatabase._from_backend(self._backend.copy_as(FrozenDictBackend))
+        with span("graph.freeze"):
+            return GraphDatabase._from_backend(
+                self._backend.copy_as(FrozenDictBackend)
+            )
 
     def thaw(self) -> "GraphDatabase":
         """Return a mutable copy of this graph.
@@ -406,8 +412,8 @@ class GraphDatabase:
     def copy(self) -> "GraphDatabase":
         """Return an independent *mutable* copy (same alphabet declaration).
 
-        A structural :meth:`~DictBackend.clone` (index surgery, shared edge
-        objects), not edge-by-edge replay; the copy of a frozen graph is
+        A structural :meth:`~DictBackend.clone` (index surgery), not
+        edge-by-edge replay; the copy of a frozen graph is
         mutable too — the point of copying is to mutate the result.
         """
         return GraphDatabase._from_backend(self._backend.clone())

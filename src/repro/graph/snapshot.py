@@ -42,18 +42,15 @@ import hashlib
 import os
 import pickle
 import tempfile
-from operator import attrgetter
-
 from repro.errors import SchemaError, SnapshotError
 from repro.graph.backends import FrozenDictBackend
 from repro.graph.database import GraphDatabase
+from repro.telemetry import span
 
 SNAPSHOT_FORMAT = 2
 """Bump on any change to the snapshot payload shape."""
 
 _MAGIC = "repro-graph-snapshot"
-
-_triple = attrgetter("source", "label", "target")
 
 
 def save_snapshot(graph: GraphDatabase, path: str) -> None:
@@ -70,27 +67,33 @@ def save_snapshot(graph: GraphDatabase, path: str) -> None:
     ...     load_snapshot(os.path.join(d, "g.snap")) == g
     True
     """
-    backend = graph.backend
-    journal = backend.journal()
-    # Every live edge was journaled when it was added, so a journal as long
-    # as the edge set *is* the edge set; only removals and renames (which
-    # leave their old edges in the journal) make the two differ.
-    live = journal if len(journal) == backend.edge_count() else backend.edges()
-    payload = {
-        "magic": _MAGIC,
-        "format": SNAPSHOT_FORMAT,
-        "alphabet": backend.declared_alphabet(),
-        "nodes": list(backend.nodes()),
-        "edges": list(map(_triple, live)),
-        "journal": None if live is journal else list(map(_triple, journal)),
-        "destructive": backend.destructive,
-    }
+    with span("snapshot.save"):
+        with span("snapshot.encode"):
+            backend = graph.backend
+            journal = backend.journal_triples()
+            live = backend.live_triples()
+            payload = {
+                "magic": _MAGIC,
+                "format": SNAPSHOT_FORMAT,
+                "alphabet": backend.declared_alphabet(),
+                "nodes": list(backend.nodes()),
+                "edges": live,
+                "journal": None if live is journal else journal,
+                "destructive": backend.destructive,
+            }
+            data = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+        with span("snapshot.write"):
+            _write_atomically(path, data)
+
+
+def _write_atomically(path: str, data: bytes) -> None:
+    """Write ``data`` to ``path`` through a temp file and ``os.replace``."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     descriptor, temp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(descriptor, "wb") as handle:
-            pickle.dump(payload, handle, protocol=pickle.HIGHEST_PROTOCOL)
+            handle.write(data)
         os.replace(temp_path, path)
     except BaseException:
         try:
@@ -110,6 +113,30 @@ def load_snapshot(path: str) -> GraphDatabase:
     explicit loads fail loudly (use :class:`SnapshotStore` for cache-style
     miss-on-damage semantics).
     """
+    with span("snapshot.load"):
+        with span("snapshot.read"):
+            payload = _read_payload(path)
+        with span("snapshot.build"):
+            try:
+                backend = FrozenDictBackend.from_edges(
+                    payload["alphabet"],
+                    payload["edges"],
+                    destructive=bool(payload["destructive"]),
+                    nodes=payload["nodes"],
+                    journal=payload["journal"],
+                )
+            except (KeyError, TypeError, ValueError, SchemaError) as error:
+                # A missing key, a payload or entry of the wrong shape, or a
+                # label outside the declared alphabet.
+                raise SnapshotError(
+                    f"corrupt snapshot payload in {path!r}: "
+                    f"{type(error).__name__}: {error}"
+                ) from None
+            return GraphDatabase._from_backend(backend)
+
+
+def _read_payload(path: str) -> dict:
+    """Unpickle the snapshot at ``path`` and check its magic and format."""
     try:
         with open(path, "rb") as handle:
             payload = pickle.load(handle)
@@ -124,21 +151,7 @@ def load_snapshot(path: str) -> GraphDatabase:
             f"{path!r} has snapshot format {payload.get('format')!r}; this "
             f"library reads format {SNAPSHOT_FORMAT} — re-export the snapshot"
         )
-    try:
-        backend = FrozenDictBackend.from_edges(
-            payload["alphabet"],
-            payload["edges"],
-            destructive=bool(payload["destructive"]),
-            nodes=payload["nodes"],
-            journal=payload["journal"],
-        )
-    except (KeyError, TypeError, ValueError, SchemaError) as error:
-        # A missing key, a payload or entry of the wrong shape, or a label
-        # outside the declared alphabet.
-        raise SnapshotError(
-            f"corrupt snapshot payload in {path!r}: {type(error).__name__}: {error}"
-        ) from None
-    return GraphDatabase._from_backend(backend)
+    return payload
 
 
 class SnapshotStore:

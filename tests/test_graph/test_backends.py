@@ -67,54 +67,78 @@ def apply_script(steps) -> GraphDatabase:
     return graph
 
 
+def derived_built(graph: GraphDatabase) -> bool:
+    """Whether the backend has built its derived ``Edge`` set and incident maps."""
+    return graph.backend._edges is not None
+
+
 def assert_observably_equal(graph: GraphDatabase, twin: GraphDatabase):
-    """Every read observable must agree between a graph and its copy."""
-    assert twin.nodes() == graph.nodes()
+    """Every read observable must agree between a graph and its copy.
+
+    The reads served by the adjacency, the counters and the triple journal
+    are compared both before and after the reads that build the derived
+    edge indexes (``edges``, ``edges_from``, ``edges_to``,
+    ``incident_edges``), so neither side's answers depend on whether those
+    indexes exist yet.
+    """
+
+    def assert_storage_reads_equal():
+        """The observables that never need the derived edge indexes."""
+        assert twin.nodes() == graph.nodes()
+        assert twin.node_count() == graph.node_count()
+        assert twin.edge_count() == graph.edge_count()
+        assert twin.alphabet == graph.alphabet
+        assert twin.backend.labels() == graph.backend.labels()
+        assert twin.backend.declared_alphabet() == (
+            graph.backend.declared_alphabet()
+        )
+        assert twin.version == graph.version
+        version = graph.version
+        for since in sorted({0, 1, version // 2, version, version + 1}):
+            assert twin.edges_since(since) == graph.edges_since(since)
+        assert twin.backend.journal() == graph.backend.journal()
+        assert twin.backend.destructive == graph.backend.destructive
+        assert twin.fingerprint() == graph.fingerprint()
+        for node in NODES:
+            assert (node in twin) == (node in graph)
+            for lab in LABELS:
+                assert twin.successors(node, lab) == graph.successors(node, lab)
+                assert twin.predecessors(node, lab) == graph.predecessors(
+                    node, lab
+                )
+                assert twin.has_successor(node, lab) == graph.has_successor(
+                    node, lab
+                )
+                assert twin.has_predecessor(node, lab) == graph.has_predecessor(
+                    node, lab
+                )
+        for lab in LABELS + ("zz",):
+            assert twin.label_count(lab) == graph.label_count(lab)
+            assert set(twin.iter_label_pairs(lab)) == set(
+                graph.iter_label_pairs(lab)
+            )
+            assert twin.edges_with_label(lab) == graph.edges_with_label(lab)
+            fwd_c, fwd_d = twin.forward_index(lab), graph.forward_index(lab)
+            assert {u: frozenset(vs) for u, vs in fwd_c.items() if vs} == {
+                u: frozenset(vs) for u, vs in fwd_d.items() if vs
+            }
+            bwd_c, bwd_d = twin.backward_index(lab), graph.backward_index(lab)
+            assert {u: frozenset(vs) for u, vs in bwd_c.items() if vs} == {
+                u: frozenset(vs) for u, vs in bwd_d.items() if vs
+            }
+        assert not twin.has_edge("ghost", "a", "ghost")
+
+    assert_storage_reads_equal()
     assert twin.edges() == graph.edges()
-    assert twin.node_count() == graph.node_count()
-    assert twin.edge_count() == graph.edge_count()
-    assert twin.alphabet == graph.alphabet
-    assert twin.backend.declared_alphabet() == (
-        graph.backend.declared_alphabet()
-    )
-    assert twin.version == graph.version
-    assert twin.edges_since(0) == graph.edges_since(0)
-    assert twin.backend.destructive == graph.backend.destructive
-    assert twin.fingerprint() == graph.fingerprint()
     assert twin == graph and graph == twin
     for node in NODES:
-        assert (node in twin) == (node in graph)
         assert twin.edges_from(node) == graph.edges_from(node)
         assert twin.edges_to(node) == graph.edges_to(node)
         assert twin.incident_edges(node) == graph.incident_edges(node)
-        for lab in LABELS:
-            assert twin.successors(node, lab) == graph.successors(node, lab)
-            assert twin.predecessors(node, lab) == graph.predecessors(
-                node, lab
-            )
-            assert twin.has_successor(node, lab) == graph.has_successor(
-                node, lab
-            )
-            assert twin.has_predecessor(node, lab) == graph.has_predecessor(
-                node, lab
-            )
-    for lab in LABELS + ("zz",):
-        assert twin.label_count(lab) == graph.label_count(lab)
-        assert set(twin.iter_label_pairs(lab)) == set(
-            graph.iter_label_pairs(lab)
-        )
-        assert twin.edges_with_label(lab) == graph.edges_with_label(lab)
-        fwd_c, fwd_d = twin.forward_index(lab), graph.forward_index(lab)
-        assert {u: frozenset(vs) for u, vs in fwd_c.items() if vs} == {
-            u: frozenset(vs) for u, vs in fwd_d.items() if vs
-        }
-        bwd_c, bwd_d = twin.backward_index(lab), graph.backward_index(lab)
-        assert {u: frozenset(vs) for u, vs in bwd_c.items() if vs} == {
-            u: frozenset(vs) for u, vs in bwd_d.items() if vs
-        }
     for edge in graph.edges():
         assert twin.has_edge(edge.source, edge.label, edge.target)
-    assert not twin.has_edge("ghost", "a", "ghost")
+    assert derived_built(graph) and derived_built(twin)
+    assert_storage_reads_equal()
 
 
 class TestBackendEquivalence:
@@ -161,6 +185,141 @@ class TestBackendEquivalence:
                 assert QueryEngine().reachable(
                     graph, expr, node
                 ) == QueryEngine().reachable(frozen, expr, node)
+
+
+@st.composite
+def growth_script(draw):
+    """Edge and node insertions only: a history every build path can replay."""
+    return draw(
+        st.lists(
+            st.one_of(
+                st.tuples(
+                    st.sampled_from(NODES),
+                    st.sampled_from(LABELS),
+                    st.sampled_from(NODES),
+                ),
+                st.tuples(st.sampled_from(NODES)),
+            ),
+            max_size=30,
+        )
+    )
+
+
+def six_builds(steps, directory) -> dict[str, GraphDatabase]:
+    """The same graph built by ``add_edge``, ``from_edges``, ``freeze()``,
+    ``thaw()``, ``clone()`` and a snapshot reload, no derived read made."""
+    grown = GraphDatabase(alphabet=LABELS)
+    for step in steps:
+        if len(step) == 3:
+            grown.add_edge(*step)
+        else:
+            grown.add_node(*step)
+    loaded = GraphDatabase(
+        alphabet=LABELS,
+        nodes=[step[0] for step in steps if len(step) == 1],
+        edges=[step for step in steps if len(step) == 3],
+    )
+    path = os.path.join(directory, "graph.snap")
+    save_snapshot(grown, path)
+    return {
+        "add_edge": grown,
+        "from_edges": loaded,
+        "freeze": grown.freeze(),
+        "thaw": grown.freeze().thaw(),
+        "clone": grown.copy(),
+        "snapshot": load_snapshot(path),
+    }
+
+
+class TestBuildPathEquivalence:
+    """Every way of building a graph shows the same observables, and builds
+    the derived edge indexes only when one of their readers asks."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(growth_script())
+    def test_six_builds_agree_before_and_after_derived_reads(self, steps):
+        with tempfile.TemporaryDirectory() as directory:
+            builds = six_builds(steps, directory)
+        reference = builds.pop("add_edge")
+        for name, twin in builds.items():
+            assert not derived_built(twin), name
+            assert_observably_equal(reference, twin)
+        assert not derived_built(GraphDatabase(alphabet=LABELS).freeze())
+
+    @settings(max_examples=40, deadline=None)
+    @given(growth_script(), st.data())
+    def test_mutating_a_thawed_copy_matches_the_grown_graph(self, steps, data):
+        from repro.errors import SchemaError
+
+        with tempfile.TemporaryDirectory() as directory:
+            builds = six_builds(steps, directory)
+        grown, thawed = builds["add_edge"], builds["thaw"]
+        edges = sorted(grown.edges(), key=repr)
+        if edges:
+            doomed = data.draw(st.sampled_from(edges))
+            for graph in (grown, thawed):
+                graph.remove_edge(doomed.source, doomed.label, doomed.target)
+            assert not derived_built(thawed)  # probed on the forward index
+        for graph in (grown, thawed):
+            graph.remove_edge("ghost", "a", "ghost")
+        busy = [node for node in NODES if grown.incident_edges(node)]
+        for node in busy[:1]:
+            for graph in (grown, thawed):
+                with pytest.raises(SchemaError):
+                    graph.discard_node(node)
+        assert not derived_built(thawed)  # checked on the label indexes
+        old = data.draw(st.sampled_from(NODES))
+        new = data.draw(st.sampled_from(NODES))
+        assert grown.rename_node(old, new) == thawed.rename_node(old, new)
+        for node in NODES:
+            if node in grown and not grown.incident_edges(node):
+                for graph in (grown, thawed):
+                    graph.discard_node(node)
+        assert_observably_equal(grown, thawed)
+        assert not thawed.is_frozen
+
+
+class TestMaterialisePath:
+    def test_chase_freeze_query_snapshot_builds_no_edge_objects(self, tmp_path):
+        """The §3.1 path reads adjacency, counters and the triple journal only.
+
+        A change that builds the ``Edge`` set or the incident-edge maps
+        eagerly again fails here by name, not as a timing drift.
+        """
+        from repro.chase.relational_chase import chase_relational
+        from repro.graph.parser import parse_nre
+        from repro.scenarios.scale import (
+            GeneratorConfig,
+            generate_instance,
+            scale_setting,
+            workload_queries,
+        )
+
+        setting = scale_setting("medlit")
+        instance = generate_instance(
+            GeneratorConfig(family="medlit", nodes=800, seed=1)
+        )
+        chased = chase_relational(
+            setting.st_tgds, setting.egds(), instance, alphabet=setting.alphabet
+        )
+        assert chased.stats.null_merges > 0  # a merged tenant
+        graph = chased.expect_graph()
+        frozen = graph.freeze()
+        engine = QueryEngine()
+        answers = [
+            engine.pairs(frozen, parse_nre(text))
+            for text in workload_queries("medlit")
+        ]
+        assert len(answers) == 5 and any(answers)
+        path = str(tmp_path / "tenant.snap")
+        save_snapshot(frozen, path)
+        restored = load_snapshot(path)
+        stages = [("chased", graph), ("frozen", frozen), ("loaded", restored)]
+        for name, built in stages:
+            assert not derived_built(built), (
+                f"the {name} graph built its Edge set / incident-edge maps"
+            )
+        assert restored.edge_count() == frozen.edge_count() == graph.version
 
 
 class TestFingerprintKeyedCacheBehaviour:

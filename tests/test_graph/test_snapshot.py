@@ -201,6 +201,47 @@ class TestSnapshotStore:
         assert os.path.join(str(tmp_path), "v2") in store.path_for("anything")
 
 
+class TestLayerSpans:
+    """Freezing and the snapshot round trip open named library spans.
+
+    Only names and nesting are asserted, never timings.
+    """
+
+    def _tree(self, action) -> list:
+        from repro.telemetry import set_enabled, span
+
+        set_enabled(True)
+        try:
+            with span("test.root") as root:
+                action()
+        finally:
+            set_enabled(None)
+        return [
+            (child.name, [grandchild.name for grandchild in child.children])
+            for child in root.children
+        ]
+
+    def test_freeze_is_one_span(self):
+        graph = sample_graph()
+        assert self._tree(graph.freeze) == [("graph.freeze", [])]
+        frozen = graph.freeze()
+        assert self._tree(frozen.freeze) == []  # already frozen: no copy
+
+    def test_save_splits_into_encode_and_write(self, tmp_path):
+        path = str(tmp_path / "graph.snap")
+        graph = sample_graph()
+        assert self._tree(lambda: save_snapshot(graph, path)) == [
+            ("snapshot.save", ["snapshot.encode", "snapshot.write"])
+        ]
+
+    def test_load_splits_into_read_and_build(self, tmp_path):
+        path = str(tmp_path / "graph.snap")
+        save_snapshot(sample_graph(), path)
+        assert self._tree(lambda: load_snapshot(path)) == [
+            ("snapshot.load", ["snapshot.read", "snapshot.build"])
+        ]
+
+
 def test_the_library_does_not_import_numpy():
     """Graph storage, snapshots and the service run on the standard library."""
     src = str(pathlib.Path(__file__).resolve().parents[2] / "src")

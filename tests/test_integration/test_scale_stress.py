@@ -12,6 +12,7 @@ from-scratch oracle checkpoints and O(affected) telemetry pinning.
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -120,6 +121,9 @@ class TestServiceStream:
         assert canonical_bytes(served_single) == canonical_bytes(direct_single)
         assert served_single["answers"], (family, queries[0])
 
+REPO_ROOT = Path(__file__).resolve().parents[2]
+"""The checkout this test file belongs to; the harness runs from its root."""
+
 
 class TestBenchHarnessSmoke:
     def test_bench_scale_subprocess_export_and_gate(self, tmp_path):
@@ -134,7 +138,7 @@ class TestBenchHarnessSmoke:
                 "--out", str(raw),
             ],
             check=True,
-            cwd="/root/repo",
+            cwd=REPO_ROOT,
             capture_output=True,
             text=True,
         )
@@ -153,7 +157,7 @@ class TestBenchHarnessSmoke:
                 sys.executable, "benchmarks/export_medians.py",
                 str(raw), str(exported), "--tag", "scale",
             ],
-            check=True, cwd="/root/repo", capture_output=True,
+            check=True, cwd=REPO_ROOT, capture_output=True,
         )
         document = json.loads(exported.read_text())
         assert document["meta"]["tag"] == "scale"
@@ -164,7 +168,7 @@ class TestBenchHarnessSmoke:
                 sys.executable, "benchmarks/compare_medians.py",
                 str(exported), str(exported), "--tolerance", "0.25",
             ],
-            check=True, cwd="/root/repo", capture_output=True,
+            check=True, cwd=REPO_ROOT, capture_output=True,
         )
 
 

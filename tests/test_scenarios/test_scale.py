@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -139,6 +140,9 @@ class TestUpdateStream:
                     assert outstanding[(relation, values)] > 0
                     outstanding[(relation, values)] -= 1
 
+REPO_ROOT = Path(__file__).resolve().parents[2]
+"""The checkout this test file belongs to; the CLI runs from its ``src``."""
+
 
 class TestGenscaleCli:
     def run_cli(self, *args):
@@ -147,7 +151,7 @@ class TestGenscaleCli:
             capture_output=True,
             text=True,
             env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"},
-            cwd="/root/repo",
+            cwd=REPO_ROOT,
         )
 
     def test_jsonl_stream_matches_the_library(self):
