@@ -1,12 +1,14 @@
 """E12 (ours) — NRE engine throughput and differential correctness.
 
-Ablation for the three-evaluator design: the set-algebraic reference
-evaluator vs the (ε-free, label-indexed) product-automaton evaluator vs
+Ablation for the split-by-call-shape design: the successor-map relation
+algebra (:mod:`repro.graph.eval`, whole relations) vs the (ε-free,
+label-indexed) product-automaton evaluator (single pairs and sources) vs
 the full :class:`~repro.engine.query.QueryEngine` with its caches, on
-random graphs with the paper's query shape — plus single-source and
-single-pair modes (the certain-answer hot path) and an independent
-networkx cross-check for pure-star reachability.  Every timed evaluator is
-asserted identical to the reference relation.
+random graphs with the paper's query shape and on a chased medlit tenant
+— plus single-source and single-pair modes (the certain-answer hot path)
+and an independent networkx cross-check for pure-star reachability.
+Every timed evaluator is asserted identical to the seed's set-algebraic
+pair-set oracle (``tests/oracles/reference_eval.py``).
 """
 
 import random
@@ -15,11 +17,19 @@ from conftest import ab_medians, report
 
 import networkx as nx
 
+from oracles.reference_eval import evaluate_nre as reference_pairs
+from repro.chase.relational_chase import chase_relational
 from repro.engine.query import QueryEngine
 from repro.graph.automaton import evaluate_nre_automaton
 from repro.graph.eval import evaluate_nre
 from repro.graph.parser import parse_nre
 from repro.scenarios.generators import random_graph, random_nre
+from repro.scenarios.scale import (
+    GeneratorConfig,
+    generate_instance,
+    scale_setting,
+    workload_queries,
+)
 
 QUERY = parse_nre("f . f*[h] . f- . (f-)*")
 
@@ -32,10 +42,11 @@ def test_recursive_evaluator_throughput(benchmark):
     graph = flight_like_graph(40, 160, seed=1)
     result = benchmark(lambda: evaluate_nre(graph, QUERY))
     report(
-        "E12a / set-algebraic evaluator",
+        "E12a / successor-map relation algebra",
         [("|V|, |E|", "40, ≤160", f"{graph.node_count()}, {graph.edge_count()}"),
          ("answer pairs", "—", len(result))],
     )
+    assert result == reference_pairs(graph, QUERY)
     assert result == evaluate_nre_automaton(graph, QUERY)
 
 
@@ -46,7 +57,7 @@ def test_automaton_evaluator_throughput(benchmark):
         "E12b / product-automaton evaluator",
         [("answer pairs", "—", len(result))],
     )
-    assert result == evaluate_nre(graph, QUERY)
+    assert result == reference_pairs(graph, QUERY)
 
 
 def test_query_engine_all_pairs(benchmark):
@@ -62,16 +73,16 @@ def test_query_engine_all_pairs(benchmark):
     report(
         "E12e / QueryEngine all-pairs (cache cleared per call)",
         [("answer pairs", "—", len(result)),
-         ("identical to reference", True, result == evaluate_nre(graph, QUERY))],
+         ("identical to reference", True, result == reference_pairs(graph, QUERY))],
     )
-    assert result == evaluate_nre(graph, QUERY)
+    assert result == reference_pairs(graph, QUERY)
 
 
 def test_query_engine_single_pair(benchmark):
     """Single-pair mode — the is_certain_answer hot path — never all-pairs."""
     graph = flight_like_graph(40, 160, seed=1)
     engine = QueryEngine()
-    reference = evaluate_nre(graph, QUERY)
+    reference = reference_pairs(graph, QUERY)
     nodes = sorted(graph.nodes())
     probes = [(nodes[i], nodes[(i * 7 + 3) % len(nodes)]) for i in range(len(nodes))]
 
@@ -100,7 +111,7 @@ def test_query_engine_frozen_single_pair(benchmark):
     """
     graph = flight_like_graph(40, 160, seed=1)
     graphs = {"frozen": graph.freeze(), "dict": graph}
-    reference = evaluate_nre(graph, QUERY)
+    reference = reference_pairs(graph, QUERY)
     nodes = sorted(graph.nodes())
     probes = [(nodes[i], nodes[(i * 7 + 3) % len(nodes)]) for i in range(len(nodes))]
     engine = QueryEngine()
@@ -141,7 +152,9 @@ def test_differential_sweep(benchmark):
                 rng.randint(3, 10), rng.randint(0, 25), rng=random.Random(rng.random())
             )
             expr = random_nre(depth=3, rng=rng)
-            if evaluate_nre(graph, expr) != evaluate_nre_automaton(graph, expr):
+            expected = reference_pairs(graph, expr)
+            if (evaluate_nre(graph, expr) != expected
+                    or evaluate_nre_automaton(graph, expr) != expected):
                 disagreements += 1
             cases += 1
         return cases, disagreements
@@ -179,3 +192,55 @@ def test_networkx_cross_check(benchmark):
          ("sets equal", True, set(pairs) == expected)],
     )
     assert set(pairs) == expected
+
+
+def test_query_engine_whole_relation_medlit(benchmark):
+    """Bulk's read shape: five ``pairs`` on a chased, frozen medlit 800 tenant.
+
+    Whole relations run the successor-map algebra: one relation per
+    query, no automaton compiled, no nested test run (deterministic
+    counters, gated).  The timings of the algebra, the product search
+    run per source (``evaluate_nre_automaton``) and the pair-set oracle
+    are measured in interleaved rounds and reported, not gated.
+    """
+    setting = scale_setting("medlit")
+    instance = generate_instance(GeneratorConfig(family="medlit", nodes=800, seed=1))
+    graph = chase_relational(
+        setting.st_tgds, setting.egds(), instance, alphabet=setting.alphabet
+    ).expect_graph()
+    frozen = graph.freeze()
+    queries = [parse_nre(text) for text in workload_queries("medlit")]
+    expected = [reference_pairs(graph, query) for query in queries]
+    engine = QueryEngine()
+    answers = [engine.pairs(frozen, query) for query in queries]
+    stats = engine.stats
+
+    def algebra():
+        fresh = QueryEngine()
+        return [fresh.pairs(frozen, query) for query in queries]
+
+    def product_search():
+        return [evaluate_nre_automaton(frozen, query) for query in queries]
+
+    def oracle():
+        return [reference_pairs(graph, query) for query in queries]
+
+    medians = ab_medians(algebra, product_search, oracle, rounds=5)
+    benchmark.pedantic(algebra, rounds=5, iterations=1, warmup_rounds=1)
+    report(
+        "E12h / medlit 800 whole-relation reads (five pairs, frozen)",
+        [
+            ("|V|, |E|", "—", f"{frozen.node_count()}, {frozen.edge_count()}"),
+            ("identical to oracle", True, answers == expected),
+            ("relations_evaluated", 5, stats.relations_evaluated),
+            ("automata_compiled", 0, stats.automata_compiled),
+            ("nested_tests", 0, stats.nested_tests),
+            ("algebra median (ms)", "—", f"{medians[0] * 1000:.2f}"),
+            ("product search median (ms)", "—", f"{medians[1] * 1000:.2f}"),
+            ("pair-set oracle median (ms)", "—", f"{medians[2] * 1000:.2f}"),
+        ],
+    )
+    assert answers == expected
+    assert stats.relations_evaluated == 5
+    assert stats.automata_compiled == 0
+    assert stats.nested_tests == 0

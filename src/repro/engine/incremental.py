@@ -833,13 +833,10 @@ class IncrementalChase:
         self.stats.answer_patches += 1
         affected = self._affected_cone()
         domain = self.instance.active_domain()
-        sources = sorted((node for node in affected if node in domain), key=repr)
+        sources = [node for node in affected if node in domain]
         for query, cached in list(self._answers.items()):
-            extra: set[tuple[Node, Node]] = set()
-            for source in sources:
-                for target in engine.reachable(self._merged, query, source):
-                    if target in domain:
-                        extra.add((source, target))
+            reached = engine.reachable_many(self._merged, query, sources)
+            extra = {(u, v) for u, targets in reached.items() for v in targets & domain}
             if extra:
                 self._answers[query] = frozenset(cached | extra)
         self._dirty.clear()

@@ -1,32 +1,21 @@
-"""The compiled NRE query engine.
+"""The NRE query engine: two evaluators, split by call shape.
 
-This module is the query-side counterpart of the delta-chase engine: where
-:mod:`repro.engine.matcher` made *trigger matching* incremental, this makes
-*query evaluation* compiled and shared.  The certain-answer pipeline
-(:mod:`repro.core.certain` / :mod:`repro.core.search`) enumerates many
-near-identical candidate solutions and asks the same NRE/CNRE questions of
-each; the seed code re-ran the set-algebraic evaluator from scratch per
-candidate, materialising full all-pairs relations even to decide one pair.
-:class:`QueryEngine` removes that waste along three axes:
+No single plan wins both whole-relation reads and single-pair decisions
+(Yakovets, Godfrey & Gryz, SIGMOD 2016), so :class:`QueryEngine` picks
+the evaluator by the shape of the call, with no cost model:
 
-* **compile once** — NREs are lowered through the cached
-  :func:`repro.graph.automaton.compile_nre` into ε-free, label-indexed
-  :class:`~repro.graph.automaton.CompiledAutomaton` form; one compilation
-  serves every candidate;
-* **ask only what is asked** — :meth:`QueryEngine.holds` decides a single
-  pair with an early-exit product BFS and :meth:`QueryEngine.reachable`
-  evaluates a single source, so ``is_certain_answer`` never materialises an
-  all-pairs relation; nested ``[·]`` tests are memoised per (sub-automaton,
-  node) inside each graph's runner;
+* **whole relations** — :meth:`QueryEngine.pairs`, ``reachable_many`` and
+  ``answers_over`` run the successor-map algebra
+  (:func:`repro.graph.eval.evaluate_relation`) with the requested sources
+  pushed into the leftmost operand; spans ``query.relation`` (the
+  algebra) and ``query.decode`` (successor map → answers) time them;
+* **one pair or one source** — :meth:`QueryEngine.holds` and
+  ``reachable`` run the early-exit product BFS over the NRE's compiled
+  automaton (:func:`repro.graph.automaton.compile_nre`, once per engine);
 * **share across candidates** — results are cached per graph *content*,
-  keyed on the :meth:`~repro.graph.database.GraphDatabase.fingerprint`
-  derived from the append-only edge journal, so sibling candidates in
-  :mod:`repro.core.search` (and the same witness re-examined by existence
-  and certain-answer passes) reuse each other's work instead of restarting.
-
-The set-algebraic evaluator (:mod:`repro.graph.eval`) is the
-differential-testing oracle; the test suite wraps it behind this
-engine's interface (``tests/oracles/reference_engine.py``).
+  keyed on the :meth:`~repro.graph.database.GraphDatabase.fingerprint`,
+  so sibling candidates in :mod:`repro.core.search` reuse each other's
+  work.  The differential-testing oracle lives in ``tests/oracles/``.
 
 >>> from repro.graph.database import GraphDatabase
 >>> from repro.graph.parser import parse_nre
@@ -44,15 +33,17 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, fields
+from itertools import chain, repeat
 from typing import Hashable, Iterable
 
 from repro.graph.automaton import NREAutomaton, _Runner, compile_nre
 from repro.graph.database import Fingerprint, GraphDatabase
+from repro.graph.eval import Relation, evaluate_relation
 from repro.graph.nre import NRE
+from repro.telemetry import span
 
 Node = Hashable
-Pair = tuple[Node, Node]
-PairSet = frozenset[Pair]
+PairSet = frozenset[tuple[Node, Node]]
 
 
 @dataclass
@@ -76,6 +67,9 @@ class EvalStats:
 
     single_pair_queries: int = 0
     """Single-pair (early-exit) decisions requested."""
+
+    relations_evaluated: int = 0
+    """Whole relations evaluated by the successor-map algebra."""
 
     automata_compiled: int = 0
     """Distinct NREs this engine compiled (cache-miss compilations)."""
@@ -122,7 +116,8 @@ class _GraphState:
         self.graph = graph
         self.runner = _Runner(graph, stats)
         self.pairs: dict[NRE, PairSet] = {}
-        self.reach: dict[tuple[NRE, Node], frozenset[Node]] = {}
+        # expr → source → targets: the expression is hashed once per read.
+        self.reach: dict[NRE, dict[Node, frozenset[Node]]] = {}
         self.holds: dict[tuple[NRE, Node, Node], bool] = {}
 
     def rebind(self, graph: GraphDatabase) -> None:
@@ -148,8 +143,7 @@ class QueryEngine:
     distinct query/subexpression ever evaluated).
 
     Graphs evaluate as handed in: mutable, frozen and snapshot-loaded
-    graphs keep the same per-label indexes, which the one product search
-    reads.
+    graphs keep the same per-label indexes, which both evaluators read.
 
     ``backend`` is a retired keyword kept as a shim: ``"dict"`` and
     ``"csr"`` are accepted and change nothing, any other value raises
@@ -185,13 +179,9 @@ class QueryEngine:
         state = self._state(graph)
         cached = state.pairs.get(expr)
         if cached is None:
-            automaton = self._automaton(expr).compiled()
-            answers = state.runner.reachable_many(automaton, graph.nodes())
-            cached = state.pairs[expr] = frozenset(
-                (source, target)
-                for source, targets in answers.items()
-                for target in targets
-            )
+            relation = self._relation(state.graph, expr)
+            with span("query.decode"):
+                cached = state.pairs[expr] = relation.pairs(state.graph)
         return cached
 
     def reachable(
@@ -202,8 +192,8 @@ class QueryEngine:
         if source not in graph:
             return frozenset()
         state = self._state(graph)
-        key = (expr, source)
-        cached = state.reach.get(key)
+        reach = state.reach.setdefault(expr, {})
+        cached = reach.get(source)
         if cached is not None:
             return cached
         pairs = state.pairs.get(expr)
@@ -211,7 +201,7 @@ class QueryEngine:
             cached = frozenset(v for u, v in pairs if u == source)
         else:
             cached = state.runner.reachable(self._automaton(expr).compiled(), source)
-        state.reach[key] = cached
+        reach[source] = cached
         return cached
 
     def reachable_many(
@@ -219,38 +209,22 @@ class QueryEngine:
     ) -> dict[Node, frozenset[Node]]:
         """Batched :meth:`reachable`: one answer set per source.
 
-        The bulk-traversal entry point: the automaton is compiled and
-        bound to the graph's indexes once for every uncached source
-        (:meth:`_Runner.reachable_many`).  Per-source cache entries are
-        consulted first and populated afterwards, so mixing this with
-        :meth:`reachable` stays coherent.
+        Per-source cache entries are consulted first; the other sources
+        are answered by one evaluation of the relation restricted to them
+        (:func:`~repro.graph.eval.evaluate_relation`), which then fills
+        the per-source cache, so mixing this with :meth:`reachable` and
+        :meth:`holds` stays coherent.
         """
         sources = list(sources)
         self.stats.batched_source_queries += len(sources)
         state = self._state(graph)
-        answers: dict[Node, frozenset[Node]] = {}
-        misses: list[Node] = []
-        pairs = state.pairs.get(expr)
-        for source in sources:
-            if source not in graph:
-                answers[source] = frozenset()
-                continue
-            cached = state.reach.get((expr, source))
-            if cached is None and pairs is not None:
-                cached = frozenset(v for u, v in pairs if u == source)
-                state.reach[(expr, source)] = cached
-            if cached is not None:
-                answers[source] = cached
-            else:
-                misses.append(source)
+        reach = state.reach.setdefault(expr, {})
+        misses = set(sources).difference(reach).intersection(state.graph.nodes())
         if misses:
-            fresh = state.runner.reachable_many(
-                self._automaton(expr).compiled(), misses
-            )
-            for source, targets in fresh.items():
-                state.reach[(expr, source)] = targets
-                answers[source] = targets
-        return answers
+            relation = self._relation(state.graph, expr, misses)
+            with span("query.decode"):
+                reach.update(relation.targets(misses))
+        return {source: reach.get(source, frozenset()) for source in sources}
 
     def holds(
         self, graph: GraphDatabase, expr: NRE, source: Node, target: Node
@@ -267,7 +241,7 @@ class QueryEngine:
         pairs = state.pairs.get(expr)
         if pairs is not None:
             return (source, target) in pairs
-        reach = state.reach.get((expr, source))
+        reach = state.reach.get(expr, {}).get(source)
         if reach is not None:
             return target in reach
         key = (expr, source, target)
@@ -284,21 +258,31 @@ class QueryEngine:
         """Return ``⟦expr⟧_graph`` restricted to ``domain × domain``.
 
         The certain-answer engine only ever reports tuples over the source
-        active domain, which is typically far smaller than the solution
-        graph — so this runs one batched multi-source query over the
-        domain instead of materialising the full relation.
+        active domain, so this is one :meth:`reachable_many` over the
+        domain — the relation restricted to those sources, which also
+        fills the per-source cache — instead of the full relation.
         """
         members = set(domain)
-        result: set[Pair] = set()
-        for source, targets in self.reachable_many(graph, expr, members).items():
-            for target in targets:
-                if target in members:
-                    result.add((source, target))
-        return frozenset(result)
+        answers = self.reachable_many(graph, expr, members)
+        with span("query.decode"):
+            return frozenset(
+                chain.from_iterable(
+                    zip(repeat(source), targets & members)
+                    for source, targets in answers.items()
+                    if targets
+                )
+            )
 
     # ------------------------------------------------------------------ #
     # Internals
     # ------------------------------------------------------------------ #
+
+    def _relation(
+        self, graph: GraphDatabase, expr: NRE, sources: set[Node] | None = None
+    ) -> Relation:
+        self.stats.relations_evaluated += 1
+        with span("query.relation"):
+            return evaluate_relation(graph, expr, sources)
 
     def _automaton(self, expr: NRE) -> NREAutomaton:
         automaton = self._automata.get(expr)

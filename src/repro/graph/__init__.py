@@ -9,10 +9,10 @@ This package implements the *target* side of the exchange setting
   ``r := ε | a | a⁻ | r + r | r · r | r* | [r]``;
 * :func:`~repro.graph.parser.parse_nre` — concrete syntax, e.g.
   ``"f . f*[h] . f- . (f-)*"``;
-* :mod:`repro.graph.eval` — recursive set-algebraic evaluation of
-  ``⟦r⟧_G ⊆ V × V``;
-* :mod:`repro.graph.automaton` — an independent product-automaton evaluator
-  (used for differential testing and for single-source queries);
+* :mod:`repro.graph.eval` — relation-at-a-time evaluation of
+  ``⟦r⟧_G ⊆ V × V`` over successor maps (whole-relation reads);
+* :mod:`repro.graph.automaton` — the independent product-automaton
+  evaluator (single-pair and single-source reads, early exit);
 * :mod:`repro.graph.cnre` — conjunctions of NREs (CNRE) with variables, the
   paper's target query language, plus homomorphism-based evaluation;
 * :mod:`repro.graph.witness` — extraction of concrete witness trees proving

@@ -27,11 +27,13 @@ indexes without ever touching an ε edge at run time.
 The product BFS reads only the graph's dict-shaped per-label indexes
 (:meth:`~repro.graph.database.GraphDatabase.forward_index` /
 ``backward_index``), which mutable, frozen and snapshot-loaded graphs
-all keep alike.  There is one search.
+all keep alike.
 
-This module is an independent implementation of the same semantics as
-:mod:`repro.graph.eval`; the two are differential-tested against each other
-in the property-based test suite.
+This is the evaluator for one pair or one source, where the search can
+stop early; whole relations go through the successor-map algebra of
+:mod:`repro.graph.eval`.  The two share no code and are
+differential-tested against each other, and against the set-algebraic
+oracle kept in the tests, in the property-based suite.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
-from typing import Hashable, Iterable
+from typing import Hashable
 
 from repro.graph.database import GraphDatabase
 from repro.graph.nre import (
@@ -289,7 +291,7 @@ class _Runner:
     object with ``nested_tests`` / ``nested_test_cache_hits`` counters).
 
     Every call runs :meth:`_search`, the product BFS over the graph's
-    per-label adjacency dicts, whatever the graph's storage backend.
+    per-label adjacency dicts, for one source at a time.
     """
 
     def __init__(self, graph: GraphDatabase, stats: object | None = None):
@@ -335,36 +337,13 @@ class _Runner:
             resolved = self._resolved[key] = tuple(per_state)
         return resolved
 
-    def _compiled(self, automaton: NREAutomaton | CompiledAutomaton) -> CompiledAutomaton:
-        if isinstance(automaton, NREAutomaton):
-            return automaton.compiled()
-        return automaton
-
-    def reachable(
-        self, automaton: NREAutomaton | CompiledAutomaton, source: Node
-    ) -> frozenset[Node]:
-        """Return the nodes reachable from ``source`` through ``automaton``."""
+    def reachable(self, compiled: CompiledAutomaton, source: Node) -> frozenset[Node]:
+        """Return the nodes reachable from ``source`` through ``compiled``."""
         if source not in self.graph:
             return frozenset()
-        return frozenset(self._search(self._compiled(automaton), source, _ALL))
+        return frozenset(self._search(compiled, source, _ALL))
 
-    def reachable_many(
-        self,
-        automaton: NREAutomaton | CompiledAutomaton,
-        sources: Iterable[Node],
-    ) -> dict[Node, frozenset[Node]]:
-        """Batched :meth:`reachable`: one answer set per source.
-
-        The automaton is lowered and bound to the graph's indexes once
-        for the whole batch.  Sources outside the graph map to the empty
-        set.
-        """
-        compiled = self._compiled(automaton)
-        return {source: self.reachable(compiled, source) for source in sources}
-
-    def holds(
-        self, automaton: NREAutomaton | CompiledAutomaton, source: Node, target: Node
-    ) -> bool:
+    def holds(self, compiled: CompiledAutomaton, source: Node, target: Node) -> bool:
         """Single-pair mode: whether ``target`` is reachable from ``source``.
 
         The product BFS stops as soon as ``target`` is accepted, so deciding
@@ -372,7 +351,7 @@ class _Runner:
         """
         if source not in self.graph or target not in self.graph:
             return False
-        return self._search(self._compiled(automaton), source, target) is _FOUND
+        return self._search(compiled, source, target) is _FOUND
 
     def _nonempty(self, compiled: CompiledAutomaton, source: Node) -> bool:
         """Whether *any* node is reachable — the nested-test question."""
@@ -480,13 +459,12 @@ def automaton_reachable(
 ) -> frozenset[Node]:
     """Single-source evaluation: ``{v | (source, v) ∈ ⟦expr⟧}`` via BFS.
 
-    Unlike the set-algebraic evaluator this touches only the part of the
-    product space reachable from ``source`` — the right tool for large
-    graphs with selective queries.  Sources outside the graph have no
-    answers (matching the reference evaluator's semantics, where even ε
-    relates only nodes of ``V``).
+    This touches only the part of the product space reachable from
+    ``source`` — the right tool for one selective source on a large
+    graph.  Sources outside the graph have no answers (even ε relates
+    only nodes of ``V``).
     """
-    return _Runner(graph).reachable(compile_nre(expr), source)
+    return _Runner(graph).reachable(compile_nre(expr).compiled(), source)
 
 
 def automaton_holds(
@@ -501,4 +479,4 @@ def automaton_holds(
     >>> automaton_holds(g, word("a", "a"), "v", "u")
     False
     """
-    return _Runner(graph).holds(compile_nre(expr), source, target)
+    return _Runner(graph).holds(compile_nre(expr).compiled(), source, target)

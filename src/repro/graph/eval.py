@@ -1,108 +1,271 @@
-"""Recursive set-algebraic evaluation of NREs.
+"""Relation-at-a-time evaluation of NREs over successor maps.
 
-``⟦r⟧_G`` is computed bottom-up as an explicit set of node pairs following
-the semantics of [5] (see :mod:`repro.graph.nre`).  The computation is
-polynomial: unions and compositions of binary relations, and a BFS-based
-reflexive-transitive closure for Kleene stars.
+``⟦r⟧_G`` is computed bottom-up over the syntax tree, following the
+semantics of [5] (see :mod:`repro.graph.nre`).  A :class:`Relation` is a
+successor map ``node → set of nodes`` plus a flag for the identity on
+``V``; it becomes a set of pairs only when decoded.  ``a`` and ``a⁻`` are
+the graph's own per-label indexes, read without a copy; ``r · s`` is one
+set union per source over the map of ``s``; ``r*`` is an SCC closure over
+the nodes of ``⟦r⟧`` only, its reflexive part left to the flag; ``[r]`` is
+a semi-join with the domain of ``⟦r⟧``.  An optional source set is pushed
+into the leftmost operand, so a read of some sources restricts early.
 
-This evaluator is deliberately simple and close to the definitions — it is
-the library's *reference* semantics.  The automaton evaluator in
-:mod:`repro.graph.automaton` is an independent implementation used for
-differential testing and for single-source queries on larger graphs.
+This serves whole-relation reads (:meth:`~repro.engine.query.QueryEngine.pairs`,
+``reachable_many``, ``answers_over``); the product search of
+:mod:`repro.graph.automaton` answers single pairs and sources, where it
+can stop early.
 """
 
 from __future__ import annotations
 
-from typing import Hashable
+from itertools import chain, repeat
+from typing import Hashable, Iterable, Mapping, NamedTuple
 
 from repro.graph.database import GraphDatabase
-from repro.graph.nre import (
-    NRE,
-    Backward,
-    Concat,
-    Epsilon,
-    Label,
-    Nest,
-    Star,
-    Union,
-)
+from repro.graph.nre import NRE, Backward, Concat, Epsilon, Label, Nest, Star, Union
 
 Node = Hashable
 PairSet = frozenset[tuple[Node, Node]]
+Successors = Mapping[Node, set[Node]]
+Rows = Iterable[tuple[Node, set[Node]]]
+Sources = set[Node] | None  # None: every node
+
+_FINISHED = float("inf")  # Tarjan index of a node whose component is complete
 
 
-def _compose(left: PairSet, right: PairSet) -> PairSet:
-    """Relational composition ``left ; right``."""
-    by_source: dict[Node, set[Node]] = {}
-    for u, v in right:
-        by_source.setdefault(u, set()).add(v)
-    result: set[tuple[Node, Node]] = set()
-    for u, mid in left:
-        for v in by_source.get(mid, ()):
-            result.add((u, v))
-    return frozenset(result)
+class Relation(NamedTuple):
+    """A binary relation over the nodes of one graph.
+
+    ``⟦self⟧ = {(u, v) | v ∈ succ[u]}``, plus ``(n, n)`` for every node
+    ``n`` of the graph when ``reflexive``.  The sets in ``succ`` are shared
+    with the graph's indexes and with other relations, so nothing may
+    mutate them.
+
+    >>> rel = Relation({"u": {"v"}}, reflexive=True)
+    >>> {s: sorted(targets) for s, targets in rel.targets(["u", "w"]).items()}
+    {'u': ['u', 'v'], 'w': ['w']}
+    """
+
+    succ: Successors
+    reflexive: bool = False
+
+    def targets(self, sources: Iterable[Node]) -> dict[Node, frozenset[Node]]:
+        """``{v | (s, v) ∈ self}`` for each node ``s`` of the graph in ``sources``."""
+        step = self.succ.get
+        if self.reflexive:
+            return {s: frozenset(chain(step(s, ()), (s,))) for s in sources}
+        return {s: frozenset(step(s, ())) for s in sources}
+
+    def pairs(self, graph: GraphDatabase) -> PairSet:
+        """Decode the whole relation into a frozenset of pairs."""
+        rows = chain.from_iterable(zip(repeat(u), vs) for u, vs in self.succ.items())
+        if self.reflexive:
+            nodes = graph.nodes()
+            rows = chain(rows, zip(nodes, nodes))
+        return frozenset(rows)
 
 
-def _closure(pairs: PairSet, nodes: frozenset[Node]) -> PairSet:
-    """Reflexive-transitive closure of ``pairs`` over ``nodes`` (BFS per node)."""
-    adjacency: dict[Node, set[Node]] = {}
-    for u, v in pairs:
-        adjacency.setdefault(u, set()).add(v)
-    result: set[tuple[Node, Node]] = {(n, n) for n in nodes}
-    for start in nodes:
-        frontier = [start]
-        seen = {start}
-        while frontier:
-            current = frontier.pop()
-            for nxt in adjacency.get(current, ()):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-                    result.add((start, nxt))
-    return frozenset(result)
+_IDENTITY = Relation({}, reflexive=True)
+
+
+def evaluate_relation(
+    graph: GraphDatabase,
+    expr: NRE,
+    sources: Sources = None,
+    cache: dict[NRE, Relation] | None = None,
+) -> Relation:
+    """Evaluate ``expr`` on ``graph`` into a :class:`Relation`.
+
+    With ``sources`` (nodes of the graph) only the rows of those sources
+    are guaranteed complete; other rows may be missing or partial, never
+    wrong.  ``cache`` maps subexpressions to their unrestricted relations
+    and is valid only while the graph is not mutated.
+
+    >>> g = GraphDatabase(edges=[("u", "a", "v"), ("v", "a", "w")])
+    >>> rel = evaluate_relation(g, Star(Label("a")), sources={"v"})
+    >>> sorted(rel.targets(["v"])["v"])
+    ['v', 'w']
+    """
+    cache = {} if cache is None else cache
+    if sources is None and (cached := cache.get(expr)) is not None:
+        return cached
+    if isinstance(expr, Epsilon):
+        result = _IDENTITY
+    elif isinstance(expr, Label):
+        result = Relation(graph.forward_index(expr.name))
+    elif isinstance(expr, Backward):
+        result = Relation(graph.backward_index(expr.name))
+    elif isinstance(expr, Union):
+        result = _union(
+            evaluate_relation(graph, expr.left, sources, cache),
+            evaluate_relation(graph, expr.right, sources, cache),
+        )
+    elif isinstance(expr, Concat):
+        left = evaluate_relation(graph, expr.left, sources, cache)
+        if isinstance(expr.right, Nest):  # r · [s]: a semi-join with dom(⟦s⟧)
+            inner = evaluate_relation(graph, expr.right.inner, None, cache)
+            result = _semijoin(left, _domain(inner, None), sources)
+        else:
+            right = evaluate_relation(graph, expr.right, None, cache)
+            result = _compose(left, right, sources)
+    elif isinstance(expr, Star):
+        inner = evaluate_relation(graph, expr.inner, None, cache)
+        result = Relation(_closure(inner.succ, sources), reflexive=True)
+    elif isinstance(expr, Nest):
+        domain = _domain(evaluate_relation(graph, expr.inner, sources, cache), sources)
+        result = _IDENTITY if domain is None else Relation({u: {u} for u in domain})
+    else:  # pragma: no cover - exhaustive over the AST
+        raise TypeError(f"unknown NRE node {expr!r}")
+    if sources is None:
+        cache[expr] = result
+    return result
+
+
+def _rows(succ: Successors, sources: Sources) -> Rows:
+    """The rows of ``succ`` whose source is in ``sources`` (all when ``None``)."""
+    if sources is None:
+        return succ.items()
+    if len(sources) < len(succ):
+        return [(source, succ[source]) for source in sources if source in succ]
+    return [(source, targets) for source, targets in succ.items() if source in sources]
+
+
+def _domain(relation: Relation, sources: Sources) -> Sources:
+    """The sources with a target (within ``sources``); ``None`` for all of ``V``."""
+    if relation.reflexive:
+        return None
+    return {source for source, targets in _rows(relation.succ, sources) if targets}
+
+
+def _union(left: Relation, right: Relation) -> Relation:
+    reflexive = left.reflexive or right.reflexive
+    if not right.succ:
+        return Relation(left.succ, reflexive)
+    return Relation(_merge(dict(left.succ), right.succ.items()), reflexive)
+
+
+def _merge(succ: dict[Node, set[Node]], rows: Rows) -> dict[Node, set[Node]]:
+    """Add ``rows`` to ``succ`` without mutating any set either holds."""
+    for source, targets in rows:
+        if targets:
+            mine = succ.get(source)
+            succ[source] = mine | targets if mine else targets
+    return succ
+
+
+def _compose(left: Relation, right: Relation, sources: Sources) -> Relation:
+    """``left ; right`` over the rows of ``sources`` (``right`` unrestricted)."""
+    succ: dict[Node, set[Node]] = {}
+    step = right.succ.get
+    for source, middles in _rows(left.succ, sources):
+        parts = [targets for middle in middles if (targets := step(middle))]
+        if right.reflexive and middles:
+            parts.append(middles)
+        if len(parts) == 1:
+            succ[source] = parts[0]
+        elif parts:
+            succ[source] = set().union(*parts)
+    if left.reflexive:  # the identity part of left hands sources straight on
+        _merge(succ, _rows(right.succ, sources))
+    return Relation(succ, left.reflexive and right.reflexive)
+
+
+def _semijoin(left: Relation, domain: Sources, sources: Sources) -> Relation:
+    """``left`` with its targets kept to ``domain`` (``None``: all of ``V``)."""
+    if domain is None:
+        return left
+    succ = {}
+    for source, middles in _rows(left.succ, sources):
+        hits = middles & domain
+        if hits:
+            succ[source] = hits
+    if left.reflexive:
+        _merge(succ, ((u, {u}) for u in domain if sources is None or u in sources))
+    return Relation(succ)
+
+
+def _closure(succ: Successors, roots: Iterable[Node] | None) -> dict[Node, set[Node]]:
+    """Reflexive-transitive closure of ``succ`` from ``roots`` (every row when ``None``).
+
+    Iterative Tarjan: components complete in reverse topological order,
+    so a component's reach set is its members plus the (complete) reach
+    sets its edges lead to, shared by every member.  Only nodes reachable
+    from ``roots`` are visited; nodes that reach only themselves get no
+    row (the identity flag covers them).
+    """
+    step = succ.get
+    reach: dict[Node, set[Node]] = {}
+    index: dict[Node, float] = {}  # preorder number; len(index) counts
+    low: dict[Node, float] = {}
+    component: list[Node] = []
+    for root in (succ if roots is None else roots):
+        if root in index or not step(root):
+            continue
+        index[root] = low[root] = len(index)
+        component.append(root)
+        work = [(root, iter(step(root)))]
+        while work:
+            node, children = work[-1]
+            for child in children:
+                seen = index.get(child)
+                if seen is None:
+                    successors = step(child)
+                    if not successors:  # a sink is a finished component
+                        index[child] = _FINISHED
+                        continue
+                    index[child] = low[child] = len(index)
+                    component.append(child)
+                    work.append((child, iter(successors)))
+                    break
+                if seen < low[node]:  # on the stack: finished nodes read inf
+                    low[node] = seen
+            else:
+                work.pop()
+                node_low = low[node]
+                if work:
+                    parent = work[-1][0]
+                    if node_low < low[parent]:
+                        low[parent] = node_low
+                if node_low != index[node]:
+                    continue
+                members = []
+                while True:
+                    member = component.pop()
+                    index[member] = _FINISHED
+                    members.append(member)
+                    if member == node:
+                        break
+                acc = set(members)
+                for member in members:
+                    for target in step(member, ()):
+                        if target not in acc:
+                            closed = reach.get(target)
+                            if closed is None:
+                                acc.add(target)
+                            else:
+                                acc |= closed
+                if len(acc) > 1:
+                    for member in members:
+                        reach[member] = acc
+    return reach
 
 
 def evaluate_nre(
     graph: GraphDatabase,
     expr: NRE,
-    _cache: dict[NRE, PairSet] | None = None,
+    _cache: dict[NRE, Relation] | None = None,
 ) -> PairSet:
     """Return ``⟦expr⟧_G`` as a frozenset of node pairs.
 
-    Repeated subexpressions are evaluated once thanks to an internal cache
-    (NRE nodes are hashable values).
+    Repeated subexpressions are evaluated once; ``_cache`` shares that
+    memo across calls on one unmutated graph.
 
+    >>> from repro.graph.parser import parse_nre
     >>> g = GraphDatabase(edges=[("u", "a", "v"), ("v", "a", "w")])
-    >>> sorted(evaluate_nre(g, parse_nre("a . a")))  # doctest: +SKIP
+    >>> sorted(evaluate_nre(g, parse_nre("a . a")))
     [('u', 'w')]
     """
-    cache: dict[NRE, PairSet] = _cache if _cache is not None else {}
-
-    def go(node: NRE) -> PairSet:
-        cached = cache.get(node)
-        if cached is not None:
-            return cached
-        if isinstance(node, Epsilon):
-            result: PairSet = frozenset((n, n) for n in graph.nodes())
-        elif isinstance(node, Label):
-            result = graph.edges_with_label(node.name)
-        elif isinstance(node, Backward):
-            result = frozenset((v, u) for u, v in graph.edges_with_label(node.name))
-        elif isinstance(node, Union):
-            result = go(node.left) | go(node.right)
-        elif isinstance(node, Concat):
-            result = _compose(go(node.left), go(node.right))
-        elif isinstance(node, Star):
-            result = _closure(go(node.inner), graph.nodes())
-        elif isinstance(node, Nest):
-            sources = {u for u, _ in go(node.inner)}
-            result = frozenset((u, u) for u in sources)
-        else:  # pragma: no cover - exhaustive over the AST
-            raise TypeError(f"unknown NRE node {node!r}")
-        cache[node] = result
-        return result
-
-    return go(expr)
+    return evaluate_relation(graph, expr, cache=_cache).pairs(graph)
 
 
 def nre_pairs(graph: GraphDatabase, expr: NRE) -> PairSet:
@@ -111,16 +274,24 @@ def nre_pairs(graph: GraphDatabase, expr: NRE) -> PairSet:
 
 
 def nre_reachable(graph: GraphDatabase, expr: NRE, source: Node) -> frozenset[Node]:
-    """Return ``{v | (source, v) ∈ ⟦expr⟧_G}``."""
-    return frozenset(v for u, v in evaluate_nre(graph, expr) if u == source)
+    """Return ``{v | (source, v) ∈ ⟦expr⟧_G}``.
+
+    >>> from repro.graph.parser import parse_nre
+    >>> g = GraphDatabase(edges=[("u", "a", "v"), ("v", "a", "w")])
+    >>> sorted(nre_reachable(g, parse_nre("a*"), "u"))
+    ['u', 'v', 'w']
+    """
+    if source not in graph:
+        return frozenset()
+    return evaluate_relation(graph, expr, {source}).targets((source,))[source]
 
 
 def nre_holds(graph: GraphDatabase, expr: NRE, source: Node, target: Node) -> bool:
     """Return whether ``(source, target) ∈ ⟦expr⟧_G``."""
-    return (source, target) in evaluate_nre(graph, expr)
+    return target in nre_reachable(graph, expr, source)
 
 
-# Re-exported here to keep the doctest in evaluate_nre self-contained.
-from repro.graph.parser import parse_nre  # noqa: E402  (intentional tail import)
-
-__all__ = ["evaluate_nre", "nre_pairs", "nre_reachable", "nre_holds", "parse_nre"]
+__all__ = [
+    "Relation", "evaluate_relation", "evaluate_nre", "nre_pairs", "nre_reachable",
+    "nre_holds",
+]

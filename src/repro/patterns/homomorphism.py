@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Hashable, Iterator
 
 from repro.graph.database import GraphDatabase
-from repro.graph.eval import evaluate_nre
+from repro.graph.eval import Relation, evaluate_nre
 from repro.graph.nre import NRE
 from repro.patterns.pattern import GraphPattern, Null, is_null
 
@@ -28,11 +28,8 @@ Homomorphism = dict[Node, Node]
 def _nre_relations(
     pattern: GraphPattern, graph: GraphDatabase
 ) -> dict[NRE, frozenset[tuple[Node, Node]]]:
-    cache: dict[NRE, frozenset[tuple[Node, Node]]] = {}
-    shared: dict[NRE, frozenset[tuple[Node, Node]]] = {}
-    for expr in pattern.expressions():
-        cache[expr] = evaluate_nre(graph, expr, _cache=shared)
-    return cache
+    shared: dict[NRE, Relation] = {}
+    return {expr: evaluate_nre(graph, expr, _cache=shared) for expr in pattern.expressions()}
 
 
 def _candidates(

@@ -8,9 +8,12 @@ so no user-settable option can select it:
   stateless incremental adapter :class:`IncrementalDPLL`,
   :func:`solve_cnf`) and the brute-force :func:`enumerate_models`,
   against :class:`repro.solver.cdcl.CDCLSolver`;
-* :mod:`oracles.reference_engine` — :class:`ReferenceEngine`, the
-  set-algebraic evaluator behind the
-  :class:`repro.engine.query.QueryEngine` interface;
+* :mod:`oracles.reference_eval` — the seed's set-algebraic pair-set
+  evaluator (:func:`~oracles.reference_eval.evaluate_nre`), against the
+  successor-map algebra :mod:`repro.graph.eval` and the product search
+  :mod:`repro.graph.automaton`;
+* :mod:`oracles.reference_engine` — :class:`ReferenceEngine`, that
+  evaluator behind the :class:`repro.engine.query.QueryEngine` interface;
 * :mod:`oracles.sameas_journal` — :func:`saturate_journal`, the
   edge-at-a-time sameAs saturation, against the union-find
   :func:`repro.chase.sameas_chase.saturate_sameas`;

@@ -1,8 +1,8 @@
 """The set-algebraic query oracle behind the query engine's interface.
 
 :class:`ReferenceEngine` answers every :class:`~repro.engine.query.QueryEngine`
-entry point by materialising the whole relation with
-:func:`repro.graph.eval.evaluate_nre`, so the compiled engine's answers —
+entry point by materialising the whole relation with the set-algebraic
+:func:`oracles.reference_eval.evaluate_nre`, so the engine's answers —
 on dict graphs and on frozen or snapshot-loaded ones — can be checked
 against an evaluator that shares none of its code.  Passed to the
 certain-answer enumeration tails in :mod:`repro.core.certain`, it runs
@@ -15,7 +15,7 @@ from typing import Hashable, Iterable
 
 from repro.engine.query import EvalStats
 from repro.graph.database import GraphDatabase
-from repro.graph.eval import evaluate_nre
+from oracles.reference_eval import evaluate_nre
 from repro.graph.nre import NRE
 
 Node = Hashable
@@ -26,8 +26,8 @@ class ReferenceEngine:
     """The set-algebraic oracle behind the same interface as the engine.
 
     No compilation, no cross-candidate caching, no early exit — every call
-    materialises the full relation with :func:`repro.graph.eval.evaluate_nre`
-    exactly as the seed code did — the oracle half of the differential
+    materialises the full relation as a pair set, exactly as the seed code
+    did — the oracle half of the differential
     tests for :class:`~repro.engine.query.QueryEngine`.
     """
 

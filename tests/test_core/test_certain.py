@@ -2,6 +2,7 @@
 
 import pytest
 
+from oracles.reference_eval import evaluate_nre
 from repro.core.certain import (
     certain_answers_nre,
     find_counterexample_solution,
@@ -10,7 +11,6 @@ from repro.core.certain import (
 from repro.core.search import CandidateSearchConfig
 from repro.core.setting import DataExchangeSetting
 from repro.core.solution import is_solution
-from repro.graph.eval import evaluate_nre
 from repro.graph.parser import parse_nre
 from repro.mappings.parser import parse_egd, parse_st_tgd
 from repro.relational.instance import RelationalInstance

@@ -115,7 +115,7 @@ class TestCandidateSolutions:
     def test_pruning_reduces_work_but_keeps_minimal_answers(
         self, omega, instance, query_q
     ):
-        from repro.graph.eval import evaluate_nre
+        from oracles.reference_eval import evaluate_nre
 
         pruned_cfg = CandidateSearchConfig(star_bound=1, prune_coarser=True)
         full_cfg = CandidateSearchConfig(star_bound=1, prune_coarser=False)

@@ -6,7 +6,8 @@ maintained solution must be *byte-identical* to a from-scratch
 :func:`~repro.chase.relational_chase.chase_relational` over the current
 instance — same graph (same null names, via ``canonical_bytes`` over the
 JSON rendering), same failure verdict and witness, and the same certain
-answers a fresh engine computes over the oracle's graph.
+answers the set-algebraic ``ReferenceEngine`` computes over the oracle's
+graph.
 
 Five hand-built regimes exercise the distinct repair paths:
 
@@ -30,6 +31,7 @@ functional merge classes the class-local repair dissolves.
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import ReferenceEngine
 from repro import telemetry
 from repro.chase.relational_chase import chase_relational
 from repro.core.setting import DataExchangeSetting
@@ -188,7 +190,7 @@ def assert_matches_oracle(
             assert answers.answers == frozenset()
         else:
             graph = oracle.graph.freeze() if graph_form == "frozen" else oracle.graph
-            expected = QueryEngine().answers_over(graph, query, domain)
+            expected = ReferenceEngine().answers_over(graph, query, domain)
             assert answers.answers == expected
 
 
@@ -436,6 +438,21 @@ class TestPinnedBehaviour:
         live.apply_updates([("insert", "Hotel", ("02", "hz"))])
         live.certain_answers(query)
         assert live.stats.answer_patches >= 1
+
+    def test_insert_patch_is_one_batched_read_per_query(self):
+        """The patch reads the affected cone with one ``reachable_many`` per query."""
+        engine = QueryEngine()
+        live = IncrementalChase(example31_setting(), flights_instance())
+        queries = [parse_nre("f . h"), parse_nre("f*")]
+        for query in queries:
+            live.certain_answers(query, engine=engine)
+        before = engine.stats.as_dict()
+        live.apply_updates([("insert", "Hotel", ("02", "hz"))])
+        assert_matches_oracle(live, engine, queries)
+        after = engine.stats.as_dict()
+        assert live.stats.answer_patches == 1
+        assert after["relations_evaluated"] - before["relations_evaluated"] == 2
+        assert after["single_source_queries"] == before["single_source_queries"]
 
     def test_schema_violations_reject_the_whole_batch(self):
         live = IncrementalChase(example31_setting(), flights_instance())

@@ -3,10 +3,10 @@
 import pytest
 
 from oracles import ReferenceEngine
+from oracles.reference_eval import evaluate_nre
 from repro.engine.query import EvalStats, QueryEngine, default_engine
 from repro.graph.automaton import automaton_holds, compile_nre
 from repro.graph.database import GraphDatabase
-from repro.graph.eval import evaluate_nre
 from repro.graph.parser import parse_nre
 
 
@@ -93,6 +93,40 @@ class TestAnswersOver:
         }
 
 
+class TestWholeRelationReads:
+    def test_reachable_many_keeps_source_order_and_absent_sources(self, graph, engine):
+        expr = parse_nre("a . a")
+        answers = engine.reachable_many(graph, expr, ["x", "zz", "u", "x"])
+        assert list(answers) == ["x", "zz", "u"]
+        assert answers == {"x": {"v"}, "zz": frozenset(), "u": {"w"}}
+
+    def test_cached_sources_evaluate_no_relation(self, graph):
+        stats = EvalStats()
+        engine = QueryEngine(stats=stats)
+        expr = parse_nre("a*")
+        engine.answers_over(graph, expr, {"u", "w"})
+        engine.reachable_many(graph, expr, ["u", "w"])
+        assert engine.reachable(graph, expr, "u") == {"u", "v", "w"}
+        assert stats.relations_evaluated == 1
+        assert stats.automata_compiled == 0
+
+    def test_reads_trace_relation_and_decode_spans(self, graph, engine):
+        from repro import telemetry
+
+        telemetry.set_enabled(True)
+        try:
+            with telemetry.span("test.root") as root:
+                engine.pairs(graph, parse_nre("a*"))
+                engine.answers_over(graph, parse_nre("a . b"), {"u", "x"})
+        finally:
+            telemetry.set_enabled(None)
+        assert [child.name for child in root.children] == [
+            "query.relation", "query.decode",  # pairs
+            "query.relation", "query.decode",  # reachable_many
+            "query.decode",  # the domain filter of answers_over
+        ]
+
+
 class TestCrossCandidateCache:
     def test_content_equal_graphs_share_state(self, engine):
         expr = parse_nre("a . a")
@@ -144,18 +178,26 @@ class TestStats:
         engine = QueryEngine(stats=stats)
         expr = parse_nre("a*[b]")
         engine.pairs(graph, expr)
-        engine.holds(graph, expr, "u", "v")
+        # A whole relation runs the algebra: no automaton, no nested test.
+        assert stats.relations_evaluated == 1
+        assert stats.automata_compiled == 0
+        assert stats.nested_tests == 0
+        engine.holds(graph, expr, "u", "v")  # served by the cached relation
+        single = parse_nre("a[b]")
+        engine.holds(graph, single, "u", "v")  # the product search
         assert stats.all_pairs_queries == 1
-        assert stats.single_pair_queries == 1
+        assert stats.single_pair_queries == 2
         assert stats.automata_compiled == 1
-        assert stats.automaton_states == compile_nre(expr).state_count
+        assert stats.automaton_states == compile_nre(single).state_count
         assert stats.nested_tests > 0
         assert "all_pairs_queries=1" in stats.summary()
 
     def test_nested_test_memoisation(self, graph):
         stats = EvalStats()
         engine = QueryEngine(stats=stats)
-        engine.pairs(graph, parse_nre("a*[b]"))
+        expr = parse_nre("a*[b]")
+        for node in graph.nodes():
+            engine.reachable(graph, expr, node)
         # Every node is tested at most once; repeats hit the memo table.
         assert stats.nested_tests <= graph.node_count()
 

@@ -2,13 +2,13 @@
 
 import pytest
 
+from oracles.reference_eval import evaluate_nre
 from repro.graph.automaton import (
     automaton_reachable,
     compile_nre,
     evaluate_nre_automaton,
 )
 from repro.graph.database import GraphDatabase
-from repro.graph.eval import evaluate_nre
 from repro.graph.parser import parse_nre
 
 

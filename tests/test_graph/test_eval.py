@@ -1,9 +1,9 @@
-"""Unit tests for the reference (set-algebraic) NRE evaluator."""
+"""Unit tests for the successor-map NRE evaluator (:mod:`repro.graph.eval`)."""
 
 import pytest
 
 from repro.graph.database import GraphDatabase
-from repro.graph.eval import evaluate_nre, nre_holds, nre_reachable
+from repro.graph.eval import evaluate_nre, evaluate_relation, nre_holds, nre_reachable
 from repro.graph.parser import parse_nre
 
 
@@ -125,3 +125,41 @@ class TestPaperSemantics:
         assert ("c1", "N") in result
         assert ("c1", "c2") in result
         assert ("c1", "c1") not in result  # f·f* needs at least one step
+
+
+class TestRelationAlgebra:
+    """The successor-map representation itself."""
+
+    def test_labels_read_the_graph_index_without_a_copy(self, chain):
+        relation = evaluate_relation(chain, parse_nre("a"))
+        assert relation.succ is chain.forward_index("a")
+        assert evaluate_relation(chain, parse_nre("a-")).succ is chain.backward_index("a")
+
+    def test_star_keeps_the_identity_as_a_flag(self, chain):
+        relation = evaluate_relation(chain, parse_nre("b*"))
+        assert relation.reflexive
+        assert set(relation.succ) == {"u", "w"}  # only nodes with a b-edge
+
+    def test_closure_shares_one_set_per_component(self):
+        g = GraphDatabase(edges=[(f"n{i}", "a", f"n{(i + 1) % 4}") for i in range(4)])
+        relation = evaluate_relation(g, parse_nre("a*"))
+        assert len({id(targets) for targets in relation.succ.values()}) == 1
+        assert relation.succ["n0"] == {"n0", "n1", "n2", "n3"}
+
+    def test_closure_of_a_long_chain_is_iterative(self):
+        length = 3000  # far past the interpreter's recursion limit
+        g = GraphDatabase(edges=[(i, "a", i + 1) for i in range(length)])
+        assert nre_reachable(g, parse_nre("a*"), 0) == frozenset(range(length + 1))
+
+    def test_sources_restrict_the_leftmost_operand(self, chain):
+        full = evaluate_relation(chain, parse_nre("a . a*"))
+        assert set(full.succ) == {"u", "v"}
+        relation = evaluate_relation(chain, parse_nre("a . a*"), sources={"v"})
+        assert set(relation.succ) == {"v"}
+        assert relation.targets(["v"]) == {"v": {"w"}}
+
+    def test_nest_after_identity_is_the_tested_domain(self, chain):
+        assert evaluate_nre(chain, parse_nre("() . [b]")) == {("u", "u"), ("w", "w")}
+        assert evaluate_nre(chain, parse_nre("a . [()]")) == evaluate_nre(
+            chain, parse_nre("a")
+        )

@@ -13,13 +13,13 @@ import random
 
 import pytest
 
+from oracles.reference_eval import evaluate_nre
 from repro.core.certain import (
     certain_answers_nre,
     find_counterexample_solution,
     is_certain_answer,
 )
 from repro.core.search import CandidateSearchConfig, candidate_solutions
-from repro.graph.eval import evaluate_nre
 from repro.graph.parser import parse_nre
 from repro.scenarios.figures import example31_setting
 from repro.scenarios.flights import example_query, flights_instance, setting_omega

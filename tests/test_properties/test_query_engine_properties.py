@@ -2,7 +2,7 @@
 
 Three independent implementations answer the same questions:
 
-* the set-algebraic reference evaluator (:mod:`repro.graph.eval`);
+* the set-algebraic reference evaluator (``tests/oracles/reference_eval.py``);
 * the compiled engine (:class:`repro.engine.query.QueryEngine`), in all
   three of its modes — all-pairs, single-source, and single-pair;
 * networkx reachability, for the pure-star fragment where the NRE
@@ -17,9 +17,9 @@ import networkx as nx
 from hypothesis import given, settings, strategies as st
 
 from oracles import ReferenceEngine
+from oracles.reference_eval import evaluate_nre
 from repro.engine.query import QueryEngine
 from repro.graph.database import GraphDatabase
-from repro.graph.eval import evaluate_nre
 from repro.graph.parser import parse_nre
 from repro.scenarios.generators import random_graph, random_nre
 

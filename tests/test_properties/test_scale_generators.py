@@ -23,10 +23,10 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles.reference_eval import evaluate_nre
 from repro.chase.relational_chase import chase_relational
 from repro.engine.incremental import IncrementalChase
 from repro.engine.query import QueryEngine
-from repro.graph.eval import evaluate_nre
 from repro.graph.parser import parse_nre
 from repro.graph.snapshot import load_snapshot, save_snapshot
 from repro.io.json_io import graph_to_dict
