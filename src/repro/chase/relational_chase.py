@@ -41,9 +41,7 @@ from repro.graph.database import GraphDatabase
 from repro.mappings.egd import TargetEgd
 from repro.mappings.stt import SourceToTargetTgd
 from repro.patterns.pattern import Null, is_null
-from repro.relational.evaluate import cq_match_rows
 from repro.relational.instance import RelationalInstance
-from repro.relational.query import is_variable
 from repro.telemetry import fold_stats, span
 
 Node = Hashable
@@ -122,7 +120,7 @@ def _fire_st_tgds(
     null_counter = 0
     for tgd in tgds:
         variables = tuple(sorted(tgd.body.variables(), key=lambda v: v.name))
-        rows = _body_rows(tgd, instance, variables, stats)
+        rows = tgd.body_rows(instance, variables, stats)
         if not rows:
             continue
         if sigma is not None:
@@ -158,35 +156,6 @@ def _fire_st_tgds(
             emit([(row[s], label, row[t]) for s, label, t in head])
             stats.st_applications += 1
     return edges
-
-
-def _body_rows(
-    tgd: SourceToTargetTgd,
-    instance: RelationalInstance,
-    variables: tuple,
-    stats: ChaseStats,
-) -> list[tuple]:
-    """Every body match of ``tgd`` projected onto ``variables``.
-
-    A single atom over distinct variables needs no join: its rows are the
-    relation's tuples, permuted into ``variables`` order (a full scan, so
-    no index hit, exactly like the join would count it).
-    """
-    body = tgd.body
-    terms = body.atoms[0].terms
-    if (
-        len(body.atoms) == 1
-        and terms
-        and all(is_variable(term) for term in terms)
-        and len(set(terms)) == len(terms)
-    ):
-        body.validate(instance.schema)
-        tuples = instance.iter_tuples(body.atoms[0].relation)
-        order = tuple(terms.index(var) for var in variables)
-        if order == tuple(range(len(terms))):
-            return list(tuples)
-        return list(map(itemgetter(*order), tuples))  # len(order) >= 2 here
-    return cq_match_rows(body, instance, variables, stats=stats)
 
 
 def _functional_closure(

@@ -30,6 +30,10 @@ expensive-and-bounded, and reports which strategy decided:
 
 Every EXISTS result carries a *witness graph* that has passed
 :func:`repro.core.solution.is_solution` — no strategy is trusted blindly.
+The check runs set at a time on the graph's adjacency indexes (one probe
+per distinct frontier row of each s-t tgd, one pass over the adjacency
+sets per functional egd), so verifying a chased witness costs far less
+than the chase that built it.
 """
 
 from __future__ import annotations
@@ -83,6 +87,10 @@ def _verified(
     instance: RelationalInstance,
     method: str,
 ) -> ExistenceResult:
+    """Return ``graph`` as the EXISTS witness of ``method`` once it verifies.
+
+    A witness that is not a solution is a library bug, never an answer.
+    """
     with span("solution.verify", method=method):
         verified = is_solution(instance, graph, setting)
     if not verified:

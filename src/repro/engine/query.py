@@ -118,7 +118,8 @@ class _GraphState:
         self.pairs: dict[NRE, PairSet] = {}
         # expr → source → targets: the expression is hashed once per read.
         self.reach: dict[NRE, dict[Node, frozenset[Node]]] = {}
-        self.holds: dict[tuple[NRE, Node, Node], bool] = {}
+        # expr → (source, target) → verdict, keyed expression-first too.
+        self.holds: dict[NRE, dict[tuple[Node, Node], bool]] = {}
 
     def rebind(self, graph: GraphDatabase) -> None:
         """Point the runner at ``graph`` (same content, different object).
@@ -244,10 +245,12 @@ class QueryEngine:
         reach = state.reach.get(expr, {}).get(source)
         if reach is not None:
             return target in reach
-        key = (expr, source, target)
-        cached = state.holds.get(key)
+        memo = state.holds.get(expr)
+        if memo is None:
+            memo = state.holds[expr] = {}
+        cached = memo.get((source, target))
         if cached is None:
-            cached = state.holds[key] = state.runner.holds(
+            cached = memo[source, target] = state.runner.holds(
                 self._automaton(expr).compiled(), source, target
             )
         return cached

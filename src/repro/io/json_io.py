@@ -8,6 +8,7 @@ constants.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Any
 
 from repro.errors import ParseError
@@ -40,17 +41,33 @@ def _node_from_json(value: Any) -> object:
 
 
 def graph_to_dict(graph: GraphDatabase) -> dict:
-    """Serialise a graph to a plain dictionary."""
+    """Serialise a graph to a plain dictionary.
+
+    Nodes and edges are sorted by ``repr`` of their JSON form.  Edges are
+    read as the backend's plain triples, and each node is encoded and
+    ``repr``-ed once: an edge's key is spelled as ``repr`` of its
+    ``[source, label, target]`` list would spell it.
+    """
+    backend = graph.backend
+    encoded = {}
+    for node in backend.nodes():
+        value = _node_to_json(node)
+        encoded[node] = (repr(value), value)
+    edges = []
+    for source, lab, target in backend.live_triples():
+        source_repr, source_value = encoded[source]
+        target_repr, target_value = encoded[target]
+        edges.append(
+            (
+                f"[{source_repr}, {lab!r}, {target_repr}]",
+                [source_value, lab, target_value],
+            )
+        )
+    by_key = itemgetter(0)
     return {
         "alphabet": sorted(graph.alphabet),
-        "nodes": sorted((_node_to_json(n) for n in graph.nodes()), key=repr),
-        "edges": sorted(
-            (
-                [_node_to_json(e.source), e.label, _node_to_json(e.target)]
-                for e in graph.edges()
-            ),
-            key=repr,
-        ),
+        "nodes": [value for _, value in sorted(encoded.values(), key=by_key)],
+        "edges": [edge for _, edge in sorted(edges, key=by_key)],
     }
 
 

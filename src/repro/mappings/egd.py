@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from typing import Hashable, Iterator
 
+from repro.engine.delta import _functional_profile
 from repro.engine.matcher import TriggerMatcher
 from repro.errors import SchemaError
 from repro.graph.cnre import CNREQuery
@@ -56,10 +57,25 @@ class TargetEgd:
                     yield pair
 
     def is_satisfied(self, graph: GraphDatabase) -> bool:
-        """Return whether ``graph`` satisfies the egd."""
-        for _ in self.violations(graph):
-            return False
-        return True
+        """Return whether ``graph`` satisfies the egd.
+
+        A functional egd (:func:`~repro.engine.delta._functional_profile`:
+        the key determines the member) holds iff every key's adjacency
+        set under its label has at most one member, which is read off the
+        index with no join.  Other egds look for a first violation.
+        """
+        profile = _functional_profile(self)
+        if profile is None:
+            for _ in self.violations(graph):
+                return False
+            return True
+        label, direction = profile
+        groups = (
+            graph.backward_index(label)
+            if direction == "in"
+            else graph.forward_index(label)
+        )
+        return max(map(len, groups.values()), default=0) < 2
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TargetEgd):

@@ -162,7 +162,8 @@ def _witness_key(params: dict) -> str:
 
 
 def _handle_exists(params: dict) -> dict:
-    setting, instance = document_from_dict(params["document"])
+    with span("worker.decode"):
+        setting, instance = document_from_dict(params["document"])
     store = snapshot_store()
     key = _witness_key(params) if store is not None else ""
     if store is not None:
@@ -175,12 +176,13 @@ def _handle_exists(params: dict) -> dict:
             # The snapshot is advisory, the verification is authoritative:
             # a stale or foreign witness that fails is_solution falls
             # through to the full decision below.
-            return {
-                "detail": "verified witness restored from the snapshot store",
-                "method": "snapshot-witness",
-                "status": "exists",
-                "witness": graph_to_dict(witness),
-            }
+            with span("worker.encode"):
+                return {
+                    "detail": "verified witness restored from the snapshot store",
+                    "method": "snapshot-witness",
+                    "status": "exists",
+                    "witness": graph_to_dict(witness),
+                }
     if in_cached_fragment(setting):
         result = existence_from_chase(
             tenant_cache().chase(setting, instance), setting, instance
@@ -194,11 +196,13 @@ def _handle_exists(params: dict) -> dict:
         )
     if store is not None and result.witness is not None:
         store.store(key, result.witness)
-    return existence_result_to_dict(result)
+    with span("worker.encode"):
+        return existence_result_to_dict(result)
 
 
 def _handle_certain(params: dict) -> dict:
-    setting, instance = document_from_dict(params["document"])
+    with span("worker.decode"):
+        setting, instance = document_from_dict(params["document"])
     query = parse_nre(params["query"])
     engine = default_engine()
     config = _search_config(params)
@@ -207,13 +211,14 @@ def _handle_certain(params: dict) -> dict:
         counterexample = find_counterexample_solution(
             setting, instance, query, pair, config=config, engine=engine
         )
-        return {
-            "certain": counterexample is None,
-            "counterexample": (
-                None if counterexample is None else graph_to_dict(counterexample)
-            ),
-            "pair": list(pair),
-        }
+        with span("worker.encode"):
+            return {
+                "certain": counterexample is None,
+                "counterexample": (
+                    None if counterexample is None else graph_to_dict(counterexample)
+                ),
+                "pair": list(pair),
+            }
     if in_cached_fragment(setting):
         chase = tenant_cache().chase(setting, instance)
         result = answers_from_chase(chase, [query], engine)[0]
@@ -221,15 +226,20 @@ def _handle_certain(params: dict) -> dict:
         result = certain_answers_nre(
             setting, instance, query, config=config, engine=engine
         )
-    return certain_answers_to_dict(result)
+    with span("worker.encode"):
+        return certain_answers_to_dict(result)
 
 
 def _handle_chase(params: dict) -> dict:
-    setting, instance = document_from_dict(params["document"])
+    with span("worker.decode"):
+        setting, instance = document_from_dict(params["document"])
     if setting.egds():
         result = chase_with_egds(
             setting.st_tgds, setting.egds(), instance, alphabet=setting.alphabet
         )
+    else:
+        result = chase_pattern(setting.st_tgds, instance, alphabet=setting.alphabet)
+    with span("worker.encode"):
         if result.failed:
             left, right = result.failure_witness  # type: ignore[misc]
             return {
@@ -238,14 +248,12 @@ def _handle_chase(params: dict) -> dict:
                 "pattern": None,
                 "stats": _chase_stats(result),
             }
-    else:
-        result = chase_pattern(setting.st_tgds, instance, alphabet=setting.alphabet)
-    return {
-        "failed": False,
-        "failure": None,
-        "pattern": pattern_to_dict(result.expect_pattern()),
-        "stats": _chase_stats(result),
-    }
+        return {
+            "failed": False,
+            "failure": None,
+            "pattern": pattern_to_dict(result.expect_pattern()),
+            "stats": _chase_stats(result),
+        }
 
 
 def _chase_stats(result) -> dict:
@@ -259,7 +267,8 @@ def _chase_stats(result) -> dict:
 
 
 def _handle_evaluate_batch(params: dict) -> dict:
-    setting, instance = document_from_dict(params["document"])
+    with span("worker.decode"):
+        setting, instance = document_from_dict(params["document"])
     queries = [parse_nre(q) for q in params["queries"]]
     if in_cached_fragment(setting):
         chase = tenant_cache().chase(setting, instance)
@@ -272,10 +281,11 @@ def _handle_evaluate_batch(params: dict) -> dict:
             config=_search_config(params),
             engine=default_engine(),
         )
-    return {
-        "queries": list(params["queries"]),
-        "results": [certain_answers_to_dict(r) for r in results],
-    }
+    with span("worker.encode"):
+        return {
+            "queries": list(params["queries"]),
+            "results": [certain_answers_to_dict(r) for r in results],
+        }
 
 
 def _handle_apply_updates(params: dict) -> dict:
@@ -294,7 +304,8 @@ def _handle_apply_updates(params: dict) -> dict:
     from repro.errors import SchemaError
     from repro.io.json_io import document_to_dict
 
-    setting, instance = document_from_dict(params["document"])
+    with span("worker.decode"):
+        setting, instance = document_from_dict(params["document"])
     queries = [parse_nre(q) for q in params["queries"]]
     tenants = tenant_cache()
     state = tenants.checkout_incremental(setting, instance)
@@ -306,23 +317,21 @@ def _handle_apply_updates(params: dict) -> dict:
         tenants.checkin_incremental(state)
         raise ValueError(str(error)) from None
     engine = default_engine()
-    results = [
-        certain_answers_to_dict(state.certain_answers(query, engine=engine))
-        for query in queries
-    ]
+    answers = [state.certain_answers(query, engine=engine) for query in queries]
     failure = state.failure_witness()
-    response = {
-        "applied": {
-            "deletes": applied["deletes"],
-            "inserts": applied["inserts"],
-            "noops": applied["noops"],
-        },
-        "document": document_to_dict(state.setting, state.instance),
-        "failed": state.failed,
-        "failure": None if failure is None else [failure[0], failure[1]],
-        "queries": list(params["queries"]),
-        "results": results,
-    }
+    with span("worker.encode"):
+        response = {
+            "applied": {
+                "deletes": applied["deletes"],
+                "inserts": applied["inserts"],
+                "noops": applied["noops"],
+            },
+            "document": document_to_dict(state.setting, state.instance),
+            "failed": state.failed,
+            "failure": None if failure is None else [failure[0], failure[1]],
+            "queries": list(params["queries"]),
+            "results": [certain_answers_to_dict(answer) for answer in answers],
+        }
     tenants.checkin_incremental(state)
     # Roll the per-universe SAT pipeline's working set forward too, so
     # later certain/exists requests on the updated document start warm.

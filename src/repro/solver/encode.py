@@ -571,35 +571,22 @@ def check_fragment_solution(
 
     Semantically identical to :func:`repro.core.solution.is_solution` on
     settings in the SAT-encodable fragment (union-of-symbols heads, word
-    egd bodies) — pinned by a differential test — but evaluated by direct
-    edge lookups and stepwise path growth instead of the generic
-    automaton/matcher machinery, whose per-setting compilation dwarfs the
-    actual check on the small witness graphs the SAT pipeline decodes.
-    Raises :class:`~repro.errors.NotSupportedError` outside the fragment
-    (existential-quantified heads fall back to the generic matcher per
-    trigger, which stays within the fragment's semantics).
+    egd bodies) — pinned by a differential test.  The s-t tgds are checked
+    set at a time by the same compiled heads as ``is_solution``
+    (:meth:`~repro.mappings.stt.SourceToTargetTgd.is_satisfied`); word
+    egds by stepwise path growth instead of the generic matcher, whose
+    per-setting compilation dwarfs the actual check on the small witness
+    graphs the SAT pipeline decodes.  Raises
+    :class:`~repro.errors.NotSupportedError` on settings with sameAs
+    constraints or target tgds.
     """
     if setting.sameas_constraints() or setting.general_target_tgds():
         raise NotSupportedError(
             "the fragment check covers egd-only settings (Theorem 4.1 fragment)"
         )
     for tgd in setting.st_tgds:
-        atom_symbols = [
-            (atom.subject, _symbols_of_union(atom.nre), atom.object)
-            for atom in tgd.head.atoms
-        ]
-        if tgd.existentials:
-            holds = tgd.head_checker(graph)
-            for match in tgd.body_matches(instance):
-                if not holds(match):
-                    return False
-            continue
-        for match in tgd.body_matches(instance):
-            for subject, symbols, obj in atom_symbols:
-                u = match[subject] if is_variable(subject) else subject
-                v = match[obj] if is_variable(obj) else obj
-                if not any(graph.has_edge(u, a, v) for a in symbols):
-                    return False
+        if not tgd.is_satisfied(instance, graph):
+            return False
     node_tuple = tuple(graph.nodes())
     for egd in setting.egds():
         variable_count, left_index, right_index, atom_plans = _egd_plan(egd)

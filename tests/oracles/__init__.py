@@ -19,7 +19,10 @@ so no user-settable option can select it:
   :func:`repro.chase.sameas_chase.saturate_sameas`;
 * :mod:`oracles.relational_chase` — :func:`chase_relational_sequential`,
   the edge-at-a-time §3.1 chase, against the tuple chase
-  :func:`repro.chase.relational_chase.chase_relational`.
+  :func:`repro.chase.relational_chase.chase_relational`;
+* :mod:`oracles.reference_solution` — the per-match
+  :func:`~oracles.reference_solution.solution_violations`, against the
+  set-at-a-time :func:`repro.core.solution.solution_violations`.
 
 Tests import the package as ``oracles`` (``tests/`` is on the import
 path under pytest, see ``pytest.ini``); the benchmarks import the same
