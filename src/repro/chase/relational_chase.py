@@ -12,20 +12,25 @@ The output "can be essentially seen as a graph" (paper) — here it *is* a
 for the fragment.  Example 3.1 / Figure 2 is reproduced in
 ``benchmarks/bench_fig2_relational_chase.py``.
 
-The chase works on plain ``(source, label, target)`` tuples and writes the
-graph once, at the end: the s-t phase fires every trigger into an ordered
-edge list, functional egds (every egd of the scale workload families) are
-closed by a union-find over that list, and the quotient is bulk-loaded into
-one storage backend.  Other egds, and every run that equates two
-constants, replay the un-merged edges through the sequential
-:class:`~repro.engine.delta.EgdViolationQueue` fixpoint, so counters, null
-names and failure witnesses are those of the edge-at-a-time chase that
-``tests/oracles/relational_chase.py`` keeps as the differential oracle.
+The chase runs on dense int ids from the first trigger to the final
+relabel.  The s-t phase gives each constant occurrence an id that keeps its
+row's object (equal constants map to one union-find node), gives each
+existential the next id and null number, and fires every trigger into an
+ordered list of ``(id, label, id)`` edges.  Functional egds (every egd of
+the scale workload families) close on a ``parent`` list, and only the
+nulls that survive as class representatives become
+:class:`~repro.patterns.pattern.Null` objects; the edge list is relabelled
+once and bulk-loaded into one storage backend.  Other egds, and every run
+that equates two constants, load every null and replay the un-merged edges
+through the sequential :class:`~repro.engine.delta.EgdViolationQueue`
+fixpoint, so counters, null names and failure witnesses are those of the
+edge-at-a-time chase that ``tests/oracles/relational_chase.py`` keeps as
+the differential oracle.
 """
 
 from __future__ import annotations
 
-from operator import itemgetter
+from itertools import chain, compress, count, repeat
 from typing import Collection, Hashable, Iterable, Sequence
 
 from repro.chase.result import ChaseResult, ChaseStats
@@ -46,6 +51,7 @@ from repro.telemetry import fold_stats, span
 
 Node = Hashable
 Triple = tuple[Node, str, Node]
+IdTriple = tuple[int, str, int]
 
 
 def _check_fragment(tgds: Sequence[SourceToTargetTgd]) -> None:
@@ -78,7 +84,7 @@ def chase_relational(
     >>> result = chase_relational(
     ...     setting.st_tgds, setting.egds(), flights_instance(), alphabet={"f", "h"})
     >>> result.stats.null_merges, result.expect_graph().edge_count()
-    (1, 8)
+    (1, 7)
     """
     tgds = list(st_tgds)
     _check_fragment(tgds)
@@ -87,15 +93,33 @@ def chase_relational(
     stats = ChaseStats()
     with span("chase.relational", tgds=len(tgds), egds=len(egd_list)):
         with span("chase.st"):
-            edges = _fire_st_tgds(tgds, instance, sigma, stats)
+            edges, values, numbers, same = _fire_st_tgds(tgds, instance, sigma, stats)
         with span("chase.egd"):
-            classes = _functional_closure(edges, egd_list)
-        if classes is not None:
-            merges = sum(len(members) - 1 for members in classes)
-            stats.egd_firings += merges
-            stats.null_merges += merges
-            stats.rounds += merges + 1
-        result = quotient_result(sigma, edges, classes, egd_list, stats)
+            keep = _functional_closure(edges, egd_list, numbers, same)
+        merged = keep or {}
+        with span("chase.build"):
+            # Null objects only for the nulls that survive the merges.
+            for ident in compress(count(), numbers):
+                if ident not in merged:
+                    values[ident] = Null(f"N{numbers[ident]}")
+            for ident, representative in merged.items():
+                values[ident] = values[representative]
+            graph = GraphDatabase._from_backend(DictBackend.from_edges(
+                sigma,
+                [(values[s], lab, values[t]) for s, lab, t in edges],
+                destructive=bool(merged),
+            ))
+        if keep is None:
+            # Every null is a node: the sequential fixpoint finds the witness.
+            with span("chase.egd"):
+                result = _egd_fixpoint_on_graph(graph, egd_list, stats)
+        else:
+            stats.egd_firings += len(merged)
+            stats.null_merges += len(merged)
+            stats.rounds += len(merged) + 1
+            result = ChaseResult(
+                graph=graph, failed=False, failure_witness=None, stats=stats
+            )
     fold_stats("chase", stats)
     return result
 
@@ -105,19 +129,28 @@ def _fire_st_tgds(
     instance: RelationalInstance,
     sigma: frozenset[str] | None,
     stats: ChaseStats,
-) -> list[Triple]:
-    """Fire every s-t tgd trigger; return the emitted edges in firing order.
+) -> tuple[list[IdTriple], list[Node], list[int], list[int]]:
+    """Fire every s-t tgd trigger into id edges, in firing order.
 
     Tgds fire in declaration order, each one's matches sorted by the
     ``repr`` of their values in variable-name order and de-duplicated on
-    that key; existentials get nulls ``N1, N2, …`` from one counter.  A
-    head label outside ``sigma`` raises the backend's :class:`SchemaError`
-    as soon as a trigger would emit it.  The list may repeat an edge;
-    loading keeps its first occurrence, as ``add_edge`` would.
+    that key (the instance's first such match fires).  A head label outside
+    ``sigma`` raises the backend's :class:`SchemaError` as soon as a
+    trigger would emit it.  The list may repeat an edge; loading keeps its
+    first occurrence, as ``add_edge`` would.
+
+    Id ``i`` is the constant ``values[i]`` (``numbers[i] == 0``) or the
+    null ``N{numbers[i]}``.  Every constant occurrence keeps its own id, so
+    each edge relabels to its row's own object, and ``same[i]`` names the
+    first id of an equal value (``1``, ``1.0`` and ``True`` are equal): the
+    union-find takes them for one node, as a dict would.
     """
-    edges: list[Triple] = []
-    emit = edges.extend
-    null_counter = 0
+    edges: list[IdTriple] = []
+    values: list[Node] = []
+    numbers: list[int] = []
+    same: list[int] = []
+    first: dict[Node, int] = {}  # value -> the first id of an equal value
+    nulls = 0
     for tgd in tgds:
         variables = tuple(sorted(tgd.body.variables(), key=lambda v: v.name))
         rows = tgd.body_rows(instance, variables, stats)
@@ -130,45 +163,52 @@ def _fire_st_tgds(
                     raise SchemaError(
                         f"label {label!r} is not in the alphabet {sorted(sigma)}"
                     )
-        # Each head term is a frontier variable (a slot of the row) or an
-        # existential (a slot after the row, filled by a fresh null).
-        slots = {var: index for index, var in enumerate(variables)}
+        width = len(variables)
+        texts = list(map(repr, chain.from_iterable(rows)))
+        keys = list(zip(*[iter(texts)] * width)) if width else [()] * len(rows)
+        # Equal reprs are one trigger: the first such row fires.
+        first_rows = dict(zip(reversed(keys), reversed(rows)))
+        order = sorted(first_rows)
+        occurrences = list(chain.from_iterable(map(first_rows.__getitem__, order)))
+        row_ids = range(len(values), len(values) + len(occurrences))
+        values.extend(occurrences)
+        numbers.extend(repeat(0, len(occurrences)))
+        same.extend(map(first.setdefault, occurrences, row_ids))
+        triggers, fresh = len(order), len(tgd.existentials)
+        null_ids = range(len(values), len(values) + fresh * triggers)
+        values.extend(repeat(None, len(null_ids)))
+        numbers.extend(range(nulls + 1, nulls + len(null_ids) + 1))
+        same.extend(null_ids)
+        nulls += len(null_ids)
+        # A head term's column: a frontier variable's ids over the triggers,
+        # or an existential's fresh nulls, one per trigger.
+        column = {var: row_ids[index::width] for index, var in enumerate(variables)}
         for offset, existential in enumerate(tgd.existentials):
-            slots[existential] = len(variables) + offset
-        head = [
-            (slots[atom.subject], atom.nre.name, slots[atom.object])  # type: ignore[union-attr]
+            column[existential] = null_ids[offset::fresh]
+        fired = [
+            zip(column[atom.subject], repeat(atom.nre.name), column[atom.object])  # type: ignore[union-attr]
             for atom in tgd.head.atoms
         ]
-        fresh = len(tgd.existentials)
-        keyed = sorted(
-            ((tuple(map(repr, row)), row) for row in rows), key=itemgetter(0)
-        )
-        previous = None
-        for key, row in keyed:
-            if key == previous:
-                continue  # equal reprs: the same trigger, fired once
-            previous = key
-            if fresh:
-                row = row + tuple(
-                    Null(f"N{null_counter + n}") for n in range(1, fresh + 1)
-                )
-                null_counter += fresh
-            emit([(row[s], label, row[t]) for s, label, t in head])
-            stats.st_applications += 1
-    return edges
+        edges.extend(fired[0] if len(fired) == 1 else chain.from_iterable(zip(*fired)))
+        stats.st_applications += triggers
+    return edges, values, numbers, same
 
 
 def _functional_closure(
-    edges: Sequence[Triple], egds: Sequence[TargetEgd]
-) -> list[list[Node]] | None:
-    """Close functional egds over ``edges`` with a union-find.
+    edges: Sequence[IdTriple],
+    egds: Sequence[TargetEgd],
+    numbers: Sequence[int],
+    same: Sequence[int],
+) -> dict[int, int] | None:
+    """Close functional egds over the id ``edges`` with a union-find.
 
-    Returns the merge classes (each with at least two nodes), or ``None``
-    when some egd is not functional
+    Returns the merges, each merged null's id mapped to the id of the
+    node its class keeps, or ``None`` when some egd is not functional
     (:func:`~repro.engine.delta._functional_profile`) or the closure
     equates two constants — both cases take the sequential fixpoint.
     Passes repeat until one unions nothing, so a merge of two keys
-    unites their member groups (cascades over null keys).
+    unites their member groups (cascades over null keys).  Ids with one
+    ``same`` entry (equal constants) are one node.
     """
     profiles: dict[str, list[bool]] = {}  # label -> [key is the target?]
     for egd in egds:
@@ -180,7 +220,7 @@ def _functional_closure(
         if key_at_target not in profiles.setdefault(label, []):
             profiles[label].append(key_at_target)
     # One (key, member) list per profile: member groups never mix profiles.
-    links: dict[tuple[str, bool], list[tuple[Node, Node]]] = {
+    links: dict[tuple[str, bool], list[tuple[int, int]]] = {
         (label, side): [] for label, sides in profiles.items() for side in sides
     }
     for source, label, target in edges:
@@ -192,45 +232,49 @@ def _functional_closure(
                 )
 
     # A class that holds a constant has it as its root.
-    parent: dict[Node, Node] = {}
+    parent = list(range(len(numbers)))
 
-    def find(node: Node) -> Node:
-        root = node
-        while root in parent:
+    def find(ident: int) -> int:
+        root = parent[ident]
+        while parent[root] != root:
             root = parent[root]
-        while node in parent and parent[node] is not root:
-            parent[node], node = root, parent[node]
+        while parent[ident] != root:
+            parent[ident], ident = root, parent[ident]
         return root
 
+    merged: list[int] = []
     changed = True
     while changed:
         changed = False
         for pairs in links.values():
-            first: dict[Node, Node] = {}
+            first: dict[int, int] = {}
             for key, member in pairs:
-                key = find(key)
+                key = same[find(key)]
                 anchor = first.get(key)
                 if anchor is None:
                     first[key] = member
                     continue
                 left, right = find(anchor), find(member)
-                if left is right or left == right:
+                if same[left] == same[right]:
                     continue
-                if is_null(left):
-                    parent[left] = right
-                elif is_null(right):
-                    parent[right] = left
-                else:
+                if not numbers[left] and not numbers[right]:
                     return None  # two constants: the replay finds the witness
+                child, root = (left, right) if numbers[left] else (right, left)
+                parent[child] = root
+                merged.append(child)
                 changed = True
-    classes: dict[Node, list[Node]] = {}
-    for node in parent:
-        root = find(node)
-        members = classes.get(root)
-        if members is None:
-            members = classes[root] = [root]
-        members.append(node)
-    return list(classes.values())
+    # Classes group by `same`, so equal constants share one.  Each keeps its
+    # constant (the occurrence its first merge reached), else its least
+    # null by label (class_representative); every other member maps to it.
+    classes: dict[int, list[int]] = {}
+    for ident in merged:
+        root = find(ident)
+        classes.setdefault(same[root], [root]).append(ident)
+    keep: dict[int, int] = {}
+    for members in classes.values():
+        kept = min(members, key=lambda ident: (numbers[ident] > 0, str(numbers[ident])))
+        keep.update((ident, kept) for ident in members if ident != kept)
+    return keep
 
 
 def class_representative(members: Iterable[Node]) -> Node:

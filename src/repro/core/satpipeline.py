@@ -281,21 +281,26 @@ def advance_pipeline(
 
     A clause database encodes one concrete universe (the chase pattern's
     node set), so the old solver cannot be patched in place when the
-    instance changes — but its *working set* can move: the successor
-    pipeline for ``new_instance`` is built (or fetched) through
-    :func:`pipeline_for`, and every pair the old pipeline had installed
-    guards for is pre-warmed into it, so hot pairs keep answering from
-    incremental assumptions instead of paying first-probe setup again.
-    The old entry is evicted.  Returns the successor pipeline, or ``None``
-    when the setting is not SAT-encodable.
+    instance changes — but its *working set* can move: when a pipeline
+    for ``old_instance`` is warm, the successor pipeline for
+    ``new_instance`` is built (or fetched) through :func:`pipeline_for`,
+    and every pair the old pipeline had installed guards for is
+    pre-warmed into it, so hot pairs keep answering from incremental
+    assumptions instead of paying first-probe setup again.  The old entry
+    is evicted.  With no warm pipeline nothing is built: a later pair
+    probe builds one on demand.  Returns the successor pipeline, or
+    ``None`` when there was none to roll forward or the setting is not
+    SAT-encodable.
     """
     if not setting.fragment().sat_encodable:
         return None
     old_key = (_setting_key(setting), old_instance.fingerprint())
     with _PIPELINES_LOCK:
         prior = _PIPELINES.pop(old_key, None)
+    if not isinstance(prior, SatPipeline):
+        return None
     successor = pipeline_for(setting, new_instance)
-    if successor is not None and isinstance(prior, SatPipeline):
+    if successor is not None:
         successor.prewarm_pairs(prior.guard_keys())
     return successor
 

@@ -45,6 +45,8 @@ class RelationalInstance:
         self._by_first: dict[str, dict[Constant, set[Tuple]]] = {
             symbol.name: {} for symbol in schema
         }
+        # active_domain() memo; add and remove drop it.
+        self._domain: frozenset[Constant] | None = None
         if facts:
             for name, tuples in facts.items():
                 for tup in tuples:
@@ -71,6 +73,7 @@ class RelationalInstance:
                 f"tuple {tup!r} has arity {len(tup)}, but {symbol} expects {symbol.arity}"
             )
         self._data[symbol.name].add(tup)
+        self._domain = None
         if tup:
             self._by_first[symbol.name].setdefault(tup[0], set()).add(tup)
 
@@ -102,6 +105,7 @@ class RelationalInstance:
         if tup not in data:
             return False
         data.remove(tup)
+        self._domain = None
         if tup:
             index = self._by_first[symbol.name]
             bucket = index.get(tup[0])
@@ -175,12 +179,17 @@ class RelationalInstance:
         return tuple(values) in self._data[symbol.name]
 
     def active_domain(self) -> frozenset[Constant]:
-        """Return every constant mentioned anywhere in the instance."""
-        domain: set[Constant] = set()
-        for tuples in self._data.values():
-            for tup in tuples:
-                domain.update(tup)
-        return frozenset(domain)
+        """Return every constant mentioned anywhere in the instance.
+
+        Memoised until the next :meth:`add` or :meth:`remove`.
+        """
+        if self._domain is None:
+            domain: set[Constant] = set()
+            for tuples in self._data.values():
+                for tup in tuples:
+                    domain.update(tup)
+            self._domain = frozenset(domain)
+        return self._domain
 
     def size(self) -> int:
         """Return the total number of facts across all relations."""

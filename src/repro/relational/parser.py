@@ -117,7 +117,7 @@ def parse_cq(text: str) -> ConjunctiveQuery:
 
     >>> q = parse_cq("Flight(x1, x2, x3), Hotel(x1, x4)")
     >>> len(q.atoms), len(q.outputs)
-    (2, 5)
+    (2, 4)
     >>> q2 = parse_cq("E(x, y), E(y, z) -> (x, z)")
     >>> [v.name for v in q2.outputs]
     ['x', 'z']

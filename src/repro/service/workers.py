@@ -333,8 +333,8 @@ def _handle_apply_updates(params: dict) -> dict:
             "results": [certain_answers_to_dict(answer) for answer in answers],
         }
     tenants.checkin_incremental(state)
-    # Roll the per-universe SAT pipeline's working set forward too, so
-    # later certain/exists requests on the updated document start warm.
+    # Roll a warm SAT pipeline's working set forward too, so later pair
+    # probes on the updated document start warm; a cold one stays unbuilt.
     advance_pipeline(setting, instance, state.instance)
     return response
 

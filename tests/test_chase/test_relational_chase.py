@@ -143,6 +143,27 @@ class TestLayerSpans:
         result = TestEgdsOnGraph()._run([("u", "v"), ("w", "v")], egds)
         assert result.failed and set(result.failure_witness) == {"u", "w"}
 
+    def test_equal_constants_meet_on_the_union_find(self):
+        """u's a-successors 1 and 1.0 are equal: no clash, so no replay."""
+        from repro.telemetry import set_enabled, span
+
+        schema = RelationalSchema()
+        schema.declare("R", 2)
+        schema.declare("S", 2)
+        instance = RelationalInstance(schema, {"R": [("u", 1)], "S": [("u", 1.0)]})
+        tgds = [parse_st_tgd("R(x, y) -> (x, a, y)"), parse_st_tgd("S(x, y) -> (x, a, y)")]
+        egd = parse_egd("(x3, a, x1), (x3, a, x2) -> x1 = x2")
+        set_enabled(True)
+        try:
+            with span("test.root") as root:
+                result = chase_relational(tgds, [egd], instance)
+        finally:
+            set_enabled(None)
+        (chase_span,) = root.children
+        names = [child.name for child in chase_span.children]
+        assert names == ["chase.st", "chase.egd", "chase.build"]
+        assert result.succeeded and result.graph.edge_count() == 1
+
     def test_merged_graph_is_written_once(self):
         result = TestEgdsOnGraph()._run(
             [("u", "v"), ("w", "v")], ["(x1, b, y), (x2, b, y) -> x1 = x2"]
@@ -151,3 +172,33 @@ class TestLayerSpans:
         assert result.stats.null_merges == 1
         assert graph.version == graph.edge_count() == 3
         assert graph.fingerprint() is None  # merged: destructive, as before
+
+
+class TestNullConstruction:
+    """Merged-away nulls never become ``Null`` objects."""
+
+    def test_one_null_object_per_surviving_null(self, monkeypatch):
+        from repro.chase import relational_chase
+        from repro.patterns.pattern import Null
+        from repro.scenarios.scale import (
+            GeneratorConfig,
+            generate_instance,
+            scale_setting,
+        )
+
+        built = []
+
+        def counting_null(label):
+            built.append(label)
+            return Null(label)
+
+        monkeypatch.setattr(relational_chase, "Null", counting_null)
+        setting = scale_setting("medlit")
+        instance = generate_instance(GeneratorConfig(family="medlit", nodes=800, seed=1))
+        result = chase_relational(
+            setting.st_tgds, list(setting.egds()), instance, alphabet=setting.alphabet
+        )
+        nulls = [node for node in result.graph.nodes() if is_null(node)]
+        assert result.succeeded and result.stats.null_merges > 0
+        assert len(built) == len(nulls)
+        assert sorted(built) == sorted(node.label for node in nulls)

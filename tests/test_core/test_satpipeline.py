@@ -25,7 +25,13 @@ from repro.core.certain import (
     is_certain_answer,
 )
 from repro.core.existence import ExistenceStatus, decide_existence
-from repro.core.satpipeline import SatPipeline, clear_pipelines, pipeline_for
+from repro.core.satpipeline import (
+    SatPipeline,
+    advance_pipeline,
+    clear_pipelines,
+    live_pipelines,
+    pipeline_for,
+)
 from repro.core.search import CandidateSearchConfig
 from repro.core.solution import is_solution
 from repro.graph.parser import parse_nre
@@ -166,6 +172,40 @@ class TestPipelineReuse:
         from repro.scenarios.flights import flights_instance
 
         assert pipeline_for(omega, flights_instance()) is None
+
+
+class TestAdvancePipeline:
+    """``advance_pipeline`` rolls a warm pipeline forward and builds no cold one."""
+
+    @pytest.fixture
+    def update(self):
+        from repro.scenarios.figures import example31_setting
+        from repro.scenarios.flights import flights_instance
+
+        clear_pipelines()
+        old = flights_instance()
+        new = old.copy()
+        new.add("Hotel", ("02", "hz"))
+        yield example31_setting(), old, new
+        clear_pipelines()
+
+    def test_cold_universe_builds_nothing(self, update):
+        setting, old, new = update
+        assert advance_pipeline(setting, old, new) is None
+        assert live_pipelines() == []
+
+    def test_warm_pipeline_is_prewarmed_into_its_successor(self, update):
+        setting, old, new = update
+        prior = pipeline_for(setting, old)
+        assert prior is not None
+        prior.probe_pair(parse_nre("f . h"), "c1", "hx")
+        keys = prior.guard_keys()
+        assert keys
+        successor = advance_pipeline(setting, old, new)
+        assert successor is not None and successor is not prior
+        assert successor.guard_keys() == keys
+        assert live_pipelines() == [successor]
+        assert pipeline_for(setting, new) is successor
 
 
 class TestExistenceIntegration:

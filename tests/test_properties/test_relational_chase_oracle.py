@@ -1,15 +1,21 @@
-"""Differential tests: the tuple chase against the edge-at-a-time oracle.
+"""Differential tests: the int-id chase against the edge-at-a-time oracle.
 
 :func:`repro.chase.relational_chase.chase_relational` fires s-t triggers
-into edge tuples, closes functional egds with a union-find and loads the
-graph once; :func:`oracles.relational_chase.chase_relational_sequential`
-writes every edge through ``add_edge`` and merges one violation at a
-time.  They must agree on everything a caller can observe: nodes, edges,
-null labels, every ``ChaseStats`` counter, failure and its witness,
-fingerprint and the destructive flag.  Cases:
+into int-id edges, closes functional egds with a union-find over a parent
+list and loads the graph once; :func:`oracles.relational_chase.
+chase_relational_sequential` writes every edge through ``add_edge`` and
+merges one violation at a time.  They must agree on everything a caller
+can observe: nodes, edges, null labels, every ``ChaseStats`` counter,
+failure and its witness, fingerprint, the destructive flag and, for a
+graph that kept its history, the journal order and the very objects it
+holds (compared by ``repr``).  Cases:
 
 * cascading functional egds whose keys are nulls (a key merge unites two
   member groups), with constants that make some runs fail;
+* constants that are equal but spelled apart (``1``, ``1.0``, ``True``,
+  ``-0.0``), spelled like nulls (``"N1"``), tuples, and distinct values
+  that tie on ``repr``, under functional, non-functional and no egds;
+* empty relations;
 * non-functional chain egds, alone and mixed with a functional one, on the
   Example 3.1 flights data;
 * a head label outside the alphabet, which must raise the same error;
@@ -34,6 +40,7 @@ from test_properties.test_chase_properties import flight_instances
 
 def observable(result):
     graph = result.graph
+    backend = graph.backend
     return {
         "nodes": graph.nodes(),
         "edges": graph.edges(),
@@ -42,7 +49,9 @@ def observable(result):
         "failed": result.failed,
         "witness": result.failure_witness,
         "fingerprint": graph.fingerprint(),
-        "destructive": graph.backend.destructive,
+        "destructive": backend.destructive,
+        # A merged graph's journal is its final edge list, not a history.
+        "journal": None if backend.destructive else repr(backend.journal_triples()),
     }
 
 
@@ -145,6 +154,131 @@ def test_matches_with_equal_reprs_fire_once():
     )
     chased = assert_agrees(KEYED_TGDS, KEYED_EGDS, instance, KEYED_ALPHABET)
     assert chased.stats.st_applications == 1
+
+
+# --------------------------------------------------------------------- #
+# Constants spelled apart, spelled like nulls, tuples and repr ties
+# --------------------------------------------------------------------- #
+
+KEYED_CHAIN_EGD = parse_egd("(x1, a . b, x3), (x2, a . b, x3) -> x1 = x2")
+EGD_SETS = {
+    "functional": KEYED_EGDS,
+    "none": [],
+    "non-functional": [KEYED_CHAIN_EGD],
+    "mixed": [KEYED_EGDS[0], KEYED_CHAIN_EGD],
+}
+
+_spellings = st.sampled_from(
+    [1, 1.0, True, 0.0, -0.0, "N1", "N2", "k0", ("k0", 1), ("k0", 1.0),
+     _SameRepr(1), _SameRepr(2)]
+)
+_spelled_pairs = st.lists(st.tuples(_spellings, _spellings), max_size=5)
+
+
+@st.composite
+def spelled_instances(draw):
+    return RelationalInstance(
+        KEYED_SCHEMA,
+        {"R": draw(_spelled_pairs), "S": draw(_spelled_pairs), "T": draw(_spelled_pairs)},
+    )
+
+
+def spelled(facts):
+    return RelationalInstance(KEYED_SCHEMA, facts)
+
+
+def journal_sources(result):
+    return [source for source, _, _ in result.graph.backend.journal_triples()]
+
+
+class TestConstantSpellings:
+    @settings(max_examples=200, deadline=None)
+    @given(spelled_instances(), st.sampled_from(sorted(EGD_SETS)))
+    @example(spelled({"R": [(1, "k0"), (1.0, "k0"), (True, "k0")]}), "functional")
+    @example(spelled({"S": [("k0", 1), ("k0", 1.0)], "R": [("k0", True)]}), "functional")
+    @example(spelled({"S": [("k0", 0.0), ("k0", -0.0)], "R": [("k0", "N1")]}), "mixed")
+    def test_matches_oracle(self, instance, egd_set):
+        assert_agrees(KEYED_TGDS, EGD_SETS[egd_set], instance, KEYED_ALPHABET)
+
+    def test_equal_constants_keep_their_own_objects(self):
+        """1, 1.0 and True are one node, but each row journals its own."""
+        instance = spelled({"R": [(1, "k1"), (1.0, "k2"), (True, "k3")]})
+        chased = assert_agrees(KEYED_TGDS, [], instance, KEYED_ALPHABET)
+        sources = journal_sources(chased)
+        assert [repr(node) for node in sources[::3]] == ["1", "1.0", "True"]
+        assert chased.graph.fingerprint() is not None
+
+    def test_equal_strings_keep_their_own_objects(self):
+        """Equal, equally printed constants still journal the row's object."""
+        first, second = "".join(["k", "0"]), "".join(["k", "0"])
+        assert first == second and first is not second
+        instance = spelled({"S": [(first, "k1"), (second, "k2")]})
+        chased = assert_agrees(KEYED_TGDS, [], instance, KEYED_ALPHABET)
+        rows = {target: source for source, _, target in
+                chased.graph.backend.journal_triples()}
+        facts = dict((target, source) for source, target in instance.tuples("S"))
+        assert rows["k1"] is facts["k1"] and rows["k2"] is facts["k2"]
+
+    def test_equal_constants_are_one_node_to_the_union_find(self):
+        """Each spelling's z null hangs off one node: the a-egd merges them."""
+        instance = spelled({"R": [(1, "k1"), (1.0, "k2"), (True, "k3")]})
+        chased = assert_agrees(KEYED_TGDS, KEYED_EGDS[:1], instance, KEYED_ALPHABET)
+        assert chased.succeeded and chased.stats.null_merges == 2
+
+    def test_constants_spelled_like_nulls_stay_constants(self):
+        instance = spelled({"R": [("N1", "N2")], "S": [("N2", "N1")]})
+        chased = assert_agrees(KEYED_TGDS, KEYED_EGDS, instance, KEYED_ALPHABET)
+        nodes = chased.graph.nodes()
+        assert "N1" in nodes and "N2" in nodes
+        assert sum(map(is_null, nodes)) == 2
+
+    def test_tuple_constants(self):
+        instance = spelled({"R": [(("k", 1), ("k", 1.0))], "S": [(("k", 1), "k0")]})
+        chased = assert_agrees(KEYED_TGDS, KEYED_EGDS, instance, KEYED_ALPHABET)
+        assert ("k", 1) in chased.graph.nodes()
+
+    def test_rows_that_tie_on_repr_fire_once_per_tgd(self):
+        instance = spelled(
+            {"S": [(_SameRepr(1), "k0"), (_SameRepr(2), "k0")],
+             "T": [(_SameRepr(2), "k1")]}
+        )
+        chased = assert_agrees(KEYED_TGDS, KEYED_EGDS, instance, KEYED_ALPHABET)
+        assert chased.stats.st_applications == 2
+
+    def test_constant_clash_between_spellings(self):
+        """1 and 1.0 are equal, 2 is not: only the second run fails."""
+        merged = assert_agrees(
+            KEYED_TGDS, KEYED_EGDS, spelled({"S": [("k0", 1), ("k0", 1.0)]}),
+            KEYED_ALPHABET,
+        )
+        assert merged.succeeded
+        failed = assert_agrees(
+            KEYED_TGDS, KEYED_EGDS,
+            spelled({"R": [("k0", "k1")], "S": [("k0", 1.0), ("k0", 2)]}),
+            KEYED_ALPHABET,
+        )
+        assert failed.failed and set(failed.failure_witness) == {1.0, 2}
+
+    def test_non_functional_egd_replays(self):
+        """1 and True share m's a.b-target with 2: the replay fails on 1 = 2."""
+        instance = spelled({"S": [(1, "m"), (True, "m"), (2, "m")], "T": [("m", "t")]})
+        chased = assert_agrees(KEYED_TGDS, [KEYED_CHAIN_EGD], instance, KEYED_ALPHABET)
+        assert chased.failed and set(chased.failure_witness) == {1, 2}
+
+
+class TestEmptyRelations:
+    @pytest.mark.parametrize("egd_set", sorted(EGD_SETS))
+    def test_empty_instance(self, egd_set):
+        chased = assert_agrees(
+            KEYED_TGDS, EGD_SETS[egd_set], spelled({}), KEYED_ALPHABET
+        )
+        assert chased.succeeded and chased.graph.edge_count() == 0
+
+    def test_some_relations_empty(self):
+        chased = assert_agrees(
+            KEYED_TGDS, KEYED_EGDS, spelled({"S": [("k0", "k1")]}), KEYED_ALPHABET
+        )
+        assert chased.stats.st_applications == 1
 
 
 # --------------------------------------------------------------------- #

@@ -77,6 +77,39 @@ class TestInspection:
         instance = RelationalInstance(schema, {"E": [("a", "b")], "R": [("c",)]})
         assert instance.active_domain() == {"a", "b", "c"}
 
+    def test_active_domain_is_memoised(self, schema):
+        instance = RelationalInstance(schema, {"E": [("a", "b")]})
+        assert instance.active_domain() is instance.active_domain()
+
+    def test_active_domain_memo_dropped_by_add(self, schema):
+        instance = RelationalInstance(schema, {"E": [("a", "b")]})
+        assert instance.active_domain() == {"a", "b"}
+        instance.add("R", ("c",))
+        assert instance.active_domain() == {"a", "b", "c"}
+
+    def test_active_domain_memo_dropped_by_add_all(self, schema):
+        instance = RelationalInstance(schema, {"E": [("a", "b")]})
+        assert instance.active_domain() == {"a", "b"}
+        instance.add_all("E", [("c", "d"), ("d", "e")])
+        assert instance.active_domain() == {"a", "b", "c", "d", "e"}
+
+    def test_active_domain_memo_dropped_by_remove(self, schema):
+        instance = RelationalInstance(schema, {"E": [("a", "b")], "R": [("c",)]})
+        assert instance.active_domain() == {"a", "b", "c"}
+        assert instance.remove("R", ("c",))
+        assert instance.active_domain() == {"a", "b"}
+
+    def test_active_domain_memo_not_shared_by_copy(self, schema):
+        instance = RelationalInstance(schema, {"R": [("a",)]})
+        assert instance.active_domain() == {"a"}
+        clone = instance.copy()
+        clone.add("R", ("b",))
+        assert clone.active_domain() == {"a", "b"}
+        assert instance.active_domain() == {"a"}
+        instance.remove("R", ("a",))
+        assert instance.active_domain() == frozenset()
+        assert clone.active_domain() == {"a", "b"}
+
     def test_iter_yields_facts(self, schema):
         instance = RelationalInstance(schema, {"E": [("a", "b")]})
         assert list(instance) == [("E", ("a", "b"))]

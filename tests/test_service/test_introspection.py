@@ -182,7 +182,10 @@ class TestLiveIntrospectionPlane:
         with service.client() as client:
             star = client.certain(document, STAR_QUERY)
             word = client.certain(document, WORD_QUERY, pair=["c1", "hx"])
-        return {"star": star, "word": word}
+            # A pair probe of a starred query runs the product search, the
+            # one path that compiles an automaton in the worker.
+            star_pair = client.certain(document, STAR_QUERY, pair=["c1", "c3"])
+        return {"star": star, "word": word, "star_pair": star_pair}
 
     def test_answers_byte_identical_to_direct_calls(self, warmed):
         direct_star = execute_request(

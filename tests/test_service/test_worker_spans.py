@@ -9,6 +9,7 @@ parse, compute and serialisation from the trace alone.
 import pytest
 
 from repro import telemetry
+from repro.core.satpipeline import clear_pipelines, live_pipelines
 from repro.io.json_io import document_to_dict
 from repro.scenarios.figures import example31_setting
 from repro.scenarios.flights import flights_instance
@@ -51,10 +52,27 @@ def test_decode_and_encode_nest_under_worker_execute(traced, name):
     children = [child["name"] for child in root["children"]]
     assert children.count("worker.decode") == 1
     assert children.count("worker.encode") == 1
-    # Decode opens the request; encode follows the compute (apply_updates
-    # rolls its SAT pipeline forward after building the response).
+    # Decode opens the request; encode follows the compute.  With no warm
+    # SAT pipeline, apply_updates builds none (cold_update_builds_no_solver).
     assert children[0] == "worker.decode"
     assert children.index("worker.encode") > 0
+
+
+def span_names(node: dict) -> set[str]:
+    names = {node["name"]}
+    for child in node.get("children", ()):
+        names |= span_names(child)
+    return names
+
+
+def test_cold_update_builds_no_solver(traced):
+    clear_pipelines()
+    envelope = traced_execute_request(
+        "apply_updates", dict(REQUESTS["apply_updates"], star_bound=2)
+    )
+    assert "__error__" not in envelope["value"]
+    assert "solver.build" not in span_names(envelope["telemetry"]["span"])
+    assert live_pipelines() == []
 
 
 def test_spans_leave_the_response_unchanged(traced):
