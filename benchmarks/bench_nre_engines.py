@@ -4,9 +4,10 @@ Ablation for the split-by-call-shape design: the successor-map relation
 algebra (:mod:`repro.graph.eval`, whole relations) vs the (ε-free,
 label-indexed) product-automaton evaluator (single pairs and sources) vs
 the full :class:`~repro.engine.query.QueryEngine` with its caches, on
-random graphs with the paper's query shape and on a chased medlit tenant
-— plus single-source and single-pair modes (the certain-answer hot path)
-and an independent networkx cross-check for pure-star reachability.
+random graphs with the paper's query shape, on a chased medlit tenant and
+on a live ``IncrementalChase`` medlit tenant (the certain-answer read) —
+plus single-source and single-pair modes and an independent networkx
+cross-check for pure-star reachability.
 Every timed evaluator is asserted identical to the seed's set-algebraic
 pair-set oracle (``tests/oracles/reference_eval.py``).
 """
@@ -19,6 +20,7 @@ import networkx as nx
 
 from oracles.reference_eval import evaluate_nre as reference_pairs
 from repro.chase.relational_chase import chase_relational
+from repro.engine.incremental import IncrementalChase
 from repro.engine.query import QueryEngine
 from repro.graph.automaton import evaluate_nre_automaton
 from repro.graph.eval import evaluate_nre
@@ -28,6 +30,7 @@ from repro.scenarios.scale import (
     GeneratorConfig,
     generate_instance,
     scale_setting,
+    update_stream,
     workload_queries,
 )
 
@@ -244,3 +247,58 @@ def test_query_engine_whole_relation_medlit(benchmark):
     assert stats.relations_evaluated == 5
     assert stats.automata_compiled == 0
     assert stats.nested_tests == 0
+
+
+def test_query_engine_answers_medlit(benchmark):
+    """Stream's read shape: five ``answers_over`` on a live medlit 1,000 tenant.
+
+    The tenant is one ``update_stream`` batch past bootstrap, read on the
+    incremental chase's merged graph, which has no fingerprint, over the
+    source active domain.  Each read is one relation evaluation decoded
+    within ``domain × domain`` (deterministic counters, gated), checked
+    against the pair-set oracle restricted to the domain.  ``answers_over``
+    and ``pairs`` on the same graph are timed in interleaved rounds and
+    reported, not gated.
+    """
+    config = GeneratorConfig(family="medlit", nodes=1000, seed=1)
+    live = IncrementalChase(scale_setting("medlit"), generate_instance(config))
+    live.apply_updates(next(iter(update_stream(config, 1, 40, 0.4))))
+    graph, domain = live._merged, live.instance.active_domain()
+    queries = [parse_nre(text) for text in workload_queries("medlit")]
+    expected = [
+        frozenset((u, v) for u, v in reference_pairs(graph, query)
+                  if u in domain and v in domain)
+        for query in queries
+    ]
+    engine = QueryEngine()
+    answers = [engine.answers_over(graph, query, domain) for query in queries]
+    stats = engine.stats
+
+    def answers_over():
+        fresh = QueryEngine()
+        return [fresh.answers_over(graph, query, domain) for query in queries]
+
+    def pairs():
+        fresh = QueryEngine()
+        return [fresh.pairs(graph, query) for query in queries]
+
+    medians = ab_medians(answers_over, pairs, rounds=5)
+    benchmark.pedantic(answers_over, rounds=5, iterations=1, warmup_rounds=1)
+    report(
+        "E12i / medlit 1,000 live certain-answer reads (five answers_over)",
+        [
+            ("|V|, |E|, |domain|", "—",
+             f"{graph.node_count()}, {graph.edge_count()}, {len(domain)}"),
+            ("identical to oracle", True, answers == expected),
+            ("relations_evaluated", 5, stats.relations_evaluated),
+            ("uncacheable_graphs", 5, stats.uncacheable_graphs),
+            ("automata_compiled", 0, stats.automata_compiled),
+            ("answers_over median (ms)", "—", f"{medians[0] * 1000:.2f}"),
+            ("pairs median (ms)", "—", f"{medians[1] * 1000:.2f}"),
+            ("answers_over / pairs", "—", f"{medians[0] / medians[1]:.2f}"),
+        ],
+    )
+    assert answers == expected
+    assert stats.relations_evaluated == 5
+    assert stats.uncacheable_graphs == 5
+    assert stats.automata_compiled == 0

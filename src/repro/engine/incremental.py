@@ -24,9 +24,13 @@ instance:
   zero-class case.  The merged layer is rebuilt from scratch only at
   bootstrap, when a batch deletes out of a failed state, and when a merge
   found no witness to record;
-* the **answer layer** — certain answers per query, patched monotonically
-  on insert-only batches by re-evaluating only the sources in the
-  undirected cone around changed nodes.
+* the **answer layer** — certain answers per query, cached until a batch
+  changes a fact.  Any such batch clears the cache, and the next read
+  recomputes the query with one
+  :meth:`~repro.engine.query.QueryEngine.answers_over` on the merged
+  graph.  A patch over the nodes a batch touched would cost about as
+  much: on generator-shaped tenants their undirected cone is nearly the
+  whole graph.
 
 The contract, enforced by ``tests/test_engine/test_incremental.py``, is
 *byte-identity with the from-scratch oracle*: after any update stream,
@@ -114,10 +118,11 @@ class UpdateStats:
     """Base nodes reset to singletons by those class-local repairs."""
 
     answer_patches: int = 0
-    """Monotone cone-restricted patches of the certain-answer cache."""
+    """Retired: always 0.  Cached answers are never patched; every batch
+    that changes a fact invalidates them (``answer_invalidations``)."""
 
     answer_invalidations: int = 0
-    """Wholesale certain-answer cache drops (deletions, failure flips)."""
+    """Batches that dropped a non-empty certain-answer cache."""
 
     def summary(self) -> dict[str, int]:
         """Return the counters as a plain dict for reporting.
@@ -284,10 +289,8 @@ class IncrementalChase:
         self._queue: EgdViolationQueue | None = None
         self._failed = False
         self._witness_cache: object = _UNSET
-        self._touched: set[Node] = set()
         # --- answer layer ---
         self._answers: dict[NRE, frozenset] = {}
-        self._dirty: set[Node] = set()
         self._bootstrap()
 
     # ------------------------------------------------------------------ #
@@ -330,7 +333,6 @@ class IncrementalChase:
                     f"but {symbol} expects {symbol.arity}"
                 )
         self._witness_cache = _UNSET
-        failed_before = self._failed
         counts = {"inserts": 0, "deletes": 0, "noops": 0}
         before: dict[Fact, bool] = {}
         for op, relation, values in batch:
@@ -362,17 +364,10 @@ class IncrementalChase:
             for fact, present in before.items()
             if present and not self.instance.contains(*fact)
         }
-        net_removed, net_added = self._update_base(added_facts, removed_facts)
-        rebuilt = self._update_merged(net_removed, net_added)
-        failed_changed = self._failed != failed_before
-        if removed_facts or rebuilt or failed_changed:
-            if self._answers:
-                self.stats.answer_invalidations += 1
+        self._update_merged(*self._update_base(added_facts, removed_facts))
+        if (added_facts or removed_facts) and self._answers:
+            self.stats.answer_invalidations += 1
             self._answers.clear()
-            self._dirty.clear()
-        else:
-            self._dirty |= self._touched
-        self._touched = set()
         counts["failed"] = self._failed
         return counts
 
@@ -383,7 +378,7 @@ class IncrementalChase:
         (when one exists), so certain answers are its query answers
         restricted to the source active domain — byte-identical to the
         batch pipeline's result on the same instance.  Answers are cached
-        per query and patched incrementally across insert-only batches.
+        per query until the next batch that changes a fact.
         """
         from repro.core.certain import CertainAnswers
 
@@ -397,7 +392,6 @@ class IncrementalChase:
         engine = engine if engine is not None else self._engine
         if engine is None:
             engine = default_engine()
-        self._flush_dirty(engine)
         answers = self._answers.get(query)
         if answers is None:
             domain = self.instance.active_domain()
@@ -562,22 +556,19 @@ class IncrementalChase:
                 if trigger.key not in self._triggers:
                     self._add_trigger(trigger)
         self._rebuild_merged()
-        self._touched = set()
 
-    def _update_merged(self, net_removed: set[Edge], net_added: set[Edge]) -> bool:
-        """Repair the quotient for a batch's net edge delta; return rebuilt."""
-        self._touched = set()
+    def _update_merged(self, net_removed: set[Edge], net_added: set[Edge]) -> None:
+        """Repair the quotient for a batch's net edge delta."""
         if self._failed:
-            if net_removed:
-                self._rebuild_merged()
-                return True
             # Failure is insert-monotone: adding facts can never turn a
             # failing chase into a succeeding one, so the (stale) merged
             # layer stays parked until a deletion forces a rebuild.
-            return False
+            if net_removed:
+                self._rebuild_merged()
+            return
         if net_removed and not self._provenance_exact:
             self._rebuild_merged()
-            return True
+            return
         hit: set[int] = set()
         for edge in net_removed:
             hit.update(self._edge_merges.get(edge, ()))
@@ -585,7 +576,6 @@ class IncrementalChase:
         nodes = sum(len(self._classes[rep]) for rep in dissolved)
         with span("update.repair", nodes=nodes):
             self._repair_merged(net_removed, net_added, dissolved, dropped)
-        return False
 
     def _rebuild_merged(self) -> None:
         """Rebuild the merged layer from the base edges, from scratch."""
@@ -597,7 +587,6 @@ class IncrementalChase:
         self._rep = {}
         self._classes = {}
         self._image_support = {}
-        self._touched = set()
         merged = GraphDatabase(alphabet=set(self.setting.alphabet))
         for edge in sorted(self._edge_support, key=repr):
             for node in (edge.source, edge.target):
@@ -704,7 +693,6 @@ class IncrementalChase:
                 support = self._image_support[image] = set()
                 merged.add_edge(image.source, image.label, image.target)
             support.add(edge)
-            self._touched.update((image.source, image.target))
         assert self._queue is not None
         self._queue.rescan_since(version)
         failed, _ = run_egd_fixpoint(self._queue, ChaseStats(), apply=self._on_merge)
@@ -759,8 +747,6 @@ class IncrementalChase:
         self._classes[new] |= old_members
         for member in old_members:
             self._rep[member] = new
-        self._touched.discard(old)
-        self._touched.add(new)
 
     def _remap_images(self, old: Node, new: Node) -> None:
         """Re-key image supports for a merged-graph rename ``old ↦ new``.
@@ -818,48 +804,6 @@ class IncrementalChase:
                                 merges.add(merge)
                         return
         self._provenance_exact = False
-
-    # ------------------------------------------------------------------ #
-    # Answer layer
-    # ------------------------------------------------------------------ #
-
-    def _flush_dirty(self, engine) -> None:
-        """Patch cached answers for the cone around nodes changed by inserts."""
-        if not self._dirty:
-            return
-        if not self._answers:
-            self._dirty.clear()
-            return
-        self.stats.answer_patches += 1
-        affected = self._affected_cone()
-        domain = self.instance.active_domain()
-        sources = [node for node in affected if node in domain]
-        for query, cached in list(self._answers.items()):
-            reached = engine.reachable_many(self._merged, query, sources)
-            extra = {(u, v) for u, targets in reached.items() for v in targets & domain}
-            if extra:
-                self._answers[query] = frozenset(cached | extra)
-        self._dirty.clear()
-
-    def _affected_cone(self) -> set[Node]:
-        """Undirected reachability closure of the dirty nodes in the quotient.
-
-        Any answer pair created by an insert-only batch starts at a source
-        whose (undirected) component contains a changed node, so patching
-        exactly these sources is complete.
-        """
-        seen: set[Node] = set()
-        stack = [node for node in self._dirty if node in self._merged]
-        while stack:
-            node = stack.pop()
-            if node in seen:
-                continue
-            seen.add(node)
-            for edge in self._merged.incident_edges(node):
-                for neighbour in (edge.source, edge.target):
-                    if neighbour not in seen:
-                        stack.append(neighbour)
-        return seen
 
     # ------------------------------------------------------------------ #
     # Oracle-identical materialisation

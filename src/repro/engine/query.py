@@ -4,14 +4,18 @@ No single plan wins both whole-relation reads and single-pair decisions
 (Yakovets, Godfrey & Gryz, SIGMOD 2016), so :class:`QueryEngine` picks
 the evaluator by the shape of the call, with no cost model:
 
-* **whole relations** — :meth:`QueryEngine.pairs`, ``reachable_many`` and
-  ``answers_over`` run the successor-map algebra
-  (:func:`repro.graph.eval.evaluate_relation`) with the requested sources
-  pushed into the leftmost operand; spans ``query.relation`` (the
-  algebra) and ``query.decode`` (successor map → answers) time them;
+* **whole relations** — :meth:`QueryEngine.pairs` and ``answers_over``
+  run the successor-map algebra
+  (:func:`repro.graph.eval.evaluate_relation`) once, unrestricted, and
+  decode it: ``pairs`` into the whole pair set, ``answers_over`` into
+  the pairs within its domain.  One span ``query.relation`` (the
+  algebra) and one ``query.decode`` (successor map → answers) time each
+  read;
 * **one pair or one source** — :meth:`QueryEngine.holds` and
   ``reachable`` run the early-exit product BFS over the NRE's compiled
-  automaton (:func:`repro.graph.automaton.compile_nre`, once per engine);
+  automaton (:func:`repro.graph.automaton.compile_nre`, once per engine),
+  unless a cached ``pairs`` answers them: ``reachable`` groups that pair
+  set by source once per graph and expression;
 * **share across candidates** — results are cached per graph *content*,
   keyed on the :meth:`~repro.graph.database.GraphDatabase.fingerprint`,
   so sibling candidates in :mod:`repro.core.search` reuse each other's
@@ -33,7 +37,6 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, fields
-from itertools import chain, repeat
 from typing import Hashable, Iterable
 
 from repro.graph.automaton import NREAutomaton, _Runner, compile_nre
@@ -63,7 +66,7 @@ class EvalStats:
     """Single-source reachability evaluations requested."""
 
     batched_source_queries: int = 0
-    """Sources answered through batched multi-source evaluations."""
+    """Domain sources answered by ``answers_over``'s one evaluation each."""
 
     single_pair_queries: int = 0
     """Single-pair (early-exit) decisions requested."""
@@ -108,14 +111,16 @@ class EvalStats:
 
 
 class _GraphState:
-    """Per-graph evaluation state: one runner plus three result caches."""
+    """Per-graph evaluation state: one runner plus four result caches."""
 
-    __slots__ = ("graph", "runner", "pairs", "reach", "holds")
+    __slots__ = ("graph", "runner", "pairs", "answers", "reach", "holds")
 
     def __init__(self, graph: GraphDatabase, stats: EvalStats):
         self.graph = graph
         self.runner = _Runner(graph, stats)
         self.pairs: dict[NRE, PairSet] = {}
+        # expr → domain → answers_over's pairs within domain × domain.
+        self.answers: dict[NRE, dict[frozenset[Node], PairSet]] = {}
         # expr → source → targets: the expression is hashed once per read.
         self.reach: dict[NRE, dict[Node, frozenset[Node]]] = {}
         # expr → (source, target) → verdict, keyed expression-first too.
@@ -198,34 +203,17 @@ class QueryEngine:
         if cached is not None:
             return cached
         pairs = state.pairs.get(expr)
-        if pairs is not None:
-            cached = frozenset(v for u, v in pairs if u == source)
-        else:
+        if pairs is None:
             cached = state.runner.reachable(self._automaton(expr).compiled(), source)
-        reach[source] = cached
-        return cached
-
-    def reachable_many(
-        self, graph: GraphDatabase, expr: NRE, sources: Iterable[Node]
-    ) -> dict[Node, frozenset[Node]]:
-        """Batched :meth:`reachable`: one answer set per source.
-
-        Per-source cache entries are consulted first; the other sources
-        are answered by one evaluation of the relation restricted to them
-        (:func:`~repro.graph.eval.evaluate_relation`), which then fills
-        the per-source cache, so mixing this with :meth:`reachable` and
-        :meth:`holds` stays coherent.
-        """
-        sources = list(sources)
-        self.stats.batched_source_queries += len(sources)
-        state = self._state(graph)
-        reach = state.reach.setdefault(expr, {})
-        misses = set(sources).difference(reach).intersection(state.graph.nodes())
-        if misses:
-            relation = self._relation(state.graph, expr, misses)
-            with span("query.decode"):
-                reach.update(relation.targets(misses))
-        return {source: reach.get(source, frozenset()) for source in sources}
+            reach[source] = cached
+            return cached
+        # Group the cached relation by source once: every node gets a row.
+        rows: dict[Node, list[Node]] = {}
+        for u, v in pairs:
+            rows.setdefault(u, []).append(v)
+        reach.update(dict.fromkeys(state.graph.nodes(), frozenset()))
+        reach.update((u, frozenset(targets)) for u, targets in rows.items())
+        return reach[source]
 
     def holds(
         self, graph: GraphDatabase, expr: NRE, source: Node, target: Node
@@ -261,31 +249,32 @@ class QueryEngine:
         """Return ``⟦expr⟧_graph`` restricted to ``domain × domain``.
 
         The certain-answer engine only ever reports tuples over the source
-        active domain, so this is one :meth:`reachable_many` over the
-        domain — the relation restricted to those sources, which also
-        fills the per-source cache — instead of the full relation.
+        active domain.  That domain covers most nodes of a universal
+        solution, so the relation is evaluated once, unrestricted, and
+        decoded straight into the answers from the rows of the domain's
+        nodes, with no per-source set.  The answers are cached per
+        (graph, expression, domain), so a repeated read of a candidate
+        solution costs one lookup.
         """
-        members = set(domain)
-        answers = self.reachable_many(graph, expr, members)
-        with span("query.decode"):
-            return frozenset(
-                chain.from_iterable(
-                    zip(repeat(source), targets & members)
-                    for source, targets in answers.items()
-                    if targets
-                )
-            )
+        members = frozenset(domain)
+        self.stats.batched_source_queries += len(members)
+        state = self._state(graph)
+        cache = state.answers.setdefault(expr, {})
+        answers = cache.get(members)
+        if answers is None:
+            relation = self._relation(state.graph, expr)
+            with span("query.decode"):
+                answers = cache[members] = relation.pairs(state.graph, members)
+        return answers
 
     # ------------------------------------------------------------------ #
     # Internals
     # ------------------------------------------------------------------ #
 
-    def _relation(
-        self, graph: GraphDatabase, expr: NRE, sources: set[Node] | None = None
-    ) -> Relation:
+    def _relation(self, graph: GraphDatabase, expr: NRE) -> Relation:
         self.stats.relations_evaluated += 1
         with span("query.relation"):
-            return evaluate_relation(graph, expr, sources)
+            return evaluate_relation(graph, expr)
 
     def _automaton(self, expr: NRE) -> NREAutomaton:
         automaton = self._automata.get(expr)

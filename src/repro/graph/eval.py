@@ -5,21 +5,25 @@ semantics of [5] (see :mod:`repro.graph.nre`).  A :class:`Relation` is a
 successor map ``node → set of nodes`` plus a flag for the identity on
 ``V``; it becomes a set of pairs only when decoded.  ``a`` and ``a⁻`` are
 the graph's own per-label indexes, read without a copy; ``r · s`` is one
-set union per source over the map of ``s``; ``r*`` is an SCC closure over
-the nodes of ``⟦r⟧`` only, its reflexive part left to the flag; ``[r]`` is
-a semi-join with the domain of ``⟦r⟧``.  An optional source set is pushed
-into the leftmost operand, so a read of some sources restricts early.
+set union per source over the map of ``s``; ``[r]`` is a semi-join with
+the domain of ``⟦r⟧``.  One Tarjan walk over the nodes of ``⟦r⟧`` serves
+both ``r*`` and ``r* · s``: it carries a set up the condensation, seeded
+per component by its members for ``r*`` (the reflexive part left to the
+flag) and by their rows of ``⟦s⟧`` for ``r* · s`` when ``⟦s⟧`` is not
+reflexive, so that read builds no reach set.  The other right sides
+keep the closure: ``r* · s*`` and ``r* · ()`` compose it, ``r* · [t]``
+semi-joins it.  An optional source set is pushed into the leftmost
+operand, so a read of some sources restricts early.
 
-This serves whole-relation reads (:meth:`~repro.engine.query.QueryEngine.pairs`,
-``reachable_many``, ``answers_over``); the product search of
-:mod:`repro.graph.automaton` answers single pairs and sources, where it
-can stop early.
+This serves whole-relation reads (:meth:`~repro.engine.query.QueryEngine.pairs`
+and ``answers_over``); the product search of :mod:`repro.graph.automaton`
+answers single pairs and sources, where it can stop early.
 """
 
 from __future__ import annotations
 
 from itertools import chain, repeat
-from typing import Hashable, Iterable, Mapping, NamedTuple
+from typing import AbstractSet, Hashable, Iterable, Mapping, NamedTuple
 
 from repro.graph.database import GraphDatabase
 from repro.graph.nre import NRE, Backward, Concat, Epsilon, Label, Nest, Star, Union
@@ -56,11 +60,32 @@ class Relation(NamedTuple):
             return {s: frozenset(chain(step(s, ()), (s,))) for s in sources}
         return {s: frozenset(step(s, ())) for s in sources}
 
-    def pairs(self, graph: GraphDatabase) -> PairSet:
-        """Decode the whole relation into a frozenset of pairs."""
-        rows = chain.from_iterable(zip(repeat(u), vs) for u, vs in self.succ.items())
+    def pairs(
+        self, graph: GraphDatabase, domain: AbstractSet[Node] | None = None
+    ) -> PairSet:
+        """Decode the relation into a frozenset of pairs.
+
+        With ``domain`` only the pairs in ``domain × domain`` are decoded,
+        straight from the rows of the sources in ``domain``; nodes of
+        ``domain`` outside the graph have no pairs.
+
+        >>> g = GraphDatabase(edges=[("u", "a", "v"), ("v", "a", "w")])
+        >>> rel = Relation(g.forward_index("a"), reflexive=True)
+        >>> sorted(rel.pairs(g, {"u", "w", "x"}))
+        [('u', 'u'), ('w', 'w')]
+        """
+        if domain is None:
+            rows = chain.from_iterable(
+                zip(repeat(u), vs) for u, vs in self.succ.items()
+            )
+        else:
+            rows = (
+                (u, v) for u, vs in _rows(self.succ, domain) for v in vs if v in domain
+            )
         if self.reflexive:
-            nodes = graph.nodes()
+            nodes = (
+                graph.nodes() if domain is None else [u for u in domain if u in graph]
+            )
             rows = chain(rows, zip(nodes, nodes))
         return frozenset(rows)
 
@@ -101,13 +126,23 @@ def evaluate_relation(
             evaluate_relation(graph, expr.right, sources, cache),
         )
     elif isinstance(expr, Concat):
-        left = evaluate_relation(graph, expr.left, sources, cache)
         if isinstance(expr.right, Nest):  # r · [s]: a semi-join with dom(⟦s⟧)
+            left = evaluate_relation(graph, expr.left, sources, cache)
             inner = evaluate_relation(graph, expr.right.inner, None, cache)
             result = _semijoin(left, _domain(inner, None), sources)
         else:
             right = evaluate_relation(graph, expr.right, None, cache)
-            result = _compose(left, right, sources)
+            if isinstance(expr.left, Star) and not right.reflexive:
+                # r* · s: carry ⟦s⟧'s rows up the condensation of ⟦r⟧
+                inner = evaluate_relation(graph, expr.left.inner, None, cache)
+                succ = _closure(inner.succ, sources, right.succ)
+                for source, targets in _rows(right.succ, sources):
+                    if targets:  # a node the walk skipped carries its own row
+                        succ.setdefault(source, targets)
+                result = Relation(succ)
+            else:
+                left = evaluate_relation(graph, expr.left, sources, cache)
+                result = _compose(left, right, sources)
     elif isinstance(expr, Star):
         inner = evaluate_relation(graph, expr.inner, None, cache)
         result = Relation(_closure(inner.succ, sources), reflexive=True)
@@ -184,17 +219,23 @@ def _semijoin(left: Relation, domain: Sources, sources: Sources) -> Relation:
     return Relation(succ)
 
 
-def _closure(succ: Successors, roots: Iterable[Node] | None) -> dict[Node, set[Node]]:
-    """Reflexive-transitive closure of ``succ`` from ``roots`` (every row when ``None``).
+def _closure(
+    succ: Successors, roots: Iterable[Node] | None, seeds: Successors | None = None
+) -> dict[Node, set[Node]]:
+    """Carry sets up the condensation of ``succ`` from ``roots`` (all rows if ``None``).
 
     Iterative Tarjan: components complete in reverse topological order,
-    so a component's reach set is its members plus the (complete) reach
-    sets its edges lead to, shared by every member.  Only nodes reachable
-    from ``roots`` are visited; nodes that reach only themselves get no
-    row (the identity flag covers them).
+    so a component's set is its members' seeds plus the (complete) sets
+    its edges lead to, shared by every member.  With ``seeds`` ``None``
+    each member seeds itself, so the sets are reach sets: the rows of
+    ``succ*`` but for its identity part, which is left to the flag.  With
+    the rows of ``⟦s⟧`` as seeds they are the rows of ``succ* · s``, and
+    no reach set is built.  Only nodes reachable from ``roots`` are
+    visited, and each gets a row; a node the walk does not visit (a sink)
+    carries its own seed.
     """
     step = succ.get
-    reach: dict[Node, set[Node]] = {}
+    carried: dict[Node, set[Node]] = {}
     index: dict[Node, float] = {}  # preorder number; len(index) counts
     low: dict[Node, float] = {}
     component: list[Node] = []
@@ -235,19 +276,25 @@ def _closure(succ: Successors, roots: Iterable[Node] | None) -> dict[Node, set[N
                     members.append(member)
                     if member == node:
                         break
-                acc = set(members)
+                acc: set[Node] = set()
                 for member in members:
-                    for target in step(member, ()):
-                        if target not in acc:
-                            closed = reach.get(target)
-                            if closed is None:
-                                acc.add(target)
-                            else:
-                                acc |= closed
-                if len(acc) > 1:
+                    carried[member] = acc
+                if seeds is None:  # succ*: each member seeds itself
+                    acc.update(members)
                     for member in members:
-                        reach[member] = acc
-    return reach
+                        for target in step(member, ()):
+                            if target not in acc:  # a reach set holds its nodes' sets
+                                acc.update(carried.get(target) or (target,))
+                else:
+                    for member in members:
+                        acc.update(seeds.get(member, ()))
+                        for target in step(member, ()):
+                            closed = carried.get(target)
+                            if closed is None:  # a sink the walk did not enter
+                                acc.update(seeds.get(target, ()))
+                            elif closed is not acc:
+                                acc |= closed
+    return carried
 
 
 def evaluate_nre(

@@ -46,19 +46,6 @@ class ReferenceEngine:
         self.stats.single_source_queries += 1
         return frozenset(v for u, v in evaluate_nre(graph, expr) if u == source)
 
-    def reachable_many(
-        self, graph: GraphDatabase, expr: NRE, sources: Iterable[Node]
-    ) -> dict[Node, frozenset[Node]]:
-        """Per-source answers, all filtered from one full relation."""
-        sources = list(sources)
-        self.stats.batched_source_queries += len(sources)
-        relation = evaluate_nre(graph, expr)
-        answers: dict[Node, set[Node]] = {source: set() for source in sources}
-        for u, v in relation:
-            if u in answers:
-                answers[u].add(v)
-        return {source: frozenset(targets) for source, targets in answers.items()}
-
     def holds(
         self, graph: GraphDatabase, expr: NRE, source: Node, target: Node
     ) -> bool:

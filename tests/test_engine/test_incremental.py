@@ -431,16 +431,8 @@ class TestPinnedBehaviour:
         assert_matches_oracle(live, engine, queries)
         assert live.stats.merged_rebuilds == before["merged_rebuilds"]
 
-    def test_insert_only_batches_patch_answers(self):
-        live = IncrementalChase(example31_setting(), flights_instance())
-        query = parse_nre("f . h")
-        live.certain_answers(query)
-        live.apply_updates([("insert", "Hotel", ("02", "hz"))])
-        live.certain_answers(query)
-        assert live.stats.answer_patches >= 1
-
-    def test_insert_patch_is_one_batched_read_per_query(self):
-        """The patch reads the affected cone with one ``reachable_many`` per query."""
+    def test_insert_only_batches_invalidate_answers(self):
+        """An insert-only batch drops the cache; each query re-reads once."""
         engine = QueryEngine()
         live = IncrementalChase(example31_setting(), flights_instance())
         queries = [parse_nre("f . h"), parse_nre("f*")]
@@ -448,11 +440,24 @@ class TestPinnedBehaviour:
             live.certain_answers(query, engine=engine)
         before = engine.stats.as_dict()
         live.apply_updates([("insert", "Hotel", ("02", "hz"))])
+        assert live.stats.answer_invalidations == 1
         assert_matches_oracle(live, engine, queries)
         after = engine.stats.as_dict()
-        assert live.stats.answer_patches == 1
+        assert live.stats.answer_patches == 0
         assert after["relations_evaluated"] - before["relations_evaluated"] == 2
         assert after["single_source_queries"] == before["single_source_queries"]
+
+    def test_batches_that_change_no_fact_keep_cached_answers(self):
+        engine = QueryEngine()
+        live = IncrementalChase(example31_setting(), flights_instance())
+        query = parse_nre("f . h")
+        cached = live.certain_answers(query, engine=engine).answers
+        live.apply_updates([("insert", "Hotel", ("01", "hx"))])  # already present
+        live.apply_updates([("insert", "Hotel", ("02", "hz")),
+                            ("delete", "Hotel", ("02", "hz"))])  # a net no-op
+        assert live.certain_answers(query, engine=engine).answers is cached
+        assert engine.stats.relations_evaluated == 1
+        assert live.stats.answer_invalidations == 0
 
     def test_schema_violations_reject_the_whole_batch(self):
         live = IncrementalChase(example31_setting(), flights_instance())

@@ -94,21 +94,23 @@ class TestAnswersOver:
 
 
 class TestWholeRelationReads:
-    def test_reachable_many_keeps_source_order_and_absent_sources(self, graph, engine):
-        expr = parse_nre("a . a")
-        answers = engine.reachable_many(graph, expr, ["x", "zz", "u", "x"])
-        assert list(answers) == ["x", "zz", "u"]
-        assert answers == {"x": {"v"}, "zz": frozenset(), "u": {"w"}}
-
-    def test_cached_sources_evaluate_no_relation(self, graph):
+    def test_answers_over_caches_its_answers_not_source_sets(self, graph):
+        """One relation per (graph, expr, domain); ``reachable`` later searches."""
         stats = EvalStats()
         engine = QueryEngine(stats=stats)
         expr = parse_nre("a*")
-        engine.answers_over(graph, expr, {"u", "w"})
-        engine.reachable_many(graph, expr, ["u", "w"])
-        assert engine.reachable(graph, expr, "u") == {"u", "v", "w"}
+        for _ in range(2):
+            assert engine.answers_over(graph, expr, {"u", "w"}) == {
+                ("u", "u"), ("u", "w"), ("w", "w")
+            }
         assert stats.relations_evaluated == 1
-        assert stats.automata_compiled == 0
+        assert engine.answers_over(graph, expr, ["v", "w"]) == {
+            ("v", "v"), ("v", "w"), ("w", "w")
+        }
+        assert stats.relations_evaluated == 2
+        assert stats.batched_source_queries == 6
+        assert engine.reachable(graph, expr, "u") == {"u", "v", "w"}
+        assert stats.automata_compiled == 1
 
     def test_reads_trace_relation_and_decode_spans(self, graph, engine):
         from repro import telemetry
@@ -122,8 +124,7 @@ class TestWholeRelationReads:
             telemetry.set_enabled(None)
         assert [child.name for child in root.children] == [
             "query.relation", "query.decode",  # pairs
-            "query.relation", "query.decode",  # reachable_many
-            "query.decode",  # the domain filter of answers_over
+            "query.relation", "query.decode",  # answers_over
         ]
 
 

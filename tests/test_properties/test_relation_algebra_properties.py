@@ -1,9 +1,9 @@
 """Differential properties of the successor-map relation algebra.
 
-Whole-relation reads — :meth:`~repro.engine.query.QueryEngine.pairs`,
-``reachable_many`` and ``answers_over`` — run the algebra of
-:mod:`repro.graph.eval`; single pairs and single sources run the product
-search of :mod:`repro.graph.automaton`.  Three partners that share no
+Whole-relation reads — :meth:`~repro.engine.query.QueryEngine.pairs` and
+``answers_over`` — run the algebra of :mod:`repro.graph.eval`; single
+pairs and single sources run the product search of
+:mod:`repro.graph.automaton`.  Three partners that share no
 code must agree on every read:
 
 * the algebra (through the engine, and :func:`evaluate_relation` with a
@@ -15,6 +15,9 @@ code must agree on every read:
 Expressions are built from the raw AST constructors, so the shapes the
 smart constructors would simplify away — ε, nested stars, unions with ε,
 nests inside stars, backward labels — reach the evaluators as written.
+Pinned examples put ``r* · s`` over a graph whose condensation chains
+multi-node components, once for each shape that carries ``⟦s⟧`` up the
+condensation and once for each right side that keeps the closure.
 Graphs are read as built (with removed edges, whose emptied index rows
 stay behind), frozen, and reloaded from a snapshot.  Source sets and
 domains include nodes absent from the graph.
@@ -124,6 +127,40 @@ CYCLE = GraphDatabase(
     edges=[("n0", "a", "n1"), ("n1", "a", "n2"), ("n2", "a", "n0"),
            ("n2", "b", "n3"), ("n3", "c", "n3"), ("n1", "b", "n1")]
 )
+WALK_SHAPES = [  # r* · s with ⟦s⟧ not reflexive: carried up the condensation
+    Concat(Star(Label("a")), Label("b")),
+    Concat(Star(Backward("a")), Label("b")),
+    Concat(Star(Union(Label("a"), Label("b"))), Label("c")),
+    Star(Concat(Star(Label("a")), Label("b"))),
+]
+CLOSURE_SHAPES = [  # r* · s whose right side keeps the closure
+    Concat(Star(Label("a")), Star(Label("b"))),
+    Concat(Star(Label("a")), Epsilon()),
+    Concat(Star(Label("a")), Nest(Label("b"))),
+]
+# Under a (and a-) the components {n0, n1} and {n2, n3} chain into the
+# sink n4; under a + b, n0..n4 are one component.  Every member has its
+# own b and c rows, so each row and each carried set shows in an answer.
+CONDENSED = GraphDatabase(
+    edges=[("n0", "a", "n1"), ("n1", "a", "n0"), ("n1", "a", "n2"),
+           ("n2", "a", "n3"), ("n3", "a", "n2"), ("n3", "a", "n4"),
+           ("n0", "b", "n5"), ("n1", "b", "n6"), ("n2", "b", "n0"),
+           ("n3", "b", "n6"), ("n4", "b", "n1"),
+           ("n0", "c", "n3"), ("n1", "c", "n4"), ("n2", "c", "n6"),
+           ("n3", "c", "n5"), ("n5", "c", "n5")]
+)
+
+
+def condensation_examples(*probe_lists):
+    """Pin every r* · s shape on ``CONDENSED``, with each probe list if any."""
+    extras = [(probe_list,) for probe_list in probe_lists] or [()]
+
+    def decorate(test):
+        for expr in WALK_SHAPES + CLOSURE_SHAPES:
+            for extra in extras:
+                test = example(CONDENSED, expr, *extra)(test)
+        return test
+    return decorate
 
 
 class TestThreeWayDifferential:
@@ -133,6 +170,7 @@ class TestThreeWayDifferential:
     @example(CYCLE, STAR_SHAPES[1])
     @example(CYCLE, STAR_SHAPES[2])
     @example(CYCLE, STAR_SHAPES[3])
+    @condensation_examples()
     def test_pairs(self, graph, expr):
         expected = oracle_pairs(graph, expr)
         for name, form in forms(graph):
@@ -143,18 +181,20 @@ class TestThreeWayDifferential:
     @given(graphs(), nres, probes)
     @example(CYCLE, STAR_SHAPES[4], ["n0", "ghost"])
     @example(CYCLE, STAR_SHAPES[5], ["n3", 7, "n2"])
-    def test_reachable_many(self, graph, expr, sources):
+    def test_reachable(self, graph, expr, sources):
         relation = oracle_pairs(graph, expr)
         expected = {s: oracle_targets(relation, s) for s in sources}
         for name, form in forms(graph):
-            assert QueryEngine().reachable_many(form, expr, sources) == expected, name
+            engine = QueryEngine()
             for source in sources:
+                assert engine.reachable(form, expr, source) == expected[source], name
                 found = automaton_reachable(form, expr, source)
                 assert found == expected[source], (name, source)
 
     @settings(max_examples=120, deadline=None)
     @given(graphs(), nres, probes)
     @example(CYCLE, STAR_SHAPES[3], ["n0", "n1", "n3", "ghost"])
+    @condensation_examples(["n0", "n2", "n4", "n5", "n6", "ghost"])
     def test_answers_over(self, graph, expr, domain):
         members = set(domain)
         expected = frozenset(
@@ -166,6 +206,7 @@ class TestThreeWayDifferential:
 
     @settings(max_examples=80, deadline=None)
     @given(graphs(), nres, probes)
+    @condensation_examples(["n0", "n4", "ghost"], ["n2", "n5"], ["n3", "n6"])
     def test_restricted_relation_rows(self, graph, expr, sources):
         """Pushing sources into the leftmost operand keeps their rows exact."""
         relation = oracle_pairs(graph, expr)
@@ -174,21 +215,21 @@ class TestThreeWayDifferential:
         assert rows == {s: oracle_targets(relation, s) for s in present}
 
     @settings(max_examples=60, deadline=None)
-    @given(graphs(), nres, probes)
-    def test_answers_over_fills_the_single_source_cache(self, graph, expr, domain):
-        """Later ``reachable``/``holds`` reads on the same graph hit the cache."""
+    @given(graphs(), nres)
+    def test_reads_after_pairs_use_the_cached_relation(self, graph, expr):
+        """``reachable`` and ``holds`` after ``pairs`` evaluate nothing new."""
         graph = rebuilt(graph)  # removals void the fingerprint the cache keys on
         relation = oracle_pairs(graph, expr)
         stats = EvalStats()
         engine = QueryEngine(stats=stats)
-        engine.answers_over(graph, expr, domain)
-        present = [s for s in domain if s in graph]
-        for source in present:
+        engine.pairs(graph, expr)
+        for source in graph.nodes():
             assert engine.reachable(graph, expr, source) == oracle_targets(relation, source)
             for target in NODES:
                 assert engine.holds(graph, expr, source, target) == (
                     (source, target) in relation
                 )
+        assert stats.relations_evaluated == 1
         assert stats.automata_compiled == 0
 
 
