@@ -112,6 +112,24 @@ class TestWholeRelationReads:
         assert engine.reachable(graph, expr, "u") == {"u", "v", "w"}
         assert stats.automata_compiled == 1
 
+    def test_reachable_after_pairs_answers_every_source_from_the_relation(
+        self, graph
+    ):
+        """Sources with no row, and sources outside V, read as empty."""
+        stats = EvalStats()
+        engine = QueryEngine(stats=stats)
+        expr = parse_nre("a . a")
+        assert engine.pairs(graph, expr) == {("u", "w"), ("x", "v")}
+        answers = {
+            source: engine.reachable(graph, expr, source)
+            for source in ["x", "zz", "v", "u", "x"]
+        }
+        assert answers == {
+            "x": {"v"}, "zz": frozenset(), "v": frozenset(), "u": {"w"}
+        }
+        assert stats.relations_evaluated == 1
+        assert stats.automata_compiled == 0
+
     def test_reads_trace_relation_and_decode_spans(self, graph, engine):
         from repro import telemetry
 
