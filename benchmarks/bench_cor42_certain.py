@@ -95,8 +95,8 @@ def test_certain_probe_shape_frozen(benchmark):
     ``a·a`` probed one pair at a time (``cert(r_ρ, (c1, c2))``), which is
     exactly the per-call pattern a certain-answer server runs against
     real chased graphs.  This bench measures that shape on a
-    deployment-scale random graph: a warm engine, one ``holds`` per
-    probe, interleaved medians.  Asserts the frozen graph's verdicts
+    deployment-scale random graph: one engine cleared per sweep, one
+    ``holds`` per probe, interleaved medians.  Asserts the frozen graph's verdicts
     identical to the dict graph's and reports both medians.
     """
     query = parse_nre("a . a")  # r_ρ, Corollary 4.2
@@ -117,11 +117,11 @@ def test_certain_probe_shape_frozen(benchmark):
 
         return run
 
-    verdicts = {name: sweep(name)() for name in graphs}  # also warms compiles
+    verdicts = {name: sweep(name)() for name in graphs}
     frozen_median, dict_median = ab_medians(sweep("frozen"), sweep("dict"), rounds=7)
     benchmark.pedantic(sweep("frozen"), rounds=5, iterations=1, warmup_rounds=1)
     report(
-        "E7b / certainty probe shape (single-pair a·a, frozen graph, warm)",
+        "E7b / certainty probe shape (single-pair a·a, frozen graph)",
         [
             ("holds probes per sweep", len(probes), len(verdicts["frozen"])),
             ("graph forms agree", True, verdicts["frozen"] == verdicts["dict"]),

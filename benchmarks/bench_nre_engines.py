@@ -1,13 +1,13 @@
 """E12 (ours) — NRE engine throughput and differential correctness.
 
-Ablation for the split-by-call-shape design: the successor-map relation
-algebra (:mod:`repro.graph.eval`, whole relations) vs the (ε-free,
-label-indexed) product-automaton evaluator (single pairs and sources) vs
-the full :class:`~repro.engine.query.QueryEngine` with its caches, on
-random graphs with the paper's query shape, on a chased medlit tenant and
-on a live ``IncrementalChase`` medlit tenant (the certain-answer read) —
-plus single-source and single-pair modes and an independent networkx
-cross-check for pure-star reachability.
+The successor-map relation algebra (:mod:`repro.graph.eval`) is the one
+NRE evaluator; it is timed bare and behind the full
+:class:`~repro.engine.query.QueryEngine` with its caches, on random
+graphs with the paper's query shape, on a chased medlit tenant and on a
+live ``IncrementalChase`` medlit tenant (the certain-answer read) — in
+whole-relation and single-pair modes (the pair's source pushed into the
+query) — plus an independent networkx cross-check for pure-star
+reachability.
 Every timed evaluator is asserted identical to the seed's set-algebraic
 pair-set oracle (``tests/oracles/reference_eval.py``).
 """
@@ -22,7 +22,6 @@ from oracles.reference_eval import evaluate_nre as reference_pairs
 from repro.chase.relational_chase import chase_relational
 from repro.engine.incremental import IncrementalChase
 from repro.engine.query import QueryEngine
-from repro.graph.automaton import evaluate_nre_automaton
 from repro.graph.eval import evaluate_nre
 from repro.graph.parser import parse_nre
 from repro.scenarios.generators import random_graph, random_nre
@@ -50,17 +49,6 @@ def test_recursive_evaluator_throughput(benchmark):
          ("answer pairs", "—", len(result))],
     )
     assert result == reference_pairs(graph, QUERY)
-    assert result == evaluate_nre_automaton(graph, QUERY)
-
-
-def test_automaton_evaluator_throughput(benchmark):
-    graph = flight_like_graph(40, 160, seed=1)
-    result = benchmark(lambda: evaluate_nre_automaton(graph, QUERY))
-    report(
-        "E12b / product-automaton evaluator",
-        [("answer pairs", "—", len(result))],
-    )
-    assert result == reference_pairs(graph, QUERY)
 
 
 def test_query_engine_all_pairs(benchmark):
@@ -82,7 +70,11 @@ def test_query_engine_all_pairs(benchmark):
 
 
 def test_query_engine_single_pair(benchmark):
-    """Single-pair mode — the is_certain_answer hot path — never all-pairs."""
+    """Single-pair mode — the is_certain_answer hot path — one row per source.
+
+    The cache is cleared per call, so each sweep evaluates the query's
+    unrestricted subexpressions once and then one row per probed source.
+    """
     graph = flight_like_graph(40, 160, seed=1)
     engine = QueryEngine()
     reference = reference_pairs(graph, QUERY)
@@ -106,11 +98,10 @@ def test_query_engine_single_pair(benchmark):
 def test_query_engine_frozen_single_pair(benchmark):
     """The single-pair hot path on a frozen graph vs its dict twin.
 
-    Warm steady state (automata compiled before the timed region): one
-    ``holds`` per probe through the one product search, which reads the
-    frozen graph's CSR views like the dict graph's indexes.  Asserts
-    verdicts identical to the reference evaluator on both graphs and
-    reports both medians.
+    One ``holds`` per probe through the relation algebra, which reads the
+    frozen graph's per-label indexes like the dict graph's; the cache is
+    cleared per sweep, as in E12f.  Asserts verdicts identical to the
+    reference evaluator on both graphs and reports both medians.
     """
     graph = flight_like_graph(40, 160, seed=1)
     graphs = {"frozen": graph.freeze(), "dict": graph}
@@ -129,11 +120,11 @@ def test_query_engine_frozen_single_pair(benchmark):
         return run
 
     expected = [(u, v) in reference for u, v in probes]
-    verdicts = {name: sweep(name)() for name in graphs}  # also warms compiles
+    verdicts = {name: sweep(name)() for name in graphs}
     frozen_median, dict_median = ab_medians(sweep("frozen"), sweep("dict"), rounds=5)
     benchmark.pedantic(sweep("frozen"), rounds=5, iterations=1, warmup_rounds=1)
     report(
-        "E12g / frozen-graph single-pair sweep (40 probes, warm)",
+        "E12g / frozen-graph single-pair sweep (40 probes)",
         [
             ("identical to reference", True,
              all(verdicts[name] == expected for name in graphs)),
@@ -156,8 +147,7 @@ def test_differential_sweep(benchmark):
             )
             expr = random_nre(depth=3, rng=rng)
             expected = reference_pairs(graph, expr)
-            if (evaluate_nre(graph, expr) != expected
-                    or evaluate_nre_automaton(graph, expr) != expected):
+            if evaluate_nre(graph, expr) != expected:
                 disagreements += 1
             cases += 1
         return cases, disagreements
@@ -201,10 +191,9 @@ def test_query_engine_whole_relation_medlit(benchmark):
     """Bulk's read shape: five ``pairs`` on a chased, frozen medlit 800 tenant.
 
     Whole relations run the successor-map algebra: one relation per
-    query, no automaton compiled, no nested test run (deterministic
-    counters, gated).  The timings of the algebra, the product search
-    run per source (``evaluate_nre_automaton``) and the pair-set oracle
-    are measured in interleaved rounds and reported, not gated.
+    query (a deterministic counter, gated).  The timings of the algebra
+    and the pair-set oracle are measured in interleaved rounds and
+    reported, not gated.
     """
     setting = scale_setting("medlit")
     instance = generate_instance(GeneratorConfig(family="medlit", nodes=800, seed=1))
@@ -222,13 +211,10 @@ def test_query_engine_whole_relation_medlit(benchmark):
         fresh = QueryEngine()
         return [fresh.pairs(frozen, query) for query in queries]
 
-    def product_search():
-        return [evaluate_nre_automaton(frozen, query) for query in queries]
-
     def oracle():
         return [reference_pairs(graph, query) for query in queries]
 
-    medians = ab_medians(algebra, product_search, oracle, rounds=5)
+    medians = ab_medians(algebra, oracle, rounds=5)
     benchmark.pedantic(algebra, rounds=5, iterations=1, warmup_rounds=1)
     report(
         "E12h / medlit 800 whole-relation reads (five pairs, frozen)",
@@ -236,17 +222,12 @@ def test_query_engine_whole_relation_medlit(benchmark):
             ("|V|, |E|", "—", f"{frozen.node_count()}, {frozen.edge_count()}"),
             ("identical to oracle", True, answers == expected),
             ("relations_evaluated", 5, stats.relations_evaluated),
-            ("automata_compiled", 0, stats.automata_compiled),
-            ("nested_tests", 0, stats.nested_tests),
             ("algebra median (ms)", "—", f"{medians[0] * 1000:.2f}"),
-            ("product search median (ms)", "—", f"{medians[1] * 1000:.2f}"),
-            ("pair-set oracle median (ms)", "—", f"{medians[2] * 1000:.2f}"),
+            ("pair-set oracle median (ms)", "—", f"{medians[1] * 1000:.2f}"),
         ],
     )
     assert answers == expected
     assert stats.relations_evaluated == 5
-    assert stats.automata_compiled == 0
-    assert stats.nested_tests == 0
 
 
 def test_query_engine_answers_medlit(benchmark):
@@ -292,7 +273,6 @@ def test_query_engine_answers_medlit(benchmark):
             ("identical to oracle", True, answers == expected),
             ("relations_evaluated", 5, stats.relations_evaluated),
             ("uncacheable_graphs", 5, stats.uncacheable_graphs),
-            ("automata_compiled", 0, stats.automata_compiled),
             ("answers_over median (ms)", "—", f"{medians[0] * 1000:.2f}"),
             ("pairs median (ms)", "—", f"{medians[1] * 1000:.2f}"),
             ("answers_over / pairs", "—", f"{medians[0] / medians[1]:.2f}"),
@@ -301,4 +281,3 @@ def test_query_engine_answers_medlit(benchmark):
     assert answers == expected
     assert stats.relations_evaluated == 5
     assert stats.uncacheable_graphs == 5
-    assert stats.automata_compiled == 0

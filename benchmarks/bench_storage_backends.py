@@ -1,8 +1,9 @@
 """Storage benchmarks: the closure micro, freeze cost and warm restarts.
 
-The bulk-traversal primitive of the whole stack — evaluate a compiled NRE
-over a chased-result-shaped graph — plus what the read-only copy and the
-snapshot store cost.  There is one NRE search and one graph storage; a
+The bulk-traversal primitive of the whole stack — evaluate an NRE from
+many sources over a chased-result-shaped graph — plus what the read-only
+copy and the snapshot store cost.  There is one NRE evaluator and one
+graph storage; a
 frozen graph is a read-only copy of it, so timing queries on it would
 time the same code twice.
 
@@ -64,8 +65,8 @@ def make_sweep(graph: GraphDatabase):
 
     ``QueryEngine.reachable`` memoises per (expr, source); benchmarking
     the memo would measure dictionary lookups, not traversal.  Each sweep
-    runs on a cleared cross-candidate cache so the product search really
-    executes.
+    runs on a cleared cross-candidate cache so every source's row really
+    is evaluated (the query's unrestricted subexpressions once per sweep).
     """
     engine = QueryEngine()
     expr = parse_nre(QUERY)

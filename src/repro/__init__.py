@@ -61,7 +61,6 @@ from repro.graph import (
     NRE,
     parse_nre,
     evaluate_nre,
-    evaluate_nre_automaton,
     CNREQuery,
     CNREAtom,
     evaluate_cnre,
@@ -132,7 +131,6 @@ __all__ = [
     "NRE",
     "parse_nre",
     "evaluate_nre",
-    "evaluate_nre_automaton",
     "CNREQuery",
     "CNREAtom",
     "evaluate_cnre",

@@ -404,9 +404,9 @@ def find_counterexample_solution(
     bounds (and existence settled): the pair is certain up to the bounds,
     exactly on the paper's families.
 
-    Each solution is probed with the engine's single-pair mode — an
-    early-exit product BFS — so deciding one tuple never materialises a
-    full all-pairs relation.  On the Theorem 4.1 fragment with
+    Each solution is probed with the engine's single-pair mode — the
+    relation algebra with the pair's source pushed into the query — so
+    deciding one tuple never decodes a full all-pairs relation.  On the Theorem 4.1 fragment with
     union-of-words queries the decision short-circuits to one *complete*
     incremental SAT probe (:func:`_sat_counterexample`) on the persistent
     per-universe solver and skips the enumeration entirely.

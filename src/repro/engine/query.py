@@ -1,20 +1,20 @@
-"""The NRE query engine: two evaluators, split by call shape.
+"""The NRE query engine: one evaluator, cached per graph.
 
-No single plan wins both whole-relation reads and single-pair decisions
-(Yakovets, Godfrey & Gryz, SIGMOD 2016), so :class:`QueryEngine` picks
-the evaluator by the shape of the call, with no cost model:
+Every read runs the successor-map algebra
+(:func:`repro.graph.eval.evaluate_relation`); :class:`QueryEngine` only
+picks what to cache by the shape of the call, with no cost model:
 
 * **whole relations** — :meth:`QueryEngine.pairs` and ``answers_over``
-  run the successor-map algebra
-  (:func:`repro.graph.eval.evaluate_relation`) once, unrestricted, and
-  decode it: ``pairs`` into the whole pair set, ``answers_over`` into
-  the pairs within its domain.  One span ``query.relation`` (the
-  algebra) and one ``query.decode`` (successor map → answers) time each
-  read;
+  evaluate the relation once, unrestricted, and decode it: ``pairs``
+  into the whole pair set, ``answers_over`` into the pairs within its
+  domain.  One span ``query.relation`` (the algebra) and one
+  ``query.decode`` (successor map → answers) time each read;
 * **one pair or one source** — :meth:`QueryEngine.holds` and
-  ``reachable`` run the early-exit product BFS over the NRE's compiled
-  automaton (:func:`repro.graph.automaton.compile_nre`, once per engine),
-  unless a cached ``pairs`` answers them: ``reachable`` groups that pair
+  ``reachable`` push the source into the expression's leftmost operand,
+  so only that source's row is built.  The unrestricted subexpression
+  relations it needs (a star's body, a concatenation's right side, a
+  nested test) are kept per graph and shared by every later probe.  A
+  cached ``pairs`` answers them instead: ``reachable`` groups that pair
   set by source once per graph and expression;
 * **share across candidates** — results are cached per graph *content*,
   keyed on the :meth:`~repro.graph.database.GraphDatabase.fingerprint`,
@@ -31,6 +31,8 @@ the evaluator by the shape of the call, with no cost model:
 True
 >>> engine.stats.all_pairs_queries, engine.stats.single_pair_queries
 (1, 1)
+>>> engine.stats.relations_evaluated
+2
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ from collections import OrderedDict
 from dataclasses import dataclass, fields
 from typing import Hashable, Iterable
 
-from repro.graph.automaton import NREAutomaton, _Runner, compile_nre
 from repro.graph.database import Fingerprint, GraphDatabase
 from repro.graph.eval import Relation, evaluate_relation
 from repro.graph.nre import NRE
@@ -69,22 +70,10 @@ class EvalStats:
     """Domain sources answered by ``answers_over``'s one evaluation each."""
 
     single_pair_queries: int = 0
-    """Single-pair (early-exit) decisions requested."""
+    """Single-pair decisions requested."""
 
     relations_evaluated: int = 0
-    """Whole relations evaluated by the successor-map algebra."""
-
-    automata_compiled: int = 0
-    """Distinct NREs this engine compiled (cache-miss compilations)."""
-
-    automaton_states: int = 0
-    """Total Thompson states across those compiled automata."""
-
-    nested_tests: int = 0
-    """Nested ``[·]`` test evaluations actually run."""
-
-    nested_test_cache_hits: int = 0
-    """Nested test answers served from a runner's memo table."""
+    """Reads evaluated by the algebra (whole, or one source's row)."""
 
     graph_cache_hits: int = 0
     """Queries that found their graph's state in the cross-candidate cache."""
@@ -111,45 +100,44 @@ class EvalStats:
 
 
 class _GraphState:
-    """Per-graph evaluation state: one runner plus four result caches."""
+    """Per-graph state: shared subexpression relations plus three result caches."""
 
-    __slots__ = ("graph", "runner", "pairs", "answers", "reach", "holds")
+    __slots__ = ("graph", "relations", "pairs", "answers", "reach")
 
-    def __init__(self, graph: GraphDatabase, stats: EvalStats):
+    def __init__(self, graph: GraphDatabase):
         self.graph = graph
-        self.runner = _Runner(graph, stats)
+        # Unrestricted subexpression relations, shared by every probe.
+        self.relations: dict[NRE, Relation] = {}
         self.pairs: dict[NRE, PairSet] = {}
         # expr → domain → answers_over's pairs within domain × domain.
         self.answers: dict[NRE, dict[frozenset[Node], PairSet]] = {}
         # expr → source → targets: the expression is hashed once per read.
         self.reach: dict[NRE, dict[Node, frozenset[Node]]] = {}
-        # expr → (source, target) → verdict, keyed expression-first too.
-        self.holds: dict[NRE, dict[tuple[Node, Node], bool]] = {}
 
     def rebind(self, graph: GraphDatabase) -> None:
-        """Point the runner at ``graph`` (same content, different object).
+        """Read ``graph`` (same content, different object) from now on.
 
         Cached states outlive the graph object they were built from; when a
-        content-equal graph hits the cache, rebinding guarantees the runner
+        content-equal graph hits the cache, rebinding guarantees the state
         reads a graph that *currently* matches the fingerprint (the original
-        object could have been destructively mutated since).  A state whose
-        graph is *frozen* never rebinds: frozen graphs cannot drift from
-        their fingerprint, so the state keeps reading the frozen graph.
+        object could have been destructively mutated since).  The
+        subexpression relations go too: label relations share the old
+        object's index sets.  A state whose graph is *frozen* never
+        rebinds: frozen graphs cannot drift from their fingerprint, so the
+        state keeps reading the frozen graph.
         """
         if self.graph is not graph and not self.graph.is_frozen:
             self.graph = graph
-            self.runner.rebind(graph)
+            self.relations.clear()
 
 
 class QueryEngine:
-    """Compiled, memoising NRE evaluation over many graphs.
+    """Memoising NRE evaluation over many graphs.
 
-    ``max_graphs`` bounds the cross-candidate cache (LRU eviction); the
-    per-expression automaton table is unbounded but tiny (one entry per
-    distinct query/subexpression ever evaluated).
+    ``max_graphs`` bounds the cross-candidate cache (LRU eviction).
 
     Graphs evaluate as handed in: mutable, frozen and snapshot-loaded
-    graphs keep the same per-label indexes, which both evaluators read.
+    graphs keep the same per-label indexes, which the algebra reads.
 
     ``backend`` is a retired keyword kept as a shim: ``"dict"`` and
     ``"csr"`` are accepted and change nothing, any other value raises
@@ -172,7 +160,6 @@ class QueryEngine:
             )
         self.stats = stats if stats is not None else EvalStats()
         self.max_graphs = max_graphs
-        self._automata: dict[NRE, NREAutomaton] = {}
         self._cache: OrderedDict[Fingerprint, _GraphState] = OrderedDict()
 
     # ------------------------------------------------------------------ #
@@ -197,31 +184,16 @@ class QueryEngine:
         self.stats.single_source_queries += 1
         if source not in graph:
             return frozenset()
-        state = self._state(graph)
-        reach = state.reach.setdefault(expr, {})
-        cached = reach.get(source)
-        if cached is not None:
-            return cached
-        pairs = state.pairs.get(expr)
-        if pairs is None:
-            cached = state.runner.reachable(self._automaton(expr).compiled(), source)
-            reach[source] = cached
-            return cached
-        # Group the cached relation by source once: every node gets a row.
-        rows: dict[Node, list[Node]] = {}
-        for u, v in pairs:
-            rows.setdefault(u, []).append(v)
-        reach.update(dict.fromkeys(state.graph.nodes(), frozenset()))
-        reach.update((u, frozenset(targets)) for u, targets in rows.items())
-        return reach[source]
+        return self._reach(self._state(graph), expr, source)
 
     def holds(
         self, graph: GraphDatabase, expr: NRE, source: Node, target: Node
     ) -> bool:
-        """Decide ``(source, target) ∈ ⟦expr⟧_graph`` with early exit.
+        """Decide ``(source, target) ∈ ⟦expr⟧_graph``.
 
         Consults the all-pairs and single-source caches first, so a pair
-        already implied by broader cached work costs one dictionary lookup.
+        already implied by broader cached work costs one dictionary lookup;
+        otherwise the source's targets are evaluated once and cached.
         """
         self.stats.single_pair_queries += 1
         if source not in graph or target not in graph:
@@ -230,18 +202,7 @@ class QueryEngine:
         pairs = state.pairs.get(expr)
         if pairs is not None:
             return (source, target) in pairs
-        reach = state.reach.get(expr, {}).get(source)
-        if reach is not None:
-            return target in reach
-        memo = state.holds.get(expr)
-        if memo is None:
-            memo = state.holds[expr] = {}
-        cached = memo.get((source, target))
-        if cached is None:
-            cached = memo[source, target] = state.runner.holds(
-                self._automaton(expr).compiled(), source, target
-            )
-        return cached
+        return target in self._reach(state, expr, source)
 
     def answers_over(
         self, graph: GraphDatabase, expr: NRE, domain: Iterable[Node]
@@ -276,21 +237,34 @@ class QueryEngine:
         with span("query.relation"):
             return evaluate_relation(graph, expr)
 
-    def _automaton(self, expr: NRE) -> NREAutomaton:
-        automaton = self._automata.get(expr)
-        if automaton is None:
-            automaton = self._automata[expr] = compile_nre(expr)
-            self.stats.automata_compiled += 1
-            self.stats.automaton_states += automaton.state_count
-        return automaton
+    def _reach(
+        self, state: _GraphState, expr: NRE, source: Node
+    ) -> frozenset[Node]:
+        """The targets of ``source``, a node of the state's graph."""
+        reach = state.reach.setdefault(expr, {})
+        cached = reach.get(source)
+        if cached is not None:
+            return cached
+        pairs = state.pairs.get(expr)
+        if pairs is None:
+            self.stats.relations_evaluated += 1
+            relation = evaluate_relation(state.graph, expr, {source}, state.relations)
+            cached = reach[source] = relation.targets((source,))[source]
+            return cached
+        # Group the cached relation by source once: every node gets a row.
+        rows: dict[Node, list[Node]] = {}
+        for u, v in pairs:
+            rows.setdefault(u, []).append(v)
+        reach.update(dict.fromkeys(state.graph.nodes(), frozenset()))
+        reach.update((u, frozenset(targets)) for u, targets in rows.items())
+        return reach[source]
 
     def _state(self, graph: GraphDatabase) -> _GraphState:
         token = graph.fingerprint()
         if token is None:
-            # Destructively-mutated graph: evaluate with a transient state
-            # (nested-test memoisation still applies within one query).
+            # Destructively-mutated graph: evaluate with a transient state.
             self.stats.uncacheable_graphs += 1
-            return _GraphState(graph, self.stats)
+            return _GraphState(graph)
         state = self._cache.get(token)
         if state is not None:
             self._cache.move_to_end(token)
@@ -298,14 +272,14 @@ class QueryEngine:
             state.rebind(graph)
             return state
         self.stats.graph_cache_misses += 1
-        state = _GraphState(graph, self.stats)
+        state = _GraphState(graph)
         self._cache[token] = state
         while len(self._cache) > self.max_graphs:
             self._cache.popitem(last=False)
         return state
 
     def clear(self) -> None:
-        """Drop all per-graph state (the automaton table survives)."""
+        """Drop all per-graph state."""
         self._cache.clear()
 
 

@@ -10,9 +10,8 @@ This package implements the *target* side of the exchange setting
 * :func:`~repro.graph.parser.parse_nre` — concrete syntax, e.g.
   ``"f . f*[h] . f- . (f-)*"``;
 * :mod:`repro.graph.eval` — relation-at-a-time evaluation of
-  ``⟦r⟧_G ⊆ V × V`` over successor maps (whole-relation reads);
-* :mod:`repro.graph.automaton` — the independent product-automaton
-  evaluator (single-pair and single-source reads, early exit);
+  ``⟦r⟧_G ⊆ V × V`` over successor maps (whole relations, and single
+  sources pushed into the leftmost operand);
 * :mod:`repro.graph.cnre` — conjunctions of NREs (CNRE) with variables, the
   paper's target query language, plus homomorphism-based evaluation;
 * :mod:`repro.graph.witness` — extraction of concrete witness trees proving
@@ -54,14 +53,6 @@ from repro.graph.nre import (
 )
 from repro.graph.parser import parse_nre
 from repro.graph.eval import evaluate_nre, nre_pairs, nre_reachable, nre_holds
-from repro.graph.automaton import (
-    CompiledAutomaton,
-    NREAutomaton,
-    automaton_holds,
-    automaton_reachable,
-    compile_nre,
-    evaluate_nre_automaton,
-)
 from repro.graph.cnre import CNREAtom, CNREQuery, evaluate_cnre, cnre_homomorphisms
 from repro.graph.witness import witness_tree, materialize_witness, WitnessTree
 from repro.graph.classes import (
@@ -114,12 +105,6 @@ __all__ = [
     "nre_pairs",
     "nre_reachable",
     "nre_holds",
-    "NREAutomaton",
-    "CompiledAutomaton",
-    "compile_nre",
-    "evaluate_nre_automaton",
-    "automaton_reachable",
-    "automaton_holds",
     "CNREAtom",
     "CNREQuery",
     "evaluate_cnre",

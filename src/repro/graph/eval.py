@@ -5,19 +5,22 @@ semantics of [5] (see :mod:`repro.graph.nre`).  A :class:`Relation` is a
 successor map ``node → set of nodes`` plus a flag for the identity on
 ``V``; it becomes a set of pairs only when decoded.  ``a`` and ``a⁻`` are
 the graph's own per-label indexes, read without a copy; ``r · s`` is one
-set union per source over the map of ``s``; ``[r]`` is a semi-join with
-the domain of ``⟦r⟧``.  One Tarjan walk over the nodes of ``⟦r⟧`` serves
-both ``r*`` and ``r* · s``: it carries a set up the condensation, seeded
-per component by its members for ``r*`` (the reflexive part left to the
-flag) and by their rows of ``⟦s⟧`` for ``r* · s`` when ``⟦s⟧`` is not
-reflexive, so that read builds no reach set.  The other right sides
-keep the closure: ``r* · s*`` and ``r* · ()`` compose it, ``r* · [t]``
-semi-joins it.  An optional source set is pushed into the leftmost
-operand, so a read of some sources restricts early.
+set union per source over the map of ``s``, which for ``r · s*`` skips
+the middles the row already holds (``⟦s*⟧`` is transitive); ``[r]`` is a
+semi-join with the domain of ``⟦r⟧``.  One Tarjan walk over the nodes of
+``⟦r⟧`` serves both ``r*`` and ``r* · s``: it carries a set up the
+condensation, seeded per component by its members for ``r*`` (the
+reflexive part left to the flag) and by their rows of ``⟦s⟧`` for
+``r* · s`` when ``⟦s⟧`` is not reflexive, so that read builds no reach
+set.  The other right sides keep the closure: ``r* · s*`` and ``r* · ()``
+compose it, ``r* · [t]`` semi-joins it.  An optional source set is pushed
+into the leftmost operand, so a read of some sources restricts early.
 
-This serves whole-relation reads (:meth:`~repro.engine.query.QueryEngine.pairs`
-and ``answers_over``); the product search of :mod:`repro.graph.automaton`
-answers single pairs and sources, where it can stop early.
+This is the one NRE evaluator: it serves whole-relation reads
+(:meth:`~repro.engine.query.QueryEngine.pairs` and ``answers_over``) and,
+with one source pushed in, single sources and pairs (``reachable`` and
+``holds``), whose shared ``cache`` keeps the unrestricted subexpression
+relations across probes.
 """
 
 from __future__ import annotations
@@ -142,7 +145,7 @@ def evaluate_relation(
                 result = Relation(succ)
             else:
                 left = evaluate_relation(graph, expr.left, sources, cache)
-                result = _compose(left, right, sources)
+                result = _compose(left, right, sources, isinstance(expr.right, Star))
     elif isinstance(expr, Star):
         inner = evaluate_relation(graph, expr.inner, None, cache)
         result = Relation(_closure(inner.succ, sources), reflexive=True)
@@ -188,11 +191,27 @@ def _merge(succ: dict[Node, set[Node]], rows: Rows) -> dict[Node, set[Node]]:
     return succ
 
 
-def _compose(left: Relation, right: Relation, sources: Sources) -> Relation:
-    """``left ; right`` over the rows of ``sources`` (``right`` unrestricted)."""
+def _compose(
+    left: Relation, right: Relation, sources: Sources, closed: bool = False
+) -> Relation:
+    """``left ; right`` over the rows of ``sources`` (``right`` unrestricted).
+
+    ``closed`` marks ``right`` as a closure ``⟦s*⟧``, reflexive and
+    transitive: a middle already in the row brings nothing new, so its
+    set is not unioned again.
+    """
     succ: dict[Node, set[Node]] = {}
     step = right.succ.get
     for source, middles in _rows(left.succ, sources):
+        if closed:
+            row: set[Node] = set()
+            for middle in middles:
+                if middle not in row:
+                    row.add(middle)
+                    row.update(step(middle, ()))
+            if row:
+                succ[source] = row
+            continue
         parts = [targets for middle in middles if (targets := step(middle))]
         if right.reflexive and middles:
             parts.append(middles)

@@ -61,6 +61,26 @@ class NRE:
     def __str__(self) -> str:  # pragma: no cover - abstract
         raise NotImplementedError
 
+    def __getstate__(self) -> dict:
+        # The memoised hash of a compound node is salted per process
+        # (PYTHONHASHSEED); it must never survive pickling.
+        state = self.__dict__.copy()
+        state.pop("_hash", None)
+        return state
+
+
+def _memoised_hash(node: NRE) -> int:
+    """The hash of a compound node's children, computed once per node.
+
+    Subexpression caches hash an expression on every lookup, and the
+    generated dataclass hash would rehash the whole subtree each time.
+    """
+    cached = node.__dict__.get("_hash")
+    if cached is None:
+        cached = hash(node.children())
+        object.__setattr__(node, "_hash", cached)
+    return cached
+
 
 @dataclass(frozen=True)
 class Epsilon(NRE):
@@ -97,6 +117,8 @@ class Union(NRE):
     left: NRE
     right: NRE
 
+    __hash__ = _memoised_hash
+
     def children(self) -> tuple[NRE, ...]:
         """The two disjuncts."""
         return (self.left, self.right)
@@ -112,6 +134,8 @@ class Concat(NRE):
     left: NRE
     right: NRE
 
+    __hash__ = _memoised_hash
+
     def children(self) -> tuple[NRE, ...]:
         """The two concatenands, in order."""
         return (self.left, self.right)
@@ -125,6 +149,8 @@ class Star(NRE):
     """Kleene star ``r*``: reflexive-transitive closure of ``⟦r⟧``."""
 
     inner: NRE
+
+    __hash__ = _memoised_hash
 
     def children(self) -> tuple[NRE, ...]:
         """The starred body."""
@@ -142,6 +168,8 @@ class Nest(NRE):
     """Nesting ``[r]``: ``⟦[r]⟧ = {(u, u) | ∃v. (u, v) ∈ ⟦r⟧}``."""
 
     inner: NRE
+
+    __hash__ = _memoised_hash
 
     def children(self) -> tuple[NRE, ...]:
         """The nested-test body."""

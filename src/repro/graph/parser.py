@@ -147,9 +147,9 @@ def parse_nre(text: str) -> NRE:
     """Parse the concrete NRE syntax into an AST (memoised per string).
 
     NRE nodes are immutable values, so re-parsing the same text can share
-    one AST; the identical object then keys the downstream automaton
-    compilation cache (:func:`repro.graph.automaton.compile_nre`) by both
-    identity and value.  The syntax round-trips: ``parse_nre(str(e)) == e``
+    one AST; the identical object then keys the query engine's caches
+    (:class:`repro.engine.query.QueryEngine`) by both identity and value.
+    The syntax round-trips: ``parse_nre(str(e)) == e``
     for every AST ``e`` built from the smart constructors (pinned by the
     property suite), so caches keyed on parsed NREs hit no matter whether
     the expression arrived as text or was printed and re-read.

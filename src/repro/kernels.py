@@ -4,7 +4,7 @@ from __future__ import annotations
 
 
 def resolve_kernel(kernel: None = None) -> str:
-    """Name the NRE search: always ``"dict"``, the one product search.
+    """Name the NRE search: always ``"dict"``, the one relation algebra.
 
     A shim for ``perfbench/run.py``, which prints it in its ``config:``
     line.  It goes with the ROADMAP benchmark-upkeep change, which stops

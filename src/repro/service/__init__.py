@@ -1,9 +1,9 @@
 """The serving layer: a persistent process that amortizes everything.
 
-The library's hot paths are already cached aggressively — compiled NRE
-automata (in-process ``lru_cache``), per-universe incremental SAT
-solvers (:mod:`repro.core.satpipeline`), and the query engine's
-cross-candidate answer cache.  But a one-shot CLI throws all of that away
+The library's hot paths are already cached aggressively — parsed NREs
+(in-process ``lru_cache``), per-universe incremental SAT solvers
+(:mod:`repro.core.satpipeline`), and the query engine's cross-candidate
+answer and relation caches.  But a one-shot CLI throws all of that away
 after every invocation.  This package keeps it alive:
 
 * :mod:`repro.service.protocol` — the typed JSON-lines request/response
@@ -14,7 +14,7 @@ after every invocation.  This package keeps it alive:
   cancellation, and serving telemetry;
 * :mod:`repro.service.workers`  — the request executor: a
   ``ProcessPoolExecutor`` pool whose worker processes each keep their own
-  warm solver pipelines and automaton caches across requests;
+  warm solver pipelines and query-engine caches across requests;
 * :mod:`repro.service.server`   — the asyncio JSON-lines TCP server tying
   the pieces together (accept → validate → cache probe → worker →
   respond);

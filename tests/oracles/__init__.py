@@ -10,8 +10,7 @@ so no user-settable option can select it:
   against :class:`repro.solver.cdcl.CDCLSolver`;
 * :mod:`oracles.reference_eval` — the seed's set-algebraic pair-set
   evaluator (:func:`~oracles.reference_eval.evaluate_nre`), against the
-  successor-map algebra :mod:`repro.graph.eval` and the product search
-  :mod:`repro.graph.automaton`;
+  successor-map algebra :mod:`repro.graph.eval`;
 * :mod:`oracles.reference_engine` — :class:`ReferenceEngine`, that
   evaluator behind the :class:`repro.engine.query.QueryEngine` interface;
 * :mod:`oracles.sameas_journal` — :func:`saturate_journal`, the

@@ -5,9 +5,8 @@ to the semantics of [5] (see :mod:`repro.graph.nre`) as the definitions
 read: unions and compositions of pair sets, and a BFS-per-node
 reflexive-transitive closure for Kleene stars.
 
-It shares no code with the library's two evaluators — the successor-map
-algebra (:mod:`repro.graph.eval`) and the product search
-(:mod:`repro.graph.automaton`) — so either can be checked against it.
+It shares no code with the library's evaluator, the successor-map
+algebra (:mod:`repro.graph.eval`), so that can be checked against it.
 :class:`oracles.reference_engine.ReferenceEngine` puts it behind the
 :class:`~repro.engine.query.QueryEngine` interface.
 """

@@ -5,8 +5,8 @@ import pytest
 from oracles import ReferenceEngine
 from oracles.reference_eval import evaluate_nre
 from repro.engine.query import EvalStats, QueryEngine, default_engine
-from repro.graph.automaton import automaton_holds, compile_nre
 from repro.graph.database import GraphDatabase
+from repro.graph.eval import nre_holds, nre_reachable
 from repro.graph.parser import parse_nre
 
 
@@ -71,10 +71,8 @@ class TestAbsentNodes:
         assert not engine.holds(graph, expr, "zz", "zz")
         assert not engine.holds(graph, expr, "u", "zz")
 
-    def test_automaton_reachable_matches(self, graph):
-        from repro.graph.automaton import automaton_reachable
-
-        assert automaton_reachable(graph, parse_nre("a*"), "zz") == frozenset()
+    def test_nre_reachable_matches(self, graph):
+        assert nre_reachable(graph, parse_nre("a*"), "zz") == frozenset()
 
 
 class TestAnswersOver:
@@ -95,7 +93,7 @@ class TestAnswersOver:
 
 class TestWholeRelationReads:
     def test_answers_over_caches_its_answers_not_source_sets(self, graph):
-        """One relation per (graph, expr, domain); ``reachable`` later searches."""
+        """One relation per (graph, expr, domain); ``reachable`` evaluates its row."""
         stats = EvalStats()
         engine = QueryEngine(stats=stats)
         expr = parse_nre("a*")
@@ -110,7 +108,8 @@ class TestWholeRelationReads:
         assert stats.relations_evaluated == 2
         assert stats.batched_source_queries == 6
         assert engine.reachable(graph, expr, "u") == {"u", "v", "w"}
-        assert stats.automata_compiled == 1
+        assert stats.relations_evaluated == 3
+        assert stats.single_source_queries == 1
 
     def test_reachable_after_pairs_answers_every_source_from_the_relation(
         self, graph
@@ -128,7 +127,7 @@ class TestWholeRelationReads:
             "x": {"v"}, "zz": frozenset(), "v": frozenset(), "u": {"w"}
         }
         assert stats.relations_evaluated == 1
-        assert stats.automata_compiled == 0
+        assert stats.single_source_queries == 5
 
     def test_reads_trace_relation_and_decode_spans(self, graph, engine):
         from repro import telemetry
@@ -176,6 +175,32 @@ class TestCrossCandidateCache:
         fresh = GraphDatabase(edges=[("u", "a", "v")])
         assert engine.pairs(fresh, expr) == {("u", "v")}
 
+    def test_rebind_drops_relations_of_a_mutated_graph(self, engine):
+        """A content-equal graph never reads the cached state's old indexes.
+
+        Probes cache the label relations of ``a*[b]`` (the star's body and
+        the nested test), which share the first graph's index sets.  That
+        graph is then mutated in place; a fresh graph with its original
+        content hits the cached state and must answer from its own indexes.
+        """
+        edges = [("u", "a", "v"), ("v", "a", "w"), ("w", "b", "x"), ("v", "b", "x")]
+        expr = parse_nre("a*[b]")
+        first = GraphDatabase(edges=edges)
+        assert engine.reachable(first, expr, "u") == {"v", "w"}
+        first.remove_edge("v", "a", "w")
+        first.rename_node("x", "y")
+        first.remove_edge("v", "b", "y")
+        assert first.fingerprint() is None
+        second = GraphDatabase(edges=edges)
+        hits = engine.stats.graph_cache_hits
+        reference = evaluate_nre(second, expr)
+        for u in second.nodes():
+            expected = frozenset(v for s, v in reference if s == u)
+            assert engine.reachable(second, expr, u) == expected, u
+            for v in second.nodes():
+                assert engine.holds(second, expr, u, v) == ((u, v) in reference)
+        assert engine.stats.graph_cache_hits > hits
+
     def test_append_only_growth_changes_fingerprint(self, engine):
         expr = parse_nre("a")
         g = GraphDatabase(edges=[("u", "a", "v")])
@@ -197,31 +222,30 @@ class TestStats:
         engine = QueryEngine(stats=stats)
         expr = parse_nre("a*[b]")
         engine.pairs(graph, expr)
-        # A whole relation runs the algebra: no automaton, no nested test.
         assert stats.relations_evaluated == 1
-        assert stats.automata_compiled == 0
-        assert stats.nested_tests == 0
         engine.holds(graph, expr, "u", "v")  # served by the cached relation
+        assert stats.relations_evaluated == 1
         single = parse_nre("a[b]")
-        engine.holds(graph, single, "u", "v")  # the product search
+        engine.holds(graph, single, "u", "v")  # the source's row
         assert stats.all_pairs_queries == 1
         assert stats.single_pair_queries == 2
-        assert stats.automata_compiled == 1
-        assert stats.automaton_states == compile_nre(single).state_count
-        assert stats.nested_tests > 0
+        assert stats.single_source_queries == 0
+        assert stats.relations_evaluated == 2
         assert "all_pairs_queries=1" in stats.summary()
 
-    def test_nested_test_memoisation(self, graph):
+    def test_probes_share_subexpression_relations(self, graph):
+        """One row per source; the star's body and the test are evaluated once."""
         stats = EvalStats()
         engine = QueryEngine(stats=stats)
         expr = parse_nre("a*[b]")
         for node in graph.nodes():
             engine.reachable(graph, expr, node)
-        # Every node is tested at most once; repeats hit the memo table.
-        assert stats.nested_tests <= graph.node_count()
+        assert stats.relations_evaluated == graph.node_count()
+        [state] = engine._cache.values()
+        assert set(state.relations) == {parse_nre("a"), parse_nre("b")}
 
 
-class TestSinglePairEarlyExit:
+class TestSinglePair:
     def test_holds_uses_cached_broader_results(self, graph):
         stats = EvalStats()
         engine = QueryEngine(stats=stats)
@@ -229,10 +253,21 @@ class TestSinglePairEarlyExit:
         engine.pairs(graph, expr)
         assert engine.holds(graph, expr, "u", "w")  # via the pairs cache
         assert engine.holds(graph, expr, "u", "u") is False
+        assert stats.relations_evaluated == 1
 
-    def test_automaton_holds_function(self, graph):
-        assert automaton_holds(graph, parse_nre("a . a"), "u", "w")
-        assert not automaton_holds(graph, parse_nre("a . a"), "w", "u")
+    def test_holds_evaluates_each_source_once(self, graph):
+        stats = EvalStats()
+        engine = QueryEngine(stats=stats)
+        expr = parse_nre("a . a")
+        verdicts = {v: engine.holds(graph, expr, "u", v) for v in graph.nodes()}
+        assert {v for v, verdict in verdicts.items() if verdict} == {"w"}
+        assert stats.single_pair_queries == graph.node_count()
+        assert stats.single_source_queries == 0
+        assert stats.relations_evaluated == 1
+
+    def test_nre_holds_function(self, graph):
+        assert nre_holds(graph, parse_nre("a . a"), "u", "w")
+        assert not nre_holds(graph, parse_nre("a . a"), "w", "u")
 
 
 class TestDefaultEngine:

@@ -163,3 +163,19 @@ class TestRelationAlgebra:
         assert evaluate_nre(chain, parse_nre("a . [()]")) == evaluate_nre(
             chain, parse_nre("a")
         )
+
+    def test_only_a_star_lets_compose_skip_covered_middles(self):
+        """``r · s*`` skips a middle already in the row; ``r · (s + ())`` must not.
+
+        Small ints iterate in order, so middle 1 is read before middle 2,
+        which its row already holds; only a transitive right side may
+        skip 2's own row.
+        """
+        g = GraphDatabase(
+            edges=[(0, "a", 1), (0, "a", 2), (1, "b", 2), (2, "b", 3)]
+        )
+        assert nre_reachable(g, parse_nre("a . (b + ())"), 0) == {1, 2, 3}
+        assert nre_reachable(g, parse_nre("a . b*"), 0) == {1, 2, 3}
+        assert evaluate_nre(g, parse_nre("a . (b + ())")) == {
+            (0, 1), (0, 2), (0, 3)
+        }

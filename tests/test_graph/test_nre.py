@@ -122,3 +122,26 @@ class TestValueSemantics:
         two = concat(label("a"), star(label("b")))
         assert one == two
         assert hash(one) == hash(two)
+
+    def test_compound_hash_is_memoised_and_not_pickled(self):
+        """The memo is salted per process, so a pickled NRE carries none."""
+        import pickle
+
+        from repro.engine.query import QueryEngine
+        from repro.graph.database import GraphDatabase
+        from repro.graph.parser import parse_nre
+
+        expr = parse_nre("f . f*[h] . (f- + h)*")
+        kinds = (Union, Concat, Star, Nest)
+        compound = [n for n in expr.walk() if isinstance(n, kinds)]
+        assert {type(n) for n in compound} == set(kinds)
+        first = hash(expr)
+        assert all("_hash" in n.__dict__ for n in compound)
+        clone = pickle.loads(pickle.dumps(expr))
+        assert clone == expr and clone is not expr
+        assert not any("_hash" in n.__dict__ for n in clone.walk())
+        assert hash(clone) == first
+        graph = GraphDatabase(edges=[("u", "f", "v"), ("v", "h", "w")])
+        engine = QueryEngine()
+        assert engine.pairs(graph, expr) == engine.pairs(graph, clone)
+        assert engine.stats.relations_evaluated == 1

@@ -169,8 +169,12 @@ class TestRoundTrip:
     def test_parse_nre_is_memoised(self):
         assert parse_nre("a . b*") is parse_nre("a . b*")
 
-    def test_compile_cache_hits_through_round_trip(self):
-        from repro.graph.automaton import compile_nre
+    def test_engine_cache_hits_through_round_trip(self):
+        from repro.engine.query import QueryEngine
+        from repro.graph.database import GraphDatabase
 
         expr = parse_nre("f . f*[h] . f- . (f-)*")
-        assert compile_nre(parse_nre(str(expr))) is compile_nre(expr)
+        graph = GraphDatabase(edges=[("a", "f", "b"), ("b", "h", "c")])
+        engine = QueryEngine()
+        assert engine.pairs(graph, parse_nre(str(expr))) is engine.pairs(graph, expr)
+        assert engine.stats.relations_evaluated == 1

@@ -1,6 +1,6 @@
 """Differential properties of NRE evaluation on frozen graphs.
 
-There is one NRE search, :meth:`repro.graph.automaton._Runner._search`,
+There is one NRE evaluator, :func:`repro.graph.eval.evaluate_relation`,
 and one graph storage.  A frozen graph is a read-only copy of the
 storage and a snapshot-loaded graph is rebuilt from its edge list, so
 every :class:`~repro.engine.query.QueryEngine` entry point — ``pairs``,

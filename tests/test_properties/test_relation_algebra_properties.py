@@ -1,23 +1,20 @@
 """Differential properties of the successor-map relation algebra.
 
-Whole-relation reads — :meth:`~repro.engine.query.QueryEngine.pairs` and
-``answers_over`` — run the algebra of :mod:`repro.graph.eval`; single
-pairs and single sources run the product search of
-:mod:`repro.graph.automaton`.  Three partners that share no
-code must agree on every read:
-
-* the algebra (through the engine, and :func:`evaluate_relation` with a
-  source set pushed into it);
-* the product search (:func:`evaluate_nre_automaton`,
-  :func:`automaton_reachable`);
-* the seed's set-algebraic pair-set oracle (``oracles.reference_eval``).
+Every read of :class:`~repro.engine.query.QueryEngine` runs the algebra
+of :mod:`repro.graph.eval`: whole relations for ``pairs`` and
+``answers_over``, one source pushed into the leftmost operand for
+``reachable`` and ``holds``.  Each read — through the engine, and
+:func:`evaluate_relation` with a source set pushed into it — must agree
+with the seed's set-algebraic pair-set oracle
+(``oracles.reference_eval``), which shares no code with it.
 
 Expressions are built from the raw AST constructors, so the shapes the
 smart constructors would simplify away — ε, nested stars, unions with ε,
 nests inside stars, backward labels — reach the evaluators as written.
 Pinned examples put ``r* · s`` over a graph whose condensation chains
 multi-node components, once for each shape that carries ``⟦s⟧`` up the
-condensation and once for each right side that keeps the closure.
+condensation and once for each right side that keeps the closure, and
+``r · s*`` over the same graph.
 Graphs are read as built (with removed edges, whose emptied index rows
 stay behind), frozen, and reloaded from a snapshot.  Source sets and
 domains include nodes absent from the graph.
@@ -36,7 +33,6 @@ from hypothesis import example, given, settings, strategies as st
 from oracles.reference_eval import evaluate_nre as oracle_pairs
 from repro.chase.relational_chase import chase_relational
 from repro.engine.query import EvalStats, QueryEngine
-from repro.graph.automaton import automaton_reachable, evaluate_nre_automaton
 from repro.graph.database import GraphDatabase
 from repro.graph.eval import evaluate_relation
 from repro.graph.nre import Backward, Concat, Epsilon, Label, Nest, Star, Union
@@ -138,6 +134,11 @@ CLOSURE_SHAPES = [  # r* · s whose right side keeps the closure
     Concat(Star(Label("a")), Epsilon()),
     Concat(Star(Label("a")), Nest(Label("b"))),
 ]
+STAR_RIGHT_SHAPES = [  # r · s*: middles already in the row are skipped
+    Concat(Label("b"), Star(Label("a"))),
+    Concat(Label("c"), Star(Union(Backward("a"), Label("b")))),
+    Concat(Union(Label("b"), Epsilon()), Star(Backward("a"))),
+]
 # Under a (and a-) the components {n0, n1} and {n2, n3} chain into the
 # sink n4; under a + b, n0..n4 are one component.  Every member has its
 # own b and c rows, so each row and each carried set shows in an answer.
@@ -152,18 +153,18 @@ CONDENSED = GraphDatabase(
 
 
 def condensation_examples(*probe_lists):
-    """Pin every r* · s shape on ``CONDENSED``, with each probe list if any."""
+    """Pin every r* · s and r · s* shape on ``CONDENSED``, with each probe list."""
     extras = [(probe_list,) for probe_list in probe_lists] or [()]
 
     def decorate(test):
-        for expr in WALK_SHAPES + CLOSURE_SHAPES:
+        for expr in WALK_SHAPES + CLOSURE_SHAPES + STAR_RIGHT_SHAPES:
             for extra in extras:
                 test = example(CONDENSED, expr, *extra)(test)
         return test
     return decorate
 
 
-class TestThreeWayDifferential:
+class TestDifferential:
     @settings(max_examples=120, deadline=None)
     @given(graphs(), nres)
     @example(CYCLE, STAR_SHAPES[0])
@@ -175,7 +176,6 @@ class TestThreeWayDifferential:
         expected = oracle_pairs(graph, expr)
         for name, form in forms(graph):
             assert QueryEngine().pairs(form, expr) == expected, name
-            assert evaluate_nre_automaton(form, expr) == expected, name
 
     @settings(max_examples=120, deadline=None)
     @given(graphs(), nres, probes)
@@ -187,8 +187,7 @@ class TestThreeWayDifferential:
         for name, form in forms(graph):
             engine = QueryEngine()
             for source in sources:
-                assert engine.reachable(form, expr, source) == expected[source], name
-                found = automaton_reachable(form, expr, source)
+                found = engine.reachable(form, expr, source)
                 assert found == expected[source], (name, source)
 
     @settings(max_examples=120, deadline=None)
@@ -230,7 +229,6 @@ class TestThreeWayDifferential:
                     (source, target) in relation
                 )
         assert stats.relations_evaluated == 1
-        assert stats.automata_compiled == 0
 
 
 class TestBulkPassShape:
@@ -254,5 +252,3 @@ class TestBulkPassShape:
             assert answers, text
             assert answers == oracle_pairs(graph, query), text
         assert engine.stats.relations_evaluated == 5
-        assert engine.stats.automata_compiled == 0
-        assert engine.stats.nested_tests == 0

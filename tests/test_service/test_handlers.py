@@ -193,9 +193,9 @@ class TestFailingChaseDocument:
 class TestFrozenWitness:
     """A tenant whose cached witness is frozen answers byte-identically.
 
-    Frozen graphs answer through the same product search as dict graphs,
-    reading their CSR buffers through dict-shaped views, and the
-    matcher's solution check reads the same views.  Swapping every
+    Frozen graphs answer through the same relation algebra as dict
+    graphs, reading the same per-label indexes, and the matcher's
+    solution check reads them too.  Swapping every
     cached chase result for its frozen twin must not change one byte of
     any response.
     """

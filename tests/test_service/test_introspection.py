@@ -182,8 +182,8 @@ class TestLiveIntrospectionPlane:
         with service.client() as client:
             star = client.certain(document, STAR_QUERY)
             word = client.certain(document, WORD_QUERY, pair=["c1", "hx"])
-            # A pair probe of a starred query runs the product search, the
-            # one path that compiles an automaton in the worker.
+            # A pair probe of a starred query evaluates the source's row
+            # through the relation algebra in the worker.
             star_pair = client.certain(document, STAR_QUERY, pair=["c1", "c3"])
         return {"star": star, "word": word, "star_pair": star_pair}
 
@@ -288,7 +288,7 @@ class TestLiveIntrospectionPlane:
             "repro_service_requests_total",
             "repro_chase_st_applications_total",
             "repro_solver_solves_total",
-            "repro_engine_automata_compiled_total",
+            "repro_engine_relations_evaluated_total",
             "repro_service_cache_entries",
             "repro_service_request_seconds_count",
         ):
