@@ -1,8 +1,9 @@
 """Incremental chase maintenance vs full re-chase under live edge updates.
 
-The PR 6 perf contract: applying an N-edge update batch to a warm M-edge
-tenant must cost **O(affected)**, not O(M) — the incremental repair fires
-only the triggers the batch touches, while a from-scratch
+The perf contract: applying an N-edge update batch to a warm M-edge tenant
+must cost **O(affected)**, not O(M).  The incremental chase fires only the
+triggers the batch touches and keeps the hotel egd's merge partition on
+an int-id union-find, while a from-scratch
 :func:`~repro.chase.relational_chase.chase_relational` re-enumerates every
 Flight ⋈ Hotel join over the whole tenant.  With byte-identical results
 (the differential suite in ``tests/test_engine/test_incremental.py`` pins
@@ -10,12 +11,13 @@ that), the only question left is the speedup, measured here:
 
 * ``test_warm_update_{1,8,32}`` — a warm :class:`IncrementalChase` over
   the largest generator tenant absorbs an insert batch of N fresh
-  Flight/Hotel facts and then retracts it (delete-then-reinsert churn,
-  staying on the fast repair path);
+  Flight/Hotel facts and then retracts it.  The fresh hotels give each
+  new city null a singleton class, so the insert extends the partition
+  and the retraction keeps it (no re-close);
 * ``test_support_delete_32``    — the same tenant retracts and restores
-  32 Hotel facts that feed egd merges, so every delete batch dissolves
-  the hit merge classes and re-derives them (the class-local repair the
-  warm benches above deliberately avoid);
+  32 Hotel facts that feed egd merges.  Each retract batch re-closes the
+  union-find inside the functional-link components of the hotels it
+  touched, and each restore batch extends the partition again;
 * ``test_full_rechase_32``      — the from-scratch oracle over the same
   updated tenant, i.e. what every batch would cost without maintenance;
 * the acceptance criteria ``warm 32-edge update >= 5x faster than the
@@ -23,13 +25,9 @@ that), the only question left is the speedup, measured here:
   faster than the full re-chase`` are asserted inside
   ``test_warm_update_32`` and ``test_support_delete_32``.
 
-The support-delete margin is small by construction: this tenant's
-~800 quotient nodes sit in ~120 small hotel classes, so 32 deleted
-Hotel facts hit ~30 classes and dissolve ~170 nodes (about a fifth of
-the quotient), and the restore batch merges them back.  The repair
-re-derives that fifth at a higher per-node cost than the oracle's
-bulk fixpoint; its win grows as the hit classes shrink relative to the
-tenant (``perfbench`` stream-medlit: ~5% of the edges per repair).
+In the warm cycle most of the time is the base layer (seeded trigger
+joins and trigger records), not the merged layer; see
+``docs/PERFORMANCE.md``, "Incremental chase on an int-id union-find".
 """
 
 from __future__ import annotations
@@ -58,9 +56,9 @@ def tenant_instance():
 def update_batch(size: int) -> list[tuple[str, str, tuple]]:
     """N fresh Flight/Hotel inserts: new flight ids, never-shared hotels.
 
-    Fresh hotels keep the repair on the fast path (no egd merge support is
-    disturbed), which is exactly the common live-update shape: new data
-    arrives, old merges stay untouched.
+    Fresh hotels give each new city null a singleton class, so the
+    retraction keeps the partition (no re-close), which is exactly the
+    common live-update shape: new data arrives, old merges stay untouched.
     """
     return [
         update
@@ -90,8 +88,8 @@ def merge_support_facts(size: int) -> list[tuple[str, tuple]]:
     """``size`` tenant Hotel facts whose hotel is shared by a joined flight.
 
     Each such fact fires an s-t trigger whose null the egd merges with
-    another flight's null at the same hotel, so retracting it kills an
-    edge some recorded merge witness may rest on.
+    another flight's null at the same hotel, so retracting it removes an
+    ``h`` edge whose member class has company: the batch re-closes.
     """
     instance = tenant_instance()
     flights = {values[0] for values in instance.tuples("Flight")}
@@ -181,12 +179,17 @@ def test_warm_update_32(benchmark):
 
 
 def test_support_delete_32(benchmark):
-    """Merge-support deletes repair their classes locally, >= 1.25x a re-chase."""
+    """Merge-support deletes re-close their components, >= 1.25x a re-chase."""
     live, cycle = make_support_cycle(32)
-    rebuilds = live.stats.merged_rebuilds
+    before = live.stats.summary()
     assert benchmark.pedantic(cycle, rounds=5, iterations=1, warmup_rounds=1) == 64
-    assert live.stats.merged_repairs > 0
-    assert live.stats.merged_rebuilds == rebuilds
+    after = live.stats.summary()
+    # Each delete batch re-closes only the components its removed edges
+    # touch (never the whole tenant), and nothing rebuilds the layer.
+    recloses = after["recloses"] - before["recloses"]
+    assert recloses == 6  # one per retract batch: a warm-up and five rounds
+    assert after["ids_reclosed"] - before["ids_reclosed"] < recloses * len(live._nodes)
+    assert after["merged_rebuilds"] == before["merged_rebuilds"]
 
     rechase = make_full_rechase(32)
     warm_median, full_median = ab_medians(cycle, rechase, rounds=5)
@@ -197,7 +200,7 @@ def test_support_delete_32(benchmark):
             ("tenant", "largest generator graph",
              f"{FLIGHTS} flights / {CITIES} cities / {HOTELS} hotels"),
             ("batch", "N = 32 facts", "retract + restore cycle"),
-            ("class-local repair median", "O(hit classes)",
+            ("component re-close median", "O(touched components)",
              f"{1000 * warm_median:.1f} ms"),
             ("full re-chase median", "O(M)", f"{1000 * full_median:.1f} ms"),
             ("speedup", ">= 1.25x (acceptance)", f"{speedup:.1f}x"),

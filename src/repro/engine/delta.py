@@ -199,7 +199,6 @@ class EgdViolationQueue:
         egds: "Sequence[TargetEgd]",
         view: GraphDatabase,
         stats: "ChaseStats | None" = None,
-        seed_initial: bool = True,
     ):
         self.view = view
         self.matcher = TriggerMatcher(view, stats)
@@ -249,29 +248,25 @@ class EgdViolationQueue:
         self._heap: list[tuple[PairKey, int, frozenset]] = []
         self._seq = itertools.count()
         self._repr_cache: dict[Node, str] = {}
-        # ``seed_initial=False`` skips the initial full scan: the caller
-        # asserts the view currently has no violations (it sits at a prior
-        # fixpoint) and will feed later deltas through :meth:`rescan_since`.
         # The queue orders violations through the heap, never through the
         # matcher's enumeration order — so every scan below consumes the
         # matcher's *projected pair set* (pair_matches / _seeded), which
         # skips homomorphism materialisation and takes the indexed join
         # fast paths.
-        if seed_initial:
-            for label, direction in self._functional:
-                index = (
-                    view.backward_index(label)
-                    if direction == "in"
-                    else view.forward_index(label)
-                )
-                for members in index.values():
-                    if len(members) > 1:
-                        self._star(members)
-            for egd in self._simple:
-                for left, right in self.matcher.pair_matches(
-                    egd.body, egd.left, egd.right
-                ):
-                    self._consider(left, right)
+        for label, direction in self._functional:
+            index = (
+                view.backward_index(label)
+                if direction == "in"
+                else view.forward_index(label)
+            )
+            for members in index.values():
+                if len(members) > 1:
+                    self._star(members)
+        for egd in self._simple:
+            for left, right in self.matcher.pair_matches(
+                egd.body, egd.left, egd.right
+            ):
+                self._consider(left, right)
 
     def _repr(self, node: Node) -> str:
         cached = self._repr_cache.get(node)
@@ -317,21 +312,6 @@ class EgdViolationQueue:
             if member != anchor:
                 self._consider(anchor, member)
 
-    def _restar_touched(self, edges) -> None:
-        """Re-star the key groups of functional egds touched by ``edges``."""
-        for label, direction in self._functional:
-            keys = set()
-            for edge in edges:
-                if edge.label == label:
-                    keys.add(edge.target if direction == "in" else edge.source)
-            neighbors = (
-                self.view.predecessors if direction == "in" else self.view.successors
-            )
-            for key in keys:
-                members = neighbors(key, label)
-                if len(members) > 1:
-                    self._star(members)
-
     def _discard(self, identity: frozenset) -> None:
         entry = self._pairs.pop(identity, None)
         if entry is not None:
@@ -360,34 +340,6 @@ class EgdViolationQueue:
                 if best_key is None or key < best_key:
                     best_key, best = key, (left, right)
         return best
-
-    def rescan_since(self, version: int) -> None:
-        """Add violations routed through edges inserted after ``version``.
-
-        The semi-naive complement of the constructor's full scan: if the
-        view was violation-free at ``version`` (an earlier fixpoint), any
-        new violation of a simple-bodied egd must use at least one edge the
-        journal recorded after that point, so only those seeded joins run.
-        The incremental chase calls this after applying an update batch's
-        edge insertions to an already-converged merged graph.
-
-        >>> from repro.mappings.parser import parse_egd
-        >>> g = GraphDatabase(edges=[("a", "h", "hx")])
-        >>> egd = parse_egd("(x1, h, x3), (x2, h, x3) -> x1 = x2")
-        >>> queue = EgdViolationQueue([egd], g)
-        >>> v = g.version
-        >>> g.add_edge("b", "h", "hx")
-        >>> queue.rescan_since(v)
-        >>> sorted(queue.first_violation())
-        ['a', 'b']
-        """
-        inserted = self.view.edges_since(version)
-        self._restar_touched(inserted)
-        for egd in self._simple:
-            for left, right in self.matcher.pair_matches_seeded(
-                egd.body, egd.left, egd.right, inserted
-            ):
-                self._consider(left, right)
 
     def merge(self, old: Node, new: Node) -> None:
         """Record the merge ``old ↦ new``: rename the view and the queue.

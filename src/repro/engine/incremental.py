@@ -7,23 +7,31 @@ layers of state for one data-exchange setting and one mutable source
 instance:
 
 * the **base layer** — the set of fired s-t tgd triggers, indexed by the
-  facts they join over (for DRed-style retraction) and by the target edges
-  they emit (exact provenance: a target edge exists iff some live trigger
-  supports it);
-* the **merged layer** — the egd fixpoint of the base graph, maintained as
-  a quotient: a union-find style ``rep``/class map plus an image-support
-  index mapping each merged edge to the base edges it represents.  Inserts
-  are handled semi-naively (:meth:`~repro.engine.delta.EgdViolationQueue.rescan_since`
-  over the edge journal).  Deletions are DRed at class granularity: each
-  merge records one witness (a base edge per egd body atom) at fire time,
-  and a deletion that kills a witness edge dissolves that merge's class —
-  plus, transitively, every class with a merge whose witness touches a
-  dissolved node — back into singletons.  The dissolved nodes' images are
-  re-added through the journal and re-derived by the same rescan and egd
-  fixpoint as the batch's inserts; a deletion that hits no witness is the
-  zero-class case.  The merged layer is rebuilt from scratch only at
-  bootstrap, when a batch deletes out of a failed state, and when a merge
-  found no witness to record;
+  facts they join over (for retraction) and by the target edges they emit
+  (exact provenance: a target edge exists iff some live trigger supports
+  it).  Each node gets a dense int id when its first edge is born; base
+  edges are ``(id, label, id)`` triples with an incidence index by id,
+  and every functional egd profile keeps its key groups (key id → member
+  ids);
+* the **merged layer** — the egd fixpoint of the base graph.  When every
+  egd is functional (``(x1, L, k), (x2, L, k) -> x1 = x2`` or its
+  mirror; every generator family and Example 3.1), the least merge
+  partition is a congruence closure on a union-find ``parent`` list over
+  the ids: members of one key class unite, and when two keys unite their
+  groups' anchors unite too.  An insert-only batch extends the live
+  partition.  So does a delete whose removed functional edges each have a
+  singleton member class, since no union rests on such an edge.  Any
+  other delete re-closes on ids, inside the components of the
+  functional-link graph that its removed edges touch.  Two constants
+  meeting fail the chase.  The merged
+  :class:`~repro.graph.database.GraphDatabase` that queries read is
+  patched with per-image support counts: only the edges of ids whose
+  representative changed move, plus the batch's net added and removed
+  edges, and a node goes when its merged degree reaches 0.  Other egds
+  (word and cascade bodies) rebuild the merged layer with the sequential
+  :class:`~repro.engine.delta.EgdViolationQueue` fixpoint on each batch
+  that changes an edge, as
+  :func:`~repro.chase.relational_chase.chase_relational` does;
 * the **answer layer** — certain answers per query, cached until a batch
   changes a fact.  Any such batch clears the cache, and the next read
   recomputes the query with one
@@ -39,29 +47,26 @@ oracle null names, same failure witness) as
 :func:`~repro.chase.relational_chase.chase_relational` on the current
 instance, and :meth:`IncrementalChase.certain_answers` returns the same
 answer sets.  The supported fragment is the Section 3.1 relational chase
-fragment (single-symbol tgd heads) with egds whose bodies are unions of
-words — exactly the shapes the paper's figures and generators use.
+fragment: single-symbol tgd heads, and any egds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import TYPE_CHECKING, Hashable, Iterable, Iterator, Mapping, Sequence
+from itertools import chain
+from typing import TYPE_CHECKING, Hashable, Iterable, Iterator, Mapping
 
-from repro.chase.relational_chase import _check_fragment, quotient_result
-from repro.chase.result import ChaseResult, ChaseStats
-from repro.engine.delta import (
-    EgdViolationQueue,
-    decompose_egd,
-    run_egd_fixpoint,
+from repro.chase.relational_chase import (
+    _check_fragment,
+    _egd_fixpoint_on_graph,
+    quotient_result,
 )
-from repro.engine.matcher import _edge_view
+from repro.chase.result import ChaseResult, ChaseStats
+from repro.engine.delta import _functional_profile
 from repro.engine.query import default_engine
 from repro.errors import NotSupportedError, SchemaError
-from repro.graph.cnre import CNREAtom, CNREQuery
-from repro.graph.database import Edge, GraphDatabase
-from repro.graph.nre import NRE, Label
-from repro.mappings.egd import TargetEgd
+from repro.graph.database import GraphDatabase
+from repro.graph.nre import NRE
 from repro.telemetry import fold_stats, span
 from repro.patterns.pattern import Null, is_null
 from repro.relational.evaluate import cq_homomorphisms
@@ -76,6 +81,7 @@ if TYPE_CHECKING:  # annotation-only imports; avoids import cycles
 Node = Hashable
 Fact = tuple[str, tuple]
 Update = tuple[str, str, tuple]
+IdTriple = tuple[int, str, int]
 
 _UNSET = object()
 
@@ -103,19 +109,26 @@ class UpdateStats:
     """s-t tgd triggers retracted because a supporting fact was deleted."""
 
     egd_merges: int = 0
-    """Node merges performed by the incremental egd fixpoint."""
+    """Class unions: union-find unions of the functional closure (every
+    union of a re-close counts again), or merges of a sequential rebuild."""
 
     fast_deletes: int = 0
-    """Base-edge deletions that hit no merge witness (no class dissolved)."""
+    """Net removed base edges applied without a re-close (each removed
+    functional edge had a singleton member class)."""
 
     merged_rebuilds: int = 0
-    """Full rebuilds of the merged layer (bootstrap included)."""
+    """Merged layers built from scratch: bootstrap, a deletion out of a
+    failed state, and every edge-changing batch under non-functional egds."""
 
-    merged_repairs: int = 0
-    """Batches whose deletions dissolved and re-derived merge classes."""
+    recloses: int = 0
+    """Batches whose deletions re-closed the partition on ids."""
 
-    nodes_rederived: int = 0
-    """Base nodes reset to singletons by those class-local repairs."""
+    ids_reclosed: int = 0
+    """Ids reset to singletons by those re-closes (every interned id)."""
+
+    edges_moved: int = 0
+    """Base edges whose merged image moved because an endpoint's
+    representative changed."""
 
     answer_patches: int = 0
     """Retired: always 0.  Cached answers are never patched; every batch
@@ -142,11 +155,6 @@ class UpdateStats:
 
 
 # --------------------------------------------------------------------- #
-# Egd decomposition: union-of-words bodies -> simple chain egds
-# --------------------------------------------------------------------- #
-
-
-# --------------------------------------------------------------------- #
 # Trigger records
 # --------------------------------------------------------------------- #
 
@@ -157,8 +165,9 @@ class _Trigger:
     ``key`` reproduces the oracle's dedup key (reprs of all body-variable
     values); ``sort_key`` its firing order; ``facts`` the source facts the
     body joined over (retraction index); ``edges`` the target edges the
-    head emitted; ``nulls`` the internally named fresh nulls, one per
-    existential, deterministic in ``key`` so delete-then-reinsert
+    head emitted, as node triples until the trigger is added and as
+    distinct id triples after; ``nulls`` the internally named fresh nulls,
+    one per existential, deterministic in ``key`` so delete-then-reinsert
     reproduces the same base graph bit for bit.
     """
 
@@ -193,7 +202,7 @@ def _make_trigger(
         for atom in tgd.body.atoms
     )
     edges = tuple(
-        Edge(
+        (
             assignment[atom.subject] if is_variable(atom.subject) else atom.subject,
             atom.nre.name,  # type: ignore[union-attr]  # fragment-checked Label
             assignment[atom.object] if is_variable(atom.object) else atom.object,
@@ -201,6 +210,16 @@ def _make_trigger(
         for atom in tgd.head.atoms
     )
     return _Trigger(tgd_index, (tgd_index, dedupe), sort_key, facts, edges, nulls)
+
+
+def _find(parent: list[int], ident: int) -> int:
+    """The root of ``ident``'s class, compressing the path to it."""
+    root = parent[ident]
+    while parent[root] != root:
+        root = parent[root]
+    while parent[ident] != root:
+        parent[ident], ident = root, parent[ident]
+    return root
 
 
 # --------------------------------------------------------------------- #
@@ -214,8 +233,10 @@ class IncrementalChase:
     Construct once per (setting, instance); feed update batches through
     :meth:`apply_updates`; read :meth:`certain_answers` between batches.
     Answers are byte-identical to re-chasing the current instance from
-    scratch, but an N-operation batch costs O(affected triggers + affected
-    cone), not O(instance).
+    scratch.  An N-operation batch fires only the triggers it touches;
+    under functional egds it extends the union-find partition, or
+    re-closes it on ids when a deletion may split a class, and moves only
+    the merged edges of ids whose representative changed.
 
     >>> from repro.scenarios.figures import example31_setting
     >>> from repro.scenarios.flights import flights_instance
@@ -247,22 +268,16 @@ class IncrementalChase:
         self.setting = setting
         self._tgds = list(setting.st_tgds)
         self._egds = list(setting.egds())
-        self._chains: list[TargetEgd] = []
-        for index, egd in enumerate(self._egds):
-            self._chains.extend(decompose_egd(egd, index))
-        # Per chain: its atoms in edge orientation, and the (atom, end)
-        # slot whose witness edge endpoint anchors a merge in its class.
-        self._witness_plans: list[tuple[TargetEgd, list, tuple[int, str]]] = []
-        for chain in self._chains:
-            views = [_edge_view(atom) for atom in chain.body.atoms]
-            slots = [
-                (index, end)
-                for index, (source, _, target) in enumerate(views)
-                for end, term in (("source", source), ("target", target))
-                if term == chain.left
-            ]
-            if chain.left != chain.right and slots:
-                self._witness_plans.append((chain, views, slots[0]))
+        # Functional egds as (label, key is the edge target?) profiles;
+        # label -> [(profile index, key is the target)].
+        found = [_functional_profile(egd) for egd in self._egds]
+        self._functional = None not in found
+        profiles = list(dict.fromkeys(
+            (label, direction == "in") for label, direction in found
+        )) if self._functional else []
+        self._sides: dict[str, list[tuple[int, bool]]] = {}
+        for index, (label, key_at_target) in enumerate(profiles):
+            self._sides.setdefault(label, []).append((index, key_at_target))
         self.instance = (
             instance.copy()
             if instance is not None
@@ -270,23 +285,25 @@ class IncrementalChase:
         )
         self._engine = engine
         self.stats = UpdateStats()
-        # --- base layer: triggers and their provenance indexes ---
+        # --- base layer: triggers, interned nodes and id edges ---
         self._triggers: dict[tuple, _Trigger] = {}
         self._fact_triggers: dict[Fact, set[tuple]] = {}
-        self._edge_support: dict[Edge, set[tuple]] = {}
-        self._node_degree: dict[Node, int] = {}
-        # --- merged layer: quotient of the base graph by the egd fixpoint ---
+        self._ids: dict[Node, int] = {}
+        self._nodes: list[Node] = []
+        self._constant: list[bool] = []
+        self._incident: list[set[IdTriple]] = []
+        self._edge_support: dict[IdTriple, int] = {}  # edge -> live triggers
+        # per profile: key id -> member ids
+        self._groups: list[dict[int, set[int]]] = [{} for _ in profiles]
+        # --- merged layer: the partition and the graph queries read ---
+        self._parent: list[int] = []
+        self._members: dict[int, list[int]] = {}  # root -> class, if > 1 id
+        # per profile: class root -> [anchor member id, edges keyed in class]
+        self._anchors: list[dict[int, list[int]]] = [{} for _ in profiles]
+        self._rep: list[int] = []  # the root each id's merged edges sit on
+        self._image_count: dict[IdTriple, int] = {}
+        self._merged_degree: dict[int, int] = {}
         self._merged = GraphDatabase(alphabet=set(setting.alphabet))
-        self._rep: dict[Node, Node] = {}
-        self._classes: dict[Node, set[Node]] = {}
-        self._image_support: dict[Edge, set[Edge]] = {}
-        # merge id -> (anchor node, witness base edges), and the reverse
-        # index from each witness edge to the merges it supports
-        self._witnesses: dict[int, tuple[Node, list[Edge]]] = {}
-        self._edge_merges: dict[Edge, set[int]] = {}
-        self._merge_count = 0
-        self._provenance_exact = True
-        self._queue: EgdViolationQueue | None = None
         self._failed = False
         self._witness_cache: object = _UNSET
         # --- answer layer ---
@@ -418,25 +435,22 @@ class IncrementalChase:
         The base edges, with every internal null renamed to the name the
         oracle (:func:`~repro.chase.relational_chase.chase_relational`)
         would have invented, go through the chase's own
-        :func:`~repro.chase.relational_chase.quotient_result`: on success
-        each merge class collapses to the same representative, so node
-        sets, edge sets and null labels are byte-identical; on failure the
-        base graph replays the sequential egd fixpoint, reproducing the
-        failure witness exactly.
+        :func:`~repro.chase.relational_chase.quotient_result`: under
+        functional egds each union-find class collapses to the same
+        representative, so node sets, edge sets and null labels are
+        byte-identical; on failure, or under other egds, the base graph
+        replays the sequential egd fixpoint, reproducing the failure
+        witness exactly.
         """
         names = self._oracle_names()
+        nodes = [names.get(node, node) for node in self._nodes]
         stats = ChaseStats(st_applications=len(self._triggers))
-        edges = [
-            (names.get(edge.source, edge.source), edge.label,
-             names.get(edge.target, edge.target))
-            for edge in sorted(self._edge_support, key=repr)
-        ]
+        edges = [(nodes[s], label, nodes[t]) for s, label, t in self._edge_support]
         classes = None
-        if not self._failed:
+        if self._functional and not self._failed:
             classes = [
-                [names.get(node, node) for node in members]
-                for members in self._classes.values()
-                if len(members) > 1
+                [nodes[ident] for ident in members]
+                for members in self._members.values()
             ]
         return quotient_result(
             set(self.setting.alphabet), edges, classes, self._egds, stats
@@ -464,15 +478,15 @@ class IncrementalChase:
 
     def _update_base(
         self, added_facts: set[Fact], removed_facts: set[Fact]
-    ) -> tuple[set[Edge], set[Edge]]:
+    ) -> tuple[set[IdTriple], set[IdTriple]]:
         """Retract and fire triggers; return net (removed, added) edges."""
-        removed_edges: list[Edge] = []
+        removed_edges: list[IdTriple] = []
         dying: set[tuple] = set()
         for fact in removed_facts:
             dying |= self._fact_triggers.get(fact, set())
         for key in sorted(dying):
             removed_edges += self._remove_trigger(self._triggers.pop(key))
-        added_edges: list[Edge] = []
+        added_edges: list[IdTriple] = []
         for fact in sorted(added_facts, key=repr):
             for trigger in self._seeded_triggers(fact):
                 if trigger.key not in self._triggers:
@@ -503,24 +517,47 @@ class IncrementalChase:
                 for hom in cq_homomorphisms(tgd.body, self.instance, seed=seed):
                     yield _make_trigger(tgd_index, tgd, hom)
 
-    def _add_trigger(self, trigger: _Trigger) -> list[Edge]:
+    def _intern(self, node: Node) -> int:
+        """The id of ``node``, allocating the next one on first sight."""
+        ident = self._ids.get(node)
+        if ident is None:
+            ident = self._ids[node] = len(self._nodes)
+            self._nodes.append(node)
+            self._constant.append(not is_null(node))
+            self._incident.append(set())
+        elif not self._incident[ident]:
+            self._nodes[ident] = node  # reborn: keep the live object
+        return ident
+
+    def _add_trigger(self, trigger: _Trigger) -> list[IdTriple]:
         """Register ``trigger``; return the base edges it newly created."""
         self._triggers[trigger.key] = trigger
         self.stats.triggers_added += 1
         for fact in set(trigger.facts):
             self._fact_triggers.setdefault(fact, set()).add(trigger.key)
-        born: list[Edge] = []
-        for edge in set(trigger.edges):
-            support = self._edge_support.get(edge)
-            if support is None:
-                support = self._edge_support[edge] = set()
-                born.append(edge)
-                for node in {edge.source, edge.target}:
-                    self._node_degree[node] = self._node_degree.get(node, 0) + 1
-            support.add(trigger.key)
+        intern = self._intern
+        trigger.edges = tuple(dict.fromkeys(
+            (intern(source), label, intern(target))
+            for source, label, target in trigger.edges
+        ))
+        support, incident = self._edge_support, self._incident
+        born: list[IdTriple] = []
+        for edge in trigger.edges:
+            count = support.get(edge)
+            if count is not None:
+                support[edge] = count + 1
+                continue
+            support[edge] = 1
+            born.append(edge)
+            source, label, target = edge
+            incident[source].add(edge)
+            incident[target].add(edge)
+            for index, key_at_target in self._sides.get(label, ()):
+                key, member = (target, source) if key_at_target else (source, target)
+                self._groups[index].setdefault(key, set()).add(member)
         return born
 
-    def _remove_trigger(self, trigger: _Trigger) -> list[Edge]:
+    def _remove_trigger(self, trigger: _Trigger) -> list[IdTriple]:
         """Unregister ``trigger``; return the base edges that died with it."""
         self.stats.triggers_retracted += 1
         for fact in set(trigger.facts):
@@ -529,19 +566,24 @@ class IncrementalChase:
                 keys.discard(trigger.key)
                 if not keys:
                     del self._fact_triggers[fact]
-        died: list[Edge] = []
-        for edge in set(trigger.edges):
-            support = self._edge_support[edge]
-            support.discard(trigger.key)
-            if not support:
-                del self._edge_support[edge]
-                died.append(edge)
-                for node in {edge.source, edge.target}:
-                    remaining = self._node_degree[node] - 1
-                    if remaining:
-                        self._node_degree[node] = remaining
-                    else:
-                        del self._node_degree[node]
+        support, incident = self._edge_support, self._incident
+        died: list[IdTriple] = []
+        for edge in trigger.edges:
+            count = support[edge] - 1
+            if count:
+                support[edge] = count
+                continue
+            del support[edge]
+            died.append(edge)
+            source, label, target = edge
+            incident[source].discard(edge)
+            incident[target].discard(edge)
+            for index, key_at_target in self._sides.get(label, ()):
+                key, member = (target, source) if key_at_target else (source, target)
+                group = self._groups[index][key]
+                group.discard(member)
+                if not group:
+                    del self._groups[index][key]
         return died
 
     # ------------------------------------------------------------------ #
@@ -557,8 +599,10 @@ class IncrementalChase:
                     self._add_trigger(trigger)
         self._rebuild_merged()
 
-    def _update_merged(self, net_removed: set[Edge], net_added: set[Edge]) -> None:
-        """Repair the quotient for a batch's net edge delta."""
+    def _update_merged(
+        self, net_removed: set[IdTriple], net_added: set[IdTriple]
+    ) -> None:
+        """Bring the merged layer up to a batch's net edge delta."""
         if self._failed:
             # Failure is insert-monotone: adding facts can never turn a
             # failing chase into a succeeding one, so the (stale) merged
@@ -566,244 +610,249 @@ class IncrementalChase:
             if net_removed:
                 self._rebuild_merged()
             return
-        if net_removed and not self._provenance_exact:
+        if not net_removed and not net_added:
+            return
+        if not self._functional:
             self._rebuild_merged()
             return
-        hit: set[int] = set()
-        for edge in net_removed:
-            hit.update(self._edge_merges.get(edge, ()))
-        dissolved, dropped = self._dissolution(hit)
-        nodes = sum(len(self._classes[rep]) for rep in dissolved)
-        with span("update.repair", nodes=nodes):
-            self._repair_merged(net_removed, net_added, dissolved, dropped)
+        grown = range(len(self._parent), len(self._nodes))
+        self._parent.extend(grown)
+        self._rep.extend(grown)
+        if self._keeps_partition(net_removed):
+            self.stats.fast_deletes += len(net_removed)
+            touched = {ident for s, _, t in chain(net_removed, net_added)
+                       for ident in (s, t)}
+            with span("update.close", path="extend", ids=len(touched)):
+                moved = self._close(self._links(net_added))
+                self._patch(moved, net_removed, net_added)
+        else:
+            region = self._region(net_removed)
+            self.stats.recloses += 1
+            self.stats.ids_reclosed += len(region)
+            with span("update.close", path="reclose", ids=len(region)):
+                moved = self._reclose(region, net_added)
+                self._patch(moved, net_removed, net_added)
 
     def _rebuild_merged(self) -> None:
         """Rebuild the merged layer from the base edges, from scratch."""
         self.stats.merged_rebuilds += 1
         self._failed = False
-        self._provenance_exact = True
-        self._witnesses = {}
-        self._edge_merges = {}
-        self._rep = {}
-        self._classes = {}
-        self._image_support = {}
-        merged = GraphDatabase(alphabet=set(self.setting.alphabet))
-        for edge in sorted(self._edge_support, key=repr):
-            for node in (edge.source, edge.target):
-                if node not in self._rep:
-                    self._rep[node] = node
-                    self._classes[node] = {node}
-            self._image_support[edge] = {edge}
-            merged.add_edge(edge.source, edge.label, edge.target)
-        self._merged = merged
-        self._queue = EgdViolationQueue(self._chains, merged)
-        failed, _ = run_egd_fixpoint(self._queue, ChaseStats(), apply=self._on_merge)
-        self._failed = failed
-
-    def _dissolution(self, hit: set[int]) -> tuple[list[Node], set[int]]:
-        """Return the classes to dissolve for ``hit`` merges, and their merges.
-
-        Starts from the classes of the merges whose witness lost an edge
-        and closes under one rule: a merge whose witness has an edge at a
-        node of a dissolved class dissolves its own class too.  Every merge
-        of a dissolved class is in the returned set, because its anchor
-        sits on a witness edge that is either dead (the merge is in
-        ``hit``) or incident to the class.  Reads state only.
-        """
-        dropped = set(hit)
-        pending = [self._rep[self._witnesses[merge][0]] for merge in hit]
-        dissolved: list[Node] = []
-        seen: set[Node] = set()
-        while pending:
-            rep = pending.pop()
-            if rep in seen:
-                continue
-            seen.add(rep)
-            dissolved.append(rep)
-            for image in self._merged.incident_edges(rep):
-                for base in self._image_support[image]:
-                    for merge in self._edge_merges.get(base, ()):
-                        if merge not in dropped:
-                            dropped.add(merge)
-                            pending.append(self._rep[self._witnesses[merge][0]])
-        return dissolved, dropped
-
-    def _repair_merged(
-        self,
-        net_removed: set[Edge],
-        net_added: set[Edge],
-        dissolved: list[Node],
-        dropped: set[int],
-    ) -> None:
-        """Dissolve the hit classes, then re-derive them with the inserts.
-
-        DRed at class granularity: the ``dissolved`` classes (see
-        :meth:`_dissolution`) go back to singletons, their images are
-        re-keyed into the merged graph through the edge journal, and one
-        semi-naive egd fixpoint runs over that journal suffix together
-        with the batch's inserted edges.  Exact because deleting edges
-        only makes the least egd partition finer: a kept class keeps every
-        merge and every witness, so it is still forced, and any new
-        violation must route through a re-added or inserted edge.  A
-        deletion that hits no merge is the zero-class case.
-        """
-        merged = self._merged
-        for edge in net_removed:
-            image = Edge(self._rep[edge.source], edge.label, self._rep[edge.target])
-            support = self._image_support[image]
-            support.discard(edge)
-            if not support:
-                del self._image_support[image]
-                merged.remove_edge(image.source, image.label, image.target)
-            if edge not in self._edge_merges:
-                self.stats.fast_deletes += 1
-        loose: list[Edge] = []
-        for rep in dissolved:
-            for image in merged.incident_edges(rep):
-                loose.extend(self._image_support.pop(image))
-                merged.remove_edge(image.source, image.label, image.target)
-        for merge in dropped:
-            _, witness = self._witnesses.pop(merge)
-            for edge in witness:
-                merges = self._edge_merges.get(edge)
-                if merges is not None:  # a witness may list one edge twice
-                    merges.discard(merge)
-                    if not merges:
-                        del self._edge_merges[edge]
-        for rep in dissolved:
-            members = self._classes.pop(rep)
-            self.stats.nodes_rederived += len(members)
-            for node in members:
-                self._rep[node] = node
-                self._classes[node] = {node}
-        if dissolved:
-            self.stats.merged_repairs += 1
-        self._drop_dead_nodes(net_removed)
-        if not loose and not net_added:
-            return
-        version = merged.version
-        for edge in loose + sorted(net_added, key=repr):
-            for node in (edge.source, edge.target):
-                if node not in self._rep:
-                    self._rep[node] = node
-                    self._classes[node] = {node}
-            image = Edge(self._rep[edge.source], edge.label, self._rep[edge.target])
-            support = self._image_support.get(image)
-            if support is None:
-                support = self._image_support[image] = set()
-                merged.add_edge(image.source, image.label, image.target)
-            support.add(edge)
-        assert self._queue is not None
-        self._queue.rescan_since(version)
-        failed, _ = run_egd_fixpoint(self._queue, ChaseStats(), apply=self._on_merge)
-        if failed:
-            self._failed = True
-
-    def _drop_dead_nodes(self, net_removed: set[Edge]) -> None:
-        """Evict base nodes that lost their last edge from the quotient."""
-        dead = sorted(
-            {
-                node
-                for edge in net_removed
-                for node in (edge.source, edge.target)
-                if node not in self._node_degree
-            },
-            key=repr,
-        )
-        dead_reps: list[Node] = []
-        for node in dead:
-            rep = self._rep.get(node)
-            if rep is None:
-                continue
-            if rep != node:
-                del self._rep[node]
-                self._classes[rep].discard(node)
-            else:
-                dead_reps.append(node)
-        for node in dead_reps:
-            members = self._classes[node] - {node}
-            del self._rep[node]
-            del self._classes[node]
-            if members:
-                constants = [m for m in members if not is_null(m)]
-                new_rep = (
-                    min(constants, key=repr) if constants else min(members, key=repr)
-                )
-                self._classes[new_rep] = members
-                for member in members:
-                    self._rep[member] = new_rep
-                self._remap_images(node, new_rep)
-                self._merged.rename_node(node, new_rep)
-            else:
-                self._merged.discard_node(node)
-
-    def _on_merge(self, old: Node, new: Node) -> None:
-        """The egd fixpoint's merge callback: record and apply ``old ↦ new``."""
-        self.stats.egd_merges += 1
-        if self._provenance_exact:
-            self._record_merge_provenance(old, new)
-        self._remap_images(old, new)
-        old_members = self._classes.pop(old)
-        self._classes[new] |= old_members
-        for member in old_members:
-            self._rep[member] = new
-
-    def _remap_images(self, old: Node, new: Node) -> None:
-        """Re-key image supports for a merged-graph rename ``old ↦ new``.
-
-        Must run *before* the graph itself is renamed (the support index is
-        keyed by the pre-rename edges read from ``incident_edges``).
-        """
-        for image in self._merged.incident_edges(old):
-            support = self._image_support.pop(image, None)
-            if support is None:
-                continue
-            rewritten = Edge(
-                new if image.source == old else image.source,
-                image.label,
-                new if image.target == old else image.target,
+        if not self._functional:
+            nodes = self._nodes
+            graph = GraphDatabase(
+                set(self.setting.alphabet),
+                edges=[(nodes[s], label, nodes[t])
+                       for s, label, t in self._edge_support],
             )
-            self._image_support.setdefault(rewritten, set()).update(support)
+            stats = ChaseStats()
+            result = _egd_fixpoint_on_graph(graph, self._egds, stats)
+            self.stats.egd_merges += stats.null_merges
+            self._merged, self._failed = graph, result.failed
+            return
+        everything = range(len(self._nodes))
+        self._parent.extend(everything[len(self._parent):])
+        self._rep = list(everything)
+        self._image_count = {}
+        self._merged_degree = {}
+        self._merged = GraphDatabase(alphabet=set(self.setting.alphabet))
+        self._patch(self._reclose(everything), set(), set(self._edge_support))
 
-    def _record_merge_provenance(self, old: Node, new: Node) -> None:
-        """Record one witness of the merge that fires ``old ↦ new``.
+    def _keeps_partition(self, removed: Iterable[IdTriple]) -> bool:
+        """Take ``removed`` out of the class groups if no class can split.
 
-        The violation queue guarantees a witness homomorphism exists at
-        fire time; it is recomputed here (not at discovery time) because
-        earlier merges may have renamed the nodes a stored witness used.
-        The record keeps one supporting base edge per body atom and an
-        *anchor*: the base node bound to the egd's left variable, which
-        lies in the merge's class for as long as the witness lives.  A
-        deletion of any witness edge dissolves that class (see
-        :meth:`_dissolution`).
+        A union rests on a functional edge only through the edge's member,
+        so removing an edge whose member class is a singleton leaves the
+        least partition as it was.  Each removed edge then leaves its key
+        class's group; a group left with no edge drops its anchor, so a
+        later insert starts the group afresh.  Returns ``False`` (the
+        caller re-closes) at the first edge whose member has company.
         """
-        for egd, views, (slot, end) in self._witness_plans:
-            for seed in ({egd.left: old, egd.right: new}, {egd.left: new, egd.right: old}):
-                for hom in self._queue.matcher.matches(egd.body, seed=seed):
-                    witness: list[Edge] = []
-                    for source_term, label, target_term in views:
-                        support = self._image_support.get(
-                            Edge(
-                                hom.get(source_term, source_term),
-                                label,
-                                hom.get(target_term, target_term),
-                            )
-                        )
-                        if support is None:
-                            break
-                        witness.append(next(iter(support)))
+        parent, members, anchors = self._parent, self._members, self._anchors
+        for source, label, target in removed:
+            for index, key_at_target in self._sides.get(label, ()):
+                key, member = (target, source) if key_at_target else (source, target)
+                if parent[member] != member or member in members:
+                    return False
+                root = _find(parent, key)
+                entry = anchors[index][root]
+                entry[1] -= 1
+                if not entry[1]:
+                    del anchors[index][root]
+        return True
+
+    def _region(self, removed: Iterable[IdTriple]) -> set[int]:
+        """The functional-link components around ``removed``'s endpoints.
+
+        Every union joins two ids of one component of the graph whose
+        edges are the live functional edges, so a class never leaves its
+        component.  Each piece a deletion cut from an old component keeps
+        an endpoint of a removed edge, so the returned ids hold every old
+        class they meet, whole.
+        """
+        sides, incident = self._sides, self._incident
+        region = {ident for source, label, target in removed if label in sides
+                  for ident in (source, target)}
+        stack = list(region)
+        while stack:
+            ident = stack.pop()
+            for source, label, target in incident[ident]:
+                if label in sides:
+                    other = target if source == ident else source
+                    if other not in region:
+                        region.add(other)
+                        stack.append(other)
+        return region
+
+    def _links(
+        self, edges: Iterable[IdTriple]
+    ) -> Iterator[tuple[int, int, Iterable[int]]]:
+        """The ``(profile, key, members)`` groups of functional ``edges``."""
+        for source, label, target in edges:
+            for index, key_at_target in self._sides.get(label, ()):
+                if key_at_target:
+                    yield index, target, (source,)
+                else:
+                    yield index, source, (target,)
+
+    def _reclose(
+        self, region: Iterable[int], added: Iterable[IdTriple] = ()
+    ) -> list[int] | None:
+        """Reset ``region``'s ids to singletons and close them again.
+
+        ``region`` is a union of whole components (:meth:`_region`), so
+        its ids re-close from their own key groups alone; ``added`` edges
+        outside it extend the rest of the partition.  Returns the ids
+        whose root may have changed, as :meth:`_close` does.
+        """
+        parent, members, anchors = self._parent, self._members, self._anchors
+        split: list[int] = []
+        for ident in region:
+            parent[ident] = ident
+            split += members.pop(ident, ())
+            for table in anchors:
+                table.pop(ident, None)
+        links: list[tuple[int, int, Iterable[int]]] = [
+            (index, key, groups[key])
+            for index, groups in enumerate(self._groups)
+            for key in region
+            if key in groups
+        ]
+        links += self._links(edge for edge in added if edge[0] not in region)
+        moved = self._close(links)
+        return None if moved is None else moved + split
+
+    def _close(
+        self, links: Iterable[tuple[int, int, Iterable[int]]]
+    ) -> list[int] | None:
+        """Union ``links`` into the partition, closing under congruence.
+
+        Each link adds members to a key's group; the group of a key class
+        is kept as an anchor member plus an edge count, and every other
+        member unites with the anchor.  When two classes unite their
+        anchors unite too, per profile.  A class's root is its constant,
+        else its least id, so the roots (the merged graph's nodes) do not
+        depend on the union order.  Returns the ids whose root changed
+        (with repeats), or ``None`` — the chase failed — when two
+        constants meet.
+        """
+        parent, members, anchors = self._parent, self._members, self._anchors
+        constant = self._constant
+        pending: list[tuple[int, int]] = []
+        for index, key, group in links:
+            root = _find(parent, key)
+            entry = anchors[index].get(root)
+            if entry is None:
+                entry = anchors[index][root] = [next(iter(group)), 0]
+            entry[1] += len(group)  # type: ignore[arg-type]
+            anchor = entry[0]
+            pending.extend((anchor, member) for member in group)
+        moved: list[int] = []
+        merges = 0
+        while pending:
+            left, right = pending.pop()
+            left, right = _find(parent, left), _find(parent, right)
+            if left == right:
+                continue
+            if constant[left] and constant[right]:
+                self._failed = True
+                self.stats.egd_merges += merges
+                return None
+            if constant[right] or (not constant[left] and right < left):
+                left, right = right, left
+            parent[right] = left
+            merges += 1
+            absorbed = members.pop(right, None) or [right]
+            members.setdefault(left, [left]).extend(absorbed)
+            moved.extend(absorbed)
+            for table in anchors:
+                entry = table.pop(right, None)
+                if entry is not None:
+                    kept = table.get(left)
+                    if kept is None:
+                        table[left] = entry
                     else:
-                        merge = self._merge_count
-                        self._merge_count += 1
-                        self._witnesses[merge] = (getattr(witness[slot], end), witness)
-                        for edge in witness:
-                            merges = self._edge_merges.get(edge)
-                            if merges is None:
-                                self._edge_merges[edge] = {merge}
-                            else:
-                                merges.add(merge)
-                        return
-        self._provenance_exact = False
+                        kept[1] += entry[1]
+                        pending.append((kept[0], entry[0]))
+        self.stats.egd_merges += merges
+        return moved
+
+    def _patch(
+        self,
+        changed: list[int] | None,
+        removed: set[IdTriple],
+        added: set[IdTriple],
+    ) -> None:
+        """Move the merged images of ``changed`` ids and the net edges.
+
+        Images are counted by the base edges they represent: an image
+        with no base edge left leaves the merged graph, and so does a
+        merged node with no image left.  ``changed=None`` (the closure
+        failed) leaves the parked layer as it is.
+        """
+        if changed is None:
+            return
+        parent, rep, incident = self._parent, self._rep, self._incident
+        moving = [ident for ident in set(changed) if _find(parent, ident) != rep[ident]]
+        moved: set[IdTriple] = set()
+        for ident in moving:
+            moved |= incident[ident]
+        moved -= added
+        self.stats.edges_moved += len(moved)
+        delta: dict[IdTriple, int] = {}
+        for source, label, target in chain(removed, moved):
+            image = (rep[source], label, rep[target])
+            delta[image] = delta.get(image, 0) - 1
+        for ident in moving:
+            rep[ident] = parent[ident]
+        for source, label, target in chain(added, moved):
+            image = (rep[source], label, rep[target])
+            delta[image] = delta.get(image, 0) + 1
+        counts, degree = self._image_count, self._merged_degree
+        graph, nodes = self._merged, self._nodes
+        emptied: list[int] = []
+        for image, change in delta.items():
+            if not change:
+                continue
+            before = counts.get(image, 0)
+            after = before + change
+            source, label, target = image
+            if after:
+                counts[image] = after
+            else:
+                del counts[image]
+            if not before:
+                graph.add_edge(nodes[source], label, nodes[target])
+                degree[source] = degree.get(source, 0) + 1
+                degree[target] = degree.get(target, 0) + 1
+            elif not after:
+                graph.remove_edge(nodes[source], label, nodes[target])
+                degree[source] -= 1
+                degree[target] -= 1
+                emptied += (source, target)
+        for ident in emptied:
+            if degree.get(ident) == 0:
+                del degree[ident]
+                graph.discard_node(nodes[ident])
 
     # ------------------------------------------------------------------ #
     # Oracle-identical materialisation

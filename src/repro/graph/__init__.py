@@ -63,11 +63,6 @@ from repro.graph.classes import (
     nesting_depth,
     alphabet_of,
 )
-from repro.graph.homomorphism import (
-    graph_homomorphisms,
-    find_graph_homomorphism,
-    is_homomorphic,
-)
 from repro.graph.language import (
     matches_word,
     is_empty_language,
@@ -118,9 +113,6 @@ __all__ = [
     "is_star_free",
     "nesting_depth",
     "alphabet_of",
-    "graph_homomorphisms",
-    "find_graph_homomorphism",
-    "is_homomorphic",
     "matches_word",
     "is_empty_language",
     "shortest_word_length",

@@ -21,7 +21,10 @@ so no user-settable option can select it:
   :func:`repro.chase.relational_chase.chase_relational`;
 * :mod:`oracles.reference_solution` — the per-match
   :func:`~oracles.reference_solution.solution_violations`, against the
-  set-at-a-time :func:`repro.core.solution.solution_violations`.
+  set-at-a-time :func:`repro.core.solution.solution_violations`;
+* :mod:`oracles.graph_homomorphism` — backtracking graph-to-graph
+  homomorphisms (identity on frozen nodes), the universality check of
+  chased graphs against solutions.
 
 Tests import the package as ``oracles`` (``tests/`` is on the import
 path under pytest, see ``pytest.ini``); the benchmarks import the same

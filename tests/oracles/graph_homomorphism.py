@@ -6,9 +6,9 @@ Optionally a set of *frozen* nodes is mapped identically — the variant
 classical data exchange uses: a universal solution maps into every solution
 by a homomorphism that is the identity on constants.
 
-This module backs the library's *tests* of universality (the chased graph
-of the Section 3.1 fragment must map into every solution) and is generally
-useful when working with solutions as first-class objects.
+This oracle backs the tests of universality: the chased graph of the
+Section 3.1 fragment must map into every solution.  No library module
+needs it.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Differential update-stream tests for the incremental chase.
 
-The acceptance property of PR 6 lives here: after **every** step of a
-random interleaving of inserts, deletes, and queries, the incrementally
+The acceptance property lives here: after **every** step of a random
+interleaving of inserts, deletes, and queries, the incrementally
 maintained solution must be *byte-identical* to a from-scratch
 :func:`~repro.chase.relational_chase.chase_relational` over the current
 instance — same graph (same null names, via ``canonical_bytes`` over the
@@ -9,22 +9,26 @@ JSON rendering), same failure verdict and witness, and the same certain
 answers the set-algebraic ``ReferenceEngine`` computes over the oracle's
 graph.
 
-Five hand-built regimes exercise the distinct repair paths:
+Six hand-built regimes exercise the distinct merged-layer paths:
 
-* the paper's Example 3.1 setting over random Flight/Hotel churn
-  (constant-null egd merges, trigger add/remove);
+* the paper's Example 3.1 setting over random Flight/Hotel churn (a
+  functional egd: null members unite on the union-find, deletions either
+  keep the partition or re-close their components);
 * a failure-capable functional-dependency setting where deletes can
   *unfail* a previously failed chase;
-* a word-egd setting (``f . h`` bodies) driving the egd-decomposition
-  chains; and
+* a congruence setting of two functional egds whose keys are nulls, so
+  uniting two keys unites their member groups (and can fail);
+* a word-egd setting (``f . h`` bodies), which is not functional, so
+  every batch rebuilds the merged layer with the sequential fixpoint;
 * a word-egd null-merge setting where the merged nodes are themselves
-  nulls (merge-provenance and delete-then-reinsert churn); and
-* a two-egd cascade setting where one egd's merge witness runs through a
-  null class the other egd merged, so a deletion must dissolve both.
+  nulls (delete-then-reinsert churn on the sequential path); and
+* a two-egd cascade setting where one egd's merge runs through a null
+  class the other egd merged.
 
 A generator-shaped regime replays ``scenarios.scale.update_stream`` on
-small medlit and social tenants, whose Zipf hubs grow the large
-functional merge classes the class-local repair dissolves.
+small medlit and social tenants, whose Zipf hubs grow large functional
+merge classes, and a Hypothesis strategy throws batches of up to 40
+operations at a medlit tenant.
 """
 
 
@@ -35,7 +39,8 @@ from oracles import ReferenceEngine
 from repro import telemetry
 from repro.chase.relational_chase import chase_relational
 from repro.core.setting import DataExchangeSetting
-from repro.engine.incremental import IncrementalChase, UpdateStats, decompose_egd
+from repro.engine.delta import decompose_egd
+from repro.engine.incremental import IncrementalChase, UpdateStats
 from repro.engine.query import QueryEngine
 from repro.errors import NotSupportedError, SchemaError
 from repro.graph.parser import parse_nre
@@ -55,7 +60,7 @@ from repro.service.protocol import canonical_bytes
 
 
 # --------------------------------------------------------------------- #
-# The four differential regimes: (setting, fact pool, queries).
+# The differential regimes: (setting, fact pool, queries).
 # --------------------------------------------------------------------- #
 
 
@@ -118,6 +123,24 @@ def cascade_setting() -> DataExchangeSetting:
     )
 
 
+def congruence_setting() -> DataExchangeSetting:
+    """Functional egds whose keys are nulls: uniting keys unites groups.
+
+    ``S(x, t)`` invents ``x -h-> m -b-> n -a-> t`` and ``B(y, t)`` invents
+    ``y -b-> n -a-> t``.  Egd A unites the ``n`` nulls of one ``t``; the
+    ``n`` nulls are egd B's keys, so their ``b`` groups unite too, down to
+    a constant ``y`` — and two of those on one ``t`` fail the chase.
+    """
+    s_tgd = parse_st_tgd("S(x, t) -> (x, h, m), (m, b, n), (n, a, t)", name="S_hba")
+    b_tgd = parse_st_tgd("B(y, t) -> (y, b, n), (n, a, t)", name="B_ba")
+    by_target = parse_egd("(x1, a, k), (x2, a, k) -> x1 = x2", name="A")
+    by_key = parse_egd("(y1, b, w), (y2, b, w) -> y1 = y2", name="B")
+    return DataExchangeSetting(
+        _pair_schema("S", "B"), {"a", "b", "h"}, [s_tgd, b_tgd],
+        [by_target, by_key], name="congruence",
+    )
+
+
 _FLIGHT_POOL = [
     ("Flight", (f"{fid:02d}", src, dst))
     for fid in range(1, 4)
@@ -143,16 +166,26 @@ _NULL_MERGE_POOL = [
     for right in ("u", "v")
 ]
 
+_CONGRUENCE_POOL = [
+    (relation, (left, link))
+    for relation, lefts in (("S", ("p1", "p2")), ("B", ("y1", "y2")))
+    for left in lefts
+    for link in ("t1", "t2")
+]
+
 _CASCADE_POOL = [
     ("S", (paper, link)) for paper in ("p1", "p2") for link in ("t1", "t2")
 ] + [("L", (link, "z")) for link in ("t1", "t2", "t3")] + [("L", ("t1", "y"))]
 
 REGIMES = {
-    "flights": (example31_setting, _FLIGHT_POOL, ("f", "h", "f . h")),
+    "flights": (example31_setting, _FLIGHT_POOL, ("f", "h", "f . h", "h*")),
     "failure": (failure_setting, _PAIR_POOL, ("h",)),
     "word-egd": (word_egd_setting, _WORD_POOL, ("f", "f . h")),
     "null-merge": (null_merge_setting, _NULL_MERGE_POOL, ("f . h . g", "g")),
     "cascade": (cascade_setting, _CASCADE_POOL, ("a . h-", "a . k . l")),
+    "congruence": (
+        congruence_setting, _CONGRUENCE_POOL, ("h . b", "b . a", "h . b . b-")
+    ),
 }
 
 
@@ -277,6 +310,15 @@ class TestDifferentialStreams:
         )
 
     @pytest.mark.parametrize("graph_form", GRAPH_FORMS)
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_congruence_streams_match_oracle(self, graph_form, data):
+        factory, pool, queries = REGIMES["congruence"]
+        run_stream(
+            factory, pool, queries, data.draw(stream_strategy(pool)), graph_form
+        )
+
+    @pytest.mark.parametrize("graph_form", GRAPH_FORMS)
     @pytest.mark.parametrize("regime", sorted(REGIMES))
     def test_pinned_churn_on_both_graph_forms(self, regime, graph_form):
         """A deterministic delete-then-reinsert stream, oracle on each form."""
@@ -304,7 +346,10 @@ class TestGeneratorStreams:
         for batch in update_stream(config, 4, 12, 0.4):
             live.apply_updates(batch)
             assert_matches_oracle(live, engine, queries, graph_form)
-        assert live.stats.merged_repairs > 0
+        # Deletions re-close only the components they touch, never the
+        # whole tenant, and the merged layer is never rebuilt.
+        assert live.stats.recloses > 0
+        assert live.stats.ids_reclosed < live.stats.recloses * len(live._nodes)
         assert live.stats.merged_rebuilds == 1  # the bootstrap only
 
 
@@ -365,39 +410,51 @@ class TestPinnedBehaviour:
         assert summary["batches"] == 1 and summary["noops"] == 2
         assert summary["inserts_applied"] == 0 and summary["deletes_applied"] == 0
 
-    def test_fast_delete_avoids_rebuild(self):
-        """Removing an unmerged trigger's edges takes the O(affected) path."""
+    def test_fast_delete_keeps_the_partition(self):
+        """Removing edges whose members stand alone skips the re-close."""
         live = IncrementalChase(example31_setting(), flights_instance())
         live.apply_updates([("insert", "Hotel", ("02", "hz"))])
-        baseline = live.stats.merged_rebuilds
+        before = live.stats.summary()
         live.apply_updates([("delete", "Hotel", ("02", "hz"))])
-        assert live.stats.fast_deletes > 0
-        assert live.stats.merged_rebuilds == baseline
+        after = live.stats.summary()
+        # the retracted trigger's three edges
+        assert after["fast_deletes"] - before["fast_deletes"] == 3
+        assert after["recloses"] == before["recloses"]
+        assert after["merged_rebuilds"] == before["merged_rebuilds"]
 
-    def test_deleting_merge_support_repairs_locally(self):
-        """Removing a fact that fed an egd merge re-derives only its class."""
+    def test_deleting_merge_support_recloses_its_component(self):
+        """Removing a fact that fed an egd merge re-closes only hx's component."""
         live = IncrementalChase(example31_setting(), flights_instance())
-        [hit_class] = [m for m in live._classes.values() if len(m) > 1]
+        assert [len(members) for members in live._members.values()] == [2]
         before = live.stats.summary()
         live.apply_updates([("delete", "Hotel", ("02", "hx"))])
         after = live.stats.summary()
         assert after["merged_rebuilds"] == before["merged_rebuilds"]
-        assert after["merged_repairs"] == before["merged_repairs"] + 1
-        assert after["nodes_rederived"] - before["nodes_rederived"] == len(hit_class)
+        assert after["recloses"] == before["recloses"] + 1
+        # hx, the surviving city null, and the retracted one
+        assert after["ids_reclosed"] - before["ids_reclosed"] == 3
+        assert not live._members
+        assert_matches_oracle(live, QueryEngine(), [parse_nre("f . h")])
 
-    def test_repair_span_reports_rederived_nodes(self):
-        """A trace shows ``update.repair`` under ``update.apply`` with its size."""
+    def test_close_span_names_the_path(self):
+        """A trace shows ``update.close`` under ``update.apply``: path and ids."""
         live = IncrementalChase(example31_setting(), flights_instance())
         telemetry.set_enabled(True)
         try:
             with telemetry.span("test.root") as root:
+                live.apply_updates([("insert", "Hotel", ("02", "hz"))])
                 live.apply_updates([("delete", "Hotel", ("02", "hx"))])
         finally:
             telemetry.set_enabled(None)
-        [apply] = root.children
-        [repair] = apply.children
-        assert (apply.name, repair.name) == ("update.apply", "update.repair")
-        assert repair.attrs["nodes"] == live.stats.nodes_rederived == 2
+        closes = []
+        for apply in root.children:
+            assert apply.name == "update.apply"
+            [close] = apply.children
+            closes.append((close.name, close.attrs))
+        assert closes == [
+            ("update.close", {"path": "extend", "ids": 4}),  # c3, c2, hz, a null
+            ("update.close", {"path": "reclose", "ids": 3}),
+        ]
 
     def test_deleting_out_of_a_failed_state_rebuilds(self):
         """A failed chase parks the merged layer; a deletion rebuilds it."""
@@ -409,10 +466,15 @@ class TestPinnedBehaviour:
         after = live.stats.summary()
         assert not live.failed
         assert after["merged_rebuilds"] == before["merged_rebuilds"] + 1
-        assert after["merged_repairs"] == before["merged_repairs"]
+        assert after["recloses"] == before["recloses"]
 
-    def test_cascade_dissolves_the_dependent_class(self):
-        """Killing class A's witness splits class B, whose witness runs via A."""
+    def test_cascade_rebuilds_with_the_sequential_fixpoint(self):
+        """Word egds are not functional: each edge-changing batch rebuilds.
+
+        Egd A merges the two ``n`` nulls; egd B then merges the two ``m``
+        nulls pointing at the merged ``n``.  Deleting one ``L`` fact splits
+        both classes, and re-inserting it merges them again.
+        """
         live = IncrementalChase(cascade_setting())
         engine, queries = QueryEngine(), [parse_nre("a . h-"), parse_nre("a . k . l")]
         live.apply_updates([
@@ -420,16 +482,16 @@ class TestPinnedBehaviour:
             ("insert", "L", ("t1", "z")), ("insert", "L", ("t2", "z")),
         ])
         assert_matches_oracle(live, engine, queries)
-        assert sorted(len(m) for m in live._classes.values() if len(m) > 1) == [2, 2]
+        assert live._merged.node_count() == 7  # p1 p2 t1 t2 z, one n, one m
         before = live.stats.summary()
         live.apply_updates([("delete", "L", ("t2", "z"))])
         assert_matches_oracle(live, engine, queries)
-        assert all(len(members) == 1 for members in live._classes.values())
-        assert live.stats.merged_repairs == before["merged_repairs"] + 1
-        assert live.stats.nodes_rederived == before["nodes_rederived"] + 4
+        assert live._merged.node_count() == 9
         live.apply_updates([("insert", "L", ("t2", "z"))])
         assert_matches_oracle(live, engine, queries)
-        assert live.stats.merged_rebuilds == before["merged_rebuilds"]
+        assert live._merged.node_count() == 7
+        assert live.stats.merged_rebuilds == before["merged_rebuilds"] + 2
+        assert live.stats.recloses == 0
 
     def test_insert_only_batches_invalidate_answers(self):
         """An insert-only batch drops the cache; each query re-reads once."""
@@ -484,6 +546,145 @@ class TestPinnedBehaviour:
         assert live.instance.contains("Hotel", ("02", "hz"))
 
 
+class TestMergedLayerEdges:
+    """Oracle-checked corners of the union-find merged layer."""
+
+    def test_deleting_a_lone_anchor_drops_it(self):
+        """A group emptied by a fast delete forgets its anchor member.
+
+        ``a`` stays alive through ``R(a, v)``, so an anchor left behind at
+        ``u`` would unite the next ``u`` member with ``a`` — two constants,
+        a false failure.
+        """
+        live = IncrementalChase(failure_setting())
+        queries = [parse_nre("h")]
+        live.apply_updates([("insert", "R", ("a", "u")), ("insert", "R", ("a", "v"))])
+        before = live.stats.summary()
+        live.apply_updates([("delete", "R", ("a", "u"))])
+        assert live.stats.fast_deletes == before["fast_deletes"] + 1
+        assert live.stats.recloses == before["recloses"]
+        live.apply_updates([("insert", "R", ("b", "u"))])
+        assert not live.failed
+        assert_matches_oracle(live, QueryEngine(), queries)
+
+    def test_deleting_the_anchor_of_a_class_with_company(self):
+        """Each of hx's three city nulls goes in turn; the rest stay merged."""
+        engine, queries = QueryEngine(), [parse_nre("f . h"), parse_nre("h . h-")]
+        hits_anchor = False
+        for flight in ("01", "02", "03"):
+            instance = flights_instance()
+            instance.add("Flight", ("03", "c4", "c2"))
+            instance.add("Hotel", ("03", "hx"))
+            live = IncrementalChase(example31_setting(), instance)
+            assert [len(members) for members in live._members.values()] == [3]
+            anchor, _ = live._anchors[0][live._ids["hx"]]
+            live.apply_updates([("delete", "Hotel", (flight, "hx"))])
+            hits_anchor |= not live._incident[anchor]
+            assert [len(members) for members in live._members.values()] == [2]
+            assert_matches_oracle(live, engine, queries)
+            live.apply_updates([("insert", "Hotel", (flight, "hx"))])
+            assert_matches_oracle(live, engine, queries)
+        assert hits_anchor
+
+    def test_null_merged_into_a_constant_splits_with_its_support(self):
+        """A preprint's venue null joins the paper's venue, then leaves it."""
+        live = IncrementalChase(scale_setting("medlit"))
+        engine = QueryEngine()
+        queries = [parse_nre(text) for text in workload_queries("medlit")]
+        venue = parse_nre("in_venue")
+        live.apply_updates([
+            ("insert", "Paper", ("p1", "v1", "2020")),
+            ("insert", "Preprint", ("p1",)),
+            ("insert", "Paper", ("p3", "v1", "2021")),  # keeps v1 in the domain
+            ("insert", "Cites", ("p2", "p1")),
+        ])
+        assert_matches_oracle(live, engine, queries + [venue])
+        assert live.certain_answers(venue).answers == {("p1", "v1"), ("p3", "v1")}
+        assert [len(members) for members in live._members.values()] == [2]
+        live.apply_updates([("delete", "Paper", ("p1", "v1", "2020"))])
+        assert_matches_oracle(live, engine, queries + [venue])
+        assert live.certain_answers(venue).answers == {("p3", "v1")}
+        assert not live._members
+
+    def test_failure_then_recovery_by_a_delete(self):
+        """Two constants meet, more inserts keep it failed, deletes recover."""
+        stream = [
+            [("insert", ("R", ("a", "u"))), ("insert", ("R", ("a", "v")))],
+            [("insert", ("R", ("b", "u")))],
+            [("insert", ("R", ("c", "v")))],
+            [("delete", ("R", ("b", "u")))],
+            [("delete", ("R", ("c", "v"))), ("insert", ("R", ("c", "u")))],
+            [("delete", ("R", ("c", "u")))],
+        ]
+        verdicts = []
+        live = IncrementalChase(failure_setting())
+        for batch in stream:
+            live.apply_updates(
+                [(op, relation, values) for op, (relation, values) in batch]
+            )
+            assert_matches_oracle(live, QueryEngine(), [parse_nre("h")])
+            verdicts.append(live.failed)
+        assert verdicts == [False, True, True, True, True, False]
+        assert live.stats.merged_rebuilds == 1 + 3  # the bootstrap, then each delete
+
+    @pytest.mark.parametrize("family", ["medlit", "social"])
+    def test_delete_then_reinsert_in_one_batch(self, family):
+        """Deleting and restoring merge-feeding facts in one batch is a no-op."""
+        config = GeneratorConfig(family=family, nodes=80, seed=5)
+        instance = generate_instance(config)
+        facts = sorted(instance, key=repr)[::20]
+        live = IncrementalChase(scale_setting(family), instance)
+        engine = QueryEngine()
+        queries = [parse_nre(text) for text in workload_queries(family)]
+        origin = canonical_bytes(graph_to_dict(live.chase_result().graph))
+        live.apply_updates([
+            (op, relation, values)
+            for relation, values in facts
+            for op in ("delete", "insert")
+        ])
+        assert canonical_bytes(graph_to_dict(live.chase_result().graph)) == origin
+        (relation, values), (other, other_values) = facts[:2]
+        live.apply_updates([
+            ("delete", relation, values), ("insert", relation, values),
+            ("delete", other, other_values),
+        ])
+        assert_matches_oracle(live, engine, queries)
+
+
+MEDLIT_80 = GeneratorConfig(family="medlit", nodes=80, seed=5)
+
+
+def medlit_pool() -> list:
+    """The medlit-80 tenant's facts plus 80 fresh facts that graft onto it."""
+    fresh = [
+        (relation, values)
+        for batch in update_stream(MEDLIT_80, 2, 40, 0.0)
+        for _, relation, values in batch
+    ]
+    return sorted(generate_instance(MEDLIT_80), key=repr) + fresh
+
+
+class TestLargeBatches:
+    """Batches of up to 40 operations on a medlit-80 tenant."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_medlit_batches_match_oracle(self, data):
+        pool = medlit_pool()
+        step = st.tuples(st.sampled_from(["insert", "delete"]), st.sampled_from(pool))
+        batches = data.draw(
+            st.lists(st.lists(step, min_size=1, max_size=40), min_size=1, max_size=3)
+        )
+        engine = QueryEngine()
+        queries = [parse_nre(text) for text in workload_queries("medlit")]
+        live = IncrementalChase(scale_setting("medlit"), generate_instance(MEDLIT_80))
+        for batch in batches:
+            live.apply_updates(
+                [(op, relation, values) for op, (relation, values) in batch]
+            )
+            assert_matches_oracle(live, engine, queries)
+
+
 class TestGatesAndDecomposition:
     def test_outside_fragment_settings_are_rejected(self):
         with pytest.raises(NotSupportedError):
@@ -508,6 +709,6 @@ class TestGatesAndDecomposition:
     def test_update_stats_summary_shape(self):
         summary = UpdateStats().summary()
         assert summary["batches"] == 0
-        assert {"egd_merges", "fast_deletes", "merged_rebuilds",
-                "merged_repairs", "nodes_rederived",
+        assert {"egd_merges", "fast_deletes", "merged_rebuilds", "recloses",
+                "ids_reclosed", "edges_moved", "triggers_added",
                 "answer_patches", "answer_invalidations"} <= set(summary)

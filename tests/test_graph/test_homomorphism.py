@@ -4,7 +4,7 @@ solution property of the Section 3.1 chase."""
 import pytest
 
 from repro.graph.database import GraphDatabase
-from repro.graph.homomorphism import (
+from oracles.graph_homomorphism import (
     find_graph_homomorphism,
     graph_homomorphisms,
     is_homomorphic,

@@ -15,7 +15,7 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from repro.graph.database import GraphDatabase
-from repro.graph.homomorphism import graph_homomorphisms
+from oracles.graph_homomorphism import graph_homomorphisms
 from repro.patterns.homomorphism import all_homomorphisms, has_homomorphism
 from repro.patterns.pattern import GraphPattern
 from repro.patterns.rep import canonical_instantiation
