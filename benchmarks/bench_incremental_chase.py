@@ -13,7 +13,7 @@ that), the only question left is the speedup, measured here:
   the largest generator tenant absorbs an insert batch of N fresh
   Flight/Hotel facts and then retracts it.  The fresh hotels give each
   new city null a singleton class, so the insert extends the partition
-  and the retraction keeps it (no re-close);
+  and the retraction re-closes only each null and its hotel;
 * ``test_support_delete_32``    — the same tenant retracts and restores
   32 Hotel facts that feed egd merges.  Each retract batch re-closes the
   union-find inside the functional-link components of the hotels it
@@ -57,8 +57,9 @@ def update_batch(size: int) -> list[tuple[str, str, tuple]]:
     """N fresh Flight/Hotel inserts: new flight ids, never-shared hotels.
 
     Fresh hotels give each new city null a singleton class, so the
-    retraction keeps the partition (no re-close), which is exactly the
-    common live-update shape: new data arrives, old merges stay untouched.
+    retraction re-closes two ids per fact and no old class, which is
+    exactly the common live-update shape: new data arrives, old merges
+    stay untouched.
     """
     return [
         update
@@ -188,7 +189,7 @@ def test_support_delete_32(benchmark):
     # touch (never the whole tenant), and nothing rebuilds the layer.
     recloses = after["recloses"] - before["recloses"]
     assert recloses == 6  # one per retract batch: a warm-up and five rounds
-    assert after["ids_reclosed"] - before["ids_reclosed"] < recloses * len(live._nodes)
+    assert after["ids_reclosed"] - before["ids_reclosed"] < recloses * len(live._ids)
     assert after["merged_rebuilds"] == before["merged_rebuilds"]
 
     rechase = make_full_rechase(32)

@@ -234,9 +234,8 @@ def test_query_engine_answers_medlit(benchmark):
     """Stream's read shape: five ``answers_over`` on a live medlit 1,000 tenant.
 
     The tenant is one ``update_stream`` batch past bootstrap, read on the
-    incremental chase's merged graph over the source active domain.  That
-    batch's deletes retract only facts it inserted itself, so the merged
-    graph has seen nothing but ``add_edge`` and keeps its fingerprint.  Each read is one relation evaluation decoded
+    incremental chase's merged graph, which has no fingerprint, over the
+    source active domain.  Each read is one relation evaluation decoded
     within ``domain × domain`` (deterministic counters, gated), checked
     against the pair-set oracle restricted to the domain.  ``answers_over``
     and ``pairs`` on the same graph are timed in interleaved rounds and
@@ -273,7 +272,7 @@ def test_query_engine_answers_medlit(benchmark):
              f"{graph.node_count()}, {graph.edge_count()}, {len(domain)}"),
             ("identical to oracle", True, answers == expected),
             ("relations_evaluated", 5, stats.relations_evaluated),
-            ("uncacheable_graphs", 0, stats.uncacheable_graphs),
+            ("uncacheable_graphs", 5, stats.uncacheable_graphs),
             ("answers_over median (ms)", "—", f"{medians[0] * 1000:.2f}"),
             ("pairs median (ms)", "—", f"{medians[1] * 1000:.2f}"),
             ("answers_over / pairs", "—", f"{medians[0] / medians[1]:.2f}"),
@@ -281,4 +280,4 @@ def test_query_engine_answers_medlit(benchmark):
     )
     assert answers == expected
     assert stats.relations_evaluated == 5
-    assert stats.uncacheable_graphs == 0
+    assert stats.uncacheable_graphs == 5

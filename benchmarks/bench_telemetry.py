@@ -14,8 +14,9 @@ instrumented surface:
 * ``test_update_cycle_{on,off}`` — a 32-fact insert/retract cycle on a
   warm :class:`~repro.engine.incremental.IncrementalChase` tenant
   (``update.apply`` + nested ``chase.*`` spans, the write-path shape);
-* ``test_overhead_contract``     — interleaved on/off medians of both,
-  asserting the <= 5% acceptance bound and answer byte-identity inline.
+* ``test_overhead_contract``     — interleaved on/off rounds of both,
+  asserting the <= 5% acceptance bound on the median of each round's own
+  on/off difference, and answer byte-identity, inline.
 
 Telemetry is toggled per sweep through
 :func:`repro.telemetry.set_enabled` (process-wide override, restored to
@@ -30,7 +31,7 @@ import statistics
 
 import pytest
 
-from conftest import ab_medians, report
+from conftest import report, timed
 
 from repro import telemetry
 from repro.core.certain import certain_answers_nre, is_certain_answer
@@ -177,20 +178,30 @@ def test_overhead_contract():
         for _ in range(CYCLE_SWEEP):
             single_cycle()
 
-    # Each workload's on/off pair interleaves on its own, in on-off-off-on
-    # order: a sweep runs a few percent slower in the first slot of a
-    # round (measured with the same toggle in both slots), and the mirrored
-    # order gives each side one slot of each kind.
-    medians = ab_medians(
-        with_telemetry(True, probe), with_telemetry(False, probe),
-        with_telemetry(False, probe), with_telemetry(True, probe),
-        with_telemetry(True, cycle), with_telemetry(False, cycle),
-        with_telemetry(False, cycle), with_telemetry(True, cycle),
-        rounds=45,
-    )
-    probe_on, probe_off = (medians[0] + medians[3]) / 2, (medians[1] + medians[2]) / 2
-    cycle_on, cycle_off = (medians[4] + medians[7]) / 2, (medians[5] + medians[6]) / 2
-    cycle_on, cycle_off = cycle_on / CYCLE_SWEEP, cycle_off / CYCLE_SWEEP
+    # Each round runs each workload's on/off pair in on-off-off-on order:
+    # a sweep runs a few percent slower in the first slot of a round
+    # (measured with the same toggle in both slots), and the mirrored
+    # order gives each side one slot of each kind.  The overhead is the
+    # median of the rounds' own on - off differences: the host's speed
+    # shifts by tens of percent for many rounds at a time, which moves
+    # both sides of a round together but splits two separate medians.
+    samples: dict[str, list[tuple[float, float]]] = {"probe": [], "cycle": []}
+    for _ in range(45):
+        for name, sweep in (("probe", probe), ("cycle", cycle)):
+            on = timed(with_telemetry(True, sweep))
+            off = timed(with_telemetry(False, sweep))
+            off += timed(with_telemetry(False, sweep))
+            on += timed(with_telemetry(True, sweep))
+            samples[name].append((on / 2, off / 2))
+
+    def on_off(name: str, per_sweep: int) -> tuple[float, float]:
+        """The median off time, and it plus the median paired overhead."""
+        off = statistics.median(off for _, off in samples[name]) / per_sweep
+        excess = statistics.median(on - off for on, off in samples[name]) / per_sweep
+        return off + excess, off
+
+    probe_on, probe_off = on_off("probe", 1)
+    cycle_on, cycle_off = on_off("cycle", CYCLE_SWEEP)
     report(
         "telemetry overhead: instrumented vs REPRO_TELEMETRY=off",
         [

@@ -233,15 +233,6 @@ def _functional_closure(
 
     # A class that holds a constant has it as its root.
     parent = list(range(len(numbers)))
-
-    def find(ident: int) -> int:
-        root = parent[ident]
-        while parent[root] != root:
-            root = parent[root]
-        while parent[ident] != root:
-            parent[ident], ident = root, parent[ident]
-        return root
-
     merged: list[int] = []
     changed = True
     while changed:
@@ -249,12 +240,12 @@ def _functional_closure(
         for pairs in links.values():
             first: dict[int, int] = {}
             for key, member in pairs:
-                key = same[find(key)]
+                key = same[_find(parent, key)]
                 anchor = first.get(key)
                 if anchor is None:
                     first[key] = member
                     continue
-                left, right = find(anchor), find(member)
+                left, right = _find(parent, anchor), _find(parent, member)
                 if same[left] == same[right]:
                     continue
                 if not numbers[left] and not numbers[right]:
@@ -268,13 +259,23 @@ def _functional_closure(
     # null by label (class_representative); every other member maps to it.
     classes: dict[int, list[int]] = {}
     for ident in merged:
-        root = find(ident)
+        root = _find(parent, ident)
         classes.setdefault(same[root], [root]).append(ident)
     keep: dict[int, int] = {}
     for members in classes.values():
         kept = min(members, key=lambda ident: (numbers[ident] > 0, str(numbers[ident])))
         keep.update((ident, kept) for ident in members if ident != kept)
     return keep
+
+
+def _find(parent: list[int], ident: int) -> int:
+    """The root of ``ident``'s class in ``parent``, compressing the path to it."""
+    root = parent[ident]
+    while parent[root] != root:
+        root = parent[root]
+    while parent[ident] != root:
+        parent[ident], ident = root, parent[ident]
+    return root
 
 
 def class_representative(members: Iterable[Node]) -> Node:

@@ -9,7 +9,8 @@ instance:
 * the **base layer** — the set of fired s-t tgd triggers, indexed by the
   facts they join over (for retraction) and by the target edges they emit
   (exact provenance: a target edge exists iff some live trigger supports
-  it).  Each node gets a dense int id when its first edge is born; base
+  it).  Each node gets a dense int id when its first edge is born, and
+  gives it back for reuse once a batch leaves it with no edge; base
   edges are ``(id, label, id)`` triples with an incidence index by id,
   and every functional egd profile keeps its key groups (key id → member
   ids);
@@ -18,12 +19,10 @@ instance:
   mirror; every generator family and Example 3.1), the least merge
   partition is a congruence closure on a union-find ``parent`` list over
   the ids: members of one key class unite, and when two keys unite their
-  groups' anchors unite too.  An insert-only batch extends the live
-  partition.  So does a delete whose removed functional edges each have a
-  singleton member class, since no union rests on such an edge.  Any
-  other delete re-closes on ids, inside the components of the
-  functional-link graph that its removed edges touch.  Two constants
-  meeting fail the chase.  The merged
+  groups' anchors unite too.  A batch that removes no functional edge
+  extends the live partition.  Any other batch re-closes on ids, inside
+  the components of the functional-link graph that its removed
+  functional edges touch.  Two constants meeting fail the chase.  The merged
   :class:`~repro.graph.database.GraphDatabase` that queries read is
   patched with per-image support counts: only the edges of ids whose
   representative changed move, plus the batch's net added and removed
@@ -59,12 +58,14 @@ from typing import TYPE_CHECKING, Hashable, Iterable, Iterator, Mapping
 from repro.chase.relational_chase import (
     _check_fragment,
     _egd_fixpoint_on_graph,
+    _find,
     quotient_result,
 )
 from repro.chase.result import ChaseResult, ChaseStats
 from repro.engine.delta import _functional_profile
 from repro.engine.query import default_engine
 from repro.errors import NotSupportedError, SchemaError
+from repro.graph.backends import DictBackend
 from repro.graph.database import GraphDatabase
 from repro.graph.nre import NRE
 from repro.telemetry import fold_stats, span
@@ -113,18 +114,19 @@ class UpdateStats:
     union of a re-close counts again), or merges of a sequential rebuild."""
 
     fast_deletes: int = 0
-    """Net removed base edges applied without a re-close (each removed
-    functional edge had a singleton member class)."""
+    """Net removed base edges applied without a re-close (the batch
+    removed no functional edge)."""
 
     merged_rebuilds: int = 0
     """Merged layers built from scratch: bootstrap, a deletion out of a
     failed state, and every edge-changing batch under non-functional egds."""
 
     recloses: int = 0
-    """Batches whose deletions re-closed the partition on ids."""
+    """Batches whose deletions of functional edges re-closed the partition
+    on ids."""
 
     ids_reclosed: int = 0
-    """Ids reset to singletons by those re-closes (every interned id)."""
+    """Ids reset to singletons by those re-closes."""
 
     edges_moved: int = 0
     """Base edges whose merged image moved because an endpoint's
@@ -212,16 +214,6 @@ def _make_trigger(
     return _Trigger(tgd_index, (tgd_index, dedupe), sort_key, facts, edges, nulls)
 
 
-def _find(parent: list[int], ident: int) -> int:
-    """The root of ``ident``'s class, compressing the path to it."""
-    root = parent[ident]
-    while parent[root] != root:
-        root = parent[root]
-    while parent[ident] != root:
-        parent[ident], ident = root, parent[ident]
-    return root
-
-
 # --------------------------------------------------------------------- #
 # The incremental chase
 # --------------------------------------------------------------------- #
@@ -235,8 +227,8 @@ class IncrementalChase:
     Answers are byte-identical to re-chasing the current instance from
     scratch.  An N-operation batch fires only the triggers it touches;
     under functional egds it extends the union-find partition, or
-    re-closes it on ids when a deletion may split a class, and moves only
-    the merged edges of ids whose representative changed.
+    re-closes the components around the functional edges it deletes, and
+    moves only the merged edges of ids whose representative changed.
 
     >>> from repro.scenarios.figures import example31_setting
     >>> from repro.scenarios.flights import flights_instance
@@ -292,18 +284,20 @@ class IncrementalChase:
         self._nodes: list[Node] = []
         self._constant: list[bool] = []
         self._incident: list[set[IdTriple]] = []
+        self._dead: set[int] = set()  # ids that lost their last edge
+        self._free: list[int] = []  # ids of dead nodes, for reuse
         self._edge_support: dict[IdTriple, int] = {}  # edge -> live triggers
         # per profile: key id -> member ids
         self._groups: list[dict[int, set[int]]] = [{} for _ in profiles]
         # --- merged layer: the partition and the graph queries read ---
         self._parent: list[int] = []
         self._members: dict[int, list[int]] = {}  # root -> class, if > 1 id
-        # per profile: class root -> [anchor member id, edges keyed in class]
-        self._anchors: list[dict[int, list[int]]] = [{} for _ in profiles]
+        # per profile: class root -> the member its group's members unite with
+        self._anchors: list[dict[int, int]] = [{} for _ in profiles]
         self._rep: list[int] = []  # the root each id's merged edges sit on
         self._image_count: dict[IdTriple, int] = {}
         self._merged_degree: dict[int, int] = {}
-        self._merged = GraphDatabase(alphabet=set(setting.alphabet))
+        self._merged = self._empty_graph()
         self._failed = False
         self._witness_cache: object = _UNSET
         # --- answer layer ---
@@ -382,6 +376,7 @@ class IncrementalChase:
             if present and not self.instance.contains(*fact)
         }
         self._update_merged(*self._update_base(added_facts, removed_facts))
+        self._recycle()
         if (added_facts or removed_facts) and self._answers:
             self.stats.answer_invalidations += 1
             self._answers.clear()
@@ -518,16 +513,36 @@ class IncrementalChase:
                     yield _make_trigger(tgd_index, tgd, hom)
 
     def _intern(self, node: Node) -> int:
-        """The id of ``node``, allocating the next one on first sight."""
+        """The id of ``node``, taking a freed id or the next one on first sight."""
         ident = self._ids.get(node)
         if ident is None:
-            ident = self._ids[node] = len(self._nodes)
-            self._nodes.append(node)
-            self._constant.append(not is_null(node))
-            self._incident.append(set())
+            if self._free:
+                ident = self._free.pop()
+                self._nodes[ident] = node
+                self._constant[ident] = not is_null(node)
+            else:
+                ident = len(self._nodes)
+                self._nodes.append(node)
+                self._constant.append(not is_null(node))
+                self._incident.append(set())
+            self._ids[node] = ident
         elif not self._incident[ident]:
             self._nodes[ident] = node  # reborn: keep the live object
         return ident
+
+    def _recycle(self) -> None:
+        """Free the ids of the nodes a batch left without a base edge.
+
+        The merged layer is up to date, so each such id is a singleton
+        with no merged edge; a failed layer is rebuilt from every id
+        before it is read again.
+        """
+        for ident in self._dead:
+            if not self._incident[ident]:
+                del self._ids[self._nodes[ident]]
+                self._nodes[ident] = None
+                self._free.append(ident)
+        self._dead.clear()
 
     def _add_trigger(self, trigger: _Trigger) -> list[IdTriple]:
         """Register ``trigger``; return the base edges it newly created."""
@@ -578,6 +593,10 @@ class IncrementalChase:
             source, label, target = edge
             incident[source].discard(edge)
             incident[target].discard(edge)
+            if not incident[source]:
+                self._dead.add(source)
+            if not incident[target]:
+                self._dead.add(target)
             for index, key_at_target in self._sides.get(label, ()):
                 key, member = (target, source) if key_at_target else (source, target)
                 group = self._groups[index][key]
@@ -618,20 +637,16 @@ class IncrementalChase:
         grown = range(len(self._parent), len(self._nodes))
         self._parent.extend(grown)
         self._rep.extend(grown)
-        if self._keeps_partition(net_removed):
-            self.stats.fast_deletes += len(net_removed)
-            touched = {ident for s, _, t in chain(net_removed, net_added)
-                       for ident in (s, t)}
-            with span("update.close", path="extend", ids=len(touched)):
-                moved = self._close(self._links(net_added))
-                self._patch(moved, net_removed, net_added)
-        else:
-            region = self._region(net_removed)
+        region = self._region(net_removed)
+        if region:
             self.stats.recloses += 1
             self.stats.ids_reclosed += len(region)
-            with span("update.close", path="reclose", ids=len(region)):
-                moved = self._reclose(region, net_added)
-                self._patch(moved, net_removed, net_added)
+            path, ids = "reclose", len(region)
+        else:
+            self.stats.fast_deletes += len(net_removed)
+            path, ids = "extend", len({i for s, _, t in net_added for i in (s, t)})
+        with span("update.close", path=path, ids=ids):
+            self._patch(self._reclose(region, net_added), net_removed, net_added)
 
     def _rebuild_merged(self) -> None:
         """Rebuild the merged layer from the base edges, from scratch."""
@@ -654,31 +669,19 @@ class IncrementalChase:
         self._rep = list(everything)
         self._image_count = {}
         self._merged_degree = {}
-        self._merged = GraphDatabase(alphabet=set(self.setting.alphabet))
+        self._merged = self._empty_graph()
         self._patch(self._reclose(everything), set(), set(self._edge_support))
 
-    def _keeps_partition(self, removed: Iterable[IdTriple]) -> bool:
-        """Take ``removed`` out of the class groups if no class can split.
+    def _empty_graph(self) -> GraphDatabase:
+        """An empty merged graph, kept out of the engine's fingerprint cache.
 
-        A union rests on a functional edge only through the edge's member,
-        so removing an edge whose member class is a singleton leaves the
-        least partition as it was.  Each removed edge then leaves its key
-        class's group; a group left with no edge drops its anchor, so a
-        later insert starts the group afresh.  Returns ``False`` (the
-        caller re-closes) at the first edge whose member has company.
+        The live graph moves through a new version on every batch, so a
+        cached state per version would only fill the cache; its reads use
+        a transient state, as on any destructively mutated graph.
         """
-        parent, members, anchors = self._parent, self._members, self._anchors
-        for source, label, target in removed:
-            for index, key_at_target in self._sides.get(label, ()):
-                key, member = (target, source) if key_at_target else (source, target)
-                if parent[member] != member or member in members:
-                    return False
-                root = _find(parent, key)
-                entry = anchors[index][root]
-                entry[1] -= 1
-                if not entry[1]:
-                    del anchors[index][root]
-        return True
+        return GraphDatabase._from_backend(DictBackend.from_edges(
+            set(self.setting.alphabet), (), destructive=True
+        ))
 
     def _region(self, removed: Iterable[IdTriple]) -> set[int]:
         """The functional-link components around ``removed``'s endpoints.
@@ -747,8 +750,8 @@ class IncrementalChase:
         """Union ``links`` into the partition, closing under congruence.
 
         Each link adds members to a key's group; the group of a key class
-        is kept as an anchor member plus an edge count, and every other
-        member unites with the anchor.  When two classes unite their
+        is kept as one anchor member, and every other member unites with
+        the anchor.  When two classes unite their
         anchors unite too, per profile.  A class's root is its constant,
         else its least id, so the roots (the merged graph's nodes) do not
         depend on the union order.  Returns the ids whose root changed
@@ -759,12 +762,7 @@ class IncrementalChase:
         constant = self._constant
         pending: list[tuple[int, int]] = []
         for index, key, group in links:
-            root = _find(parent, key)
-            entry = anchors[index].get(root)
-            if entry is None:
-                entry = anchors[index][root] = [next(iter(group)), 0]
-            entry[1] += len(group)  # type: ignore[arg-type]
-            anchor = entry[0]
+            anchor = anchors[index].setdefault(_find(parent, key), next(iter(group)))
             pending.extend((anchor, member) for member in group)
         moved: list[int] = []
         merges = 0
@@ -785,14 +783,11 @@ class IncrementalChase:
             members.setdefault(left, [left]).extend(absorbed)
             moved.extend(absorbed)
             for table in anchors:
-                entry = table.pop(right, None)
-                if entry is not None:
-                    kept = table.get(left)
-                    if kept is None:
-                        table[left] = entry
-                    else:
-                        kept[1] += entry[1]
-                        pending.append((kept[0], entry[0]))
+                anchor = table.pop(right, None)
+                if anchor is not None:
+                    kept = table.setdefault(left, anchor)
+                    if kept != anchor:
+                        pending.append((kept, anchor))
         self.stats.egd_merges += merges
         return moved
 

@@ -349,7 +349,7 @@ class TestGeneratorStreams:
         # Deletions re-close only the components they touch, never the
         # whole tenant, and the merged layer is never rebuilt.
         assert live.stats.recloses > 0
-        assert live.stats.ids_reclosed < live.stats.recloses * len(live._nodes)
+        assert live.stats.ids_reclosed < live.stats.recloses * len(live._ids)
         assert live.stats.merged_rebuilds == 1  # the bootstrap only
 
 
@@ -410,16 +410,31 @@ class TestPinnedBehaviour:
         assert summary["batches"] == 1 and summary["noops"] == 2
         assert summary["inserts_applied"] == 0 and summary["deletes_applied"] == 0
 
-    def test_fast_delete_keeps_the_partition(self):
-        """Removing edges whose members stand alone skips the re-close."""
+    def test_deleting_no_functional_edge_skips_the_reclose(self):
+        """A deletion whose removed edges are all non-functional only patches."""
+        live = IncrementalChase(scale_setting("medlit"))
+        live.apply_updates([
+            ("insert", "Paper", ("p1", "v1", "2020")),
+            ("insert", "Cites", ("p2", "p1")),
+        ])
+        before = live.stats.summary()
+        live.apply_updates([("delete", "Cites", ("p2", "p1"))])
+        after = live.stats.summary()
+        assert after["fast_deletes"] - before["fast_deletes"] == 1  # the cites edge
+        assert after["recloses"] == before["recloses"]
+        assert after["merged_rebuilds"] == before["merged_rebuilds"]
+        assert_matches_oracle(live, QueryEngine(), [parse_nre("cites")])
+
+    def test_deleting_a_lone_member_recloses_its_two_ids(self):
+        """Retracting hz's stop re-closes its city null and hz, nothing more."""
         live = IncrementalChase(example31_setting(), flights_instance())
         live.apply_updates([("insert", "Hotel", ("02", "hz"))])
         before = live.stats.summary()
         live.apply_updates([("delete", "Hotel", ("02", "hz"))])
         after = live.stats.summary()
-        # the retracted trigger's three edges
-        assert after["fast_deletes"] - before["fast_deletes"] == 3
-        assert after["recloses"] == before["recloses"]
+        assert after["recloses"] == before["recloses"] + 1
+        assert after["ids_reclosed"] - before["ids_reclosed"] == 2
+        assert after["fast_deletes"] == before["fast_deletes"]
         assert after["merged_rebuilds"] == before["merged_rebuilds"]
 
     def test_deleting_merge_support_recloses_its_component(self):
@@ -550,7 +565,7 @@ class TestMergedLayerEdges:
     """Oracle-checked corners of the union-find merged layer."""
 
     def test_deleting_a_lone_anchor_drops_it(self):
-        """A group emptied by a fast delete forgets its anchor member.
+        """A group emptied by a delete forgets its anchor member.
 
         ``a`` stays alive through ``R(a, v)``, so an anchor left behind at
         ``u`` would unite the next ``u`` member with ``a`` — two constants,
@@ -559,10 +574,10 @@ class TestMergedLayerEdges:
         live = IncrementalChase(failure_setting())
         queries = [parse_nre("h")]
         live.apply_updates([("insert", "R", ("a", "u")), ("insert", "R", ("a", "v"))])
-        before = live.stats.summary()
+        before, u = live.stats.summary(), live._ids["u"]
         live.apply_updates([("delete", "R", ("a", "u"))])
-        assert live.stats.fast_deletes == before["fast_deletes"] + 1
-        assert live.stats.recloses == before["recloses"]
+        assert live.stats.recloses == before["recloses"] + 1
+        assert u not in live._anchors[0] and live._free == [u]
         live.apply_updates([("insert", "R", ("b", "u"))])
         assert not live.failed
         assert_matches_oracle(live, QueryEngine(), queries)
@@ -577,7 +592,7 @@ class TestMergedLayerEdges:
             instance.add("Hotel", ("03", "hx"))
             live = IncrementalChase(example31_setting(), instance)
             assert [len(members) for members in live._members.values()] == [3]
-            anchor, _ = live._anchors[0][live._ids["hx"]]
+            anchor = live._anchors[0][live._ids["hx"]]
             live.apply_updates([("delete", "Hotel", (flight, "hx"))])
             hits_anchor |= not live._incident[anchor]
             assert [len(members) for members in live._members.values()] == [2]
@@ -683,6 +698,27 @@ class TestLargeBatches:
                 [(op, relation, values) for op, (relation, values) in batch]
             )
             assert_matches_oracle(live, engine, queries)
+
+    def test_fresh_fact_churn_reuses_dead_ids(self):
+        """Nodes that lose their last edge give their ids back for reuse.
+
+        Twelve rounds each insert 40 fresh facts and then delete them, so
+        every round brings nodes the tenant has never seen; the id table
+        stays within the most nodes ever live at once.
+        """
+        live = IncrementalChase(scale_setting("medlit"), generate_instance(MEDLIT_80))
+        live_ids, peak = len(live._ids), len(live._ids)
+        for batch in update_stream(MEDLIT_80, 12, 40, 0.0):
+            fresh = [("delete", relation, values) for _, relation, values in batch
+                     if not live.instance.contains(relation, values)]
+            live.apply_updates(batch)
+            peak = max(peak, len(live._ids))
+            live.apply_updates(fresh)
+            assert len(live._ids) == live_ids
+        assert len(live._nodes) <= peak
+        assert all(live._incident[ident] for ident in live._ids.values())
+        queries = [parse_nre(text) for text in workload_queries("medlit")]
+        assert_matches_oracle(live, QueryEngine(), queries)
 
 
 class TestGatesAndDecomposition:
