@@ -118,7 +118,7 @@ def test_certain_probe_shape_frozen(benchmark):
         return run
 
     verdicts = {name: sweep(name)() for name in graphs}
-    frozen_median, dict_median = ab_medians(sweep("frozen"), sweep("dict"), rounds=7)
+    frozen_median, dict_median, _ = ab_medians(sweep("frozen"), sweep("dict"), rounds=7)
     benchmark.pedantic(sweep("frozen"), rounds=5, iterations=1, warmup_rounds=1)
     report(
         "E7b / certainty probe shape (single-pair a·a, frozen graph)",

@@ -193,8 +193,7 @@ def test_support_delete_32(benchmark):
     assert after["merged_rebuilds"] == before["merged_rebuilds"]
 
     rechase = make_full_rechase(32)
-    warm_median, full_median = ab_medians(cycle, rechase, rounds=5)
-    speedup = full_median / warm_median
+    warm_median, full_median, speedup = ab_medians(cycle, rechase, rounds=5)
     report(
         "incremental chase: merge-support delete vs full re-chase",
         [

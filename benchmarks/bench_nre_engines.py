@@ -121,7 +121,7 @@ def test_query_engine_frozen_single_pair(benchmark):
 
     expected = [(u, v) in reference for u, v in probes]
     verdicts = {name: sweep(name)() for name in graphs}
-    frozen_median, dict_median = ab_medians(sweep("frozen"), sweep("dict"), rounds=5)
+    frozen_median, dict_median, _ = ab_medians(sweep("frozen"), sweep("dict"), rounds=5)
     benchmark.pedantic(sweep("frozen"), rounds=5, iterations=1, warmup_rounds=1)
     report(
         "E12g / frozen-graph single-pair sweep (40 probes)",
@@ -275,7 +275,7 @@ def test_query_engine_answers_medlit(benchmark):
             ("uncacheable_graphs", 5, stats.uncacheable_graphs),
             ("answers_over median (ms)", "—", f"{medians[0] * 1000:.2f}"),
             ("pairs median (ms)", "—", f"{medians[1] * 1000:.2f}"),
-            ("answers_over / pairs", "—", f"{medians[0] / medians[1]:.2f}"),
+            ("answers_over / pairs", "—", f"{1 / medians[2]:.2f}"),
         ],
     )
     assert answers == expected

@@ -19,19 +19,28 @@ def timed(fn) -> float:
     return time.perf_counter() - start
 
 
-def ab_medians(*sweeps, rounds: int = 5) -> list[float]:
-    """Median wall-clock per sweep, measured in interleaved rounds.
+def ab_medians(a, b, rounds: int = 5) -> tuple[float, float, float]:
+    """Median wall clock of sweeps ``a`` and ``b``, and their median ratio.
 
-    Round-robin interleaving means a load spike on the host hits every
-    contestant roughly equally instead of skewing whichever sweep happened
-    to run during it — the speedup ratios asserted from these medians stay
-    meaningful on noisy CI machines.
+    Each round runs the sweeps in mirrored order, a-b-b-a, and averages
+    each sweep's two runs: a sweep runs a few percent slower in the first
+    slot of a round, and the mirror gives each side one slot of each
+    kind.  The ratio is the median of each round's own ``b / a``: the
+    host's speed shifts for many rounds at a time, which moves both
+    sides of a round together but splits two separate medians.
+
+    Returns ``(median a, median b, median of the rounds' b / a)``.
     """
-    samples: list[list[float]] = [[] for _ in sweeps]
+    samples: list[tuple[float, float]] = []
     for _ in range(rounds):
-        for index, sweep in enumerate(sweeps):
-            samples[index].append(timed(sweep))
-    return [statistics.median(times) for times in samples]
+        first_a, first_b = timed(a), timed(b)
+        second_b, second_a = timed(b), timed(a)
+        samples.append(((first_a + second_a) / 2, (first_b + second_b) / 2))
+    return (
+        statistics.median(t_a for t_a, _ in samples),
+        statistics.median(t_b for _, t_b in samples),
+        statistics.median(t_b / t_a for t_a, t_b in samples),
+    )
 
 
 def report(experiment: str, rows: list[tuple[str, object, object]]) -> None:

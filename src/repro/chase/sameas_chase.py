@@ -43,7 +43,7 @@ from typing import Hashable, Iterable, Sequence
 
 from repro.chase.pattern_chase import chase_pattern
 from repro.chase.result import ChaseResult, ChaseStats
-from repro.engine.matcher import TriggerMatcher, _edge_view, is_simple_query
+from repro.engine.matcher import TriggerMatcher
 from repro.graph.database import GraphDatabase
 from repro.mappings.sameas import SAME_AS_LABEL, SameAsConstraint
 from repro.mappings.stt import SourceToTargetTgd
@@ -61,9 +61,10 @@ def _is_symmetry(constraint: SameAsConstraint) -> bool:
     reverse.  Matches ``(x, sameAs, y) → (y, sameAs, x)`` and the
     equivalent backward-atom spelling."""
     atoms = constraint.body.atoms
-    if len(atoms) != 1 or not is_simple_query(constraint.body):
+    view = atoms[0].edge_view() if len(atoms) == 1 else None
+    if view is None:
         return False
-    source_term, lab, target_term = _edge_view(atoms[0])
+    source_term, lab, target_term = view
     return (
         lab == SAME_AS_LABEL
         and source_term != target_term
@@ -75,10 +76,9 @@ def _is_transitivity(constraint: SameAsConstraint) -> bool:
     """Whether the constraint is sameAs transitivity:
     ``(x, sameAs, z), (z, sameAs, y) → (x, sameAs, y)`` (either atom may
     be spelled backward)."""
-    atoms = constraint.body.atoms
-    if len(atoms) != 2 or not is_simple_query(constraint.body):
+    views = [atom.edge_view() for atom in constraint.body.atoms]
+    if len(views) != 2 or None in views:
         return False
-    views = [_edge_view(atom) for atom in atoms]
     for first, second in (views, views[::-1]):
         left_source, first_lab, middle_a = first
         middle_b, second_lab, right_target = second

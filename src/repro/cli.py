@@ -175,7 +175,6 @@ def _cmd_chase(args: argparse.Namespace) -> int:
 
 def _maybe_print_stats(args: argparse.Namespace, engine) -> None:
     if getattr(args, "stats", False):
-        print(f"engine: {engine.name}")
         print(f"stats: {engine.stats.summary()}")
 
 

@@ -1,27 +1,31 @@
-"""The indexed delta-chase engine and the compiled query engine.
+"""The delta-chase engine, the incremental chase and the query engine.
 
-This package holds the two shared evaluation cores:
+This package holds the shared evaluation cores:
 
-* :class:`TriggerMatcher` — indexed homomorphism enumeration over a
-  :class:`~repro.graph.database.GraphDatabase`, with semi-naive *delta*
-  enumeration (only triggers through recently added edges) and per-node
-  enumeration (only triggers through a merged node);
+* :class:`TriggerMatcher` — homomorphism enumeration over a
+  :class:`~repro.graph.database.GraphDatabase`, the graph-side entry
+  point to the join executor (:mod:`repro.join`): full, seeded, projected
+  (pair sets for egd and sameAs violations) and semi-naive *delta*
+  enumeration (only triggers through recently added edges);
 * :class:`EgdViolationQueue` — an egd violation set maintained
   incrementally across merge steps instead of recomputed per round;
-* :func:`is_simple_query` — the eligibility test for the fast paths
-  (composite NREs fall back to the CNRE evaluator, so results never
-  depend on which path ran);
-* :class:`QueryEngine` (:mod:`repro.engine.query`) — compiled, memoising
-  NRE evaluation with single-pair/single-source modes and a
+* :func:`is_simple_query` — whether every atom is a bare label, the
+  shape delta enumeration pins (composite bodies are re-enumerated in
+  full, a sound superset);
+* :class:`QueryEngine` (:mod:`repro.engine.query`) — memoising NRE
+  evaluation with single-pair/single-source modes and a
   cross-candidate cache keyed on graph fingerprints;
 * :class:`EvalStats` — the query-side observability counters (the
   ``ChaseStats`` analogue).
 
 A chase request flows as::
 
-    dependencies ──▶ TriggerMatcher.matches          (initial trigger set)
-    round N adds Δ ─▶ TriggerMatcher.delta_matches   (semi-naive round N+1)
-    merge old↦new ──▶ EgdViolationQueue.merge        (rename + re-match at new)
+    dependencies ──▶ TriggerMatcher.matches / .pair_matches   (initial triggers)
+    round N adds Δ ─▶ TriggerMatcher.delta_matches            (semi-naive round N+1)
+    merge old↦new ──▶ EgdViolationQueue.merge                 (rename, then
+                       └▶ TriggerMatcher.pair_matches_seeded    re-match through
+                                                                the rewritten edges)
+                 all ─▶ repro.join: Body.plan → Plan.rows / .exists / Body.delta_rows
 
 >>> from repro.engine import TriggerMatcher, is_simple_query
 >>> from repro.graph.database import GraphDatabase

@@ -11,7 +11,8 @@ keeps the violation set of a set of egds up to date across merges instead:
   in place (a homomorphism survives a node rename, so no rescan is needed
   to keep them) and the only *new* violations possible are those routed
   through an edge rewritten onto ``new`` — exactly what
-  :meth:`~repro.engine.matcher.TriggerMatcher.matches_touching` enumerates.
+  :meth:`~repro.engine.matcher.TriggerMatcher.pair_matches_seeded`
+  enumerates.
 
 Egds whose bodies are unions of words are *decomposed* into simple chain
 egds first (:func:`decompose_egd` — each ``(x, a·b, y)`` atom becomes
@@ -72,19 +73,11 @@ def _functional_profile(egd: "TargetEgd") -> "tuple[str, str] | None":
     atoms = egd.body.atoms
     if len(atoms) != 2:
         return None
-    normalized: list[tuple] = []  # (source, label, target) edge templates
-    for atom in atoms:
-        expr = atom.nre
-        if not isinstance(atom.subject, Variable) or not isinstance(
-            atom.object, Variable
-        ):
-            return None
-        if isinstance(expr, Label):
-            normalized.append((atom.subject, expr.name, atom.object))
-        elif isinstance(expr, Backward):
-            normalized.append((atom.object, expr.name, atom.subject))
-        else:
-            return None
+    normalized = [atom.edge_view() for atom in atoms]  # edge templates
+    if None in normalized or not all(
+        isinstance(term, Variable) for s, _, t in normalized for term in (s, t)
+    ):
+        return None
     (s1, l1, t1), (s2, l2, t2) = normalized
     if l1 != l2:
         return None

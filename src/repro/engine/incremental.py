@@ -53,7 +53,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from itertools import chain
-from typing import TYPE_CHECKING, Hashable, Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Iterator, Mapping
 
 from repro.chase.relational_chase import (
     _check_fragment,
@@ -70,9 +70,10 @@ from repro.graph.database import GraphDatabase
 from repro.graph.nre import NRE
 from repro.telemetry import fold_stats, span
 from repro.patterns.pattern import Null, is_null
-from repro.relational.evaluate import cq_homomorphisms
+from repro.join import Plan
+from repro.relational.evaluate import relational_body
 from repro.relational.instance import RelationalInstance
-from repro.relational.query import Variable, is_variable
+from repro.relational.query import is_variable
 
 if TYPE_CHECKING:  # annotation-only imports; avoids import cycles
     from repro.core.certain import CertainAnswers
@@ -184,34 +185,50 @@ class _Trigger:
         self.nulls = nulls
 
 
-def _make_trigger(
-    tgd_index: int, tgd: "SourceToTargetTgd", hom: Mapping[Variable, Node]
-) -> _Trigger:
-    """Build the :class:`_Trigger` record for one body homomorphism."""
-    dedupe = tuple(repr(hom[v]) for v in tgd.body.variables())
-    sort_key = tuple(sorted((v.name, repr(hom[v])) for v in hom))
-    assignment: dict[Variable, Node] = {v: hom[v] for v in tgd.frontier}
-    nulls = []
-    for position, existential in enumerate(tgd.existentials):
-        null = Null(f"inc:{tgd_index}:{position}:" + "\x1f".join(dedupe))
-        assignment[existential] = null
-        nulls.append(null)
-    facts = tuple(
-        (
-            atom.relation,
-            tuple(hom[t] if is_variable(t) else t for t in atom.terms),
-        )
+def _trigger_maker(
+    tgd_index: int, tgd: "SourceToTargetTgd"
+) -> Callable[[tuple, tuple], _Trigger]:
+    """Compile ``tgd``'s trigger layout over its body rows.
+
+    The returned function builds the :class:`_Trigger` of one body row
+    (values in ``tgd.body.variables()`` order) from the row and its key.
+    """
+    variables = tgd.body.variables()
+    names = [var.name for var in variables]
+    # Head and fact terms as indexes into the row followed by the nulls.
+    where = {var: i for i, var in enumerate(variables)}
+    where.update(
+        (var, len(variables) + k) for k, var in enumerate(tgd.existentials)
+    )
+    facts = [
+        (atom.relation, [(True, where[t]) if is_variable(t) else (False, t)
+                         for t in atom.terms])
         for atom in tgd.body.atoms
-    )
-    edges = tuple(
-        (
-            assignment[atom.subject] if is_variable(atom.subject) else atom.subject,
-            atom.nre.name,  # type: ignore[union-attr]  # fragment-checked Label
-            assignment[atom.object] if is_variable(atom.object) else atom.object,
-        )
+    ]
+    edges = [  # fragment-checked: every head NRE is a Label
+        (where[atom.subject], atom.nre.name, where[atom.object])  # type: ignore
         for atom in tgd.head.atoms
-    )
-    return _Trigger(tgd_index, (tgd_index, dedupe), sort_key, facts, edges, nulls)
+    ]
+    prefixes = [f"inc:{tgd_index}:{k}:" for k in range(len(tgd.existentials))]
+
+    def make(key: tuple, row: tuple) -> _Trigger:
+        dedupe = key[1]
+        joined = "\x1f".join(dedupe)
+        nulls = [Null(prefix + joined) for prefix in prefixes]
+        values = (*row, *nulls)
+        return _Trigger(
+            tgd_index,
+            key,
+            tuple(sorted(zip(names, dedupe))),
+            tuple(
+                (relation, tuple([values[t] if var else t for var, t in terms]))
+                for relation, terms in facts
+            ),
+            tuple((values[s], label, values[t]) for s, label, t in edges),
+            nulls,
+        )
+
+    return make
 
 
 # --------------------------------------------------------------------- #
@@ -276,6 +293,10 @@ class IncrementalChase:
             else RelationalInstance(setting.source_schema)
         )
         self._engine = engine
+        self._bodies = [relational_body(tgd.body, self.instance) for tgd in self._tgds]
+        self._makers = [
+            _trigger_maker(index, tgd) for index, tgd in enumerate(self._tgds)
+        ]
         self.stats = UpdateStats()
         # --- base layer: triggers, interned nodes and id edges ---
         self._triggers: dict[tuple, _Trigger] = {}
@@ -482,35 +503,39 @@ class IncrementalChase:
         for key in sorted(dying):
             removed_edges += self._remove_trigger(self._triggers.pop(key))
         added_edges: list[IdTriple] = []
+        plans: dict[tuple[int, int], Plan] = {}
         for fact in sorted(added_facts, key=repr):
-            for trigger in self._seeded_triggers(fact):
-                if trigger.key not in self._triggers:
-                    added_edges += self._add_trigger(trigger)
+            for trigger in self._seeded_triggers(fact, plans):
+                added_edges += self._add_trigger(trigger)
         removed_set, added_set = set(removed_edges), set(added_edges)
         return removed_set - added_set, added_set - removed_set
 
-    def _seeded_triggers(self, fact: Fact) -> Iterator[_Trigger]:
-        """Enumerate triggers whose body can use the freshly added ``fact``."""
+    def _seeded_triggers(
+        self, fact: Fact, plans: dict[tuple[int, int], Plan]
+    ) -> Iterator[_Trigger]:
+        """The triggers not yet fired whose body can use the added ``fact``.
+
+        Each body atom over the fact's relation is pinned to it in turn,
+        tgd by tgd; ``plans`` keeps each (tgd, atom) plan for the batch.
+        A row whose trigger key is known builds no record: the consumer
+        adds each yielded trigger before the search resumes.
+        """
         relation, values = fact
-        for tgd_index, tgd in enumerate(self._tgds):
-            for atom in tgd.body.atoms:
-                if atom.relation != relation or len(atom.terms) != len(values):
+        triggers = self._triggers
+        for tgd_index, body in enumerate(self._bodies):
+            for atom_index, (access, _) in enumerate(body.atoms):
+                if access.relation != relation:
                     continue
-                seed: dict[Variable, Node] = {}
-                consistent = True
-                for term, value in zip(atom.terms, values):
-                    if is_variable(term):
-                        if term in seed and seed[term] != value:
-                            consistent = False
-                            break
-                        seed[term] = value
-                    elif term != value:
-                        consistent = False
-                        break
-                if not consistent:
+                plan = plans.get((tgd_index, atom_index))
+                if plan is None:
+                    plan = plans[tgd_index, atom_index] = body.plan(pinned=atom_index)
+                start = plan.pin(values)
+                if start is None:
                     continue
-                for hom in cq_homomorphisms(tgd.body, self.instance, seed=seed):
-                    yield _make_trigger(tgd_index, tgd, hom)
+                for row in plan.extend(start):
+                    key = (tgd_index, tuple(map(repr, row)))
+                    if key not in triggers:
+                        yield self._makers[tgd_index](key, row)
 
     def _intern(self, node: Node) -> int:
         """The id of ``node``, taking a freed id or the next one on first sight."""
@@ -611,11 +636,11 @@ class IncrementalChase:
 
     def _bootstrap(self) -> None:
         """Fire every trigger of the initial instance, then build the quotient."""
-        for tgd_index, tgd in enumerate(self._tgds):
-            for hom in cq_homomorphisms(tgd.body, self.instance):
-                trigger = _make_trigger(tgd_index, tgd, hom)
-                if trigger.key not in self._triggers:
-                    self._add_trigger(trigger)
+        for tgd_index, body in enumerate(self._bodies):
+            for row in body.rows():
+                key = (tgd_index, tuple(map(repr, row)))
+                if key not in self._triggers:
+                    self._add_trigger(self._makers[tgd_index](key, row))
         self._rebuild_merged()
 
     def _update_merged(

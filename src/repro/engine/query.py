@@ -145,8 +145,6 @@ class QueryEngine:
     change, which stops ``perfbench/`` from passing it.
     """
 
-    name = "compiled"
-
     def __init__(
         self,
         stats: EvalStats | None = None,

@@ -7,12 +7,12 @@ constants (node ids) in atom positions — dependency heads need them never,
 but solution checking seeds assignments with constants, and allowing them
 keeps one uniform mechanism.
 
-Evaluation precomputes ``⟦r⟧_G`` for each distinct NRE in the query and then
-backtracks over variable assignments, most-constrained-atom first.  The
-per-NRE relations come from a query engine — by default (``engine=None``)
-the shared compiled :class:`~repro.engine.query.QueryEngine`, so repeated
-graphs hit its cross-candidate cache; the differential tests pass the
-set-algebraic reference oracle instead.
+Evaluation runs on the join executor (:mod:`repro.join`):
+:func:`graph_atoms` turns each atom into an access.  A bare (backward)
+label reads the graph's adjacency indexes; any other NRE reads its
+relation from a query engine — by default (``engine=None``) the shared
+:class:`~repro.engine.query.QueryEngine`, so repeated graphs hit its
+cross-candidate cache.
 """
 
 from __future__ import annotations
@@ -22,7 +22,8 @@ from typing import Hashable, Iterator, Mapping, Sequence
 
 from repro.errors import SchemaError
 from repro.graph.database import GraphDatabase
-from repro.graph.nre import NRE
+from repro.graph.nre import NRE, Backward, Label
+from repro.join import Body, LabelAccess, PairAccess
 from repro.relational.query import Variable, is_variable
 
 Node = Hashable
@@ -44,6 +45,22 @@ class CNREAtom:
             if is_variable(term) and term not in result:
                 result.append(term)
         return tuple(result)
+
+    def edge_view(self) -> tuple[Term, str, Term] | None:
+        """``(source_term, label, target_term)`` for a bare-label atom.
+
+        A backward atom ``(x, a⁻, y)`` matches the edge ``(h(y), a, h(x))``,
+        so its terms swap sides.  ``None`` for any other NRE.
+
+        >>> x, y = Variable("x"), Variable("y")
+        >>> CNREAtom(x, Backward("a"), y).edge_view() == (y, "a", x)
+        True
+        """
+        if isinstance(self.nre, Label):
+            return self.subject, self.nre.name, self.object
+        if isinstance(self.nre, Backward):
+            return self.object, self.nre.name, self.subject
+        return None
 
     def __str__(self) -> str:
         return f"({self.subject}, {self.nre}, {self.object})"
@@ -129,6 +146,31 @@ class CNREQuery:
 Assignment = dict[Variable, Node]
 
 
+def graph_atoms(
+    atoms: Sequence[CNREAtom], graph: GraphDatabase, engine=None
+) -> list[tuple[object, tuple[Term, Term]]]:
+    """The join-executor atoms of ``atoms`` over ``graph``.
+
+    A bare (backward) label becomes a :class:`~repro.join.LabelAccess` in
+    edge orientation; any other NRE a :class:`~repro.join.PairAccess` on
+    ``engine.pairs(graph, nre)``.
+    """
+    result: list[tuple[object, tuple[Term, Term]]] = []
+    for atom in atoms:
+        view = atom.edge_view()
+        if view is not None:
+            source, label, target = view
+            result.append((LabelAccess(graph, label), (source, target)))
+            continue
+        if engine is None:
+            from repro.engine.query import default_engine
+
+            engine = default_engine()
+        access = PairAccess(engine.pairs(graph, atom.nre))
+        result.append((access, (atom.subject, atom.object)))
+    return result
+
+
 def cnre_homomorphisms(
     query: CNREQuery,
     graph: GraphDatabase,
@@ -138,63 +180,19 @@ def cnre_homomorphisms(
     """Yield every assignment of the query's variables satisfying all atoms.
 
     ``seed`` pre-binds variables (used when dependency bodies seed head
-    checks).  Each yielded dictionary is fresh.  ``engine`` supplies the
-    per-NRE relations (default: the shared compiled engine).
+    checks); its bindings are part of every yielded dictionary, and each
+    dictionary is fresh.  ``engine`` supplies the composite-NRE
+    relations (default: the shared compiled engine).
+
+    >>> from repro.graph.parser import parse_nre
+    >>> g = GraphDatabase(edges=[("u", "a", "v"), ("v", "b", "w")])
+    >>> x, y = Variable("x"), Variable("y")
+    >>> q = CNREQuery([CNREAtom(x, parse_nre("a . b*"), y)])
+    >>> sorted(h[y] for h in cnre_homomorphisms(q, g, seed={x: "u"}))
+    ['v', 'w']
     """
-    if engine is None:
-        from repro.engine.query import default_engine
-
-        engine = default_engine()
-    relations: dict[NRE, frozenset[tuple[Node, Node]]] = {}
-    for expr in query.expressions():
-        relations[expr] = engine.pairs(graph, expr)
-
-    # Order atoms: those with the smallest relations first, re-ranked as
-    # variables become bound (cheap static approximation: sort by size).
-    ordered = sorted(query.atoms, key=lambda a: len(relations[a.nre]))
-
-    def value(term: Term, assignment: Assignment) -> object:
-        if is_variable(term):
-            return assignment.get(term, _UNSET)
-        return term
-
-    def extend(index: int, assignment: Assignment) -> Iterator[Assignment]:
-        if index == len(ordered):
-            yield dict(assignment)
-            return
-        atom = ordered[index]
-        subject = value(atom.subject, assignment)
-        obj = value(atom.object, assignment)
-        for u, v in relations[atom.nre]:
-            if subject is not _UNSET and u != subject:
-                continue
-            if obj is not _UNSET and v != obj:
-                continue
-            added: list[Variable] = []
-            if is_variable(atom.subject) and subject is _UNSET:
-                assignment[atom.subject] = u
-                added.append(atom.subject)
-            if is_variable(atom.object) and atom.object not in assignment:
-                if atom.subject == atom.object and u != v:
-                    for var in added:
-                        del assignment[var]
-                    continue
-                assignment[atom.object] = v
-                added.append(atom.object)
-            elif is_variable(atom.object) and assignment[atom.object] != v:
-                for var in added:
-                    del assignment[var]
-                continue
-            yield from extend(index + 1, assignment)
-            for var in added:
-                del assignment[var]
-
-    initial: Assignment = dict(seed) if seed else {}
-    # Reject seeds that already clash with constants in atom positions.
-    yield from extend(0, initial)
-
-
-_UNSET = object()
+    body = Body(graph_atoms(query.atoms, graph, engine), query.variables())
+    yield from body.matches(seed)
 
 
 def evaluate_cnre(
@@ -208,7 +206,5 @@ def evaluate_cnre(
     >>> evaluate_cnre(CNREQuery([CNREAtom(x, parse_nre("a"), y)]), g)
     frozenset({('u', 'v')})
     """
-    answers = set()
-    for hom in cnre_homomorphisms(query, graph, engine=engine):
-        answers.add(tuple(hom[v] for v in query.outputs))
-    return frozenset(answers)
+    body = Body(graph_atoms(query.atoms, graph, engine), query.variables())
+    return frozenset(body.rows(project=[body.index[v] for v in query.outputs]))

@@ -13,7 +13,7 @@ from __future__ import annotations
 from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Hashable, Iterator
 
-from repro.engine.matcher import TriggerMatcher, is_simple_query
+from repro.engine.matcher import TriggerMatcher
 from repro.errors import SchemaError
 from repro.graph.cnre import CNREAtom, CNREQuery
 from repro.graph.database import GraphDatabase
@@ -109,10 +109,8 @@ class SourceToTargetTgd:
         frontier_values: dict[Variable, Node],
     ) -> bool:
         """Return whether ∃ȳ. ψ holds in ``graph`` under ``frontier_values``."""
-        seed = {v: frontier_values[v] for v in self.frontier}
-        for _ in TriggerMatcher(graph).matches(self.head, seed=seed):
-            return True
-        return False
+        plan = TriggerMatcher(graph).join_plan(self.head, self.frontier)
+        return plan.exists([frontier_values[v] for v in self.frontier])
 
     def head_checker(self, graph: GraphDatabase) -> Callable[[tuple], bool]:
         """:meth:`head_satisfied` on ``graph``, compiled once for every row.
@@ -120,16 +118,13 @@ class SourceToTargetTgd:
         The checker takes a row of frontier values in :attr:`frontier`
         order and memoises its verdict per row.  A head whose atoms are
         unions of (backward) labels compiles into three kinds of test
-        (:func:`_compile_head`); any other head keeps the per-row
-        :meth:`head_satisfied`.  ``graph`` must not change while the
-        checker is in use.
+        (:func:`_compile_head`); any other head is one join plan over the
+        whole head.  ``graph`` must not change while the checker is in
+        use.
         """
         tests = _compile_head(self, graph)
         if tests is None:
-            frontier = self.frontier
-            tests = [
-                lambda row: self.head_satisfied(graph, dict(zip(frontier, row)))
-            ]
+            tests = [TriggerMatcher(graph).join_plan(self.head, self.frontier).exists]
         memo: dict[tuple, bool] = {}
 
         def holds(row: tuple) -> bool:
@@ -231,8 +226,7 @@ def _plan_head(tgd: SourceToTargetTgd) -> list[tuple] | None:
     One step per kind of test, with variables already turned into row
     positions: ``("probe", [(label, s, t)])``, ``("domain", [(label,
     forward, i)])`` and ``("join", query, variables, positions)``.
-    ``None`` when some atom is not a union of (backward) labels, or a
-    join group is not simple (:func:`is_simple_query`).
+    ``None`` when some atom is not a union of (backward) labels.
     """
     slot = {var: index for index, var in enumerate(tgd.frontier)}
     occurrences: dict[Variable, int] = {}
@@ -271,8 +265,6 @@ def _plan_head(tgd: SourceToTargetTgd) -> list[tuple] | None:
             groups.append(merged)
     for _, atoms in groups:
         query = CNREQuery(atoms)
-        if not is_simple_query(query):
-            return None
         variables = tuple(v for v in tgd.frontier if v in query.variables())
         steps.append(("join", query, variables, [slot[v] for v in variables]))
     return steps
@@ -293,8 +285,8 @@ def _compile_head(
       predecessor).  ``has_successor`` tests for a non-empty adjacency
       set, since removing an edge can leave an empty one in the index;
     * every other group of atoms linked by shared existentials runs one
-      join plan through :meth:`TriggerMatcher.has_match`, memoised on
-      the group's frontier values.
+      join plan (:meth:`TriggerMatcher.join_plan`), memoised on the
+      group's frontier values.
 
     Returns ``None`` for heads :func:`_plan_head` does not plan.
     """
@@ -343,14 +335,14 @@ def _join_test(
     positions: list[int],
 ) -> RowTest:
     """Atoms linked by existentials: one join plan, memoised per binding."""
-    plan = matcher.join_plan(query, variables)
+    exists = matcher.join_plan(query, variables).exists
     memo: dict[tuple, bool] = {}
 
     def test(row: tuple) -> bool:
         key = tuple([row[i] for i in positions])
         found = memo.get(key)
         if found is None:
-            found = memo[key] = matcher.has_match(plan, dict(zip(variables, key)))
+            found = memo[key] = exists(key)
         return found
 
     return test

@@ -61,13 +61,9 @@ class TargetTgd:
         own matcher.
         """
         matcher = matcher if matcher is not None else TriggerMatcher(graph)
+        exists = matcher.join_plan(self.head, self.frontier).exists
         for hom in homs:
-            seed = {v: hom[v] for v in self.frontier}
-            satisfied = False
-            for _ in matcher.matches(self.head, seed=seed):
-                satisfied = True
-                break
-            if not satisfied:
+            if not exists([hom[v] for v in self.frontier]):
                 yield hom
 
     def is_satisfied(self, graph: GraphDatabase) -> bool:

@@ -6,54 +6,24 @@ Following the paper (Section 3.2), a homomorphism from π = (N, D) into
 1. ``h`` is the identity on ``N ∩ V`` (constants are pinned), and
 2. for every edge ``(u, r, v) ∈ D``, ``(h(u), h(v)) ∈ ⟦r⟧_G``.
 
-The search backtracks over null assignments.  For each null we precompute a
-candidate set by intersecting, over every incident pattern edge, the
-projections of the edge's NRE relation; most-constrained nulls are assigned
-first.
+So a pattern is a CNRE query over its nulls, with its constants in atom
+positions: the search runs on the join executor (:mod:`repro.join`), one
+atom per pattern edge, plus an atom ``(n, ε, n)`` for each null ``n`` on
+no edge.
 """
 
 from __future__ import annotations
 
 from typing import Hashable, Iterator
 
+from repro.graph.cnre import CNREAtom, graph_atoms
 from repro.graph.database import GraphDatabase
-from repro.graph.eval import Relation, evaluate_nre
-from repro.graph.nre import NRE
-from repro.patterns.pattern import GraphPattern, Null, is_null
+from repro.graph.nre import Epsilon
+from repro.join import Body
+from repro.patterns.pattern import GraphPattern
 
 Node = Hashable
 Homomorphism = dict[Node, Node]
-
-
-def _nre_relations(
-    pattern: GraphPattern, graph: GraphDatabase
-) -> dict[NRE, frozenset[tuple[Node, Node]]]:
-    shared: dict[NRE, Relation] = {}
-    return {expr: evaluate_nre(graph, expr, _cache=shared) for expr in pattern.expressions()}
-
-
-def _candidates(
-    pattern: GraphPattern,
-    graph: GraphDatabase,
-    relations: dict[NRE, frozenset[tuple[Node, Node]]],
-) -> dict[Null, set[Node]]:
-    """Per-null candidate sets from unary projections of incident edges."""
-    candidates: dict[Null, set[Node]] = {
-        null: set(graph.nodes()) for null in pattern.nulls()
-    }
-    for edge in pattern.edges():
-        relation = relations[edge.nre]
-        if is_null(edge.source):
-            sources = {u for u, _ in relation}
-            if not is_null(edge.target) and edge.target in graph.nodes():
-                sources = {u for u, v in relation if v == edge.target}
-            candidates[edge.source] &= sources
-        if is_null(edge.target):
-            targets = {v for _, v in relation}
-            if not is_null(edge.source) and edge.source in graph.nodes():
-                targets = {v for u, v in relation if u == edge.source}
-            candidates[edge.target] &= targets
-    return candidates
 
 
 def all_homomorphisms(
@@ -66,44 +36,18 @@ def all_homomorphisms(
     the graph — condition 1 is then unsatisfiable.
     """
     graph_nodes = graph.nodes()
-    for constant in pattern.constants():
-        if constant not in graph_nodes:
-            return
-
-    relations = _nre_relations(pattern, graph)
-    candidates = _candidates(pattern, graph, relations)
-    if any(not domain for domain in candidates.values()):
+    constants = pattern.constants()
+    if any(constant not in graph_nodes for constant in constants):
         return
-
-    nulls = sorted(candidates, key=lambda n: len(candidates[n]))
-    edges = list(pattern.edges())
-
-    def consistent(assignment: Homomorphism) -> bool:
-        for edge in edges:
-            source = assignment.get(edge.source, edge.source)
-            target = assignment.get(edge.target, edge.target)
-            source_known = not is_null(source)
-            target_known = not is_null(target)
-            if source_known and target_known:
-                if (source, target) not in relations[edge.nre]:
-                    return False
-        return True
-
-    def assign(index: int, assignment: Homomorphism) -> Iterator[Homomorphism]:
-        if index == len(nulls):
-            total = {c: c for c in pattern.constants()}
-            total.update(assignment)
-            yield total
-            return
-        null = nulls[index]
-        for candidate in sorted(candidates[null], key=repr):
-            assignment[null] = candidate
-            if consistent(assignment):
-                yield from assign(index + 1, assignment)
-            del assignment[null]
-
-    if consistent({}):
-        yield from assign(0, {})
+    atoms = [CNREAtom(e.source, e.nre, e.target) for e in sorted(pattern.edges())]
+    linked = {node for atom in atoms for node in (atom.subject, atom.object)}
+    nulls = sorted(pattern.nulls(), key=repr)
+    atoms += [CNREAtom(n, Epsilon(), n) for n in nulls if n not in linked]
+    identity = {constant: constant for constant in constants}
+    for row in Body(graph_atoms(atoms, graph), nulls).plan().rows():
+        hom = dict(identity)
+        hom.update(zip(nulls, row))
+        yield hom
 
 
 def find_homomorphism(

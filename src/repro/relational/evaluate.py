@@ -1,13 +1,14 @@
-"""Conjunctive-query evaluation by backtracking joins.
+"""Conjunctive-query evaluation on the join executor.
 
-The evaluator enumerates homomorphisms from the query body into the instance
-(the standard semantics of CQs).  Atoms are processed in an order chosen to
-bind variables early — a greedy "most-bound-first, then smallest-relation"
-heuristic — which keeps the search close to a left-deep join plan without
+The evaluator enumerates homomorphisms from the query body into the
+instance (the standard semantics of CQs).  :func:`relational_body` turns
+each atom into a :class:`~repro.join.TupleAccess`, and the join executor
+(:mod:`repro.join`) orders the atoms greedily — most bound variables
+first, then the smallest relation — and backtracks over them without
 building intermediate relations.
 
-When an atom's first position is already bound, the candidate tuples are
-read from the instance's first-column hash index
+When an atom's first position is bound, the candidate tuples are read
+from the instance's first-column hash index
 (:meth:`~repro.relational.instance.RelationalInstance.tuples_with_first`)
 instead of scanning the whole relation; an optional
 :class:`~repro.chase.result.ChaseStats` records those index hits.
@@ -17,8 +18,9 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterator, Mapping
 
+from repro.join import Body, TupleAccess
 from repro.relational.instance import RelationalInstance
-from repro.relational.query import ConjunctiveQuery, RelationalAtom, Variable, is_variable
+from repro.relational.query import ConjunctiveQuery, Variable
 
 if TYPE_CHECKING:  # annotation-only import; avoids an import cycle
     from repro.chase.result import ChaseStats
@@ -26,69 +28,20 @@ if TYPE_CHECKING:  # annotation-only import; avoids an import cycle
 Assignment = dict[Variable, object]
 
 
-def _atom_order(query: ConjunctiveQuery, instance: RelationalInstance) -> list[RelationalAtom]:
-    """Order atoms greedily: prefer atoms sharing variables with already
-    chosen atoms (bound variables prune the scan), tie-break on relation size.
+def relational_body(query: ConjunctiveQuery, instance: RelationalInstance) -> Body:
+    """The body of ``query`` over ``instance``, for the join executor.
+
+    Row values come in ``query.variables()`` order.  Validates the query
+    against the instance's schema.
     """
-    remaining = list(query.atoms)
-    ordered: list[RelationalAtom] = []
-    bound: set[Variable] = set()
-    while remaining:
-        def score(atom: RelationalAtom) -> tuple[int, int]:
-            atom_vars = set(atom.variables())
-            unbound = len(atom_vars - bound)
-            return (unbound, instance.count(atom.relation))
-
-        best = min(remaining, key=score)
-        remaining.remove(best)
-        ordered.append(best)
-        bound.update(best.variables())
-    return ordered
-
-
-def _match_atom(
-    atom: RelationalAtom,
-    instance: RelationalInstance,
-    assignment: Assignment,
-    stats: "ChaseStats | None" = None,
-) -> Iterator[Assignment]:
-    """Yield extensions of ``assignment`` matching ``atom`` in ``instance``.
-
-    Uses the first-column index when the atom's first position is a
-    constant or an already-bound variable.
-    """
-    first = atom.terms[0] if atom.terms else None
-    if first is not None and not is_variable(first):
-        candidates = instance.tuples_with_first(atom.relation, first)
-        if stats is not None:
-            stats.index_hits += 1
-    elif first is not None and first in assignment:
-        candidates = instance.tuples_with_first(atom.relation, assignment[first])
-        if stats is not None:
-            stats.index_hits += 1
-    else:
-        candidates = instance.iter_tuples(atom.relation)
-    for tup in candidates:
-        extension: Assignment = {}
-        ok = True
-        for term, value in zip(atom.terms, tup):
-            if is_variable(term):
-                current = assignment.get(term, extension.get(term, _UNSET))
-                if current is _UNSET:
-                    extension[term] = value
-                elif current != value:
-                    ok = False
-                    break
-            elif term != value:
-                ok = False
-                break
-        if ok:
-            merged = dict(assignment)
-            merged.update(extension)
-            yield merged
-
-
-_UNSET = object()
+    query.validate(instance.schema)
+    return Body(
+        [
+            (TupleAccess(instance, atom.relation, len(atom.terms)), atom.terms)
+            for atom in query.atoms
+        ],
+        query.variables(),
+    )
 
 
 def cq_homomorphisms(
@@ -101,8 +54,9 @@ def cq_homomorphisms(
 
     A homomorphism maps each body variable to a constant such that every atom
     becomes a fact of the instance.  ``seed`` optionally pre-binds variables
-    (used when checking dependencies: the body match seeds the head check).
-    ``stats`` optionally records index hits into a
+    (used when checking dependencies: the body match seeds the head check);
+    its bindings are part of every yielded dictionary.  ``stats``
+    optionally records index hits into a
     :class:`~repro.chase.result.ChaseStats`.
 
     Homomorphisms are yielded as fresh dictionaries; mutating one does not
@@ -110,18 +64,7 @@ def cq_homomorphisms(
     storage — materialise it (``list(...)``) before inserting new facts
     into the instance, as the chase engines do.
     """
-    query.validate(instance.schema)
-    ordered = _atom_order(query, instance)
-
-    def extend(index: int, assignment: Assignment) -> Iterator[Assignment]:
-        if index == len(ordered):
-            yield dict(assignment)
-            return
-        for extended in _match_atom(ordered[index], instance, assignment, stats):
-            yield from extend(index + 1, extended)
-
-    initial: Assignment = dict(seed) if seed else {}
-    yield from extend(0, initial)
+    yield from relational_body(query, instance).matches(seed, stats)
 
 
 def cq_match_rows(
@@ -135,11 +78,10 @@ def cq_match_rows(
 
     The batch entry point of the evaluator: where
     :func:`cq_homomorphisms` yields one fresh dict per match (the right
-    shape for callers that inspect individual bindings), this runs the
-    same backtracking join but projects each match straight onto a value
-    tuple at the leaf — no per-match dict copy, no later re-discovery.
-    The pattern chase uses it to collect *all* fireable triggers of a
-    tgd in one call and apply them as a batch.
+    shape for callers that inspect individual bindings), this projects
+    each match straight onto a value tuple — no per-match dict.  The
+    pattern chase uses it to collect *all* fireable triggers of a tgd in
+    one call and apply them as a batch.
 
     >>> from repro.relational import RelationalSchema, RelationalInstance
     >>> from repro.relational.parser import parse_cq
@@ -151,21 +93,8 @@ def cq_match_rows(
     >>> sorted(cq_match_rows(q, inst, (y, x)))
     [('b', 'a'), ('c', 'b')]
     """
-    query.validate(instance.schema)
-    ordered = _atom_order(query, instance)
-    rows: list[tuple] = []
-    append = rows.append
-    depth = len(ordered)
-
-    def extend(index: int, assignment: Assignment) -> None:
-        if index == depth:
-            append(tuple(assignment[v] for v in variables))
-            return
-        for extended in _match_atom(ordered[index], instance, assignment, stats):
-            extend(index + 1, extended)
-
-    extend(0, dict(seed) if seed else {})
-    return rows
+    body = relational_body(query, instance)
+    return list(body.rows(seed, [body.index[var] for var in variables], stats))
 
 
 def evaluate_cq(
@@ -186,7 +115,5 @@ def evaluate_cq(
     >>> sorted(evaluate_cq(q, inst))
     [('a', 'c')]
     """
-    answers = set()
-    for hom in cq_homomorphisms(query, instance):
-        answers.add(tuple(hom[v] for v in query.outputs))
-    return frozenset(answers)
+    body = relational_body(query, instance)
+    return frozenset(body.rows(project=[body.index[v] for v in query.outputs]))

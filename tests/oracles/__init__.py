@@ -22,6 +22,12 @@ so no user-settable option can select it:
 * :mod:`oracles.reference_solution` — the per-match
   :func:`~oracles.reference_solution.solution_violations`, against the
   set-at-a-time :func:`repro.core.solution.solution_violations`;
+* :mod:`oracles.cnre_search` — the nested-loop
+  :func:`~oracles.cnre_search.cnre_homomorphisms`, every atom scanning
+  its whole pair set, against the join executor :mod:`repro.join`;
+* :mod:`oracles.pattern_search` — the candidate/assign pattern search
+  :func:`~oracles.pattern_search.all_homomorphisms`, against
+  :func:`repro.patterns.homomorphism.all_homomorphisms`;
 * :mod:`oracles.graph_homomorphism` — backtracking graph-to-graph
   homomorphisms (identity on frozen nodes), the universality check of
   chased graphs against solutions.

@@ -18,7 +18,6 @@ from repro.chase.sameas_chase import saturate_sameas, solve_with_sameas
 from repro.chase.target_tgd_chase import chase_target_tgds
 from repro.core.solution import is_solution
 from repro.core.universal import non_universality_counterexample
-from repro.graph.cnre import cnre_homomorphisms
 from repro.graph.database import GraphDatabase
 from repro.mappings.parser import parse_target_tgd
 from repro.mappings.sameas import SAME_AS_LABEL
@@ -42,6 +41,7 @@ from repro.scenarios.flights import (
     setting_omega_prime,
 )
 from repro.scenarios.generators import random_flights_instance
+from oracles.cnre_search import cnre_homomorphisms
 
 
 # --------------------------------------------------------------------- #

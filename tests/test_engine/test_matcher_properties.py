@@ -1,23 +1,26 @@
 """Property-style tests: the indexed engine agrees with brute force.
 
-Every fast path of :mod:`repro.engine` has a slow, obviously-correct
-counterpart: full CNRE evaluation for trigger matching, full relation scans
-for CQ joins, rebuild-from-scratch for the graph indexes.  These tests
-drive both sides with randomly generated instances
-(:mod:`repro.scenarios.generators`) and assert exact agreement.
+Every indexed search of :mod:`repro.engine` has a slow, obviously-correct
+counterpart: the nested-loop CNRE search (``oracles.cnre_search``) for
+trigger matching, every tuple combination for CQ joins,
+rebuild-from-scratch for the graph indexes.  These tests drive both
+sides with randomly generated instances (:mod:`repro.scenarios.generators`)
+and assert exact agreement.
 """
 
 import random
 
 import pytest
 
+from oracles.cnre_search import cnre_homomorphisms
 from repro.engine.matcher import TriggerMatcher, is_simple_query
-from repro.graph.cnre import CNREAtom, CNREQuery, cnre_homomorphisms
+from repro.graph.cnre import CNREAtom, CNREQuery
 from repro.graph.database import GraphDatabase
 from repro.graph.nre import Backward, Label
 from repro.relational.evaluate import cq_homomorphisms
 from repro.relational.query import Variable
 from repro.scenarios.generators import random_flights_instance, random_graph
+from test_engine.test_join_properties import brute_force, random_body, random_instance
 
 X, Y, Z, W = Variable("x"), Variable("y"), Variable("z"), Variable("w")
 ALPHABET = ("a", "b", "c")
@@ -73,30 +76,6 @@ class TestIndexedMatchingEqualsBruteForce:
         delta = hom_set(TriggerMatcher(graph).delta_matches(query, version), query)
         assert delta == after - before
 
-    @pytest.mark.parametrize("trial", range(15))
-    def test_matches_touching_cover_all_homs_through_a_node(self, trial):
-        rng = random.Random(300 + trial)
-        graph = random_graph(rng.randint(3, 10), rng.randint(2, 20), ALPHABET, rng)
-        query = random_simple_query(rng)
-        node = rng.choice(sorted(graph.nodes(), key=repr))
-        touching = hom_set(TriggerMatcher(graph).matches_touching(query, node), query)
-        full = hom_set(cnre_homomorphisms(query, graph), query)
-        # Sound: a subset of all matches…
-        assert touching <= full
-        # …and complete: it contains every hom routing an atom through `node`.
-        incident = graph.incident_edges(node)
-        for hom in cnre_homomorphisms(query, graph):
-            uses_node = False
-            for atom in query.atoms:
-                if isinstance(atom.nre, Label):
-                    u, lab, v = hom.get(atom.subject, atom.subject), atom.nre.name, hom.get(atom.object, atom.object)
-                else:
-                    u, lab, v = hom.get(atom.object, atom.object), atom.nre.name, hom.get(atom.subject, atom.subject)
-                if any(e.source == u and e.label == lab and e.target == v for e in incident):
-                    uses_node = True
-            if uses_node:
-                assert tuple(hom[v] for v in query.variables()) in touching
-
     def test_composite_queries_fall_back_to_reference(self):
         from repro.graph.parser import parse_nre
 
@@ -104,45 +83,29 @@ class TestIndexedMatchingEqualsBruteForce:
         query = CNREQuery([CNREAtom(X, parse_nre("a . b"), Y)])
         assert not is_simple_query(query)
         assert hom_set(TriggerMatcher(graph).matches(query), query) == {("u", "w")}
-        # Delta/touching enumeration stays sound (full scan) for composites.
+        # Delta enumeration stays sound (full scan) for composites.
         assert hom_set(TriggerMatcher(graph).delta_matches(query, 0), query) == {("u", "w")}
 
 
 class TestRelationalIndex:
-    @pytest.mark.parametrize("trial", range(10))
+    @pytest.mark.parametrize("trial", range(40))
     def test_indexed_cq_join_equals_full_scan(self, trial):
+        """The flights s-t tgd body (trials 0–9), then random 1–3 atom
+        bodies with constants and repeated variables."""
         from repro.scenarios.flights import flights_st_tgd
 
         rng = random.Random(400 + trial)
-        instance = random_flights_instance(
-            rng.randint(1, 15), cities=rng.randint(2, 6), hotels=rng.randint(1, 5), rng=rng
-        )
-        query = flights_st_tgd().body
-        indexed = {
-            tuple(sorted((v.name, repr(h[v])) for v in h))
-            for h in cq_homomorphisms(query, instance)
-        }
-        brute = set()
-        # Brute force: enumerate every tuple combination per atom.
-        from itertools import product
-
-        atom_tuples = [sorted(instance.tuples(a.relation)) for a in query.atoms]
-        for combo in product(*atom_tuples):
-            assignment = {}
-            ok = True
-            for atom, tup in zip(query.atoms, combo):
-                for term, value in zip(atom.terms, tup):
-                    if term in assignment and assignment[term] != value:
-                        ok = False
-                    elif not isinstance(term, Variable) and term != value:
-                        ok = False
-                    elif isinstance(term, Variable):
-                        assignment.setdefault(term, value)
-                if not ok:
-                    break
-            if ok:
-                brute.add(tuple(sorted((v.name, repr(c)) for v, c in assignment.items())))
-        assert indexed == brute
+        if trial < 10:
+            instance = random_flights_instance(
+                rng.randint(1, 15), cities=rng.randint(2, 6),
+                hotels=rng.randint(1, 5), rng=rng,
+            )
+            query = flights_st_tgd().body
+        else:
+            instance, query = random_instance(rng), random_body(rng)
+        indexed = hom_set(cq_homomorphisms(query, instance), query)
+        assert indexed == brute_force(query, instance)
+        assert len(list(cq_homomorphisms(query, instance))) == len(indexed)
 
     def test_first_column_index_maintained_on_insert(self):
         from repro.relational.instance import RelationalInstance

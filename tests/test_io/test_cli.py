@@ -281,10 +281,13 @@ class TestRetiredFlags:
         assert excinfo.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
-    def test_stats_name_the_compiled_engine(self, document_path, capsys):
+    def test_stats_print_the_engine_counters(self, document_path, capsys):
         query = "f . f-"
         assert main(["certain", document_path, query, "--stats"]) == 0
-        assert "engine: compiled" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "engine:" not in out
+        (line,) = [line for line in out.splitlines() if line.startswith("stats: ")]
+        assert "relations_evaluated=" in line and "graph_cache_hits=" in line
 
 
 class TestSnapshotCommand:
