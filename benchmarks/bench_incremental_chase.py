@@ -23,7 +23,13 @@ that), the only question left is the speedup, measured here:
 * the acceptance criteria ``warm 32-edge update >= 5x faster than the
   full re-chase`` and ``32-fact merge-support delete/restore >= 1.25x
   faster than the full re-chase`` are asserted inside
-  ``test_warm_update_32`` and ``test_support_delete_32``.
+  ``test_warm_update_32`` and ``test_support_delete_32``;
+* ``test_patched_reads_medlit``  — a medlit 1,000 tenant reads the five
+  workload queries after each of 10 stream batches of 40 ops.  Each read
+  patches its cached answer; the test gates on counts that do not depend
+  on the host (answers equal to a fresh ``answers_over``, no cache
+  invalidation, a median re-derived row share under 5% of the merged
+  nodes) and reports the time against a cleared cache without gating it.
 
 In the warm cycle most of the time is the base layer (seeded trigger
 joins and trigger records), not the merged layer; see
@@ -40,8 +46,17 @@ from conftest import ab_medians, report
 
 from repro.chase.relational_chase import chase_relational
 from repro.engine.incremental import IncrementalChase
+from repro.engine.query import QueryEngine
+from repro.graph.parser import parse_nre
 from repro.scenarios.figures import example31_setting
 from repro.scenarios.generators import random_flights_instance
+from repro.scenarios.scale import (
+    GeneratorConfig,
+    generate_instance,
+    scale_setting,
+    update_stream,
+    workload_queries,
+)
 
 FLIGHTS = 400
 CITIES = 60
@@ -217,3 +232,50 @@ def test_full_rechase_32(benchmark):
     """The baseline as its own tracked median (the perf-trajectory anchor)."""
     rechase = make_full_rechase(32)
     assert benchmark.pedantic(rechase, rounds=3, iterations=1, warmup_rounds=1) > 0
+
+
+def test_patched_reads_medlit():
+    """Reads after each batch patch only the rows the batch can change."""
+    config = GeneratorConfig(family="medlit", nodes=1_000, seed=3)
+    queries = [parse_nre(text) for text in workload_queries("medlit")]
+    live = IncrementalChase(scale_setting("medlit"), generate_instance(config))
+    for query in queries:
+        live.certain_answers(query)
+    shares: list[float] = []
+    patched: list[float] = []
+    cleared: list[float] = []
+    for batch in update_stream(config, 10, 40, 0.4):
+        live.apply_updates(batch)
+        nodes = live._merged.node_count()
+        got = []
+        start = time.perf_counter()
+        for query in queries:
+            rows = live.stats.rows_rederived
+            got.append(live.certain_answers(query).answers)
+            shares.append((live.stats.rows_rederived - rows) / nodes)
+        patched.append(time.perf_counter() - start)
+        start = time.perf_counter()
+        domain = live.instance.active_domain()
+        fresh = [QueryEngine().answers_over(live._merged, query, domain)
+                 for query in queries]
+        cleared.append(time.perf_counter() - start)
+        assert got == fresh
+    share = statistics.median(shares)
+    report(
+        "incremental chase: patched reads vs a cleared answer cache",
+        [
+            ("tenant", "medlit 1,000, seed 3", f"{nodes} merged nodes"),
+            ("stream", "10 batches x 40 ops", "5 queries read per batch"),
+            ("reads patched", "50", live.stats.answer_patches),
+            ("cache invalidations", "0", live.stats.answer_invalidations),
+            ("median re-derived row share", "< 5% of merged nodes",
+             f"{100 * share:.1f}% (max {100 * max(shares):.1f}%)"),
+            ("patched reads, median per batch", "reported",
+             f"{1000 * statistics.median(patched):.2f} ms"),
+            ("cleared-cache reads, median per batch", "reported",
+             f"{1000 * statistics.median(cleared):.2f} ms"),
+        ],
+    )
+    assert live.stats.answer_patches == 50
+    assert live.stats.answer_invalidations == 0
+    assert share < 0.05

@@ -31,13 +31,19 @@ instance:
   :class:`~repro.engine.delta.EgdViolationQueue` fixpoint on each batch
   that changes an edge, as
   :func:`~repro.chase.relational_chase.chase_relational` does;
-* the **answer layer** — certain answers per query, cached until a batch
-  changes a fact.  Any such batch clears the cache, and the next read
-  recomputes the query with one
+* the **answer layer** — certain answers per query.  The first read
+  computes a query with one
   :meth:`~repro.engine.query.QueryEngine.answers_over` on the merged
-  graph.  A patch over the nodes a batch touched would cost about as
-  much: on generator-shaped tenants their undirected cone is nearly the
-  whole graph.
+  graph.  While any answer is cached, the merged-layer patch records the
+  merged edges whose image it added or dropped and the merged nodes it
+  added or discarded, and occurrence counts of the source constants keep
+  the active domain.  A later read patches its cached answer: the
+  sources whose row can have changed are found by walking the query's
+  own expression backwards from that delta
+  (:func:`~repro.graph.eval.touched_sources`), and only their rows are
+  re-derived, through a per-source row index of the cached answer
+  (row-level incremental view maintenance).  A rebuilt merged layer or
+  a failed chase drops the cache instead.
 
 The contract, enforced by ``tests/test_engine/test_incremental.py``, is
 *byte-identity with the from-scratch oracle*: after any update stream,
@@ -51,9 +57,11 @@ fragment: single-symbol tgd heads, and any egds.
 
 from __future__ import annotations
 
+from collections import defaultdict
+from collections.abc import Mapping, Set
 from dataclasses import dataclass, fields
 from itertools import chain
-from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Iterator
 
 from repro.chase.relational_chase import (
     _check_fragment,
@@ -67,6 +75,7 @@ from repro.engine.query import default_engine
 from repro.errors import NotSupportedError, SchemaError
 from repro.graph.backends import DictBackend
 from repro.graph.database import GraphDatabase
+from repro.graph.eval import evaluate_relation, touched_sources
 from repro.graph.nre import NRE
 from repro.telemetry import fold_stats, span
 from repro.patterns.pattern import Null, is_null
@@ -86,6 +95,7 @@ Update = tuple[str, str, tuple]
 IdTriple = tuple[int, str, int]
 
 _UNSET = object()
+_EMPTY: frozenset = frozenset()
 
 
 @dataclass
@@ -134,11 +144,16 @@ class UpdateStats:
     representative changed."""
 
     answer_patches: int = 0
-    """Retired: always 0.  Cached answers are never patched; every batch
-    that changes a fact invalidates them (``answer_invalidations``)."""
+    """Reads answered by patching a cached answer with the merged-layer
+    delta of the batches since it was computed."""
+
+    rows_rederived: int = 0
+    """Source rows those patches re-derived: the sources in the active
+    domain whose row the delta can have changed."""
 
     answer_invalidations: int = 0
-    """Batches that dropped a non-empty certain-answer cache."""
+    """Batches that dropped a non-empty certain-answer cache: a rebuilt
+    merged layer or a failed chase."""
 
     def summary(self) -> dict[str, int]:
         """Return the counters as a plain dict for reporting.
@@ -166,7 +181,8 @@ class _Trigger:
     """One fired s-t tgd trigger with its exact provenance.
 
     ``key`` reproduces the oracle's dedup key (reprs of all body-variable
-    values); ``sort_key`` its firing order; ``facts`` the source facts the
+    values, from which :meth:`IncrementalChase._oracle_names` rebuilds its
+    firing order); ``facts`` the source facts the
     body joined over (retraction index); ``edges`` the target edges the
     head emitted, as node triples until the trigger is added and as
     distinct id triples after; ``nulls`` the internally named fresh nulls,
@@ -174,12 +190,11 @@ class _Trigger:
     reproduces the same base graph bit for bit.
     """
 
-    __slots__ = ("tgd_index", "key", "sort_key", "facts", "edges", "nulls")
+    __slots__ = ("tgd_index", "key", "facts", "edges", "nulls")
 
-    def __init__(self, tgd_index, key, sort_key, facts, edges, nulls):
+    def __init__(self, tgd_index, key, facts, edges, nulls):
         self.tgd_index = tgd_index
         self.key = key
-        self.sort_key = sort_key
         self.facts = facts
         self.edges = edges
         self.nulls = nulls
@@ -194,7 +209,6 @@ def _trigger_maker(
     (values in ``tgd.body.variables()`` order) from the row and its key.
     """
     variables = tgd.body.variables()
-    names = [var.name for var in variables]
     # Head and fact terms as indexes into the row followed by the nulls.
     where = {var: i for i, var in enumerate(variables)}
     where.update(
@@ -219,7 +233,6 @@ def _trigger_maker(
         return _Trigger(
             tgd_index,
             key,
-            tuple(sorted(zip(names, dedupe))),
             tuple(
                 (relation, tuple([values[t] if var else t for var, t in terms]))
                 for relation, terms in facts
@@ -229,6 +242,46 @@ def _trigger_maker(
         )
 
     return make
+
+
+class _Delta:
+    """What the merged graph changed by: edges whose image was added or
+    dropped, and merged nodes added or discarded.
+
+    No domain delta is needed: every constant node of the merged graph
+    is a value of a live fact, so a constant that enters or leaves the
+    active domain while it is a merged node before or after the change
+    enters or leaves the node set too, and is in ``nodes``.
+    """
+
+    __slots__ = ("edges", "nodes")
+
+    def __init__(self):
+        self.edges: set[tuple[Node, str, Node]] = set()
+        self.nodes: set[Node] = set()
+
+    def __len__(self) -> int:
+        return len(self.edges) + len(self.nodes)
+
+    def update(self, other: "_Delta") -> None:
+        self.edges |= other.edges
+        self.nodes |= other.nodes
+
+
+class _Cached:
+    """One query's cached certain answers.
+
+    ``epoch`` counts the logged deltas the answers already reflect;
+    ``rows`` indexes them by source (target sets, never mutated once
+    stored), built at the first patch.
+    """
+
+    __slots__ = ("answers", "epoch", "rows")
+
+    def __init__(self, answers: frozenset, epoch: int):
+        self.answers = answers
+        self.epoch = epoch
+        self.rows: dict[Node, Set[Node]] | None = None
 
 
 # --------------------------------------------------------------------- #
@@ -304,6 +357,8 @@ class IncrementalChase:
         self._ids: dict[Node, int] = {}
         self._nodes: list[Node] = []
         self._constant: list[bool] = []
+        self._birth: list[int] = []  # the batch that (re)assigned the id
+        self._batch = 0  # batches applied; the bootstrap is batch 0
         self._incident: list[set[IdTriple]] = []
         self._dead: set[int] = set()  # ids that lost their last edge
         self._free: list[int] = []  # ids of dead nodes, for reuse
@@ -322,7 +377,12 @@ class IncrementalChase:
         self._failed = False
         self._witness_cache: object = _UNSET
         # --- answer layer ---
-        self._answers: dict[NRE, frozenset] = {}
+        self._answers: dict[NRE, _Cached] = {}
+        self._log: list[_Delta] = []  # deltas some cached answer still lacks
+        self._logged = 0  # their total size
+        self._epoch = 0  # deltas logged so far
+        self._delta: _Delta | None = None  # the batch's, while answers are cached
+        self._counts: dict[Node, int] | None = None  # constant -> occurrences
         self._bootstrap()
 
     # ------------------------------------------------------------------ #
@@ -365,6 +425,15 @@ class IncrementalChase:
                     f"but {symbol} expects {symbol.arity}"
                 )
         self._witness_cache = _UNSET
+        self._batch += 1
+        if self._answers:
+            if self._counts is None:
+                self._counts = {}
+                for _, values in self.instance:
+                    self._count(values, 1)
+            self._delta = _Delta()
+        else:
+            self._counts = None
         counts = {"inserts": 0, "deletes": 0, "noops": 0}
         before: dict[Fact, bool] = {}
         for op, relation, values in batch:
@@ -398,9 +467,16 @@ class IncrementalChase:
         }
         self._update_merged(*self._update_base(added_facts, removed_facts))
         self._recycle()
-        if (added_facts or removed_facts) and self._answers:
-            self.stats.answer_invalidations += 1
-            self._answers.clear()
+        if self._failed:
+            self._drop_answers()
+        elif self._delta is not None:
+            for _, values in added_facts:
+                self._count(values, 1)
+            for _, values in removed_facts:
+                self._count(values, -1)
+            if self._delta:
+                self._log_delta(self._delta)
+        self._delta = None
         counts["failed"] = self._failed
         return counts
 
@@ -411,7 +487,8 @@ class IncrementalChase:
         (when one exists), so certain answers are its query answers
         restricted to the source active domain — byte-identical to the
         batch pipeline's result on the same instance.  Answers are cached
-        per query until the next batch that changes a fact.
+        per query; a read after batches that changed the merged graph
+        re-derives only the rows those changes can reach.
         """
         from repro.core.certain import CertainAnswers
 
@@ -422,14 +499,18 @@ class IncrementalChase:
                 solutions_examined=0,
                 method="incremental(no-solution)",
             )
-        engine = engine if engine is not None else self._engine
-        if engine is None:
-            engine = default_engine()
-        answers = self._answers.get(query)
-        if answers is None:
+        cached = self._answers.get(query)
+        if cached is None:
+            engine = engine if engine is not None else self._engine
+            if engine is None:
+                engine = default_engine()
             domain = self.instance.active_domain()
             answers = engine.answers_over(self._merged, query, domain)
-            self._answers[query] = answers
+            self._answers[query] = _Cached(answers, self._epoch)
+        else:
+            if cached.epoch < self._epoch:
+                self._patch_answers(query, cached)
+            answers = cached.answers
         return CertainAnswers(
             answers=answers,
             no_solution=False,
@@ -478,12 +559,12 @@ class IncrementalChase:
 
     def _normalize(self, update) -> Update:
         """Coerce one update to ``(op, relation_name, values_tuple)``."""
-        if isinstance(update, Mapping):
+        if isinstance(update, tuple) or not isinstance(update, Mapping):
+            op, relation, values = update
+        else:
             op = update.get("op")
             relation = update.get("relation")
             values = update.get("tuple", update.get("values"))
-        else:
-            op, relation, values = update
         if op not in ("insert", "delete"):
             raise ValueError(f"unknown update op: {op!r}")
         if not isinstance(relation, str):
@@ -545,10 +626,12 @@ class IncrementalChase:
                 ident = self._free.pop()
                 self._nodes[ident] = node
                 self._constant[ident] = not is_null(node)
+                self._birth[ident] = self._batch
             else:
                 ident = len(self._nodes)
                 self._nodes.append(node)
                 self._constant.append(not is_null(node))
+                self._birth.append(self._batch)
                 self._incident.append(set())
             self._ids[node] = ident
         elif not self._incident[ident]:
@@ -676,6 +759,7 @@ class IncrementalChase:
     def _rebuild_merged(self) -> None:
         """Rebuild the merged layer from the base edges, from scratch."""
         self.stats.merged_rebuilds += 1
+        self._drop_answers()
         self._failed = False
         if not self._functional:
             nodes = self._nodes
@@ -778,13 +862,15 @@ class IncrementalChase:
         is kept as one anchor member, and every other member unites with
         the anchor.  When two classes unite their
         anchors unite too, per profile.  A class's root is its constant,
-        else its least id, so the roots (the merged graph's nodes) do not
-        depend on the union order.  Returns the ids whose root changed
-        (with repeats), or ``None`` — the chase failed — when two
-        constants meet.
+        else its earliest-born null: least birth batch, then least label.
+        So the roots (the merged graph's nodes) depend neither on the
+        union order nor on the order triggers fire in, and an id reused
+        by a new node never displaces a live root.  Returns the ids whose
+        root changed (with repeats), or ``None`` — the chase failed — when
+        two constants meet.
         """
         parent, members, anchors = self._parent, self._members, self._anchors
-        constant = self._constant
+        constant, birth, nodes = self._constant, self._birth, self._nodes
         pending: list[tuple[int, int]] = []
         for index, key, group in links:
             anchor = anchors[index].setdefault(_find(parent, key), next(iter(group)))
@@ -800,7 +886,9 @@ class IncrementalChase:
                 self._failed = True
                 self.stats.egd_merges += merges
                 return None
-            if constant[right] or (not constant[left] and right < left):
+            if constant[right] or (not constant[left] and (
+                (birth[right], nodes[right].label) < (birth[left], nodes[left].label)
+            )):
                 left, right = right, left
             parent[right] = left
             merges += 1
@@ -827,7 +915,9 @@ class IncrementalChase:
         Images are counted by the base edges they represent: an image
         with no base edge left leaves the merged graph, and so does a
         merged node with no image left.  ``changed=None`` (the closure
-        failed) leaves the parked layer as it is.
+        failed) leaves the parked layer as it is.  While answers are
+        cached, the images added or dropped and the merged nodes added
+        or discarded go to the batch's delta.
         """
         if changed is None:
             return
@@ -848,7 +938,7 @@ class IncrementalChase:
             image = (rep[source], label, rep[target])
             delta[image] = delta.get(image, 0) + 1
         counts, degree = self._image_count, self._merged_degree
-        graph, nodes = self._merged, self._nodes
+        graph, nodes, record = self._merged, self._nodes, self._delta
         emptied: list[int] = []
         for image, change in delta.items():
             if not change:
@@ -862,10 +952,17 @@ class IncrementalChase:
                 del counts[image]
             if not before:
                 graph.add_edge(nodes[source], label, nodes[target])
+                if record is not None:
+                    record.edges.add((nodes[source], label, nodes[target]))
+                    record.nodes.update(
+                        nodes[end] for end in (source, target) if end not in degree
+                    )
                 degree[source] = degree.get(source, 0) + 1
                 degree[target] = degree.get(target, 0) + 1
             elif not after:
                 graph.remove_edge(nodes[source], label, nodes[target])
+                if record is not None:
+                    record.edges.add((nodes[source], label, nodes[target]))
                 degree[source] -= 1
                 degree[target] -= 1
                 emptied += (source, target)
@@ -873,6 +970,92 @@ class IncrementalChase:
             if degree.get(ident) == 0:
                 del degree[ident]
                 graph.discard_node(nodes[ident])
+                if record is not None:
+                    record.nodes.add(nodes[ident])
+
+    # ------------------------------------------------------------------ #
+    # Answer layer
+    # ------------------------------------------------------------------ #
+
+    def _count(self, values: tuple, step: int) -> None:
+        """Add ``step`` to the occurrence count of each constant in ``values``."""
+        counts = self._counts
+        for value in values:
+            left = counts.get(value, 0) + step
+            if left:
+                counts[value] = left
+            else:
+                del counts[value]
+
+    def _log_delta(self, delta: _Delta) -> None:
+        """Log a batch's merged-graph delta for the cached answers.
+
+        The log never holds more entries than the merged graph has edges
+        and nodes: past that, the answers that still lack the oldest
+        delta are dropped with it, and their next read recomputes.
+        """
+        self._log.append(delta)
+        self._epoch += 1
+        self._logged += len(delta)
+        bound = self._merged.edge_count() + self._merged.node_count()
+        while self._logged > bound:
+            oldest = self._epoch - len(self._log)
+            self._answers = {
+                query: cached for query, cached in self._answers.items()
+                if cached.epoch != oldest
+            }
+            self._logged -= len(self._log.pop(0))
+
+    def _drop_answers(self) -> None:
+        """Forget every cached answer: the merged layer was rebuilt or failed."""
+        if self._answers:
+            self.stats.answer_invalidations += 1
+            self._answers.clear()
+        self._log.clear()
+        self._logged = 0
+        self._delta = None
+        self._counts = None
+
+    def _patch_answers(self, query: NRE, cached: _Cached) -> None:
+        """Bring ``cached`` up to date by re-deriving the rows that can change.
+
+        Those are the rows of the touched sources of ``query`` under the
+        deltas logged since ``cached`` was read, restricted to the active
+        domain (the keys of the occurrence counts).  Every other source
+        keeps its row, and so do its targets their domain membership:
+        see :class:`_Delta`.
+        """
+        delta = _Delta()
+        for logged in self._log[len(self._log) - (self._epoch - cached.epoch):]:
+            delta.update(logged)
+        graph, domain = self._merged, self._counts
+        affected = touched_sources(graph, query, delta.edges, delta.nodes)
+        sources = {node for node in affected if node in domain and node in graph}
+        fresh = {}
+        if sources:
+            fresh = evaluate_relation(graph, query, sources).targets(sources)
+        rows = cached.rows
+        if rows is None:
+            rows = cached.rows = defaultdict(set)
+            for source, target in cached.answers:
+                rows[source].add(target)
+        changes: list[tuple[Node, Node]] = []
+        for source in affected:
+            old = rows.pop(source, _EMPTY)
+            new = fresh.get(source)
+            new = frozenset(filter(domain.__contains__, new)) if new else _EMPTY
+            if new:
+                rows[source] = new
+            if old != new:
+                changes += [(source, target) for target in old ^ new]
+        if changes:  # removed pairs are in the answers, added ones are not
+            cached.answers = cached.answers.symmetric_difference(changes)
+        cached.epoch = self._epoch
+        self.stats.answer_patches += 1
+        self.stats.rows_rederived += len(sources)
+        oldest = min(entry.epoch for entry in self._answers.values())
+        while len(self._log) > self._epoch - oldest:
+            self._logged -= len(self._log.pop(0))
 
     # ------------------------------------------------------------------ #
     # Oracle-identical materialisation
@@ -890,9 +1073,11 @@ class IncrementalChase:
             by_tgd.setdefault(trigger.tgd_index, []).append(trigger)
         names: dict[Null, Null] = {}
         counter = 0
-        for tgd_index in range(len(self._tgds)):
+        for tgd_index, tgd in enumerate(self._tgds):
+            variables = [var.name for var in tgd.body.variables()]
             for trigger in sorted(
-                by_tgd.get(tgd_index, ()), key=lambda t: t.sort_key
+                by_tgd.get(tgd_index, ()),
+                key=lambda t: sorted(zip(variables, t.key[1])),
             ):
                 for null in trigger.nulls:
                     counter += 1

@@ -117,21 +117,12 @@ class TriggerMatcher:
         The greedy order depends only on which variables the seed binds
         and on the graph's label counts, so a caller probing many seeds
         over the same variables (an s-t tgd head checked once per body
-        match) compiles it once and probes it through :meth:`has_match`,
-        or :meth:`~repro.join.Plan.exists` with the values of ``bound``
-        in order.  The graph must not change while the plan is in use.
+        match) compiles it once and probes it through
+        :meth:`~repro.join.Plan.exists` with the values of ``bound`` in
+        order.  The graph must not change while the plan is in use.
         """
         body = self._body(query)
         return body.plan([body.index[var] for var in bound])
-
-    def has_match(self, plan: Plan, seed: Mapping[Variable, Node]) -> bool:
-        """Whether some homomorphism extends ``seed`` along ``plan``.
-
-        ``plan`` comes from :meth:`join_plan` for the seed's variables;
-        the verdict equals ``any(self.matches(query, seed))``.
-        """
-        variables = plan.body.variables
-        return plan.exists([seed[variables[var]] for var in plan.bound], self.stats)
 
     # ------------------------------------------------------------------ #
     # Delta enumeration (semi-naive iteration)

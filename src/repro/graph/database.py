@@ -11,7 +11,7 @@ chase, query engine, and serialisation layer speaks.  Its storage is the
 per-label hash adjacency in both directions and an append-only *edge
 journal* (``version`` / ``edges_since``) that makes semi-naive (delta)
 chase iteration possible.  The any-label incident-edge indexes
-(``edges_from`` / ``edges_to`` / ``incident_edges``), which let the chase
+(``edges_from`` / ``edges_to``), which let the chase
 engine find every edge touching a node in O(degree), and the
 :class:`Edge` set behind :meth:`GraphDatabase.edges` are derived: built
 the first time one of those reads (or a ``rename_node``) asks for them,
@@ -329,15 +329,6 @@ class GraphDatabase:
         ['(w -b-> u)']
         """
         return self._backend.edges_to(node)
-
-    def incident_edges(self, node: Node) -> frozenset[Edge]:
-        """Return every edge touching ``node`` as source or target.
-
-        >>> g = GraphDatabase(edges=[("u", "a", "v"), ("w", "b", "u")])
-        >>> len(g.incident_edges("u"))
-        2
-        """
-        return self._backend.edges_from(node) | self._backend.edges_to(node)
 
     # ------------------------------------------------------------------ #
     # Journal / fingerprint

@@ -21,6 +21,12 @@ This is the one NRE evaluator: it serves whole-relation reads
 with one source pushed in, single sources and pairs (``reachable`` and
 ``holds``), whose shared ``cache`` keeps the unrestricted subexpression
 relations across probes.
+
+Beside it, two demand-driven walks find the rows a change to the graph
+can reach, for :class:`~repro.engine.incremental.IncrementalChase`'s
+answer patches: :func:`preimage` (the sources whose row meets a node
+set) and :func:`touched_sources` (the sources whose row may differ
+after given edges and nodes changed).
 """
 
 from __future__ import annotations
@@ -316,6 +322,134 @@ def _closure(
     return carried
 
 
+def preimage(graph: GraphDatabase, expr: NRE, targets: Iterable[Node]) -> set[Node]:
+    """``pre(expr, X)``: the sources whose ``⟦expr⟧`` row meets ``targets``.
+
+    Demand-driven and compositional on the current graph: ``a`` steps
+    back through the ``a`` predecessor index and ``a⁻`` through the
+    forward one, ``pre(r · s, X) = pre(r, pre(s, X))``, a union unions,
+    ``r*`` grows a frontier until it stops, and ``pre([r], X)`` keeps the
+    nodes of ``X`` whose ``⟦r⟧`` row is not empty.  Nothing is closed over
+    the whole graph: only nodes that reach ``X`` are visited, and those a
+    nest's test reads from them.
+
+    >>> from repro.graph.parser import parse_nre
+    >>> g = GraphDatabase(edges=[("u", "a", "v"), ("v", "a", "w"), ("x", "b", "v")])
+    >>> sorted(preimage(g, parse_nre("a*"), {"w"}))
+    ['u', 'v', 'w']
+    >>> sorted(preimage(g, parse_nre("b . a"), {"w"}))
+    ['x']
+    """
+    return _walk(graph, expr, set(targets), forward=False)
+
+
+def touched_sources(
+    graph: GraphDatabase,
+    expr: NRE,
+    edges: Iterable[tuple[Node, str, Node]],
+    nodes: AbstractSet[Node],
+) -> set[Node]:
+    """The sources whose ``⟦expr⟧`` row may differ from before a change.
+
+    ``edges`` are the edges the change added or removed and ``nodes`` the
+    nodes it added or removed; ``graph`` is the graph after it.  A source
+    outside the returned set has the same row before and after, so the
+    set is computed on the new graph alone: ``T(a)`` is the sources of
+    changed ``a`` edges, ``T(r · s) = T(r) ∪ pre(r, T(s))`` (a source whose
+    ``r`` row stayed reaches a changed ``s`` row through it),
+    ``T(r*) = ΔV ∪ pre(r*, T(r) ∪ ΔV)``, ``T([r]) = T(r)`` and ``T(ε) = ΔV``,
+    so every reflexive part covers the node-set change.
+
+    >>> from repro.graph.parser import parse_nre
+    >>> g = GraphDatabase(edges=[("u", "a", "v"), ("v", "a", "w"), ("w", "b", "x")])
+    >>> sorted(touched_sources(g, parse_nre("a . b"), [("w", "b", "x")], {"x"}))
+    ['v']
+    """
+    changed: dict[str, tuple[set[Node], set[Node]]] = {}
+    for source, lab, target in edges:
+        sources, targets = changed.setdefault(lab, (set(), set()))
+        sources.add(source)
+        targets.add(target)
+    return _touched(graph, expr, changed, set(nodes))
+
+
+def _touched(
+    graph: GraphDatabase,
+    expr: NRE,
+    changed: Mapping[str, tuple[set[Node], set[Node]]],
+    nodes: set[Node],
+) -> set[Node]:
+    if isinstance(expr, Epsilon):
+        return set(nodes)
+    if isinstance(expr, (Label, Backward)):
+        ends = changed.get(expr.name)
+        return set() if ends is None else set(ends[isinstance(expr, Backward)])
+    if isinstance(expr, Union):
+        return _touched(graph, expr.left, changed, nodes) | _touched(
+            graph, expr.right, changed, nodes
+        )
+    if isinstance(expr, Concat):
+        left = _touched(graph, expr.left, changed, nodes)
+        right = _touched(graph, expr.right, changed, nodes)
+        return left | _walk(graph, expr.left, right, forward=False)
+    if isinstance(expr, Star):
+        seeds = _touched(graph, expr.inner, changed, nodes) | nodes
+        return nodes | _walk(graph, expr, seeds, forward=False)
+    if isinstance(expr, Nest):
+        return _touched(graph, expr.inner, changed, nodes)
+    raise TypeError(f"unknown NRE node {expr!r}")  # pragma: no cover
+
+
+def _walk(
+    graph: GraphDatabase, expr: NRE, nodes: set[Node], forward: bool
+) -> set[Node]:
+    """The image of ``nodes`` under ``⟦expr⟧`` (``forward``), else its pre-image."""
+    if not nodes:
+        return set()
+    if isinstance(expr, Epsilon):
+        return {node for node in nodes if node in graph}
+    if isinstance(expr, (Label, Backward)):
+        along = isinstance(expr, Label) == forward
+        index = (graph.forward_index if along else graph.backward_index)(expr.name)
+        return set().union(*[row for node in nodes if (row := index.get(node))])
+    if isinstance(expr, Union):
+        return _walk(graph, expr.left, nodes, forward) | _walk(
+            graph, expr.right, nodes, forward
+        )
+    if isinstance(expr, Concat):
+        first, second = (expr.left, expr.right) if forward else (expr.right, expr.left)
+        return _walk(graph, second, _walk(graph, first, nodes, forward), forward)
+    if isinstance(expr, Star):
+        reached = {node for node in nodes if node in graph}
+        frontier = reached
+        while frontier:
+            frontier = _walk(graph, expr.inner, frontier, forward) - reached
+            reached |= frontier
+        return reached
+    if isinstance(expr, Nest):
+        return _tested(graph, expr.inner, nodes)
+    raise TypeError(f"unknown NRE node {expr!r}")  # pragma: no cover
+
+
+def _tested(graph: GraphDatabase, expr: NRE, nodes: set[Node]) -> set[Node]:
+    """The nodes of ``nodes`` whose ``⟦expr⟧`` row is not empty."""
+    if isinstance(expr, (Epsilon, Star)):
+        return {node for node in nodes if node in graph}
+    if isinstance(expr, (Label, Backward)):
+        index = (
+            graph.forward_index if isinstance(expr, Label) else graph.backward_index
+        )(expr.name)
+        return {node for node in nodes if index.get(node)}
+    if isinstance(expr, Union):
+        return _tested(graph, expr.left, nodes) | _tested(graph, expr.right, nodes)
+    if isinstance(expr, Nest):
+        return _tested(graph, expr.inner, nodes)
+    if isinstance(expr, Concat):  # a row of r · s meets dom(s) inside r's image
+        middles = _tested(graph, expr.right, _walk(graph, expr.left, nodes, True))
+        return nodes & _walk(graph, expr.left, middles, forward=False)
+    raise TypeError(f"unknown NRE node {expr!r}")  # pragma: no cover
+
+
 def evaluate_nre(
     graph: GraphDatabase,
     expr: NRE,
@@ -359,5 +493,5 @@ def nre_holds(graph: GraphDatabase, expr: NRE, source: Node, target: Node) -> bo
 
 __all__ = [
     "Relation", "evaluate_relation", "evaluate_nre", "nre_pairs", "nre_reachable",
-    "nre_holds",
+    "nre_holds", "preimage", "touched_sources",
 ]

@@ -29,6 +29,11 @@ A generator-shaped regime replays ``scenarios.scale.update_stream`` on
 small medlit and social tenants, whose Zipf hubs grow large functional
 merge classes, and a Hypothesis strategy throws batches of up to 40
 operations at a medlit tenant.
+
+The answer layer patches cached answers instead of recomputing them, so
+a last suite reads random NREs (every constructor) on the flights,
+null-merge, congruence and failure regimes, some only every few
+batches, against the reference engine on a from-scratch chase.
 """
 
 
@@ -43,9 +48,11 @@ from repro.engine.delta import decompose_egd
 from repro.engine.incremental import IncrementalChase, UpdateStats
 from repro.engine.query import QueryEngine
 from repro.errors import NotSupportedError, SchemaError
+from repro.graph.eval import evaluate_nre, touched_sources
 from repro.graph.parser import parse_nre
 from repro.io.json_io import graph_to_dict
 from repro.mappings.parser import parse_egd, parse_st_tgd
+from repro.relational.instance import RelationalInstance
 from repro.relational.schema import RelationalSchema
 from repro.scenarios.figures import example31_setting
 from repro.scenarios.flights import flights_instance, setting_omega
@@ -57,6 +64,7 @@ from repro.scenarios.scale import (
     workload_queries,
 )
 from repro.service.protocol import canonical_bytes
+from test_properties.test_nre_properties import nres, rows
 
 
 # --------------------------------------------------------------------- #
@@ -508,8 +516,8 @@ class TestPinnedBehaviour:
         assert live.stats.merged_rebuilds == before["merged_rebuilds"] + 2
         assert live.stats.recloses == 0
 
-    def test_insert_only_batches_invalidate_answers(self):
-        """An insert-only batch drops the cache; each query re-reads once."""
+    def test_insert_only_batches_patch_answers(self):
+        """An insert-only batch keeps the cache; each query's read patches it."""
         engine = QueryEngine()
         live = IncrementalChase(example31_setting(), flights_instance())
         queries = [parse_nre("f . h"), parse_nre("f*")]
@@ -517,11 +525,13 @@ class TestPinnedBehaviour:
             live.certain_answers(query, engine=engine)
         before = engine.stats.as_dict()
         live.apply_updates([("insert", "Hotel", ("02", "hz"))])
-        assert live.stats.answer_invalidations == 1
         assert_matches_oracle(live, engine, queries)
         after = engine.stats.as_dict()
-        assert live.stats.answer_patches == 0
-        assert after["relations_evaluated"] - before["relations_evaluated"] == 2
+        assert live.stats.answer_invalidations == 0
+        assert live.stats.answer_patches == 2
+        assert 0 < live.stats.rows_rederived < 2 * len(live.instance.active_domain())
+        # The patches re-derive rows on the merged graph, not through the engine.
+        assert after["relations_evaluated"] == before["relations_evaluated"]
         assert after["single_source_queries"] == before["single_source_queries"]
 
     def test_batches_that_change_no_fact_keep_cached_answers(self):
@@ -642,6 +652,35 @@ class TestMergedLayerEdges:
         assert verdicts == [False, True, True, True, True, False]
         assert live.stats.merged_rebuilds == 1 + 3  # the bootstrap, then each delete
 
+    def test_a_reused_low_id_never_displaces_a_live_root(self):
+        """A null class roots at its earliest-born id, not its least id.
+
+        A throwaway trigger's ids die and are freed; a later null of a live
+        hotel class takes one of them, below the class root.  The root
+        stays, so no edge of the class moves.
+        """
+        engine = QueryEngine()
+        queries = [parse_nre("f . h"), parse_nre("f . f")]
+        live = IncrementalChase(example31_setting())
+        live.apply_updates([("insert", "Flight", ("01", "a0", "b0")),
+                            ("insert", "Hotel", ("01", "h0"))])
+        for flight in ("02", "03"):
+            live.apply_updates([("insert", "Flight", (flight, "c1", "c2")),
+                                ("insert", "Hotel", (flight, "hq"))])
+        live.apply_updates([("delete", "Flight", ("01", "a0", "b0"))])
+        assert_matches_oracle(live, engine, queries)
+        freed = set(live._free)
+        (root, members), = live._members.items()
+        assert freed and max(freed) < root and len(members) == 2
+        moved = live.stats.edges_moved
+        live.apply_updates([("insert", "Flight", ("04", "c1", "c2")),
+                            ("insert", "Hotel", ("04", "hq"))])
+        (kept, members), = live._members.items()
+        assert kept == root and len(members) == 3
+        assert min(members) in freed  # the new null reused a lower id
+        assert live.stats.edges_moved == moved
+        assert_matches_oracle(live, engine, queries)
+
     @pytest.mark.parametrize("family", ["medlit", "social"])
     def test_delete_then_reinsert_in_one_batch(self, family):
         """Deleting and restoring merge-feeding facts in one batch is a no-op."""
@@ -717,8 +756,155 @@ class TestLargeBatches:
             assert len(live._ids) == live_ids
         assert len(live._nodes) <= peak
         assert all(live._incident[ident] for ident in live._ids.values())
+        # Each class roots at its earliest-born null, whatever the order
+        # its ids were assigned in: least birth batch, then least label.
+        for root, members in live._members.items():
+            if not live._constant[root]:
+                assert root == min(
+                    members,
+                    key=lambda ident: (live._birth[ident], live._nodes[ident].label),
+                )
         queries = [parse_nre(text) for text in workload_queries("medlit")]
         assert_matches_oracle(live, QueryEngine(), queries)
+
+
+# --------------------------------------------------------------------- #
+# The answer layer: cached answers patched batch after batch.
+# --------------------------------------------------------------------- #
+
+
+def assert_reads_match_reference(live: IncrementalChase, queries) -> None:
+    """Each query's live answers == the reference engine on a fresh chase."""
+    setting = live.setting
+    oracle = chase_relational(
+        setting.st_tgds, list(setting.egds()), live.instance,
+        alphabet=setting.alphabet,
+    )
+    domain = live.instance.active_domain()
+    for query in queries:
+        answers = live.certain_answers(query)
+        if oracle.failed:
+            assert answers.no_solution and answers.answers == frozenset()
+        else:
+            assert answers.answers == ReferenceEngine().answers_over(
+                oracle.graph, query, domain
+            )
+
+
+class TestPatchedAnswers:
+    @pytest.mark.parametrize(
+        "regime", ["flights", "null-merge", "congruence", "failure"]
+    )
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_random_queries_patch_to_the_reference(self, regime, data):
+        """The first query is read after every batch, the others when drawn.
+
+        A query left unread for several batches patches over all their
+        deltas at once; the failure regime fails and recovers.
+        """
+        factory, pool, _ = REGIMES[regime]
+        setting = factory()
+        alphabet = tuple(sorted(setting.alphabet))
+        queries = data.draw(
+            st.lists(nres(alphabet=alphabet), min_size=2, max_size=4, unique=True)
+        )
+        instance = RelationalInstance(setting.source_schema)
+        for relation, values in data.draw(st.lists(st.sampled_from(pool), unique=True)):
+            instance.add(relation, values)
+        live = IncrementalChase(setting, instance)
+        assert_reads_match_reference(live, queries)
+        for batch in data.draw(stream_strategy(pool)):
+            live.apply_updates(
+                [(op, relation, values) for op, (relation, values) in batch]
+            )
+            read = [query for query in queries[1:] if data.draw(st.booleans())]
+            assert_reads_match_reference(live, [queries[0], *read])
+        assert_reads_match_reference(live, queries)
+
+    def test_reads_across_several_batches_patch_once(self):
+        engine = QueryEngine()
+        live = IncrementalChase(scale_setting("medlit"), generate_instance(MEDLIT_80))
+        query = parse_nre("cites* . in_venue + [mentions] . discusses")
+        live.certain_answers(query, engine=engine)
+        for batch in update_stream(MEDLIT_80, 4, 6, 0.4):
+            live.apply_updates(batch)
+        assert len(live._log) == 4
+        assert_reads_match_reference(live, [query])
+        assert live.stats.answer_patches == 1
+        assert not live._log  # every cached answer has caught up
+        assert engine.stats.relations_evaluated == 1
+
+    def test_the_log_never_outgrows_the_merged_graph(self):
+        """An answer that misses reads while the log outgrows the graph is dropped."""
+        live = IncrementalChase(example31_setting(), flights_instance())
+        stale, read = parse_nre("f . h"), parse_nre("f*")
+        live.certain_answers(stale)
+        for op in ("insert", "delete") * 4:  # churn: the graph does not grow
+            live.apply_updates([(op, "Hotel", ("02", "hz"))])
+            assert_reads_match_reference(live, [read])
+            assert live._logged <= live._merged.edge_count() + live._merged.node_count()
+        assert stale not in live._answers and live.stats.answer_invalidations == 0
+        assert_reads_match_reference(live, [stale, read])
+
+    def test_failure_then_recovery_recomputes_then_patches(self):
+        live = IncrementalChase(failure_setting())
+        query = parse_nre("h . h-")
+        live.apply_updates([("insert", "R", ("a", "u")), ("insert", "R", ("b", "v"))])
+        assert_reads_match_reference(live, [query])
+        live.apply_updates([("insert", "R", ("c", "w"))])
+        assert_reads_match_reference(live, [query])
+        assert live.stats.answer_patches == 1
+        live.apply_updates([("insert", "R", ("b", "u"))])  # a and b meet at u
+        assert live.failed and live.stats.answer_invalidations == 1
+        assert_reads_match_reference(live, [query])
+        live.apply_updates([("delete", "R", ("b", "u"))])  # recovery rebuilds
+        assert_reads_match_reference(live, [query])
+        live.apply_updates([("delete", "R", ("c", "w"))])
+        assert_reads_match_reference(live, [query])
+        assert live.stats.answer_patches == 2
+
+    def test_no_delta_is_captured_while_nothing_is_cached(self):
+        live = IncrementalChase(example31_setting(), flights_instance())
+        live.apply_updates([("insert", "Hotel", ("02", "hz"))])
+        assert live._counts is None and not live._log
+        live.certain_answers(parse_nre("f . h"))
+        live.apply_updates([("delete", "Hotel", ("02", "hz"))])
+        assert live._counts is not None and len(live._log) == 1
+        assert "hz" in live._log[0].nodes and "hz" not in live._counts
+
+    def test_touched_sources_cover_every_changed_row_of_a_batch(self):
+        """Rows of the full relations before and after each batch, compared."""
+        texts = workload_queries("medlit") + (
+            "cites*", "(cites + mentions-)*", "[about] . about-", "()",
+            "mentions . (discusses . about)*",
+        )
+        queries = [parse_nre(text) for text in texts]
+        live = IncrementalChase(scale_setting("medlit"), generate_instance(MEDLIT_80))
+        changed = 0
+        for batch in update_stream(MEDLIT_80, 4, 40, 0.4):
+            live.certain_answers(queries[0])  # something cached: deltas are kept
+            before = {
+                query: rows(evaluate_nre(live._merged, query)) for query in queries
+            }
+            nodes, domain = live._merged.nodes(), live.instance.active_domain()
+            live.apply_updates(batch)
+            delta = live._log[-1]
+            # A constant entering or leaving the domain as a merged node
+            # enters or leaves the node set: no domain delta is needed.
+            moved = domain ^ live.instance.active_domain()
+            assert moved & (nodes | live._merged.nodes()) <= delta.nodes
+            for query in queries:
+                after = rows(evaluate_nre(live._merged, query))
+                differ = {
+                    source for source in before[query].keys() | after.keys()
+                    if before[query].get(source) != after.get(source)
+                }
+                changed += len(differ)
+                assert differ <= touched_sources(
+                    live._merged, query, delta.edges, delta.nodes
+                )
+        assert changed
 
 
 class TestGatesAndDecomposition:
@@ -747,4 +933,5 @@ class TestGatesAndDecomposition:
         assert summary["batches"] == 0
         assert {"egd_merges", "fast_deletes", "merged_rebuilds", "recloses",
                 "ids_reclosed", "edges_moved", "triggers_added",
-                "answer_patches", "answer_invalidations"} <= set(summary)
+                "answer_patches", "rows_rederived",
+                "answer_invalidations"} <= set(summary)

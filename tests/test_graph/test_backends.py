@@ -77,9 +77,8 @@ def assert_observably_equal(graph: GraphDatabase, twin: GraphDatabase):
 
     The reads served by the adjacency, the counters and the triple journal
     are compared both before and after the reads that build the derived
-    edge indexes (``edges``, ``edges_from``, ``edges_to``,
-    ``incident_edges``), so neither side's answers depend on whether those
-    indexes exist yet.
+    edge indexes (``edges``, ``edges_from``, ``edges_to``), so neither
+    side's answers depend on whether those indexes exist yet.
     """
 
     def assert_storage_reads_equal():
@@ -134,7 +133,9 @@ def assert_observably_equal(graph: GraphDatabase, twin: GraphDatabase):
     for node in NODES:
         assert twin.edges_from(node) == graph.edges_from(node)
         assert twin.edges_to(node) == graph.edges_to(node)
-        assert twin.incident_edges(node) == graph.incident_edges(node)
+        assert twin.edges_from(node) | twin.edges_to(node) == (
+            graph.edges_from(node) | graph.edges_to(node)
+        )
     for edge in graph.edges():
         assert twin.has_edge(edge.source, edge.label, edge.target)
     assert derived_built(graph) and derived_built(twin)
@@ -262,7 +263,8 @@ class TestBuildPathEquivalence:
             assert not derived_built(thawed)  # probed on the forward index
         for graph in (grown, thawed):
             graph.remove_edge("ghost", "a", "ghost")
-        busy = [node for node in NODES if grown.incident_edges(node)]
+        busy = [node for node in NODES
+                if grown.edges_from(node) | grown.edges_to(node)]
         for node in busy[:1]:
             for graph in (grown, thawed):
                 with pytest.raises(SchemaError):
@@ -272,7 +274,7 @@ class TestBuildPathEquivalence:
         new = data.draw(st.sampled_from(NODES))
         assert grown.rename_node(old, new) == thawed.rename_node(old, new)
         for node in NODES:
-            if node in grown and not grown.incident_edges(node):
+            if node in grown and not grown.edges_from(node) | grown.edges_to(node):
                 for graph in (grown, thawed):
                     graph.discard_node(node)
         assert_observably_equal(grown, thawed)

@@ -3,7 +3,14 @@
 import pytest
 
 from repro.graph.database import GraphDatabase
-from repro.graph.eval import evaluate_nre, evaluate_relation, nre_holds, nre_reachable
+from repro.graph.eval import (
+    evaluate_nre,
+    evaluate_relation,
+    nre_holds,
+    nre_reachable,
+    preimage,
+    touched_sources,
+)
 from repro.graph.parser import parse_nre
 
 
@@ -179,3 +186,30 @@ class TestRelationAlgebra:
         assert evaluate_nre(g, parse_nre("a . (b + ())")) == {
             (0, 1), (0, 2), (0, 3)
         }
+
+
+class TestChangedRows:
+    """Pre-images and touched sources, the answer layer's changed-row sets."""
+
+    def test_preimage_of_a_nest_tests_the_whole_body(self, chain):
+        # u and v both have an a-successor, but only v's reaches a b-edge.
+        assert preimage(chain, parse_nre("[a . b]"), {"u", "v", "w"}) == {"v"}
+        assert preimage(chain, parse_nre("[a* . b]"), {"u", "v", "x"}) == {"u", "v"}
+
+    def test_preimage_of_a_star_walks_back_only_from_the_targets(self, chain):
+        assert preimage(chain, parse_nre("a*"), {"v"}) == {"u", "v"}
+        assert preimage(chain, parse_nre("a*"), {"ghost"}) == set()
+
+    def test_a_new_node_touches_every_reflexive_part(self, chain):
+        chain.add_edge("x", "c", "y")  # y is new; its c edge is not read
+        touched = touched_sources(chain, parse_nre("a* . ()"), [("x", "c", "y")], {"y"})
+        assert touched == {"y"}
+        assert touched_sources(chain, parse_nre("[()]"), [], {"y"}) == {"y"}
+        touched = touched_sources(chain, parse_nre("a . b"), [("x", "c", "y")], {"y"})
+        assert touched == set()
+
+    def test_a_changed_edge_touches_the_sources_that_reach_it(self, chain):
+        edge = ("w", "b", "x")
+        touched = touched_sources(chain, parse_nre("a* . b"), [edge], set())
+        assert touched == {"u", "v", "w"}
+        assert touched_sources(chain, parse_nre("b- . a-"), [edge], set()) == {"x"}

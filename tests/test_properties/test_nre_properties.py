@@ -6,7 +6,11 @@ Two families of properties:
   oracle implement the same semantics, on random graphs × random NREs;
 * **algebraic laws** of the NRE algebra (union/concat monotonicity,
   distributivity of composition over union, star unfolding, nest
-  characterisation), each checked semantically on random graphs.
+  characterisation), each checked semantically on random graphs;
+* **changed rows**: after random edge and node changes, every source
+  whose row differs is in :func:`~repro.graph.eval.touched_sources`, and
+  :func:`~repro.graph.eval.preimage` is exactly the sources whose row
+  meets its targets.
 """
 
 import random
@@ -15,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles.reference_eval import evaluate_nre as reference_pairs
 from repro.graph.database import GraphDatabase
-from repro.graph.eval import evaluate_nre
+from repro.graph.eval import evaluate_nre, preimage, touched_sources
 from repro.graph.nre import concat, epsilon, label, nest, star, union
 from repro.scenarios.generators import random_graph, random_nre
 
@@ -31,10 +35,19 @@ def graphs(draw, max_nodes=6, max_edges=12):
 
 
 @st.composite
-def nres(draw, max_depth=3):
+def nres(draw, max_depth=3, alphabet=ALPHABET):
+    """Random NREs over ``alphabet``: every constructor can appear."""
     seed = draw(st.integers(min_value=0, max_value=10_000))
     depth = draw(st.integers(min_value=0, max_value=max_depth))
-    return random_nre(depth=depth, alphabet=ALPHABET, rng=random.Random(seed))
+    return random_nre(depth=depth, alphabet=alphabet, rng=random.Random(seed))
+
+
+def rows(pairs) -> dict:
+    """Group a pair set by source."""
+    grouped: dict = {}
+    for source, target in pairs:
+        grouped.setdefault(source, set()).add(target)
+    return grouped
 
 
 class TestDifferential:
@@ -109,3 +122,44 @@ class TestMonotonicity:
         before = evaluate_nre(graph, expr)
         after = evaluate_nre(extended, expr)
         assert before <= after
+
+
+class TestChangedRows:
+    """The changed-row sets the incremental answer layer patches with."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(graphs(max_nodes=6, max_edges=10), nres(), st.integers(0, 10_000))
+    def test_touched_sources_cover_every_changed_row(self, graph, expr, seed):
+        rng = random.Random(seed)
+        changed = graph.copy()
+        node_pool = sorted(graph.nodes(), key=repr) + ["fresh1", "fresh2"]
+        for _ in range(rng.randint(1, 4)):
+            edge = (rng.choice(node_pool), rng.choice(ALPHABET), rng.choice(node_pool))
+            if changed.has_edge(*edge):
+                changed.remove_edge(*edge)
+            else:
+                changed.add_edge(*edge)
+        for node in node_pool:  # drop the nodes the removals left bare
+            bare = not changed.edges_from(node) | changed.edges_to(node)
+            if node in changed and bare:
+                changed.discard_node(node)
+        edges = {(e.source, e.label, e.target) for e in graph.edges() ^ changed.edges()}
+        nodes = set(graph.nodes()) ^ set(changed.nodes())
+        before, after = rows(reference_pairs(graph, expr)), rows(
+            reference_pairs(changed, expr)
+        )
+        differ = {
+            u for u in before.keys() | after.keys() if before.get(u) != after.get(u)
+        }
+        assert differ <= touched_sources(changed, expr, edges, nodes)
+
+    @settings(max_examples=150, deadline=None)
+    @given(graphs(), nres(), st.integers(0, 10_000))
+    def test_preimage_is_the_sources_meeting_the_targets(self, graph, expr, seed):
+        rng = random.Random(seed)
+        pool = sorted(graph.nodes(), key=repr)
+        targets = set(rng.sample(pool, rng.randint(0, len(pool))))
+        expected = {
+            u for u, vs in rows(reference_pairs(graph, expr)).items() if vs & targets
+        }
+        assert preimage(graph, expr, targets) == expected
