@@ -36,14 +36,15 @@ instance:
   :meth:`~repro.engine.query.QueryEngine.answers_over` on the merged
   graph.  While any answer is cached, the merged-layer patch records the
   merged edges whose image it added or dropped and the merged nodes it
-  added or discarded, and occurrence counts of the source constants keep
-  the active domain.  A later read patches its cached answer: the
-  sources whose row can have changed are found by walking the query's
-  own expression backwards from that delta
-  (:func:`~repro.graph.eval.touched_sources`), and only their rows are
-  re-derived, through a per-source row index of the cached answer
-  (row-level incremental view maintenance).  A rebuilt merged layer or
-  a failed chase drops the cache instead.
+  added or discarded, into a pending delta per cached answer.  A later
+  read patches its cached answer: the sources whose row can have
+  changed are found by walking the query's own expression backwards
+  from its pending delta (:func:`~repro.graph.eval.touched_sources`),
+  and only their rows are re-derived, through a per-source row index of
+  the cached answer (row-level incremental view maintenance).  A
+  rebuilt merged layer or a failed chase drops the cache instead, and
+  an answer whose pending delta outgrows the merged graph is dropped
+  with it.
 
 The contract, enforced by ``tests/test_engine/test_incremental.py``, is
 *byte-identity with the from-scratch oracle*: after any update stream,
@@ -60,7 +61,7 @@ from __future__ import annotations
 from collections import defaultdict
 from collections.abc import Mapping, Set
 from dataclasses import dataclass, fields
-from itertools import chain
+from itertools import chain, filterfalse
 from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Iterator
 
 from repro.chase.relational_chase import (
@@ -152,8 +153,9 @@ class UpdateStats:
     domain whose row the delta can have changed."""
 
     answer_invalidations: int = 0
-    """Batches that dropped a non-empty certain-answer cache: a rebuilt
-    merged layer or a failed chase."""
+    """Batches that dropped cached certain answers: a rebuilt merged
+    layer or a failed chase drops them all, and an answer left unread
+    until its pending delta outgrows the merged graph is dropped alone."""
 
     def summary(self) -> dict[str, int]:
         """Return the counters as a plain dict for reporting.
@@ -249,9 +251,11 @@ class _Delta:
     dropped, and merged nodes added or discarded.
 
     No domain delta is needed: every constant node of the merged graph
-    is a value of a live fact, so a constant that enters or leaves the
-    active domain while it is a merged node before or after the change
-    enters or leaves the node set too, and is in ``nodes``.
+    is a value of a live fact (tgd heads name body variables and nulls
+    only), so a merged node is in the active domain exactly when it is a
+    constant, and a constant that enters or leaves the active domain
+    while it is a merged node before or after the change enters or
+    leaves the node set too, and is in ``nodes``.
     """
 
     __slots__ = ("edges", "nodes")
@@ -271,16 +275,16 @@ class _Delta:
 class _Cached:
     """One query's cached certain answers.
 
-    ``epoch`` counts the logged deltas the answers already reflect;
-    ``rows`` indexes them by source (target sets, never mutated once
-    stored), built at the first patch.
+    ``pending`` is the merged-graph delta of the batches since they were
+    read; ``rows`` indexes them by source (target sets, never mutated
+    once stored), built at the first patch.
     """
 
-    __slots__ = ("answers", "epoch", "rows")
+    __slots__ = ("answers", "pending", "rows")
 
-    def __init__(self, answers: frozenset, epoch: int):
+    def __init__(self, answers: frozenset):
         self.answers = answers
-        self.epoch = epoch
+        self.pending = _Delta()
         self.rows: dict[Node, Set[Node]] | None = None
 
 
@@ -378,11 +382,7 @@ class IncrementalChase:
         self._witness_cache: object = _UNSET
         # --- answer layer ---
         self._answers: dict[NRE, _Cached] = {}
-        self._log: list[_Delta] = []  # deltas some cached answer still lacks
-        self._logged = 0  # their total size
-        self._epoch = 0  # deltas logged so far
         self._delta: _Delta | None = None  # the batch's, while answers are cached
-        self._counts: dict[Node, int] | None = None  # constant -> occurrences
         self._bootstrap()
 
     # ------------------------------------------------------------------ #
@@ -426,14 +426,7 @@ class IncrementalChase:
                 )
         self._witness_cache = _UNSET
         self._batch += 1
-        if self._answers:
-            if self._counts is None:
-                self._counts = {}
-                for _, values in self.instance:
-                    self._count(values, 1)
-            self._delta = _Delta()
-        else:
-            self._counts = None
+        self._delta = _Delta() if self._answers else None
         counts = {"inserts": 0, "deletes": 0, "noops": 0}
         before: dict[Fact, bool] = {}
         for op, relation, values in batch:
@@ -469,13 +462,8 @@ class IncrementalChase:
         self._recycle()
         if self._failed:
             self._drop_answers()
-        elif self._delta is not None:
-            for _, values in added_facts:
-                self._count(values, 1)
-            for _, values in removed_facts:
-                self._count(values, -1)
-            if self._delta:
-                self._log_delta(self._delta)
+        elif self._delta:
+            self._pend(self._delta)
         self._delta = None
         counts["failed"] = self._failed
         return counts
@@ -506,9 +494,9 @@ class IncrementalChase:
                 engine = default_engine()
             domain = self.instance.active_domain()
             answers = engine.answers_over(self._merged, query, domain)
-            self._answers[query] = _Cached(answers, self._epoch)
+            self._answers[query] = _Cached(answers)
         else:
-            if cached.epoch < self._epoch:
+            if cached.pending:
                 self._patch_answers(query, cached)
             answers = cached.answers
         return CertainAnswers(
@@ -977,60 +965,42 @@ class IncrementalChase:
     # Answer layer
     # ------------------------------------------------------------------ #
 
-    def _count(self, values: tuple, step: int) -> None:
-        """Add ``step`` to the occurrence count of each constant in ``values``."""
-        counts = self._counts
-        for value in values:
-            left = counts.get(value, 0) + step
-            if left:
-                counts[value] = left
-            else:
-                del counts[value]
+    def _pend(self, delta: _Delta) -> None:
+        """Add a batch's merged-graph delta to every cached answer's pending one.
 
-    def _log_delta(self, delta: _Delta) -> None:
-        """Log a batch's merged-graph delta for the cached answers.
-
-        The log never holds more entries than the merged graph has edges
-        and nodes: past that, the answers that still lack the oldest
-        delta are dropped with it, and their next read recomputes.
+        An answer whose pending delta outgrows the merged graph's edges
+        and nodes is dropped instead: its next read recomputes it.
         """
-        self._log.append(delta)
-        self._epoch += 1
-        self._logged += len(delta)
         bound = self._merged.edge_count() + self._merged.node_count()
-        while self._logged > bound:
-            oldest = self._epoch - len(self._log)
-            self._answers = {
-                query: cached for query, cached in self._answers.items()
-                if cached.epoch != oldest
-            }
-            self._logged -= len(self._log.pop(0))
+        stale = []
+        for query, cached in self._answers.items():
+            cached.pending.update(delta)
+            if len(cached.pending) > bound:
+                stale.append(query)
+        for query in stale:
+            del self._answers[query]
+        if stale:
+            self.stats.answer_invalidations += 1
 
     def _drop_answers(self) -> None:
         """Forget every cached answer: the merged layer was rebuilt or failed."""
         if self._answers:
             self.stats.answer_invalidations += 1
             self._answers.clear()
-        self._log.clear()
-        self._logged = 0
         self._delta = None
-        self._counts = None
 
     def _patch_answers(self, query: NRE, cached: _Cached) -> None:
         """Bring ``cached`` up to date by re-deriving the rows that can change.
 
-        Those are the rows of the touched sources of ``query`` under the
-        deltas logged since ``cached`` was read, restricted to the active
-        domain (the keys of the occurrence counts).  Every other source
-        keeps its row, and so do its targets their domain membership:
-        see :class:`_Delta`.
+        Those are the rows of the touched sources of ``query`` under its
+        pending delta, restricted to the active domain: to the merged
+        graph's constants.  Every other source keeps its row, and so do
+        its targets their domain membership: see :class:`_Delta`.
         """
-        delta = _Delta()
-        for logged in self._log[len(self._log) - (self._epoch - cached.epoch):]:
-            delta.update(logged)
-        graph, domain = self._merged, self._counts
+        delta, cached.pending = cached.pending, _Delta()
+        graph = self._merged
         affected = touched_sources(graph, query, delta.edges, delta.nodes)
-        sources = {node for node in affected if node in domain and node in graph}
+        sources = {node for node in affected if node in graph and not is_null(node)}
         fresh = {}
         if sources:
             fresh = evaluate_relation(graph, query, sources).targets(sources)
@@ -1043,19 +1013,15 @@ class IncrementalChase:
         for source in affected:
             old = rows.pop(source, _EMPTY)
             new = fresh.get(source)
-            new = frozenset(filter(domain.__contains__, new)) if new else _EMPTY
+            new = frozenset(filterfalse(is_null, new)) if new else _EMPTY
             if new:
                 rows[source] = new
             if old != new:
                 changes += [(source, target) for target in old ^ new]
         if changes:  # removed pairs are in the answers, added ones are not
             cached.answers = cached.answers.symmetric_difference(changes)
-        cached.epoch = self._epoch
         self.stats.answer_patches += 1
         self.stats.rows_rederived += len(sources)
-        oldest = min(entry.epoch for entry in self._answers.values())
-        while len(self._log) > self._epoch - oldest:
-            self._logged -= len(self._log.pop(0))
 
     # ------------------------------------------------------------------ #
     # Oracle-identical materialisation

@@ -22,11 +22,11 @@ with one source pushed in, single sources and pairs (``reachable`` and
 ``holds``), whose shared ``cache`` keeps the unrestricted subexpression
 relations across probes.
 
-Beside it, two demand-driven walks find the rows a change to the graph
-can reach, for :class:`~repro.engine.incremental.IncrementalChase`'s
-answer patches: :func:`preimage` (the sources whose row meets a node
-set) and :func:`touched_sources` (the sources whose row may differ
-after given edges and nodes changed).
+Beside it, :func:`touched_sources` finds the sources whose row may
+differ after given edges and nodes changed, for
+:class:`~repro.engine.incremental.IncrementalChase`'s answer patches,
+by demand-driven pre-image walks (the sources whose row meets a node
+set) that never close over the whole graph.
 """
 
 from __future__ import annotations
@@ -322,7 +322,7 @@ def _closure(
     return carried
 
 
-def preimage(graph: GraphDatabase, expr: NRE, targets: Iterable[Node]) -> set[Node]:
+def _preimage(graph: GraphDatabase, expr: NRE, targets: Iterable[Node]) -> set[Node]:
     """``pre(expr, X)``: the sources whose ``⟦expr⟧`` row meets ``targets``.
 
     Demand-driven and compositional on the current graph: ``a`` steps
@@ -335,9 +335,9 @@ def preimage(graph: GraphDatabase, expr: NRE, targets: Iterable[Node]) -> set[No
 
     >>> from repro.graph.parser import parse_nre
     >>> g = GraphDatabase(edges=[("u", "a", "v"), ("v", "a", "w"), ("x", "b", "v")])
-    >>> sorted(preimage(g, parse_nre("a*"), {"w"}))
+    >>> sorted(_preimage(g, parse_nre("a*"), {"w"}))
     ['u', 'v', 'w']
-    >>> sorted(preimage(g, parse_nre("b . a"), {"w"}))
+    >>> sorted(_preimage(g, parse_nre("b . a"), {"w"}))
     ['x']
     """
     return _walk(graph, expr, set(targets), forward=False)
@@ -391,10 +391,10 @@ def _touched(
     if isinstance(expr, Concat):
         left = _touched(graph, expr.left, changed, nodes)
         right = _touched(graph, expr.right, changed, nodes)
-        return left | _walk(graph, expr.left, right, forward=False)
+        return left | _preimage(graph, expr.left, right)
     if isinstance(expr, Star):
         seeds = _touched(graph, expr.inner, changed, nodes) | nodes
-        return nodes | _walk(graph, expr, seeds, forward=False)
+        return nodes | _preimage(graph, expr, seeds)
     if isinstance(expr, Nest):
         return _touched(graph, expr.inner, changed, nodes)
     raise TypeError(f"unknown NRE node {expr!r}")  # pragma: no cover
@@ -493,5 +493,5 @@ def nre_holds(graph: GraphDatabase, expr: NRE, source: Node, target: Node) -> bo
 
 __all__ = [
     "Relation", "evaluate_relation", "evaluate_nre", "nre_pairs", "nre_reachable",
-    "nre_holds", "preimage", "touched_sources",
+    "nre_holds", "touched_sources",
 ]

@@ -52,6 +52,7 @@ from repro.graph.eval import evaluate_nre, touched_sources
 from repro.graph.parser import parse_nre
 from repro.io.json_io import graph_to_dict
 from repro.mappings.parser import parse_egd, parse_st_tgd
+from repro.patterns.pattern import is_null
 from repro.relational.instance import RelationalInstance
 from repro.relational.schema import RelationalSchema
 from repro.scenarios.figures import example31_setting
@@ -829,22 +830,26 @@ class TestPatchedAnswers:
         live.certain_answers(query, engine=engine)
         for batch in update_stream(MEDLIT_80, 4, 6, 0.4):
             live.apply_updates(batch)
-        assert len(live._log) == 4
+        assert live._answers[query].pending
         assert_reads_match_reference(live, [query])
         assert live.stats.answer_patches == 1
-        assert not live._log  # every cached answer has caught up
+        assert not live._answers[query].pending  # the answer has caught up
         assert engine.stats.relations_evaluated == 1
 
-    def test_the_log_never_outgrows_the_merged_graph(self):
-        """An answer that misses reads while the log outgrows the graph is dropped."""
+    def test_a_pending_delta_never_outgrows_the_merged_graph(self):
+        """An answer left unread until its pending delta outgrows the graph is dropped."""
         live = IncrementalChase(example31_setting(), flights_instance())
         stale, read = parse_nre("f . h"), parse_nre("f*")
         live.certain_answers(stale)
-        for op in ("insert", "delete") * 4:  # churn: the graph does not grow
-            live.apply_updates([(op, "Hotel", ("02", "hz"))])
-            assert_reads_match_reference(live, [read])
-            assert live._logged <= live._merged.edge_count() + live._merged.node_count()
-        assert stale not in live._answers and live.stats.answer_invalidations == 0
+        for hotel in range(8):  # churn: the graph does not grow, the delta does
+            for op in ("insert", "delete"):
+                live.apply_updates([(op, "Hotel", ("02", f"hz{hotel}"))])
+                assert_reads_match_reference(live, [read])
+                for cached in live._answers.values():
+                    bound = live._merged.edge_count() + live._merged.node_count()
+                    assert len(cached.pending) <= bound
+        assert stale not in live._answers and live.stats.answer_invalidations == 1
+        assert read in live._answers
         assert_reads_match_reference(live, [stale, read])
 
     def test_failure_then_recovery_recomputes_then_patches(self):
@@ -866,12 +871,21 @@ class TestPatchedAnswers:
 
     def test_no_delta_is_captured_while_nothing_is_cached(self):
         live = IncrementalChase(example31_setting(), flights_instance())
+        recording = []  # the batch delta the merged-layer patch records into
+        update_merged = live._update_merged
+
+        def spy(*args):
+            recording.append(live._delta)
+            return update_merged(*args)
+
+        live._update_merged = spy
         live.apply_updates([("insert", "Hotel", ("02", "hz"))])
-        assert live._counts is None and not live._log
-        live.certain_answers(parse_nre("f . h"))
+        assert recording == [None] and not live._answers
+        query = parse_nre("f . h")
+        live.certain_answers(query)
         live.apply_updates([("delete", "Hotel", ("02", "hz"))])
-        assert live._counts is not None and len(live._log) == 1
-        assert "hz" in live._log[0].nodes and "hz" not in live._counts
+        assert recording[-1] is not None and live._delta is None
+        assert "hz" in live._answers[query].pending.nodes
 
     def test_touched_sources_cover_every_changed_row_of_a_batch(self):
         """Rows of the full relations before and after each batch, compared."""
@@ -889,11 +903,14 @@ class TestPatchedAnswers:
             }
             nodes, domain = live._merged.nodes(), live.instance.active_domain()
             live.apply_updates(batch)
-            delta = live._log[-1]
+            delta = live._answers[queries[0]].pending
             # A constant entering or leaving the domain as a merged node
             # enters or leaves the node set: no domain delta is needed.
             moved = domain ^ live.instance.active_domain()
             assert moved & (nodes | live._merged.nodes()) <= delta.nodes
+            # So a merged node is in the domain exactly when it is a constant.
+            constants = {node for node in live._merged.nodes() if not is_null(node)}
+            assert constants <= live.instance.active_domain()
             for query in queries:
                 after = rows(evaluate_nre(live._merged, query))
                 differ = {

@@ -9,7 +9,7 @@ Two families of properties:
   characterisation), each checked semantically on random graphs;
 * **changed rows**: after random edge and node changes, every source
   whose row differs is in :func:`~repro.graph.eval.touched_sources`, and
-  :func:`~repro.graph.eval.preimage` is exactly the sources whose row
+  the pre-image walk behind it is exactly the sources whose row
   meets its targets.
 """
 
@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles.reference_eval import evaluate_nre as reference_pairs
 from repro.graph.database import GraphDatabase
-from repro.graph.eval import evaluate_nre, preimage, touched_sources
+from repro.graph.eval import _preimage, evaluate_nre, touched_sources
 from repro.graph.nre import concat, epsilon, label, nest, star, union
 from repro.scenarios.generators import random_graph, random_nre
 
@@ -162,4 +162,4 @@ class TestChangedRows:
         expected = {
             u for u, vs in rows(reference_pairs(graph, expr)).items() if vs & targets
         }
-        assert preimage(graph, expr, targets) == expected
+        assert _preimage(graph, expr, targets) == expected
