@@ -63,6 +63,7 @@ from collections.abc import Mapping, Set
 from dataclasses import dataclass, fields
 from itertools import chain, filterfalse
 from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Iterator
+from zlib import crc32
 
 from repro.chase.relational_chase import (
     _check_fragment,
@@ -850,15 +851,24 @@ class IncrementalChase:
         is kept as one anchor member, and every other member unites with
         the anchor.  When two classes unite their
         anchors unite too, per profile.  A class's root is its constant,
-        else its earliest-born null: least birth batch, then least label.
-        So the roots (the merged graph's nodes) depend neither on the
-        union order nor on the order triggers fire in, and an id reused
-        by a new node never displaces a live root.  Returns the ids whose
+        else its earliest-born null: least birth batch, then least CRC-32
+        of its label (then label).  So the roots (the merged graph's
+        nodes) depend neither on the union order nor on the order
+        triggers fire in, and an id reused by a new node never displaces
+        a live root.  The hash, unlike label order, does not make the
+        nulls of the most-mentioned constants (``p0``, ``e0``) roots:
+        a stream churns their facts most, and a dead root moves its whole
+        class.  Returns the ids whose
         root changed (with repeats), or ``None`` — the chase failed — when
         two constants meet.
         """
         parent, members, anchors = self._parent, self._members, self._anchors
         constant, birth, nodes = self._constant, self._birth, self._nodes
+
+        def rank(ident: int) -> tuple:
+            label = nodes[ident].label
+            return birth[ident], crc32(label.encode()), label
+
         pending: list[tuple[int, int]] = []
         for index, key, group in links:
             anchor = anchors[index].setdefault(_find(parent, key), next(iter(group)))
@@ -874,9 +884,7 @@ class IncrementalChase:
                 self._failed = True
                 self.stats.egd_merges += merges
                 return None
-            if constant[right] or (not constant[left] and (
-                (birth[right], nodes[right].label) < (birth[left], nodes[left].label)
-            )):
+            if constant[right] or (not constant[left] and rank(right) < rank(left)):
                 left, right = right, left
             parent[right] = left
             merges += 1

@@ -37,6 +37,8 @@ batches, against the reference engine on a from-scratch chase.
 """
 
 
+from zlib import crc32
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -758,13 +760,15 @@ class TestLargeBatches:
         assert len(live._nodes) <= peak
         assert all(live._incident[ident] for ident in live._ids.values())
         # Each class roots at its earliest-born null, whatever the order
-        # its ids were assigned in: least birth batch, then least label.
+        # its ids were assigned in: least birth batch, then least CRC-32
+        # of its label, then least label.
+        def rank(ident):
+            label = live._nodes[ident].label
+            return live._birth[ident], crc32(label.encode()), label
+
         for root, members in live._members.items():
             if not live._constant[root]:
-                assert root == min(
-                    members,
-                    key=lambda ident: (live._birth[ident], live._nodes[ident].label),
-                )
+                assert root == min(members, key=rank)
         queries = [parse_nre(text) for text in workload_queries("medlit")]
         assert_matches_oracle(live, QueryEngine(), queries)
 
