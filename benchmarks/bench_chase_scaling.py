@@ -120,7 +120,7 @@ def test_relational_chase_work_counters():
     assert graph.version == graph.edge_count()
     # The chase writes adjacency and the triple journal only: the derived
     # Edge set and incident-edge maps wait for a reader that needs them.
-    assert graph.backend._edges is None, (
+    assert graph._edges is None, (
         "the chased graph built its Edge set / incident-edge maps"
     )
     # The three layer spans account for the chase (a ratio, not a time).

@@ -197,13 +197,24 @@ def test_warm_update_32(benchmark):
 def test_support_delete_32(benchmark):
     """Merge-support deletes re-close their components, >= 1.25x a re-chase."""
     live, cycle = make_support_cycle(32)
+    cycles = 0
+
+    def counted_cycle():
+        nonlocal cycles
+        cycles += 1
+        return cycle()
+
     before = live.stats.summary()
-    assert benchmark.pedantic(cycle, rounds=5, iterations=1, warmup_rounds=1) == 64
+    assert benchmark.pedantic(
+        counted_cycle, rounds=5, iterations=1, warmup_rounds=1
+    ) == 64
     after = live.stats.summary()
     # Each delete batch re-closes only the components its removed edges
     # touch (never the whole tenant), and nothing rebuilds the layer.
+    # The cycle count depends on whether pytest-benchmark times (a warm-up
+    # and five rounds) or is disabled (one call).
     recloses = after["recloses"] - before["recloses"]
-    assert recloses == 6  # one per retract batch: a warm-up and five rounds
+    assert recloses == cycles  # one per retract batch
     assert after["ids_reclosed"] - before["ids_reclosed"] < recloses * len(live._ids)
     assert after["merged_rebuilds"] == before["merged_rebuilds"]
 

@@ -40,7 +40,6 @@ from repro.engine.delta import (
     run_egd_fixpoint,
 )
 from repro.errors import NotSupportedError, SchemaError
-from repro.graph.backends import DictBackend
 from repro.graph.classes import is_single_symbol
 from repro.graph.database import GraphDatabase
 from repro.mappings.egd import TargetEgd
@@ -104,11 +103,11 @@ def chase_relational(
                     values[ident] = Null(f"N{numbers[ident]}")
             for ident, representative in merged.items():
                 values[ident] = values[representative]
-            graph = GraphDatabase._from_backend(DictBackend.from_edges(
+            graph = GraphDatabase.from_edges(
                 sigma,
                 [(values[s], lab, values[t]) for s, lab, t in edges],
                 destructive=bool(merged),
-            ))
+            )
         if keep is None:
             # Every null is a node: the sequential fixpoint finds the witness.
             with span("chase.egd"):
@@ -332,9 +331,7 @@ def quotient_result(
         if rename:
             get = rename.get
             edges = [(get(s, s), label, get(t, t)) for s, label, t in edges]
-        graph = GraphDatabase._from_backend(
-            DictBackend.from_edges(alphabet, edges, destructive=bool(rename))
-        )
+        graph = GraphDatabase.from_edges(alphabet, edges, destructive=bool(rename))
     return ChaseResult(graph=graph, failed=False, failure_witness=None, stats=stats)
 
 

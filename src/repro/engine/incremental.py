@@ -75,7 +75,6 @@ from repro.chase.result import ChaseResult, ChaseStats
 from repro.engine.delta import _functional_profile
 from repro.engine.query import default_engine
 from repro.errors import NotSupportedError, SchemaError
-from repro.graph.backends import DictBackend
 from repro.graph.database import GraphDatabase
 from repro.graph.eval import evaluate_relation, touched_sources
 from repro.graph.nre import NRE
@@ -777,9 +776,9 @@ class IncrementalChase:
         cached state per version would only fill the cache; its reads use
         a transient state, as on any destructively mutated graph.
         """
-        return GraphDatabase._from_backend(DictBackend.from_edges(
+        return GraphDatabase.from_edges(
             set(self.setting.alphabet), (), destructive=True
-        ))
+        )
 
     def _region(self, removed: Iterable[IdTriple]) -> set[int]:
         """The functional-link components around ``removed``'s endpoints.

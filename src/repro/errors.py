@@ -61,8 +61,8 @@ class BoundExceeded(ReproError):
 class FrozenGraphError(ReproError):
     """A mutation was attempted on a frozen (read-only) graph.
 
-    Raised by the mutation hooks of
-    :class:`~repro.graph.backends.FrozenDictBackend`: a graph produced by
+    Raised by the mutators of
+    :class:`~repro.graph.database.FrozenGraphDatabase`: a graph produced by
     :meth:`repro.graph.database.GraphDatabase.freeze` (or loaded from a
     snapshot) is immutable by construction.  Call
     :meth:`~repro.graph.database.GraphDatabase.thaw` to obtain a mutable

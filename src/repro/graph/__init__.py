@@ -4,7 +4,9 @@ This package implements the *target* side of the exchange setting
 (paper, Section 2, "Target schemas and queries"):
 
 * :class:`~repro.graph.database.GraphDatabase` — a directed edge-labeled
-  graph ``G = (V, E)`` with ``E ⊆ V × Σ × V``;
+  graph ``G = (V, E)`` with ``E ⊆ V × Σ × V``, holding its own hash-index
+  storage; ``GraphDatabase.freeze()`` returns its read-only subclass
+  :class:`~repro.graph.database.FrozenGraphDatabase`;
 * :mod:`repro.graph.nre` — the NRE abstract syntax
   ``r := ε | a | a⁻ | r + r | r · r | r* | [r]``;
 * :func:`~repro.graph.parser.parse_nre` — concrete syntax, e.g.
@@ -18,17 +20,13 @@ This package implements the *target* side of the exchange setting
   ``(u, v) ∈ ⟦r⟧``, used to instantiate graph patterns into solutions;
 * :mod:`repro.graph.classes` — structural classifiers (``SORE(·)``,
   star-freeness, nesting depth) used to state the paper's restrictions;
-* :mod:`repro.graph.backends` — the storage behind ``GraphDatabase``:
-  the hash-index ``DictBackend``, and its read-only subclass
-  ``FrozenDictBackend`` reached via ``GraphDatabase.freeze()``;
 * :mod:`repro.graph.snapshot` — version-stamped save/load of graphs as
   edge lists (``save_snapshot`` / ``load_snapshot``) plus the
   content-keyed ``SnapshotStore`` the service uses for warm-tenant
   restarts.
 """
 
-from repro.graph.database import GraphDatabase, Edge
-from repro.graph.backends import DictBackend, Fingerprint, FrozenDictBackend
+from repro.graph.database import Edge, Fingerprint, FrozenGraphDatabase, GraphDatabase
 from repro.graph.snapshot import (
     SnapshotStore,
     load_snapshot,
@@ -74,8 +72,7 @@ from repro.graph.language import (
 __all__ = [
     "GraphDatabase",
     "Edge",
-    "DictBackend",
-    "FrozenDictBackend",
+    "FrozenGraphDatabase",
     "Fingerprint",
     "SnapshotStore",
     "save_snapshot",

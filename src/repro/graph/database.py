@@ -5,42 +5,145 @@ edge-labeled graph ``G = (V, E)`` with ``V`` a finite set of node ids and
 ``E ⊆ V × Σ × V`` (paper, Section 2).  Nodes are arbitrary hashable values;
 labels are strings.
 
-:class:`GraphDatabase` is the *logical* graph — the single data model every
-chase, query engine, and serialisation layer speaks.  Its storage is the
-:class:`~repro.graph.backends.DictBackend` of :mod:`repro.graph.backends`:
-per-label hash adjacency in both directions and an append-only *edge
-journal* (``version`` / ``edges_since``) that makes semi-naive (delta)
-chase iteration possible.  The any-label incident-edge indexes
-(``edges_from`` / ``edges_to``), which let the chase
-engine find every edge touching a node in O(degree), and the
-:class:`Edge` set behind :meth:`GraphDatabase.edges` are derived: built
-the first time one of those reads (or a ``rename_node``) asks for them,
-then kept up to date by every mutation.
+:class:`GraphDatabase` is the single data model every chase, query
+engine, and serialisation layer speaks, and it holds its own storage:
+per-label hash adjacency in both directions (``label → node → set``), the
+node set, per-label edge counts and an append-only *journal* of plain
+``(source, label, target)`` triples (``version`` / ``edges_since``) that
+makes semi-naive (delta) chase iteration and content fingerprints
+possible.  The any-label incident-edge indexes (``edges_from`` /
+``edges_to``), which let a merge step find every edge touching a node in
+O(degree), and the :class:`Edge` set behind :meth:`GraphDatabase.edges`
+are derived: built the first time one of those reads (or a
+``rename_node``) asks for them, then kept up to date by every mutation.
 
-:meth:`GraphDatabase.freeze` returns a read-only copy of the graph that
-refuses mutation (:class:`~repro.errors.FrozenGraphError`) and round-trips
-through the version-stamped snapshot files of :mod:`repro.graph.snapshot`;
+:meth:`GraphDatabase.freeze` returns a :class:`FrozenGraphDatabase`, a
+read-only copy whose mutators raise
+:class:`~repro.errors.FrozenGraphError` and which round-trips through the
+version-stamped snapshot files of :mod:`repro.graph.snapshot`;
 :meth:`GraphDatabase.thaw` goes back to a mutable copy with the journal
 (hence the content fingerprint) preserved.
+``tests/test_graph/test_backends.py`` drives random mutation scripts and
+asserts that freezing, thawing, copying and snapshot reloads change no
+observable.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Hashable, Iterable, Iterator
 
-from repro.graph.backends import DictBackend, Edge, Fingerprint, FrozenDictBackend
+from repro.errors import FrozenGraphError, SchemaError
 from repro.telemetry import span
 
 Node = Hashable
 LabelName = str
+Triple = tuple[Node, LabelName, Node]
 
 __all__ = [
     "Edge",
     "Fingerprint",
+    "FrozenGraphDatabase",
     "GraphDatabase",
     "LabelName",
     "Node",
 ]
+
+# Shared empty adjacency returned by the *_index accessors for absent labels.
+_EMPTY_INDEX: dict = {}
+
+
+class Fingerprint:
+    """A content token for an append-only graph.
+
+    Wraps ``(nodes, journal)`` with a hash computed once at construction, so
+    fingerprints are cheap to use as cache keys no matter how often they are
+    looked up.  Two fingerprints compare equal iff the node sets and journal
+    sequences are equal — i.e. iff the graphs have identical content (for
+    graphs that never removed or renamed anything, the journal *is* the edge
+    set, in insertion order).  A graph and its frozen copy carry equal
+    tokens.
+    """
+
+    __slots__ = ("key", "_hash")
+
+    def __init__(self, nodes: frozenset, journal: tuple):
+        self.key = (nodes, journal)
+        self._hash = hash(self.key)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, Fingerprint):
+            return NotImplemented
+        return self._hash == other._hash and self.key == other.key
+
+    def __repr__(self) -> str:
+        return f"Fingerprint(|V|={len(self.key[0])}, |journal|={len(self.key[1])})"
+
+
+@dataclass(frozen=True, order=True)
+class Edge:
+    """A labeled edge ``(source, label, target)``."""
+
+    source: Node
+    label: LabelName
+    target: Node
+
+    def __hash__(self) -> int:
+        # Edges are hashed constantly (edge sets, incident-edge indexes,
+        # trigger dedupe); the generated dataclass hash rebuilds
+        # the field tuple on every call, so memoise it per instance.
+        cached = self.__dict__.get("_hash")
+        if cached is None:
+            cached = hash((self.source, self.label, self.target))
+            object.__setattr__(self, "_hash", cached)
+        return cached
+
+    def __getstate__(self) -> dict:
+        # The memoised hash is salted per process (PYTHONHASHSEED); it
+        # must never survive pickling into another interpreter.
+        state = self.__dict__.copy()
+        state.pop("_hash", None)
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+
+    def __str__(self) -> str:
+        return f"({self.source} -{self.label}-> {self.target})"
+
+
+_new = object.__new__
+
+
+def _edge(source: Node, lab: LabelName, target: Node) -> Edge:
+    """An :class:`Edge` built field-wise, its hash memoised up front.
+
+    The frozen dataclass ``__init__`` and the first ``__hash__`` cost four
+    ``object.__setattr__`` calls per edge; the derived edge set and the
+    journal slices build edges in bulk.
+    """
+    edge = _new(Edge)
+    fields = edge.__dict__
+    fields["source"], fields["label"], fields["target"] = source, lab, target
+    fields["_hash"] = hash((source, lab, target))
+    return edge
+
+
+def _copy_adjacency(
+    index: dict[LabelName, dict[Node, set[Node]]],
+) -> dict[LabelName, dict[Node, set[Node]]]:
+    """Copy a ``label → node → set`` index, dropping emptied buckets."""
+    copied = {}
+    for lab, bucket in index.items():
+        live = {node: set(peers) for node, peers in bucket.items() if peers}
+        if live:
+            copied[lab] = live
+    return copied
 
 
 class GraphDatabase:
@@ -48,7 +151,9 @@ class GraphDatabase:
 
     ``alphabet`` optionally fixes the target schema Σ; when provided, adding
     an edge with a label outside Σ raises :class:`~repro.errors.SchemaError`.
-    When omitted, the alphabet is open and grows with the edges.
+    When omitted, the alphabet is open and grows with the edges.  ``edges``
+    are bulk-loaded in one pass and become the journal, in order (a
+    repeated edge keeps its first position); ``nodes`` adds isolated nodes.
 
     >>> g = GraphDatabase(alphabet={"f", "h"})
     >>> g.add_edge("c1", "f", "c2")
@@ -67,31 +172,122 @@ class GraphDatabase:
     True
     """
 
-    __slots__ = ("_backend",)
+    __slots__ = (
+        "_alphabet",
+        "_nodes",
+        "_fwd",
+        "_bwd",
+        "_label_counts",
+        "_journal",
+        "_destructive",
+        "_journal_live",
+        "_fingerprint",
+        "_fingerprint_key",
+        "_edges",
+        "_out_edges",
+        "_in_edges",
+    )
 
     def __init__(
         self,
         alphabet: Iterable[LabelName] | None = None,
         nodes: Iterable[Node] = (),
-        edges: Iterable[tuple[Node, LabelName, Node]] = (),
+        edges: Iterable[Triple] = (),
     ):
-        self._backend = DictBackend.from_edges(alphabet, edges, nodes=nodes)
-
-    # ------------------------------------------------------------------ #
-    # Storage backend surface
-    # ------------------------------------------------------------------ #
+        declared = frozenset(alphabet) if alphabet is not None else None
+        self._alphabet: frozenset[LabelName] | None = declared
+        # label -> node -> set of neighbours
+        fwd: dict[LabelName, dict[Node, set[Node]]] = {}
+        bwd: dict[LabelName, dict[Node, set[Node]]] = {}
+        # Append-only log of edge insertions; len() is the graph version.
+        journal: list[Triple] = []
+        append = journal.append
+        for entry in edges:
+            source, lab, target = entry
+            by_source = fwd.get(lab)
+            if by_source is None:
+                if declared is not None and lab not in declared:
+                    raise SchemaError(
+                        f"label {lab!r} is not in the alphabet {sorted(declared)}"
+                    )
+                by_source = fwd[lab] = {}
+                bwd[lab] = {}
+            targets = by_source.get(source)
+            if targets is None:
+                by_source[source] = {target}
+            elif target in targets:
+                continue
+            else:
+                targets.add(target)
+            by_target = bwd[lab]
+            sources = by_target.get(target)
+            if sources is None:
+                by_target[target] = {source}
+            else:
+                sources.add(source)
+            # The caller's tuple becomes the journal entry, one allocation
+            # (and one object for the collector to track) less per edge;
+            # any other sequence is copied so entries stay immutable.
+            append(entry if entry.__class__ is tuple else (source, lab, target))
+        node_set: set[Node] = set()
+        for lab, by_source in fwd.items():
+            node_set.update(by_source)
+            node_set.update(bwd[lab])
+        node_set.update(nodes)
+        self._nodes = node_set
+        self._fwd = fwd
+        self._bwd = bwd
+        # label -> number of edges, so join ordering reads sizes in O(1)
+        self._label_counts: dict[LabelName, int] = {
+            lab: sum(map(len, by_source.values())) for lab, by_source in fwd.items()
+        }
+        self._journal = journal
+        # Destructive operations permanently disqualify the graph from
+        # journal-keyed caching and end the journal; the token is
+        # memoised per size key.
+        self._destructive = False
+        # Whether the journal lists exactly the live edges.
+        self._journal_live = True
+        self._fingerprint: Fingerprint | None = None
+        self._fingerprint_key: tuple[int, int] | None = None
+        # Derived, ``None`` until first read: the edge set and node ->
+        # incident edges, any label (for merges and delta matching).
+        self._edges: set[Edge] | None = None
+        self._out_edges: dict[Node, set[Edge]] | None = None
+        self._in_edges: dict[Node, set[Edge]] | None = None
 
     @classmethod
-    def _from_backend(cls, backend: DictBackend) -> "GraphDatabase":
-        """Wrap an already-populated storage backend (internal)."""
-        graph = cls.__new__(cls)
-        graph._backend = backend
+    def from_edges(
+        cls,
+        alphabet: Iterable[LabelName] | None,
+        edges: Iterable[Triple],
+        *,
+        destructive: bool = False,
+        nodes: Iterable[Node] = (),
+        journal: Iterable[Triple] | None = None,
+    ) -> "GraphDatabase":
+        """Bulk-load a graph of this class, with a given history.
+
+        The content is ``GraphDatabase(alphabet, nodes, edges)``'s.
+        ``destructive`` marks a journal that is not the graph's history —
+        a chase result loaded after its merges — so the graph carries no
+        fingerprint.  ``journal`` replaces the journal with a recorded one
+        (a destructive graph's, which may list removed edges).
+
+        >>> g = GraphDatabase.from_edges(None, [("u", "a", "v")], destructive=True)
+        >>> g.version, g.edge_count(), g.fingerprint() is None
+        (1, 1, True)
+        """
+        graph = cls(alphabet, nodes, edges)
+        if journal is not None:
+            graph._journal = [(s, lab, t) for s, lab, t in journal]
+            graph._journal_live = False
+        graph._destructive = destructive
         return graph
 
-    @property
-    def backend(self) -> DictBackend:
-        """The storage behind this graph (a :class:`FrozenDictBackend` when frozen)."""
-        return self._backend
+    # ------------------------------------------------------------------ #
+    # Frozen and mutable copies
+    # ------------------------------------------------------------------ #
 
     @property
     def is_frozen(self) -> bool:
@@ -101,7 +297,7 @@ class GraphDatabase:
         >>> g.is_frozen, g.freeze().is_frozen
         (False, True)
         """
-        return not self._backend.mutable
+        return isinstance(self, FrozenGraphDatabase)
 
     def freeze(self) -> "GraphDatabase":
         """Return a read-only copy of this graph.
@@ -124,9 +320,7 @@ class GraphDatabase:
         if self.is_frozen:
             return self
         with span("graph.freeze"):
-            return GraphDatabase._from_backend(
-                self._backend.copy_as(FrozenDictBackend)
-            )
+            return self._copy(FrozenGraphDatabase, self._alphabet, history=True)
 
     def thaw(self) -> "GraphDatabase":
         """Return a mutable copy of this graph.
@@ -142,7 +336,72 @@ class GraphDatabase:
         >>> thawed.fingerprint() == g.fingerprint()
         True
         """
-        return GraphDatabase._from_backend(self._backend.copy_as(DictBackend))
+        return self._copy(GraphDatabase, self._alphabet, history=True)
+
+    def copy(self) -> "GraphDatabase":
+        """Return an independent *mutable* copy (same alphabet declaration).
+
+        A structural copy (index surgery), not edge-by-edge replay; the
+        copy of a frozen graph is mutable too — the point of copying is to
+        mutate the result.  Unlike :meth:`thaw`, the copy starts a fresh
+        history: its journal is the live edge set (in journal order when
+        the journal is exactly the edge set), it is not destructive and
+        ``version == edge_count()``.
+        """
+        return self._copy(GraphDatabase, self._alphabet, history=False)
+
+    def with_alphabet(self, alphabet: Iterable[LabelName]) -> "GraphDatabase":
+        """Return a :meth:`copy` whose declared alphabet is ``alphabet``.
+
+        Useful when a graph built over Σ must be re-read over Σ ∪ {sameAs}.
+        Labels in use that ``alphabet`` lacks raise
+        :class:`~repro.errors.SchemaError`, exactly like replaying the
+        edges would.
+        """
+        declared = frozenset(alphabet)
+        for lab in self.labels():
+            if lab not in declared:
+                raise SchemaError(
+                    f"label {lab!r} is not in the alphabet {sorted(declared)}"
+                )
+        return self._copy(GraphDatabase, declared, history=False)
+
+    def _copy(
+        self,
+        cls: "type[GraphDatabase]",
+        alphabet: frozenset[LabelName] | None,
+        history: bool,
+    ) -> "GraphDatabase":
+        """Copy the storage (emptied buckets dropped) into a new ``cls``.
+
+        With ``history`` the copy keeps the journal, the ``destructive``
+        flag and the memoised fingerprint, so ``version``, ``edges_since``
+        and :meth:`fingerprint` read the same on both sides; without it
+        the copy's journal is the live edge set.  The derived edge indexes
+        are not copied; the copy builds its own if one of their readers
+        asks.
+        """
+        twin = cls.__new__(cls)
+        twin._alphabet = alphabet
+        twin._nodes = set(self._nodes)
+        twin._fwd = _copy_adjacency(self._fwd)
+        twin._bwd = _copy_adjacency(self._bwd)
+        twin._label_counts = {
+            lab: count for lab, count in self._label_counts.items() if count > 0
+        }
+        if history:
+            twin._journal = list(self._journal)
+            twin._destructive = self._destructive
+            twin._journal_live = self._journal_live
+            twin._fingerprint = self._fingerprint
+            twin._fingerprint_key = self._fingerprint_key
+        else:
+            twin._journal = list(self.live_triples())
+            twin._destructive = False
+            twin._journal_live = True
+            twin._fingerprint = twin._fingerprint_key = None
+        twin._edges = twin._out_edges = twin._in_edges = None
+        return twin
 
     # ------------------------------------------------------------------ #
     # Schema
@@ -151,10 +410,24 @@ class GraphDatabase:
     @property
     def alphabet(self) -> frozenset[LabelName]:
         """The declared alphabet, or the set of labels in use if undeclared."""
-        declared = self._backend.declared_alphabet()
-        if declared is not None:
-            return declared
-        return self._backend.labels()
+        if self._alphabet is not None:
+            return self._alphabet
+        return self.labels()
+
+    def declared_alphabet(self) -> frozenset[LabelName] | None:
+        """The alphabet fixed at construction, or ``None`` when open."""
+        return self._alphabet
+
+    def labels(self) -> frozenset[LabelName]:
+        """The labels currently carried by at least one edge.
+
+        Counts-based, not index-keys-based: a label whose every edge was
+        removed again is no longer *in use*, and a snapshot reload (rebuilt
+        from the edge set) must observe the same label set.
+        """
+        return frozenset(
+            lab for lab, count in self._label_counts.items() if count > 0
+        )
 
     # ------------------------------------------------------------------ #
     # Mutation
@@ -165,30 +438,73 @@ class GraphDatabase:
 
         Raises :class:`~repro.errors.FrozenGraphError` on a frozen graph.
         """
-        self._backend.add_node(node)
+        self._nodes.add(node)
 
     def add_edge(self, source: Node, lab: LabelName, target: Node) -> None:
         """Add the edge ``(source, lab, target)``; endpoints are auto-added.
 
-        Raises :class:`~repro.errors.FrozenGraphError` on a frozen graph.
+        Duplicates are detected on the forward index (which mirrors the
+        edge set exactly) — the chase re-adds edges constantly, and the
+        duplicate path costs two dict probes and one set probe, no
+        allocation.  An :class:`Edge` is built only when the derived edge
+        indexes exist and must follow.  A destructive graph journals
+        nothing more.  Raises :class:`~repro.errors.FrozenGraphError` on a
+        frozen graph.
         """
-        self._backend.add_edge(source, lab, target)
+        if self._alphabet is not None and lab not in self._alphabet:
+            raise SchemaError(
+                f"label {lab!r} is not in the alphabet {sorted(self._alphabet)}"
+            )
+        fwd = self._fwd.get(lab)
+        if fwd is None:
+            fwd = self._fwd[lab] = {}
+        targets = fwd.get(source)
+        if targets is None:
+            targets = fwd[source] = set()
+        elif target in targets:
+            return  # duplicate: endpoints are already present too
+        targets.add(target)
+        self._nodes.add(source)
+        self._nodes.add(target)
+        self._bwd.setdefault(lab, {}).setdefault(target, set()).add(source)
+        self._label_counts[lab] = self._label_counts.get(lab, 0) + 1
+        if self._destructive:
+            self._journal_live = False
+        else:
+            self._journal.append((source, lab, target))
+        if self._edges is not None:
+            edge = _edge(source, lab, target)
+            self._edges.add(edge)
+            self._out_edges.setdefault(source, set()).add(edge)
+            self._in_edges.setdefault(target, set()).add(edge)
 
     def remove_edge(self, source: Node, lab: LabelName, target: Node) -> None:
         """Remove an edge if present; endpoints stay in the node set.
 
         Raises :class:`~repro.errors.FrozenGraphError` on a frozen graph.
         """
-        self._backend.remove_edge(source, lab, target)
+        self._destructive = True  # the journal no longer determines the content
+        targets = self._fwd.get(lab, _EMPTY_INDEX).get(source)
+        if targets is None or target not in targets:
+            return
+        self._journal_live = False
+        targets.discard(target)
+        self._bwd[lab][target].discard(source)
+        self._label_counts[lab] -= 1
+        if self._edges is not None:
+            edge = _edge(source, lab, target)
+            self._edges.discard(edge)
+            self._out_edges[source].discard(edge)
+            self._in_edges[target].discard(edge)
 
     def rename_node(self, old: Node, new: Node) -> frozenset[Edge]:
         """Rename ``old`` to ``new`` in place, rewriting incident edges.
 
         Returns the rewritten edges (as they read *after* the rename) so
         that callers can re-match triggers against exactly the part of the
-        graph that changed.  Unlike the copy-based approach this is
-        O(degree(old)), not O(|E|).  Renaming a node onto itself or an
-        unknown node is a no-op.  Raises
+        graph that changed.  O(degree(old)), not O(|E|), once the derived
+        incident-edge maps exist (the first rename builds them).  Renaming
+        a node onto itself or an unknown node is a no-op.  Raises
         :class:`~repro.errors.FrozenGraphError` on a frozen graph.
 
         >>> g = GraphDatabase(edges=[("u", "a", "x"), ("w", "b", "x")])
@@ -197,58 +513,121 @@ class GraphDatabase:
         >>> g.has_edge("u", "a", "x")
         False
         """
-        return self._backend.rename_node(old, new)
+        if old == new or old not in self._nodes:
+            return frozenset()
+        self._destructive = True  # node set changes without a journal entry
+        _, out_edges, in_edges = self._incidence()
+        rewritten: set[Edge] = set()
+        incident = out_edges.get(old, set()) | in_edges.get(old, set())
+        for edge in list(incident):
+            self.remove_edge(edge.source, edge.label, edge.target)
+            source = new if edge.source == old else edge.source
+            target = new if edge.target == old else edge.target
+            self.add_edge(source, edge.label, target)
+            rewritten.add(_edge(source, edge.label, target))
+        self._nodes.discard(old)
+        self._nodes.add(new)
+        return frozenset(rewritten)
 
     def discard_node(self, node: Node) -> None:
         """Remove an *isolated* node from the node set (absent: no-op).
 
         Raises :class:`~repro.errors.SchemaError` while ``node`` still has
-        incident edges and :class:`~repro.errors.FrozenGraphError` on a
-        frozen graph.  Like :meth:`remove_edge` this is a destructive
-        mutation: the graph stops being fingerprintable.  The incremental
-        chase uses it to drop merged nodes whose last supporting base edge
-        was retracted.
+        incident edges — callers must retract the edges first, so the node
+        set can never silently disagree with the edge set — and
+        :class:`~repro.errors.FrozenGraphError` on a frozen graph.  Like
+        :meth:`remove_edge` this is a destructive mutation: the graph stops
+        being fingerprintable.  The incremental chase uses it to drop
+        merged nodes whose last supporting base edge was retracted.
 
         >>> g = GraphDatabase(nodes=["u"], edges=[("v", "a", "w")])
         >>> g.discard_node("u")
         >>> sorted(g.nodes())
         ['v', 'w']
         """
-        self._backend.discard_node(node)
+        if node not in self._nodes:
+            return
+        for lab, by_source in self._fwd.items():
+            if by_source.get(node) or self._bwd[lab].get(node):
+                raise SchemaError(
+                    f"cannot discard node {node!r}: it still has incident edges"
+                )
+        self._destructive = True  # node set changes without a journal entry
+        self._nodes.discard(node)
 
     # ------------------------------------------------------------------ #
     # Reads
     # ------------------------------------------------------------------ #
 
     def has_edge(self, source: Node, lab: LabelName, target: Node) -> bool:
-        """Return whether the edge ``(source, lab, target)`` is present."""
-        return self._backend.has_edge(source, lab, target)
+        """Return whether the edge ``(source, lab, target)`` is present.
+
+        Probed on the forward index: three container probes, no
+        :class:`Edge` construction — this runs per candidate pair in the
+        sameAs saturation's violation filter.
+        """
+        bucket = self._fwd.get(lab)
+        if bucket is None:
+            return False
+        targets = bucket.get(source)
+        return targets is not None and target in targets
 
     def nodes(self) -> frozenset[Node]:
         """Return the node set."""
-        return self._backend.nodes()
+        return frozenset(self._nodes)
 
     def edges(self) -> frozenset[Edge]:
-        """Return the edge set."""
-        return self._backend.edges()
+        """Return the edge set (builds the derived edge indexes on first call)."""
+        return frozenset(self._incidence()[0])
+
+    def live_triples(self) -> list[Triple]:
+        """Return the live edges as ``(source, label, target)`` triples.
+
+        While the journal lists exactly the live edges it is returned as
+        it stands (the graph's own list — READ ONLY); once an edge was
+        removed, or added to a destructive graph (which journals nothing
+        more), this reads the forward index instead.
+
+        >>> g = GraphDatabase(edges=[("u", "a", "v"), ("v", "a", "w")])
+        >>> g.remove_edge("u", "a", "v")
+        >>> g.add_edge("w", "a", "u")
+        >>> sorted(g.live_triples())
+        [('v', 'a', 'w'), ('w', 'a', 'u')]
+        """
+        if self._journal_live:
+            return self._journal
+        return [
+            (source, lab, target)
+            for lab, by_source in self._fwd.items()
+            for source, targets in by_source.items()
+            for target in targets
+        ]
+
+    def journal_triples(self) -> list[Triple]:
+        """Return the journal as ``(source, label, target)`` triples — READ ONLY.
+
+        The graph's own list, shared for the lifetime of the graph, as
+        :meth:`forward_index` is: no :class:`Edge` is built.
+        """
+        return self._journal
 
     def successors(self, node: Node, lab: LabelName) -> frozenset[Node]:
         """Return ``{v | (node, lab, v) ∈ E}``."""
-        return self._backend.successors(node, lab)
+        return frozenset(self._fwd.get(lab, _EMPTY_INDEX).get(node, ()))
 
     def predecessors(self, node: Node, lab: LabelName) -> frozenset[Node]:
         """Return ``{u | (u, lab, node) ∈ E}``."""
-        return self._backend.predecessors(node, lab)
+        return frozenset(self._bwd.get(lab, _EMPTY_INDEX).get(node, ()))
 
     def edges_with_label(self, lab: LabelName) -> frozenset[tuple[Node, Node]]:
         """Return all ``(u, v)`` pairs with an edge labeled ``lab``."""
-        return frozenset(self._backend.iter_label_pairs(lab))
+        return frozenset(self.iter_label_pairs(lab))
 
     def forward_index(self, lab: LabelName) -> dict[Node, set[Node]]:
         """Return the live forward adjacency index for ``lab`` — READ ONLY.
 
         Unlike :meth:`successors` this copies nothing: the returned mapping
-        is the backend's own index (``node → set of successors``), shared
+        is the graph's own index (``node → set of successors``), shared
         for the lifetime of the graph.  Callers must not mutate it and must
         not hold it across edge insertions or removals.
 
@@ -258,7 +637,7 @@ class GraphDatabase:
         >>> g.forward_index("zz")
         {}
         """
-        return self._backend.forward_index(lab)
+        return self._fwd.get(lab, _EMPTY_INDEX)
 
     def backward_index(self, lab: LabelName) -> dict[Node, set[Node]]:
         """Return the live backward adjacency index for ``lab`` — READ ONLY.
@@ -270,7 +649,7 @@ class GraphDatabase:
         >>> g.backward_index("a")["v"]
         {'u'}
         """
-        return self._backend.backward_index(lab)
+        return self._bwd.get(lab, _EMPTY_INDEX)
 
     def iter_label_pairs(self, lab: LabelName) -> Iterator[tuple[Node, Node]]:
         """Iterate the ``(u, v)`` pairs labeled ``lab`` without copying.
@@ -283,7 +662,9 @@ class GraphDatabase:
         >>> list(g.iter_label_pairs("a"))
         [('u', 'v')]
         """
-        return self._backend.iter_label_pairs(lab)
+        for u, targets in self._fwd.get(lab, _EMPTY_INDEX).items():
+            for v in targets:
+                yield (u, v)
 
     def has_successor(self, node: Node, lab: LabelName) -> bool:
         """Return whether ``node`` has any outgoing ``lab`` edge (no copying).
@@ -292,7 +673,7 @@ class GraphDatabase:
         >>> g.has_successor("u", "a"), g.has_successor("v", "a")
         (True, False)
         """
-        return self._backend.has_successor(node, lab)
+        return bool(self._fwd.get(lab, _EMPTY_INDEX).get(node))
 
     def has_predecessor(self, node: Node, lab: LabelName) -> bool:
         """Return whether ``node`` has any incoming ``lab`` edge (no copying).
@@ -301,7 +682,7 @@ class GraphDatabase:
         >>> g.has_predecessor("v", "a"), g.has_predecessor("u", "a")
         (True, False)
         """
-        return self._backend.has_predecessor(node, lab)
+        return bool(self._bwd.get(lab, _EMPTY_INDEX).get(node))
 
     def label_count(self, lab: LabelName) -> int:
         """Return the number of edges labeled ``lab``, from an O(1) counter.
@@ -310,7 +691,7 @@ class GraphDatabase:
         >>> g.label_count("a"), g.label_count("b")
         (2, 0)
         """
-        return self._backend.label_count(lab)
+        return self._label_counts.get(lab, 0)
 
     def edges_from(self, node: Node) -> frozenset[Edge]:
         """Return every edge whose source is ``node`` (any label).
@@ -319,7 +700,7 @@ class GraphDatabase:
         >>> [str(e) for e in g.edges_from("u")]
         ['(u -a-> v)']
         """
-        return self._backend.edges_from(node)
+        return frozenset(self._incidence()[1].get(node, ()))
 
     def edges_to(self, node: Node) -> frozenset[Edge]:
         """Return every edge whose target is ``node`` (any label).
@@ -328,7 +709,36 @@ class GraphDatabase:
         >>> [str(e) for e in g.edges_to("u")]
         ['(w -b-> u)']
         """
-        return self._backend.edges_to(node)
+        return frozenset(self._incidence()[2].get(node, ()))
+
+    def _incidence(
+        self,
+    ) -> tuple[set[Edge], dict[Node, set[Edge]], dict[Node, set[Edge]]]:
+        """The derived edge set and incident-edge maps, built on first use.
+
+        One pass over the forward index; from then on every mutation keeps
+        the three up to date.
+        """
+        if self._edges is None:
+            edges: set[Edge] = set()
+            out_edges: dict[Node, set[Edge]] = {}
+            in_edges: dict[Node, set[Edge]] = {}
+            for lab, by_source in self._fwd.items():
+                for source, targets in by_source.items():
+                    if not targets:
+                        continue
+                    outgoing = out_edges.setdefault(source, set())
+                    for target in targets:
+                        edge = _edge(source, lab, target)
+                        edges.add(edge)
+                        outgoing.add(edge)
+                        incoming = in_edges.get(target)
+                        if incoming is None:
+                            in_edges[target] = {edge}
+                        else:
+                            incoming.add(edge)
+            self._edges, self._out_edges, self._in_edges = edges, out_edges, in_edges
+        return self._edges, self._out_edges, self._in_edges
 
     # ------------------------------------------------------------------ #
     # Journal / fingerprint
@@ -340,7 +750,8 @@ class GraphDatabase:
 
         ``edges_since(version)`` later returns exactly the edges inserted
         after the version was read — the delta the semi-naive chase rounds
-        re-match against.
+        re-match against.  The journal ends at the first destructive
+        mutation: from then on the version stays put.
 
         >>> g = GraphDatabase()
         >>> v = g.version
@@ -348,14 +759,15 @@ class GraphDatabase:
         >>> g.version == v + 1
         True
         """
-        return self._backend.version
+        return len(self._journal)
 
     def edges_since(self, version: int) -> list[Edge]:
         """Return the edges inserted after ``version`` was read, in order.
 
-        Entries removed again via :meth:`remove_edge` are *not* expunged
-        from the journal; consumers that only use the result to seed
-        trigger matching are unaffected (a stale seed matches nothing).
+        Only a graph that is not :attr:`destructive` journals its
+        insertions, so on a destructive graph this lists none of the edges
+        added since it became destructive (and may still list edges that
+        were removed); delta readers run on graphs that only grow.
 
         >>> g = GraphDatabase(edges=[("u", "a", "v")])
         >>> v = g.version
@@ -363,7 +775,21 @@ class GraphDatabase:
         >>> [str(e) for e in g.edges_since(v)]
         ['(v -a-> w)']
         """
-        return self._backend.edges_since(version)
+        return [_edge(*entry) for entry in self._journal[version:]]
+
+    @property
+    def destructive(self) -> bool:
+        """Whether a destructive mutation ended the journal and its caching.
+
+        Set by :meth:`remove_edge`, :meth:`rename_node`,
+        :meth:`discard_node` and a ``destructive`` :meth:`from_edges` load.
+
+        >>> g = GraphDatabase(edges=[("u", "a", "v")])
+        >>> g.remove_edge("u", "a", "v")
+        >>> g.destructive
+        True
+        """
+        return self._destructive
 
     def fingerprint(self) -> Fingerprint | None:
         """Return a hashable content token, or ``None`` if uncacheable.
@@ -386,67 +812,48 @@ class GraphDatabase:
         >>> g.fingerprint() is None
         True
         """
-        return self._backend.fingerprint()
+        if self._destructive:
+            return None
+        key = (len(self._journal), len(self._nodes))
+        if self._fingerprint is None or self._fingerprint_key != key:
+            self._fingerprint = Fingerprint(
+                frozenset(self._nodes), tuple(self._journal)
+            )
+            self._fingerprint_key = key
+        return self._fingerprint
 
     # ------------------------------------------------------------------ #
-    # Counting / copies
+    # Counting
     # ------------------------------------------------------------------ #
 
     def node_count(self) -> int:
         """Return the number of nodes."""
-        return self._backend.node_count()
+        return len(self._nodes)
 
     def edge_count(self) -> int:
-        """Return the number of edges."""
-        return self._backend.edge_count()
-
-    def copy(self) -> "GraphDatabase":
-        """Return an independent *mutable* copy (same alphabet declaration).
-
-        A structural :meth:`~DictBackend.clone` (index surgery), not
-        edge-by-edge replay; the copy of a frozen graph is
-        mutable too — the point of copying is to mutate the result.
-        """
-        return GraphDatabase._from_backend(self._backend.clone())
-
-    def extended(
-        self, edges: Iterable[tuple[Node, LabelName, Node]]
-    ) -> "GraphDatabase":
-        """Return a copy with ``edges`` added (the original is untouched)."""
-        clone = self.copy()
-        for source, lab, target in edges:
-            clone.add_edge(source, lab, target)
-        return clone
-
-    def with_alphabet(self, alphabet: Iterable[LabelName]) -> "GraphDatabase":
-        """Return a copy whose declared alphabet is ``alphabet``.
-
-        Useful when a graph built over Σ must be re-read over Σ ∪ {sameAs}.
-        """
-        return GraphDatabase._from_backend(
-            self._backend.clone(alphabet=frozenset(alphabet))
-        )
+        """Return the number of edges, summed from the per-label counters."""
+        return sum(self._label_counts.values())
 
     # ------------------------------------------------------------------ #
     # Dunder protocol
     # ------------------------------------------------------------------ #
 
     def __contains__(self, node: object) -> bool:
-        return self._backend.has_node(node)
+        return node in self._nodes
 
     def __iter__(self) -> Iterator[Edge]:
-        return iter(sorted(self._backend.edges(), key=repr))
+        return iter(sorted(self.edges(), key=repr))
 
     def __len__(self) -> int:
-        return self._backend.edge_count()
+        return self.edge_count()
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GraphDatabase):
             return NotImplemented
-        # Content equality: a graph equals its frozen copy.
-        return (
-            self._backend.nodes() == other._backend.nodes()
-            and self._backend.edges() == other._backend.edges()
+        # Content equality: a graph equals its frozen copy.  Compared on
+        # the triples, so neither side builds its derived Edge set.
+        return self._nodes == other._nodes and set(self.live_triples()) == set(
+            other.live_triples()
         )
 
     __hash__ = None  # type: ignore[assignment] - mutable container semantics
@@ -493,6 +900,46 @@ class GraphDatabase:
             return False
 
         return backtrack(0, {}, set())
+
+
+class FrozenGraphDatabase(GraphDatabase):
+    """A read-only :class:`GraphDatabase`: every mutator raises.
+
+    Built by :meth:`GraphDatabase.freeze` or a snapshot load
+    (:func:`~repro.graph.snapshot.load_snapshot`); reads are the inherited
+    ones.  The refusal lives in these overrides rather than in a flag the
+    base class checks, so the chase's ``add_edge`` and bulk-load hot paths
+    pay nothing for it.
+    """
+
+    __slots__ = ()
+
+    def add_node(self, node: Node) -> None:
+        """Refused: frozen graphs are immutable."""
+        raise _frozen_mutation("add_node")
+
+    def add_edge(self, source: Node, lab: LabelName, target: Node) -> None:
+        """Refused: frozen graphs are immutable."""
+        raise _frozen_mutation("add_edge")
+
+    def remove_edge(self, source: Node, lab: LabelName, target: Node) -> None:
+        """Refused: frozen graphs are immutable."""
+        raise _frozen_mutation("remove_edge")
+
+    def rename_node(self, old: Node, new: Node) -> frozenset[Edge]:
+        """Refused: frozen graphs are immutable."""
+        raise _frozen_mutation("rename_node")
+
+    def discard_node(self, node: Node) -> None:
+        """Refused: frozen graphs are immutable."""
+        raise _frozen_mutation("discard_node")
+
+
+def _frozen_mutation(operation: str) -> FrozenGraphError:
+    return FrozenGraphError(
+        f"cannot {operation} on a frozen graph — call thaw() to get a "
+        "mutable copy first"
+    )
 
 
 def _edges_consistent(

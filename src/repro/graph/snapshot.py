@@ -4,7 +4,7 @@ A :class:`~repro.graph.database.GraphDatabase` serialises to a single
 snapshot file — its alphabet, node list, live edges as ``(source, label,
 target)`` triples, its edge journal when that differs from the live edges,
 and its ``destructive`` flag — and loads back as a frozen graph, rebuilt
-through :meth:`~repro.graph.backends.DictBackend.from_edges` without
+through :meth:`~repro.graph.database.GraphDatabase.from_edges` without
 re-chasing anything.  The round trip is exact: nodes, edges, alphabet
 declaration, journal, ``destructive`` flag and content fingerprint all
 survive (``tests/test_graph/test_snapshot.py`` pins this).
@@ -43,8 +43,7 @@ import os
 import pickle
 import tempfile
 from repro.errors import SchemaError, SnapshotError
-from repro.graph.backends import FrozenDictBackend
-from repro.graph.database import GraphDatabase
+from repro.graph.database import FrozenGraphDatabase, GraphDatabase
 from repro.telemetry import span
 
 SNAPSHOT_FORMAT = 2
@@ -69,17 +68,17 @@ def save_snapshot(graph: GraphDatabase, path: str) -> None:
     """
     with span("snapshot.save"):
         with span("snapshot.encode"):
-            backend = graph.backend
-            journal = backend.journal_triples()
-            live = backend.live_triples()
+            journal = graph.journal_triples()
+            live = graph.live_triples()
             payload = {
                 "magic": _MAGIC,
                 "format": SNAPSHOT_FORMAT,
-                "alphabet": backend.declared_alphabet(),
-                "nodes": list(backend.nodes()),
+                "alphabet": graph.declared_alphabet(),
+                "nodes": list(graph.nodes()),
                 "edges": live,
+                # Written only when it no longer lists the live edges.
                 "journal": None if live is journal else journal,
-                "destructive": backend.destructive,
+                "destructive": graph.destructive,
             }
             data = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
         with span("snapshot.write"):
@@ -118,7 +117,7 @@ def load_snapshot(path: str) -> GraphDatabase:
             payload = _read_payload(path)
         with span("snapshot.build"):
             try:
-                backend = FrozenDictBackend.from_edges(
+                return FrozenGraphDatabase.from_edges(
                     payload["alphabet"],
                     payload["edges"],
                     destructive=bool(payload["destructive"]),
@@ -132,7 +131,6 @@ def load_snapshot(path: str) -> GraphDatabase:
                     f"corrupt snapshot payload in {path!r}: "
                     f"{type(error).__name__}: {error}"
                 ) from None
-            return GraphDatabase._from_backend(backend)
 
 
 def _read_payload(path: str) -> dict:

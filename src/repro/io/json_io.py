@@ -44,17 +44,16 @@ def graph_to_dict(graph: GraphDatabase) -> dict:
     """Serialise a graph to a plain dictionary.
 
     Nodes and edges are sorted by ``repr`` of their JSON form.  Edges are
-    read as the backend's plain triples, and each node is encoded and
+    read as the graph's plain triples, and each node is encoded and
     ``repr``-ed once: an edge's key is spelled as ``repr`` of its
     ``[source, label, target]`` list would spell it.
     """
-    backend = graph.backend
     encoded = {}
-    for node in backend.nodes():
+    for node in graph.nodes():
         value = _node_to_json(node)
         encoded[node] = (repr(value), value)
     edges = []
-    for source, lab, target in backend.live_triples():
+    for source, lab, target in graph.live_triples():
         source_repr, source_value = encoded[source]
         target_repr, target_value = encoded[target]
         edges.append(

@@ -48,6 +48,30 @@ class TestSaturate:
         saturated = saturate_sameas(g, [transitive])
         assert saturated.has_edge("a", SAME_AS_LABEL, "c")
 
+    def test_destructive_input_saturates_like_a_fresh_one(self):
+        """Delta rounds read the working copy's journal, not the input's."""
+        transitive = parse_sameas(
+            "(x, sameAs, z), (z, sameAs, y) -> (x, sameAs, y)"
+        )
+        edges = [
+            ("a", "h", "hx"),
+            ("b", "h", "hx"),
+            ("b", SAME_AS_LABEL, "c"),
+            ("c", SAME_AS_LABEL, "d"),
+        ]
+        fresh = GraphDatabase(alphabet={"h", SAME_AS_LABEL}, edges=edges)
+        worn = GraphDatabase(
+            alphabet={"h", SAME_AS_LABEL}, edges=edges + [("e", "h", "hy")]
+        )
+        worn.remove_edge("e", "h", "hy")
+        worn.discard_node("e")
+        worn.discard_node("hy")
+        assert worn.destructive and worn == fresh
+        constraints = [hotel_sameas(), transitive]
+        saturated = saturate_sameas(worn, constraints)
+        assert saturated == saturate_sameas(fresh, constraints)
+        assert saturated.has_edge("a", SAME_AS_LABEL, "d")
+
     def test_alphabet_widened(self):
         g = GraphDatabase(alphabet={"h"}, edges=[("a", "h", "hx"), ("b", "h", "hx")])
         saturated = saturate_sameas(g, [hotel_sameas()])

@@ -40,6 +40,19 @@ class TestBasicChase:
         assert chased.has_edge("1", "a", "4")
         assert tgd.is_satisfied(chased)
 
+    def test_destructive_input_chases_like_a_fresh_one(self):
+        """Delta rounds read the working copy's journal, not the input's."""
+        tgd = parse_target_tgd("(x, a, y), (y, a, z) -> (x, a, z)")
+        edges = [("1", "a", "2"), ("2", "a", "3"), ("3", "a", "4"), ("4", "a", "5")]
+        fresh = GraphDatabase(edges=edges)
+        worn = GraphDatabase(edges=edges + [("5", "a", "6")])
+        worn.remove_edge("5", "a", "6")
+        worn.discard_node("6")
+        assert worn.destructive and worn == fresh
+        chased = chase_target_tgds(worn, [tgd]).expect_graph()
+        assert chased == chase_target_tgds(fresh, [tgd]).expect_graph()
+        assert chased.has_edge("1", "a", "5")
+
     def test_fresh_nodes_for_existentials(self):
         tgd = parse_target_tgd("(x, a, y) -> (x, b, z)")
         g = GraphDatabase(edges=[("u", "a", "v")])

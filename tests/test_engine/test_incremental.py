@@ -462,6 +462,16 @@ class TestPinnedBehaviour:
         assert not live._members
         assert_matches_oracle(live, QueryEngine(), [parse_nre("f . h")])
 
+    def test_churn_leaves_the_merged_journal_as_bootstrapped(self):
+        """The merged graph is destructive, so patching it journals nothing."""
+        live = IncrementalChase(example31_setting(), flights_instance())
+        bootstrapped = len(live._merged.journal_triples())
+        for _ in range(1000):
+            live.apply_updates([("insert", "Hotel", ("02", "hz"))])
+            live.apply_updates([("delete", "Hotel", ("02", "hz"))])
+        assert len(live._merged.journal_triples()) == bootstrapped
+        assert_matches_oracle(live, QueryEngine(), [parse_nre("f . h")])
+
     def test_close_span_names_the_path(self):
         """A trace shows ``update.close`` under ``update.apply``: path and ids."""
         live = IncrementalChase(example31_setting(), flights_instance())

@@ -104,9 +104,10 @@ class TestCopyExtend:
         clone.add_edge("v", "a", "u")
         assert g.edge_count() == 1
 
-    def test_extended_leaves_original(self):
+    def test_grown_copy_leaves_original(self):
         g = GraphDatabase(edges=[("u", "a", "v")])
-        bigger = g.extended([("v", "a", "w")])
+        bigger = g.copy()
+        bigger.add_edge("v", "a", "w")
         assert bigger.edge_count() == 2
         assert g.edge_count() == 1
 

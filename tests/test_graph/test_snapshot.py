@@ -54,7 +54,7 @@ class TestSaveLoad:
         assert loaded == graph and "hx" in loaded
         assert loaded.version == graph.version
         assert loaded.edges_since(0) == graph.edges_since(0)
-        assert loaded.backend.destructive and loaded.fingerprint() is None
+        assert loaded.destructive and loaded.fingerprint() is None
 
     def test_payload_is_an_edge_list(self, tmp_path):
         path = tmp_path / "graph.snap"

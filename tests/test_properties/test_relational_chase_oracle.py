@@ -40,7 +40,6 @@ from test_properties.test_chase_properties import flight_instances
 
 def observable(result):
     graph = result.graph
-    backend = graph.backend
     return {
         "nodes": graph.nodes(),
         "edges": graph.edges(),
@@ -49,9 +48,9 @@ def observable(result):
         "failed": result.failed,
         "witness": result.failure_witness,
         "fingerprint": graph.fingerprint(),
-        "destructive": backend.destructive,
+        "destructive": graph.destructive,
         # A merged graph's journal is its final edge list, not a history.
-        "journal": None if backend.destructive else repr(backend.journal_triples()),
+        "journal": None if graph.destructive else repr(graph.journal_triples()),
     }
 
 
@@ -188,7 +187,7 @@ def spelled(facts):
 
 
 def journal_sources(result):
-    return [source for source, _, _ in result.graph.backend.journal_triples()]
+    return [source for source, _, _ in result.graph.journal_triples()]
 
 
 class TestConstantSpellings:
@@ -215,7 +214,7 @@ class TestConstantSpellings:
         instance = spelled({"S": [(first, "k1"), (second, "k2")]})
         chased = assert_agrees(KEYED_TGDS, [], instance, KEYED_ALPHABET)
         rows = {target: source for source, _, target in
-                chased.graph.backend.journal_triples()}
+                chased.graph.journal_triples()}
         facts = dict((target, source) for source, target in instance.tuples("S"))
         assert rows["k1"] is facts["k1"] and rows["k2"] is facts["k2"]
 

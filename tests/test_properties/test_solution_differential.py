@@ -136,7 +136,7 @@ def random_cases(draw):
         graph.add_edge(source, "b", source)
     for source, label, target in draw(st.lists(edges, max_size=8)):
         graph.add_edge(source, label, target)
-    current = sorted(graph.backend.live_triples())
+    current = sorted(graph.live_triples())
     if current:
         for triple in draw(st.lists(st.sampled_from(current), max_size=3)):
             graph.remove_edge(*triple)
@@ -190,7 +190,7 @@ def generator_cases(draw):
     family = draw(st.sampled_from(("medlit", "social")))
     setting, instance = generated(family, draw(st.integers(1, 3)))
     graph = chase_universal(setting, instance).expect_graph()
-    triples = sorted(graph.backend.live_triples(), key=repr)
+    triples = sorted(graph.live_triples(), key=repr)
     nodes = sorted(graph.nodes(), key=repr)
     functional = [
         profile
