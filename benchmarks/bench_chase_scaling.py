@@ -8,8 +8,9 @@ chases are PTIME; only existence/certainty are hard.
 
 ``test_relational_chase_work_counters`` gates the §3.1 chase on one fixed
 medlit tenant with host-independent counts only: the chased graph is
-written once (its journal is its final edge list) and every ``chase.*``
-counter equals a recorded constant.  Its wall clock and layer split are
+written once (its journal is its final edge list), builds neither a
+derived edge index nor a backward index, and every ``chase.*`` counter
+equals a recorded constant.  Its wall clock and layer split are
 printed, not gated; only the share of the chase the three layer spans
 cover is (at least 90%).
 """
@@ -123,5 +124,8 @@ def test_relational_chase_work_counters():
     assert graph._edges is None, (
         "the chased graph built its Edge set / incident-edge maps"
     )
+    # It bulk-loads the forward adjacency only: a label's backward index
+    # waits for the first backward read.
+    assert not graph._bwd, "the chased graph built backward indexes"
     # The three layer spans account for the chase (a ratio, not a time).
     assert covered is None or covered >= 0.9

@@ -7,25 +7,26 @@ labels are strings.
 
 :class:`GraphDatabase` is the single data model every chase, query
 engine, and serialisation layer speaks, and it holds its own storage:
-per-label hash adjacency in both directions (``label → node → set``), the
-node set, per-label edge counts and an append-only *journal* of plain
-``(source, label, target)`` triples (``version`` / ``edges_since``) that
-makes semi-naive (delta) chase iteration and content fingerprints
-possible.  The any-label incident-edge indexes (``edges_from`` /
-``edges_to``), which let a merge step find every edge touching a node in
-O(degree), and the :class:`Edge` set behind :meth:`GraphDatabase.edges`
-are derived: built the first time one of those reads (or a
-``rename_node``) asks for them, then kept up to date by every mutation.
+per-label forward hash adjacency (``label → node → set``), the node set,
+per-label edge counts and an append-only *journal* of plain ``(source,
+label, target)`` triples (``version`` / ``edges_since``) that makes
+semi-naive (delta) chase iteration and content fingerprints possible.
+The rest is derived on a reader's first ask, then kept up to date by
+every mutation: a bulk-loaded label's backward adjacency (a label
+``add_edge`` creates keeps both directions from its first edge), the
+any-label incident-edge indexes (``edges_from`` / ``edges_to``: a merge
+finds a node's edges in O(degree)) and the :class:`Edge` set.
 
 :meth:`GraphDatabase.freeze` returns a :class:`FrozenGraphDatabase`, a
-read-only copy whose mutators raise
+read-only twin whose mutators raise
 :class:`~repro.errors.FrozenGraphError` and which round-trips through the
 version-stamped snapshot files of :mod:`repro.graph.snapshot`;
-:meth:`GraphDatabase.thaw` goes back to a mutable copy with the journal
-(hence the content fingerprint) preserved.
+:meth:`GraphDatabase.thaw` goes back to a mutable twin with the journal
+(hence the content fingerprint) preserved.  Twins share their storage
+until one side's first mutation copies it.
 ``tests/test_graph/test_backends.py`` drives random mutation scripts and
 asserts that freezing, thawing, copying and snapshot reloads change no
-observable.
+observable, on either side of a share.
 """
 
 from __future__ import annotations
@@ -138,12 +139,10 @@ def _copy_adjacency(
     index: dict[LabelName, dict[Node, set[Node]]],
 ) -> dict[LabelName, dict[Node, set[Node]]]:
     """Copy a ``label → node → set`` index, dropping emptied buckets."""
-    copied = {}
-    for lab, bucket in index.items():
-        live = {node: set(peers) for node, peers in bucket.items() if peers}
-        if live:
-            copied[lab] = live
-    return copied
+    return {
+        lab: {node: set(peers) for node, peers in bucket.items() if peers}
+        for lab, bucket in index.items()
+    }
 
 
 class GraphDatabase:
@@ -162,14 +161,17 @@ class GraphDatabase:
     >>> sorted(g.successors("c1", "f"))
     ['c2']
 
-    :meth:`freeze` returns a read-only copy, for a graph that is done
-    changing and will be queried or snapshotted:
+    :meth:`freeze` returns a read-only twin that shares the storage, for
+    a graph that will be queried or snapshotted; a later write copies it:
 
     >>> frozen = g.freeze()
     >>> frozen.is_frozen
     True
     >>> sorted(frozen.successors("c1", "f")) == sorted(g.successors("c1", "f"))
     True
+    >>> g.add_edge("c2", "h", "c3")
+    >>> frozen.has_edge("c2", "h", "c3")
+    False
     """
 
     __slots__ = (
@@ -186,6 +188,7 @@ class GraphDatabase:
         "_edges",
         "_out_edges",
         "_in_edges",
+        "_shared",
     )
 
     def __init__(
@@ -196,9 +199,8 @@ class GraphDatabase:
     ):
         declared = frozenset(alphabet) if alphabet is not None else None
         self._alphabet: frozenset[LabelName] | None = declared
-        # label -> node -> set of neighbours
+        # label -> node -> set of successors
         fwd: dict[LabelName, dict[Node, set[Node]]] = {}
-        bwd: dict[LabelName, dict[Node, set[Node]]] = {}
         # Append-only log of edge insertions; len() is the graph version.
         journal: list[Triple] = []
         append = journal.append
@@ -211,7 +213,6 @@ class GraphDatabase:
                         f"label {lab!r} is not in the alphabet {sorted(declared)}"
                     )
                 by_source = fwd[lab] = {}
-                bwd[lab] = {}
             targets = by_source.get(source)
             if targets is None:
                 by_source[source] = {target}
@@ -219,24 +220,18 @@ class GraphDatabase:
                 continue
             else:
                 targets.add(target)
-            by_target = bwd[lab]
-            sources = by_target.get(target)
-            if sources is None:
-                by_target[target] = {source}
-            else:
-                sources.add(source)
             # The caller's tuple becomes the journal entry, one allocation
             # (and one object for the collector to track) less per edge;
             # any other sequence is copied so entries stay immutable.
             append(entry if entry.__class__ is tuple else (source, lab, target))
         node_set: set[Node] = set()
-        for lab, by_source in fwd.items():
-            node_set.update(by_source)
-            node_set.update(bwd[lab])
+        for by_source in fwd.values():
+            node_set.update(by_source, *by_source.values())
         node_set.update(nodes)
         self._nodes = node_set
         self._fwd = fwd
-        self._bwd = bwd
+        # label -> node -> set of predecessors, for the labels read so far
+        self._bwd: dict[LabelName, dict[Node, set[Node]]] = {}
         # label -> number of edges, so join ordering reads sizes in O(1)
         self._label_counts: dict[LabelName, int] = {
             lab: sum(map(len, by_source.values())) for lab, by_source in fwd.items()
@@ -255,6 +250,8 @@ class GraphDatabase:
         self._edges: set[Edge] | None = None
         self._out_edges: dict[Node, set[Edge]] | None = None
         self._in_edges: dict[Node, set[Edge]] | None = None
+        # Whether a twin may hold the containers (see _unshare).
+        self._shared = False
 
     @classmethod
     def from_edges(
@@ -300,13 +297,14 @@ class GraphDatabase:
         return isinstance(self, FrozenGraphDatabase)
 
     def freeze(self) -> "GraphDatabase":
-        """Return a read-only copy of this graph.
+        """Return a read-only twin of this graph, in O(labels).
 
-        The copy keeps the content, journal, ``destructive`` flag and
+        The twin keeps the content, journal, ``destructive`` flag and
         fingerprint, so query-engine caches keyed on :meth:`fingerprint`
-        treat the two interchangeably.  Every mutation of the copy raises
-        :class:`~repro.errors.FrozenGraphError`.  Freezing a frozen graph
-        returns it unchanged.
+        treat the two interchangeably.  It shares this graph's storage,
+        which this graph's next mutation copies first.  Every mutation of
+        the twin raises :class:`~repro.errors.FrozenGraphError`.  Freezing
+        a frozen graph returns it unchanged.
 
         >>> g = GraphDatabase(edges=[("u", "a", "v")])
         >>> frozen = g.freeze()
@@ -320,14 +318,15 @@ class GraphDatabase:
         if self.is_frozen:
             return self
         with span("graph.freeze"):
-            return self._copy(FrozenGraphDatabase, self._alphabet, history=True)
+            return self._share(FrozenGraphDatabase, self._alphabet, history=True)
 
     def thaw(self) -> "GraphDatabase":
-        """Return a mutable copy of this graph.
+        """Return a mutable twin of this graph.
 
-        The copy keeps the journal, the ``destructive`` flag and the
+        The twin keeps the journal, the ``destructive`` flag and the
         fingerprint, so ``freeze``/``thaw`` round trips are content- *and*
-        cache-exact.  Thawing a mutable graph returns an independent copy.
+        cache-exact.  Thawing a mutable graph returns an independent twin;
+        either side copies the shared storage on its first mutation.
 
         >>> g = GraphDatabase(edges=[("u", "a", "v")])
         >>> thawed = g.freeze().thaw()
@@ -336,19 +335,19 @@ class GraphDatabase:
         >>> thawed.fingerprint() == g.fingerprint()
         True
         """
-        return self._copy(GraphDatabase, self._alphabet, history=True)
+        return self._share(GraphDatabase, self._alphabet, history=True)
 
     def copy(self) -> "GraphDatabase":
-        """Return an independent *mutable* copy (same alphabet declaration).
+        """Return an independent *mutable* twin (same alphabet declaration).
 
-        A structural copy (index surgery), not edge-by-edge replay; the
-        copy of a frozen graph is mutable too — the point of copying is to
-        mutate the result.  Unlike :meth:`thaw`, the copy starts a fresh
-        history: its journal is the live edge set (in journal order when
-        the journal is exactly the edge set), it is not destructive and
-        ``version == edge_count()``.
+        Copy-on-write like :meth:`thaw`; the copy of a frozen graph is
+        mutable too — the point of copying is to mutate the result.
+        Unlike :meth:`thaw`, the copy starts a fresh history: its journal
+        is the live edge set (in journal order when the journal is exactly
+        the edge set), it is not destructive and ``version ==
+        edge_count()``.
         """
-        return self._copy(GraphDatabase, self._alphabet, history=False)
+        return self._share(GraphDatabase, self._alphabet, history=False)
 
     def with_alphabet(self, alphabet: Iterable[LabelName]) -> "GraphDatabase":
         """Return a :meth:`copy` whose declared alphabet is ``alphabet``.
@@ -364,44 +363,52 @@ class GraphDatabase:
                 raise SchemaError(
                     f"label {lab!r} is not in the alphabet {sorted(declared)}"
                 )
-        return self._copy(GraphDatabase, declared, history=False)
+        return self._share(GraphDatabase, declared, history=False)
 
-    def _copy(
+    def _share(
         self,
         cls: "type[GraphDatabase]",
         alphabet: frozenset[LabelName] | None,
         history: bool,
     ) -> "GraphDatabase":
-        """Copy the storage (emptied buckets dropped) into a new ``cls``.
+        """A new ``cls`` over this graph's containers, both marked shared.
 
-        With ``history`` the copy keeps the journal, the ``destructive``
+        With ``history`` the twin keeps the journal, the ``destructive``
         flag and the memoised fingerprint, so ``version``, ``edges_since``
         and :meth:`fingerprint` read the same on both sides; without it
-        the copy's journal is the live edge set.  The derived edge indexes
-        are not copied; the copy builds its own if one of their readers
-        asks.
+        the twin's journal is the live edge set.  Each side gets its own
+        label → backward-index map, so a later lazy build publishes into
+        one side's map only.  The derived edge indexes are not shared.
         """
         twin = cls.__new__(cls)
         twin._alphabet = alphabet
-        twin._nodes = set(self._nodes)
-        twin._fwd = _copy_adjacency(self._fwd)
-        twin._bwd = _copy_adjacency(self._bwd)
-        twin._label_counts = {
-            lab: count for lab, count in self._label_counts.items() if count > 0
-        }
+        twin._nodes = self._nodes
+        twin._fwd = self._fwd
+        twin._bwd = dict(self._bwd)
+        twin._label_counts = self._label_counts
         if history:
-            twin._journal = list(self._journal)
+            twin._journal = self._journal
             twin._destructive = self._destructive
             twin._journal_live = self._journal_live
             twin._fingerprint = self._fingerprint
             twin._fingerprint_key = self._fingerprint_key
         else:
-            twin._journal = list(self.live_triples())
+            twin._journal = self.live_triples()
             twin._destructive = False
             twin._journal_live = True
             twin._fingerprint = twin._fingerprint_key = None
         twin._edges = twin._out_edges = twin._in_edges = None
+        twin._shared = self._shared = True
         return twin
+
+    def _unshare(self) -> None:
+        """Copy the containers a twin may hold, before the first write."""
+        self._nodes = set(self._nodes)
+        self._fwd = _copy_adjacency(self._fwd)
+        self._bwd = _copy_adjacency(self._bwd)
+        self._label_counts = dict(self._label_counts)
+        self._journal = list(self._journal)
+        self._shared = False
 
     # ------------------------------------------------------------------ #
     # Schema
@@ -438,6 +445,8 @@ class GraphDatabase:
 
         Raises :class:`~repro.errors.FrozenGraphError` on a frozen graph.
         """
+        if self._shared:
+            self._unshare()
         self._nodes.add(node)
 
     def add_edge(self, source: Node, lab: LabelName, target: Node) -> None:
@@ -446,8 +455,10 @@ class GraphDatabase:
         Duplicates are detected on the forward index (which mirrors the
         edge set exactly) — the chase re-adds edges constantly, and the
         duplicate path costs two dict probes and one set probe, no
-        allocation.  An :class:`Edge` is built only when the derived edge
-        indexes exist and must follow.  A destructive graph journals
+        allocation.  A label this call creates keeps its backward index
+        from the first edge on, so a graph grown edge by edge never derives
+        one on a read.  An :class:`Edge` is built only when the derived
+        edge indexes exist and must follow.  A destructive graph journals
         nothing more.  Raises :class:`~repro.errors.FrozenGraphError` on a
         frozen graph.
         """
@@ -455,9 +466,12 @@ class GraphDatabase:
             raise SchemaError(
                 f"label {lab!r} is not in the alphabet {sorted(self._alphabet)}"
             )
+        if self._shared:
+            self._unshare()
         fwd = self._fwd.get(lab)
         if fwd is None:
             fwd = self._fwd[lab] = {}
+            self._bwd[lab] = {}
         targets = fwd.get(source)
         if targets is None:
             targets = fwd[source] = set()
@@ -466,7 +480,9 @@ class GraphDatabase:
         targets.add(target)
         self._nodes.add(source)
         self._nodes.add(target)
-        self._bwd.setdefault(lab, {}).setdefault(target, set()).add(source)
+        bwd = self._bwd.get(lab)
+        if bwd is not None:
+            bwd.setdefault(target, set()).add(source)
         self._label_counts[lab] = self._label_counts.get(lab, 0) + 1
         if self._destructive:
             self._journal_live = False
@@ -487,9 +503,13 @@ class GraphDatabase:
         targets = self._fwd.get(lab, _EMPTY_INDEX).get(source)
         if targets is None or target not in targets:
             return
+        if self._shared:
+            self._unshare()
+            targets = self._fwd[lab][source]
         self._journal_live = False
         targets.discard(target)
-        self._bwd[lab][target].discard(source)
+        if lab in self._bwd:
+            self._bwd[lab][target].discard(source)
         self._label_counts[lab] -= 1
         if self._edges is not None:
             edge = _edge(source, lab, target)
@@ -515,6 +535,8 @@ class GraphDatabase:
         """
         if old == new or old not in self._nodes:
             return frozenset()
+        if self._shared:
+            self._unshare()
         self._destructive = True  # node set changes without a journal entry
         _, out_edges, in_edges = self._incidence()
         rewritten: set[Edge] = set()
@@ -548,10 +570,12 @@ class GraphDatabase:
         if node not in self._nodes:
             return
         for lab, by_source in self._fwd.items():
-            if by_source.get(node) or self._bwd[lab].get(node):
+            if by_source.get(node) or self.has_predecessor(node, lab):
                 raise SchemaError(
                     f"cannot discard node {node!r}: it still has incident edges"
                 )
+        if self._shared:
+            self._unshare()
         self._destructive = True  # node set changes without a journal entry
         self._nodes.discard(node)
 
@@ -617,7 +641,7 @@ class GraphDatabase:
 
     def predecessors(self, node: Node, lab: LabelName) -> frozenset[Node]:
         """Return ``{u | (u, lab, node) ∈ E}``."""
-        return frozenset(self._bwd.get(lab, _EMPTY_INDEX).get(node, ()))
+        return frozenset(self.backward_index(lab).get(node, ()))
 
     def edges_with_label(self, lab: LabelName) -> frozenset[tuple[Node, Node]]:
         """Return all ``(u, v)`` pairs with an edge labeled ``lab``."""
@@ -629,7 +653,8 @@ class GraphDatabase:
         Unlike :meth:`successors` this copies nothing: the returned mapping
         is the graph's own index (``node → set of successors``), shared
         for the lifetime of the graph.  Callers must not mutate it and must
-        not hold it across edge insertions or removals.
+        not hold it across mutations: the first one of a graph that shares
+        its storage with a twin (:meth:`freeze`) writes to fresh copies.
 
         >>> g = GraphDatabase(edges=[("u", "a", "v")])
         >>> g.forward_index("a")["u"]
@@ -643,13 +668,26 @@ class GraphDatabase:
         """Return the live backward adjacency index for ``lab`` — READ ONLY.
 
         The mirror of :meth:`forward_index` (``node → set of predecessors``);
-        the same sharing caveats apply.
+        the same sharing caveats apply.  A bulk-loaded label's first call
+        derives it from the forward index (O(label edges)), in a local
+        published by one assignment, so a concurrent reader of a frozen
+        graph never sees it half built; mutations keep it current.
 
         >>> g = GraphDatabase(edges=[("u", "a", "v")])
         >>> g.backward_index("a")["v"]
         {'u'}
         """
-        return self._bwd.get(lab, _EMPTY_INDEX)
+        index = self._bwd.get(lab)
+        if index is None:
+            by_source = self._fwd.get(lab)
+            if by_source is None:
+                return _EMPTY_INDEX
+            index = {}
+            for source, targets in by_source.items():
+                for target in targets:
+                    index.setdefault(target, set()).add(source)
+            self._bwd[lab] = index
+        return index
 
     def iter_label_pairs(self, lab: LabelName) -> Iterator[tuple[Node, Node]]:
         """Iterate the ``(u, v)`` pairs labeled ``lab`` without copying.
@@ -682,7 +720,7 @@ class GraphDatabase:
         >>> g.has_predecessor("v", "a"), g.has_predecessor("u", "a")
         (True, False)
         """
-        return bool(self._bwd.get(lab, _EMPTY_INDEX).get(node))
+        return bool(self.backward_index(lab).get(node))
 
     def label_count(self, lab: LabelName) -> int:
         """Return the number of edges labeled ``lab``, from an O(1) counter.
@@ -864,43 +902,6 @@ class GraphDatabase:
             f"Σ={sorted(map(str, self.alphabet))})"
         )
 
-    def is_isomorphic_to(self, other: "GraphDatabase") -> bool:
-        """Decide label-preserving graph isomorphism by backtracking.
-
-        Exponential in the worst case; intended for the small graphs of the
-        paper's figures (≤ ~10 nodes), where it is instantaneous.
-        """
-        if self.node_count() != other.node_count() or self.edge_count() != other.edge_count():
-            return False
-
-        def signature(g: GraphDatabase, node: Node) -> tuple:
-            out = tuple(sorted((e.label) for e in g.edges() if e.source == node))
-            inc = tuple(sorted((e.label) for e in g.edges() if e.target == node))
-            return (out, inc)
-
-        mine = sorted(self.nodes(), key=repr)
-        sig_self = {n: signature(self, n) for n in mine}
-        sig_other: dict[Node, tuple] = {n: signature(other, n) for n in other.nodes()}
-
-        def backtrack(index: int, mapping: dict[Node, Node], used: set[Node]) -> bool:
-            if index == len(mine):
-                return True
-            node = mine[index]
-            for candidate in other.nodes():
-                if candidate in used or sig_other[candidate] != sig_self[node]:
-                    continue
-                mapping[node] = candidate
-                used.add(candidate)
-                if _edges_consistent(self, other, mapping) and backtrack(
-                    index + 1, mapping, used
-                ):
-                    return True
-                del mapping[node]
-                used.remove(candidate)
-            return False
-
-        return backtrack(0, {}, set())
-
 
 class FrozenGraphDatabase(GraphDatabase):
     """A read-only :class:`GraphDatabase`: every mutator raises.
@@ -940,19 +941,3 @@ def _frozen_mutation(operation: str) -> FrozenGraphError:
         f"cannot {operation} on a frozen graph — call thaw() to get a "
         "mutable copy first"
     )
-
-
-def _edges_consistent(
-    g1: GraphDatabase, g2: GraphDatabase, mapping: dict[Node, Node]
-) -> bool:
-    """Check that the partial ``mapping`` preserves edges in both directions."""
-    for edge in g1.edges():
-        if edge.source in mapping and edge.target in mapping:
-            if not g2.has_edge(mapping[edge.source], edge.label, mapping[edge.target]):
-                return False
-    inverse = {v: k for k, v in mapping.items()}
-    for edge in g2.edges():
-        if edge.source in inverse and edge.target in inverse:
-            if not g1.has_edge(inverse[edge.source], edge.label, inverse[edge.target]):
-                return False
-    return True

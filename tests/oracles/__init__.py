@@ -30,7 +30,8 @@ so no user-settable option can select it:
   :func:`repro.patterns.homomorphism.all_homomorphisms`;
 * :mod:`oracles.graph_homomorphism` — backtracking graph-to-graph
   homomorphisms (identity on frozen nodes), the universality check of
-  chased graphs against solutions.
+  chased graphs against solutions, and :func:`is_isomorphic`, which
+  compares chased graphs with the paper's figures up to null names.
 
 Tests import the package as ``oracles`` (``tests/`` is on the import
 path under pytest, see ``pytest.ini``); the benchmarks import the same

@@ -7,8 +7,9 @@ classical data exchange uses: a universal solution maps into every solution
 by a homomorphism that is the identity on constants.
 
 This oracle backs the tests of universality: the chased graph of the
-Section 3.1 fragment must map into every solution.  No library module
-needs it.
+Section 3.1 fragment must map into every solution, and
+:func:`is_isomorphic` compares chased graphs with the paper's figures up
+to null names.  No library module needs it.
 """
 
 from __future__ import annotations
@@ -111,3 +112,16 @@ def is_homomorphic(
 ) -> bool:
     """Return whether some homomorphism ``source → target`` exists."""
     return find_graph_homomorphism(source, target, frozen) is not None
+
+
+def is_isomorphic(one: GraphDatabase, two: GraphDatabase) -> bool:
+    """Return whether a label-preserving bijection maps ``one`` onto ``two``.
+
+    With equal node and edge counts, a homomorphism that is injective on
+    nodes is injective on edges too, hence onto ``two``'s edges.
+    """
+    if (one.node_count(), one.edge_count()) != (two.node_count(), two.edge_count()):
+        return False
+    return any(
+        len(set(hom.values())) == len(hom) for hom in graph_homomorphisms(one, two)
+    )

@@ -42,6 +42,7 @@ from repro.scenarios.flights import (
 )
 from repro.scenarios.generators import random_flights_instance
 from oracles.cnre_search import cnre_homomorphisms
+from oracles.graph_homomorphism import is_isomorphic
 
 
 # --------------------------------------------------------------------- #
@@ -153,7 +154,7 @@ class TestFigureScenarios:
             setting.st_tgds, setting.egds(), flights_instance(), alphabet={"f", "h"}
         )
         assert result.succeeded
-        assert result.expect_graph().is_isomorphic_to(figure2_expected_graph())
+        assert is_isomorphic(result.expect_graph(), figure2_expected_graph())
         assert result.stats.null_merges == 1
 
     def test_fig3_pattern_chase(self):
@@ -285,5 +286,5 @@ class TestRandomEquivalence:
         graph = GraphDatabase(edges=[("u", "a", "v"), ("u", "a", "w")])
         engine = chase_target_tgds(graph, [tgd])
         reference, trace = naive_tgd_round_sets(graph.with_alphabet({"a", "b"}), [tgd], 50)
-        assert engine.expect_graph().is_isomorphic_to(reference)
+        assert is_isomorphic(engine.expect_graph(), reference)
         assert engine.stats.tgd_applications == sum(trace)

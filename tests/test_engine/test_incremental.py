@@ -50,6 +50,7 @@ from repro.engine.delta import decompose_egd
 from repro.engine.incremental import IncrementalChase, UpdateStats
 from repro.engine.query import QueryEngine
 from repro.errors import NotSupportedError, SchemaError
+from repro.graph.database import GraphDatabase
 from repro.graph.eval import evaluate_nre, touched_sources
 from repro.graph.parser import parse_nre
 from repro.io.json_io import graph_to_dict
@@ -768,6 +769,29 @@ class TestLargeBatches:
             live.apply_updates(fresh)
             assert len(live._ids) == live_ids
         assert len(live._nodes) <= peak
+
+    def test_batches_build_no_backward_index(self, monkeypatch):
+        """The merged graph grows edge by edge, so each of its labels keeps
+        both directions from its first edge: no batch, and no read after
+        one, derives a backward index from a forward one."""
+        queries = [parse_nre(text) for text in workload_queries("medlit")]
+        live = IncrementalChase(scale_setting("medlit"), generate_instance(MEDLIT_80))
+        for query in queries:
+            live.certain_answers(query)
+        derived = []
+        backward_index = GraphDatabase.backward_index
+
+        def recording(graph, label):
+            if label not in graph._bwd and graph.label_count(label):
+                derived.append(label)
+            return backward_index(graph, label)
+
+        monkeypatch.setattr(GraphDatabase, "backward_index", recording)
+        for batch in update_stream(MEDLIT_80, 10, 40, 0.4):
+            live.apply_updates(batch)
+            for query in queries:
+                live.certain_answers(query)
+        assert live.stats.answer_patches and derived == []
         assert all(live._incident[ident] for ident in live._ids.values())
         # Each class roots at its earliest-born null, whatever the order
         # its ids were assigned in: least birth batch, then least CRC-32

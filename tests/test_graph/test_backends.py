@@ -7,6 +7,12 @@ observable — nodes, edges, adjacency in both directions, journal,
 ``destructive`` flag, fingerprint — while the compiled query engine
 returns identical answers and shares fingerprint-keyed cache entries
 across them.
+
+``freeze()``, ``thaw()``, ``copy()`` and ``with_alphabet()`` share the
+storage until one side mutates, and bulk loads derive a label's backward
+index on its first read: the copy-on-write and lazy-index suites mutate
+one side of a share, read the other (backward reads first among them),
+and pin which indexes the §3.1 materialise path builds.
 """
 
 import os
@@ -69,6 +75,20 @@ def apply_script(steps) -> GraphDatabase:
 def derived_built(graph: GraphDatabase) -> bool:
     """Whether the graph has built its derived ``Edge`` set and incident maps."""
     return graph._edges is not None
+
+
+def backward_built(graph: GraphDatabase) -> set:
+    """The labels whose backward index the graph holds."""
+    return set(graph._bwd)
+
+
+STORAGE = ("_nodes", "_fwd", "_label_counts", "_journal")
+"""The containers a twin shares until one side mutates."""
+
+
+def shares_storage(graph: GraphDatabase, twin: GraphDatabase) -> bool:
+    """Whether the two graphs hold the very same storage containers."""
+    return all(getattr(graph, name) is getattr(twin, name) for name in STORAGE)
 
 
 def assert_observably_equal(graph: GraphDatabase, twin: GraphDatabase):
@@ -203,6 +223,30 @@ def growth_script(draw):
     )
 
 
+SHARES = ("freeze", "thaw", "copy", "with_alphabet")
+
+
+def share(graph: GraphDatabase, kind: str) -> tuple[GraphDatabase, GraphDatabase]:
+    """A share of ``graph`` made by ``kind``: (the side to mutate, the other).
+
+    ``freeze`` mutates the source and reads the frozen twin; the others
+    mutate the mutable twin they return and read the graph it came from.
+    """
+    if kind == "freeze":
+        return graph, graph.freeze()
+    if kind == "thaw":
+        frozen = graph.freeze()
+        return frozen.thaw(), frozen
+    if kind == "copy":
+        return graph.copy(), graph
+    return graph.with_alphabet(LABELS + ("d",)), graph
+
+
+def live_index(index: dict) -> dict:
+    """An adjacency index without its emptied buckets, for comparison."""
+    return {node: frozenset(peers) for node, peers in index.items() if peers}
+
+
 def six_builds(steps, directory) -> dict[str, GraphDatabase]:
     """The same graph built by ``add_edge``, ``from_edges``, ``freeze()``,
     ``thaw()``, ``copy()`` and a snapshot reload, no derived read made."""
@@ -277,6 +321,41 @@ class TestBuildPathEquivalence:
         assert_observably_equal(grown, thawed)
         assert not thawed.is_frozen
 
+    @settings(max_examples=40, deadline=None)
+    @given(growth_script(), mutation_script(), st.sampled_from(SHARES), st.data())
+    def test_backward_reads_ignore_mutations_of_the_twin(
+        self, steps, script, kind, data
+    ):
+        """Backward reads on one side of a share, interleaved with the other
+        side's mutations, see the content as it was at the share."""
+        with tempfile.TemporaryDirectory() as directory:
+            builds = six_builds(steps, directory)
+        base = builds[data.draw(st.sampled_from(("add_edge", "from_edges", "thaw")))]
+        mutable, other = share(base, kind)
+        # Unshared builds of each side's content and history.
+        other_ref, mutable_ref = (
+            GraphDatabase(
+                alphabet=graph.declared_alphabet(),
+                nodes=graph.nodes(),
+                edges=graph.journal_triples(),
+            )
+            for graph in (other, mutable)
+        )
+        for step in script:
+            lab = data.draw(st.sampled_from(LABELS + ("zz",)))
+            node = data.draw(st.sampled_from(NODES))
+            assert other.predecessors(node, lab) == other_ref.predecessors(node, lab)
+            assert other.has_predecessor(node, lab) == other_ref.has_predecessor(
+                node, lab
+            )
+            assert live_index(other.backward_index(lab)) == live_index(
+                other_ref.backward_index(lab)
+            )
+            for graph in (mutable, mutable_ref):
+                getattr(graph, step[0])(*step[1:])
+        assert_observably_equal(other_ref, other)
+        assert_observably_equal(mutable_ref, mutable)
+
 
 class TestMaterialisePath:
     def test_chase_freeze_query_snapshot_builds_no_edge_objects(self, tmp_path):
@@ -303,16 +382,26 @@ class TestMaterialisePath:
         )
         assert chased.stats.null_merges > 0  # a merged tenant
         graph = chased.expect_graph()
+        assert backward_built(graph) == set(), "the chase built backward indexes"
         frozen = graph.freeze()
+        # freeze() shares every container of the chased graph, copies none.
+        assert shares_storage(graph, frozen)
+        assert graph._bwd is not frozen._bwd
         engine = QueryEngine()
         answers = [
             engine.pairs(frozen, parse_nre(text))
             for text in workload_queries("medlit")
         ]
         assert len(answers) == 5 and any(answers)
+        # One query reads a label backward (``mentions- . cites``): its
+        # index is built on the frozen side only, on that first read.
+        assert backward_built(frozen) == {"mentions"}
+        assert backward_built(graph) == set()
+        assert shares_storage(graph, frozen)
         path = str(tmp_path / "tenant.snap")
         save_snapshot(frozen, path)
         restored = load_snapshot(path)
+        assert backward_built(restored) == set(), "the load built backward indexes"
         # Equality compares nodes and triples, never the derived edge sets.
         assert restored == frozen and restored == graph
         stages = [("chased", graph), ("frozen", frozen), ("loaded", restored)]
@@ -383,15 +472,17 @@ class TestFrozenSemantics:
             "n1", "b", "n2"
         )
 
-    def test_freeze_copies_the_dict_storage(self):
+    def test_freeze_shares_the_storage_copy_on_write(self):
         graph = GraphDatabase(alphabet=LABELS, edges=[("n0", "a", "n1")])
         frozen = graph.freeze()
         assert type(graph) is GraphDatabase
         assert type(frozen) is FrozenGraphDatabase
         assert type(frozen.thaw()) is GraphDatabase
-        # A copy, not a view: the source stays mutable and the copy does
-        # not follow it.
+        assert shares_storage(graph, frozen)
+        # Copy-on-write, not a view: the source stays mutable, its first
+        # write copies the storage, and the frozen twin does not follow it.
         graph.add_edge("n1", "b", "n2")
+        assert not shares_storage(graph, frozen)
         assert not frozen.has_edge("n1", "b", "n2")
         assert frozen.edge_count() == 1 and frozen.version == 1
 
@@ -424,3 +515,134 @@ class TestDiscardNode:
         frozen = GraphDatabase(alphabet=LABELS, nodes=["x"]).freeze()
         with pytest.raises(FrozenGraphError):
             frozen.discard_node("x")
+
+
+BASE_EDGES = [("n0", "a", "n1"), ("n1", "a", "n2"), ("n2", "b", "n0"), ("n3", "b", "n1")]
+MUTATIONS = [
+    ("add_node", ("fresh",)),
+    ("add_edge", ("n2", "a", "n3")),
+    ("remove_edge", ("n0", "a", "n1")),
+    ("rename_node", ("n1", "n9")),
+    ("discard_node", ("lonely",)),
+]
+OBSERVED = ("n0", "n1", "n2", "n3", "n9", "fresh", "lonely")
+
+
+def base_graph() -> GraphDatabase:
+    """A bulk-loaded graph (no backward index yet) with an isolated node."""
+    return GraphDatabase.from_edges(LABELS, BASE_EDGES, nodes=["lonely"])
+
+
+def observe(graph: GraphDatabase) -> tuple:
+    """Nodes, live triples, journal, version, fingerprint and both adjacencies."""
+    return (
+        graph.nodes(),
+        sorted(graph.live_triples(), key=repr),
+        list(graph.journal_triples()),
+        graph.version,
+        graph.fingerprint(),
+        {(node, lab): graph.successors(node, lab)
+         for node in OBSERVED for lab in LABELS},
+        {(node, lab): graph.predecessors(node, lab)
+         for node in OBSERVED for lab in LABELS},
+        {lab: live_index(graph.forward_index(lab)) for lab in LABELS},
+        {lab: live_index(graph.backward_index(lab)) for lab in LABELS},
+    )
+
+
+class TestCopyOnWrite:
+    """Mutating one side of a share leaves the other side as it was."""
+
+    @pytest.mark.parametrize("backward", ["unbuilt", "before_share", "after_share"])
+    @pytest.mark.parametrize("mutation, args", MUTATIONS)
+    @pytest.mark.parametrize("kind", SHARES)
+    def test_the_other_side_keeps_every_observable(
+        self, kind, mutation, args, backward
+    ):
+        base = base_graph()
+        if backward == "before_share":
+            base.backward_index("a")  # both sides then hold this index
+        mutable, other = share(base, kind)
+        assert shares_storage(mutable, other)
+        if backward == "after_share":
+            other.backward_index("b")  # published into the other side's map
+        expected = observe(share(base_graph(), kind)[1])
+        reference = GraphDatabase(
+            alphabet=mutable.declared_alphabet(),
+            nodes=mutable.nodes(),
+            edges=mutable.journal_triples(),
+        )
+        getattr(mutable, mutation)(*args)
+        getattr(reference, mutation)(*args)
+        assert not shares_storage(mutable, other)
+        assert observe(other) == expected
+        assert observe(mutable) == observe(reference) != expected
+
+    def test_a_no_op_removal_copies_nothing(self):
+        graph = base_graph()
+        frozen = graph.freeze()
+        graph.remove_edge("n0", "b", "n1")  # absent
+        assert shares_storage(graph, frozen) and graph.destructive
+        assert not frozen.destructive
+
+    def test_copies_of_copies_stay_independent(self):
+        graph = base_graph()
+        first, second = graph.copy(), graph.freeze().thaw()
+        first.add_edge("n3", "a", "n0")
+        second.remove_edge("n0", "a", "n1")
+        graph.add_node("fresh")
+        assert first.has_edge("n0", "a", "n1") and not second.has_edge("n0", "a", "n1")
+        assert not second.has_edge("n3", "a", "n0") and "fresh" not in first
+        assert observe(graph)[1] == sorted(BASE_EDGES, key=repr)
+
+
+class TestLazyBackwardIndex:
+    """Bulk loads build forward adjacency only; backward indexes follow reads."""
+
+    def test_bulk_loads_build_the_forward_index_only(self, tmp_path):
+        graph = base_graph()
+        path = str(tmp_path / "graph.snap")
+        save_snapshot(graph, path)
+        for loaded in (graph, load_snapshot(path)):
+            assert backward_built(loaded) == set()
+            assert loaded.predecessors("n1", "a") == {"n0"}
+            assert backward_built(loaded) == {"a"}
+            assert loaded.backward_index("zz") == {}
+            assert backward_built(loaded) == {"a"}
+
+    def test_remove_edge_then_a_backward_read(self):
+        graph = base_graph()
+        graph.remove_edge("n1", "a", "n2")
+        assert backward_built(graph) == set()
+        assert live_index(graph.backward_index("a")) == {"n1": {"n0"}}
+        assert not graph.has_predecessor("n2", "a")
+        graph.remove_edge("n0", "a", "n1")  # the built index follows
+        assert live_index(graph.backward_index("a")) == {}
+        assert graph.predecessors("n1", "a") == frozenset()
+
+    def test_discard_node_sees_incoming_only_edges_without_an_index(self):
+        from repro.errors import SchemaError
+
+        graph = GraphDatabase.from_edges(LABELS, [("n0", "a", "n1")])
+        assert backward_built(graph) == set()
+        with pytest.raises(SchemaError):
+            graph.discard_node("n1")  # its only edge comes in
+        assert "n1" in graph
+
+    def test_thaw_then_add_edge_on_a_bulk_loaded_label(self):
+        frozen = base_graph().freeze()
+        thawed = frozen.thaw()
+        thawed.add_edge("n3", "a", "n2")
+        assert backward_built(thawed) == set()  # the label existed: no index yet
+        assert thawed.predecessors("n2", "a") == {"n1", "n3"}
+        assert frozen.predecessors("n2", "a") == {"n1"}
+
+    def test_edge_grown_labels_keep_both_directions(self):
+        grown = GraphDatabase(alphabet=LABELS)
+        grown.add_edge("n0", "a", "n1")
+        assert backward_built(grown) == {"a"}
+        bulk = base_graph()
+        bulk.add_edge("n0", "a", "n3")  # a bulk-loaded label stays lazy
+        bulk.add_edge("n0", "c", "n3")  # a label the edge creates is eager
+        assert backward_built(bulk) == {"c"}
+        assert bulk.predecessors("n3", "a") == {"n0"}
