@@ -466,17 +466,19 @@ class GraphDatabase:
             raise SchemaError(
                 f"label {lab!r} is not in the alphabet {sorted(self._alphabet)}"
             )
+        fwd = self._fwd.get(lab, _EMPTY_INDEX)
+        targets = fwd.get(source)
+        if targets is not None and target in targets:
+            return  # duplicate: endpoints are already present too
         if self._shared:
             self._unshare()
-        fwd = self._fwd.get(lab)
-        if fwd is None:
+            fwd = self._fwd.get(lab, _EMPTY_INDEX)
+            targets = fwd.get(source)
+        if fwd is _EMPTY_INDEX:
             fwd = self._fwd[lab] = {}
             self._bwd[lab] = {}
-        targets = fwd.get(source)
         if targets is None:
             targets = fwd[source] = set()
-        elif target in targets:
-            return  # duplicate: endpoints are already present too
         targets.add(target)
         self._nodes.add(source)
         self._nodes.add(target)
@@ -608,7 +610,8 @@ class GraphDatabase:
         """Return the live edges as ``(source, label, target)`` triples.
 
         While the journal lists exactly the live edges it is returned as
-        it stands (the graph's own list — READ ONLY); once an edge was
+        it stands (the graph's own list — READ ONLY, not to be held
+        across a mutation, as :meth:`journal_triples`); once an edge was
         removed, or added to a destructive graph (which journals nothing
         more), this reads the forward index instead.
 
@@ -630,8 +633,10 @@ class GraphDatabase:
     def journal_triples(self) -> list[Triple]:
         """Return the journal as ``(source, label, target)`` triples — READ ONLY.
 
-        The graph's own list, shared for the lifetime of the graph, as
-        :meth:`forward_index` is: no :class:`Edge` is built.
+        The graph's own list, as :meth:`forward_index` is, with the same
+        caveat: do not hold it across a mutation, because the first write
+        of a graph that shares its storage (:meth:`freeze`) moves the graph
+        to a copy.  No :class:`Edge` is built.
         """
         return self._journal
 

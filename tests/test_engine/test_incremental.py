@@ -769,6 +769,19 @@ class TestLargeBatches:
             live.apply_updates(fresh)
             assert len(live._ids) == live_ids
         assert len(live._nodes) <= peak
+        assert all(live._incident[ident] for ident in live._ids.values())
+        # Each class roots at its earliest-born null, whatever the order
+        # its ids were assigned in: least birth batch, then least CRC-32
+        # of its label, then least label.
+        def rank(ident):
+            label = live._nodes[ident].label
+            return live._birth[ident], crc32(label.encode()), label
+
+        for root, members in live._members.items():
+            if not live._constant[root]:
+                assert root == min(members, key=rank)
+        queries = [parse_nre(text) for text in workload_queries("medlit")]
+        assert_matches_oracle(live, QueryEngine(), queries)
 
     def test_batches_build_no_backward_index(self, monkeypatch):
         """The merged graph grows edge by edge, so each of its labels keeps
@@ -792,19 +805,6 @@ class TestLargeBatches:
             for query in queries:
                 live.certain_answers(query)
         assert live.stats.answer_patches and derived == []
-        assert all(live._incident[ident] for ident in live._ids.values())
-        # Each class roots at its earliest-born null, whatever the order
-        # its ids were assigned in: least birth batch, then least CRC-32
-        # of its label, then least label.
-        def rank(ident):
-            label = live._nodes[ident].label
-            return live._birth[ident], crc32(label.encode()), label
-
-        for root, members in live._members.items():
-            if not live._constant[root]:
-                assert root == min(members, key=rank)
-        queries = [parse_nre(text) for text in workload_queries("medlit")]
-        assert_matches_oracle(live, QueryEngine(), queries)
 
 
 # --------------------------------------------------------------------- #

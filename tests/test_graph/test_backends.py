@@ -585,6 +585,13 @@ class TestCopyOnWrite:
         assert shares_storage(graph, frozen) and graph.destructive
         assert not frozen.destructive
 
+    def test_a_duplicate_add_copies_nothing(self):
+        graph = base_graph()
+        frozen = graph.freeze()
+        graph.add_edge(*BASE_EDGES[0])  # already held
+        assert shares_storage(graph, frozen)
+        assert observe(graph) == observe(frozen)
+
     def test_copies_of_copies_stay_independent(self):
         graph = base_graph()
         first, second = graph.copy(), graph.freeze().thaw()
