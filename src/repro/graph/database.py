@@ -379,6 +379,8 @@ class GraphDatabase:
         the twin's journal is the live edge set.  Each side gets its own
         label → backward-index map, so a later lazy build publishes into
         one side's map only.  The derived edge indexes are not shared.
+        Neither side learns when the other is gone or has copied, so each
+        copies on its own first write.
         """
         twin = cls.__new__(cls)
         twin._alphabet = alphabet
