@@ -152,7 +152,9 @@ def test_differential_sweep(benchmark):
             cases += 1
         return cases, disagreements
 
-    cases, disagreements = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    cases, disagreements = benchmark.pedantic(
+        sweep, rounds=5, iterations=1, warmup_rounds=1
+    )
     report(
         "E12c / differential sweep",
         [("cases", 40, cases), ("evaluator disagreements", 0, disagreements)],

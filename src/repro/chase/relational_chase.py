@@ -13,12 +13,14 @@ for the fragment.  Example 3.1 / Figure 2 is reproduced in
 ``benchmarks/bench_fig2_relational_chase.py``.
 
 The chase runs on dense int ids from the first trigger to the final
-relabel.  The s-t phase gives each constant occurrence an id that keeps its
-row's object (equal constants map to one union-find node), gives each
-existential the next id and null number, and fires every trigger into an
-ordered list of ``(id, label, id)`` edges.  Functional egds (every egd of
-the scale workload families) close on a ``parent`` list, and only the
-nulls that survive as class representatives become
+relabel.  :func:`_fire_tgd` fires one tgd's triggers over its body rows
+into ``(id, label, id)`` edges; the s-t phase gives each constant
+occurrence an id that keeps its row's object (equal constants map to one
+closure node) and each existential the next id and null number.
+Functional egds (every egd of the scale workload families) close in
+:func:`_close`, a worklist congruence closure on a ``parent`` list whose
+one policy is the root rank: here a class keeps its constant, else its
+least null by label.  Only the nulls that survive become
 :class:`~repro.patterns.pattern.Null` objects; the edge list is relabelled
 once and bulk-loaded into one storage backend.  Other egds, and every run
 that equates two constants, load every null and replay the un-merged edges
@@ -26,12 +28,19 @@ through the sequential :class:`~repro.engine.delta.EgdViolationQueue`
 fixpoint, so counters, null names and failure witnesses are those of the
 edge-at-a-time chase that ``tests/oracles/relational_chase.py`` keeps as
 the differential oracle.
+
+:class:`~repro.engine.incremental.IncrementalChase` is this chase plus
+retained state: it fires through :func:`_fire_tgd` (all rows at
+bootstrap, each batch's delta rows after), closes through :func:`_close`
+with its own rank, and materialises its result through
+:func:`_chase_fired`.
 """
 
 from __future__ import annotations
 
 from itertools import chain, compress, count, repeat
-from typing import Collection, Hashable, Iterable, Sequence
+from operator import itemgetter
+from typing import Callable, Hashable, Iterable, Sequence
 
 from repro.chase.result import ChaseResult, ChaseStats
 from repro.engine.delta import (
@@ -39,17 +48,16 @@ from repro.engine.delta import (
     _functional_profile,
     run_egd_fixpoint,
 )
-from repro.errors import NotSupportedError, SchemaError
+from repro.errors import NotSupportedError
 from repro.graph.classes import is_single_symbol
 from repro.graph.database import GraphDatabase
 from repro.mappings.egd import TargetEgd
 from repro.mappings.stt import SourceToTargetTgd
-from repro.patterns.pattern import Null, is_null
+from repro.patterns.pattern import Null
 from repro.relational.instance import RelationalInstance
 from repro.telemetry import fold_stats, span
 
 Node = Hashable
-Triple = tuple[Node, str, Node]
 IdTriple = tuple[int, str, int]
 
 
@@ -88,61 +96,77 @@ def chase_relational(
     tgds = list(st_tgds)
     _check_fragment(tgds)
     egd_list = list(egds)
-    sigma = frozenset(alphabet) if alphabet is not None else None
     stats = ChaseStats()
     with span("chase.relational", tgds=len(tgds), egds=len(egd_list)):
         with span("chase.st"):
-            edges, values, numbers, same = _fire_st_tgds(tgds, instance, sigma, stats)
-        with span("chase.egd"):
-            keep = _functional_closure(edges, egd_list, numbers, same)
-        merged = keep or {}
-        with span("chase.build"):
-            # Null objects only for the nulls that survive the merges.
-            for ident in compress(count(), numbers):
-                if ident not in merged:
-                    values[ident] = Null(f"N{numbers[ident]}")
-            for ident, representative in merged.items():
-                values[ident] = values[representative]
-            graph = GraphDatabase.from_edges(
-                sigma,
-                [(values[s], lab, values[t]) for s, lab, t in edges],
-                destructive=bool(merged),
-            )
-        if keep is None:
-            # Every null is a node: the sequential fixpoint finds the witness.
-            with span("chase.egd"):
-                result = _egd_fixpoint_on_graph(graph, egd_list, stats)
-        else:
-            stats.egd_firings += len(merged)
-            stats.null_merges += len(merged)
-            stats.rounds += len(merged) + 1
-            result = ChaseResult(
-                graph=graph, failed=False, failure_witness=None, stats=stats
-            )
+            edges, values, numbers, same = _fire_st_tgds(tgds, instance, stats)
+        result = _chase_fired(alphabet, edges, values, numbers, same, egd_list, stats)
     fold_stats("chase", stats)
     return result
 
 
-def _fire_st_tgds(
-    tgds: Sequence[SourceToTargetTgd],
-    instance: RelationalInstance,
-    sigma: frozenset[str] | None,
+def _chase_fired(
+    alphabet: Iterable[str] | None,
+    edges: Sequence[IdTriple],
+    values: list[Node],
+    numbers: Sequence[int],
+    same: Sequence[int],
+    egds: Sequence[TargetEgd],
     stats: ChaseStats,
+) -> ChaseResult:
+    """Close ``egds`` over fired id ``edges`` and load the chased graph.
+
+    Ids are as :func:`_fire_st_tgds` makes them; ``values`` is relabelled
+    in place.  Functional egds close on ids (:func:`_functional_merges`),
+    and only the nulls that survive the merges become
+    :class:`~repro.patterns.pattern.Null` objects; with any merge the
+    journal is the final edge list, so the graph is destructive (no
+    fingerprint).  Other egds, and a closure that meets two constants,
+    load every null and replay the un-merged edges through the sequential
+    fixpoint, whose violation order gives the exact failure witness and
+    failed graph.
+    """
+    with span("chase.egd"):
+        keep = _functional_merges(edges, egds, numbers, same)
+    merged = keep or {}
+    with span("chase.build"):
+        # Null objects only for the nulls that survive the merges.
+        for ident in compress(count(), numbers):
+            if ident not in merged:
+                values[ident] = Null(f"N{numbers[ident]}")
+        for ident, representative in merged.items():
+            values[ident] = values[representative]
+        graph = GraphDatabase.from_edges(
+            alphabet,
+            [(values[s], lab, values[t]) for s, lab, t in edges],
+            destructive=bool(merged),
+        )
+    if keep is None:
+        # Every null is a node: the sequential fixpoint finds the witness.
+        with span("chase.egd"):
+            return _egd_fixpoint_on_graph(graph, list(egds), stats)
+    stats.egd_firings += len(merged)
+    stats.null_merges += len(merged)
+    stats.rounds += len(merged) + 1
+    return ChaseResult(graph=graph, failed=False, failure_witness=None, stats=stats)
+
+
+def _fire_st_tgds(
+    tgds: Sequence[SourceToTargetTgd], instance: RelationalInstance, stats: ChaseStats
 ) -> tuple[list[IdTriple], list[Node], list[int], list[int]]:
     """Fire every s-t tgd trigger into id edges, in firing order.
 
-    Tgds fire in declaration order, each one's matches sorted by the
-    ``repr`` of their values in variable-name order and de-duplicated on
-    that key (the instance's first such match fires).  A head label outside
-    ``sigma`` raises the backend's :class:`SchemaError` as soon as a
-    trigger would emit it.  The list may repeat an edge; loading keeps its
-    first occurrence, as ``add_edge`` would.
+    Tgds fire in declaration order, each through :func:`_fire_tgd` over
+    all of its body rows.  The list may repeat an edge: loading keeps its
+    first occurrence, and raises the backend's
+    :class:`~repro.errors.SchemaError` at the first edge whose label is
+    outside the alphabet, as ``add_edge`` would.
 
     Id ``i`` is the constant ``values[i]`` (``numbers[i] == 0``) or the
     null ``N{numbers[i]}``.  Every constant occurrence keeps its own id, so
     each edge relabels to its row's own object, and ``same[i]`` names the
     first id of an equal value (``1``, ``1.0`` and ``True`` are equal): the
-    union-find takes them for one node, as a dict would.
+    closure takes them for one node, as a dict would.
     """
     edges: list[IdTriple] = []
     values: list[Node] = []
@@ -150,121 +174,222 @@ def _fire_st_tgds(
     same: list[int] = []
     first: dict[Node, int] = {}  # value -> the first id of an equal value
     nulls = 0
-    for tgd in tgds:
-        variables = tuple(sorted(tgd.body.variables(), key=lambda v: v.name))
-        rows = tgd.body_rows(instance, variables, stats)
-        if not rows:
-            continue
-        if sigma is not None:
-            for atom in tgd.head.atoms:
-                label = atom.nre.name  # type: ignore[union-attr]
-                if label not in sigma:
-                    raise SchemaError(
-                        f"label {label!r} is not in the alphabet {sorted(sigma)}"
-                    )
-        width = len(variables)
-        texts = list(map(repr, chain.from_iterable(rows)))
-        keys = list(zip(*[iter(texts)] * width)) if width else [()] * len(rows)
-        # Equal reprs are one trigger: the first such row fires.
-        first_rows = dict(zip(reversed(keys), reversed(rows)))
-        order = sorted(first_rows)
-        occurrences = list(chain.from_iterable(map(first_rows.__getitem__, order)))
-        row_ids = range(len(values), len(values) + len(occurrences))
+
+    def occurrence_ids(occurrences: list[Node]) -> range:
+        ids = range(len(values), len(values) + len(occurrences))
         values.extend(occurrences)
         numbers.extend(repeat(0, len(occurrences)))
-        same.extend(map(first.setdefault, occurrences, row_ids))
-        triggers, fresh = len(order), len(tgd.existentials)
-        null_ids = range(len(values), len(values) + fresh * triggers)
-        values.extend(repeat(None, len(null_ids)))
-        numbers.extend(range(nulls + 1, nulls + len(null_ids) + 1))
-        same.extend(null_ids)
-        nulls += len(null_ids)
-        # A head term's column: a frontier variable's ids over the triggers,
-        # or an existential's fresh nulls, one per trigger.
-        column = {var: row_ids[index::width] for index, var in enumerate(variables)}
-        for offset, existential in enumerate(tgd.existentials):
-            column[existential] = null_ids[offset::fresh]
-        fired = [
-            zip(column[atom.subject], repeat(atom.nre.name), column[atom.object])  # type: ignore[union-attr]
-            for atom in tgd.head.atoms
-        ]
-        edges.extend(fired[0] if len(fired) == 1 else chain.from_iterable(zip(*fired)))
-        stats.st_applications += triggers
+        same.extend(map(first.setdefault, occurrences, ids))
+        return ids
+
+    def null_ids(width: int, keys: list[tuple]) -> range:
+        nonlocal nulls
+        ids = range(len(values), len(values) + width * len(keys))
+        values.extend(repeat(None, len(ids)))
+        numbers.extend(range(nulls + 1, nulls + len(ids) + 1))
+        same.extend(ids)
+        nulls += len(ids)
+        return ids
+
+    for tgd in tgds:
+        rows = tgd.body_rows(instance, tgd.body.variables(), stats)
+        keys, _, fired = _fire_tgd(_Firing(tgd), rows, occurrence_ids, null_ids)
+        edges.extend(fired)
+        stats.st_applications += len(keys)
     return edges, values, numbers, same
 
 
-def _functional_closure(
-    edges: Sequence[IdTriple],
-    egds: Sequence[TargetEgd],
-    numbers: Sequence[int],
-    same: Sequence[int],
-) -> dict[int, int] | None:
-    """Close functional egds over the id ``edges`` with a union-find.
+class _Firing:
+    """A tgd's firing layout, compiled once per chase: ``order`` reads a
+    trigger key in variable-name order (``None``: the body's order is
+    that), ``frontier`` holds the frontier's row positions, and ``heads``
+    the head atoms over columns, the frontier's first."""
 
-    Returns the merges, each merged null's id mapped to the id of the
-    node its class keeps, or ``None`` when some egd is not functional
-    (:func:`~repro.engine.delta._functional_profile`) or the closure
-    equates two constants — both cases take the sequential fixpoint.
-    Passes repeat until one unions nothing, so a merge of two keys
-    unites their member groups (cascades over null keys).  Ids with one
-    ``same`` entry (equal constants) are one node.
+    __slots__ = ("width", "order", "frontier", "fresh", "heads")
+
+    def __init__(self, tgd: SourceToTargetTgd):
+        variables = tgd.body.variables()
+        by_name = sorted(range(len(variables)), key=lambda i: variables[i].name)
+        self.width = len(variables)
+        self.order = None if by_name == sorted(by_name) else itemgetter(*by_name)
+        self.frontier = [i for i, var in enumerate(variables) if var in tgd.frontier]
+        self.fresh = len(tgd.existentials)
+        column = {variables[i]: k for k, i in enumerate(self.frontier)}
+        for k, var in enumerate(tgd.existentials, len(self.frontier)):
+            column[var] = k
+        self.heads = [  # fragment-checked: every head NRE is a Label
+            (column[atom.subject], atom.nre.name, column[atom.object])  # type: ignore[union-attr]
+            for atom in tgd.head.atoms
+        ]
+
+
+def _fire_tgd(
+    firing: _Firing,
+    rows: Sequence[tuple],
+    value_ids: Callable[[list[Node]], Sequence[int]],
+    null_ids: Callable[[int, list[tuple]], Sequence[int]],
+) -> tuple[list[tuple], list[tuple], list[IdTriple]]:
+    """Fire a tgd's triggers over its body ``rows`` into id edges.
+
+    ``rows`` list the body variables' values in ``tgd.body.variables()``
+    order.  A trigger's key is the ``repr`` of its row's values: rows with
+    equal keys are one trigger (the first such row fires), and triggers
+    fire sorted by their keys read in variable-name order — the oracle's
+    firing order, which null numbering follows.  ``value_ids`` gives the
+    ids of the fired rows' frontier values, row after row, and
+    ``null_ids(width, keys)`` the existentials' ids, ``width`` per fired
+    key in order.
+
+    Returns the fired keys, their rows and the edges the head emits,
+    ``len(tgd.head.atoms)`` per trigger in trigger order (an edge may
+    repeat).
     """
-    profiles: dict[str, list[bool]] = {}  # label -> [key is the target?]
+    width, frontier, fresh = firing.width, firing.frontier, firing.fresh
+    texts = list(map(repr, chain.from_iterable(rows)))
+    keys = list(zip(*[iter(texts)] * width)) if width else [()] * len(rows)
+    first_rows = dict(zip(reversed(keys), reversed(rows)))
+    order = sorted(first_rows, key=firing.order)
+    fired = list(map(first_rows.__getitem__, order))
+    # Only the frontier's values reach an edge.
+    row_ids = value_ids([row[index] for row in fired for index in frontier])
+    nulls = null_ids(fresh, order)
+    # A column: a frontier variable's ids over the triggers, or an
+    # existential's fresh nulls, one per trigger.
+    columns = [row_ids[k::len(frontier)] for k in range(len(frontier))]
+    columns += [nulls[k::fresh] for k in range(fresh)]
+    heads = [
+        zip(columns[subject], repeat(label), columns[target])
+        for subject, label, target in firing.heads
+    ]
+    edges = heads[0] if len(heads) == 1 else chain.from_iterable(zip(*heads))
+    return order, fired, list(edges)
+
+
+Sides = dict[str, list[tuple[int, bool]]]
+
+
+def _functional_sides(egds: Iterable[TargetEgd]) -> Sides | None:
+    """Each label's functional egd profiles: ``label -> [(index, key side)]``.
+
+    A profile (:func:`~repro.engine.delta._functional_profile`) is a label
+    and whether the key is the edge's target; equal profiles are one, and
+    profiles are numbered in egd order.  ``None`` when some egd is not
+    functional.
+    """
+    sides: Sides = {}
+    profiles = 0
     for egd in egds:
         profile = _functional_profile(egd)
         if profile is None:
             return None
         label, direction = profile
         key_at_target = direction == "in"
-        if key_at_target not in profiles.setdefault(label, []):
-            profiles[label].append(key_at_target)
-    # One (key, member) list per profile: member groups never mix profiles.
-    links: dict[tuple[str, bool], list[tuple[int, int]]] = {
-        (label, side): [] for label, sides in profiles.items() for side in sides
-    }
-    for source, label, target in edges:
-        sides = profiles.get(label)
-        if sides is not None:
-            for key_at_target in sides:
-                links[label, key_at_target].append(
-                    (target, source) if key_at_target else (source, target)
-                )
+        entries = sides.setdefault(label, [])
+        if all(side != key_at_target for _, side in entries):
+            entries.append((profiles, key_at_target))
+            profiles += 1
+    return sides
 
-    # A class that holds a constant has it as its root.
-    parent = list(range(len(numbers)))
-    merged: list[int] = []
-    changed = True
-    while changed:
-        changed = False
-        for pairs in links.values():
-            first: dict[int, int] = {}
-            for key, member in pairs:
-                key = same[_find(parent, key)]
-                anchor = first.get(key)
-                if anchor is None:
-                    first[key] = member
-                    continue
-                left, right = _find(parent, anchor), _find(parent, member)
-                if same[left] == same[right]:
-                    continue
-                if not numbers[left] and not numbers[right]:
-                    return None  # two constants: the replay finds the witness
-                child, root = (left, right) if numbers[left] else (right, left)
-                parent[child] = root
-                merged.append(child)
-                changed = True
-    # Classes group by `same`, so equal constants share one.  Each keeps its
-    # constant (the occurrence its first merge reached), else its least
-    # null by label (class_representative); every other member maps to it.
-    classes: dict[int, list[int]] = {}
-    for ident in merged:
-        root = _find(parent, ident)
-        classes.setdefault(same[root], [root]).append(ident)
-    keep: dict[int, int] = {}
-    for members in classes.values():
-        kept = min(members, key=lambda ident: (numbers[ident] > 0, str(numbers[ident])))
-        keep.update((ident, kept) for ident in members if ident != kept)
-    return keep
+
+def _functional_links(
+    edges: Iterable[IdTriple], sides: Sides
+) -> list[tuple[int, int, int]]:
+    """The ``(profile, key, member)`` links of ``edges`` under ``sides``."""
+    return [
+        (index, target, source) if key_at_target else (index, source, target)
+        for source, label, target in edges
+        for index, key_at_target in sides.get(label, ())
+    ]
+
+
+def _close(
+    links: Iterable[tuple[int, int, int]],
+    parent: list[int],
+    members: dict[int, list[int]],
+    anchors: list[dict[int, int]],
+    constant: Sequence[bool],
+    rank: Callable[[int], object],
+) -> tuple[list[int] | None, int]:
+    """Union ``links`` into the partition ``parent``, closing under congruence.
+
+    Each link puts a member in its key's group, per profile: a key
+    class's group is kept as one anchor member (``anchors[profile]``, by
+    class root), and every other member unites with the anchor.  When two
+    classes unite their anchors unite too, so a merge of two keys unites
+    their groups (cascades over null keys).  ``members`` maps each root of
+    a class of more than one id to the class.  A class's root is its
+    constant, else its null of least ``rank``, so the roots do not depend
+    on the union order.
+
+    Returns the ids whose root changed (with repeats) and the number of
+    unions, or ``None`` for the ids when two constants meet: the chase
+    fails.
+    """
+    pending: list[tuple[int, int]] = []
+    for index, key, member in links:
+        anchor = anchors[index].setdefault(_find(parent, key), member)
+        if anchor != member:
+            pending.append((anchor, member))
+    moved: list[int] = []
+    merges = 0
+    while pending:
+        left, right = pending.pop()
+        left, right = _find(parent, left), _find(parent, right)
+        if left == right:
+            continue
+        if constant[left] and constant[right]:
+            return None, merges
+        if constant[right] or (not constant[left] and rank(right) < rank(left)):
+            left, right = right, left
+        parent[right] = left
+        merges += 1
+        absorbed = members.pop(right, None) or [right]
+        members.setdefault(left, [left]).extend(absorbed)
+        moved.extend(absorbed)
+        for table in anchors:
+            anchor = table.pop(right, None)
+            if anchor is not None:
+                kept = table.setdefault(left, anchor)
+                if kept != anchor:
+                    pending.append((kept, anchor))
+    return moved, merges
+
+
+def _functional_merges(
+    edges: Sequence[IdTriple],
+    egds: Sequence[TargetEgd],
+    numbers: Sequence[int],
+    same: Sequence[int],
+) -> dict[int, int] | None:
+    """Close functional egds over the fired id ``edges`` with :func:`_close`.
+
+    Returns the merges, each merged null's id mapped to the id of its
+    class's root — its constant, else its least null by label, the node
+    the sequential fixpoint keeps (it merges a null into a constant and
+    the later null into the earlier) — or ``None`` when some egd is not
+    functional or the closure equates two constants.  Links join
+    ``same`` ids, so equal constants are one node.
+    """
+    sides = _functional_sides(egds)
+    if sides is None:
+        return None
+    members: dict[int, list[int]] = {}
+    links = _functional_links(
+        ((same[s], label, same[t]) for s, label, t in edges if label in sides), sides
+    )
+    moved, _ = _close(
+        links,
+        list(range(len(numbers))),
+        members,
+        [{} for entries in sides.values() for _ in entries],
+        [not number for number in numbers],
+        lambda ident: str(numbers[ident]),
+    )
+    if moved is None:
+        return None  # two constants: the replay finds the witness
+    return {
+        ident: root for root, group in members.items() for ident in group if ident != root
+    }
 
 
 def _find(parent: list[int], ident: int) -> int:
@@ -275,64 +400,6 @@ def _find(parent: list[int], ident: int) -> int:
     while parent[ident] != root:
         parent[ident], ident = root, parent[ident]
     return root
-
-
-def class_representative(members: Iterable[Node]) -> Node:
-    """The node an egd merge class collapses to: its constant, else its least null.
-
-    The sequential fixpoint (:func:`~repro.engine.delta.run_egd_fixpoint`)
-    merges a null into a constant and the later null into the earlier, so
-    this is the node it keeps; a class holds at most one constant, or the
-    chase fails.
-
-    >>> class_representative([Null("N3"), "c1", Null("N1")])
-    'c1'
-    >>> class_representative([Null("N3"), Null("N10")])
-    Null(label='N10')
-    """
-    nulls = []
-    for node in members:
-        if not is_null(node):
-            return node
-        nulls.append(node)
-    return min(nulls)
-
-
-def quotient_result(
-    alphabet: Iterable[str] | None,
-    edges: Iterable[Triple],
-    classes: Iterable[Collection[Node]] | None,
-    egds: Sequence[TargetEgd],
-    stats: ChaseStats,
-) -> ChaseResult:
-    """Materialise the egd quotient of the base ``edges`` as a chase result.
-
-    Every node of a class in ``classes`` becomes its
-    :func:`class_representative`, and the relabelled edges are loaded once,
-    in order; with any merge the journal is that final edge list, so the
-    graph is destructive (no fingerprint), as after ``rename_node``.
-    ``classes=None`` means the fixpoint is not a union-find closure or
-    fails: the un-merged edges then replay through
-    :func:`_egd_fixpoint_on_graph`, whose violation order gives the exact
-    failure witness and failed graph.
-    """
-    if classes is None:
-        with span("chase.build"):
-            graph = GraphDatabase(alphabet, edges=edges)
-        with span("chase.egd"):
-            return _egd_fixpoint_on_graph(graph, list(egds), stats)
-    with span("chase.build"):
-        rename: dict[Node, Node] = {}
-        for members in classes:
-            representative = class_representative(members)
-            for node in members:
-                if node != representative:
-                    rename[node] = representative
-        if rename:
-            get = rename.get
-            edges = [(get(s, s), label, get(t, t)) for s, label, t in edges]
-        graph = GraphDatabase.from_edges(alphabet, edges, destructive=bool(rename))
-    return ChaseResult(graph=graph, failed=False, failure_witness=None, stats=stats)
 
 
 def _egd_fixpoint_on_graph(

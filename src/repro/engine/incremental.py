@@ -6,25 +6,30 @@ chased solution *live* instead.  :class:`IncrementalChase` holds three
 layers of state for one data-exchange setting and one mutable source
 instance:
 
-* the **base layer** — the set of fired s-t tgd triggers, indexed by the
-  facts they join over (for retraction) and by the target edges they emit
-  (exact provenance: a target edge exists iff some live trigger supports
-  it).  Each node gets a dense int id when its first edge is born, and
-  gives it back for reuse once a batch leaves it with no edge; base
-  edges are ``(id, label, id)`` triples with an incidence index by id,
-  and every functional egd profile keeps its key groups (key id → member
-  ids);
+* the **base layer** — the fired s-t tgd triggers.  They fire through the
+  chase's own :func:`~repro.chase.relational_chase._fire_tgd`: over all
+  body rows at bootstrap, then over each batch's delta rows
+  (:meth:`~repro.join.Body.delta_rows`, one join per tgd per batch).
+  Each trigger keeps its row and edges, indexed by the facts its body
+  joined over (for retraction), and its nulls are named after its key.
+  Each node gets a dense int id when its first edge is born, and gives
+  it back for reuse once a batch leaves it with no edge; base edges are ``(id, label, id)`` triples with support
+  counts (exact provenance: an edge exists iff a live trigger emits it)
+  and an incidence index by id, and every functional egd profile keeps
+  its key groups (key id → member ids);
 * the **merged layer** — the egd fixpoint of the base graph.  When every
   egd is functional (``(x1, L, k), (x2, L, k) -> x1 = x2`` or its
   mirror; every generator family and Example 3.1), the least merge
-  partition is a congruence closure on a union-find ``parent`` list over
-  the ids: members of one key class unite, and when two keys unite their
-  groups' anchors unite too.  A batch that removes no functional edge
-  extends the live partition.  Any other batch re-closes on ids, inside
-  the components of the functional-link graph that its removed
-  functional edges touch.  Two constants meeting fail the chase.  The merged
-  :class:`~repro.graph.database.GraphDatabase` that queries read is
-  patched with per-image support counts: only the edges of ids whose
+  partition is the congruence closure of the chase's own
+  :func:`~repro.chase.relational_chase._close` on a union-find
+  ``parent`` list over the ids, rooting each class at its constant, else
+  its earliest-born null.  The bootstrap closes every id and bulk-loads
+  the merged :class:`~repro.graph.database.GraphDatabase` that queries
+  read.  A batch that removes no functional edge extends the live
+  partition.  Any other batch re-closes on ids, inside the components of
+  the functional-link graph that its removed functional edges touch.
+  Two constants meeting fail the chase.  The merged graph is patched
+  with per-image support counts: only the edges of ids whose
   representative changed move, plus the batch's net added and removed
   edges, and a node goes when its merged degree reaches 0.  Other egds
   (word and cascade bodies) rebuild the merged layer with the sequential
@@ -58,21 +63,25 @@ fragment: single-symbol tgd heads, and any egds.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from collections.abc import Mapping, Set
 from dataclasses import dataclass, fields
 from itertools import chain, filterfalse
-from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Iterator
+from typing import TYPE_CHECKING, Hashable, Iterable, Iterator
 from zlib import crc32
 
 from repro.chase.relational_chase import (
+    _chase_fired,
     _check_fragment,
+    _close,
     _egd_fixpoint_on_graph,
     _find,
-    quotient_result,
+    _Firing,
+    _fire_tgd,
+    _functional_links,
+    _functional_sides,
 )
 from repro.chase.result import ChaseResult, ChaseStats
-from repro.engine.delta import _functional_profile
 from repro.engine.query import default_engine
 from repro.errors import NotSupportedError, SchemaError
 from repro.graph.database import GraphDatabase
@@ -80,18 +89,16 @@ from repro.graph.eval import evaluate_relation, touched_sources
 from repro.graph.nre import NRE
 from repro.telemetry import fold_stats, span
 from repro.patterns.pattern import Null, is_null
-from repro.join import Plan
 from repro.relational.evaluate import relational_body
 from repro.relational.instance import RelationalInstance
-from repro.relational.query import is_variable
 
 if TYPE_CHECKING:  # annotation-only imports; avoids import cycles
     from repro.core.certain import CertainAnswers
     from repro.core.setting import DataExchangeSetting
-    from repro.mappings.stt import SourceToTargetTgd
 
 Node = Hashable
 Fact = tuple[str, tuple]
+TriggerKey = tuple[int, tuple]  # (tgd index, the repr of the row's values)
 Update = tuple[str, str, tuple]
 IdTriple = tuple[int, str, int]
 
@@ -116,7 +123,8 @@ class UpdateStats:
     """Operations that found the fact already in its target state."""
 
     triggers_added: int = 0
-    """s-t tgd triggers fired incrementally (seeded delta joins)."""
+    """s-t tgd triggers fired: the bootstrap's, then each batch's delta
+    joins."""
 
     triggers_retracted: int = 0
     """s-t tgd triggers retracted because a supporting fact was deleted."""
@@ -175,75 +183,8 @@ class UpdateStats:
 
 
 # --------------------------------------------------------------------- #
-# Trigger records
+# Merged-graph deltas and cached answers
 # --------------------------------------------------------------------- #
-
-
-class _Trigger:
-    """One fired s-t tgd trigger with its exact provenance.
-
-    ``key`` reproduces the oracle's dedup key (reprs of all body-variable
-    values, from which :meth:`IncrementalChase._oracle_names` rebuilds its
-    firing order); ``facts`` the source facts the
-    body joined over (retraction index); ``edges`` the target edges the
-    head emitted, as node triples until the trigger is added and as
-    distinct id triples after; ``nulls`` the internally named fresh nulls,
-    one per existential, deterministic in ``key`` so delete-then-reinsert
-    reproduces the same base graph bit for bit.
-    """
-
-    __slots__ = ("tgd_index", "key", "facts", "edges", "nulls")
-
-    def __init__(self, tgd_index, key, facts, edges, nulls):
-        self.tgd_index = tgd_index
-        self.key = key
-        self.facts = facts
-        self.edges = edges
-        self.nulls = nulls
-
-
-def _trigger_maker(
-    tgd_index: int, tgd: "SourceToTargetTgd"
-) -> Callable[[tuple, tuple], _Trigger]:
-    """Compile ``tgd``'s trigger layout over its body rows.
-
-    The returned function builds the :class:`_Trigger` of one body row
-    (values in ``tgd.body.variables()`` order) from the row and its key.
-    """
-    variables = tgd.body.variables()
-    # Head and fact terms as indexes into the row followed by the nulls.
-    where = {var: i for i, var in enumerate(variables)}
-    where.update(
-        (var, len(variables) + k) for k, var in enumerate(tgd.existentials)
-    )
-    facts = [
-        (atom.relation, [(True, where[t]) if is_variable(t) else (False, t)
-                         for t in atom.terms])
-        for atom in tgd.body.atoms
-    ]
-    edges = [  # fragment-checked: every head NRE is a Label
-        (where[atom.subject], atom.nre.name, where[atom.object])  # type: ignore
-        for atom in tgd.head.atoms
-    ]
-    prefixes = [f"inc:{tgd_index}:{k}:" for k in range(len(tgd.existentials))]
-
-    def make(key: tuple, row: tuple) -> _Trigger:
-        dedupe = key[1]
-        joined = "\x1f".join(dedupe)
-        nulls = [Null(prefix + joined) for prefix in prefixes]
-        values = (*row, *nulls)
-        return _Trigger(
-            tgd_index,
-            key,
-            tuple(
-                (relation, tuple([values[t] if var else t for var, t in terms]))
-                for relation, terms in facts
-            ),
-            tuple((values[s], label, values[t]) for s, label, t in edges),
-            nulls,
-        )
-
-    return make
 
 
 class _Delta:
@@ -334,16 +275,11 @@ class IncrementalChase:
         self.setting = setting
         self._tgds = list(setting.st_tgds)
         self._egds = list(setting.egds())
-        # Functional egds as (label, key is the edge target?) profiles;
-        # label -> [(profile index, key is the target)].
-        found = [_functional_profile(egd) for egd in self._egds]
-        self._functional = None not in found
-        profiles = list(dict.fromkeys(
-            (label, direction == "in") for label, direction in found
-        )) if self._functional else []
-        self._sides: dict[str, list[tuple[int, bool]]] = {}
-        for index, (label, key_at_target) in enumerate(profiles):
-            self._sides.setdefault(label, []).append((index, key_at_target))
+        # label -> [(profile index, key is the edge target?)]
+        sides = _functional_sides(self._egds)
+        self._functional = sides is not None
+        self._sides = sides or {}
+        profiles = sum(map(len, self._sides.values()))
         self.instance = (
             instance.copy()
             if instance is not None
@@ -351,13 +287,12 @@ class IncrementalChase:
         )
         self._engine = engine
         self._bodies = [relational_body(tgd.body, self.instance) for tgd in self._tgds]
-        self._makers = [
-            _trigger_maker(index, tgd) for index, tgd in enumerate(self._tgds)
-        ]
+        self._firings = [_Firing(tgd) for tgd in self._tgds]
         self.stats = UpdateStats()
         # --- base layer: triggers, interned nodes and id edges ---
-        self._triggers: dict[tuple, _Trigger] = {}
-        self._fact_triggers: dict[Fact, set[tuple]] = {}
+        # per tgd: the repr key of each fired trigger -> (body row, edges)
+        self._triggers: list[dict[tuple, tuple]] = [{} for _ in self._tgds]
+        self._fact_triggers: dict[Fact, set[TriggerKey]] = {}
         self._ids: dict[Node, int] = {}
         self._nodes: list[Node] = []
         self._constant: list[bool] = []
@@ -366,18 +301,18 @@ class IncrementalChase:
         self._incident: list[set[IdTriple]] = []
         self._dead: set[int] = set()  # ids that lost their last edge
         self._free: list[int] = []  # ids of dead nodes, for reuse
-        self._edge_support: dict[IdTriple, int] = {}  # edge -> live triggers
+        self._edge_support: dict[IdTriple, int] = {}  # edge -> head atoms emitting it
         # per profile: key id -> member ids
-        self._groups: list[dict[int, set[int]]] = [{} for _ in profiles]
+        self._groups: list[dict[int, set[int]]] = [{} for _ in range(profiles)]
         # --- merged layer: the partition and the graph queries read ---
         self._parent: list[int] = []
         self._members: dict[int, list[int]] = {}  # root -> class, if > 1 id
         # per profile: class root -> the member its group's members unite with
-        self._anchors: list[dict[int, int]] = [{} for _ in profiles]
+        self._anchors: list[dict[int, int]] = [{} for _ in range(profiles)]
         self._rep: list[int] = []  # the root each id's merged edges sit on
         self._image_count: dict[IdTriple, int] = {}
         self._merged_degree: dict[int, int] = {}
-        self._merged = self._empty_graph()
+        self._merged: GraphDatabase  # set by the bootstrap
         self._failed = False
         self._witness_cache: object = _UNSET
         # --- answer layer ---
@@ -517,28 +452,21 @@ class IncrementalChase:
     def chase_result(self) -> ChaseResult:
         """Materialise the live solution as a from-scratch chase result.
 
-        The base edges, with every internal null renamed to the name the
-        oracle (:func:`~repro.chase.relational_chase.chase_relational`)
-        would have invented, go through the chase's own
-        :func:`~repro.chase.relational_chase.quotient_result`: under
-        functional egds each union-find class collapses to the same
-        representative, so node sets, edge sets and null labels are
-        byte-identical; on failure, or under other egds, the base graph
-        replays the sequential egd fixpoint, reproducing the failure
-        witness exactly.
+        The base edges, with every internal null numbered as the oracle
+        (:func:`~repro.chase.relational_chase.chase_relational`) would
+        have numbered it, go through that chase's own egd and build steps,
+        so node sets, edge sets, null labels and failure witnesses are
+        byte-identical.
         """
-        names = self._oracle_names()
-        nodes = [names.get(node, node) for node in self._nodes]
-        stats = ChaseStats(st_applications=len(self._triggers))
-        edges = [(nodes[s], label, nodes[t]) for s, label, t in self._edge_support]
-        classes = None
-        if self._functional and not self._failed:
-            classes = [
-                [nodes[ident] for ident in members]
-                for members in self._members.values()
-            ]
-        return quotient_result(
-            set(self.setting.alphabet), edges, classes, self._egds, stats
+        numbers = self._oracle_numbers()
+        return _chase_fired(
+            set(self.setting.alphabet),
+            list(self._edge_support),
+            list(self._nodes),
+            [numbers.get(node, 0) for node in self._nodes],
+            range(len(self._nodes)),
+            self._egds,
+            ChaseStats(st_applications=sum(map(len, self._triggers))),
         )
 
     # ------------------------------------------------------------------ #
@@ -564,67 +492,159 @@ class IncrementalChase:
     def _update_base(
         self, added_facts: set[Fact], removed_facts: set[Fact]
     ) -> tuple[set[IdTriple], set[IdTriple]]:
-        """Retract and fire triggers; return net (removed, added) edges."""
-        removed_edges: list[IdTriple] = []
-        dying: set[tuple] = set()
-        for fact in removed_facts:
-            dying |= self._fact_triggers.get(fact, set())
-        for key in sorted(dying):
-            removed_edges += self._remove_trigger(self._triggers.pop(key))
+        """Retract and fire triggers; return net (removed, added) edges.
+
+        Each tgd fires once per batch, over its delta rows: the matches
+        that map some body atom onto an added fact
+        (:meth:`~repro.join.Body.delta_rows`), less the keys already fired.
+        """
+        removed_edges = self._retract(removed_facts)
         added_edges: list[IdTriple] = []
-        plans: dict[tuple[int, int], Plan] = {}
-        for fact in sorted(added_facts, key=repr):
-            for trigger in self._seeded_triggers(fact, plans):
-                added_edges += self._add_trigger(trigger)
+        if added_facts:
+            by_relation: dict[str, list[tuple]] = {}
+            for relation, values in sorted(added_facts, key=repr):
+                by_relation.setdefault(relation, []).append(values)
+            for tgd_index, body in enumerate(self._bodies):
+                pinned = [by_relation.get(access.relation) for access, _ in body.atoms]
+                fired = self._triggers[tgd_index]
+                rows = [
+                    row for row in body.delta_rows(pinned.__getitem__)
+                    if tuple(map(repr, row)) not in fired
+                ]
+                if rows:
+                    added_edges += self._fire(tgd_index, rows)
         removed_set, added_set = set(removed_edges), set(added_edges)
         return removed_set - added_set, added_set - removed_set
 
-    def _seeded_triggers(
-        self, fact: Fact, plans: dict[tuple[int, int], Plan]
-    ) -> Iterator[_Trigger]:
-        """The triggers not yet fired whose body can use the added ``fact``.
+    def _fire(self, tgd_index: int, rows: list[tuple]) -> list[IdTriple]:
+        """Fire tgd ``tgd_index`` over body ``rows``; return the base edges born.
 
-        Each body atom over the fact's relation is pinned to it in turn,
-        tgd by tgd; ``plans`` keeps each (tgd, atom) plan for the batch.
-        A row whose trigger key is known builds no record: the consumer
-        adds each yielded trigger before the search resumes.
+        Triggers fire through the chase's own
+        :func:`~repro.chase.relational_chase._fire_tgd`, onto interned
+        ids; each keeps its row and edges, for retraction.
         """
-        relation, values = fact
-        triggers = self._triggers
-        for tgd_index, body in enumerate(self._bodies):
-            for atom_index, (access, _) in enumerate(body.atoms):
-                if access.relation != relation:
-                    continue
-                plan = plans.get((tgd_index, atom_index))
-                if plan is None:
-                    plan = plans[tgd_index, atom_index] = body.plan(pinned=atom_index)
-                start = plan.pin(values)
-                if start is None:
-                    continue
-                for row in plan.extend(start):
-                    key = (tgd_index, tuple(map(repr, row)))
-                    if key not in triggers:
-                        yield self._makers[tgd_index](key, row)
+        firing = self._firings[tgd_index]
+        keys, rows, edges = _fire_tgd(
+            firing,
+            rows,
+            self._intern,
+            lambda _, order: self._intern(self._nulls(tgd_index, order)),
+        )
+        per_trigger = zip(*[iter(edges)] * len(firing.heads))
+        self._triggers[tgd_index].update(zip(keys, zip(rows, per_trigger)))
+        self.stats.triggers_added += len(keys)
+        index = self._fact_triggers
+        for fact, trigger in self._trigger_facts(tgd_index, keys, rows):
+            index.setdefault(fact, set()).add(trigger)
+        support, incident = self._edge_support, self._incident
+        sides, groups = self._sides, self._groups
+        born: list[IdTriple] = []
+        for edge in edges:
+            count = support.get(edge)
+            if count is not None:
+                support[edge] = count + 1
+                continue
+            support[edge] = 1
+            born.append(edge)
+            source, label, target = edge
+            incident[source].add(edge)
+            incident[target].add(edge)
+            for profile, key_at_target in sides.get(label, ()):
+                key, member = (target, source) if key_at_target else (source, target)
+                groups[profile].setdefault(key, set()).add(member)
+        return born
 
-    def _intern(self, node: Node) -> int:
-        """The id of ``node``, taking a freed id or the next one on first sight."""
-        ident = self._ids.get(node)
-        if ident is None:
-            if self._free:
-                ident = self._free.pop()
-                self._nodes[ident] = node
-                self._constant[ident] = not is_null(node)
-                self._birth[ident] = self._batch
-            else:
-                ident = len(self._nodes)
-                self._nodes.append(node)
-                self._constant.append(not is_null(node))
-                self._birth.append(self._batch)
-                self._incident.append(set())
-            self._ids[node] = ident
-        elif not self._incident[ident]:
-            self._nodes[ident] = node  # reborn: keep the live object
-        return ident
+    def _retract(self, removed_facts: set[Fact]) -> list[IdTriple]:
+        """Retract the triggers over ``removed_facts``; return the base edges
+        that died with them."""
+        dying: dict[int, set[tuple]] = defaultdict(set)
+        for fact in removed_facts:
+            for tgd_index, key in self._fact_triggers.get(fact, ()):
+                dying[tgd_index].add(key)
+        index = self._fact_triggers
+        support, incident = self._edge_support, self._incident
+        sides, groups = self._sides, self._groups
+        died: list[IdTriple] = []
+        for tgd_index, dead in dying.items():
+            fired, keys = self._triggers[tgd_index], list(dead)
+            rows, edges = zip(*[fired.pop(key) for key in keys])
+            self.stats.triggers_retracted += len(rows)
+            for fact, trigger in self._trigger_facts(tgd_index, keys, rows):
+                triggers = index.get(fact)
+                if triggers is not None:
+                    triggers.discard(trigger)
+                    if not triggers:
+                        del index[fact]
+            for edge in chain.from_iterable(edges):
+                count = support[edge] - 1
+                if count:
+                    support[edge] = count
+                    continue
+                del support[edge]
+                died.append(edge)
+                source, label, target = edge
+                incident[source].discard(edge)
+                incident[target].discard(edge)
+                if not incident[source]:
+                    self._dead.add(source)
+                if not incident[target]:
+                    self._dead.add(target)
+                for profile, key_at_target in sides.get(label, ()):
+                    key, member = (target, source) if key_at_target else (source, target)
+                    group = groups[profile][key]
+                    group.discard(member)
+                    if not group:
+                        del groups[profile][key]
+        return died
+
+    def _nulls(self, tgd_index: int, keys: Iterable[tuple]) -> list[Null]:
+        """The internal nulls of tgd ``tgd_index``'s triggers ``keys``.
+
+        One per existential, trigger after trigger, each named after its
+        trigger's key, so delete-then-reinsert reproduces the same base
+        graph bit for bit.
+        """
+        existentials = range(self._firings[tgd_index].fresh)
+        prefixes = [f"inc:{tgd_index}:{k}:" for k in existentials]
+        return [
+            Null(prefix + joined)
+            for joined in map("\x1f".join, keys)
+            for prefix in prefixes
+        ]
+
+    def _trigger_facts(
+        self, tgd_index: int, keys: Iterable[tuple], rows: Iterable[tuple]
+    ) -> Iterator[tuple[Fact, TriggerKey]]:
+        """The source facts each trigger's body joined over, with its key."""
+        atoms = self._bodies[tgd_index].atoms
+        for key, row in zip(keys, rows):
+            trigger = (tgd_index, key)
+            for access, terms in atoms:
+                values = tuple([row[t] if var else t for var, t in terms])
+                yield (access.relation, values), trigger
+
+    def _intern(self, nodes: Iterable[Node]) -> list[int]:
+        """The ids of ``nodes``, each first seen taking a freed id or the next."""
+        ids, incident, result = self._ids, self._incident, []
+        for node in nodes:
+            ident = ids.get(node)
+            if ident is None:
+                if self._free:
+                    ident = self._free.pop()
+                    self._nodes[ident] = node
+                    self._constant[ident] = not is_null(node)
+                    self._birth[ident] = self._batch
+                else:
+                    ident = len(self._nodes)
+                    self._nodes.append(node)
+                    self._constant.append(not is_null(node))
+                    self._birth.append(self._batch)
+                    incident.append(set())
+                ids[node] = ident
+            elif not incident[ident]:
+                self._nodes[ident] = node  # reborn: keep the live object
+            result.append(ident)
+        return result
 
     def _recycle(self) -> None:
         """Free the ids of the nodes a batch left without a base edge.
@@ -640,78 +660,14 @@ class IncrementalChase:
                 self._free.append(ident)
         self._dead.clear()
 
-    def _add_trigger(self, trigger: _Trigger) -> list[IdTriple]:
-        """Register ``trigger``; return the base edges it newly created."""
-        self._triggers[trigger.key] = trigger
-        self.stats.triggers_added += 1
-        for fact in set(trigger.facts):
-            self._fact_triggers.setdefault(fact, set()).add(trigger.key)
-        intern = self._intern
-        trigger.edges = tuple(dict.fromkeys(
-            (intern(source), label, intern(target))
-            for source, label, target in trigger.edges
-        ))
-        support, incident = self._edge_support, self._incident
-        born: list[IdTriple] = []
-        for edge in trigger.edges:
-            count = support.get(edge)
-            if count is not None:
-                support[edge] = count + 1
-                continue
-            support[edge] = 1
-            born.append(edge)
-            source, label, target = edge
-            incident[source].add(edge)
-            incident[target].add(edge)
-            for index, key_at_target in self._sides.get(label, ()):
-                key, member = (target, source) if key_at_target else (source, target)
-                self._groups[index].setdefault(key, set()).add(member)
-        return born
-
-    def _remove_trigger(self, trigger: _Trigger) -> list[IdTriple]:
-        """Unregister ``trigger``; return the base edges that died with it."""
-        self.stats.triggers_retracted += 1
-        for fact in set(trigger.facts):
-            keys = self._fact_triggers.get(fact)
-            if keys is not None:
-                keys.discard(trigger.key)
-                if not keys:
-                    del self._fact_triggers[fact]
-        support, incident = self._edge_support, self._incident
-        died: list[IdTriple] = []
-        for edge in trigger.edges:
-            count = support[edge] - 1
-            if count:
-                support[edge] = count
-                continue
-            del support[edge]
-            died.append(edge)
-            source, label, target = edge
-            incident[source].discard(edge)
-            incident[target].discard(edge)
-            if not incident[source]:
-                self._dead.add(source)
-            if not incident[target]:
-                self._dead.add(target)
-            for index, key_at_target in self._sides.get(label, ()):
-                key, member = (target, source) if key_at_target else (source, target)
-                group = self._groups[index][key]
-                group.discard(member)
-                if not group:
-                    del self._groups[index][key]
-        return died
-
     # ------------------------------------------------------------------ #
     # Merged layer
     # ------------------------------------------------------------------ #
 
     def _bootstrap(self) -> None:
         """Fire every trigger of the initial instance, then build the quotient."""
-        for tgd_index, body in enumerate(self._bodies):
-            for row in body.rows():
-                key = (tgd_index, tuple(map(repr, row)))
-                if key not in self._triggers:
-                    self._add_trigger(self._makers[tgd_index](key, row))
+        for tgd_index, tgd in enumerate(self._tgds):
+            self._fire(tgd_index, tgd.body_rows(self.instance, tgd.body.variables()))
         self._rebuild_merged()
 
     def _update_merged(
@@ -745,12 +701,19 @@ class IncrementalChase:
             self._patch(self._reclose(region, net_added), net_removed, net_added)
 
     def _rebuild_merged(self) -> None:
-        """Rebuild the merged layer from the base edges, from scratch."""
+        """Rebuild the merged layer from the base edges, from scratch.
+
+        Under functional egds the partition closes over every id and the
+        merged graph is bulk-loaded from the images of the base edges, as
+        the chase's build step loads its graph; each label then derives
+        its backward index once, so the batches that patch the graph
+        never derive one.
+        """
         self.stats.merged_rebuilds += 1
         self._drop_answers()
         self._failed = False
+        nodes = self._nodes
         if not self._functional:
-            nodes = self._nodes
             graph = GraphDatabase(
                 set(self.setting.alphabet),
                 edges=[(nodes[s], label, nodes[t])
@@ -761,24 +724,28 @@ class IncrementalChase:
             self.stats.egd_merges += stats.null_merges
             self._merged, self._failed = graph, result.failed
             return
-        everything = range(len(self._nodes))
+        everything = range(len(nodes))
         self._parent.extend(everything[len(self._parent):])
-        self._rep = list(everything)
-        self._image_count = {}
-        self._merged_degree = {}
-        self._merged = self._empty_graph()
-        self._patch(self._reclose(everything), set(), set(self._edge_support))
-
-    def _empty_graph(self) -> GraphDatabase:
-        """An empty merged graph, kept out of the engine's fingerprint cache.
-
-        The live graph moves through a new version on every batch, so a
-        cached state per version would only fill the cache; its reads use
-        a transient state, as on any destructively mutated graph.
-        """
-        return GraphDatabase.from_edges(
-            set(self.setting.alphabet), (), destructive=True
+        # A failed closure parks the layer empty.
+        edges = () if self._reclose(everything) is None else self._edge_support
+        rep = self._rep = [_find(self._parent, ident) for ident in everything]
+        counts = self._image_count = Counter(
+            (rep[s], label, rep[t]) for s, label, t in edges
         )
+        degree = self._merged_degree = {}
+        for source, _, target in counts:
+            degree[source] = degree.get(source, 0) + 1
+            degree[target] = degree.get(target, 0) + 1
+        # Destructive, so kept out of the engine's fingerprint cache: the
+        # graph moves through a new version on every batch, and a cached
+        # state per version would only fill the cache.
+        graph = self._merged = GraphDatabase.from_edges(
+            set(self.setting.alphabet),
+            [(nodes[s], label, nodes[t]) for s, label, t in counts],
+            destructive=True,
+        )
+        for label in graph.labels():
+            graph.backward_index(label)
 
     def _region(self, removed: Iterable[IdTriple]) -> set[int]:
         """The functional-link components around ``removed``'s endpoints.
@@ -803,17 +770,6 @@ class IncrementalChase:
                         stack.append(other)
         return region
 
-    def _links(
-        self, edges: Iterable[IdTriple]
-    ) -> Iterator[tuple[int, int, Iterable[int]]]:
-        """The ``(profile, key, members)`` groups of functional ``edges``."""
-        for source, label, target in edges:
-            for index, key_at_target in self._sides.get(label, ()):
-                if key_at_target:
-                    yield index, target, (source,)
-                else:
-                    yield index, source, (target,)
-
     def _reclose(
         self, region: Iterable[int], added: Iterable[IdTriple] = ()
     ) -> list[int] | None:
@@ -821,8 +777,10 @@ class IncrementalChase:
 
         ``region`` is a union of whole components (:meth:`_region`), so
         its ids re-close from their own key groups alone; ``added`` edges
-        outside it extend the rest of the partition.  Returns the ids
-        whose root may have changed, as :meth:`_close` does.
+        outside it extend the rest of the partition.  The closure is the
+        chase's own :func:`~repro.chase.relational_chase._close`, ranking
+        roots by :meth:`_rank`.  Returns the ids whose root may have
+        changed, or ``None`` — the chase failed — when two constants meet.
         """
         parent, members, anchors = self._parent, self._members, self._anchors
         split: list[int] = []
@@ -831,73 +789,38 @@ class IncrementalChase:
             split += members.pop(ident, ())
             for table in anchors:
                 table.pop(ident, None)
-        links: list[tuple[int, int, Iterable[int]]] = [
-            (index, key, groups[key])
-            for index, groups in enumerate(self._groups)
+        links = [
+            (profile, key, member)
+            for profile, groups in enumerate(self._groups)
             for key in region
             if key in groups
+            for member in groups[key]
         ]
-        links += self._links(edge for edge in added if edge[0] not in region)
-        moved = self._close(links)
-        return None if moved is None else moved + split
-
-    def _close(
-        self, links: Iterable[tuple[int, int, Iterable[int]]]
-    ) -> list[int] | None:
-        """Union ``links`` into the partition, closing under congruence.
-
-        Each link adds members to a key's group; the group of a key class
-        is kept as one anchor member, and every other member unites with
-        the anchor.  When two classes unite their
-        anchors unite too, per profile.  A class's root is its constant,
-        else its earliest-born null: least birth batch, then least CRC-32
-        of its label (then label).  So the roots (the merged graph's
-        nodes) depend neither on the union order nor on the order
-        triggers fire in, and an id reused by a new node never displaces
-        a live root.  The hash, unlike label order, does not make the
-        nulls of the most-mentioned constants (``p0``, ``e0``) roots:
-        a stream churns their facts most, and a dead root moves its whole
-        class.  Returns the ids whose
-        root changed (with repeats), or ``None`` — the chase failed — when
-        two constants meet.
-        """
-        parent, members, anchors = self._parent, self._members, self._anchors
-        constant, birth, nodes = self._constant, self._birth, self._nodes
-
-        def rank(ident: int) -> tuple:
-            label = nodes[ident].label
-            return birth[ident], crc32(label.encode()), label
-
-        pending: list[tuple[int, int]] = []
-        for index, key, group in links:
-            anchor = anchors[index].setdefault(_find(parent, key), next(iter(group)))
-            pending.extend((anchor, member) for member in group)
-        moved: list[int] = []
-        merges = 0
-        while pending:
-            left, right = pending.pop()
-            left, right = _find(parent, left), _find(parent, right)
-            if left == right:
-                continue
-            if constant[left] and constant[right]:
-                self._failed = True
-                self.stats.egd_merges += merges
-                return None
-            if constant[right] or (not constant[left] and rank(right) < rank(left)):
-                left, right = right, left
-            parent[right] = left
-            merges += 1
-            absorbed = members.pop(right, None) or [right]
-            members.setdefault(left, [left]).extend(absorbed)
-            moved.extend(absorbed)
-            for table in anchors:
-                anchor = table.pop(right, None)
-                if anchor is not None:
-                    kept = table.setdefault(left, anchor)
-                    if kept != anchor:
-                        pending.append((kept, anchor))
+        links += _functional_links(
+            (edge for edge in added if edge[0] not in region), self._sides
+        )
+        moved, merges = _close(
+            links, parent, members, anchors, self._constant, self._rank
+        )
         self.stats.egd_merges += merges
-        return moved
+        if moved is None:
+            self._failed = True
+            return None
+        return moved + split
+
+    def _rank(self, ident: int) -> tuple:
+        """A null id's root rank: its birth batch, then the CRC-32 of its
+        label, then the label.
+
+        So the roots (the merged graph's nodes) depend neither on the
+        union order nor on the order triggers fire in, and an id reused
+        by a new node never displaces a live root.  The hash, unlike
+        label order, does not make the nulls of the most-mentioned
+        constants (``p0``, ``e0``) roots: a stream churns their facts
+        most, and a dead root moves its whole class.
+        """
+        label = self._nodes[ident].label
+        return self._birth[ident], crc32(label.encode()), label
 
     def _patch(
         self,
@@ -1034,25 +957,16 @@ class IncrementalChase:
     # Oracle-identical materialisation
     # ------------------------------------------------------------------ #
 
-    def _oracle_names(self) -> dict[Null, Null]:
-        """Map internal nulls to the names the from-scratch oracle invents.
+    def _oracle_numbers(self) -> dict[Null, int]:
+        """Map internal nulls to the numbers the from-scratch oracle gives them.
 
         The oracle numbers nulls with one global counter, firing tgds in
-        declaration order and each tgd's triggers in sorted-match order —
-        both reconstructable from the trigger records alone.
+        declaration order and each tgd's triggers in key order
+        (:func:`~repro.chase.relational_chase._fire_tgd`) — both
+        reconstructable from the trigger keys alone.
         """
-        by_tgd: dict[int, list[_Trigger]] = {}
-        for trigger in self._triggers.values():
-            by_tgd.setdefault(trigger.tgd_index, []).append(trigger)
-        names: dict[Null, Null] = {}
-        counter = 0
-        for tgd_index, tgd in enumerate(self._tgds):
-            variables = [var.name for var in tgd.body.variables()]
-            for trigger in sorted(
-                by_tgd.get(tgd_index, ()),
-                key=lambda t: sorted(zip(variables, t.key[1])),
-            ):
-                for null in trigger.nulls:
-                    counter += 1
-                    names[null] = Null(f"N{counter}")
-        return names
+        numbers: dict[Null, int] = {}
+        for tgd_index, (firing, fired) in enumerate(zip(self._firings, self._triggers)):
+            for null in self._nulls(tgd_index, sorted(fired, key=firing.order)):
+                numbers[null] = len(numbers) + 1
+        return numbers

@@ -32,6 +32,7 @@ import asyncio
 import os
 import threading
 import time
+from concurrent.futures import BrokenExecutor
 from typing import Callable
 
 from repro import telemetry
@@ -158,6 +159,10 @@ class ExchangeService:
         except DuplicateJobError:
             return error_envelope(
                 request.id, "duplicate-id", f"request id {request.id!r} is in flight"
+            )
+        except BrokenExecutor as error:  # a worker died: the pool takes no job
+            return error_envelope(
+                request.id, "internal-error", f"{type(error).__name__}: {error}"
             )
         future = job.future
         try:

@@ -10,6 +10,8 @@ then merges nodes one violation at a time with ``rename_node``
 into edge tuples, closes functional egds with a union-find and loads the
 graph once; the property suite pins the two to the same nodes, edges,
 null names, counters, failure witness, fingerprint and destructive flag.
+:func:`sequential_merges` exposes the fixpoint's merges, against which
+the production chases' shared union-find closure is checked directly.
 """
 
 from __future__ import annotations
@@ -43,6 +45,23 @@ def chase_relational_sequential(
     queue = EgdViolationQueue(list(egds), graph, stats)
     failed, witness = run_egd_fixpoint(queue, stats)
     return ChaseResult(graph=graph, failed=failed, failure_witness=witness, stats=stats)
+
+
+def sequential_merges(
+    edges: Iterable[tuple[Node, str, Node]], egds: Sequence[TargetEgd]
+) -> tuple[bool, list[tuple[Node, Node]]]:
+    """The sequential egd fixpoint on a graph of ``edges``.
+
+    Returns whether it fails (two constants meet) and its merges, each
+    ``(old, new)``: ``old`` was renamed to ``new``, in merge order.
+    """
+    graph = GraphDatabase(edges=edges)
+    merges: list[tuple[Node, Node]] = []
+    queue = EgdViolationQueue(list(egds), graph, ChaseStats())
+    failed, _ = run_egd_fixpoint(
+        queue, ChaseStats(), lambda old, new: merges.append((old, new))
+    )
+    return failed, merges
 
 
 def fire_relational_tgds(

@@ -19,17 +19,25 @@ holds (compared by ``repr``).  Cases:
 * non-functional chain egds, alone and mixed with a functional one, on the
   Example 3.1 flights data;
 * a head label outside the alphabet, which must raise the same error;
-* generated ``medlit`` / ``social`` tenants.
+* generated ``medlit`` / ``social`` tenants;
+* the union-find closure both chases share, called directly on random id
+  graphs, against the oracle's sequential fixpoint under two root ranks.
 """
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles.relational_chase import chase_relational_sequential
-from repro.chase.relational_chase import chase_relational
+from oracles.relational_chase import chase_relational_sequential, sequential_merges
+from repro.chase.relational_chase import (
+    _close,
+    _find,
+    _functional_links,
+    _functional_sides,
+    chase_relational,
+)
 from repro.errors import SchemaError
 from repro.mappings.parser import parse_egd, parse_st_tgd
-from repro.patterns.pattern import is_null
+from repro.patterns.pattern import Null, is_null
 from repro.relational.instance import RelationalInstance
 from repro.relational.schema import RelationalSchema
 from repro.scenarios.figures import example31_setting
@@ -347,3 +355,67 @@ def test_scale_tenants_match_oracle(family, nodes, seed):
     assert chased.stats.null_merges > 0
     # Merged results are loaded once: the journal is the final edge list.
     assert chased.graph.version == chased.graph.edge_count()
+
+
+# --------------------------------------------------------------------- #
+# The shared closure, called directly
+# --------------------------------------------------------------------- #
+
+# Id i is the node CLOSURE_NODES[i]: 1, 1.0 and True are one constant.
+CLOSURE_NODES = ["k0", "k1", 1, 1.0, True, 2] + [Null(f"N{i}") for i in range(1, 9)]
+_node_ids = st.integers(0, len(CLOSURE_NODES) - 1)
+_id_edges = st.lists(st.tuples(_node_ids, st.sampled_from("abc"), _node_ids), max_size=14)
+_by_id = list(range(len(CLOSURE_NODES)))
+
+
+class TestSharedClosure:
+    """``_close`` partitions as the sequential fixpoint merges, and roots
+    each class where its rank says: the bulk chase's label order, or any
+    other (here a drawn permutation, as the live chase's birth order)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_id_edges, st.permutations(_by_id))
+    # null keys cascade: a merges N1 and N2, so b merges N3 and N4
+    @example([(0, "a", 6), (0, "a", 7), (6, "b", 8), (7, "b", 9)], _by_id)
+    @example([(0, "a", 2), (0, "a", 5)], _by_id)  # 1 and 2 clash
+    @example([(0, "a", 2), (0, "a", 3), (0, "a", 4)], _by_id)  # all equal
+    def test_matches_the_sequential_fixpoint(self, edges, order):
+        nodes = CLOSURE_NODES
+        failed, merges = sequential_merges(
+            [(nodes[s], label, nodes[t]) for s, label, t in edges], KEYED_EGDS
+        )
+        kept = dict(merges)
+
+        def final(node):
+            while node in kept:
+                node = kept[node]
+            return node
+
+        same = [nodes.index(node) for node in nodes]  # the first equal node
+        constant = [not is_null(node) for node in nodes]
+        sides = _functional_sides(KEYED_EGDS)
+        ranks = {"label": lambda ident: nodes[ident].label, "drawn": order.__getitem__}
+        for name, rank in ranks.items():
+            parent = list(range(len(nodes)))
+            members: dict[int, list[int]] = {}
+            links = _functional_links(
+                [(same[s], label, same[t]) for s, label, t in edges], sides
+            )
+            anchors = [{} for entries in sides.values() for _ in entries]
+            moved, merged = _close(links, parent, members, anchors, constant, rank)
+            assert (moved is None) == failed
+            if failed:
+                continue
+            assert merged == len(merges)
+            for ident in {same[i] for s, _, t in edges for i in (s, t)}:
+                root = _find(parent, ident)
+                assert final(nodes[ident]) == final(nodes[root])
+                if name == "label":  # the node the fixpoint keeps
+                    assert nodes[root] == final(nodes[root])
+            for old, new in merges:
+                assert _find(parent, same[nodes.index(old)]) == _find(
+                    parent, same[nodes.index(new)]
+                )
+            for root, group in members.items():
+                constants = [ident for ident in group if constant[ident]]
+                assert root == (constants[0] if constants else min(group, key=rank))

@@ -8,7 +8,8 @@ Three families of properties over random :class:`GeneratorConfig` draws:
   jobs rely on);
 * **chase agreement** — the incremental engine's bootstrap is
   byte-identical to the from-scratch relational chase on generated
-  tenants (the soak tests extend this to full update streams);
+  tenants, and fires and merges as often (the soak tests extend this
+  to full update streams);
 * **certain-answer agreement** — on ~10^2-node draws, the compiled
   query engine returns the same certain answers over the chased
   universal solution as graph, as its frozen copy and as its snapshot
@@ -116,6 +117,9 @@ class TestChaseAgreement:
         assert canonical_bytes(
             graph_to_dict(live.chase_result().graph)
         ) == canonical_bytes(graph_to_dict(oracle.graph))
+        assert not oracle.failed and (
+            live.stats.triggers_added, live.stats.egd_merges
+        ) == (oracle.stats.st_applications, oracle.stats.null_merges)
 
 
 class TestCertainAnswerAgreement:

@@ -8,8 +8,11 @@ normalised request.
 """
 
 import json
+import os
+import signal
 import socket
 import threading
+import time
 
 import pytest
 
@@ -186,6 +189,32 @@ class TestErrorEnvelopes:
         with pytest.raises(ServiceError):
             client.call("frobnicate")
         assert client.ping()["pong"] is True
+
+
+class TestDeadWorker:
+    """A worker killed under the server: envelopes, not a closed connection."""
+
+    def test_submit_to_a_broken_pool_answers_with_an_envelope(self):
+        handle = start_in_thread(workers=1)
+        try:
+            executor = handle.pool._executor
+            [process] = executor._processes.values()
+            os.kill(process.pid, signal.SIGKILL)
+            process.join(timeout=30)
+            deadline = time.monotonic() + 30
+            while not executor._broken and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert executor._broken  # the next submit raises BrokenProcessPool
+            with handle.client() as connection:
+                envelope = connection.request(
+                    "exists", params(demo_document()), no_cache=True
+                )
+                assert envelope["ok"] is False
+                assert envelope["error"]["code"] == "internal-error"
+                assert "BrokenProcessPool" in envelope["error"]["message"]
+                assert "metrics" in connection.metrics()
+        finally:
+            handle.close()
 
 
 class TestCancelWhileRunning:
