@@ -42,7 +42,7 @@ set and :meth:`CertainAnswers.is_certain` returns ``True`` for all tuples.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Iterable
+from typing import AbstractSet, Hashable, Iterable
 
 from repro.core.search import CandidateSearchConfig, candidate_solutions
 from repro.core.setting import DataExchangeSetting
@@ -62,8 +62,12 @@ Pair = tuple[Node, Node]
 class CertainAnswers:
     """The result of a certain-answer computation for a binary NRE query."""
 
-    answers: frozenset[Pair]
-    """The certain pairs over the source constants (empty if ``no_solution``)."""
+    answers: AbstractSet[Pair]
+    """The certain pairs over the source constants (empty if ``no_solution``).
+
+    A ``frozenset``, but for a patched read of an
+    :class:`~repro.engine.incremental.IncrementalChase`, which returns a
+    read-only set view of its row index."""
 
     no_solution: bool
     """Whether ``Sol_Ω(I) = ∅`` — then *every* tuple is (vacuously) certain."""

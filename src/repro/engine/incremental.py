@@ -41,15 +41,18 @@ instance:
   :meth:`~repro.engine.query.QueryEngine.answers_over` on the merged
   graph.  While any answer is cached, the merged-layer patch records the
   merged edges whose image it added or dropped and the merged nodes it
-  added or discarded, into a pending delta per cached answer.  A later
-  read patches its cached answer: the sources whose row can have
-  changed are found by walking the query's own expression backwards
-  from its pending delta (:func:`~repro.graph.eval.touched_sources`),
-  and only their rows are re-derived, through a per-source row index of
-  the cached answer (row-level incremental view maintenance).  A
-  rebuilt merged layer or a failed chase drops the cache instead, and
-  an answer whose pending delta outgrows the merged graph is dropped
-  with it.
+  added or discarded, into a pending delta per cached answer, kept
+  exact: the edges and nodes whose presence differs from the last read.
+  A later read patches its cached answer: the sources whose row can
+  have changed are found by walking the query's own expression
+  backwards from its pending delta
+  (:func:`~repro.graph.eval.touched_sources`), and only their rows are
+  re-derived (row-level incremental view maintenance).  A patched
+  answer is one per-source row index: each patch replaces the changed
+  rows in a shallow copy of it, and the read returns a read-only
+  :class:`~collections.abc.Set` view over that copy.  A rebuilt merged
+  layer or a failed chase drops the cache instead, and an answer whose
+  pending delta outgrows the merged graph is dropped with it.
 
 The contract, enforced by ``tests/test_engine/test_incremental.py``, is
 *byte-identity with the from-scratch oracle*: after any update stream,
@@ -67,7 +70,7 @@ from collections import Counter, defaultdict
 from collections.abc import Mapping, Set
 from dataclasses import dataclass, fields
 from itertools import chain, filterfalse
-from typing import TYPE_CHECKING, Hashable, Iterable, Iterator
+from typing import TYPE_CHECKING, AbstractSet, Hashable, Iterable, Iterator
 from zlib import crc32
 
 from repro.chase.relational_chase import (
@@ -188,8 +191,16 @@ class UpdateStats:
 
 
 class _Delta:
-    """What the merged graph changed by: edges whose image was added or
-    dropped, and merged nodes added or discarded.
+    """What the merged graph changed by: exactly the edges and the merged
+    nodes whose presence differs from before.
+
+    The invariant keeps it exact.  Each batch's record is that batch's
+    flips: :meth:`IncrementalChase._patch` runs once per batch and nets
+    each image before it adds or removes it, so a recorded edge or node
+    was absent before the batch and present after it, or the other way
+    round.  :meth:`update` accumulates by symmetric difference, so a
+    pending delta is the flips since the last read, and a churn that
+    cancels leaves it empty.
 
     No domain delta is needed: every constant node of the merged graph
     is a value of a live fact (tgd heads name body variables and nulls
@@ -209,24 +220,64 @@ class _Delta:
         return len(self.edges) + len(self.nodes)
 
     def update(self, other: "_Delta") -> None:
-        self.edges |= other.edges
-        self.nodes |= other.nodes
+        self.edges ^= other.edges
+        self.nodes ^= other.nodes
+
+
+class _Answers(Set):
+    """A read-only view of certain answers held as one row index.
+
+    ``rows`` maps each source to its targets; neither the dict nor its
+    sets are written once the view is published, so an answer a caller
+    holds never changes under later batches.  ``|``, ``&`` and ``-``
+    return frozensets.
+    """
+
+    __slots__ = ("_rows", "_count")
+
+    def __init__(self, rows: dict[Node, frozenset[Node]], count: int):
+        self._rows = rows
+        self._count = count
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __contains__(self, pair: object) -> bool:
+        if not isinstance(pair, tuple) or len(pair) != 2:
+            return False
+        row = self._rows.get(pair[0])
+        return row is not None and pair[1] in row
+
+    def __iter__(self) -> Iterator[tuple[Node, Node]]:
+        for source, targets in self._rows.items():
+            for target in targets:
+                yield source, target
+
+    __hash__ = Set._hash  # frozenset's hash: equal views and frozensets agree
+
+    @classmethod
+    def _from_iterable(cls, pairs: Iterable[tuple[Node, Node]]) -> frozenset:
+        return frozenset(pairs)
 
 
 class _Cached:
     """One query's cached certain answers.
 
     ``pending`` is the merged-graph delta of the batches since they were
-    read; ``rows`` indexes them by source (target sets, never mutated
-    once stored), built at the first patch.
+    read.  ``answers`` is what :meth:`~IncrementalChase.certain_answers`
+    returns: the first read's frozenset until the first patch, an
+    :class:`_Answers` view over ``rows`` after it.  ``rows`` indexes the
+    answers by source (frozensets, never mutated once stored) and
+    ``count`` counts their pairs, both from the first patch on.
     """
 
-    __slots__ = ("answers", "pending", "rows")
+    __slots__ = ("answers", "pending", "rows", "count")
 
     def __init__(self, answers: frozenset):
-        self.answers = answers
+        self.answers: AbstractSet[tuple[Node, Node]] = answers
         self.pending = _Delta()
-        self.rows: dict[Node, Set[Node]] | None = None
+        self.rows: dict[Node, frozenset[Node]] | None = None
+        self.count = len(answers)
 
 
 # --------------------------------------------------------------------- #
@@ -411,7 +462,10 @@ class IncrementalChase:
         restricted to the source active domain — byte-identical to the
         batch pipeline's result on the same instance.  Answers are cached
         per query; a read after batches that changed the merged graph
-        re-derives only the rows those changes can reach.
+        re-derives only the rows those changes can reach.  Once patched,
+        ``answers`` is a read-only :class:`~collections.abc.Set` of pairs
+        rather than a ``frozenset``; it equals the frozenset of the same
+        pairs and never changes under later batches.
         """
         from repro.core.certain import CertainAnswers
 
@@ -925,7 +979,9 @@ class IncrementalChase:
         Those are the rows of the touched sources of ``query`` under its
         pending delta, restricted to the active domain: to the merged
         graph's constants.  Every other source keeps its row, and so do
-        its targets their domain membership: see :class:`_Delta`.
+        its targets their domain membership: see :class:`_Delta`.  The
+        changed rows go into a copy of the row index, so a published
+        answer is never written.
         """
         delta, cached.pending = cached.pending, _Delta()
         graph = self._merged
@@ -935,21 +991,26 @@ class IncrementalChase:
         if sources:
             fresh = evaluate_relation(graph, query, sources).targets(sources)
         rows = cached.rows
-        if rows is None:
-            rows = cached.rows = defaultdict(set)
+        if rows is None:  # the first patch indexes the first read's answers
+            grouped = defaultdict(list)
             for source, target in cached.answers:
-                rows[source].add(target)
-        changes: list[tuple[Node, Node]] = []
+                grouped[source].append(target)
+            rows = {source: frozenset(targets) for source, targets in grouped.items()}
+        changes: dict[Node, frozenset[Node]] = {}
         for source in affected:
-            old = rows.pop(source, _EMPTY)
             new = fresh.get(source)
             new = frozenset(filterfalse(is_null, new)) if new else _EMPTY
-            if new:
-                rows[source] = new
-            if old != new:
-                changes += [(source, target) for target in old ^ new]
-        if changes:  # removed pairs are in the answers, added ones are not
-            cached.answers = cached.answers.symmetric_difference(changes)
+            if new != rows.get(source, _EMPTY):
+                changes[source] = new
+        if changes:
+            rows, count = dict(rows), cached.count
+            for source, new in changes.items():
+                count += len(new) - len(rows.pop(source, _EMPTY))
+                if new:
+                    rows[source] = new
+            cached.count = count
+            cached.answers = _Answers(rows, count)
+        cached.rows = rows
         self.stats.answer_patches += 1
         self.stats.rows_rederived += len(sources)
 

@@ -40,6 +40,7 @@ from repro.graph.nre import NRE, Backward, Concat, Epsilon, Label, Nest, Star, U
 Node = Hashable
 PairSet = frozenset[tuple[Node, Node]]
 Successors = Mapping[Node, set[Node]]
+Changes = dict[Node, set[Node]]  # one end of changed edges -> their other ends
 Rows = Iterable[tuple[Node, set[Node]]]
 Sources = set[Node] | None  # None: every node
 
@@ -351,32 +352,40 @@ def touched_sources(
 ) -> set[Node]:
     """The sources whose ``⟦expr⟧`` row may differ from before a change.
 
-    ``edges`` are the edges the change added or removed and ``nodes`` the
-    nodes it added or removed; ``graph`` is the graph after it.  A source
-    outside the returned set has the same row before and after, so the
-    set is computed on the new graph alone: ``T(a)`` is the sources of
-    changed ``a`` edges, ``T(r · s) = T(r) ∪ pre(r, T(s))`` (a source whose
-    ``r`` row stayed reaches a changed ``s`` row through it),
-    ``T(r*) = ΔV ∪ pre(r*, T(r) ∪ ΔV)``, ``T([r]) = T(r)`` and ``T(ε) = ΔV``,
-    so every reflexive part covers the node-set change.
+    ``edges`` are exactly the edges the change added or removed, and
+    ``nodes`` exactly the nodes it added or removed (an edge or node
+    present both before and after must not be listed); ``graph`` is the
+    graph after it.  A source outside the returned set has the same row
+    before and after, so the set is computed on the new graph alone:
+    ``T(a)`` is the sources of changed ``a`` edges, ``T(r · s) = T(r) ∪
+    pre(r, T(s))`` (a source whose ``r`` row stayed reaches a changed ``s``
+    row through it), ``T(r*) = ΔV ∪ pre(r*, T(r) ∪ ΔV)``, ``T(ε) = ΔV``, so
+    every reflexive part covers the node-set change, and ``T([r]) =
+    T(r)``, but for ``[a]`` and ``[a⁻]``: there ``T`` is exact, the ends of
+    changed ``a`` edges whose row switched between empty and not (the
+    row before is the row after, symmetric-differenced with that end's
+    changed edges, which is why the change must be exact).
 
     >>> from repro.graph.parser import parse_nre
     >>> g = GraphDatabase(edges=[("u", "a", "v"), ("v", "a", "w"), ("w", "b", "x")])
     >>> sorted(touched_sources(g, parse_nre("a . b"), [("w", "b", "x")], {"x"}))
     ['v']
+    >>> g.add_edge("u", "a", "w")  # u had an a edge already
+    >>> touched_sources(g, parse_nre("[a]"), [("u", "a", "w")], set())
+    set()
     """
-    changed: dict[str, tuple[set[Node], set[Node]]] = {}
+    changed: dict[str, tuple[Changes, Changes]] = {}
     for source, lab, target in edges:
-        sources, targets = changed.setdefault(lab, (set(), set()))
-        sources.add(source)
-        targets.add(target)
+        forward, backward = changed.setdefault(lab, ({}, {}))
+        forward.setdefault(source, set()).add(target)
+        backward.setdefault(target, set()).add(source)
     return _touched(graph, expr, changed, set(nodes))
 
 
 def _touched(
     graph: GraphDatabase,
     expr: NRE,
-    changed: Mapping[str, tuple[set[Node], set[Node]]],
+    changed: Mapping[str, tuple[Changes, Changes]],
     nodes: set[Node],
 ) -> set[Node]:
     if isinstance(expr, Epsilon):
@@ -384,6 +393,19 @@ def _touched(
     if isinstance(expr, (Label, Backward)):
         ends = changed.get(expr.name)
         return set() if ends is None else set(ends[isinstance(expr, Backward)])
+    if isinstance(expr, Nest) and isinstance(expr.inner, (Label, Backward)):
+        ends = changed.get(expr.inner.name)
+        if ends is None:
+            return set()
+        backward = isinstance(expr.inner, Backward)
+        index = (graph.backward_index if backward else graph.forward_index)(
+            expr.inner.name
+        )
+        # Empty before iff the row after is exactly the changed edges.
+        return {
+            end for end, flipped in ends[backward].items()
+            if not (row := index.get(end)) or row == flipped
+        }
     if isinstance(expr, Union):
         return _touched(graph, expr.left, changed, nodes) | _touched(
             graph, expr.right, changed, nodes

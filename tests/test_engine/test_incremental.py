@@ -878,17 +878,75 @@ class TestPatchedAnswers:
         """An answer left unread until its pending delta outgrows the graph is dropped."""
         live = IncrementalChase(example31_setting(), flights_instance())
         stale, read = parse_nre("f . h"), parse_nre("f*")
-        live.certain_answers(stale)
-        for hotel in range(8):  # churn: the graph does not grow, the delta does
-            for op in ("insert", "delete"):
-                live.apply_updates([(op, "Hotel", ("02", f"hz{hotel}"))])
-                assert_reads_match_reference(live, [read])
-                for cached in live._answers.values():
-                    bound = live._merged.edge_count() + live._merged.node_count()
-                    assert len(cached.pending) <= bound
+        hotels = [("Hotel", ("02", f"hz{hotel}")) for hotel in range(8)]
+        live.apply_updates([("insert", *fact) for fact in hotels])
+        assert_reads_match_reference(live, [stale, read])
+        for fact in hotels:  # most facts go: the graph shrinks, the delta grows
+            live.apply_updates([("delete", *fact)])
+            assert_reads_match_reference(live, [read])
+            for cached in live._answers.values():
+                bound = live._merged.edge_count() + live._merged.node_count()
+                assert len(cached.pending) <= bound
         assert stale not in live._answers and live.stats.answer_invalidations == 1
         assert read in live._answers
         assert_reads_match_reference(live, [stale, read])
+
+    def test_a_cancelling_churn_leaves_nothing_pending(self):
+        live = IncrementalChase(example31_setting(), flights_instance())
+        query = parse_nre("f . h")
+        live.certain_answers(query)
+        for hotel in range(8):
+            for op in ("insert", "delete"):
+                live.apply_updates([(op, "Hotel", ("02", f"hz{hotel}"))])
+            assert not live._answers[query].pending
+        rows = live.stats.rows_rederived
+        assert_reads_match_reference(live, [query])
+        assert live.stats.rows_rederived == rows
+
+    def test_a_pending_delta_is_exactly_what_changed_since_the_read(self):
+        """The invariant a nest's exact touched rule rests on (see ``_Delta``)."""
+        live = IncrementalChase(scale_setting("medlit"), generate_instance(MEDLIT_80))
+        query = parse_nre("cites . [mentions] . in_venue")
+        live.certain_answers(query)
+
+        def merged():
+            return ({(e.source, e.label, e.target) for e in live._merged.edges()},
+                    set(live._merged.nodes()))
+
+        edges, nodes = merged()
+        for position, batch in enumerate(update_stream(MEDLIT_80, 4, 12, 0.5)):
+            live.apply_updates(batch)
+            now_edges, now_nodes = merged()
+            pending = live._answers[query].pending
+            assert pending.edges == edges ^ now_edges
+            assert pending.nodes == nodes ^ now_nodes
+            if position % 2:  # a read catches the answer up
+                assert_reads_match_reference(live, [query])
+                edges, nodes = now_edges, now_nodes
+        assert live.stats.merged_rebuilds == 1  # the bootstrap's: every batch patched
+        assert live.stats.answer_patches == 2
+
+    def test_a_held_answer_never_changes_under_later_batches(self):
+        live = IncrementalChase(scale_setting("medlit"), generate_instance(MEDLIT_80))
+        query = parse_nre("cites* . in_venue")
+        live.certain_answers(query)
+        batches = list(update_stream(MEDLIT_80, 4, 12, 0.5))
+        live.apply_updates(batches[0])
+        held = live.certain_answers(query).answers
+        assert not isinstance(held, frozenset)  # the patched read's view
+        pairs = frozenset(held)
+        for batch in batches[1:]:
+            live.apply_updates(batch)
+            assert_reads_match_reference(live, [query])
+        assert live.certain_answers(query).answers != pairs
+        assert held == pairs and pairs == held
+        assert len(held) == len(pairs) and sorted(held, key=repr) == sorted(pairs, key=repr)
+        assert all(pair in held for pair in pairs)
+        assert ("nobody", "nothing") not in held and "pair" not in held
+        extra = frozenset({("nobody", "nothing")})
+        assert isinstance(held | extra, frozenset) and held | extra == pairs | extra
+        assert held & pairs == pairs and not held - pairs
+        assert hash(held) == hash(pairs)
 
     def test_failure_then_recovery_recomputes_then_patches(self):
         live = IncrementalChase(failure_setting())

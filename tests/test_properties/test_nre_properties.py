@@ -8,9 +8,9 @@ Two families of properties:
   distributivity of composition over union, star unfolding, nest
   characterisation), each checked semantically on random graphs;
 * **changed rows**: after random edge and node changes, every source
-  whose row differs is in :func:`~repro.graph.eval.touched_sources`, and
-  the pre-image walk behind it is exactly the sources whose row
-  meets its targets.
+  whose row differs is in :func:`~repro.graph.eval.touched_sources`
+  (exactly those for ``[a]`` and ``[a-]``), and the pre-image walk
+  behind it is exactly the sources whose row meets its targets.
 """
 
 import random
@@ -20,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 from oracles.reference_eval import evaluate_nre as reference_pairs
 from repro.graph.database import GraphDatabase
 from repro.graph.eval import _preimage, evaluate_nre, touched_sources
-from repro.graph.nre import concat, epsilon, label, nest, star, union
+from repro.graph.nre import backward, concat, epsilon, label, nest, star, union
 from repro.scenarios.generators import random_graph, random_nre
 
 ALPHABET = ("a", "b", "c")
@@ -127,9 +127,9 @@ class TestMonotonicity:
 class TestChangedRows:
     """The changed-row sets the incremental answer layer patches with."""
 
-    @settings(max_examples=150, deadline=None)
-    @given(graphs(max_nodes=6, max_edges=10), nres(), st.integers(0, 10_000))
-    def test_touched_sources_cover_every_changed_row(self, graph, expr, seed):
+    @staticmethod
+    def change(graph: GraphDatabase, seed: int):
+        """Flip random edges; return the graph after, and exactly what changed."""
         rng = random.Random(seed)
         changed = graph.copy()
         node_pool = sorted(graph.nodes(), key=repr) + ["fresh1", "fresh2"]
@@ -145,13 +145,37 @@ class TestChangedRows:
                 changed.discard_node(node)
         edges = {(e.source, e.label, e.target) for e in graph.edges() ^ changed.edges()}
         nodes = set(graph.nodes()) ^ set(changed.nodes())
+        return changed, edges, nodes
+
+    @staticmethod
+    def differ(graph: GraphDatabase, changed: GraphDatabase, expr) -> set:
+        """The sources whose ``expr`` row differs between the two graphs."""
         before, after = rows(reference_pairs(graph, expr)), rows(
             reference_pairs(changed, expr)
         )
-        differ = {
+        return {
             u for u in before.keys() | after.keys() if before.get(u) != after.get(u)
         }
+
+    @settings(max_examples=150, deadline=None)
+    @given(graphs(max_nodes=6, max_edges=10), nres(), st.integers(0, 10_000))
+    def test_touched_sources_cover_every_changed_row(self, graph, expr, seed):
+        changed, edges, nodes = self.change(graph, seed)
+        differ = self.differ(graph, changed, expr)
         assert differ <= touched_sources(changed, expr, edges, nodes)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        graphs(max_nodes=6, max_edges=10),
+        st.sampled_from(ALPHABET),
+        st.sampled_from([label, backward]),
+        st.integers(0, 10_000),
+    )
+    def test_touched_sources_of_a_label_nest_are_exact(self, graph, name, step, seed):
+        expr = nest(step(name))
+        changed, edges, nodes = self.change(graph, seed)
+        differ = self.differ(graph, changed, expr)
+        assert touched_sources(changed, expr, edges, nodes) == differ
 
     @settings(max_examples=150, deadline=None)
     @given(graphs(), nres(), st.integers(0, 10_000))

@@ -10,7 +10,7 @@ document the response carries.
 
 import pytest
 
-from repro.io.json_io import document_to_dict
+from repro.io.json_io import document_from_dict, document_to_dict
 from repro.scenarios.figures import example31_setting
 from repro.scenarios.flights import flights_instance
 from repro.scenarios.service_workload import demo_document
@@ -128,6 +128,24 @@ class TestHandler:
         )
         assert canonical_bytes(first) == canonical_bytes(cold_first)
         assert canonical_bytes(follow) == canonical_bytes(cold_follow)
+
+    def test_patched_answers_are_byte_identical_to_a_fresh_bootstrap(self):
+        """A warm state's patched answers (a set view) encode as fresh ones do."""
+        later = [{"op": "insert", "relation": "Hotel", "tuple": ["02", "hw"]},
+                 {"op": "delete", "relation": "Hotel", "tuple": ["01", "hx"]}]
+        first = execute_request("apply_updates", body(streaming_document(), UPDATES))
+        warm = execute_request("apply_updates", body(first["document"], later))
+        assert tenant_cache().stats()["hits"] == 1
+        state = tenant_cache().checkout_incremental(
+            *document_from_dict(warm["document"])
+        )
+        assert state.stats.answer_patches == len(QUERIES)
+        tenant_cache().clear()
+        cold = execute_request("apply_updates", body(first["document"], later))
+        assert warm["results"][1]["answers"] == [  # c1 lost its last hotel
+            ["c3", "hw"], ["c3", "hx"], ["c3", "hz"]
+        ]
+        assert canonical_bytes(warm) == canonical_bytes(cold)
 
     def test_noop_batch_returns_the_same_document(self):
         document = streaming_document()
