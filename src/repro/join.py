@@ -16,8 +16,8 @@ one list, so nothing is keyed by
 :class:`~repro.relational.query.Variable` while it runs.
 
 An *access* hides one storage's format: :class:`LabelAccess` (a graph
-label), :class:`PairAccess` (a composite NRE's relation from a query
-engine) or :class:`TupleAccess` (a relation of a relational instance).
+label), :class:`PairAccess` (a binary relation as a set of pairs) or
+:class:`TupleAccess` (a relation of a relational instance).
 ``reader(key)`` takes the sorted positions a step has bound and returns
 ``(fetch, probe)``.  ``fetch(*values)`` gets those positions' values and
 returns the truth of the fact when every position is bound, else the
@@ -27,10 +27,19 @@ whether the read is a hash-index probe, counted into
 ``ChaseStats.index_hits``.  A plan reads the indexes as they are when it
 is compiled: compile a new one after the storage changes.
 
-Searches: full and seeded (:meth:`Plan.rows`), projected (``project``,
-and :meth:`Plan.exists` for the first match only) and delta
-(:meth:`Body.delta_rows`: one atom pinned to each of its given facts in
-turn, rows deduplicated).
+Searches: full and seeded (:meth:`Plan.rows`), projected (``project``)
+and delta (:meth:`Body.delta_rows`: one atom pinned to each of its given
+facts in turn, rows deduplicated).
+
+:meth:`Plan.exists` asks only whether some match extends the bound
+values.  On its first call it splits the atoms into components linked by
+*unbound* variables (bound slots and constants link nothing) and
+compiles each into the cheapest test that fits it: an atom with every
+position bound is one ``fetch`` of the truth of its fact, a lone atom
+whose unbound variables each occur once is a non-empty read of its
+candidates, and any other component a search of its own greedy plan.
+The tests run in that order, so a failing group never makes the search
+of another one re-enumerate its matches.
 
 >>> from repro.graph.database import GraphDatabase
 >>> g = GraphDatabase(edges=[("u", "a", "v"), ("v", "a", "w")])
@@ -66,11 +75,12 @@ class LabelAccess:
         return self.graph.label_count(self.label)
 
     def reader(self, key: tuple[int, ...]) -> tuple[Callable, bool]:
-        """``has_edge``, ``forward_index``, ``backward_index`` or a label scan."""
+        """A forward-index probe, ``forward_index``, ``backward_index`` or
+        a label scan."""
         graph, label = self.graph, self.label
         if key == (0, 1):
-            has_edge = graph.has_edge
-            return (lambda u, v: has_edge(u, label, v)), True
+            targets = graph.forward_index(label).get
+            return (lambda u, v: v in targets(u, ())), True
         if key == (0,):
             return graph.forward_index(label).get, True
         if key == (1,):
@@ -271,7 +281,9 @@ class Body:
 class Plan:
     """A body compiled into search steps over integer slots."""
 
-    __slots__ = ("body", "bound", "slots", "steps", "probes", "tail", "pin_shape")
+    __slots__ = (
+        "body", "bound", "slots", "steps", "probes", "tail", "pin_shape", "tests"
+    )
 
     def __init__(self, body, bound, slots, steps, probes, tail, pin):
         self.body = body
@@ -281,6 +293,7 @@ class Plan:
         self.probes = probes
         self.tail = tail  # the row after the bound slots: constants, then unset
         self.pin_shape = pin
+        self.tests: list[Callable[[Sequence], bool]] | None = None  # of exists
 
     def start(self, values: Sequence = ()) -> Row:
         """A fresh row with the plan's bound variables set to ``values``."""
@@ -346,11 +359,128 @@ class Plan:
         for match in self.search(row, stats):
             yield get(match)
 
-    def exists(self, values: Sequence = (), stats=None) -> bool:
-        """Whether some match extends ``values``."""
-        for _ in self.search(self.start(values), stats):
+    def exists(self, values: Sequence = ()) -> bool:
+        """Whether some match extends ``values``, one component at a time.
+
+        The component tests (module docstring) are compiled on the first
+        call, so a plan only searched for rows never builds them.
+        """
+        tests = self.tests
+        if tests is None:
+            tests = self.tests = _component_tests(self.body, self.bound)
+        for test in tests:
+            if not test(values):
+                return False
+        return True
+
+
+def _components(body: Body, bound: Sequence[int]) -> list[tuple[str, list[int]]]:
+    """``body``'s atoms in components linked by variables not in
+    ``bound``, each with the kind of its test: ``"membership"`` (every
+    position bound), ``"non-empty"`` (a lone atom whose unbound variables
+    occur once) or ``"search"``, in that order of kinds."""
+    given = set(bound)
+    groups: list[tuple[set[int], list[int]]] = []  # unbound variables, atoms
+    for i, (_, terms) in enumerate(body.atoms):
+        group = ({t for v, t in terms if v and t not in given}, [i])
+        for other in [g for g in groups if g[0] & group[0]]:
+            groups.remove(other)
+            group[0].update(other[0])
+            group[1].extend(other[1])
+        groups.append(group)
+    kinds = ("membership", "non-empty", "search")
+    components = []
+    for unbound, atoms in groups:
+        free = [t for v, t in body.atoms[atoms[0]][1] if v and t not in given]
+        if len(atoms) > 1 or len(free) > len(unbound):  # linked or repeated
+            components.append(("search", sorted(atoms)))
+        else:
+            components.append((kinds[bool(free)], atoms))
+    return sorted(components, key=lambda c: kinds.index(c[0]))
+
+
+def _component_tests(body: Body, bound: Sequence[int]) -> list[Callable]:
+    """The tests of :meth:`Plan.exists`, one per :func:`_components`
+    entry, each over the values of ``bound``."""
+    given = {var: i for i, var in enumerate(bound)}
+    tests: list[Callable] = []
+    for kind, atoms in _components(body, bound):
+        if kind == "search":
+            variables = body.variables
+            component = [
+                (access, [variables[t] if v else t for v, t in terms])
+                for access, terms in map(body.atoms.__getitem__, atoms)
+            ]
+            tests.append(_found(Body(component, variables).plan(bound)))
+            continue
+        access, terms = body.atoms[atoms[0]]
+        key: list[int] = []  # the positions read: bound variables, constants
+        slots: list[int] = []  # the values of the bound ones
+        constants: dict[int, object] = {}  # index in key -> constant
+        for pos, (is_var, term) in enumerate(terms):
+            if not is_var:
+                constants[len(key)] = term
+            elif term in given:
+                slots.append(given[term])
+            else:
+                continue
+            key.append(pos)
+        fetch = access.reader(tuple(key))[0]
+        if constants:
+            fetch = _bind(fetch, constants, len(key))
+        if kind == "membership":
+            tests.append(_keyed(fetch, slots))
+        else:
+            tests.append(_nonempty(fetch, slots))
+    return tests
+
+
+def _bind(fetch: Callable, constants: dict[int, object], width: int) -> Callable:
+    """``fetch`` of ``width`` key values with ``constants`` filled in: the
+    result takes only the others, in order."""
+
+    def read(*values):
+        rest = iter(values)
+        return fetch(
+            *[constants[i] if i in constants else next(rest) for i in range(width)]
+        )
+
+    return read
+
+
+def _nonempty(fetch: Callable, key: list[int]) -> Callable[[Sequence], bool]:
+    """Whether ``fetch`` finds candidates for the ``key`` values.  Tested
+    by the first one: a lazy read (a label scan, a ``map``) is truthy even
+    when empty, and an emptied adjacency set is falsy."""
+    if len(key) == 1:
+        (k,) = key
+
+        def test(values: Sequence) -> bool:
+            for _ in fetch(values[k]) or ():
+                return True
+            return False
+
+    else:
+        read = _keyed(fetch, key)
+
+        def test(values: Sequence) -> bool:
+            for _ in read(values) or ():
+                return True
+            return False
+
+    return test
+
+
+def _found(plan: Plan) -> Callable[[Sequence], bool]:
+    """Whether ``plan``'s search finds a match from the values."""
+    search, start = plan.search, plan.start
+
+    def test(values: Sequence) -> bool:
+        for _ in search(start(values)):
             return True
         return False
+
+    return test
 
 
 def _keyed(fetch: Callable, key: Sequence[int]) -> Callable[[Row], object]:

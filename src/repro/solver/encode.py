@@ -572,7 +572,7 @@ def check_fragment_solution(
     Semantically identical to :func:`repro.core.solution.is_solution` on
     settings in the SAT-encodable fragment (union-of-symbols heads, word
     egd bodies) — pinned by a differential test.  The s-t tgds are checked
-    set at a time by the same compiled heads as ``is_solution``
+    set at a time by the same head check as ``is_solution``
     (:meth:`~repro.mappings.stt.SourceToTargetTgd.is_satisfied`); word
     egds by stepwise path growth instead of the generic matcher, whose
     per-setting compilation dwarfs the actual check on the small witness

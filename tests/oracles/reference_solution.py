@@ -2,16 +2,19 @@
 
 :func:`solution_violations` is the original scan of
 :func:`repro.core.solution.solution_violations`: every s-t tgd body match
-runs its own head search (:meth:`~repro.mappings.stt.SourceToTargetTgd.head_satisfied`,
-one matcher join per match) and every egd enumerates its violations
-through the matcher.  The production check projects body matches onto
-the frontier once, compiles each head into index probes, and reads
+runs its own brute-force head search (the nested-loop
+:func:`oracles.cnre_search.cnre_homomorphisms`, seeded with the match,
+which shares no code with the join executor) and every egd enumerates
+its violations through the matcher.  The production check projects body
+matches onto the frontier once, tests each head one independent
+component at a time (:meth:`repro.join.Plan.exists`), and reads
 functional egds off the adjacency sets; the differential suite pins its
 verdicts and itemised reports equal to this one.
 """
 
 from __future__ import annotations
 
+from oracles.cnre_search import cnre_homomorphisms
 from repro.core.setting import DataExchangeSetting
 from repro.core.solution import SolutionReport
 from repro.graph.database import GraphDatabase
@@ -31,7 +34,7 @@ def solution_violations(
     report = SolutionReport()
     for tgd in setting.st_tgds:
         for match in tgd.body_matches(instance):
-            if tgd.head_satisfied(graph, match):
+            if any(True for _ in cnre_homomorphisms(tgd.head, graph, seed=match)):
                 continue
             report.st_tgd_violations.append((tgd, match))
             if first_only:

@@ -6,6 +6,10 @@ its code:
 * CNRE bodies with composite atoms (star, union, nest, backward),
   constants, repeated variables and seeds — against the nested-loop
   ``oracles.cnre_search``;
+* :meth:`~repro.join.Plan.exists`, which tests a body one independent
+  component at a time — against the same oracle, on each shape a
+  component rule treats apart and on random bodies over graphs whose
+  removed edges leave empty adjacency sets;
 * seeded relational bodies of 1–3 atoms with constants and repeated
   variables — against every tuple combination (the unseeded joins are
   ``test_matcher_properties.TestRelationalIndex``'s random inputs);
@@ -16,14 +20,18 @@ its code:
 """
 
 import random
+from itertools import product
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles.cnre_search import cnre_homomorphisms as reference_homs
 from oracles.pattern_search import all_homomorphisms as reference_pattern_homs
 from repro.engine.matcher import TriggerMatcher
 from repro.graph.cnre import CNREAtom, CNREQuery, cnre_homomorphisms, evaluate_cnre
+from repro.graph.database import GraphDatabase
 from repro.graph.nre import Backward, Label, Nest, Star, Union
+from repro.join import _components
 from repro.patterns.homomorphism import all_homomorphisms, has_homomorphism
 from repro.patterns.pattern import GraphPattern
 from repro.relational.evaluate import cq_homomorphisms, relational_body
@@ -32,7 +40,7 @@ from repro.relational.query import ConjunctiveQuery, RelationalAtom, Variable
 from repro.relational.schema import RelationalSchema
 from repro.scenarios.generators import random_graph, random_nre
 
-X, Y, Z = Variable("x"), Variable("y"), Variable("z")
+X, Y, Z, W = Variable("x"), Variable("y"), Variable("z"), Variable("w")
 ALPHABET = ("a", "b")
 DOMAIN = ("d0", "d1", "d2")
 seeds = st.integers(min_value=0, max_value=10**6)
@@ -104,6 +112,113 @@ class TestCompositeCnreBodies:
         assert plan.exists([seed_map[v] for v in bound]) == bool(seeded)
 
 
+def emptied_graph() -> GraphDatabase:
+    """A small graph whose removed edges leave empty adjacency sets behind:
+    ``d2`` keeps an empty ``a`` successor set, ``d0`` an empty ``a``
+    predecessor set, and label ``c`` has no edge left."""
+    graph = GraphDatabase(
+        alphabet={"a", "b", "c"},
+        edges=[
+            ("d0", "a", "d1"), ("d1", "a", "d1"), ("d1", "b", "d2"),
+            ("d2", "b", "d0"), ("d2", "a", "d0"), ("d0", "c", "d1"),
+        ],
+    )
+    graph.backward_index("a")
+    graph.remove_edge("d2", "a", "d0")
+    graph.remove_edge("d0", "c", "d1")
+    return graph
+
+
+A, B, C = Label("a"), Label("b"), Label("c")
+
+# (atoms, bound variables, the kinds of their components)
+SHAPES = {
+    "two independent existential groups": (
+        [CNREAtom(X, A, Z), CNREAtom(Z, B, Y), CNREAtom(Y, A, W), CNREAtom(W, B, X)],
+        [X, Y],
+        ["search", "search"],
+    ),
+    "groups sharing only a bound variable": (
+        [CNREAtom(X, A, Z), CNREAtom(X, B, W), CNREAtom(Y, A, X)],
+        [X, Y],
+        ["membership", "non-empty", "non-empty"],
+    ),
+    "a lone atom with both ends unbound": (
+        [CNREAtom(X, B, Y), CNREAtom(Z, A, W)],
+        [X, Y],
+        ["membership", "non-empty"],
+    ),
+    "a lone atom over a label with no edge left": (
+        [CNREAtom(X, B, Y), CNREAtom(Z, C, W)],
+        [X, Y],
+        ["membership", "non-empty"],
+    ),
+    "emptied adjacency sets": (
+        [CNREAtom(X, A, Z), CNREAtom(W, A, Y)],
+        [X, Y],
+        ["non-empty", "non-empty"],
+    ),
+    "a repeated unbound variable": (
+        [CNREAtom(Z, A, Z), CNREAtom(X, A, X)],
+        [X],
+        ["membership", "search"],
+    ),
+    "constants": (
+        [CNREAtom(X, A, "d1"), CNREAtom("d2", B, Z), CNREAtom(Y, B, "d9")],
+        [X, Y],
+        ["membership", "membership", "non-empty"],
+    ),
+    "a union atom": (
+        [CNREAtom(X, Union(A, Backward(B)), Z), CNREAtom(X, Union(A, B), Y)],
+        [X, Y],
+        ["membership", "non-empty"],
+    ),
+    "a backward label": (
+        [CNREAtom(X, Backward(A), Z), CNREAtom(Z, B, Y), CNREAtom(Y, Backward(B), W)],
+        [X, Y],
+        ["non-empty", "search"],
+    ),
+}
+
+
+class TestExistsByComponent:
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_every_binding_equals_nested_loop(self, shape):
+        atoms, bound, kinds = SHAPES[shape]
+        query = CNREQuery(atoms)
+        graph = emptied_graph()
+        values = ["d0", "d1", "d2", "missing"]
+        for stored in (graph, graph.freeze()):
+            plan = TriggerMatcher(stored).join_plan(query, bound)
+            assert [kind for kind, _ in _components(plan.body, plan.bound)] == kinds
+            for row in product(values, repeat=len(bound)):
+                expected = reference_homs(query, stored, seed=dict(zip(bound, row)))
+                assert plan.exists(row) == any(True for _ in expected), row
+
+    @settings(max_examples=150, deadline=None)
+    @given(seeds)
+    def test_random_bodies_equal_nested_loop(self, seed):
+        rng = random.Random(seed)
+        graph = random_graph(rng.randint(1, 5), rng.randint(0, 12), ALPHABET, rng)
+        triples = sorted(graph.live_triples())
+        for triple in rng.sample(triples, min(len(triples), rng.randint(0, 3))):
+            graph.remove_edge(*triple)
+        nodes = sorted(graph.nodes(), key=repr)
+        terms = [X, Y, Z, W, X, Y, rng.choice(nodes)]
+        expressions = [A, B, Backward(A), Union(A, Backward(B)), Star(B)]
+        atoms = [
+            CNREAtom(rng.choice(terms), rng.choice(expressions), rng.choice(terms))
+            for _ in range(rng.randint(1, 4))
+        ]
+        query = CNREQuery(atoms + [CNREAtom(X, A, Y)] * (rng.random() < 0.2))
+        variables = query.variables()
+        bound = [v for v in variables if rng.random() < 0.5]
+        row = [rng.choice(nodes + ["missing"]) for _ in bound]
+        expected = reference_homs(query, graph, seed=dict(zip(bound, row)))
+        plan = TriggerMatcher(graph).join_plan(query, bound)
+        assert plan.exists(row) == any(True for _ in expected)
+
+
 def random_instance(rng: random.Random) -> RelationalInstance:
     schema = RelationalSchema()
     for name, arity in (("R", 2), ("S", 3), ("T", 1)):
@@ -134,8 +249,6 @@ def random_body(rng: random.Random) -> ConjunctiveQuery:
 
 def brute_force(query: ConjunctiveQuery, instance) -> set[tuple]:
     """Every tuple combination per atom, as rows in ``query.variables()`` order."""
-    from itertools import product
-
     variables = query.variables()
     rows = set()
     for combo in product(*(sorted(instance.tuples(a.relation)) for a in query.atoms)):

@@ -68,6 +68,9 @@ class TestSatisfaction:
             edges=[("u", "a", "mid"), ("mid", "a", "v"), ("v", "a", "w")]
         )
         assert tgd.is_satisfied(instance, g)
+        holds = tgd.head_checker(g)
+        assert holds(("u", "v")) and holds(("u", "w")) and holds(("v", "w"))
+        assert not holds(("w", "u"))
 
     def test_empty_instance_vacuously_satisfied(self, schema):
         tgd = parse_st_tgd("R(x, y) -> (x, a, y)")

@@ -1,10 +1,12 @@
 """Differential suite: set-at-a-time solution checking against the per-match oracle.
 
 :func:`repro.core.solution.solution_violations` decides each s-t tgd on
-the frontier projection of its body matches with compiled head probes,
-and each functional egd on the adjacency sets alone.
-:func:`oracles.reference_solution.solution_violations` runs one head
-search per body match and enumerates every egd through the matcher.  On
+the frontier projection of its body matches, testing each head one
+independent component at a time (:meth:`repro.join.Plan.exists`), and
+each functional egd on the adjacency sets alone.
+:func:`oracles.reference_solution.solution_violations` runs one
+brute-force head search per body match and enumerates every egd through
+the matcher.  On
 random settings and on the medlit and social generators, with edges
 removed (leaving empty adjacency sets behind), edges added that break a
 functional egd, and nodes renamed, on mutable, frozen and
@@ -23,11 +25,12 @@ from repro.core.setting import DataExchangeSetting
 from repro.core.solution import is_solution, solution_violations
 from repro.core.tractable import chase_universal
 from repro.engine.delta import _functional_profile
+from repro.engine.matcher import TriggerMatcher
 from repro.graph.database import GraphDatabase
 from repro.graph.snapshot import load_snapshot, save_snapshot
 from repro.io.json_io import document_from_dict
+from repro.join import _components
 from repro.mappings.parser import parse_egd, parse_st_tgd
-from repro.mappings.stt import _plan_head
 from repro.relational.instance import RelationalInstance
 from repro.relational.schema import RelationalSchema
 from repro.scenarios.scale import GeneratorConfig, scale_document
@@ -37,14 +40,14 @@ NODES = CONSTANTS + ("n0", "n1")
 LABELS = ("a", "b")
 
 TGDS = (
-    # frontier-frontier atoms: index probes
+    # frontier-frontier atoms: membership tests
     "R(x, y) -> (x, a, y)",
     "R(x, y) -> (x, a-, y)",
     "R(x, y) -> (x, a + b-, y)",
-    # lone existentials: domain tests
+    # lone existentials: non-empty reads
     "S(x, y) -> (x, b, z)",
     "S(x, y) -> (z, a, y), (x, b + a-, w)",
-    # shared existentials: memoised join groups
+    # shared existentials: searches
     "R(x, y) -> (x, a, z), (z, b, y)",
     "S(x, y) -> (y, a, z), (z, a, u), (u, b-, x)",
     "R(x, y) -> (z, a, z)",
@@ -53,7 +56,7 @@ TGDS = (
     "S(x, x) -> (x, b, x)",
     "S(x, y) -> (x, b, x)",
     "R(x, 'c1'), S(x, w) -> (x, a, w), (w, b, v)",
-    # heads the compiled checks do not cover: per-row head search
+    # composite NREs: relation reads, by the same component rule
     "R(x, y) -> (x, a . b, y)",
     "S(x, y) -> (x, a*, y)",
     "R(x, y) -> (x, a + b, z), (z, b, y)",
@@ -148,10 +151,12 @@ def random_cases(draw):
 
 def test_the_pool_covers_every_kind_of_head_check():
     kinds = set()
+    graph = GraphDatabase(alphabet=set(LABELS))
     for text in TGDS:
-        plan = _plan_head(parse_st_tgd(text))
-        kinds.update(["per-row search"] if plan is None else [s[0] for s in plan])
-    assert kinds == {"probe", "domain", "join", "per-row search"}
+        tgd = parse_st_tgd(text)
+        plan = TriggerMatcher(graph).join_plan(tgd.head, tgd.frontier)
+        kinds.update(kind for kind, _ in _components(plan.body, plan.bound))
+    assert kinds == {"membership", "non-empty", "search"}
 
 
 @settings(max_examples=300, deadline=None)
