@@ -8,12 +8,12 @@ The check runs set at a time.  Each s-t tgd's body matches are projected
 onto its frontier once, as a set of rows, and each row's head is checked
 by the head's join plan
 (:meth:`~repro.mappings.stt.SourceToTargetTgd.head_checker`, memoised per
-row).  :meth:`~repro.join.Plan.exists` tests the head one independent
-component at a time: an atom between frontier variables is one
-membership test, an atom with a lone existential a non-empty read of its
-candidates, and only atoms linked by shared existentials search.  A
-functional egd holds
-iff no key's adjacency set under its label has two members
+row).  :meth:`~repro.join.Plan.existence` tests the head one
+independent component at a time: an atom between frontier variables is
+one membership test, an atom with a lone existential a non-empty read
+of its candidates, and only atoms linked by shared existentials search.
+A functional egd holds iff no key's adjacency set under its label has
+two members
 (:meth:`~repro.mappings.egd.TargetEgd.is_satisfied`).  Only a dependency
 that fails is itemised, match by match in the order of
 :meth:`~repro.mappings.stt.SourceToTargetTgd.body_matches` and

@@ -9,9 +9,8 @@ keeps one uniform mechanism.
 
 Evaluation runs on the join executor (:mod:`repro.join`):
 :func:`graph_atoms` turns each atom into an access.  A bare (backward)
-label reads the graph's adjacency indexes, and a union of them the
-pairs of its labels' edges; any other NRE reads its relation from a
-query engine — by default (``engine=None``) the shared
+label reads the graph's adjacency indexes; any other NRE reads its
+relation from a query engine — by default (``engine=None``) the shared
 :class:`~repro.engine.query.QueryEngine`, so repeated graphs hit its
 cross-candidate cache.
 """
@@ -23,7 +22,7 @@ from typing import Hashable, Iterator, Mapping, Sequence
 
 from repro.errors import SchemaError
 from repro.graph.database import GraphDatabase
-from repro.graph.nre import NRE, Backward, Label, Union
+from repro.graph.nre import NRE, Backward, Label
 from repro.join import Body, LabelAccess, PairAccess
 from repro.relational.query import Variable, is_variable
 
@@ -153,9 +152,8 @@ def graph_atoms(
     """The join-executor atoms of ``atoms`` over ``graph``.
 
     A bare (backward) label becomes a :class:`~repro.join.LabelAccess` in
-    edge orientation; any other NRE a :class:`~repro.join.PairAccess`, on
-    its labels' edges for a union of (backward) labels and on
-    ``engine.pairs(graph, nre)`` otherwise.
+    edge orientation; any other NRE a :class:`~repro.join.PairAccess` on
+    ``engine.pairs(graph, nre)``.
     """
     result: list[tuple[object, tuple[Term, Term]]] = []
     for atom in atoms:
@@ -164,37 +162,13 @@ def graph_atoms(
             source, label, target = view
             result.append((LabelAccess(graph, label), (source, target)))
             continue
-        symbols = _label_symbols(atom.nre)
-        if symbols is not None:
-            pairs = frozenset(
-                (u, v) if forward else (v, u)
-                for label, forward in symbols
-                for u, v in graph.iter_label_pairs(label)
-            )
-        else:
-            if engine is None:
-                from repro.engine.query import default_engine
+        if engine is None:
+            from repro.engine.query import default_engine
 
-                engine = default_engine()
-            pairs = engine.pairs(graph, atom.nre)
-        result.append((PairAccess(pairs), (atom.subject, atom.object)))
+            engine = default_engine()
+        access = PairAccess(engine.pairs(graph, atom.nre))
+        result.append((access, (atom.subject, atom.object)))
     return result
-
-
-def _label_symbols(expr: NRE) -> list[tuple[str, bool]] | None:
-    """``(label, forward)`` per symbol of a union of (backward) labels,
-    else ``None``."""
-    symbols: list[tuple[str, bool]] = []
-    pending = [expr]
-    while pending:
-        expr = pending.pop()
-        if isinstance(expr, Union):
-            pending += (expr.right, expr.left)
-        elif isinstance(expr, (Label, Backward)):
-            symbols.append((expr.name, isinstance(expr, Label)))
-        else:
-            return None
-    return symbols
 
 
 def cnre_homomorphisms(

@@ -16,8 +16,8 @@ one list, so nothing is keyed by
 :class:`~repro.relational.query.Variable` while it runs.
 
 An *access* hides one storage's format: :class:`LabelAccess` (a graph
-label), :class:`PairAccess` (a binary relation as a set of pairs) or
-:class:`TupleAccess` (a relation of a relational instance).
+label), :class:`PairAccess` (a composite NRE's relation from a query
+engine) or :class:`TupleAccess` (a relation of a relational instance).
 ``reader(key)`` takes the sorted positions a step has bound and returns
 ``(fetch, probe)``.  ``fetch(*values)`` gets those positions' values and
 returns the truth of the fact when every position is bound, else the
@@ -32,14 +32,17 @@ and delta (:meth:`Body.delta_rows`: one atom pinned to each of its given
 facts in turn, rows deduplicated).
 
 :meth:`Plan.exists` asks only whether some match extends the bound
-values.  On its first call it splits the atoms into components linked by
-*unbound* variables (bound slots and constants link nothing) and
+values (:meth:`Plan.existence` gives it as one function for many
+probes).  On its first call it splits the atoms into components linked
+by *unbound* variables (bound slots and constants link nothing) and
 compiles each into the cheapest test that fits it: an atom with every
-position bound is one ``fetch`` of the truth of its fact, a lone atom
-whose unbound variables each occur once is a non-empty read of its
-candidates, and any other component a search of its own greedy plan.
-The tests run in that order, so a failing group never makes the search
-of another one re-enumerate its matches.
+position bound is its step's keyed read, the truth of its fact; a lone
+atom whose unbound variables each occur once is the same read, tested
+by its first candidate; any other component is a search, of the plan
+itself when it is the whole body, else of its own greedy plan memoised
+on the bound values it uses when those are not all of them.  The tests
+run in that order, so a failing group never makes the search of another
+one re-enumerate its matches.
 
 >>> from repro.graph.database import GraphDatabase
 >>> g = GraphDatabase(edges=[("u", "a", "v"), ("v", "a", "w")])
@@ -212,6 +215,7 @@ class Body:
         remaining = [i for i in range(len(self.atoms)) if i != pinned]
         width += sum(not v for i in remaining for v, _ in self.atoms[i][1])
         sizes = [access.size() for access, _ in self.atoms]
+        reads: list[Callable[[Row], object] | None] = [None] * len(self.atoms)
         steps: list[Step] = []
         probes: list[int] = []
         while remaining:
@@ -248,10 +252,12 @@ class Body:
                     take.append(free)
                 free += 1
             fetch, probe = access.reader(tuple(key))
-            steps.append(_step(_keyed(fetch, key_slots), lo, width, repeats, take))
+            reads[best] = _keyed(fetch, key_slots)
+            steps.append(_step(reads[best], lo, width, repeats, take))
             probes.append(int(probe))
         tail = [*constants, *[None] * (width - start - len(constants))]
-        return Plan(self, tuple(slots)[:start], slots, steps, probes, tail, pin)
+        bound = tuple(slots)[:start]
+        return Plan(self, bound, slots, reads, steps, probes, tail, pin)
 
     def delta_rows(
         self, facts: Callable[[int], Sequence[tuple] | None], stats=None
@@ -282,18 +288,20 @@ class Plan:
     """A body compiled into search steps over integer slots."""
 
     __slots__ = (
-        "body", "bound", "slots", "steps", "probes", "tail", "pin_shape", "tests"
+        "body", "bound", "slots", "reads", "steps", "probes", "tail", "pin_shape",
+        "check",
     )
 
-    def __init__(self, body, bound, slots, steps, probes, tail, pin):
+    def __init__(self, body, bound, slots, reads, steps, probes, tail, pin):
         self.body = body
         self.bound = bound  # the variables of the first slots, in order
         self.slots = slots  # variable index -> slot
+        self.reads = reads  # per atom, its step's keyed read of a row
         self.steps = steps
         self.probes = probes
         self.tail = tail  # the row after the bound slots: constants, then unset
         self.pin_shape = pin
-        self.tests: list[Callable[[Sequence], bool]] | None = None  # of exists
+        self.check: Callable[[Sequence], bool] | None = None  # of existence
 
     def start(self, values: Sequence = ()) -> Row:
         """A fresh row with the plan's bound variables set to ``values``."""
@@ -360,18 +368,31 @@ class Plan:
             yield get(match)
 
     def exists(self, values: Sequence = ()) -> bool:
-        """Whether some match extends ``values``, one component at a time.
+        """Whether some match extends ``values``: :meth:`existence` applied."""
+        return self.existence()(values)
 
-        The component tests (module docstring) are compiled on the first
-        call, so a plan only searched for rows never builds them.
+    def existence(self) -> Callable[[Sequence], bool]:
+        """:meth:`exists` as a function of the values, for many probes.
+
+        It tests one component at a time (module docstring); the tests
+        are compiled on the first call, so a plan only searched for rows
+        never builds them.
         """
-        tests = self.tests
-        if tests is None:
-            tests = self.tests = _component_tests(self.body, self.bound)
-        for test in tests:
-            if not test(values):
-                return False
-        return True
+        check = self.check
+        if check is None:
+            tests = _component_tests(self)
+            if len(tests) == 1:
+                check = tests[0]
+            else:
+
+                def check(values: Sequence) -> bool:
+                    for test in tests:
+                        if not test(values):
+                            return False
+                    return True
+
+            self.check = check
+        return check
 
 
 def _components(body: Body, bound: Sequence[int]) -> list[tuple[str, list[int]]]:
@@ -399,86 +420,82 @@ def _components(body: Body, bound: Sequence[int]) -> list[tuple[str, list[int]]]
     return sorted(components, key=lambda c: kinds.index(c[0]))
 
 
-def _component_tests(body: Body, bound: Sequence[int]) -> list[Callable]:
-    """The tests of :meth:`Plan.exists`, one per :func:`_components`
-    entry, each over the values of ``bound``."""
-    given = {var: i for i, var in enumerate(bound)}
+def _component_tests(plan: Plan) -> list[Callable]:
+    """The tests of :meth:`Plan.existence`, one per :func:`_components`
+    entry, each over the values of the plan's bound variables.
+
+    A membership or non-empty test is its atom's read in ``plan``: the
+    atom's unbound variables occur nowhere else, so whatever the step
+    order, the read's key is the atom's bound positions and constants.
+    A search runs ``plan`` when its component is the whole body, else a
+    plan of its own, memoised on the bound values it uses when those are
+    not all of them.
+    """
+    body, bound = plan.body, plan.bound
+    variables = body.variables
     tests: list[Callable] = []
     for kind, atoms in _components(body, bound):
-        if kind == "search":
-            variables = body.variables
-            component = [
+        if kind != "search":
+            read = plan.reads[atoms[0]]
+            if not all(v for v, _ in body.atoms[atoms[0]][1]):
+                read = _started(read, plan.start)  # constants sit after the values
+            tests.append(read if kind == "membership" else _nonempty(read))
+            continue
+        used = {t for i in atoms for v, t in body.atoms[i][1] if v}
+        own = [i for i, var in enumerate(bound) if var in used]
+        every = len(own) == len(bound)
+        if every and len(atoms) == len(body.atoms):
+            tests.append(_found(plan, None))
+            continue
+        part = Body(
+            [
                 (access, [variables[t] if v else t for v, t in terms])
                 for access, terms in map(body.atoms.__getitem__, atoms)
-            ]
-            tests.append(_found(Body(component, variables).plan(bound)))
-            continue
-        access, terms = body.atoms[atoms[0]]
-        key: list[int] = []  # the positions read: bound variables, constants
-        slots: list[int] = []  # the values of the bound ones
-        constants: dict[int, object] = {}  # index in key -> constant
-        for pos, (is_var, term) in enumerate(terms):
-            if not is_var:
-                constants[len(key)] = term
-            elif term in given:
-                slots.append(given[term])
-            else:
-                continue
-            key.append(pos)
-        fetch = access.reader(tuple(key))[0]
-        if constants:
-            fetch = _bind(fetch, constants, len(key))
-        if kind == "membership":
-            tests.append(_keyed(fetch, slots))
-        else:
-            tests.append(_nonempty(fetch, slots))
+            ],
+            variables,
+        )
+        tests.append(_found(part.plan([bound[i] for i in own]), None if every else own))
     return tests
 
 
-def _bind(fetch: Callable, constants: dict[int, object], width: int) -> Callable:
-    """``fetch`` of ``width`` key values with ``constants`` filled in: the
-    result takes only the others, in order."""
-
-    def read(*values):
-        rest = iter(values)
-        return fetch(
-            *[constants[i] if i in constants else next(rest) for i in range(width)]
-        )
-
-    return read
+def _started(read: Callable[[Row], object], start: Callable) -> Callable:
+    """``read`` of the row that ``start`` makes from the values."""
+    return lambda values: read(start(values))
 
 
-def _nonempty(fetch: Callable, key: list[int]) -> Callable[[Sequence], bool]:
-    """Whether ``fetch`` finds candidates for the ``key`` values.  Tested
-    by the first one: a lazy read (a label scan, a ``map``) is truthy even
-    when empty, and an emptied adjacency set is falsy."""
-    if len(key) == 1:
-        (k,) = key
+def _nonempty(read: Callable[[Sequence], object]) -> Callable[[Sequence], bool]:
+    """Whether ``read`` finds some candidate, tested by the first one: a
+    lazy read (a label scan, a ``map``) is truthy even when empty, and an
+    emptied adjacency set is falsy."""
 
-        def test(values: Sequence) -> bool:
-            for _ in fetch(values[k]) or ():
-                return True
-            return False
-
-    else:
-        read = _keyed(fetch, key)
-
-        def test(values: Sequence) -> bool:
-            for _ in read(values) or ():
-                return True
-            return False
+    def test(values: Sequence) -> bool:
+        for _ in read(values) or ():
+            return True
+        return False
 
     return test
 
 
-def _found(plan: Plan) -> Callable[[Sequence], bool]:
-    """Whether ``plan``'s search finds a match from the values."""
+def _found(plan: Plan, own: Sequence[int] | None) -> Callable[[Sequence], bool]:
+    """Whether ``plan``'s search finds a match from the values, or from
+    those at ``own``, memoised on them."""
     search, start = plan.search, plan.start
 
-    def test(values: Sequence) -> bool:
+    def found(values: Sequence) -> bool:
         for _ in search(start(values)):
             return True
         return False
+
+    if own is None:
+        return found
+    memo: dict[tuple, bool] = {}
+
+    def test(values: Sequence) -> bool:
+        key = tuple([values[i] for i in own])
+        verdict = memo.get(key)
+        if verdict is None:
+            verdict = memo[key] = found(key)
+        return verdict
 
     return test
 

@@ -107,17 +107,17 @@ class SourceToTargetTgd:
         order and memoises its verdict per row.  It is the head's join
         plan with the frontier bound
         (:meth:`~repro.engine.matcher.TriggerMatcher.join_plan`), whose
-        :meth:`~repro.join.Plan.exists` tests the head one independent
+        :meth:`~repro.join.Plan.existence` tests the head one independent
         component at a time.  ``graph`` must not change while the
         checker is in use.
         """
-        exists = TriggerMatcher(graph).join_plan(self.head, self.frontier).exists
+        check = TriggerMatcher(graph).join_plan(self.head, self.frontier).existence()
         memo: dict[tuple, bool] = {}
 
         def holds(row: tuple) -> bool:
             verdict = memo.get(row)
             if verdict is None:
-                verdict = memo[row] = exists(row)
+                verdict = memo[row] = check(row)
             return verdict
 
         return holds

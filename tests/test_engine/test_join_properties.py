@@ -134,9 +134,14 @@ A, B, C = Label("a"), Label("b"), Label("c")
 # (atoms, bound variables, the kinds of their components)
 SHAPES = {
     "two independent existential groups": (
-        [CNREAtom(X, A, Z), CNREAtom(Z, B, Y), CNREAtom(Y, A, W), CNREAtom(W, B, X)],
+        [CNREAtom(X, A, Z), CNREAtom(Z, B, Y), CNREAtom(Y, B, W), CNREAtom(W, A, X)],
         [X, Y],
         ["search", "search"],
+    ),
+    "a search over some of the bound variables": (
+        [CNREAtom(X, A, Z), CNREAtom(Z, A, X), CNREAtom(X, B, Y)],
+        [X, Y],
+        ["membership", "search"],
     ),
     "groups sharing only a bound variable": (
         [CNREAtom(X, A, Z), CNREAtom(X, B, W), CNREAtom(Y, A, X)],
@@ -164,17 +169,21 @@ SHAPES = {
         ["membership", "search"],
     ),
     "constants": (
-        [CNREAtom(X, A, "d1"), CNREAtom("d2", B, Z), CNREAtom(Y, B, "d9")],
+        [CNREAtom(X, A, "d1"), CNREAtom("d2", B, Z), CNREAtom(Y, B, "d0")],
         [X, Y],
         ["membership", "membership", "non-empty"],
     ),
     "a union atom": (
-        [CNREAtom(X, Union(A, Backward(B)), Z), CNREAtom(X, Union(A, B), Y)],
+        [CNREAtom(X, Union(A, Backward("b")), Z), CNREAtom(X, Union(A, B), Y)],
         [X, Y],
         ["membership", "non-empty"],
     ),
     "a backward label": (
-        [CNREAtom(X, Backward(A), Z), CNREAtom(Z, B, Y), CNREAtom(Y, Backward(B), W)],
+        [
+            CNREAtom(X, Backward("a"), Z),
+            CNREAtom(Z, B, Y),
+            CNREAtom(Y, Backward("b"), W),
+        ],
         [X, Y],
         ["non-empty", "search"],
     ),
@@ -205,7 +214,7 @@ class TestExistsByComponent:
             graph.remove_edge(*triple)
         nodes = sorted(graph.nodes(), key=repr)
         terms = [X, Y, Z, W, X, Y, rng.choice(nodes)]
-        expressions = [A, B, Backward(A), Union(A, Backward(B)), Star(B)]
+        expressions = [A, B, Backward("a"), Union(A, Backward("b")), Star(B)]
         atoms = [
             CNREAtom(rng.choice(terms), rng.choice(expressions), rng.choice(terms))
             for _ in range(rng.randint(1, 4))
