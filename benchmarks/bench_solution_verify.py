@@ -9,12 +9,16 @@ check per distinct frontier row.  This bench times it on
 * chased social 1,000 tenants (several seeds);
 * chased medlit 800 tenants (several seeds);
 * one chased social 1,000 tenant with a head edge removed, so the check
-  fails and itemises its first violation.
+  fails and itemises its first violation;
+* the witnesses the SAT pipeline decodes on the Theorem 4.1 sweep of
+  ``bench_thm41_scaling`` (one per satisfiable formula): small graphs
+  whose settings carry dozens of word egds, most over labels the
+  witness has no edge of.
 
 Each tenant's time is the best of ``REPEATS`` calls; the table reports
-the median over tenants.  The file uses the public API and the scale
-generators only, so the same file runs against an older ``src/`` for a
-same-host A/B.
+the median over tenants.  The file uses the public API, the scale
+generators and the Theorem 4.1 reduction only, so the same file runs
+against an older ``src/`` for a same-host A/B.
 """
 
 from __future__ import annotations
@@ -22,10 +26,13 @@ from __future__ import annotations
 import statistics
 import time
 
+from bench_thm41_scaling import sweep_formulas
 from conftest import report
 
 from repro import chase_relational, is_solution
+from repro.core.existence import decide_existence
 from repro.io.json_io import document_from_dict
+from repro.reductions.three_sat import reduction_from_cnf
 from repro.scenarios.scale import GeneratorConfig, scale_document
 
 SEEDS = (1, 2, 3, 4, 5)
@@ -50,6 +57,19 @@ def broken_tenant(family: str, nodes: int, seed: int, label: str):
     )
     graph.remove_edge(*edge)
     return instance, graph, setting
+
+
+def thm41_witnesses():
+    """``(instance, witness, setting)`` for each satisfiable formula of
+    the Theorem 4.1 sweep, the witness as existence decides it."""
+    cases = []
+    for _, _, formulas in sweep_formulas():
+        for formula in formulas:
+            reduction = reduction_from_cnf(formula)
+            witness = decide_existence(reduction.setting, reduction.instance).witness
+            if witness is not None:
+                cases.append((reduction.instance, witness, reduction.setting))
+    return cases
 
 
 def best_times(tenants, expected: bool) -> list[float]:
@@ -95,3 +115,8 @@ def test_verify_medlit_800(benchmark):
 def test_verify_social_1000_missing_edge(benchmark):
     tenants = [broken_tenant("social", 1000, 1, "member")]
     run("Solution verification, social 1,000 less one edge", tenants, False, benchmark)
+
+
+def test_verify_thm41_witnesses(benchmark):
+    tenants = thm41_witnesses()
+    run("Solution verification, Theorem 4.1 sweep witnesses", tenants, True, benchmark)

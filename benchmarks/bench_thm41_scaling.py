@@ -6,6 +6,11 @@ across variable counts at the hard clause ratio (m ≈ 4.3·n), decides
 existence through the reduction, and cross-checks every verdict against
 DPLL on the source formula.  The wall-clock column exposes the expected
 growth with formula size.
+
+The sweep runs five rounds, each asserting every verdict.  Each round
+starts with no cached SAT pipeline (:func:`clear_pipelines`), so every
+round encodes, solves, decodes and verifies its witnesses afresh instead
+of reading the first round's cached verdicts.
 """
 
 import random
@@ -15,6 +20,7 @@ from conftest import report
 from oracles import solve_cnf
 
 from repro.core.existence import ExistenceStatus, decide_existence
+from repro.core.satpipeline import clear_pipelines
 from repro.reductions.three_sat import reduction_from_cnf
 from repro.solver.generators import random_kcnf
 
@@ -22,17 +28,22 @@ GRID = (4, 6, 8, 10)
 TRIALS_PER_SIZE = 4
 
 
-def run_sweep():
+def sweep_formulas():
+    """``(n, m, formulas)`` for each size of the sweep, in order."""
     rng = random.Random(20150327)  # the workshop date
-    rows = []
-    all_agree = True
     for n in GRID:
         m = int(4.3 * n)
+        yield n, m, [random_kcnf(n, m, rng=rng) for _ in range(TRIALS_PER_SIZE)]
+
+
+def run_sweep():
+    rows = []
+    all_agree = True
+    for n, m, formulas in sweep_formulas():
         agree = 0
         sat_count = 0
         elapsed = 0.0
-        for _ in range(TRIALS_PER_SIZE):
-            formula = random_kcnf(n, m, rng=rng)
+        for formula in formulas:
             sat = solve_cnf(formula) is not None
             sat_count += sat
             reduction = reduction_from_cnf(formula)
@@ -52,7 +63,15 @@ def run_sweep():
     return rows, all_agree
 
 
-def test_existence_scaling(benchmark):
-    rows, all_agree = benchmark.pedantic(run_sweep, rounds=1, iterations=1)
-    report("E6 / Theorem 4.1 scaling (existence ≡ 3SAT)", rows)
+def checked_sweep():
+    """:func:`run_sweep` with its verdicts asserted."""
+    rows, all_agree = run_sweep()
     assert all_agree
+    return rows
+
+
+def test_existence_scaling(benchmark):
+    rows = benchmark.pedantic(
+        checked_sweep, setup=clear_pipelines, rounds=5, iterations=1
+    )
+    report("E6 / Theorem 4.1 scaling (existence ≡ 3SAT)", rows)

@@ -30,10 +30,10 @@ expensive-and-bounded, and reports which strategy decided:
 
 Every EXISTS result carries a *witness graph* that has passed
 :func:`repro.core.solution.is_solution` — no strategy is trusted blindly.
-The check runs set at a time on the graph's adjacency indexes (one probe
-per distinct frontier row of each s-t tgd, one pass over the adjacency
-sets per functional egd), so verifying a chased witness costs far less
-than the chase that built it.
+The check is one pass per dependency on the graph's adjacency indexes
+(one body join and one head probe per distinct frontier row of each s-t
+tgd, one read of the adjacency sets per functional egd), so verifying a
+chased witness costs far less than the chase that built it.
 """
 
 from __future__ import annotations
@@ -255,8 +255,7 @@ def _complete_sat_decision(
                 "with word egds"
             ),
         )
-    # The pipeline verified the witness through the fragment-exact
-    # solution check already.
+    # The pipeline verified the witness through is_solution already.
     return ExistenceResult(
         ExistenceStatus.EXISTS, "sat-bounded-complete", witness=witness
     )

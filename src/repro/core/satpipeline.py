@@ -18,8 +18,8 @@ incremental:
 * everything the CDCL solver learns while probing one pair is implied by
   the clause database alone and therefore **carries over to every later
   probe** of the same universe, instead of being thrown away per call;
-* decoded witnesses are verified through the fragment-exact
-  :func:`~repro.solver.encode.check_fragment_solution` and memoised by
+* decoded witnesses are verified by the library's one solution check,
+  :func:`~repro.core.solution.is_solution`, and memoised by
   edge signature (deterministic phase saving makes the solver reproduce
   the same model across probes, so verification usually runs once).
 
@@ -42,6 +42,7 @@ from typing import Hashable
 
 from repro.chase.pattern_chase import chase_pattern
 from repro.core.setting import DataExchangeSetting
+from repro.core.solution import is_solution
 from repro.errors import NotSupportedError
 from repro.graph.database import GraphDatabase
 from repro.graph.nre import NRE
@@ -49,7 +50,6 @@ from repro.relational.instance import RelationalInstance
 from repro.solver.cdcl import CDCLSolver
 from repro.solver.encode import (
     add_pair_blocking_clauses,
-    check_fragment_solution,
     decode_edge_model,
     encode_bounded_existence,
 )
@@ -209,12 +209,12 @@ class SatPipeline:
         cached = self._witnesses.get(signature)
         if cached is not None:
             return cached
-        if not check_fragment_solution(self.instance, witness, self.setting):
+        if not is_solution(self.instance, witness, self.setting):
             # A decode/encode disagreement would be a bug; surface it as
             # "not supported" so callers fall back to the sound enumeration
             # instead of trusting a broken fast path.
             raise NotSupportedError(
-                "decoded SAT model failed the fragment solution check"
+                "decoded SAT model failed the solution check"
             )
         self._witnesses[signature] = witness
         return witness

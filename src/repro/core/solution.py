@@ -4,22 +4,21 @@ Per the paper (Section 2, "Solutions"): given Ω = (R, Σ, M_st, M_t), an
 instance I of R and a graph G over Σ, G is a solution for I under Ω iff
 ``(I, G)`` satisfies M_st and ``G`` satisfies M_t.
 
-The check runs set at a time.  Each s-t tgd's body matches are projected
-onto its frontier once, as a set of rows, and each row's head is checked
-by the head's join plan
-(:meth:`~repro.mappings.stt.SourceToTargetTgd.head_checker`, memoised per
-row).  :meth:`~repro.join.Plan.existence` tests the head one
-independent component at a time: an atom between frontier variables is
-one membership test, an atom with a lone existential a non-empty read
-of its candidates, and only atoms linked by shared existentials search.
-A functional egd holds iff no key's adjacency set under its label has
-two members
-(:meth:`~repro.mappings.egd.TargetEgd.is_satisfied`).  Only a dependency
-that fails is itemised, match by match in the order of
-:meth:`~repro.mappings.stt.SourceToTargetTgd.body_matches` and
-:meth:`~repro.mappings.egd.TargetEgd.violations`, reusing the compiled
-head checker.  ``tests/oracles/reference_solution.py`` keeps the
-per-match scan the differential suite compares against.
+The check is one pass: each dependency's ``violations`` walks its
+matches once, in match order, and the first one it yields is the first
+violation.  An s-t tgd joins its body once, deduplicates the frontier
+rows in order of first occurrence and checks each distinct row once by
+the head's join plan
+(:meth:`~repro.mappings.stt.SourceToTargetTgd.violations`);
+:meth:`~repro.join.Plan.existence` tests the head one independent
+component at a time: an atom between frontier variables is one
+membership test, an atom with a lone existential a non-empty read of its
+candidates, and only atoms linked by shared existentials search.  A
+functional egd reads its label's adjacency sets before it joins, and a
+body that needs a label the graph has no edge of matches nothing
+(:class:`~repro.engine.matcher.TriggerMatcher`).
+``tests/oracles/reference_solution.py`` keeps the per-match scan the
+differential suite compares against.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.setting import DataExchangeSetting
-from repro.engine.delta import _functional_profile
 from repro.graph.database import GraphDatabase
 from repro.relational.instance import RelationalInstance
 
@@ -83,35 +81,22 @@ def solution_violations(
     """Collect every dependency violation of ``graph`` w.r.t. the setting.
 
     With ``first_only=True`` the scan stops at the first violation found —
-    the fast path behind :func:`is_solution`.  Dependencies that hold are
-    decided set at a time and never itemised (see the module docstring).
+    the fast path behind :func:`is_solution`.  Each dependency's
+    violations come in its match order (see the module docstring).
     """
     report = SolutionReport()
-    for tgd in setting.st_tgds:
-        holds = tgd.head_checker(graph)
-        if tgd.is_satisfied(instance, graph, holds):
-            continue
-        for violation in tgd.violations(instance, graph, holds):
-            report.st_tgd_violations.append((tgd, violation))
-            if first_only:
-                return report
-    for egd in setting.egds():
-        if _functional_profile(egd) is not None and egd.is_satisfied(graph):
-            continue
-        for pair in egd.violations(graph):
-            report.egd_violations.append((egd, pair))
-            if first_only:
-                return report
-    for constraint in setting.sameas_constraints():
-        for pair in constraint.violations(graph):
-            report.sameas_violations.append((constraint, pair))
-            if first_only:
-                return report
-    for tgd in setting.general_target_tgds():
-        for violation in tgd.violations(graph):
-            report.tgd_violations.append((tgd, violation))
-            if first_only:
-                return report
+    kinds = (
+        (report.st_tgd_violations, setting.st_tgds, (instance, graph)),
+        (report.egd_violations, setting.egds(), (graph,)),
+        (report.sameas_violations, setting.sameas_constraints(), (graph,)),
+        (report.tgd_violations, setting.general_target_tgds(), (graph,)),
+    )
+    for found, dependencies, args in kinds:
+        for dependency in dependencies:
+            for violation in dependency.violations(*args):
+                found.append((dependency, violation))
+                if first_only:
+                    return report
     return report
 
 
@@ -122,8 +107,8 @@ def is_solution(
 ) -> bool:
     """Return whether ``graph`` is a solution for ``instance`` under the setting.
 
-    Decided set at a time (see the module docstring); only a failing
-    dependency is looked at match by match, to find its first violation.
+    One pass per dependency, up to the first violation (see the module
+    docstring).
 
     >>> # See tests/test_core/test_solution.py and the Figure 1 benchmark
     >>> # for the paper's G1/G2/G3 checks.

@@ -16,7 +16,11 @@ executor (:mod:`repro.join`):
 
 Composite NREs (stars, unions, nesting) join through their relation from a
 query engine (the shared :class:`~repro.engine.query.QueryEngine` unless
-the matcher was handed a specific one).  Delta enumeration pins *simple*
+the matcher was handed a specific one).  A body with an atom that needs a
+label the graph has no edge of
+(:meth:`~repro.graph.cnre.CNREQuery.required_labels`) has no match: every
+enumeration returns nothing at once, before it builds an access, compiles
+a plan or asks the engine for a relation.  Delta enumeration pins *simple*
 atoms only — a bare forward or backward label, which covers every
 dependency body of the paper's figures and benchmarks — and falls back to
 full enumeration for composite queries, a sound superset.
@@ -87,6 +91,11 @@ class TriggerMatcher:
         atoms = graph_atoms(query.atoms, self.graph, self.engine)
         return Body(atoms, query.variables())
 
+    def _lacks_label(self, query: CNREQuery) -> bool:
+        """Whether some atom of ``query`` needs a label with no edge."""
+        count = self.graph.label_count
+        return any(not count(name) for name in query.required_labels())
+
     # ------------------------------------------------------------------ #
     # Full enumeration
     # ------------------------------------------------------------------ #
@@ -109,7 +118,8 @@ class TriggerMatcher:
         >>> [h[y] for h in TriggerMatcher(g).matches(q, seed={x: "u"})]
         ['v']
         """
-        yield from self._body(query).matches(seed, self.stats)
+        if not self._lacks_label(query):
+            yield from self._body(query).matches(seed, self.stats)
 
     def join_plan(self, query: CNREQuery, bound: Iterable[Variable]) -> Plan:
         """The compiled search :meth:`matches` runs for seeds binding ``bound``.
@@ -169,6 +179,8 @@ class TriggerMatcher:
         homomorphisms themselves or their enumeration order — and the
         search projects each match in place.
         """
+        if self._lacks_label(query):
+            return set()
         body = self._body(query)
         project = (body.index[left], body.index[right])
         return set(body.rows(project=project, stats=self.stats))
@@ -201,7 +213,7 @@ class TriggerMatcher:
         for e in edges:
             if has_edge(e.source, e.label, e.target):
                 by_label.setdefault(e.label, []).append((e.source, e.target))
-        if not by_label:
+        if not by_label or self._lacks_label(query):
             return iter(())
         body = self._body(query)
         return body.delta_rows(

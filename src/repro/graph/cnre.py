@@ -22,7 +22,7 @@ from typing import Hashable, Iterator, Mapping, Sequence
 
 from repro.errors import SchemaError
 from repro.graph.database import GraphDatabase
-from repro.graph.nre import NRE, Backward, Label
+from repro.graph.nre import NRE, Backward, Label, required_labels
 from repro.join import Body, LabelAccess, PairAccess
 from repro.relational.query import Variable, is_variable
 
@@ -85,6 +85,7 @@ class CNREQuery:
         if not self.atoms:
             raise SchemaError("a CNRE query needs at least one atom")
         self._variables: tuple[Variable, ...] | None = None
+        self._labels: frozenset[str] | None = None
         self._hash: int | None = None
         body_vars = self.variables()
         if outputs is None:
@@ -105,6 +106,15 @@ class CNREQuery:
                     seen.setdefault(var, None)
             self._variables = tuple(seen)
         return self._variables
+
+    def required_labels(self) -> frozenset[str]:
+        """The labels some atom needs (:func:`~repro.graph.nre.required_labels`),
+        computed once: a graph with no edge of one of them matches nothing."""
+        if self._labels is None:
+            self._labels = frozenset().union(
+                *(required_labels(atom.nre) for atom in self.atoms)
+            )
+        return self._labels
 
     def constants(self) -> frozenset[Node]:
         """Return all node constants used in atom positions."""

@@ -274,3 +274,29 @@ def nest(inner: NRE) -> NRE:
 def word(*names: str) -> NRE:
     """Return the concatenation of forward labels, e.g. ``word("a","b")`` = a·b."""
     return concat(*(label(n) for n in names))
+
+
+@functools.lru_cache(maxsize=4096)
+def required_labels(expr: NRE) -> frozenset[str]:
+    """The labels every word of ``expr`` uses, memoised per expression.
+
+    A (backward) label needs itself, a concatenation each part's labels,
+    a union the labels of both branches, a nest its body's; a star or ε
+    needs none.  A graph with no edge of one of them has an empty
+    ``⟦expr⟧``.
+
+    >>> from repro.graph.parser import parse_nre
+    >>> sorted(required_labels(parse_nre("a . (b + b- . c)* . [d]")))
+    ['a', 'd']
+    >>> sorted(required_labels(parse_nre("a . b + b- . c")))
+    ['b']
+    """
+    if isinstance(expr, (Label, Backward)):
+        return frozenset((expr.name,))
+    if isinstance(expr, Concat):
+        return required_labels(expr.left) | required_labels(expr.right)
+    if isinstance(expr, Union):
+        return required_labels(expr.left) & required_labels(expr.right)
+    if isinstance(expr, Nest):
+        return required_labels(expr.inner)
+    return frozenset()

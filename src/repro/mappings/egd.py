@@ -41,12 +41,26 @@ class TargetEgd:
         self._hash: int | None = None
 
     def violations(self, graph: GraphDatabase) -> Iterator[tuple[Node, Node]]:
-        """Yield pairs ``(h(x₁), h(x₂))`` with ``h(x₁) ≠ h(x₂)``.
+        """Yield pairs ``(h(x₁), h(x₂))`` with ``h(x₁) ≠ h(x₂)``, each once.
 
         Each yielded pair is a witness that the egd fires and is violated;
-        the egd chase consumes these to decide merges.  Matching runs on
-        the shared indexed :class:`~repro.engine.matcher.TriggerMatcher`.
+        the egd chase consumes these to decide merges.  A functional egd
+        (:func:`~repro.engine.delta._functional_profile`: the key
+        determines the member) first reads the adjacency index of its
+        label: with no key group of two members there is nothing to yield
+        and no join runs.  Matching runs on the shared indexed
+        :class:`~repro.engine.matcher.TriggerMatcher`.
         """
+        profile = _functional_profile(self)
+        if profile is not None:
+            label, direction = profile
+            groups = (
+                graph.backward_index(label)
+                if direction == "in"
+                else graph.forward_index(label)
+            )
+            if max(map(len, groups.values()), default=0) < 2:
+                return
         seen: set[tuple[Node, Node]] = set()
         for hom in TriggerMatcher(graph).matches(self.body):
             left_value, right_value = hom[self.left], hom[self.right]
@@ -57,25 +71,8 @@ class TargetEgd:
                     yield pair
 
     def is_satisfied(self, graph: GraphDatabase) -> bool:
-        """Return whether ``graph`` satisfies the egd.
-
-        A functional egd (:func:`~repro.engine.delta._functional_profile`:
-        the key determines the member) holds iff every key's adjacency
-        set under its label has at most one member, which is read off the
-        index with no join.  Other egds look for a first violation.
-        """
-        profile = _functional_profile(self)
-        if profile is None:
-            for _ in self.violations(graph):
-                return False
-            return True
-        label, direction = profile
-        groups = (
-            graph.backward_index(label)
-            if direction == "in"
-            else graph.forward_index(label)
-        )
-        return max(map(len, groups.values()), default=0) < 2
+        """Return whether ``graph`` satisfies the egd: no first violation."""
+        return next(self.violations(graph), None) is None
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TargetEgd):

@@ -10,6 +10,7 @@ existential.
 
 from __future__ import annotations
 
+from itertools import compress, filterfalse
 from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Hashable, Iterator
 
@@ -104,56 +105,50 @@ class SourceToTargetTgd:
         """Whether ∃ȳ. ψ holds in ``graph``, compiled once for every row.
 
         The checker takes a row of frontier values in :attr:`frontier`
-        order and memoises its verdict per row.  It is the head's join
-        plan with the frontier bound
+        order.  It is the head's join plan with the frontier bound
         (:meth:`~repro.engine.matcher.TriggerMatcher.join_plan`), whose
         :meth:`~repro.join.Plan.existence` tests the head one independent
         component at a time.  ``graph`` must not change while the
         checker is in use.
         """
-        check = TriggerMatcher(graph).join_plan(self.head, self.frontier).existence()
-        memo: dict[tuple, bool] = {}
-
-        def holds(row: tuple) -> bool:
-            verdict = memo.get(row)
-            if verdict is None:
-                verdict = memo[row] = check(row)
-            return verdict
-
-        return holds
+        return TriggerMatcher(graph).join_plan(self.head, self.frontier).existence()
 
     def violations(
-        self,
-        instance: RelationalInstance,
-        graph: GraphDatabase,
-        holds: Callable[[tuple], bool] | None = None,
+        self, instance: RelationalInstance, graph: GraphDatabase
     ) -> Iterator[dict[Variable, Node]]:
         """Yield body matches whose head is not satisfied in ``graph``.
 
-        Matches come in :meth:`body_matches` order.  ``holds`` is a
-        :meth:`head_checker` on ``graph`` to reuse, with its memo.
+        One walk in :meth:`body_matches` order: the body is joined once
+        (:meth:`body_rows`, frontier variables first), its frontier rows
+        are deduplicated in order of first occurrence, and each distinct
+        row is checked once by :meth:`head_checker`, up to the first
+        failure.  That row's first occurrence is the first violating
+        match, so a caller that stops there checks no further row.  Only
+        a violating match becomes a dict.
         """
-        if holds is None:
-            holds = self.head_checker(graph)
         frontier = self.frontier
-        for match in self.body_matches(instance):
-            if not holds(tuple(match[v] for v in frontier)):
-                yield match
+        variables = frontier + tuple(
+            var for var in self.body.variables() if var not in frontier
+        )
+        rows = self.body_rows(instance, variables)
+        project = itemgetter(slice(len(frontier)))
+        failing = filterfalse(
+            self.head_checker(graph), dict.fromkeys(map(project, rows))
+        )
+        first = next(failing, None)
+        if first is None:
+            return
+        bad = {first}
+        for row in compress(rows, map(bad.__contains__, map(project, rows))):
+            yield dict(zip(variables, row))
+            # Rows before the first violation pass, so only now do the
+            # remaining distinct rows need their checks.
+            bad.update(failing)
 
-    def is_satisfied(
-        self,
-        instance: RelationalInstance,
-        graph: GraphDatabase,
-        holds: Callable[[tuple], bool] | None = None,
-    ) -> bool:
-        """Return whether ``(instance, graph)`` satisfies the tgd.
-
-        Set at a time: the body matches are projected onto the frontier
-        once, and each distinct row is checked once.
-        """
-        if holds is None:
-            holds = self.head_checker(graph)
-        return all(map(holds, set(self.body_rows(instance, self.frontier))))
+    def is_satisfied(self, instance: RelationalInstance, graph: GraphDatabase) -> bool:
+        """Return whether ``(instance, graph)`` satisfies the tgd: no first
+        violation."""
+        return next(self.violations(instance, graph), None) is None
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SourceToTargetTgd):
@@ -175,3 +170,4 @@ class SourceToTargetTgd:
     def __repr__(self) -> str:
         label = f" {self.name!r}" if self.name else ""
         return f"SourceToTargetTgd{label}({self})"
+

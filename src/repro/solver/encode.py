@@ -194,8 +194,8 @@ def _egd_plan(egd: TargetEgd):
     each atom plan is ``(subject, words, object)`` with endpoints resolved
     to ``("var", index)`` / ``("const", node)``.  Memoised on the egd (its
     hash is itself memoised): reduction families instantiate value-equal
-    egds across hundreds of settings, and both the encoder and the
-    fragment solution check walk the same plans.
+    egds across hundreds of settings, and the encoder walks the same
+    plans for each of them.
     """
     variables = list(egd.body.variables())
     index_of = {variable: i for i, variable in enumerate(variables)}
@@ -542,80 +542,6 @@ def add_pair_blocking_clauses(
             cnf.add_clause_trusted(clause)
             added.append(clause)
     return added
-
-
-def _word_path_exists(
-    graph: GraphDatabase, word: tuple[str, ...], source: Node, target: Node
-) -> bool:
-    """Whether ``graph`` has a ``source →word→ target`` edge path."""
-    frontier = {source} if source in graph else set()
-    for symbol in word:
-        adjacency = graph.forward_index(symbol)
-        grown: set[Node] = set()
-        for node in frontier:
-            successors = adjacency.get(node)
-            if successors:
-                grown.update(successors)
-        if not grown:
-            return False
-        frontier = grown
-    return target in frontier
-
-
-def check_fragment_solution(
-    instance: RelationalInstance,
-    graph: GraphDatabase,
-    setting: DataExchangeSetting,
-) -> bool:
-    """Decide ``graph ∈ Sol_Ω(instance)`` directly on the Theorem 4.1 fragment.
-
-    Semantically identical to :func:`repro.core.solution.is_solution` on
-    settings in the SAT-encodable fragment (union-of-symbols heads, word
-    egd bodies) — pinned by a differential test.  The s-t tgds are checked
-    set at a time by the same head check as ``is_solution``
-    (:meth:`~repro.mappings.stt.SourceToTargetTgd.is_satisfied`); word
-    egds by stepwise path growth instead of the generic matcher, whose
-    per-setting compilation dwarfs the actual check on the small witness
-    graphs the SAT pipeline decodes.  Raises
-    :class:`~repro.errors.NotSupportedError` on settings with sameAs
-    constraints or target tgds.
-    """
-    if setting.sameas_constraints() or setting.general_target_tgds():
-        raise NotSupportedError(
-            "the fragment check covers egd-only settings (Theorem 4.1 fragment)"
-        )
-    for tgd in setting.st_tgds:
-        if not tgd.is_satisfied(instance, graph):
-            return False
-    node_tuple = tuple(graph.nodes())
-    for egd in setting.egds():
-        variable_count, left_index, right_index, atom_plans = _egd_plan(egd)
-        # Cheap pre-filter: an atom can only fire if some alternative word
-        # has every symbol present in the graph at all; a body whose atom
-        # has no such word cannot match anywhere — which rules out almost
-        # all clause egds of the reduction families before the |N|^k
-        # assignment loop even starts.
-        if any(
-            all(
-                any(graph.label_count(symbol) == 0 for symbol in word)
-                for word in words
-            )
-            for _, words, _ in atom_plans
-        ):
-            continue
-        for values in itertools.product(node_tuple, repeat=variable_count):
-            if values[left_index] == values[right_index]:
-                continue
-            realised = True
-            for subject, words, obj in atom_plans:
-                u = values[subject[1]] if subject[0] == "var" else subject[1]
-                v = values[obj[1]] if obj[0] == "var" else obj[1]
-                if not any(_word_path_exists(graph, word, u, v) for word in words):
-                    realised = False
-                    break
-            if realised:  # the egd fires on two distinct nodes: violation
-                return False
-    return True
 
 
 def decode_edge_model(

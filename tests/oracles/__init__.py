@@ -20,8 +20,9 @@ so no user-settable option can select it:
   the edge-at-a-time §3.1 chase, against the tuple chase
   :func:`repro.chase.relational_chase.chase_relational`;
 * :mod:`oracles.reference_solution` — the per-match
-  :func:`~oracles.reference_solution.solution_violations`, against the
-  set-at-a-time :func:`repro.core.solution.solution_violations`;
+  :func:`~oracles.reference_solution.solution_violations` and the
+  brute-force :func:`~oracles.reference_solution.egd_violation_set`,
+  against the one-pass :func:`repro.core.solution.solution_violations`;
 * :mod:`oracles.cnre_search` — the nested-loop
   :func:`~oracles.cnre_search.cnre_homomorphisms`, every atom scanning
   its whole pair set, against the join executor :mod:`repro.join`;

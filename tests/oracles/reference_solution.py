@@ -1,15 +1,19 @@
-"""The per-match solution check — the oracle for set-at-a-time verification.
+"""The per-match solution check — the oracle for one-pass verification.
 
 :func:`solution_violations` is the original scan of
 :func:`repro.core.solution.solution_violations`: every s-t tgd body match
 runs its own brute-force head search (the nested-loop
 :func:`oracles.cnre_search.cnre_homomorphisms`, seeded with the match,
 which shares no code with the join executor) and every egd enumerates
-its violations through the matcher.  The production check projects body
-matches onto the frontier once, tests each head one independent
-component at a time (:meth:`repro.join.Plan.exists`), and reads
-functional egds off the adjacency sets; the differential suite pins its
-verdicts and itemised reports equal to this one.
+its violations through the matcher, for their order.
+:func:`egd_violation_set` gives each egd's violations from that
+nested-loop search alone, so the early exits of
+:meth:`repro.mappings.egd.TargetEgd.violations` (the functional read,
+the missing-label filter) are pinned against code they do not share.
+The production check joins each body once, tests each distinct head row
+one independent component at a time (:meth:`repro.join.Plan.exists`),
+and reads functional egds off the adjacency sets; the differential suite
+pins its verdicts and itemised reports equal to this one.
 """
 
 from __future__ import annotations
@@ -55,6 +59,16 @@ def solution_violations(
             if first_only:
                 return report
     return report
+
+
+def egd_violation_set(egd, graph: GraphDatabase) -> set[tuple]:
+    """The pairs ``(h(x₁), h(x₂))`` with ``h(x₁) ≠ h(x₂)`` over every
+    homomorphism ``h`` of the egd's body, by nested-loop search."""
+    pairs = (
+        (match[egd.left], match[egd.right])
+        for match in cnre_homomorphisms(egd.body, graph)
+    )
+    return {(left, right) for left, right in pairs if left != right}
 
 
 def is_solution(

@@ -1,10 +1,13 @@
-"""The persistent incremental SAT pipeline and its fragment-exact checker.
+"""The persistent incremental SAT pipeline and the check of its witnesses.
 
 Differential anchors:
 
-* :func:`repro.solver.encode.check_fragment_solution` must agree with the
-  generic :func:`repro.core.solution.is_solution` on every graph it
-  accepts/rejects (random reduction witnesses, mutated or not);
+* :func:`repro.core.solution.is_solution`, which verifies every decoded
+  witness, must agree with the per-match
+  :func:`oracles.reference_solution.is_solution` on Theorem 4.1
+  valuation graphs (word egds), mutated or not, and each word egd's
+  violations with the brute-force
+  :func:`oracles.reference_solution.egd_violation_set`;
 * pipeline probes must agree with the minimal-solution enumeration (run
   on the reference engine) and with DPLL-on-the-source-formula on the
   Corollary 4.2 family, with the pipeline on CDCL and, through the
@@ -17,7 +20,7 @@ import random
 
 import pytest
 
-from oracles import IncrementalDPLL, ReferenceEngine, solve_cnf
+from oracles import IncrementalDPLL, ReferenceEngine, reference_solution, solve_cnf
 from repro.core.certain import (
     _enumerated_certain_answers,
     _enumerated_counterexample,
@@ -38,7 +41,6 @@ from repro.graph.parser import parse_nre
 from repro.reductions.certain_hardness import certain_egd_instance
 from repro.reductions.three_sat import reduction_from_cnf, valuation_graph
 from repro.solver.cdcl import CDCLSolver
-from repro.solver.encode import check_fragment_solution
 from repro.solver.generators import random_kcnf
 
 CFG = CandidateSearchConfig(star_bound=1)
@@ -75,11 +77,14 @@ class TestFragmentChecker:
             if rng.random() < 0.5 and graph.edge_count() > 1:
                 edge = sorted(graph.edges(), key=repr)[0]
                 graph.remove_edge(edge.source, edge.label, edge.target)
-            expected = is_solution(reduction.instance, graph, reduction.setting)
-            assert (
-                check_fragment_solution(reduction.instance, graph, reduction.setting)
-                == expected
+            expected = reference_solution.is_solution(
+                reduction.instance, graph, reduction.setting
             )
+            assert is_solution(reduction.instance, graph, reduction.setting) == expected
+            for egd in reduction.setting.egds():  # the oracle's own egd search
+                assert set(egd.violations(graph)) == (
+                    reference_solution.egd_violation_set(egd, graph)
+                )
 
     def test_pipeline_witnesses_are_solutions(self):
         for formula in formulas(4, seed=7):

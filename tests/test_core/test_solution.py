@@ -1,8 +1,15 @@
 """Unit tests for the solution predicate — pinning the paper's Figure 1."""
 
+import pytest
+
+from oracles import reference_solution
 from repro.core.solution import is_solution, solution_violations
+from repro.core.tractable import chase_universal
 from repro.graph.database import GraphDatabase
+from repro.io.json_io import document_from_dict
+from repro.mappings.stt import SourceToTargetTgd
 from repro.scenarios.flights import figure7_graph
+from repro.scenarios.scale import GeneratorConfig, scale_document
 
 
 class TestFigure1:
@@ -90,3 +97,96 @@ class TestReport:
         assert report.tgd_violations
         g.add_edge("v", "b", "w")
         assert is_solution(instance, g, setting)
+
+
+class TestOnePass:
+    """Each s-t tgd is joined once, and each distinct frontier row is
+    checked once, in match order, up to the first failure."""
+
+    @staticmethod
+    def broken_tenant(family: str, label: str):
+        document = scale_document(GeneratorConfig(family=family, nodes=60, seed=1))
+        setting, instance = document_from_dict(document)
+        graph = chase_universal(setting, instance).expect_graph()
+        edge = min((t for t in graph.live_triples() if t[1] == label), key=repr)
+        graph.remove_edge(*edge)
+        return setting, instance, graph
+
+    @staticmethod
+    def distinct_rows(tgd, instance, graph, first_only):
+        """The tgd's distinct frontier rows in first-occurrence order, up
+        to its first failing one when ``first_only``."""
+        variables = tgd.body.variables()
+        frontier_rows = dict.fromkeys(
+            tuple(row[variables.index(v)] for v in tgd.frontier)
+            for row in tgd.body_rows(instance, variables)
+        )
+        holds = tgd.head_checker(graph)
+        walked = []
+        for row in frontier_rows:
+            walked.append(row)
+            if first_only and not holds(row):
+                break
+        return walked
+
+    @pytest.mark.parametrize(
+        "family, label", [("social", "member"), ("medlit", "mentions")]
+    )
+    @pytest.mark.parametrize("first_only", [True, False])
+    def test_one_join_per_tgd_and_one_check_per_row(
+        self, monkeypatch, family, label, first_only
+    ):
+        setting, instance, graph = self.broken_tenant(family, label)
+        joins: list = []
+        checked: dict = {}
+        body_rows = SourceToTargetTgd.body_rows
+        head_checker = SourceToTargetTgd.head_checker
+
+        def counting_rows(tgd, *args, **kwargs):
+            joins.append(tgd)
+            return body_rows(tgd, *args, **kwargs)
+
+        def counting_checker(tgd, graph):
+            holds = head_checker(tgd, graph)
+            rows = checked.setdefault(tgd, [])
+
+            def check(row):
+                rows.append(row)
+                return holds(row)
+
+            return check
+
+        def no_second_walk(tgd, *args, **kwargs):
+            raise AssertionError("body matched twice")
+
+        monkeypatch.setattr(SourceToTargetTgd, "body_rows", counting_rows)
+        monkeypatch.setattr(SourceToTargetTgd, "head_checker", counting_checker)
+        monkeypatch.setattr(SourceToTargetTgd, "body_matches", no_second_walk)
+        report = solution_violations(instance, graph, setting, first_only=first_only)
+        monkeypatch.undo()
+
+        assert not report.ok
+        walked = list(setting.st_tgds)
+        if first_only:
+            failing = report.st_tgd_violations[0][0]
+            walked = walked[: walked.index(failing) + 1]
+        assert joins == walked
+        for tgd in walked:
+            expected = self.distinct_rows(tgd, instance, graph, first_only)
+            assert checked[tgd] == expected
+        oracle = reference_solution.solution_violations(
+            instance, graph, setting, first_only=first_only
+        )
+        assert report.st_tgd_violations == oracle.st_tgd_violations
+        assert is_solution(instance, graph, setting) is False
+
+    def test_the_medlit_tenant_repeats_frontier_rows(self):
+        """The full pass above checks a tgd whose body repeats frontier
+        rows, so a second check of one row would not go unseen."""
+        setting, instance, _ = self.broken_tenant("medlit", "mentions")
+        repeats = [
+            tgd
+            for tgd in setting.st_tgds
+            if len(set(rows := tgd.body_rows(instance, tgd.frontier))) < len(rows)
+        ]
+        assert repeats

@@ -1,12 +1,14 @@
-"""Differential suite: set-at-a-time solution checking against the per-match oracle.
+"""Differential suite: one-pass solution checking against the per-match oracle.
 
-:func:`repro.core.solution.solution_violations` decides each s-t tgd on
-the frontier projection of its body matches, testing each head one
+:func:`repro.core.solution.solution_violations` joins each s-t tgd body
+once and checks each distinct frontier row, testing each head one
 independent component at a time (:meth:`repro.join.Plan.exists`), and
-each functional egd on the adjacency sets alone.
+reads each functional egd's adjacency sets before it joins.
 :func:`oracles.reference_solution.solution_violations` runs one
 brute-force head search per body match and enumerates every egd through
-the matcher.  On
+the matcher; :func:`oracles.reference_solution.egd_violation_set` gives
+each egd's violations by nested-loop search alone, which production's
+itemised pairs must equal, with no pair twice.  On
 random settings and on the medlit and social generators, with edges
 removed (leaving empty adjacency sets behind), edges added that break a
 functional egd, and nodes renamed, on mutable, frozen and
@@ -96,6 +98,10 @@ def assert_matches_oracle(instance, graph, setting):
     assert full.egd_violations == expected.egd_violations
     assert full.sameas_violations == expected.sameas_violations
     assert full.tgd_violations == expected.tgd_violations
+    for egd in setting.egds():
+        pairs = [pair for found, pair in full.egd_violations if found is egd]
+        assert len(pairs) == len(set(pairs))
+        assert set(pairs) == reference_solution.egd_violation_set(egd, graph)
     first = solution_violations(instance, graph, setting, first_only=True)
     expected_first = reference_solution.solution_violations(
         instance, graph, setting, first_only=True
